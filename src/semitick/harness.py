@@ -19,7 +19,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path as FsPath
 from typing import Optional
 
@@ -37,14 +37,11 @@ from .hazards import (
     alpha,
     successors,
 )
-from .lattice import PriceLattice
 from .simulate import (
     AgentState,
     MarketState,
-    Path,
     path_rng,
     sample_holding,
-    sample_transition,
     simulate_price_path,
     simulate_price_path_thinning,
 )
@@ -186,132 +183,155 @@ class ExperimentConfig:
         return {"config_sha256": self.config_hash, "master_seed": self.seed}
 
 
-def _intensity_from(section: dict, where: str, errors: list):
-    family = section.get("family")
+def _is_number(value, integer: bool = False) -> bool:
+    """True for a finite JSON number, and an integral one when ``integer``."""
     try:
-        if family == "constant":
-            return ConstantIntensity(level=float(section["level"]))
-        if family == "saturating":
-            return SaturatingIntensity(
-                base=float(section["base"]),
-                gain=float(section["gain"]),
-                rate=float(section["rate"]),
-            )
+        return not isinstance(value, bool) and (
+            value == int(value) if integer else math.isfinite(value)
+        )
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
+def _number(sec: dict, where: str, errors: list, default=None, integer: bool = False):
+    """Field ``where`` (a dotted path whose last part keys ``sec``) as a finite
+    float, or as an int when ``integer``; None and a message otherwise."""
+    value = sec.get(where.rsplit(".", 1)[-1], default)
+    if not _is_number(value, integer):
+        kind = "an integer" if integer else "a finite number"
+        errors.append(f"{where}: expected {kind}, got {value!r}")
+        return None
+    return int(value) if integer else float(value)
+
+
+def _section(parent: dict, where: str, errors: list) -> dict:
+    sec = parent.get(where.rsplit(".", 1)[-1], {})
+    if isinstance(sec, dict):
+        return sec
+    errors.append(f"{where}: expected an object, got {sec!r}")
+    return {}
+
+
+def _make(where: str, errors: list, cls, *args, **kwargs):
+    """``cls(*args, **kwargs)``, or None when an argument is missing or the
+    constructor rejects them (its message goes to ``errors``)."""
+    if None in args or None in kwargs.values():
+        return None
+    try:
+        return cls(*args, **kwargs)
+    except ValueError as exc:
+        errors.append(f"{where}: {exc}")
+        return None
+
+
+_FAMILIES = {
+    "constant": (ConstantIntensity, ("level",)),
+    "saturating": (SaturatingIntensity, ("base", "gain", "rate")),
+}
+
+
+def _intensity_from(parent: dict, where: str, errors: list):
+    section = _section(parent, where, errors)
+    family = section.get("family")
+    if not isinstance(family, str) or family not in _FAMILIES:
         errors.append(
             f"{where}.family: expected 'constant' or 'saturating', got {family!r} "
             "(smoothness and boundedness (A1)/(A2) hold for these families only)"
         )
-    except KeyError as exc:
-        errors.append(f"{where}: missing parameter {exc}")
-    except (TypeError, ValueError) as exc:
-        errors.append(f"{where}: {exc}")
-    return None
+        return None
+    cls, names = _FAMILIES[family]
+    return _make(where, errors, cls, *[_number(section, f"{where}.{n}", errors) for n in names])
 
 
-def _build_config(data: dict) -> ExperimentConfig:
+def _build_config(data) -> ExperimentConfig:
+    if not isinstance(data, dict):
+        raise ConfigError([f"config: expected a JSON object, got {type(data).__name__}"])
     errors: list[str] = []
-    kernel = layout = mmspec = None
-    ksec = data.get("kernel", {})
-    cont = _intensity_from(ksec.get("continuation", {}), "kernel.continuation", errors)
-    rev = _intensity_from(ksec.get("reversal", {}), "kernel.reversal", errors)
-    delta = ksec.get("delta")
-    if delta is None or not (0.0 < float(delta) < 1.0):
+    ksec = _section(data, "kernel", errors)
+    cont = _intensity_from(ksec, "kernel.continuation", errors)
+    rev = _intensity_from(ksec, "kernel.reversal", errors)
+    delta = _number(ksec, "kernel.delta", errors)
+    if delta is not None and not 0.0 < delta < 1.0:
         errors.append(
             f"kernel.delta: tick size must lie strictly inside (0, 1), got {delta!r} "
             "(prices must stay positive after a down move)"
         )
-    if cont is not None and rev is not None and delta is not None:
-        try:
-            kernel = SemiMarkovKernel(continuation=cont, reversal=rev, delta=float(delta))
-        except ValueError as exc:
-            errors.append(f"kernel: {exc} (assumptions (A3)/(A4))")
-    lsec = data.get("layout", {})
-    ask_flow = _intensity_from(lsec.get("ask_flow", {}), "layout.ask_flow", errors)
-    bid_flow = _intensity_from(lsec.get("bid_flow", {}), "layout.bid_flow", errors)
-    if kernel is not None and ask_flow is not None and bid_flow is not None:
-        try:
-            layout = MarkLayout(
-                kernel=kernel,
-                ask_flow=ask_flow,
-                bid_flow=bid_flow,
-                ask_sizes=tuple(lsec.get("ask_sizes", ())),
-                bid_sizes=tuple(lsec.get("bid_sizes", ())),
-            )
-        except (TypeError, ValueError) as exc:
-            errors.append(f"layout: {exc}")
-    asec = data.get("agent", {})
-    try:
-        mmspec = mm.MarketMakingSpec(
-            big_size=int(asec.get("big_size", 1)),
-            transaction_cost=float(asec.get("transaction_cost", 0.0)),
-            risk_aversion=float(asec.get("risk_aversion", 0.0)),
-            portfolio_consistent=bool(asec.get("portfolio_consistent", False)),
+        delta = None
+    kernel = _make("kernel (assumptions (A3)/(A4))", errors, SemiMarkovKernel, cont, rev, delta)
+    lsec = _section(data, "layout", errors)
+    flows = [_intensity_from(lsec, f"layout.{k}", errors) for k in ("ask_flow", "bid_flow")]
+    sizes = []
+    for key in ("ask_sizes", "bid_sizes"):
+        raw = lsec.get(key, [])
+        if isinstance(raw, list) and all(_is_number(v) for v in raw):
+            sizes.append(tuple(raw))
+        else:
+            errors.append(f"layout.{key}: expected a list of finite numbers, got {raw!r}")
+            sizes.append(None)
+    layout = _make("layout", errors, MarkLayout, kernel, *flows, *sizes)
+    asec = _section(data, "agent", errors)
+    consistent = asec.get("portfolio_consistent", False)
+    if not isinstance(consistent, bool):
+        errors.append(f"agent.portfolio_consistent: expected true or false, got {consistent!r}")
+        consistent = None
+    mmspec = _make(
+        "agent", errors, mm.MarketMakingSpec,
+        _number(asec, "agent.big_size", errors, 1, integer=True),
+        _number(asec, "agent.transaction_cost", errors, 0.0),
+        _number(asec, "agent.risk_aversion", errors, 0.0),
+        consistent,
+    )
+    if layout is not None and mmspec is not None and layout.max_units != mmspec.big_size:
+        errors.append(
+            f"agent.big_size: {mmspec.big_size} does not match the size support "
+            f"0..{layout.max_units} of the layout distributions"
         )
-        if layout is not None and layout.max_units != mmspec.big_size:
-            errors.append(
-                f"agent.big_size: {mmspec.big_size} does not match the size support "
-                f"0..{layout.max_units} of the layout distributions"
-            )
-    except (TypeError, ValueError) as exc:
-        errors.append(f"agent: {exc}")
-    horizon = data.get("horizon")
-    if horizon is None or float(horizon) <= 0:
+    horizon = _number(data, "horizon", errors)
+    if horizon is not None and horizon <= 0:
         errors.append(f"horizon: must be positive, got {horizon!r}")
-    isec = data.get("initial", {})
-    initial_market = initial_agent = None
-    try:
-        initial_market = MarketState(
-            price=float(isec.get("price", 0.0)),
-            state=int(isec.get("state", 0)),
-            age=float(isec.get("age", 0.0)),
-        )
-        if not math.isfinite(initial_market.price):
-            raise ValueError("initial price must be finite (A5)")
-    except (TypeError, ValueError) as exc:
-        errors.append(f"initial: {exc}")
-    try:
-        initial_agent = AgentState(
-            cash=float(isec.get("cash", 0.0)),
-            inventory=int(isec.get("inventory", 0)),
-        )
-    except (TypeError, ValueError) as exc:
-        errors.append(f"initial: {exc}")
-    gsec = data.get("grid", {})
-    grid = None
-    try:
-        grid = GridSpec(
-            n_t=int(gsec.get("n_t", 200)),
-            n_s=int(gsec.get("n_s", 8)),
-            n_max=gsec.get("n_max"),
-            s_max=gsec.get("s_max"),
-            tol_fp=float(gsec.get("tol_fp", 1e-8)),
-            tail_tol=float(gsec.get("tail_tol", 1e-10)),
-            max_iter=int(gsec.get("max_iter", 400)),
-        )
-    except (TypeError, ValueError) as exc:
-        errors.append(f"grid: {exc}")
-    rsec = data.get("run", {})
-    n_paths = int(rsec.get("n_paths", 1000))
-    seed = int(rsec.get("seed", 0))
-    if n_paths < 1:
+    isec = _section(data, "initial", errors)
+    initial_market = _make(
+        "initial", errors, MarketState,
+        _number(isec, "initial.price", errors, 0.0),
+        _number(isec, "initial.state", errors, 0, integer=True),
+        _number(isec, "initial.age", errors, 0.0),
+    )
+    initial_agent = _make(
+        "initial", errors, AgentState,
+        _number(isec, "initial.cash", errors, 0.0),
+        _number(isec, "initial.inventory", errors, 0, integer=True),
+    )
+    gsec = _section(data, "grid", errors)
+    optional = {
+        key: _number(gsec, f"grid.{key}", errors, integer=key == "n_max")
+        for key in ("n_max", "s_max")
+        if gsec.get(key) is not None
+    }
+    grid = _make(
+        "grid", errors, GridSpec,
+        n_t=_number(gsec, "grid.n_t", errors, 200, integer=True),
+        n_s=_number(gsec, "grid.n_s", errors, 8, integer=True),
+        tol_fp=_number(gsec, "grid.tol_fp", errors, 1e-8),
+        tail_tol=_number(gsec, "grid.tail_tol", errors, 1e-10),
+        max_iter=_number(gsec, "grid.max_iter", errors, 400, integer=True),
+        **optional,
+    )
+    rsec = _section(data, "run", errors)
+    n_paths = _number(rsec, "run.n_paths", errors, 1000, integer=True)
+    seed = _number(rsec, "run.seed", errors, 0, integer=True)
+    if n_paths is not None and n_paths < 1:
         errors.append(f"run.n_paths: must be >= 1, got {n_paths}")
+    if seed is not None and seed < 0:
+        errors.append(f"run.seed: must be >= 0, got {seed}")
     if errors:
         raise ConfigError(errors)
     if grid.s_max is None:
-        grid = GridSpec(
-            n_t=grid.n_t,
-            n_s=grid.n_s,
-            n_max=grid.n_max,
-            s_max=initial_market.age + float(horizon),
-            tol_fp=grid.tol_fp,
-            tail_tol=grid.tail_tol,
-            max_iter=grid.max_iter,
-        )
+        grid = replace(grid, s_max=initial_market.age + horizon)
     return ExperimentConfig(
         kernel=kernel,
         layout=layout,
         mmspec=mmspec,
-        horizon=float(horizon),
+        horizon=horizon,
         initial_market=initial_market,
         initial_agent=initial_agent,
         grid=grid,

@@ -15,27 +15,25 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .hazards import STATES, MarkLayout, SemiMarkovKernel, alpha, equivalent, successors
-from .lattice import PriceLattice
+from .mc import McEstimate
 from .simulate import (
     NO_EVENT,
     AgentState,
     AlwaysQuotePolicy,
     AskOnlyPolicy,
     BidOnlyPolicy,
-    BigJump,
     HoldPolicy,
     MarketState,
     RandomQuotePolicy,
-    SmallOrder,
-    big_order_fill,
+    order_fill,
     path_rng,
-    small_order_fill,
+    thinning_segments,
 )
 from .solver import GridSpec, ProblemSpec, ValueField, extension_slice, solve_fixed_point
 
@@ -346,15 +344,7 @@ def solve_quote_value(
     if grid.n_t != n_t or (grid.n_max or price_field.lattice.n_max) != price_field.lattice.n_max:
         raise ValueError("quote-value grid must match the expected-price grid")
     if grid.n_max is None:
-        grid = GridSpec(
-            n_t=grid.n_t,
-            n_s=grid.n_s,
-            n_max=price_field.lattice.n_max,
-            s_max=grid.s_max,
-            tol_fp=grid.tol_fp,
-            tail_tol=grid.tail_tol,
-            max_iter=grid.max_iter,
-        )
+        grid = replace(grid, n_max=price_field.lattice.n_max)
     source = QuoteGainSource(kernel, layout, mmspec, price_field)
     problem = ProblemSpec(g=lambda p: np.zeros_like(np.asarray(p, dtype=float)), w=source)
     fld = solve_fixed_point(
@@ -510,62 +500,35 @@ def backtest(
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    width = layout.mark_domain
-    delta = kernel.delta
-    cost = mmspec.transaction_cost
-    big = layout.max_units
+    start = (0.0, initial_market.price, initial_market.state, initial_market.age)
     eta = mmspec.risk_aversion
     values = np.empty((len(policies), n_paths))
     for idx in range(n_paths):
-        rng = path_rng(seed, idx)
-        t, p, i, s = (
-            0.0,
-            initial_market.price,
-            initial_market.state,
-            initial_market.age,
-        )
+        # a fill depends on the policy only through the quote bit of its
+        # side, so each event is settled once and every policy replays it
         events = []
-        while True:
-            gap = rng.exponential(1.0 / width)
-            if t + gap > horizon:
-                break
-            t += gap
-            s += gap
-            z = rng.uniform(0.0, width)
-            tag = layout.classify(i, s, z)
-            if tag is NO_EVENT:
-                continue
-            events.append((t, tag, p, i, s))
-            if isinstance(tag, BigJump):
-                p = p * (1.0 + delta * alpha(tag.target))
-                i, s = tag.target, 0.0
+        for _, t1, p, i, _, s1, mark in thinning_segments(
+            kernel, layout, start, horizon, path_rng(seed, idx)
+        ):
+            if mark is not None and mark is not NO_EVENT:
+                side, d_cash, d_inv, _, _ = order_fill(
+                    mark, (1, 1), layout.max_units, p, kernel.delta, mmspec.transaction_cost
+                )
+                events.append((t1, p, i, s1, side > 0, d_cash, d_inv))
         p_terminal = p
         for pi_idx, policy in enumerate(policies):
             x, y = initial_agent.cash, initial_agent.inventory
-            for (tv, tag, p_pre, i_pre, s_pre) in events:
+            for tv, p_pre, i_pre, s_pre, ask_side, d_cash, d_inv in events:
                 l_ask, l_bid = policy(tv, p_pre, i_pre, s_pre)
-                if isinstance(tag, SmallOrder):
-                    quoted = l_ask if tag.side > 0 else l_bid
-                    d_cash, d_inv, _ = small_order_fill(
-                        tag.side, tag.units, p_pre, delta, cost, quoted
-                    )
-                else:
-                    quoted = l_ask if alpha(tag.target) > 0 else l_bid
-                    d_cash, d_inv, _ = big_order_fill(
-                        tag.target, big, p_pre, delta, cost, quoted
-                    )
-                x += d_cash
-                y += d_inv
+                if (l_ask if ask_side else l_bid):
+                    x += d_cash
+                    y += d_inv
             values[pi_idx, idx] = x + p_terminal * y - eta * y * y
     rows = []
     for pi_idx, policy in enumerate(policies):
         name = getattr(policy, "name", type(policy).__name__)
-        mean = float(np.sum(values[pi_idx]) / n_paths)
-        if n_paths > 1:
-            se = float(np.std(values[pi_idx], ddof=1) / math.sqrt(n_paths))
-        else:
-            se = 0.0
-        rows.append(BacktestRow(policy=name, mean=mean, se=se, n_paths=n_paths))
+        est = McEstimate.from_values(values[pi_idx], seed)
+        rows.append(BacktestRow(policy=name, mean=est.mean, se=est.se, n_paths=n_paths))
     bound = value_upper_bound(
         mmspec,
         kernel,

@@ -11,27 +11,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .hazards import (
-    NO_EVENT,
-    BigJump,
-    MarkLayout,
-    SemiMarkovKernel,
-    SmallOrder,
-    alpha,
-    successors,
-)
+from .hazards import NO_EVENT, MarkLayout, SemiMarkovKernel, alpha, successors
 from .simulate import (
-    AgentState,
-    MarketState,
     big_order_fill,
+    order_fill,
     path_rng,
-    sample_holding,
-    sample_transition,
+    renewal_segments,
     small_order_fill,
+    thinning_segments,
 )
 
 __all__ = [
@@ -82,16 +74,19 @@ def z_score(solver_value: float, estimate: McEstimate) -> float:
     return (solver_value - estimate.mean) / estimate.se
 
 
+def _simpson_nodes(subdiv: int) -> np.ndarray:
+    w = np.ones(subdiv + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return w
+
+
 def _simpson_segment(fn: Callable, a: float, b: float, subdiv: int) -> float:
     """Composite Simpson of a vectorised integrand over [a, b]."""
     if b <= a:
         return 0.0
-    v = np.linspace(a, b, subdiv + 1)
-    vals = np.asarray(fn(v), dtype=float)
-    w = np.ones(subdiv + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return float(np.dot(w, vals) * (b - a) / (3.0 * subdiv))
+    vals = np.asarray(fn(np.linspace(a, b, subdiv + 1)), dtype=float)
+    return float(np.dot(_simpson_nodes(subdiv), vals) * (b - a) / (3.0 * subdiv))
 
 
 def estimate_terminal_value(
@@ -116,35 +111,17 @@ def estimate_terminal_value(
         raise ValueError("n_paths must be >= 1")
     if segment_subdiv % 2 or segment_subdiv < 2:
         raise ValueError("segment_subdiv must be a positive even integer")
-    t0, p0, i0, s0 = start
-    if not 0.0 <= t0 <= horizon:
+    if not 0.0 <= start[0] <= horizon:
         raise ValueError("start time must lie in [0, horizon]")
     values = np.empty(n_paths)
     for idx in range(n_paths):
-        rng = path_rng(seed, idx)
-        t, p, i, s = t0, p0, i0, s0
         acc = 0.0
-        while True:
-            u = rng.random()
-            while u == 0.0:
-                u = rng.random()
-            hold = sample_holding(kernel, s, u)
-            seg_end = min(t + hold, horizon)
-            if w is not None and seg_end > t:
-                p_seg, i_seg, s_seg, t_seg = p, i, s, t
+        rng = path_rng(seed, idx)
+        for t0, t1, p, i, s0, _, _ in renewal_segments(kernel, start, horizon, rng):
+            if w is not None and t1 > t0:
                 acc += _simpson_segment(
-                    lambda v: w(v, p_seg, i_seg, s_seg + (v - t_seg)),
-                    t,
-                    seg_end,
-                    segment_subdiv,
+                    lambda v: w(v, p, i, s0 + (v - t0)), t0, t1, segment_subdiv
                 )
-            if t + hold > horizon:
-                break
-            t += hold
-            age_at_jump = s + hold
-            j = sample_transition(kernel, i, age_at_jump, rng.random())
-            p *= 1.0 + kernel.delta * alpha(j)
-            i, s = j, 0.0
         values[idx] = float(g(p)) + acc
     return McEstimate.from_values(values, seed)
 
@@ -290,23 +267,6 @@ def battery_controlled(horizon: float, p_scale: float = 1.0) -> list[ControlledT
     ]
 
 
-def _generator_uncontrolled(kernel: SemiMarkovKernel, tf: TestFunction, p, i, s):
-    out = np.asarray(tf.dpsi_ds(p, i, s), dtype=float)
-    psi_here = np.asarray(tf.psi(p, i, s), dtype=float)
-    for j in successors(i):
-        pj = p * (1.0 + kernel.delta * alpha(j))
-        rate = np.asarray(kernel.directed_intensity(i, j, s), dtype=float)
-        out = out + rate * (np.asarray(tf.psi(pj, j, 0.0), dtype=float) - psi_here)
-    return out
-
-
-def _simpson_nodes(subdiv: int) -> np.ndarray:
-    w = np.ones(subdiv + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w
-
-
 def _segment_defects_unc(kernel, tfs, p, i, s0, a, b, weights, acc):
     """Add each test function's generator integral over one segment to acc."""
     if b <= a:
@@ -379,45 +339,6 @@ def _segment_defects_ctl(
                 float(tf.psi(pj, j, 0.0, x + dxb, y + dyb)) - psi_here
             )
         acc[q] += float(np.dot(weights, integrand)) * scale
-
-
-def _generator_controlled(
-    kernel: SemiMarkovKernel,
-    layout: MarkLayout,
-    cost: float,
-    tf: ControlledTestFunction,
-    p,
-    i,
-    s,
-    x,
-    y,
-    control: tuple[int, int],
-    include_small_orders: bool = True,
-):
-    out = np.asarray(tf.dpsi_ds(p, i, s, x, y), dtype=float)
-    psi_here = np.asarray(tf.psi(p, i, s, x, y), dtype=float)
-    big = layout.max_units
-    for j in successors(i):
-        d = alpha(j)
-        bit = control[0] if d > 0 else control[1]
-        if include_small_orders:
-            lam = np.asarray(layout.side_flow(d).value(s), dtype=float)
-            for k, prob in enumerate(layout.side_sizes(d)):
-                if prob == 0.0:
-                    continue
-                dx, dy, _ = small_order_fill(d, k, p, kernel.delta, cost, bit)
-                if dx == 0.0 and dy == 0:
-                    continue
-                out = out + lam * prob * (
-                    np.asarray(tf.psi(p, i, s, x + dx, y + dy), dtype=float) - psi_here
-                )
-        dxb, dyb, _ = big_order_fill(j, big, p, kernel.delta, cost, bit)
-        pj = p * (1.0 + kernel.delta * d)
-        rate = np.asarray(kernel.directed_intensity(i, j, s), dtype=float)
-        out = out + rate * (
-            np.asarray(tf.psi(pj, j, 0.0, x + dxb, y + dyb), dtype=float) - psi_here
-        )
-    return out
 
 
 @dataclass(frozen=True)
@@ -557,94 +478,50 @@ def dynkin_battery(
     values = np.empty((len(tfs), n_paths))
     weights = _simpson_nodes(segment_subdiv)
     separable = all(tf.state_part is not None and tf.age_bump is not None for tf in tfs)
-    frac = np.linspace(0.0, 1.0, segment_subdiv + 1)
-    b0_map = (
-        {key: _bump(0.0, *key) for key in {tf.age_bump for tf in tfs}}
-        if separable
-        else None
-    )
     if separable:
-        def seg_unc(kernel, tfs, p, i, s, a, b, weights, acc):
-            _segment_separable_unc(kernel, tfs, p, i, s, a, b, weights, acc, frac, b0_map)
-
-        def seg_ctl(kernel, layout, cost, tfs, p, i, s, x, y, a, b, ctl, inc, weights, acc):
-            _segment_separable_ctl(
-                kernel, layout, cost, tfs, p, i, s, x, y, a, b, ctl, inc, weights,
-                acc, frac, b0_map,
-            )
+        shared = dict(
+            frac=np.linspace(0.0, 1.0, segment_subdiv + 1),
+            b0_map={key: _bump(0.0, *key) for key in {tf.age_bump for tf in tfs}},
+        )
+        seg_unc = partial(_segment_separable_unc, **shared)
+        seg_ctl = partial(_segment_separable_ctl, **shared)
     else:
-        seg_unc = _segment_defects_unc
-        seg_ctl = _segment_defects_ctl
+        seg_unc, seg_ctl = _segment_defects_unc, _segment_defects_ctl
     if control is None:
-        p0, i0, s0 = start.price, start.state, start.age
-        psi0 = [float(tf.psi(p0, i0, s0)) for tf in tfs]
+        start_seg = (0.0, start.price, start.state, start.age)
+        psi0 = [float(tf.psi(start.price, start.state, start.age)) for tf in tfs]
         for idx in range(n_paths):
-            rng = path_rng(seed, idx)
-            tt, p, i, s = 0.0, p0, i0, s0
             acc = [0.0] * len(tfs)
-            while True:
-                u = rng.random()
-                while u == 0.0:
-                    u = rng.random()
-                hold = sample_holding(kernel, s, u)
-                seg_end = min(tt + hold, t)
-                seg_unc(kernel, tfs, p, i, s, tt, seg_end, weights, acc)
-                if tt + hold > t:
-                    s = s + (t - tt)
-                    break
-                tt += hold
-                j = sample_transition(kernel, i, s + hold, rng.random())
-                p *= 1.0 + kernel.delta * alpha(j)
-                i, s = j, 0.0
+            rng = path_rng(seed, idx)
+            for t0, t1, p, i, s0, s1, _ in renewal_segments(kernel, start_seg, t, rng):
+                seg_unc(kernel, tfs, p, i, s0, t0, t1, weights, acc)
             for q, tf in enumerate(tfs):
-                values[q, idx] = float(tf.psi(p, i, s)) - psi0[q] - acc[q]
+                values[q, idx] = float(tf.psi(p, i, s1)) - psi0[q] - acc[q]
     else:
         market, agent = start
-        width = layout.mark_domain
+        start_seg = (0.0, market.price, market.state, market.age)
         psi0 = [
             float(
                 tf.psi(market.price, market.state, market.age, agent.cash, agent.inventory)
             )
             for tf in tfs
         ]
-        big = layout.max_units
         for idx in range(n_paths):
-            rng = path_rng(seed, idx)
-            tt, p, i, s = 0.0, market.price, market.state, market.age
             x, y = agent.cash, agent.inventory
             acc = [0.0] * len(tfs)
-            while True:
-                gap = rng.exponential(1.0 / width)
-                seg_end = min(tt + gap, t)
+            rng = path_rng(seed, idx)
+            for t0, t1, p, i, s0, s1, mark in thinning_segments(kernel, layout, start_seg, t, rng):
                 seg_ctl(
-                    kernel, layout, transaction_cost, tfs, p, i, s, x, y,
-                    tt, seg_end, control, include_small_orders, weights, acc,
+                    kernel, layout, transaction_cost, tfs, p, i, s0, x, y,
+                    t0, t1, control, include_small_orders, weights, acc,
                 )
-                if tt + gap > t:
-                    s = s + (t - tt)
-                    break
-                tt += gap
-                s += gap
-                z = rng.uniform(0.0, width)
-                tag = layout.classify(i, s, z)
-                if tag is NO_EVENT:
-                    continue
-                if isinstance(tag, SmallOrder):
-                    bit = control[0] if tag.side > 0 else control[1]
-                    dx, dy, _ = small_order_fill(
-                        tag.side, tag.units, p, kernel.delta, transaction_cost, bit
+                if mark is not None and mark is not NO_EVENT:
+                    _, dx, dy, _, _ = order_fill(
+                        mark, control, layout.max_units, p, kernel.delta, transaction_cost
                     )
                     x, y = x + dx, y + dy
-                else:
-                    bit = control[0] if alpha(tag.target) > 0 else control[1]
-                    dx, dy, _ = big_order_fill(
-                        tag.target, big, p, kernel.delta, transaction_cost, bit
-                    )
-                    x, y = x + dx, y + dy
-                    p *= 1.0 + kernel.delta * alpha(tag.target)
-                    i, s = tag.target, 0.0
             for q, tf in enumerate(tfs):
-                values[q, idx] = float(tf.psi(p, i, s, x, y)) - psi0[q] - acc[q]
+                values[q, idx] = float(tf.psi(p, i, s1, x, y)) - psi0[q] - acc[q]
     results = []
     for q, tf in enumerate(tfs):
         est = McEstimate.from_values(values[q], seed)

@@ -1,14 +1,35 @@
 """Exact simulation of the tick-price triple (price, direction state, age)
 and of the controlled quintuple including the agent's cash and inventory.
 
-Two independent mechanisms are provided:
+Market events come from exactly two generators, one per construction:
 
-* renewal sampling: inverse-CDF holding times plus categorical transitions,
-* thinning: a dominating homogeneous Poisson stream on the time axis with
-  uniform marks resolved through the mark-interval layout.
+* ``renewal_segments``: inverse-CDF holding times plus categorical
+  transitions, one segment per holding time;
+* ``thinning_segments``: a dominating homogeneous Poisson stream on the time
+  axis with uniform marks resolved through the mark-interval layout, one
+  segment per candidate point, thinned ``NO_EVENT`` candidates included.
 
-Both produce the same law for (price, state, age); the thinning route also
-carries the small-order events needed for controlled runs.
+Each yields tuples ``(t0, t1, p, i, s0, s1, mark)``: price ``p`` and state
+``i`` hold on ``[t0, t1)`` while the age grows from ``s0`` to ``s1``, so
+``(p, i, s1)`` is the left limit at ``t1``.  ``mark`` is what happens at
+``t1``: the successor state (renewal) or a ``BigJump``, ``SmallOrder`` or
+``NO_EVENT`` (thinning); it is None on the last segment, which the horizon
+cuts, so a fold ends on the terminal state.
+
+Every consumer folds over one generator.  ``simulate_price_path``,
+``mc.estimate_terminal_value`` and the uncontrolled ``mc.dynkin_battery``
+fold over renewal; ``simulate_price_path_thinning``,
+``simulate_controlled_path``, ``market_maker.backtest`` and the controlled
+``mc.dynkin_battery`` fold over thinning and settle fills with
+``order_fill``.  The market ignores the agent, so neither generator takes a
+policy.
+
+Draw-order contract: per segment renewal draws one open uniform for the
+holding time and then, unless the horizon cuts the holding, one uniform for
+the successor; thinning draws one exponential gap and then, unless the
+horizon cuts it, one uniform mark.  Seeded outputs depend on this order.
+The two constructions share no draws, so they stay independent checks of
+one law for (price, state, age).
 """
 
 from __future__ import annotations
@@ -17,7 +38,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -28,7 +49,6 @@ from .hazards import (
     SemiMarkovKernel,
     SmallOrder,
     alpha,
-    successors,
 )
 
 __all__ = [
@@ -37,6 +57,9 @@ __all__ = [
     "JumpEvent",
     "Path",
     "path_rng",
+    "renewal_segments",
+    "thinning_segments",
+    "order_fill",
     "sample_holding",
     "sample_transition",
     "simulate_price_path",
@@ -245,8 +268,63 @@ def sample_transition(kernel: SemiMarkovKernel, i: int, y: float, u: float) -> i
     return succ[0] if u < weights[0] else succ[1]
 
 
+def _as_rng(seed) -> np.random.Generator:
+    return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+
+
 def _price_after(p: float, delta: float, j: int) -> float:
     return p * (1.0 + delta * alpha(j))
+
+
+def _right_limit(p: float, i: int, s: float, mark, delta: float) -> tuple:
+    """(price, state, age) right after ``mark`` occurs at the left limit ``(p, i, s)``."""
+    if isinstance(mark, BigJump):
+        return _price_after(p, delta, mark.target), mark.target, 0.0
+    return p, i, s
+
+
+def renewal_segments(kernel: SemiMarkovKernel, start, horizon: float, rng):
+    """Renewal construction from ``start = (t, price, state, age)`` to the
+    horizon: one segment per holding time, marked with the successor state."""
+    t, p, i, s = start
+    while True:
+        w = sample_holding(kernel, s, _uniform_open(rng))
+        if t + w > horizon:
+            yield t, horizon, p, i, s, s + (horizon - t), None
+            return
+        j = sample_transition(kernel, i, s + w, rng.random())
+        yield t, t + w, p, i, s, s + w, j
+        t, p, i, s = t + w, _price_after(p, kernel.delta, j), j, 0.0
+
+
+def thinning_segments(kernel: SemiMarkovKernel, layout: MarkLayout, start, horizon: float, rng):
+    """Thinning construction from ``start = (t, price, state, age)`` to the
+    horizon: one segment per candidate of the dominating Poisson stream,
+    thinned ones included, marked through the layout at the candidate's age."""
+    t, p, i, s = start
+    width = layout.mark_domain
+    while True:
+        gap = rng.exponential(1.0 / width)
+        if t + gap > horizon:
+            yield t, horizon, p, i, s, s + (horizon - t), None
+            return
+        s1 = s + gap
+        mark = layout.classify(i, s1, rng.uniform(0.0, width))
+        yield t, t + gap, p, i, s, s1, mark
+        t += gap
+        p, i, s = _right_limit(p, i, s1, mark, kernel.delta)
+
+
+def _market_event(t: float, p: float, i: int, s: float, mark, delta: float) -> JumpEvent:
+    """Uncontrolled event ``mark`` at time ``t`` from the left limit ``(p, i, s)``."""
+    return JumpEvent(
+        time=t,
+        kind=mark,
+        executed_units=0,
+        price_at_execution=None,
+        market_before=MarketState(p, i, s),
+        market_after=MarketState(*_right_limit(p, i, s, mark, delta)),
+    )
 
 
 def simulate_price_path(
@@ -258,31 +336,13 @@ def simulate_price_path(
     """Renewal construction of the uncontrolled path on [0, horizon]."""
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     path = Path(initial_market=initial, horizon=horizon, seed=seed, method="renewal")
-    t, p, i, s = 0.0, initial.price, initial.state, initial.age
-    while True:
-        w = sample_holding(kernel, s, _uniform_open(rng))
-        if t + w > horizon:
-            path.terminal_market = MarketState(p, i, s + (horizon - t))
-            return path
-        t += w
-        age_at_jump = s + w
-        j = sample_transition(kernel, i, age_at_jump, rng.random())
-        before = MarketState(p, i, age_at_jump)
-        p = _price_after(p, kernel.delta, j)
-        after = MarketState(p, j, 0.0)
-        path.events.append(
-            JumpEvent(
-                time=t,
-                kind=BigJump(j),
-                executed_units=0,
-                price_at_execution=None,
-                market_before=before,
-                market_after=after,
-            )
-        )
-        i, s = j, 0.0
+    start = (0.0, initial.price, initial.state, initial.age)
+    for _, t1, p, i, _, s1, j in renewal_segments(kernel, start, horizon, _as_rng(seed)):
+        if j is not None:
+            path.events.append(_market_event(t1, p, i, s1, BigJump(j), kernel.delta))
+    path.terminal_market = MarketState(p, i, s1)
+    return path
 
 
 def simulate_price_path_thinning(
@@ -292,46 +352,24 @@ def simulate_price_path_thinning(
     horizon: float,
     seed,
 ) -> Path:
-    """Thinning construction: dominating Poisson stream plus uniform marks.
+    """Thinning construction of the uncontrolled path on [0, horizon].
 
-    Candidate points arrive at the constant dominating rate; each carries a
-    mark uniform on the dominating width and is resolved through the interval
-    layout at the current age.  Distributionally equivalent to the renewal
-    construction for (price, state, age).
+    Distributionally equivalent to the renewal construction for (price,
+    state, age); the events also include the small orders.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    width = layout.mark_domain
     path = Path(initial_market=initial, horizon=horizon, seed=seed, method="thinning")
-    t, p, i, s = 0.0, initial.price, initial.state, initial.age
-    while True:
-        gap = rng.exponential(1.0 / width)
-        if t + gap > horizon:
-            path.terminal_market = MarketState(p, i, s + (horizon - t))
-            return path
-        t += gap
-        s += gap
+    start = (0.0, initial.price, initial.state, initial.age)
+    segments = thinning_segments(kernel, layout, start, horizon, _as_rng(seed))
+    for _, t1, p, i, _, s1, mark in segments:
+        if mark is None:
+            break
         path.n_candidates += 1
-        z = rng.uniform(0.0, width)
-        tag = layout.classify(i, s, z)
-        if tag is NO_EVENT:
-            continue
-        before = MarketState(p, i, s)
-        if isinstance(tag, BigJump):
-            p = _price_after(p, kernel.delta, tag.target)
-            i, s = tag.target, 0.0
-        after = MarketState(p, i, s)
-        path.events.append(
-            JumpEvent(
-                time=t,
-                kind=tag,
-                executed_units=0,
-                price_at_execution=None,
-                market_before=before,
-                market_after=after,
-            )
-        )
+        if mark is not NO_EVENT:
+            path.events.append(_market_event(t1, p, i, s1, mark, kernel.delta))
+    path.terminal_market = MarketState(p, i, s1)
+    return path
 
 
 def small_order_fill(
@@ -367,6 +405,26 @@ def big_order_fill(
     return d_cash, -a * big_units, exec_price
 
 
+def order_fill(mark, quotes, big_units: int, price: float, delta: float, cost: float):
+    """Settle one market order against the agent's quotes ``(ask bit, bid bit)``.
+
+    ``price`` is the pre-event mid-price.  Returns ``(side, d_cash, d_inv,
+    exec_price, executed_units)``, where ``side`` is the quote side the order
+    executes against (+1 ask, -1 bid); with that side unquoted nothing trades.
+    """
+    if isinstance(mark, SmallOrder):
+        side = mark.side
+        quoted = quotes[0] if side > 0 else quotes[1]
+        fill = small_order_fill(side, mark.units, price, delta, cost, quoted)
+        executed = mark.units if (quoted and mark.units) else 0
+    else:
+        side = alpha(mark.target)
+        quoted = quotes[0] if side > 0 else quotes[1]
+        fill = big_order_fill(mark.target, big_units, price, delta, cost, quoted)
+        executed = big_units if quoted else 0
+    return (side, *fill, executed)
+
+
 def simulate_controlled_path(
     kernel: SemiMarkovKernel,
     layout: MarkLayout,
@@ -381,15 +439,13 @@ def simulate_controlled_path(
 
     Big orders execute the layout's maximal size on the jump side; small
     orders execute their drawn size on their own side, in both cases only
-    when the corresponding quote bit is set.
+    when the corresponding quote bit is set.  The market ignores the agent,
+    so the events are those of :func:`simulate_price_path_thinning`.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     if transaction_cost < 0:
         raise ValueError("transaction cost must be >= 0")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    width = layout.mark_domain
-    big_units = layout.max_units
     path = Path(
         initial_market=initial_market,
         horizon=horizon,
@@ -397,53 +453,37 @@ def simulate_controlled_path(
         method="thinning",
         initial_agent=initial_agent,
     )
-    t, p, i, s = 0.0, initial_market.price, initial_market.state, initial_market.age
-    x, y = initial_agent.cash, initial_agent.inventory
-    while True:
-        gap = rng.exponential(1.0 / width)
-        if t + gap > horizon:
-            path.terminal_market = MarketState(p, i, s + (horizon - t))
-            path.terminal_agent = AgentState(x, y)
-            return path
-        t += gap
-        s += gap
+    start = (0.0, initial_market.price, initial_market.state, initial_market.age)
+    agent = initial_agent
+    segments = thinning_segments(kernel, layout, start, horizon, _as_rng(seed))
+    for _, t1, p, i, _, s1, mark in segments:
+        if mark is None:
+            break
         path.n_candidates += 1
-        z = rng.uniform(0.0, width)
-        tag = layout.classify(i, s, z)
-        if tag is NO_EVENT:
+        if mark is NO_EVENT:
             continue
-        l_ask, l_bid = policy(t, p, i, s)
-        before_m = MarketState(p, i, s)
-        before_a = AgentState(x, y)
-        if isinstance(tag, SmallOrder):
-            quoted = l_ask if tag.side > 0 else l_bid
-            d_cash, d_inv, exec_price = small_order_fill(
-                tag.side, tag.units, p, kernel.delta, transaction_cost, quoted
-            )
-            executed = tag.units if (quoted and tag.units) else 0
-        else:
-            quoted = l_ask if alpha(tag.target) > 0 else l_bid
-            d_cash, d_inv, exec_price = big_order_fill(
-                tag.target, big_units, p, kernel.delta, transaction_cost, quoted
-            )
-            executed = big_units if quoted else 0
-            p = _price_after(p, kernel.delta, tag.target)
-            i, s = tag.target, 0.0
-        x += d_cash
-        y += d_inv
+        l_ask, l_bid = policy(t1, p, i, s1)
+        _, d_cash, d_inv, exec_price, executed = order_fill(
+            mark, (l_ask, l_bid), layout.max_units, p, kernel.delta, transaction_cost
+        )
+        after = AgentState(agent.cash + d_cash, agent.inventory + d_inv)
         path.events.append(
             JumpEvent(
-                time=t,
-                kind=tag,
+                time=t1,
+                kind=mark,
                 executed_units=executed,
                 price_at_execution=exec_price,
-                market_before=before_m,
-                market_after=MarketState(p, i, s),
-                agent_before=before_a,
-                agent_after=AgentState(x, y),
+                market_before=MarketState(p, i, s1),
+                market_after=MarketState(*_right_limit(p, i, s1, mark, kernel.delta)),
+                agent_before=agent,
+                agent_after=after,
                 control=(l_ask, l_bid),
             )
         )
+        agent = after
+    path.terminal_market = MarketState(p, i, s1)
+    path.terminal_agent = agent
+    return path
 
 
 # -- built-in policies ----------------------------------------------------

@@ -84,6 +84,14 @@ class GridSpec:
             raise ValueError("n_s must be at least 1")
         if self.tol_fp <= 0 or self.tail_tol <= 0:
             raise ValueError("tolerances must be positive")
+        if self.tail_tol >= 1:
+            raise ValueError("tail_tol is a probability and must be below 1")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
+        if self.n_max is not None and self.n_max < 1:
+            raise ValueError("n_max must be at least 1")
+        if self.s_max is not None and self.s_max <= 0:
+            raise ValueError("s_max must be positive")
 
 
 @dataclass(frozen=True)

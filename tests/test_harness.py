@@ -163,6 +163,36 @@ class TestCli:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("kernel", "delta", "abc"),
+            ("run", "n_paths", "x"),
+            ("grid", "n_max", "5"),
+            (None, None, None),  # a top-level list instead of an object
+            (None, "horizon", float("nan")),
+            ("initial", "age", float("nan")),
+            ("grid", "max_iter", 0),
+            ("grid", "n_max", 0),
+            ("grid", "s_max", -1.0),
+            ("grid", "tail_tol", 2.0),
+        ],
+        ids=[
+            "delta_str", "n_paths_str", "n_max_str", "top_level_list", "nan_horizon",
+            "nan_age", "max_iter_0", "n_max_0", "s_max_negative", "tail_tol_2",
+        ],
+    )
+    def test_malformed_field_exits_2(self, tmp_path, capsys, section, key, value):
+        data = preset_config("symmetric-martingale")
+        if key is None:
+            data = [data]
+        else:
+            (data if section is None else data[section])[key] = value
+        path = write_config(tmp_path, data)
+        rc = main(["solve-pi", "--config", path, "--quiet", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "config error:" in capsys.readouterr().err
+
     def test_commands_listed(self):
         assert set(COMMANDS) == {
             "simulate", "solve-pi", "solve-u", "policy", "backtest", "validate"

@@ -8,6 +8,7 @@ import pytest
 from semitick import (
     AgentState,
     ConstantIntensity,
+    ControlledTestFunction,
     GridSpec,
     MarketState,
     McEstimate,
@@ -25,6 +26,7 @@ from semitick import (
     solve_expected_price,
     z_score,
 )
+from semitick.mc import _bump, _bump_ds
 
 
 class TestEstimator:
@@ -200,12 +202,27 @@ class TestDynkin:
         )
         assert full.mean == pytest.approx(ablated.mean, abs=1e-12)
 
-    def test_generic_and_separable_agree(self, saturating_kernel):
-        start = MarketState(1.0, 2, 0.0)
-        sep = battery_uncontrolled(1.0, 1.0)[1]
-        gen = TestFunction("generic", sep.psi, sep.dpsi_ds)
-        r_sep = dynkin_check(saturating_kernel, sep, start, 0.7, 400, 77)
-        r_gen = dynkin_check(saturating_kernel, gen, start, 0.7, 400, 77)
+    @pytest.mark.parametrize("controlled", [False, True], ids=["uncontrolled", "controlled"])
+    def test_generic_and_separable_agree(self, saturating_kernel, saturating_layout, controlled):
+        if controlled:
+            # the generic path shifts y by arrays of fills, so psi must be vectorised
+            sep = ControlledTestFunction(
+                "inventory_tanh",
+                psi=lambda p, i, s, x, y: np.tanh(y / 2.0) * _bump(s, 0.0, 1.6),
+                dpsi_ds=lambda p, i, s, x, y: np.tanh(y / 2.0) * _bump_ds(s, 0.0, 1.6),
+                state_part=lambda p, i, x, y: np.tanh(y / 2.0),
+                age_bump=(0.0, 1.6),
+            )
+            gen = ControlledTestFunction("generic", sep.psi, sep.dpsi_ds)
+            start = (MarketState(1.0, 2, 0.0), AgentState(0.0, 1))
+            kw = dict(layout=saturating_layout, control=(1, 0), transaction_cost=0.001)
+        else:
+            sep = battery_uncontrolled(1.0, 1.0)[1]
+            gen = TestFunction("generic", sep.psi, sep.dpsi_ds)
+            start = MarketState(1.0, 2, 0.0)
+            kw = {}
+        r_sep = dynkin_check(saturating_kernel, sep, start, 0.7, 400, 77, **kw)
+        r_gen = dynkin_check(saturating_kernel, gen, start, 0.7, 400, 77, **kw)
         assert r_sep.mean == pytest.approx(r_gen.mean, abs=1e-13)
 
     def test_invalid_arguments(self, symmetric_kernel, start_state):

@@ -16,9 +16,11 @@ from semitick import (
     MarketState,
     RandomQuotePolicy,
     MarkLayout,
+    MarketMakingSpec,
     SemiMarkovKernel,
     SmallOrder,
     alpha,
+    backtest,
     path_rng,
     sample_holding,
     sample_transition,
@@ -295,6 +297,33 @@ class TestControlledAccounting:
                 e.market_before.state,
                 e.market_before.age,
             )
+
+
+    def test_market_ignores_agent(self, saturating_kernel, saturating_layout):
+        # the controlled run sees the uncontrolled thinning events, and the
+        # backtest's replay of those events lands on the same terminal utility
+        policy = RandomQuotePolicy(prob=0.5, seed=4)
+        spec = MarketMakingSpec(big_size=2, transaction_cost=0.002, risk_aversion=0.05)
+        start, agent = MarketState(1.0, 2, 0.25), AgentState(0.5, -1)
+        for seed in range(8):
+            plain = simulate_price_path_thinning(
+                saturating_kernel, saturating_layout, start, 1.5, path_rng(seed, 0)
+            )
+            ctl = simulate_controlled_path(
+                saturating_kernel, saturating_layout, policy, start, agent, 1.5,
+                path_rng(seed, 0), transaction_cost=spec.transaction_cost,
+            )
+            assert ctl.n_candidates == plain.n_candidates
+            assert ctl.terminal_market == plain.terminal_market
+            assert [(e.time, e.kind, e.market_before, e.market_after) for e in ctl.events] == [
+                (e.time, e.kind, e.market_before, e.market_after) for e in plain.events
+            ]
+            report = backtest(
+                [policy], saturating_kernel, saturating_layout, spec, start, agent, 1.5, 1, seed
+            )
+            x, y = ctl.terminal_agent.cash, ctl.terminal_agent.inventory
+            p_t = ctl.terminal_market.price
+            assert report.rows[0].mean == x + p_t * y - spec.risk_aversion * y * y
 
 
 class TestPolicies:
