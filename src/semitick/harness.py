@@ -37,6 +37,7 @@ from .hazards import (
     alpha,
     successors,
 )
+from .lattice import max_jumps_for_tail
 from .simulate import (
     AgentState,
     MarketState,
@@ -323,6 +324,10 @@ def _build_config(data) -> ExperimentConfig:
         errors.append(f"run.n_paths: must be >= 1, got {n_paths}")
     if seed is not None and seed < 0:
         errors.append(f"run.seed: must be >= 0, got {seed}")
+    if None not in (kernel, grid, horizon) and horizon > 0:
+        # guard rings are sized by tol_fp, reported nodes (unless n_max) by tail_tol
+        tol = grid.tol_fp if grid.n_max is not None else min(grid.tol_fp, grid.tail_tol)
+        _make("grid", errors, max_jumps_for_tail, kernel.intensity_bound, horizon, tol)
     if errors:
         raise ConfigError(errors)
     if grid.s_max is None:

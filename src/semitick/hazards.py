@@ -22,7 +22,6 @@ import numpy as np
 __all__ = [
     "STATES",
     "alpha",
-    "side_symbol",
     "successors",
     "equivalent",
     "ConstantIntensity",
@@ -45,11 +44,6 @@ _SUCCESSORS = {1: (3, 4), 2: (3, 4), 3: (1, 2), 4: (1, 2)}
 def alpha(i: int) -> int:
     """Signed move direction of state ``i``: -1 for odd states, +1 for even."""
     return -1 if i % 2 else 1
-
-
-def side_symbol(i: int) -> str:
-    """'+' or '-' according to the sign of ``alpha(i)``."""
-    return "+" if alpha(i) > 0 else "-"
 
 
 def equivalent(i: int, j: int) -> bool:
@@ -240,18 +234,6 @@ class SemiMarkovKernel:
         """Density of the holding time: total intensity times survival."""
         lam = np.asarray(self.integrated_intensity(y))
         out = np.asarray(self.total_intensity(y)) * np.exp(-lam)
-        return float(out) if out.ndim == 0 else out
-
-    def log_survival(self, y):
-        """log(1 - F(y)), computed without underflow."""
-        return -self.integrated_intensity(y)
-
-    def conditional_survival(self, s, w):
-        """P(holding > s + w | holding > s) for ages s and increments w >= 0."""
-        out = np.exp(
-            np.asarray(self.integrated_intensity(s))
-            - np.asarray(self.integrated_intensity(np.asarray(s) + np.asarray(w)))
-        )
         return float(out) if out.ndim == 0 else out
 
     def transition_prob(self, i: int, j: int, y):

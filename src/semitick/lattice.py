@@ -22,13 +22,16 @@ def max_jumps_for_tail(intensity_bound: float, horizon: float, tail_tol: float) 
 
     Jump times are a thinning of a homogeneous Poisson stream with rate twice
     the one-sided intensity bound, so the count over the horizon is dominated
-    by a Poisson variable with that mean.
+    by a Poisson variable with that mean.  Budgets above 80 jumps raise.
     """
     mu = 2.0 * intensity_bound * horizon
     n = max(int(poisson.isf(tail_tol, mu)), 1)
     while poisson.sf(n, mu) >= tail_tol:
         n += 1
-    return min(n, 80)
+    if n > 80:
+        raise ValueError(f"a jump tail below {tail_tol:g} over horizon {horizon:g} needs {n} "
+                         f"jumps, above the cap of 80 (tail mass at 80: {poisson.sf(80, mu):.3g})")
+    return n
 
 
 @dataclass

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -35,7 +36,9 @@ from .simulate import (
     path_rng,
     thinning_segments,
 )
-from .solver import GridSpec, ProblemSpec, ValueField, extension_slice, solve_fixed_point
+from .solver import (
+    GridSpec, ProblemSpec, ValueField, _write_rows, extension_slice, solve_fixed_point,
+)
 
 __all__ = [
     "MarketMakingSpec",
@@ -56,6 +59,8 @@ __all__ = [
 ]
 
 _STATE_INDEX = {s: k for k, s in enumerate(STATES)}
+# policy.csv tails "quote_ask,quote_bid" indexed by 2 * ask bit + bid bit
+_QUOTE_BITS = ("0,0", "0,1", "1,0", "1,1")
 
 
 class UnsupportedRiskAversion(ValueError):
@@ -123,9 +128,9 @@ def _field_values(field: ValueField, t, node: int, i: int, s):
 class QuoteGainSource:
     """Per-side quote gain rates and the running source sum(max(rate, 0)).
 
-    Serves two callers: grid slabs for the quoting-premium solve (reusing one
-    expected-price extension slice per distinct age) and pointwise evaluation
-    along simulated paths.
+    Serves two callers: grid slabs for the quoting-premium solve (one
+    extension slice per age, or one age-free source when everything is flat)
+    and pointwise evaluation along simulated paths.
     """
 
     def __init__(
@@ -145,9 +150,7 @@ class QuoteGainSource:
         self.mmspec = mmspec
         self.field = price_field
         self.lattice = price_field.lattice
-        self._slice_cache: dict[float, np.ndarray] = {}
         self._locate_cache: dict[float, int] = {}
-        self._rate_columns = None
         self._img = {
             +1: self.lattice.image_maps(+1),
             -1: self.lattice.image_maps(-1),
@@ -161,15 +164,13 @@ class QuoteGainSource:
                 if key not in self._img_core:
                     idx, scale = self._img[d]
                     self._img_core[key] = price_field.core[:, idx, _STATE_INDEX[j]] * scale[None, :]
+        self._age_free = price_field.age_invariant and layout.is_memoryless
 
     def _price_slice(self, age: float) -> np.ndarray:
         """Expected-price values on the (time, node, state) grid at one age."""
         if self.field.age_invariant or age == 0.0:
             return self.field.core
-        key = round(float(age), 12)
-        if key not in self._slice_cache:
-            self._slice_cache[key] = extension_slice(self.field, age)
-        return self._slice_cache[key]
+        return extension_slice(self.field, age)
 
     def _edge(self, prices: np.ndarray):
         if self.mmspec.portfolio_consistent:
@@ -178,11 +179,15 @@ class QuoteGainSource:
 
     def gain_rates_at_age(self, age: float) -> dict:
         """Gain-rate arrays (time, node) for every transition (i, j) at one age."""
-        pi_slice = self._price_slice(age)
+        return dict(self._gain_rates(age))
+
+    def _gain_rates(self, age: float, first: int = 0):
+        """Yield ((i, j), rates on time nodes >= first) one transition at a
+        time, so a caller that folds them holds one array, not all eight."""
+        pi_slice = self._price_slice(age)[first:]
         prices = self.lattice.prices[None, :]
         edge = self._edge(prices)
         big = self.mmspec.big_size
-        out = {}
         for i in STATES:
             ii = _STATE_INDEX[i]
             for j in successors(i):
@@ -194,22 +199,33 @@ class QuoteGainSource:
                     else self.kernel.reversal.value(age)
                 )
                 small = flow * (d * (prices - pi_slice[:, :, ii]) + edge)
-                large = h_dir * big * (d * (prices - self._img_core[(d, j)]) + edge)
-                out[(i, j)] = small + large
-        return out
+                large = h_dir * big * (d * (prices - self._img_core[(d, j)][first:]) + edge)
+                yield (i, j), small + large
 
     def slab(self, d: int, sigma: float) -> np.ndarray:
         """Source values at every (time node >= d, lattice node, state)."""
+        if self._age_free:
+            # one source serves every age: slab d is its tail from time node d on
+            return self._age_free_source[d:]
         h = self.field.t_grid[1] - self.field.t_grid[0]
-        age = sigma + d * h
-        rates = self.gain_rates_at_age(age)
-        n_t = len(self.field.t_grid) - 1
-        out = np.zeros((n_t + 1 - d, self.lattice.n_nodes, len(STATES)))
-        for i in STATES:
-            ii = _STATE_INDEX[i]
-            for j in successors(i):
-                out[:, :, ii] += np.maximum(rates[(i, j)][d:], 0.0)
+        return self._source_rows(self._gain_rates(sigma + d * h, d), d)
+
+    def _source_rows(self, rates, d: int) -> np.ndarray:
+        """Per-state sum of max(rate, 0) over ((i, j), rates) pairs, nodes >= d."""
+        out = np.zeros((len(self.field.t_grid) - d, self.lattice.n_nodes, len(STATES)))
+        for (i, _), rates_ij in rates:
+            out[:, :, _STATE_INDEX[i]] += np.maximum(rates_ij, 0.0)
         return out
+
+    @cached_property
+    def _age_free_rates(self) -> dict:
+        # with flat hazards and flat flow the gain rates are age free and
+        # affine in the core columns, so their grid values interpolate exactly
+        return self.gain_rates_at_age(0.0)
+
+    @cached_property
+    def _age_free_source(self) -> np.ndarray:
+        return self._source_rows(self._gain_rates(0.0), 0)
 
     def _locate(self, p: float) -> int:
         node = self._locate_cache.get(p)
@@ -243,23 +259,16 @@ class QuoteGainSource:
         large = h_dir * self.mmspec.big_size * (d * (p - pi_img) + edge)
         return small + large
 
-    def _memoryless_rate_columns(self):
-        # with flat hazards and flat flow the gain rates are age free and
-        # affine in the core columns, so their grid values interpolate exactly
-        if self._rate_columns is None:
-            self._rate_columns = self.gain_rates_at_age(0.0)
-        return self._rate_columns
-
     def __call__(self, t, p, i: int, s):
         """Running source: sum over successors of max(gain rate, 0)."""
         p_arr = np.asarray(p, dtype=float)
         if p_arr.ndim > 0:
             cols = [self.__call__(t, pv, i, s) for pv in p_arr]
             return np.stack([np.asarray(c, dtype=float) for c in cols], axis=-1)
-        if self.field.age_invariant and self.layout.is_memoryless:
+        if self._age_free:
             node = self._locate(float(p_arr))
             t_arr = np.asarray(t, dtype=float)
-            cols = self._memoryless_rate_columns()
+            cols = self._age_free_rates
             total = None
             for j in successors(i):
                 r = np.maximum(
@@ -564,23 +573,20 @@ def export_policy_csv(
         s_values = [0.0] if price_field.s_grid is None else list(
             np.linspace(0.0, price_field.s_grid[-1], 5)
         )
+    keep = np.nonzero(price_field.lattice.report_mask)[0]
+    p_txt = [repr(p) for p in price_field.lattice.prices[keep].tolist()]
+    t_leads = [f"{t!r}," for t in map(float, price_field.t_grid)]
     with open(path, "w") as fh:
         meta = {"p0": price_field.lattice.p0, "delta": kernel.delta}
         if header_meta:
             meta.update(header_meta)
         fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
         fh.write("t,p,i,s,quote_ask,quote_bid\n")
-        prices = price_field.lattice.prices
-        keep = np.nonzero(price_field.lattice.report_mask)[0]
-        for s in s_values:
-            rates = source.gain_rates_at_age(float(s))
+        for s in map(float, s_values):
+            rates = source.gain_rates_at_age(s)
             for i in STATES:
-                bits = {}
-                for j in successors(i):
-                    bits[alpha(j)] = rates[(i, j)] > 0.0
-                for ki, t in enumerate(price_field.t_grid):
-                    for n in keep:
-                        fh.write(
-                            f"{float(t)!r},{float(prices[n])!r},{i},{float(s)!r},"
-                            f"{int(bits[1][ki, n])},{int(bits[-1][ki, n])}\n"
-                        )
+                bits = {alpha(j): rates[(i, j)][:, keep] > 0.0 for j in successors(i)}
+                codes = 2 * bits[1] + bits[-1]
+                heads = [f"{p},{i},{s!r}," for p in p_txt]
+                for ki, lead in enumerate(t_leads):
+                    _write_rows(fh, lead, heads, map(_QUOTE_BITS.__getitem__, codes[ki].tolist()))

@@ -239,28 +239,28 @@ def battery_controlled(horizon: float, p_scale: float = 1.0) -> list[ControlledT
     return [
         _product_ctf(
             "inventory_bell",
-            lambda p, i, x, y: math.exp(-((y / 3.0) ** 2)),
+            lambda p, i, x, y: np.exp(-((y / 3.0) ** 2)),
             0.0,
             w1,
         ),
         _product_ctf(
-            "inventory_tanh", lambda p, i, x, y: math.tanh(y / 3.0), 0.0, w1
+            "inventory_tanh", lambda p, i, x, y: np.tanh(y / 3.0), 0.0, w1
         ),
         _product_ctf(
             "cash_tanh",
-            lambda p, i, x, y: math.tanh(x / (5.0 * p_scale)),
+            lambda p, i, x, y: np.tanh(x / (5.0 * p_scale)),
             0.0,
             w2,
         ),
         _product_ctf(
             "joint",
-            lambda p, i, x, y: alpha(i) * math.tanh(y / 2.0) * p / (1.0 + p),
+            lambda p, i, x, y: alpha(i) * np.tanh(y / 2.0) * p / (1.0 + p),
             0.3 * horizon,
             w1,
         ),
         _product_ctf(
             "wealth_mark",
-            lambda p, i, x, y: math.tanh((x + y * p) / (4.0 * p_scale)),
+            lambda p, i, x, y: np.tanh((x + y * p) / (4.0 * p_scale)),
             0.0,
             w2,
         ),

@@ -633,6 +633,7 @@ def save_field_csv(field: ValueField, path, header_meta: Optional[dict] = None) 
     are a numerical device, not part of the reported field.
     """
     keep = np.nonzero(field.lattice.report_mask)[0]
+    s_axis = None if field.s_grid is None else list(map(float, field.s_grid))
     meta = {
         "p0": field.lattice.p0,
         "delta": field.lattice.delta,
@@ -640,25 +641,27 @@ def save_field_csv(field: ValueField, path, header_meta: Optional[dict] = None) 
         "n_report": field.lattice.n_report,
         "horizon": field.horizon,
         "n_t": len(field.t_grid) - 1,
-        "s_grid": None if field.s_grid is None else list(map(float, field.s_grid)),
+        "s_grid": s_axis,
         "age_invariant": field.age_invariant,
     }
     if header_meta:
         meta.update(header_meta)
+    p_txt = [repr(p) for p in field.lattice.prices[keep].tolist()]
+    t_leads = [f"{t!r}," for t in map(float, field.t_grid)]
     with open(path, "w") as fh:
         fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
         fh.write("t,p,i,s,value\n")
-        s_axis = [0.0] if field.s_grid is None else field.s_grid
-        for si, s in enumerate(s_axis):
+        for si, s in enumerate(s_axis or [0.0]):
             block = field.core if field.full is None else field.full[..., si]
-            for ki, t in enumerate(field.t_grid):
-                for n in keep:
-                    p = field.lattice.prices[n]
-                    for ii, i in enumerate(STATES):
-                        fh.write(
-                            f"{float(t)!r},{float(p)!r},{i},{float(s)!r},"
-                            f"{float(block[ki, n, ii])!r}\n"
-                        )
+            heads = [f"{p},{i},{s!r}," for p in p_txt for i in STATES]
+            for ki, lead in enumerate(t_leads):
+                _write_rows(fh, lead, heads, map(repr, block[ki, keep].ravel().tolist()))
+
+
+def _write_rows(fh, lead: str, heads: list, tails) -> None:
+    """Write the lines ``lead + head + tail`` with one join and one write;
+    the grid writers stream one time row per call."""
+    fh.write(lead + ("\n" + lead).join(map(str.__add__, heads, tails)) + "\n")
 
 
 def load_field_csv(path) -> ValueField:

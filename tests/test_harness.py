@@ -176,10 +176,12 @@ class TestCli:
             ("grid", "n_max", 0),
             ("grid", "s_max", -1.0),
             ("grid", "tail_tol", 2.0),
+            (None, "horizon", 40.0),  # needs more jumps than the lattice cap
         ],
         ids=[
             "delta_str", "n_paths_str", "n_max_str", "top_level_list", "nan_horizon",
             "nan_age", "max_iter_0", "n_max_0", "s_max_negative", "tail_tol_2",
+            "horizon_40",
         ],
     )
     def test_malformed_field_exits_2(self, tmp_path, capsys, section, key, value):

@@ -13,6 +13,7 @@ from semitick import (
     MarketMakingSpec,
     MarketState,
     QuoteGainSource,
+    STATES,
     SemiMarkovKernel,
     UnsupportedRiskAversion,
     backtest,
@@ -201,6 +202,26 @@ class TestQuoteValue:
             kernel, lambda p: 0.0, src, (0.0, 1.0, 2, 0.0), 1.0, 3000, 77
         )
         assert abs(z_score(quote.eval(0.0, 1.0, 2, 0.0), est)) < 3.0
+
+    @pytest.mark.parametrize("flat", [True, False], ids=["age_free", "saturating"])
+    def test_slab_matches_rates_at_each_age(
+        self, asym_setup, saturating_kernel, saturating_layout, flat
+    ):
+        # slabs read one shared age-free source (flat) or stream one age's
+        # rates (saturating); both must equal the sum over gain_rates_at_age
+        if flat:
+            kernel, layout, spec, field, _ = asym_setup
+        else:
+            kernel, layout = saturating_kernel, saturating_layout
+            spec = MarketMakingSpec(big_size=layout.max_units, transaction_cost=0.001)
+            field = solve_expected_price(kernel, GridSpec(n_t=20), 1.0, 1.0, extend=False)
+        src = QuoteGainSource(kernel, layout, spec, field)
+        h = field.t_grid[1] - field.t_grid[0]
+        for d, sigma in [(0, 0.0), (3, 0.0), (7, 0.25)]:
+            expected = np.zeros_like(field.core[d:])
+            for (i, _), rates in src.gain_rates_at_age(sigma + d * h).items():
+                expected[:, :, STATES.index(i)] += np.maximum(rates[d:], 0.0)
+            np.testing.assert_array_equal(src.slab(d, sigma), expected)
 
     def test_grid_mismatch_rejected(self, asym_setup):
         kernel, layout, spec, field, _ = asym_setup

@@ -202,28 +202,35 @@ class TestDynkin:
         )
         assert full.mean == pytest.approx(ablated.mean, abs=1e-12)
 
-    @pytest.mark.parametrize("controlled", [False, True], ids=["uncontrolled", "controlled"])
-    def test_generic_and_separable_agree(self, saturating_kernel, saturating_layout, controlled):
-        if controlled:
+    @pytest.mark.parametrize("case", ["uncontrolled", "controlled", "builtin_controlled"])
+    def test_generic_and_separable_agree(self, saturating_kernel, saturating_layout, case):
+        if case == "builtin_controlled":
+            # the shipped battery, stripped of its product structure, must run
+            # on the generic path, which shifts x and y by arrays of fills
+            seps = battery_controlled(1.0, 1.0)
+            start = (MarketState(1.0, 2, 0.0), AgentState(0.0, 1))
+            kw = dict(layout=saturating_layout, control=(1, 1), transaction_cost=0.001)
+        elif case == "controlled":
             # the generic path shifts y by arrays of fills, so psi must be vectorised
-            sep = ControlledTestFunction(
+            seps = [ControlledTestFunction(
                 "inventory_tanh",
                 psi=lambda p, i, s, x, y: np.tanh(y / 2.0) * _bump(s, 0.0, 1.6),
                 dpsi_ds=lambda p, i, s, x, y: np.tanh(y / 2.0) * _bump_ds(s, 0.0, 1.6),
                 state_part=lambda p, i, x, y: np.tanh(y / 2.0),
                 age_bump=(0.0, 1.6),
-            )
-            gen = ControlledTestFunction("generic", sep.psi, sep.dpsi_ds)
+            )]
             start = (MarketState(1.0, 2, 0.0), AgentState(0.0, 1))
             kw = dict(layout=saturating_layout, control=(1, 0), transaction_cost=0.001)
         else:
-            sep = battery_uncontrolled(1.0, 1.0)[1]
-            gen = TestFunction("generic", sep.psi, sep.dpsi_ds)
+            seps = [battery_uncontrolled(1.0, 1.0)[1]]
             start = MarketState(1.0, 2, 0.0)
             kw = {}
-        r_sep = dynkin_check(saturating_kernel, sep, start, 0.7, 400, 77, **kw)
-        r_gen = dynkin_check(saturating_kernel, gen, start, 0.7, 400, 77, **kw)
-        assert r_sep.mean == pytest.approx(r_gen.mean, abs=1e-13)
+        gen_cls = TestFunction if case == "uncontrolled" else ControlledTestFunction
+        gens = [gen_cls("generic", tf.psi, tf.dpsi_ds) for tf in seps]
+        r_sep = dynkin_battery(saturating_kernel, seps, start, 0.7, 400, 77, **kw)
+        r_gen = dynkin_battery(saturating_kernel, gens, start, 0.7, 400, 77, **kw)
+        for a, b in zip(r_sep, r_gen, strict=True):
+            assert a.mean == pytest.approx(b.mean, abs=1e-13)
 
     def test_invalid_arguments(self, symmetric_kernel, start_state):
         tf = battery_uncontrolled(1.0)[0]
