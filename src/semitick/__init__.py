@@ -67,6 +67,7 @@ from .solver import (
     SolverError,
     ValueField,
     apply_age_zero_operator,
+    characteristic_slices,
     contraction_bound,
     expected_price_ode_oracle,
     extend_to_age,

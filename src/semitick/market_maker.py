@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .hazards import STATES, MarkLayout, SemiMarkovKernel, alpha, equivalent, successors
+from .hazards import STATES, MarkLayout, SemiMarkovKernel, alpha, successors
 from .mc import McEstimate
 from .simulate import (
     NO_EVENT,
@@ -37,7 +37,14 @@ from .simulate import (
     thinning_segments,
 )
 from .solver import (
-    GridSpec, ProblemSpec, ValueField, _write_rows, extension_slice, solve_fixed_point,
+    GridSpec,
+    ProblemSpec,
+    ValueField,
+    _interp_time,
+    _write_rows,
+    characteristic_slices,
+    extension_slice,
+    solve_fixed_point,
 )
 
 __all__ = [
@@ -61,6 +68,8 @@ __all__ = [
 _STATE_INDEX = {s: k for k, s in enumerate(STATES)}
 # policy.csv tails "quote_ask,quote_bid" indexed by 2 * ask bit + bid bit
 _QUOTE_BITS = ("0,0", "0,1", "1,0", "1,1")
+# paths simulated before each policy is called once on all of their events
+_BACKTEST_BLOCK = 256
 
 
 class UnsupportedRiskAversion(ValueError):
@@ -97,40 +106,13 @@ class MarketMakingSpec:
             )
 
 
-def _field_values(field: ValueField, t, node: int, i: int, s):
-    """Field values for broadcast (t, s) at a fixed lattice node and state."""
-    t = np.asarray(t, dtype=float)
-    s = np.asarray(s, dtype=float)
-    ii = _STATE_INDEX[i]
-    if field.age_invariant or (s.ndim == 0 and float(s) == 0.0):
-        out = np.interp(t, field.t_grid, field.core[:, node, ii])
-        return out
-    t_b, s_b = np.broadcast_arrays(t, s)
-    if field.full is not None and np.all(s_b <= field.s_grid[-1] + 1e-12):
-        si = np.clip(np.searchsorted(field.s_grid, s_b) - 1, 0, len(field.s_grid) - 2)
-        s0 = field.s_grid[si]
-        s1 = field.s_grid[si + 1]
-        wgt = np.where(s1 > s0, (s_b - s0) / np.where(s1 > s0, s1 - s0, 1.0), 0.0)
-        flat_si = si.ravel()
-        lo = np.empty(t_b.size)
-        hi = np.empty(t_b.size)
-        for q, (tv, sv) in enumerate(zip(t_b.ravel(), flat_si)):
-            lo[q] = np.interp(tv, field.t_grid, field.full[:, node, ii, sv])
-            hi[q] = np.interp(tv, field.t_grid, field.full[:, node, ii, sv + 1])
-        out = (1.0 - wgt.ravel()) * lo + wgt.ravel() * hi
-        return out.reshape(t_b.shape)
-    out = np.array(
-        [field.eval_node(tv, node, i, sv) for tv, sv in zip(t_b.ravel(), s_b.ravel())]
-    )
-    return out.reshape(t_b.shape)
-
-
 class QuoteGainSource:
     """Per-side quote gain rates and the running source sum(max(rate, 0)).
 
-    Serves two callers: grid slabs for the quoting-premium solve (one
-    extension slice per age, or one age-free source when everything is flat)
-    and pointwise evaluation along simulated paths.
+    Serves two callers: grid slabs for the quoting-premium solve (streamed
+    from one characteristic sweep of the expected-price field, or one
+    age-free source when everything is flat) and pointwise evaluation along
+    simulated paths, which broadcasts over arrays of points.
     """
 
     def __init__(
@@ -179,12 +161,12 @@ class QuoteGainSource:
 
     def gain_rates_at_age(self, age: float) -> dict:
         """Gain-rate arrays (time, node) for every transition (i, j) at one age."""
-        return dict(self._gain_rates(age))
+        return dict(self._gain_rates(age, self._price_slice(age)))
 
-    def _gain_rates(self, age: float, first: int = 0):
+    def _gain_rates(self, age: float, pi_rows: np.ndarray, first: int = 0):
         """Yield ((i, j), rates on time nodes >= first) one transition at a
-        time, so a caller that folds them holds one array, not all eight."""
-        pi_slice = self._price_slice(age)[first:]
+        time, from the expected price ``pi_rows`` at ``age`` on those nodes,
+        so a caller that folds them holds one array, not all eight."""
         prices = self.lattice.prices[None, :]
         edge = self._edge(prices)
         big = self.mmspec.big_size
@@ -198,17 +180,29 @@ class QuoteGainSource:
                     if alpha(i) == d
                     else self.kernel.reversal.value(age)
                 )
-                small = flow * (d * (prices - pi_slice[:, :, ii]) + edge)
+                small = flow * (d * (prices - pi_rows[:, :, ii]) + edge)
                 large = h_dir * big * (d * (prices - self._img_core[(d, j)][first:]) + edge)
                 yield (i, j), small + large
 
-    def slab(self, d: int, sigma: float) -> np.ndarray:
-        """Source values at every (time node >= d, lattice node, state)."""
+    def slab(self, d: int, pi_rows: np.ndarray) -> np.ndarray:
+        """Source values at age ``d*h`` on every (time node >= d, lattice node,
+        state), from the expected price ``pi_rows`` at that age on those nodes."""
         if self._age_free:
             # one source serves every age: slab d is its tail from time node d on
             return self._age_free_source[d:]
         h = self.field.t_grid[1] - self.field.t_grid[0]
-        return self._source_rows(self._gain_rates(sigma + d * h, d), d)
+        return self._source_rows(self._gain_rates(d * h, pi_rows, d), d)
+
+    def slabs(self):
+        """Yield ``(d, slab(d))`` for every age node, for the quoting-premium solve."""
+        core = self.field.core
+        if self.field.age_invariant:
+            for d in range(len(self.field.t_grid)):
+                yield d, self.slab(d, core[d:])
+            return
+        for d, pi_rows in characteristic_slices(self.field):
+            # age zero reads the iterated core, as _price_slice does
+            yield d, self.slab(d, core if d == 0 else pi_rows)
 
     def _source_rows(self, rates, d: int) -> np.ndarray:
         """Per-state sum of max(rate, 0) over ((i, j), rates) pairs, nodes >= d."""
@@ -225,61 +219,84 @@ class QuoteGainSource:
 
     @cached_property
     def _age_free_source(self) -> np.ndarray:
-        return self._source_rows(self._gain_rates(0.0), 0)
+        return self._source_rows(self._gain_rates(0.0, self.field.core), 0)
 
-    def _locate(self, p: float) -> int:
-        node = self._locate_cache.get(p)
+    def _nodes(self, p) -> np.ndarray:
+        """Lattice nodes of an array of prices; each distinct price is located
+        once, and an off-lattice price is refused by name."""
+        p = np.asarray(p, dtype=float)
+        if p.ndim == 0:
+            nodes = np.asarray(self._node(float(p)))
+        else:
+            uniq, inverse = np.unique(p, return_inverse=True)
+            located = np.array([self._node(price) for price in uniq.tolist()], dtype=int)
+            nodes = located[inverse].reshape(p.shape)
+        if (nodes < 0).any():
+            bad = p.ravel()[np.argmax(nodes.ravel() < 0)]
+            raise ValueError(
+                f"price {float(bad)!r} is not on the expected-price lattice "
+                f"(anchor {self.lattice.p0!r}, delta {self.lattice.delta!r})"
+            )
+        return nodes
+
+    def _node(self, price: float) -> int:
+        """Cached lattice node of one price, -1 when it is off the lattice."""
+        node = self._locate_cache.get(price)
         if node is None:
-            node = self.lattice.locate(p)
-            self._locate_cache[p] = node
+            try:
+                node = self._locate_cache[price] = self.lattice.locate(price)
+            except KeyError:
+                return -1
         return node
 
-    def rate_point(self, t, p: float, i: int, s, j: int):
-        """Gain rate of quoting toward ``j``; broadcasts over t and s."""
-        if equivalent(i, j):
-            raise ValueError(f"invalid transition {i} -> {j}: states are equivalent")
-        d = alpha(j)
-        node = self._locate(p)
-        s_arr = np.asarray(s, dtype=float)
-        pi_here = _field_values(self.field, t, node, i, s_arr)
-        idx, scale = self._img[d]
-        pi_img = (
-            np.interp(np.asarray(t, dtype=float), self.field.t_grid,
-                      self.field.core[:, idx[node], _STATE_INDEX[j]])
-            * scale[node]
+    def rate_point(self, t, p, i, s, j):
+        """Gain rate of quoting toward ``j``; broadcasts over all five arguments."""
+        t, p, s = (np.asarray(x, dtype=float) for x in (t, p, s))
+        i, j = np.asarray(i), np.asarray(j)
+        same_class = (i <= 2) == (j <= 2)
+        if np.any(same_class):
+            i, j, same_class = np.broadcast_arrays(i, j, same_class)
+            q = np.argmax(same_class)
+            raise ValueError(
+                f"invalid transition {i.flat[q]} -> {j.flat[q]}: states are equivalent"
+            )
+        rising = j % 2 == 0  # alpha(j) > 0
+        d = np.where(rising, 1, -1)
+        node = self._nodes(p)
+        pi_here = self.field.read(t, node, i, s)
+        (up_idx, up_scale), (down_idx, down_scale) = self._img[+1], self._img[-1]
+        img = np.where(rising, up_idx[node], down_idx[node])
+        pi_img = self.field.read(t, img, j, 0.0) * np.where(
+            rising, up_scale[node], down_scale[node]
         )
-        edge = self._edge(np.asarray(p, dtype=float))
-        flow = self.layout.side_flow(d).value(s_arr) * self.layout.mean_size(d)
-        h_dir = (
-            self.kernel.continuation.value(s_arr)
-            if alpha(i) == d
-            else self.kernel.reversal.value(s_arr)
+        edge = self._edge(p)
+        layout, kernel = self.layout, self.kernel
+        flow = np.where(
+            rising,
+            layout.ask_flow.value(s) * layout.mean_size(+1),
+            layout.bid_flow.value(s) * layout.mean_size(-1),
+        )
+        h_dir = np.where(
+            rising == (i % 2 == 0), kernel.continuation.value(s), kernel.reversal.value(s)
         )
         small = flow * (d * (p - pi_here) + edge)
         large = h_dir * self.mmspec.big_size * (d * (p - pi_img) + edge)
-        return small + large
+        return (small + large)[()]
 
     def __call__(self, t, p, i: int, s):
-        """Running source: sum over successors of max(gain rate, 0)."""
-        p_arr = np.asarray(p, dtype=float)
-        if p_arr.ndim > 0:
-            cols = [self.__call__(t, pv, i, s) for pv in p_arr]
-            return np.stack([np.asarray(c, dtype=float) for c in cols], axis=-1)
+        """Running source: sum over successors of max(gain rate, 0);
+        broadcasts over ``t``, ``p`` and ``s``."""
+        total = 0.0
         if self._age_free:
-            node = self._locate(float(p_arr))
-            t_arr = np.asarray(t, dtype=float)
-            cols = self._age_free_rates
-            total = None
+            node = self._nodes(p)
             for j in successors(i):
-                r = np.maximum(
-                    np.interp(t_arr, self.field.t_grid, cols[(i, j)][:, node]), 0.0
-                )
-                total = r if total is None else total + r
-            return np.broadcast_to(total, np.broadcast_shapes(t_arr.shape, np.shape(s))).copy() if np.ndim(s) else total
-        total = None
+                rate = _interp_time(self.field.t_grid, t, self._age_free_rates[(i, j)], node)
+                total = total + np.maximum(rate, 0.0)
+            if np.ndim(s) == 0:
+                return total
+            return np.broadcast_to(total, np.broadcast_shapes(np.shape(total), np.shape(s)))
         for j in successors(i):
-            r = np.maximum(self.rate_point(t, float(p_arr), i, s, j), 0.0)
-            total = r if total is None else total + r
+            total = total + np.maximum(self.rate_point(t, p, i, s, j), 0.0)
         return total
 
 
@@ -312,15 +329,23 @@ class OptimalQuotePolicy:
     source: QuoteGainSource
     name: str = "optimal"
 
-    def __call__(self, t: float, p: float, i: int, s: float) -> tuple[int, int]:
-        l_ask = l_bid = 0
-        for j in successors(i):
-            rate = float(self.source.rate_point(t, p, i, s, j))
-            if alpha(j) > 0:
-                l_ask = int(rate > 0.0)
-            else:
-                l_bid = int(rate > 0.0)
-        return (l_ask, l_bid)
+    def __call__(self, t, p, i, s):
+        """(ask bit, bid bit): ints at scalar arguments, int arrays at
+        equal-length arrays of (t, p, i, s), from one rate evaluation."""
+        t, p, i, s = np.broadcast_arrays(
+            np.asarray(t, dtype=float), np.asarray(p, dtype=float), i, np.asarray(s, dtype=float)
+        )
+        # successors are (3, 4) or (1, 2): the even one moves the price up;
+        # the ages span both successors, one point per rate evaluated
+        up = np.where(i <= 2, 4, 2)
+        pair = (2,) + t.shape
+        rates = self.source.rate_point(
+            t, p, i, np.broadcast_to(s, pair), np.stack([up, up - 1])
+        )
+        l_ask, l_bid = np.broadcast_to(rates, pair) > 0.0
+        if t.ndim == 0:
+            return (int(l_ask), int(l_bid))
+        return (l_ask.astype(int), l_bid.astype(int))
 
 
 def optimal_policy(
@@ -343,8 +368,8 @@ def solve_quote_value(
     """Expected optimal quoting premium: zero payoff, source sum(max(rate, 0)).
 
     Shares the expected-price field's time grid and lattice so the source can
-    be assembled from cached extension slices.  The result is nonnegative and
-    vanishes at the horizon.
+    be streamed, one age at a time, from a characteristic sweep of that
+    field.  The result is nonnegative and vanishes at the horizon.
     """
     mmspec.require_risk_neutral("the quoting premium")
     n_t = len(price_field.t_grid) - 1
@@ -358,7 +383,7 @@ def solve_quote_value(
     problem = ProblemSpec(g=lambda p: np.zeros_like(np.asarray(p, dtype=float)), w=source)
     fld = solve_fixed_point(
         kernel, problem, grid, price_field.horizon, price_field.lattice.p0,
-        source_slab=source.slab,
+        source=source.slabs(),
         lattice=price_field.lattice,
     )
     fld.age_invariant = layout.is_memoryless
@@ -505,34 +530,44 @@ def backtest(
     market ignores the agent, so the event stream is policy independent);
     this shares the randomness and sharpens the comparison.  Per-path streams
     are derived from (seed, path index) and aggregation is pairwise, so the
-    table does not depend on execution order.
+    table does not depend on execution order.  Each policy is called once
+    per block of paths, on the arrays (t, p, i, s) of the block's events, and
+    returns its (ask, bid) bits as arrays or as scalars that broadcast.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     start = (0.0, initial_market.price, initial_market.state, initial_market.age)
     eta = mmspec.risk_aversion
     values = np.empty((len(policies), n_paths))
-    for idx in range(n_paths):
+    for first in range(0, n_paths, _BACKTEST_BLOCK):
+        block = range(first, min(first + _BACKTEST_BLOCK, n_paths))
         # a fill depends on the policy only through the quote bit of its
         # side, so each event is settled once and every policy replays it
-        events = []
-        for _, t1, p, i, _, s1, mark in thinning_segments(
-            kernel, layout, start, horizon, path_rng(seed, idx)
-        ):
-            if mark is not None and mark is not NO_EVENT:
-                side, d_cash, d_inv, _, _ = order_fill(
-                    mark, (1, 1), layout.max_units, p, kernel.delta, mmspec.transaction_cost
-                )
-                events.append((t1, p, i, s1, side > 0, d_cash, d_inv))
-        p_terminal = p
+        events, bounds, terminal = [], [0], []
+        for idx in block:
+            for _, t1, p, i, _, s1, mark in thinning_segments(
+                kernel, layout, start, horizon, path_rng(seed, idx)
+            ):
+                if mark is not None and mark is not NO_EVENT:
+                    side, d_cash, d_inv, _, _ = order_fill(
+                        mark, (1, 1), layout.max_units, p, kernel.delta, mmspec.transaction_cost
+                    )
+                    events.append((t1, p, i, s1, side > 0, d_cash, d_inv))
+            bounds.append(len(events))
+            terminal.append(p)
+        t_ev, p_ev, i_ev, s_ev, ask_side, d_cash, d_inv = list(zip(*events)) or [()] * 7
+        args = (np.array(t_ev, dtype=float), np.array(p_ev, dtype=float),
+                np.array(i_ev, dtype=int), np.array(s_ev, dtype=float))
         for pi_idx, policy in enumerate(policies):
-            x, y = initial_agent.cash, initial_agent.inventory
-            for tv, p_pre, i_pre, s_pre, ask_side, d_cash, d_inv in events:
-                l_ask, l_bid = policy(tv, p_pre, i_pre, s_pre)
-                if (l_ask if ask_side else l_bid):
-                    x += d_cash
-                    y += d_inv
-            values[pi_idx, idx] = x + p_terminal * y - eta * y * y
+            l_ask, l_bid = policy(*args)
+            quoted = np.where(np.array(ask_side, dtype=bool), l_ask, l_bid).tolist()
+            for q, idx in enumerate(block):
+                x, y = initial_agent.cash, initial_agent.inventory
+                for e in range(bounds[q], bounds[q + 1]):
+                    if quoted[e]:
+                        x += d_cash[e]
+                        y += d_inv[e]
+                values[pi_idx, idx] = x + terminal[q] * y - eta * y * y
     rows = []
     for pi_idx, policy in enumerate(policies):
         name = getattr(policy, "name", type(policy).__name__)
@@ -583,7 +618,7 @@ def export_policy_csv(
         fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
         fh.write("t,p,i,s,quote_ask,quote_bid\n")
         for s in map(float, s_values):
-            rates = source.gain_rates_at_age(s)
+            rates = source._age_free_rates if source._age_free else source.gain_rates_at_age(s)
             for i in STATES:
                 bits = {alpha(j): rates[(i, j)][:, keep] > 0.0 for j in successors(i)}
                 codes = 2 * bits[1] + bits[-1]

@@ -545,6 +545,16 @@ class RandomQuotePolicy:
     name: str = "random"
 
     def __call__(self, t, p, i, s):
+        """Bits at scalar arguments, or int arrays at equal-length arrays,
+        each element hashed on its own."""
+        if np.ndim(t) == np.ndim(p) == np.ndim(i) == np.ndim(s) == 0:
+            return self._flip(t, p, i, s)
+        t, p, i, s = np.broadcast_arrays(t, p, i, s)
+        bits = [self._flip(*a) for a in zip(t.ravel(), p.ravel(), i.ravel(), s.ravel())]
+        l_ask, l_bid = np.array(bits, dtype=int).reshape(-1, 2).T
+        return l_ask.reshape(t.shape), l_bid.reshape(t.shape)
+
+    def _flip(self, t, p, i, s):
         base = _mix_bits(
             self.seed,
             np.float64(t).view(np.int64),

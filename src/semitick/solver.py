@@ -4,7 +4,10 @@ The value of a terminal payoff g plus a running source w solves an integral
 fixed-point equation whose unknown enters only through its age-zero slices.
 Picard iteration therefore runs on a core array indexed by (time node, price
 lattice node, direction state); the full age dependence is recovered
-afterwards by a single application of the operator at each requested age.
+afterwards by a single application of the operator at each requested age, by
+one streamed sweep along the characteristics for every grid age at once
+(:func:`characteristic_slices`), or exactly at scattered points
+(:meth:`ValueField.read`).
 
 Quadrature along the time axis is composite Simpson on the uniform grid, with
 the leading interval of odd-length rows handled by a Simpson step whose
@@ -35,6 +38,7 @@ __all__ = [
     "apply_age_zero_operator",
     "solve_fixed_point",
     "extension_slice",
+    "characteristic_slices",
     "extend_to_age",
     "solve_expected_price",
     "expected_price_ode_oracle",
@@ -45,6 +49,8 @@ __all__ = [
 ]
 
 _STATE_INDEX = {s: k for k, s in enumerate(STATES)}
+# points per block of the exact extension read; its temporaries are O(chunk * n_t)
+_READ_CHUNK = 1024
 
 
 class SolverError(RuntimeError):
@@ -146,41 +152,87 @@ class ValueField:
 
     def vnorm(self, values: np.ndarray) -> float:
         """Grid version of the linear-growth norm: max |value| / (1 + price)."""
-        scale = 1.0 + self.lattice.prices
-        return float(np.max(np.abs(values) / scale[None, :, None]))
-
-    def eval_core(self, t, node: int, i: int):
-        """Age-zero value at arbitrary times by linear interpolation."""
-        col = self.core[:, node, _STATE_INDEX[i]]
-        return np.interp(t, self.t_grid, col)
+        return _scaled_max(values, 1.0 + self.lattice.prices)
 
     def eval(self, t: float, p: float, i: int, s: float = 0.0) -> float:
         node = self.lattice.locate(p)
         return self.eval_node(t, node, i, s)
 
     def eval_node(self, t: float, node: int, i: int, s: float = 0.0) -> float:
-        if self.age_invariant or s == 0.0:
-            return float(self.eval_core(t, node, i))
-        if self.full is not None and s <= self.s_grid[-1] + 1e-12:
-            ii = _STATE_INDEX[i]
-            si = np.clip(np.searchsorted(self.s_grid, s) - 1, 0, len(self.s_grid) - 2)
-            s0, s1 = self.s_grid[si], self.s_grid[si + 1]
-            wgt = 0.0 if s1 == s0 else (s - s0) / (s1 - s0)
-            lo = np.interp(t, self.t_grid, self.full[:, node, ii, si])
-            hi = np.interp(t, self.t_grid, self.full[:, node, ii, si + 1])
-            return float((1.0 - wgt) * lo + wgt * hi)
+        return float(self.read(t, node, i, s))
+
+    def read(self, t, node, i, s=0.0) -> np.ndarray:
+        """Values at broadcast arrays of (time, lattice node, state, age).
+
+        Age zero, or any age of an age-invariant field, interpolates the core
+        linearly in time; ages inside the cached band interpolate bilinearly;
+        later ages are extended exactly, all points at once, at the two grid
+        times around ``t`` and interpolated between them.
+        """
+        t, s = np.asarray(t, dtype=float), np.asarray(s, dtype=float)
+        ii = np.asarray(i) - STATES[0]  # states are consecutive integers
+        if self.age_invariant or not s.any():
+            shape = np.broadcast_shapes(t.shape, np.shape(node), ii.shape, s.shape)
+            return np.broadcast_to(_interp_time(self.t_grid, t, self.core, node, ii), shape)
+        t, node, ii, s = np.broadcast_arrays(t, node, ii, s)
+        at_core = s == 0.0
+        band_edge = -np.inf if self.full is None else self.s_grid[-1] + 1e-12
+        in_band = ~at_core & (s <= band_edge)
+        out = np.empty(t.shape)
+        for mask, values in (
+            (at_core, self._core_values),
+            (in_band, self._band_values),
+            (~(at_core | in_band), self._extended_values),
+        ):
+            if mask.any():
+                out[mask] = values(t[mask], node[mask], ii[mask], s[mask])
+        return out
+
+    def _core_values(self, t, node, ii, s):
+        return _interp_time(self.t_grid, t, self.core, node, ii)
+
+    def _band_values(self, t, node, ii, s):
+        si = np.clip(np.searchsorted(self.s_grid, s) - 1, 0, len(self.s_grid) - 2)
+        s0, s1 = self.s_grid[si], self.s_grid[si + 1]
+        wgt = np.where(s1 > s0, (s - s0) / np.where(s1 > s0, s1 - s0, 1.0), 0.0)
+        lo = _interp_time(self.t_grid, t, self.full, node, ii, si)
+        hi = _interp_time(self.t_grid, t, self.full, node, ii, si + 1)
+        return (1.0 - wgt) * lo + wgt * hi
+
+    def _extended_values(self, t, node, ii, s):
         if self.kernel is None:
             raise ValueError(
                 "field has no cached values at this age and no solve context "
                 "to extend with; call extend_to_age first"
             )
-        ti = np.clip(np.searchsorted(self.t_grid, t) - 1, 0, len(self.t_grid) - 2)
-        lo = _extension_point(self, int(ti), node, i, s)
-        if t == self.t_grid[ti]:
-            return lo
-        hi = _extension_point(self, int(ti) + 1, node, i, s)
+        n_t = len(self.t_grid) - 1
+        ti = np.clip(np.searchsorted(self.t_grid, t) - 1, 0, n_t - 1)
+        both = _extension_points(
+            self, np.concatenate([ti, ti + 1]), np.tile(node, 2), np.tile(ii, 2), np.tile(s, 2)
+        )
+        lo, hi = both[: t.size], both[t.size :]
         wgt = (t - self.t_grid[ti]) / (self.t_grid[ti + 1] - self.t_grid[ti])
-        return float((1.0 - wgt) * lo + wgt * hi)
+        return np.where(t == self.t_grid[ti], lo, (1.0 - wgt) * lo + wgt * hi)
+
+
+def _scaled_max(values: np.ndarray, scale: np.ndarray, out=None) -> float:
+    """max |values| / scale over (time, node, state), in place in ``out`` if given."""
+    out = np.abs(values, out=out)
+    np.divide(out, scale[None, :, None], out=out)
+    return float(np.max(out))
+
+
+def _interp_time(t_grid: np.ndarray, t, grid: np.ndarray, *index) -> np.ndarray:
+    """``np.interp(t, t_grid, grid[:, *index])`` bit for bit, where the index
+    arrays may give every point its own column; scalar indices call
+    ``np.interp`` itself."""
+    if all(np.ndim(x) == 0 for x in index):
+        return np.interp(t, t_grid, grid[(slice(None),) + index])
+    k = np.clip(np.searchsorted(t_grid, t, side="right") - 1, 0, len(t_grid) - 2)
+    y0, y1 = grid[(k,) + index], grid[(k + 1,) + index]
+    slope = (y1 - y0) / (t_grid[k + 1] - t_grid[k])
+    out = slope * (t - t_grid[k]) + y0
+    return np.where(t >= t_grid[-1], y1, np.where(t < t_grid[0], y0, out))
 
 
 @dataclass(frozen=True)
@@ -274,46 +326,43 @@ def _branch_maps(lattice: PriceLattice):
     return per_state
 
 
-def _source_integrals(
-    problem: ProblemSpec,
-    tables: _OperatorTables,
-    t_grid: np.ndarray,
-    lattice: PriceLattice,
-    sigma: float,
-    source_slab: Optional[Callable] = None,
-) -> Optional[np.ndarray]:
-    """Integrated running-source term on the (time, node, state) grid.
-
-    ``source_slab(d, sigma)``, when given, must return the source values at
-    every (time node m >= d, lattice node, state) for the age ``sigma + d*h``;
-    otherwise the pointwise callable from the problem is used.
-    """
-    if problem.w is None:
-        return None
+def _pointwise_slabs(problem: ProblemSpec, t_grid: np.ndarray, lattice: PriceLattice, sigma: float):
+    """``(d, values)`` pairs from the pointwise source: ``values`` holds ``w`` at
+    age ``sigma + d*h`` on every (time node m >= d, lattice node, state)."""
     n_t = len(t_grid) - 1
     h = t_grid[1] - t_grid[0]
-    out = np.zeros((n_t + 1, lattice.n_nodes, len(STATES)))
-    prices = lattice.prices
     for d in range(n_t + 1):
-        coeffs = tables.q_source.diagonal(d)
-        if not np.any(coeffs):
-            continue
-        if source_slab is not None:
-            slab = source_slab(d, sigma)
-        else:
-            age = sigma + d * h
-            slab = np.empty((n_t + 1 - d, lattice.n_nodes, len(STATES)))
-            for m in range(d, n_t + 1):
-                for ii, i in enumerate(STATES):
-                    slab[m - d, :, ii] = problem.w(t_grid[m], prices, i, age)
-        out[: n_t + 1 - d] += coeffs[:, None, None] * slab
+        age = sigma + d * h
+        slab = np.empty((n_t + 1 - d, lattice.n_nodes, len(STATES)))
+        for m in range(d, n_t + 1):
+            for ii, i in enumerate(STATES):
+                slab[m - d, :, ii] = problem.w(t_grid[m], lattice.prices, i, age)
+        yield d, slab
+
+
+def _source_integrals(tables: _OperatorTables, slabs, n_nodes: int) -> np.ndarray:
+    """Integrated running-source term on the (time, node, state) grid.
+
+    ``slabs`` yields ``(d, values)`` pairs, ``values`` being the source at age
+    offset ``d*h`` on every (time node m >= d, lattice node, state); each pair
+    is folded in as it arrives, so the caller can stream them.
+    """
+    n_t = len(tables.survival) - 1
+    out = np.zeros((n_t + 1, n_nodes, len(STATES)))
+    for d, slab in slabs:
+        out[: n_t + 1 - d] += tables.q_source.diagonal(d)[:, None, None] * slab
     if not np.all(np.isfinite(out)):
         raise SolverError("running source produced non-finite integrals")
     return out
 
 
 class _AgeOperator:
-    """One application of the value operator at a fixed age offset."""
+    """One application of the value operator at a fixed age offset.
+
+    ``source``, when given, is an iterable of ``(d, values)`` source slabs at
+    offset zero (see :func:`_source_integrals`); otherwise a problem with a
+    running source is sampled pointwise at the operator's offset.
+    """
 
     def __init__(
         self,
@@ -322,15 +371,18 @@ class _AgeOperator:
         t_grid: np.ndarray,
         lattice: PriceLattice,
         sigma: float = 0.0,
-        source_slab: Optional[Callable] = None,
+        source=None,
     ):
         self.t_grid = t_grid
         self.lattice = lattice
         self.tables = _build_tables(kernel, t_grid, sigma)
         self.payoff = problem.payoff_on(lattice.prices)
         self.branches = _branch_maps(lattice)
-        self.source = _source_integrals(
-            problem, self.tables, t_grid, lattice, sigma, source_slab
+        if source is None and problem.w is not None:
+            source = _pointwise_slabs(problem, t_grid, lattice, sigma)
+        self.source = (
+            None if source is None
+            else _source_integrals(self.tables, source, lattice.n_nodes)
         )
 
     def apply(self, core: np.ndarray) -> np.ndarray:
@@ -383,30 +435,34 @@ def solve_fixed_point(
     grid: GridSpec,
     horizon: float,
     p0: float,
-    source_slab: Optional[Callable] = None,
+    source=None,
     lattice: Optional[PriceLattice] = None,
 ) -> ValueField:
     """Picard iteration from the terminal payoff until the grid norm settles.
 
-    Returns the age-zero core with its per-step difference norms and
-    contraction ratios.  Raises :class:`ConvergenceError` (carrying the ratio
-    history) if ``grid.max_iter`` sweeps do not reach ``grid.tol_fp``.
+    ``source``, when given, is an iterable of ``(d, values)`` running-source
+    slabs (see :func:`_source_integrals`) that replaces pointwise sampling of
+    ``problem.w``; it is consumed once.  Returns the age-zero core with its
+    per-step difference norms and contraction ratios.  Raises
+    :class:`ConvergenceError` (carrying the ratio history) if
+    ``grid.max_iter`` sweeps do not reach ``grid.tol_fp``.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     t_grid = np.linspace(0.0, horizon, grid.n_t + 1)
     if lattice is None:
         lattice = _make_lattice(kernel, grid, horizon, p0)
-    op = _AgeOperator(kernel, problem, t_grid, lattice, 0.0, source_slab)
+    op = _AgeOperator(kernel, problem, t_grid, lattice, 0.0, source)
     core = np.broadcast_to(
         op.payoff[None, :, None], (grid.n_t + 1, lattice.n_nodes, len(STATES))
     ).copy()
-    field_probe = ValueField(t_grid=t_grid, lattice=lattice, core=core)
+    scale = 1.0 + lattice.prices
+    buf = np.empty_like(core)  # one difference buffer serves every sweep
     diff_norms: list[float] = []
     ratios: list[float] = []
     for _ in range(grid.max_iter):
         new_core = op.apply(core)
-        diff = field_probe.vnorm(new_core - core)
+        diff = _scaled_max(np.subtract(new_core, core, out=buf), scale, out=buf)
         if diff_norms and diff_norms[-1] > 0:
             ratios.append(diff / diff_norms[-1])
         diff_norms.append(diff)
@@ -430,7 +486,7 @@ def solve_fixed_point(
     )
 
 
-def extension_slice(field: ValueField, sigma: float, source_slab=None) -> np.ndarray:
+def extension_slice(field: ValueField, sigma: float) -> np.ndarray:
     """Values at age ``sigma`` on the (time, node, state) grid.
 
     One operator application with the general age offset; the converged core
@@ -439,65 +495,164 @@ def extension_slice(field: ValueField, sigma: float, source_slab=None) -> np.nda
     """
     if field.kernel is None or field.problem is None:
         raise ValueError("field carries no solve context")
-    op = _AgeOperator(
-        field.kernel, field.problem, field.t_grid, field.lattice, float(sigma), source_slab
-    )
+    op = _AgeOperator(field.kernel, field.problem, field.t_grid, field.lattice, float(sigma))
     return op.apply(field.core)
 
 
-def _extension_point(field: ValueField, k: int, node: int, i: int, s: float) -> float:
-    """Exact single-point extension at grid time index ``k`` and age ``s``."""
-    kernel, problem = field.kernel, field.problem
-    t_grid, lattice = field.t_grid, field.lattice
+def characteristic_slices(field: ValueField):
+    """Yield ``(d, values)`` for d = n_t, ..., 0: the extension at age ``d*h``
+    on time rows ``d..n_t``, for a field without a running source.
+
+    The survival ratio in the extension integral factorises as
+    exp(L(d*h)) * exp(-L(a*h)) with L the integrated intensity, so along each
+    characteristic c = k - d the integrand at time node m depends on m and c
+    only.  Every row is then a reverse cumulative Simpson sum along its
+    characteristic, grown by one node per age step, with the parity rule and
+    odd-row head step of :func:`_quad_matrix`: O(n_t**2 * nodes) for all
+    ages, where one :func:`extension_slice` per age costs O(n_t**3 * nodes).
+    Only the running sums and the current slice are held.
+    """
+    if field.kernel is None or field.problem is None:
+        raise ValueError("field carries no solve context")
+    if field.problem.w is not None:
+        raise ValueError("the characteristic sweep needs a field without a running source")
+    kernel, core = field.kernel, field.core
+    n_t = len(field.t_grid) - 1
+    h = field.t_grid[1] - field.t_grid[0]
+    ages = h * np.arange(n_t + 1)
+    half_ages = ages[:-1] + 0.5 * h
+    lam = np.asarray(kernel.integrated_intensity(ages))
+    # exp(+-L) stay finite: the 80-jump cap of max_jumps_for_tail bounds the
+    # intensity times the horizon, which keeps L(T) below about 50
+    grow = np.exp(lam)
+    decay = np.exp(-lam)
+    half_decay = np.exp(-np.asarray(kernel.integrated_intensity(half_ages)))
+    rates = {"cont": kernel.continuation.value(ages), "rev": kernel.reversal.value(ages)}
+    half_rates = {
+        "cont": kernel.continuation.value(half_ages), "rev": kernel.reversal.value(half_ages)
+    }
+    # per successor slot b: jump targets y_b on (time, node x state), and
+    # the integrand factor f_b = h_ij(a*h) * exp(-L(a*h)) on (age, state);
+    # rows stay flat so every product streams along node x state
+    n_nodes = field.lattice.n_nodes
+    targets, factors, half_factors = [], [], []
+    branches = _branch_maps(field.lattice)
+    for b in (0, 1):
+        y = np.empty_like(core)
+        f = np.empty((n_t + 1, len(STATES)))
+        f_half = np.empty((n_t, len(STATES)))
+        for ii, i in enumerate(STATES):
+            kind, j_idx, img, scale = branches[i][b]
+            y[:, :, ii] = core[:, img, j_idx] * scale[None, :]
+            f[:, ii] = rates[kind] * decay
+            f_half[:, ii] = half_rates[kind] * half_decay
+        targets.append(y.reshape(n_t + 1, -1))
+        factors.append(f)
+        half_factors.append(f_half)
+    payoff = np.repeat(field.problem.payoff_on(field.lattice.prices), len(STATES))
+    # composite Simpson weights counted back from the horizon: 1, 4, 2, 4, 2, ...
+    pattern = np.where(np.arange(n_t + 1) % 2 == 1, 4.0, 2.0)
+    pattern[0] = 1.0
+    sums = np.zeros_like(targets[0])
+    new_buf = np.empty_like(sums)  # scratch rows reused by every step
+    full_bufs = [np.empty((n_t // 2 + 1, sums.shape[1])) for _ in range(2)]
+    prev = None
+    for d in range(n_t, -1, -1):
+        n = n_t + 1 - d  # rows k = d + c for c = 0..n-1, with n-1-c intervals left
+        even, odd = (n - 1) % 2, n % 2  # rows with an even or odd interval count
+        new = new_buf[:n]
+        values = np.empty((n, sums.shape[1]))  # scratch until its rows are set
+        np.multiply(targets[0][d:], np.tile(factors[0][d], n_nodes), out=new)
+        new += np.multiply(targets[1][d:], np.tile(factors[1][d], n_nodes), out=values)
+        new *= pattern[n - 1 :: -1, None]
+        sums[:n] += new
+        # an even row is composite Simpson from its own node, whose weight is
+        # 1 where the running pattern gave it 2 (the horizon row integrates
+        # nothing)
+        full = full_bufs[d % 2][: (n + 1 - even) // 2]
+        np.subtract(sums[even:n:2], np.multiply(new[even::2], 0.5, out=full), out=full)
+        full[-1] = 0.0
+        np.multiply(full, grow[d] * h / 3.0, out=values[even::2])
+        if n > 1:
+            # an odd row is the previous age's even row one node later plus a
+            # Simpson head step on [t_k, t_k+1] with its midpoint at age (d+1/2)h
+            rows = values[odd::2]
+            part = new[: len(rows)]
+            np.multiply(prev, grow[d] * h / 3.0, out=rows)
+            for y, f, f_half in zip(targets, factors, half_factors):
+                first = (f[d] + 2.0 * f_half[d]) * grow[d] * h / 6.0
+                second = (2.0 * f_half[d] + f[d + 1]) * grow[d] * h / 6.0
+                rows += np.multiply(y[d + odd : n_t : 2], np.tile(first, n_nodes), out=part)
+                rows += np.multiply(y[d + odd + 1 :: 2], np.tile(second, n_nodes), out=part)
+        terminal = np.exp(lam[d] - lam[d:][::-1])
+        values += np.multiply(terminal[:, None], payoff, out=new)
+        if not np.all(np.isfinite(values)):
+            raise SolverError("characteristic sweep produced non-finite values")
+        prev = full
+        yield d, values.reshape((n,) + core.shape[1:])
+
+
+def _extension_points(field: ValueField, k, node, ii, s) -> np.ndarray:
+    """Exact extension at grid time indices ``k`` and ages ``s`` for arrays of
+    points (lattice ``node``, state index ``ii``), with the row quadrature of
+    :func:`_quad_matrix`; works in blocks of ``_READ_CHUNK`` points."""
+    kernel, problem, lattice, t_grid = field.kernel, field.problem, field.lattice, field.t_grid
     n_t = len(t_grid) - 1
     h = t_grid[1] - t_grid[0]
-    ages = s + h * np.arange(n_t - k + 1)
-    lam0 = kernel.integrated_intensity(s)
-    surv = np.exp(lam0 - np.asarray(kernel.integrated_intensity(ages)))
-    acc = surv[-1] * field.problem.payoff_on(lattice.prices[node : node + 1])[0]
-    m_int = n_t - k
-    if m_int > 0:
-        for j in successors(i):
-            img, scale = lattice.image_maps(1 if alpha(j) > 0 else -1)
-            vals = field.core[k:, img[node], _STATE_INDEX[j]] * scale[node]
-            hj = np.asarray(kernel.directed_intensity(i, j, ages)) * surv
-            half = (
-                kernel.directed_intensity(i, j, s + 0.5 * h)
-                * math.exp(lam0 - kernel.integrated_intensity(s + 0.5 * h))
-            )
-            acc += _row_quadrature(hj, vals, half, h)
+    unit = _quad_matrix(np.ones(n_t + 1), 0.0, h)
+    weights = np.zeros_like(unit)  # weights[M, u]: u-th node of a row with M intervals
+    for row in range(n_t + 1):
+        weights[n_t - row, : n_t + 1 - row] = unit[row, row:]
+    u = np.arange(n_t + 1)
+    payoff = problem.payoff_on(lattice.prices)
+    up, down = lattice.image_maps(+1), lattice.image_maps(-1)
+    succ = np.array([successors(i) for i in STATES])
+    out = np.empty(len(k))
+    for lo in range(0, len(k), _READ_CHUNK):
+        part = slice(lo, lo + _READ_CHUNK)
+        kc, nc, ic, sc = k[part], node[part], ii[part], s[part]
+        m_int = n_t - kc
+        ages = sc[:, None] + h * u
+        lam0 = np.asarray(kernel.integrated_intensity(sc))
+        surv = np.exp(lam0[:, None] - np.asarray(kernel.integrated_intensity(ages)))
+        half_age = sc + 0.5 * h
+        half_surv = np.exp(lam0 - np.asarray(kernel.integrated_intensity(half_age)))
+        # rows with an odd interval count open with a Simpson step: rate and
+        # survival exact at age s + h/2, grid values the mean of its two ends
+        head = np.where(m_int % 2 == 1, h / 3.0, 0.0) * half_surv
+        wts = weights[m_int] * surv
+        rows = np.minimum(kc[:, None] + u, n_t)
+        acc = surv[np.arange(len(kc)), m_int] * payoff[nc]
+        cont, rev = kernel.continuation.value(ages), kernel.reversal.value(ages)
+        half_cont = kernel.continuation.value(half_age)
+        half_rev = kernel.reversal.value(half_age)
+        for slot in (0, 1):
+            j = succ[ic, slot]
+            rising = j % 2 == 0  # alpha(j) > 0
+            same = rising == (ic % 2 == 1)  # alpha(i) == alpha(j), states being ii + 1
+            img = np.where(rising, up[0][nc], down[0][nc])
+            scl = np.where(rising, up[1][nc], down[1][nc])
+            vals = field.core[rows, img[:, None], (j - STATES[0])[:, None]] * scl[:, None]
+            rate = np.where(same[:, None], cont, rev)
+            half_rate = np.where(same, half_cont, half_rev)
+            acc += np.sum(wts * rate * vals, axis=1) + head * half_rate * (vals[:, 0] + vals[:, 1])
         if problem.w is not None:
-            wvals = np.array(
-                [
-                    float(problem.w(t_grid[k + d], lattice.prices[node], i, s + d * h))
-                    for d in range(m_int + 1)
-                ]
-            )
-            half_s = math.exp(lam0 - kernel.integrated_intensity(s + 0.5 * h))
-            acc += _row_quadrature(surv, wvals, half_s, h)
-    return float(acc)
-
-
-def _row_quadrature(factors: np.ndarray, values: np.ndarray, half0: float, h: float) -> float:
-    """Integrate factors*values over one row with the solver's Simpson rule."""
-    m = len(factors) - 1
-    if m == 0:
-        return 0.0
-    if m % 2 == 0:
-        return float(np.dot(_simpson_weights(m, h) * factors, values))
-    head = (h / 6.0) * (
-        (factors[0] + 2.0 * half0) * values[0] + (2.0 * half0 + factors[1]) * values[1]
-    )
-    if m == 1:
-        return float(head)
-    return float(head + np.dot(_simpson_weights(m - 1, h) * factors[1:], values[1:]))
+            # the running source is sampled once per point, along its row
+            for q in range(len(kc)):
+                m = m_int[q] + 1
+                w_row = problem.w(t_grid[kc[q]:], lattice.prices[nc[q]], STATES[ic[q]], ages[q, :m])
+                w_row = np.broadcast_to(np.asarray(w_row, dtype=float), (m,))
+                acc[q] += np.dot(wts[q, :m], w_row)
+                if m > 1:
+                    acc[q] += head[q] * (w_row[0] + w_row[1])
+        out[part] = acc
+    return out
 
 
 def extend_to_age(
     field: ValueField,
     s_grid: Optional[np.ndarray] = None,
     grid: Optional[GridSpec] = None,
-    source_slab: Optional[Callable] = None,
 ) -> ValueField:
     """Fill the age axis by one operator application per age node."""
     if s_grid is None:
@@ -508,7 +663,7 @@ def extend_to_age(
     s_grid = np.asarray(s_grid, dtype=float)
     full = np.empty(field.core.shape + (len(s_grid),))
     for si, sigma in enumerate(s_grid):
-        full[..., si] = extension_slice(field, sigma, source_slab)
+        full[..., si] = extension_slice(field, sigma)
     return replace(field, s_grid=s_grid, full=full)
 
 

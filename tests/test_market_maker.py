@@ -19,6 +19,7 @@ from semitick import (
     backtest,
     default_baselines,
     estimate_terminal_value,
+    extend_to_age,
     holding_value,
     optimal_policy,
     quote_gain_rate,
@@ -29,6 +30,8 @@ from semitick import (
     z_score,
 )
 from semitick.market_maker import export_policy_csv
+from semitick.mc import McEstimate
+from semitick.simulate import NO_EVENT, order_fill, path_rng, thinning_segments
 
 
 @pytest.fixture(scope="module")
@@ -207,8 +210,9 @@ class TestQuoteValue:
     def test_slab_matches_rates_at_each_age(
         self, asym_setup, saturating_kernel, saturating_layout, flat
     ):
-        # slabs read one shared age-free source (flat) or stream one age's
-        # rates (saturating); both must equal the sum over gain_rates_at_age
+        # streamed slabs read one shared age-free source (flat, exactly) or one
+        # characteristic sweep (saturating, to rounding); both must equal the
+        # sum over gain_rates_at_age at every age node
         if flat:
             kernel, layout, spec, field, _ = asym_setup
         else:
@@ -217,11 +221,17 @@ class TestQuoteValue:
             field = solve_expected_price(kernel, GridSpec(n_t=20), 1.0, 1.0, extend=False)
         src = QuoteGainSource(kernel, layout, spec, field)
         h = field.t_grid[1] - field.t_grid[0]
-        for d, sigma in [(0, 0.0), (3, 0.0), (7, 0.25)]:
+        ages = []
+        for d, slab in src.slabs():
             expected = np.zeros_like(field.core[d:])
-            for (i, _), rates in src.gain_rates_at_age(sigma + d * h).items():
+            for (i, _), rates in src.gain_rates_at_age(d * h).items():
                 expected[:, :, STATES.index(i)] += np.maximum(rates[d:], 0.0)
-            np.testing.assert_array_equal(src.slab(d, sigma), expected)
+            if flat:
+                np.testing.assert_array_equal(slab, expected)
+            else:
+                assert field.vnorm(slab - expected) <= 1e-12
+            ages.append(d)
+        assert sorted(ages) == list(range(len(field.t_grid)))
 
     def test_grid_mismatch_rejected(self, asym_setup):
         kernel, layout, spec, field, _ = asym_setup
@@ -351,6 +361,54 @@ class TestBacktest:
         assert text.startswith("#")
         assert "upper_bound" in text
         assert len(payload["rows"]) == 5
+
+
+    def test_blocked_policies_match_per_event_replay(self, saturating_kernel, saturating_layout):
+        # policies called once per block of paths on event arrays give the
+        # table of a per-event replay with scalar calls; most ages fall past
+        # the 6-step band, so the optimal policy reads exact extensions
+        kernel, layout = saturating_kernel, saturating_layout
+        spec = MarketMakingSpec(big_size=layout.max_units, transaction_cost=0.001)
+        field = solve_expected_price(kernel, GridSpec(n_t=40), 1.0, 1.0, extend=False)
+        h = field.t_grid[1] - field.t_grid[0]
+        field = extend_to_age(field, s_grid=h * np.arange(7))
+        policies = default_baselines() + [optimal_policy(kernel, layout, spec, field)]
+        start, agent, n_paths, seed = MarketState(1.0, 2, 0.0), AgentState(0.5, -1), 300, 21
+        report = backtest(policies, kernel, layout, spec, start, agent, 1.0, n_paths, seed)
+        values = np.empty((len(policies), n_paths))
+        for idx in range(n_paths):
+            events = []
+            for _, t1, p, i, _, s1, mark in thinning_segments(
+                kernel, layout, (0.0, 1.0, 2, 0.0), 1.0, path_rng(seed, idx)
+            ):
+                if mark is not None and mark is not NO_EVENT:
+                    side, d_cash, d_inv, _, _ = order_fill(
+                        mark, (1, 1), layout.max_units, p, kernel.delta, spec.transaction_cost
+                    )
+                    events.append((t1, p, i, s1, side > 0, d_cash, d_inv))
+            for k, policy in enumerate(policies):
+                x, y = agent.cash, agent.inventory
+                for tv, p_pre, i_pre, s_pre, ask_side, d_cash, d_inv in events:
+                    l_ask, l_bid = policy(tv, p_pre, i_pre, s_pre)
+                    if (l_ask if ask_side else l_bid):
+                        x += d_cash
+                        y += d_inv
+                values[k, idx] = x + p * y
+        expected = [McEstimate.from_values(values[k], seed) for k in range(len(policies))]
+        assert [(r.policy, r.mean, r.se) for r in report.rows] == [
+            (pol.name, est.mean, est.se) for pol, est in zip(policies, expected)
+        ]
+
+    def test_off_lattice_price_refused(self, saturating_kernel, saturating_layout):
+        kernel, layout = saturating_kernel, saturating_layout
+        spec = MarketMakingSpec(big_size=layout.max_units, transaction_cost=0.001)
+        field = solve_expected_price(kernel, GridSpec(n_t=20), 1.0, 1.0, extend=False)
+        policies = [optimal_policy(kernel, layout, spec, field)]
+        with pytest.raises(ValueError, match=r"price 1\.003 .*anchor 1\.0, delta 0\.01"):
+            backtest(
+                policies, kernel, layout, spec, MarketState(1.003, 2, 0.0), AgentState(),
+                1.0, 20, 3,
+            )
 
 
 class TestPolicyExport:

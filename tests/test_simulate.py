@@ -341,6 +341,15 @@ class TestPolicies:
         mean_ask = np.mean([d[0] for d in draws])
         assert abs(mean_ask - 0.5) < 0.05
 
+    def test_random_policy_on_arrays_matches_scalars(self):
+        pol = RandomQuotePolicy(prob=0.5, seed=9)
+        rng = np.random.default_rng(3)
+        t, s = rng.random(64), rng.random(64)
+        p, i = 1.01 ** rng.integers(-3, 4, 64), rng.integers(1, 5, 64)
+        l_ask, l_bid = pol(t, p, i, s)
+        scalar = [pol(*a) for a in zip(t.tolist(), p.tolist(), i.tolist(), s.tolist())]
+        assert list(zip(l_ask.tolist(), l_bid.tolist())) == scalar
+
     def test_builtin_ranges(self):
         assert HoldPolicy()(0.1, 1.0, 1, 0.0) == (0, 0)
         assert AlwaysQuotePolicy()(0.1, 1.0, 1, 0.0) == (1, 1)

@@ -14,6 +14,7 @@ from semitick import (
     SemiMarkovKernel,
     alpha,
     apply_age_zero_operator,
+    characteristic_slices,
     contraction_bound,
     expected_price_ode_oracle,
     extend_to_age,
@@ -25,7 +26,6 @@ from semitick import (
     solve_fixed_point,
 )
 from semitick.lattice import PriceLattice, max_jumps_for_tail
-from semitick.solver import _extension_point
 
 STATE_IDX = {s: k for k, s in enumerate(STATES)}
 
@@ -205,12 +205,44 @@ class TestExtension:
             assert gap <= 1e-8
 
     def test_point_extension_matches_slice(self, saturating_kernel):
+        # one batched exact read: the three points at age 0.42 plus a batch of
+        # mixed ages, each checked against one operator application per age
         field = solve_expected_price(saturating_kernel, GridSpec(n_t=80), 1.0, 1.0, extend=False)
-        sl = extension_slice(field, 0.42)
-        for k, node, i in ((0, 0, 1), (20, 3, 2), (60, 7, 4)):
-            assert _extension_point(field, k, node, i, 0.42) == pytest.approx(
-                sl[k, node, STATE_IDX[i]], rel=1e-12
-            )
+        points = [
+            (0, 0, 1, 0.42), (20, 3, 2, 0.42), (60, 7, 4, 0.42),
+            (5, 2, 3, 0.1), (33, 0, 1, 0.7), (79, 5, 2, 1.3), (80, 4, 4, 0.25), (47, 6, 3, 0.1),
+        ]
+        k, node, i, s = (np.array(col) for col in zip(*points))
+        got = field.read(field.t_grid[k], node, i, s)
+        slices = {age: extension_slice(field, age) for age in set(s.tolist())}
+        for (kk, nn, ii, age), value in zip(points, got):
+            assert value == pytest.approx(slices[age][kk, nn, STATE_IDX[ii]], rel=1e-12)
+
+    def test_point_extension_with_source_matches_slice(self, saturating_kernel):
+        # a running source is sampled once per point along its row
+        problem = ProblemSpec(
+            g=lambda p: p,
+            w=lambda t, p, i, s: 0.1 * p * np.cos(3.0 * t) * np.exp(-s) / i,
+        )
+        field = solve_fixed_point(saturating_kernel, problem, GridSpec(n_t=40), 1.0, 1.0)
+        exact = extension_slice(field, 0.3)
+        points = [(0, 0, 1), (13, 3, 2), (39, 7, 4), (40, 5, 3)]
+        k, node, i = (np.array(col) for col in zip(*points))
+        got = field.read(field.t_grid[k], node, i, 0.3)
+        for (kk, nn, ii), value in zip(points, got):
+            assert value == pytest.approx(exact[kk, nn, STATE_IDX[ii]], rel=1e-12)
+
+    @pytest.mark.parametrize("n_t", [120, 81])
+    def test_characteristic_sweep_matches_slices(self, saturating_kernel, n_t):
+        # the streamed sweep yields every age d*h on rows d..n_t; an odd n_t
+        # puts both row parities at both ends of the sweep
+        field = solve_expected_price(saturating_kernel, GridSpec(n_t=n_t), 1.0, 1.0, extend=False)
+        h = field.t_grid[1] - field.t_grid[0]
+        ages = []
+        for d, values in characteristic_slices(field):
+            assert field.vnorm(values - extension_slice(field, d * h)[d:]) <= 1e-12
+            ages.append(d)
+        assert ages == list(range(n_t, -1, -1))
 
     def test_eval_interpolates(self, saturating_kernel):
         grid = GridSpec(n_t=80, n_s=8, s_max=1.0)
