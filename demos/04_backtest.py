@@ -16,10 +16,8 @@ from semitick import (
     MarketMakingSpec,
     MarketState,
     SemiMarkovKernel,
-    backtest,
-    default_baselines,
+    backtest_against_baselines,
     holding_value,
-    optimal_policy,
     solve_expected_price,
     solve_quote_value,
     total_value,
@@ -40,12 +38,10 @@ agent = AgentState(cash=0.0, inventory=0)
 
 field = solve_expected_price(kernel, GridSpec(n_t=100), horizon, start.price, extend=False)
 quote = solve_quote_value(kernel, layout, spec, field)
-policies = default_baselines() + [optimal_policy(kernel, layout, spec, field)]
-
 t0 = time.time()
-report = backtest(policies, kernel, layout, spec, start, agent, horizon,
-                  n_paths=10_000, seed=2024)
-print(f"backtest of {len(policies)} policies on 10k shared paths "
+report = backtest_against_baselines(kernel, layout, spec, field, start, agent, horizon,
+                                    n_paths=10_000, seed=2024)
+print(f"backtest of {len(report.rows)} policies on 10k shared paths "
       f"({time.time() - t0:.1f}s)\n")
 print(f"{'policy':<14} {'mean':>10} {'se':>9}")
 for row in sorted(report.rows, key=lambda r: -r.mean):

@@ -22,6 +22,7 @@ from .market_maker import (
     QuoteGainSource,
     UnsupportedRiskAversion,
     backtest,
+    backtest_against_baselines,
     default_baselines,
     holding_value,
     optimal_policy,

@@ -62,6 +62,7 @@ __all__ = [
     "BacktestRow",
     "BacktestReport",
     "backtest",
+    "backtest_against_baselines",
     "export_policy_csv",
 ]
 
@@ -137,15 +138,19 @@ class QuoteGainSource:
             +1: self.lattice.image_maps(+1),
             -1: self.lattice.image_maps(-1),
         }
-        # age-zero expected price at the jump image, per (direction, target state)
-        self._img_core = {}
+        # the big-order edge d * (price - age-zero expected price at the jump
+        # image) + edge, per (direction, target state); only its factor
+        # h_dir(age) * big_size depends on the age
+        prices = self.lattice.prices[None, :]
+        self._big_edge = {}
         for i in STATES:
             for j in successors(i):
                 d = alpha(j)
                 key = (d, j)
-                if key not in self._img_core:
+                if key not in self._big_edge:
                     idx, scale = self._img[d]
-                    self._img_core[key] = price_field.core[:, idx, _STATE_INDEX[j]] * scale[None, :]
+                    image = price_field.core[:, idx, _STATE_INDEX[j]] * scale[None, :]
+                    self._big_edge[key] = d * (prices - image) + self._edge(prices)
         self._age_free = price_field.age_invariant and layout.is_memoryless
 
     def _price_slice(self, age: float) -> np.ndarray:
@@ -181,7 +186,7 @@ class QuoteGainSource:
                     else self.kernel.reversal.value(age)
                 )
                 small = flow * (d * (prices - pi_rows[:, :, ii]) + edge)
-                large = h_dir * big * (d * (prices - self._img_core[(d, j)][first:]) + edge)
+                large = h_dir * big * self._big_edge[(d, j)][first:]
                 yield (i, j), small + large
 
     def slab(self, d: int, pi_rows: np.ndarray) -> np.ndarray:
@@ -335,14 +340,10 @@ class OptimalQuotePolicy:
         t, p, i, s = np.broadcast_arrays(
             np.asarray(t, dtype=float), np.asarray(p, dtype=float), i, np.asarray(s, dtype=float)
         )
-        # successors are (3, 4) or (1, 2): the even one moves the price up;
-        # the ages span both successors, one point per rate evaluated
+        # successors are (3, 4) or (1, 2): the even one moves the price up
         up = np.where(i <= 2, 4, 2)
-        pair = (2,) + t.shape
-        rates = self.source.rate_point(
-            t, p, i, np.broadcast_to(s, pair), np.stack([up, up - 1])
-        )
-        l_ask, l_bid = np.broadcast_to(rates, pair) > 0.0
+        rates = self.source.rate_point(t, p, i, s, np.stack([up, up - 1]))
+        l_ask, l_bid = np.broadcast_to(rates, (2,) + t.shape) > 0.0
         if t.ndim == 0:
             return (int(l_ask), int(l_bid))
         return (l_ask.astype(int), l_bid.astype(int))
@@ -589,6 +590,16 @@ def backtest(
         horizon=horizon,
         seed=seed,
         risk_aversion=eta,
+    )
+
+
+def backtest_against_baselines(
+    kernel, layout, mmspec, price_field, initial_market, initial_agent, horizon, n_paths, seed
+) -> BacktestReport:
+    """:func:`backtest` of the default baselines and the optimal policy on ``price_field``."""
+    policies = default_baselines() + [optimal_policy(kernel, layout, mmspec, price_field)]
+    return backtest(
+        policies, kernel, layout, mmspec, initial_market, initial_agent, horizon, n_paths, seed
     )
 
 

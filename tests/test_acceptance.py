@@ -9,44 +9,26 @@ import time
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from semitick import (
     AgentState,
-    ConstantIntensity,
     GridSpec,
     MarkLayout,
     MarketMakingSpec,
     MarketState,
     QuoteGainSource,
     SemiMarkovKernel,
-    STATES,
-    alpha,
-    backtest,
-    battery_controlled,
-    battery_uncontrolled,
-    contraction_bound,
-    default_baselines,
-    dynkin_battery,
-    dynkin_check,
-    estimate_terminal_value,
-    expected_price_ode_oracle,
+    checks,
     extend_to_age,
-    optimal_policy,
-    path_rng,
     pde_residual,
-    sample_holding,
     solve_expected_price,
     solve_quote_value,
-    successors,
     total_value,
-    value_upper_bound,
-    z_score,
 )
 from semitick.harness import load_config
+from semitick.market_maker import backtest_against_baselines
 from semitick.solver import ProblemSpec
 
-STATE_IDX = {s: k for k, s in enumerate(STATES)}
 PRESET_NAMES = ["symmetric-martingale", "asymmetric-constant", "saturating-hazard"]
 
 
@@ -75,25 +57,13 @@ def asym_field(asym):
 def test_criterion_1_kernel_identities(presets):
     """Density-kernel identity and transition normalisation at 1e-12."""
     t0 = time.time()
-    worst = 0.0
-    for name, cfg in presets.items():
-        kernel = cfg.kernel
-        ages = np.linspace(0.0, cfg.horizon + cfg.initial_market.age + 1.0, 200)
-        surv = 1.0 - kernel.holding_cdf(ages)
-        for i in STATES:
-            total = np.zeros_like(ages)
-            for j in successors(i):
-                p_ij = kernel.transition_prob(i, j, ages)
-                total += p_ij
-                defect = np.max(
-                    np.abs(
-                        kernel.holding_pdf(ages) * p_ij / surv
-                        - kernel.directed_intensity(i, j, ages)
-                    )
-                )
-                worst = max(worst, float(defect))
-            worst = max(worst, float(np.max(np.abs(total - 1.0))))
-    passed = worst <= 1e-12
+    results = [
+        check(cfg.kernel, np.linspace(0.0, cfg.horizon + cfg.initial_market.age + 1.0, 200))
+        for cfg in presets.values()
+        for check in (checks.kernel_identity, checks.transition_sum)
+    ]
+    worst = max(c.measured["defect"] for c in results)
+    passed = all(c.passed for c in results)
     report("1 kernel identities", passed, f"max defect {worst:.3e} <= 1e-12", t0)
     assert passed
 
@@ -102,46 +72,15 @@ def test_criterion_2_distributional_correctness(presets):
     """Holding-time KS, transition frequencies, renewal vs thinning."""
     t0 = time.time()
     cfg = presets["saturating-hazard"]
-    kernel, layout = cfg.kernel, cfg.layout
     rng = np.random.default_rng(cfg.seed)
-    draws = np.array(
-        [sample_holding(kernel, 0.0, u) for u in rng.uniform(1e-12, 1.0, 10_000)]
+    ks = checks.holding_ks(cfg.kernel, rng, 10_000)
+    freq = checks.transition_freq(cfg.kernel, rng, 100_000)
+    two = checks.renewal_vs_thinning(
+        cfg.kernel, cfg.layout, cfg.initial_market, cfg.horizon, 10_000, cfg.seed + 1
     )
-    ks = stats.kstest(draws, lambda y: kernel.holding_cdf(np.maximum(y, 0.0)))
-    ok_ks = ks.pvalue > 0.01
-
-    ok_freq = True
-    n_tr = 100_000
-    for i, y in ((1, 0.3), (2, 1.1)):
-        p_first = kernel.transition_prob(i, successors(i)[0], y)
-        hits = int(np.sum(rng.random(n_tr) < p_first))
-        sd = math.sqrt(n_tr * p_first * (1.0 - p_first))
-        ok_freq &= abs(hits - n_tr * p_first) <= 3.0 * sd
-
-    from semitick import simulate_price_path, simulate_price_path_thinning
-
-    hold_r, hold_t = [], []
-    for idx in range(10_000):
-        hold_r.extend(
-            simulate_price_path(
-                kernel, cfg.initial_market, cfg.horizon, path_rng(cfg.seed + 1, idx)
-            ).holding_times()
-        )
-        hold_t.extend(
-            simulate_price_path_thinning(
-                kernel, layout, cfg.initial_market, cfg.horizon, path_rng(cfg.seed + 2, idx)
-            ).holding_times()
-        )
-    ks2 = stats.ks_2samp(hold_r, hold_t)
-    ok_two = ks2.pvalue > 0.01
-    passed = ok_ks and ok_freq and ok_two
-    report(
-        "2 distributional",
-        passed,
-        f"holding KS p={ks.pvalue:.3f}; freqs within 3sd: {ok_freq}; "
-        f"renewal-vs-thinning KS p={ks2.pvalue:.3f}",
-        t0,
-    )
+    passed = ks.passed and freq.passed and two.passed
+    report("2 distributional", passed, f"holding KS p={ks.measured['p']:.3f}; freqs within "
+           f"3sd: {freq.passed}; renewal-vs-thinning KS p={two.measured['p']:.3f}", t0)
     assert passed
 
 
@@ -149,22 +88,12 @@ def test_criterion_3_solver_vs_closed_forms(presets):
     """Martingale identity at 1e-6; flat-hazard matrix exponential at 1e-4."""
     t0 = time.time()
     sym = presets["symmetric-martingale"]
-    field = solve_expected_price(
-        sym.kernel, sym.grid, sym.horizon, sym.initial_market.price
-    )
+    field = solve_expected_price(sym.kernel, sym.grid, sym.horizon, sym.initial_market.price)
     mask = field.lattice.report_mask
-    prices = field.lattice.prices[mask]
-    worst_sym = float(
-        np.max(np.abs(field.core[:, mask, :] - prices[None, :, None]) / prices[None, :, None])
-    )
+    col = field.lattice.prices[mask][None, :, None]
     worst_sym = max(
-        worst_sym,
-        float(
-            np.max(
-                np.abs(field.full[:, mask, :, :] - prices[None, :, None, None])
-                / prices[None, :, None, None]
-            )
-        ),
+        float(np.max(np.abs(values[:, mask] - p) / p))
+        for values, p in ((field.core, col), (field.full, col[..., None]))
     )
 
     asym = presets["asymmetric-constant"]
@@ -173,28 +102,11 @@ def test_criterion_3_solver_vs_closed_forms(presets):
         asym.kernel, GridSpec(n_t=400), asym.horizon, asym.initial_market.price, extend=False
     )
     elapsed_400 = time.time() - t400
-    factors = expected_price_ode_oracle(
-        asym.kernel.continuation.level,
-        asym.kernel.reversal.level,
-        asym.kernel.delta,
-        asym.horizon - f400.t_grid,
-    )
-    mask = f400.lattice.report_mask
-    worst_asym = 0.0
-    for ii, i in enumerate(STATES):
-        col = 0 if alpha(i) > 0 else 1
-        oracle = f400.lattice.prices[None, mask] * factors[:, col][:, None]
-        worst_asym = max(
-            worst_asym, float(np.max(np.abs(f400.core[:, mask, ii] - oracle) / oracle))
-        )
-    passed = worst_sym <= 1e-6 and worst_asym <= 1e-4 and elapsed_400 < 10.0
-    report(
-        "3 closed forms",
-        passed,
-        f"martingale max rel {worst_sym:.2e} <= 1e-6; matrix-exp max rel "
-        f"{worst_asym:.2e} <= 1e-4 (n_t=400 solve {elapsed_400:.1f}s < 10s)",
-        t0,
-    )
+    closed = checks.closed_form(f400, asym.kernel, 1e-4)
+    worst_asym = closed.measured["rel_err"]
+    passed = worst_sym <= 1e-6 and closed.passed and elapsed_400 < 10.0
+    report("3 closed forms", passed, f"martingale max rel {worst_sym:.2e} <= 1e-6; matrix-exp "
+           f"max rel {worst_asym:.2e} <= 1e-4 (n_t=400 solve {elapsed_400:.1f}s < 10s)", t0)
     assert passed
 
 
@@ -206,16 +118,12 @@ def test_criterion_4_contraction(presets):
         field = solve_expected_price(
             cfg.kernel, cfg.grid, cfg.horizon, cfg.initial_market.price, extend=False
         )
-        kappa = contraction_bound(
-            cfg.kernel, cfg.horizon, np.linspace(0.0, cfg.grid.s_max, cfg.grid.n_s + 1)
-        )
-        budget = math.ceil(math.log(cfg.grid.tol_fp) / math.log(kappa)) + 5
-        worst_ratio = max(field.ratios) if field.ratios else 0.0
-        ok = worst_ratio <= kappa + 0.01 and field.iterations <= budget
-        passed &= ok
+        check = checks.contraction(field, cfg.kernel, cfg.horizon, cfg.grid)
+        passed &= check.passed
+        m = check.measured
         details.append(
-            f"{name}: ratio {worst_ratio:.3f} <= {kappa + 0.01:.3f}, "
-            f"{field.iterations} sweeps <= {budget}"
+            f"{name}: ratio {m['ratio']:.3f} <= {m['kappa'] + 0.01:.3f}, "
+            f"{field.iterations} sweeps <= {m['budget']}"
         )
     report("4 contraction", passed, "; ".join(details), t0)
     assert passed
@@ -267,23 +175,16 @@ def test_criterion_6_stochastic_representation(asym, asym_field):
         (0.5, float(lat.prices[lat.index_of(1, 0)]), 4, 0.0),
         (0.75, float(lat.prices[lat.index_of(0, 1)]), 1, 0.3),
     ]
-    zs, passed = [], True
-    for k, (t, p, i, s) in enumerate(price_points):
-        est = estimate_terminal_value(
-            kernel, lambda q: q, None, (t, p, i, s), asym.horizon, 100_000, asym.seed + 500 + k
-        )
-        z = z_score(field.eval(t, p, i, s), est)
-        zs.append(f"pi{k}: {z:+.2f}")
-        passed &= abs(z) < 3.0
-    source = QuoteGainSource(kernel, layout, mmspec, field)
-    for k, (t, p, i, s) in enumerate(quote_points):
-        est = estimate_terminal_value(
-            kernel, lambda q: 0.0, source, (t, p, i, s), asym.horizon, 100_000,
-            asym.seed + 600 + k,
-        )
-        z = z_score(quote.eval(t, p, i, s), est)
-        zs.append(f"u{k}: {z:+.2f}")
-        passed &= abs(z) < 3.0
+    price = checks.price_mc(
+        kernel, field, price_points, asym.horizon, 100_000, asym.seed + 500
+    )
+    premium = checks.quote_value_mc(
+        kernel, layout, mmspec, field, quote, quote_points, asym.horizon, 100_000,
+        asym.seed + 600,
+    )
+    zs = [f"pi{k}: {r['z']:+.2f}" for k, r in enumerate(price.stats)]
+    zs += [f"u{k}: {r['z']:+.2f}" for k, r in enumerate(premium.stats)]
+    passed = price.passed and premium.passed
     report("6 stochastic representation", passed, "; ".join(zs) + " (|z| < 3)", t0)
     assert passed
 
@@ -292,44 +193,16 @@ def test_criterion_7_dynkin_battery(presets):
     """Five test functions, both generators, 1e5 paths; ablation control."""
     t0 = time.time()
     cfg = presets["symmetric-martingale"]
-    t_check = 0.8 * cfg.horizon
-    unc = dynkin_battery(
-        cfg.kernel,
-        battery_uncontrolled(cfg.horizon, cfg.initial_market.price),
-        cfg.initial_market,
-        t_check,
-        100_000,
-        cfg.seed + 700,
+    model = (cfg.kernel, cfg.layout, cfg.mmspec, cfg.initial_market, cfg.initial_agent)
+    unc = checks.dynkin_uncontrolled(
+        cfg.kernel, cfg.initial_market, cfg.horizon, 100_000, cfg.seed + 700
     )
-    start = (cfg.initial_market, cfg.initial_agent)
-    ctl = dynkin_battery(
-        cfg.kernel,
-        battery_controlled(cfg.horizon, cfg.initial_market.price),
-        start,
-        t_check,
-        100_000,
-        cfg.seed + 800,
-        layout=cfg.layout,
-        control=(1, 1),
-        transaction_cost=cfg.mmspec.transaction_cost,
-    )
-    ablation = dynkin_check(
-        cfg.kernel,
-        battery_controlled(cfg.horizon, cfg.initial_market.price)[0],
-        start,
-        t_check,
-        20_000,
-        cfg.seed + 900,
-        layout=cfg.layout,
-        control=(1, 1),
-        transaction_cost=cfg.mmspec.transaction_cost,
-        include_small_orders=False,
-    )
-    worst = max(abs(r.z) for r in unc + ctl)
-    passed = worst < 3.0 and abs(ablation.z) > 3.0
+    ctl = checks.dynkin_controlled(*model, cfg.horizon, 100_000, cfg.seed + 800)
+    ablation = checks.dynkin_ablation(*model, cfg.horizon, 20_000, cfg.seed + 900)
+    passed = unc.passed and ctl.passed and ablation.passed
     detail = (
-        "; ".join(f"{r.name}: {r.z:+.2f}" for r in unc + ctl)
-        + f"; ablation z={ablation.z:+.1f} (>3)"
+        "; ".join(f"{r['name']}: {r['z']:+.2f}" for r in unc.stats + ctl.stats)
+        + f"; ablation z={ablation.stats[0]['z']:+.1f} (>3)"
     )
     report("7 generator battery", passed, detail, t0)
     assert passed
@@ -338,46 +211,30 @@ def test_criterion_7_dynkin_battery(presets):
 def test_criterion_8_policy_optimality(asym):
     """Optimal quoting dominates the baselines across a (tick, cost) sweep."""
     t0 = time.time()
-    passed = True
-    details = []
+    passed, details = True, []
     for delta in (0.005, 0.01, 0.02):
         for eps_frac in (0.0, 0.3, 0.9):
-            kernel = SemiMarkovKernel(
-                asym.kernel.continuation, asym.kernel.reversal, delta
-            )
-            layout = MarkLayout(
-                kernel,
-                asym.layout.ask_flow,
-                asym.layout.bid_flow,
-                asym.layout.ask_sizes,
-                asym.layout.bid_sizes,
-            )
+            kernel = SemiMarkovKernel(asym.kernel.continuation, asym.kernel.reversal, delta)
+            lay = asym.layout
+            layout = MarkLayout(kernel, lay.ask_flow, lay.bid_flow, lay.ask_sizes, lay.bid_sizes)
             mmspec = MarketMakingSpec(
-                big_size=asym.mmspec.big_size,
-                transaction_cost=eps_frac * delta,
+                big_size=asym.mmspec.big_size, transaction_cost=eps_frac * delta,
                 portfolio_consistent=True,
             )
             field = solve_expected_price(kernel, GridSpec(n_t=100), asym.horizon, 1.0, extend=False)
             quote = solve_quote_value(kernel, layout, mmspec, field)
-            policies = default_baselines() + [optimal_policy(kernel, layout, mmspec, field)]
-            rep = backtest(
-                policies, kernel, layout, mmspec,
-                MarketState(1.0, 2, 0.0), AgentState(0.0, 0), asym.horizon, 10_000,
-                asym.seed + int(delta * 10_000) + int(eps_frac * 10),
+            rep = backtest_against_baselines(
+                kernel, layout, mmspec, field, MarketState(1.0, 2, 0.0), AgentState(0.0, 0),
+                asym.horizon, 10_000, asym.seed + int(delta * 10_000) + int(eps_frac * 10),
             )
-            opt = rep.row("optimal")
-            cell_ok = all(
-                opt.mean >= row.mean - 2.0 * row.se
-                for row in rep.rows
-                if row.policy != "optimal"
+            match = checks.optimal_matches_value(
+                rep, total_value(field, quote, 0.0, 1.0, 2, 0.0, 0.0, 0)
             )
-            solved = total_value(field, quote, 0.0, 1.0, 2, 0.0, 0.0, 0)
-            gap = abs(opt.mean - solved)
-            cell_ok &= gap <= 3.0 * max(opt.se, 1e-12)
+            cell_ok = checks.backtest_ordering(rep).passed and match.passed
             passed &= cell_ok
             details.append(
-                f"d={delta} e={eps_frac}d: {'ok' if cell_ok else 'FAIL'} "
-                f"(value gap {gap:.1e} vs 3se {3 * opt.se:.1e})"
+                f"d={delta} e={eps_frac}d: {'ok' if cell_ok else 'FAIL'} (value gap "
+                f"{match.measured['gap']:.1e} vs 3se {3 * rep.row('optimal').se:.1e})"
             )
     report("8 optimality", passed, "; ".join(details), t0)
     assert passed
@@ -386,27 +243,19 @@ def test_criterion_8_policy_optimality(asym):
 def test_criterion_9_value_bound(presets):
     """Every policy's Monte-Carlo mean stays below the a-priori bound."""
     t0 = time.time()
-    passed = True
-    details = []
+    passed, details = True, []
     for name, cfg in presets.items():
         field = solve_expected_price(
             cfg.kernel, GridSpec(n_t=max(80, cfg.grid.n_t // 2)), cfg.horizon,
             cfg.initial_market.price, extend=False,
         )
-        policies = default_baselines() + [
-            optimal_policy(cfg.kernel, cfg.layout, cfg.mmspec, field)
-        ]
-        rep = backtest(
-            policies, cfg.kernel, cfg.layout, cfg.mmspec, cfg.initial_market,
+        rep = backtest_against_baselines(
+            cfg.kernel, cfg.layout, cfg.mmspec, field, cfg.initial_market,
             cfg.initial_agent, cfg.horizon, 4000, cfg.seed + 1000,
         )
-        bound = value_upper_bound(
-            cfg.mmspec, cfg.kernel, cfg.layout, 0.0, cfg.initial_market.price,
-            cfg.initial_agent.cash, cfg.initial_agent.inventory, cfg.horizon,
-        )
-        margin = min(bound - row.mean for row in rep.rows)
-        passed &= margin >= 0.0
-        details.append(f"{name}: min margin {margin:.3f}")
+        check = checks.value_bound(rep)
+        passed &= check.passed
+        details.append(f"{name}: min margin {check.measured['margin']:.3f}")
     report("9 value bound", passed, "; ".join(details), t0)
     assert passed
 
@@ -428,8 +277,7 @@ def test_criterion_10_degenerate_cost(presets):
             portfolio_consistent=True,
         )),
     ]
-    passed = True
-    details = []
+    passed, details = True, []
     for name, mmspec in cases:
         quote = solve_quote_value(kernel, layout, mmspec, field)
         u_max = float(np.abs(quote.core).max())

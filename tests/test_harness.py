@@ -1,13 +1,18 @@
 """Config ingestion, presets, commands, CLI contract."""
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semitick.harness import (
     COMMANDS,
     ConfigError,
+    ExperimentConfig,
     PRESETS,
+    _build_config,
     load_config,
     main,
     preset_config,
@@ -19,6 +24,28 @@ def write_config(tmp_path, data, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
     return str(path)
+
+
+def _leaves(node, path=()):
+    """Key paths of every scalar leaf of a nested config (dict keys, list indices)."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        return [leaf for key, value in items for leaf in _leaves(value, path + (key,))]
+    return [path]
+
+
+LEAVES = [(name, path) for name in sorted(PRESETS) for path in _leaves(PRESETS[name])]
+WILD_VALUES = st.one_of(
+    st.text(max_size=4),
+    st.none(),
+    st.booleans(),
+    st.lists(st.integers(-3, 3), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(-3, 3), max_size=2),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), 0, 0.0, -0.0]),
+    st.integers(max_value=-1),
+    st.floats(max_value=-1e-300, allow_nan=False, allow_infinity=False),
+    st.sampled_from([1e308, 1.7976931348623157e308, 10**30, 10**400]),
+)
 
 
 class TestLoadConfig:
@@ -88,6 +115,22 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="big_size"):
             load_config(write_config(tmp_path, data))
 
+    @settings(max_examples=1500, deadline=None)
+    @given(leaf=st.sampled_from(LEAVES), value=WILD_VALUES)
+    def test_any_leaf_value_is_accepted_or_refused(self, leaf, value):
+        # one leaf of a preset replaced by any JSON-ish value: the config is
+        # built or refused with ConfigError, never anything else
+        name, path = leaf
+        data = preset_config(name)
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        try:
+            assert isinstance(_build_config(data), ExperimentConfig)
+        except ConfigError:
+            pass
+
 
 class TestCommands:
     def test_unknown_command(self):
@@ -145,6 +188,19 @@ class TestCommands:
             "backtest.csv",
             "backtest.json",
         } <= names
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_backtest_exits_2(self, tmp_path, capsys):
+        data = preset_config("asymmetric-constant")
+        data["initial"]["cash"] = 1e308  # the summed path values overflow
+        data["run"]["n_paths"] = 20
+        data["grid"]["n_t"] = 40
+        out = tmp_path / "out"
+        rc = main(["backtest", "--config", write_config(tmp_path, data), "--out", str(out),
+                   "--quiet"])
+        assert rc == 2
+        assert "policy 'hold' has a non-finite mean" in capsys.readouterr().err
+        assert not (out / "backtest.json").exists()
 
     def test_risk_aversion_rejected_at_solves(self, tmp_path, capsys):
         data = preset_config("symmetric-martingale")
@@ -210,3 +266,5 @@ class TestCli:
         report = json.loads((tmp_path / "validate_report.json").read_text())
         assert report["passed"] is True
         assert len(report["checks"]) >= 15
+        for check in report["checks"]:
+            assert math.isfinite(check["elapsed_s"]) and check["elapsed_s"] >= 0, check
