@@ -31,7 +31,7 @@ grid = GridSpec(n_t=200)
 # 1. symmetric hazards: up and down moves are equally likely, so the price
 #    is a martingale and the solved field must equal the price itself
 sym = SemiMarkovKernel(ConstantIntensity(0.5), ConstantIntensity(0.5), 0.01)
-field = solve_expected_price(sym, grid, horizon, p0, extend=False)
+field = solve_expected_price(sym, grid, horizon, p0)
 mask = field.lattice.report_mask
 prices = field.lattice.prices[mask]
 err = np.max(np.abs(field.core[:, mask, :] - prices[None, :, None]) / prices[None, :, None])
@@ -42,7 +42,7 @@ print(f"martingale check: max relative error {err:.2e} over "
 #    the direction-dependent factor solves a 2x2 linear ODE
 trend = SemiMarkovKernel(ConstantIntensity(0.8), ConstantIntensity(0.4), 0.01)
 t0 = time.time()
-field = solve_expected_price(trend, grid, horizon, p0, extend=False)
+field = solve_expected_price(trend, grid, horizon, p0)
 factors = expected_price_ode_oracle(0.8, 0.4, 0.01, horizon - field.t_grid)
 mask = field.lattice.report_mask
 worst = 0.0

@@ -28,7 +28,7 @@ layout = MarkLayout(
     ask_sizes=(0.2, 0.5, 0.3),
     bid_sizes=(0.1, 0.6, 0.3),
 )
-field = solve_expected_price(kernel, GridSpec(n_t=100), horizon=1.0, p0=1.0, extend=False)
+field = solve_expected_price(kernel, GridSpec(n_t=100), horizon=1.0, p0=1.0)
 
 print("fraction of the grid where each side is quoted, by transaction cost")
 print(f"{'cost/tick':>10} {'ask side':>10} {'bid side':>10}")

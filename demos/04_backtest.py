@@ -36,7 +36,7 @@ horizon = 1.0
 start = MarketState(price=1.0, state=2, age=0.0)
 agent = AgentState(cash=0.0, inventory=0)
 
-field = solve_expected_price(kernel, GridSpec(n_t=100), horizon, start.price, extend=False)
+field = solve_expected_price(kernel, GridSpec(n_t=100), horizon, start.price)
 quote = solve_quote_value(kernel, layout, spec, field)
 t0 = time.time()
 report = backtest_against_baselines(kernel, layout, spec, field, start, agent, horizon,

@@ -71,7 +71,6 @@ from .solver import (
     characteristic_slices,
     contraction_bound,
     expected_price_ode_oracle,
-    extend_to_age,
     extension_slice,
     load_field_csv,
     pde_residual,

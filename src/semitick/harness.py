@@ -33,15 +33,14 @@ from .simulate import AgentState, MarketState, path_rng, simulate_price_path
 from .solver import (
     GridSpec,
     ProblemSpec,
-    extend_to_age,
+    extension_slice,
     pde_residual,
     save_field_csv,
     solve_expected_price,
 )
 
-# unused here, but the benchmark tracer (perfbench/tracing.py) patches them on this module
+# unused here, but the benchmark tracer (perfbench/tracing.py) patches it on this module
 from .simulate import sample_holding  # noqa: F401
-from .solver import extension_slice  # noqa: F401
 
 __all__ = [
     "ConfigError",
@@ -386,19 +385,17 @@ def _cmd_simulate(cfg: ExperimentConfig, out: FsPath, quiet: bool) -> int:
 
 
 def _solve_pi(cfg: ExperimentConfig):
-    field = solve_expected_price(
-        cfg.kernel, cfg.grid, cfg.horizon, cfg.initial_market.price, extend=False
-    )
-    h = field.t_grid[1] - field.t_grid[0]
-    band = h * np.arange(min(cfg.grid.n_s, 6) + 1)
-    field = extend_to_age(field, s_grid=band)
-    return field
+    return solve_expected_price(cfg.kernel, cfg.grid, cfg.horizon, cfg.initial_market.price)
 
 
 def _cmd_solve_pi(cfg: ExperimentConfig, out: FsPath, quiet: bool) -> int:
     field = _solve_pi(cfg)
     save_field_csv(field, out / "expected_price.csv", cfg.header_meta())
-    res = pde_residual(cfg.kernel, ProblemSpec(g=lambda p: p), field)
+    # the residual differences along the (t, s) diagonal, so it needs ages 0, h, 2h, ...
+    h = field.t_grid[1] - field.t_grid[0]
+    ages = h * np.arange(min(cfg.grid.n_s, 6) + 1)
+    values = np.stack([extension_slice(field, s) for s in ages], axis=-1)
+    res = pde_residual(cfg.kernel, ProblemSpec(g=lambda p: p), field, values)
     report = {
         "meta": cfg.header_meta(),
         "iterations": field.iterations,

@@ -83,12 +83,9 @@ class PriceLattice:
         log_u = np.log1p(self.delta)
         log_d = np.log1p(-self.delta)
         self.prices = self.p0 * np.exp(self.a_counts * log_u + self.b_counts * log_d)
-        n = len(a_list)
-        self.up_index = np.full(n, -1, dtype=int)
-        self.down_index = np.full(n, -1, dtype=int)
-        for k, (a, b) in enumerate(zip(a_list, b_list)):
-            self.up_index[k] = index.get((a + 1, b), -1)
-            self.down_index[k] = index.get((a, b + 1), -1)
+        pairs = list(zip(a_list, b_list))
+        self.up_index = np.array([index.get((a + 1, b), -1) for a, b in pairs], dtype=int)
+        self.down_index = np.array([index.get((a, b + 1), -1) for a, b in pairs], dtype=int)
         self._sorted = np.argsort(self.prices)
         self._sorted_prices = self.prices[self._sorted]
 

@@ -609,16 +609,13 @@ def export_policy_csv(
     layout: MarkLayout,
     mmspec: MarketMakingSpec,
     price_field: ValueField,
-    s_values: Optional[Sequence[float]] = None,
+    s_values: Sequence[float],
     header_meta: Optional[dict] = None,
 ) -> None:
-    """Quote bits on the grid as (t, p, i, s, ask bit, bid bit) rows."""
+    """Quote bits on the grid at the ages ``s_values`` as (t, p, i, s, ask bit,
+    bid bit) rows."""
     mmspec.require_risk_neutral("the optimal quoting policy")
     source = QuoteGainSource(kernel, layout, mmspec, price_field)
-    if s_values is None:
-        s_values = [0.0] if price_field.s_grid is None else list(
-            np.linspace(0.0, price_field.s_grid[-1], 5)
-        )
     keep = np.nonzero(price_field.lattice.report_mask)[0]
     p_txt = [repr(p) for p in price_field.lattice.prices[keep].tolist()]
     t_leads = [f"{t!r}," for t in map(float, price_field.t_grid)]

@@ -54,8 +54,11 @@ class McEstimate:
         n = len(values)
         if n < 1:
             raise ValueError("need at least one path")
-        mean = float(np.sum(values) / n)
-        se = float(np.std(values, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        # huge values overflow to inf without a warning; callers refuse
+        # non-finite estimates by name
+        with np.errstate(over="ignore"):
+            mean = float(np.sum(values) / n)
+            se = float(np.std(values, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
         return cls(mean=mean, se=se, n_paths=n, seed=seed)
 
 

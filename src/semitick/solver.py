@@ -3,11 +3,11 @@
 The value of a terminal payoff g plus a running source w solves an integral
 fixed-point equation whose unknown enters only through its age-zero slices.
 Picard iteration therefore runs on a core array indexed by (time node, price
-lattice node, direction state); the full age dependence is recovered
-afterwards by a single application of the operator at each requested age, by
-one streamed sweep along the characteristics for every grid age at once
-(:func:`characteristic_slices`), or exactly at scattered points
-(:meth:`ValueField.read`).
+lattice node, direction state); any other age is recovered afterwards from
+the core by a single application of the operator at that age
+(:func:`extension_slice`), by one streamed sweep along the characteristics
+for every grid age at once (:func:`characteristic_slices`), or exactly at
+scattered points (:meth:`ValueField.read`).
 
 Quadrature along the time axis is composite Simpson on the uniform grid, with
 the leading interval of odd-length rows handled by a Simpson step whose
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -39,7 +39,6 @@ __all__ = [
     "solve_fixed_point",
     "extension_slice",
     "characteristic_slices",
-    "extend_to_age",
     "solve_expected_price",
     "expected_price_ode_oracle",
     "contraction_bound",
@@ -125,10 +124,12 @@ class ProblemSpec:
 class ValueField:
     """Grid representation of a solved value function.
 
-    ``core`` holds the age-zero values on (time node, lattice node, state);
-    ``full``, when present, appends an age axis on ``s_grid``.  Evaluation is
-    linear in time and age and exact in price on the lattice.  Fields carry
-    their solve context so off-grid ages can be filled exactly on demand.
+    ``core`` holds the age-zero values on (time node, lattice node, state),
+    read linearly in time and exactly in price on the lattice.  Every other
+    age is computed exactly from the core through the solve context
+    (``kernel`` and ``problem``) that a solved field carries; a field
+    reloaded from CSV has none, so it reads age zero only unless it is
+    age-invariant.
     """
 
     t_grid: np.ndarray
@@ -136,11 +137,13 @@ class ValueField:
     core: np.ndarray
     kernel: Optional[SemiMarkovKernel] = None
     problem: Optional[ProblemSpec] = None
-    s_grid: Optional[np.ndarray] = None
-    full: Optional[np.ndarray] = None
     age_invariant: bool = False
     diff_norms: list = field(default_factory=list)
     ratios: list = field(default_factory=list)
+
+    # no age axis is cached; kept, always None, for the benchmark tracer's
+    # band counter until the package instruments itself (ROADMAP item 4)
+    s_grid = None
 
     @property
     def horizon(self) -> float:
@@ -165,9 +168,8 @@ class ValueField:
         """Values at broadcast arrays of (time, lattice node, state, age).
 
         Age zero, or any age of an age-invariant field, interpolates the core
-        linearly in time; ages inside the cached band interpolate bilinearly;
-        later ages are extended exactly, all points at once, at the two grid
-        times around ``t`` and interpolated between them.
+        linearly in time; every other age is extended exactly, all points at
+        once, at the two grid times around ``t`` and interpolated between them.
         """
         t, s = np.asarray(t, dtype=float), np.asarray(s, dtype=float)
         ii = np.asarray(i) - STATES[0]  # states are consecutive integers
@@ -176,34 +178,19 @@ class ValueField:
             return np.broadcast_to(_interp_time(self.t_grid, t, self.core, node, ii), shape)
         t, node, ii, s = np.broadcast_arrays(t, node, ii, s)
         at_core = s == 0.0
-        band_edge = -np.inf if self.full is None else self.s_grid[-1] + 1e-12
-        in_band = ~at_core & (s <= band_edge)
         out = np.empty(t.shape)
-        for mask, values in (
-            (at_core, self._core_values),
-            (in_band, self._band_values),
-            (~(at_core | in_band), self._extended_values),
-        ):
-            if mask.any():
-                out[mask] = values(t[mask], node[mask], ii[mask], s[mask])
+        if at_core.any():
+            out[at_core] = _interp_time(self.t_grid, t[at_core], self.core, node[at_core],
+                                        ii[at_core])
+        aged = ~at_core
+        out[aged] = self._extended_values(t[aged], node[aged], ii[aged], s[aged])
         return out
-
-    def _core_values(self, t, node, ii, s):
-        return _interp_time(self.t_grid, t, self.core, node, ii)
-
-    def _band_values(self, t, node, ii, s):
-        si = np.clip(np.searchsorted(self.s_grid, s) - 1, 0, len(self.s_grid) - 2)
-        s0, s1 = self.s_grid[si], self.s_grid[si + 1]
-        wgt = np.where(s1 > s0, (s - s0) / np.where(s1 > s0, s1 - s0, 1.0), 0.0)
-        lo = _interp_time(self.t_grid, t, self.full, node, ii, si)
-        hi = _interp_time(self.t_grid, t, self.full, node, ii, si + 1)
-        return (1.0 - wgt) * lo + wgt * hi
 
     def _extended_values(self, t, node, ii, s):
         if self.kernel is None:
             raise ValueError(
-                "field has no cached values at this age and no solve context "
-                "to extend with; call extend_to_age first"
+                "field carries no solve context to extend to a nonzero age "
+                "(a field reloaded from CSV reads age zero only)"
             )
         n_t = len(self.t_grid) - 1
         ti = np.clip(np.searchsorted(self.t_grid, t) - 1, 0, n_t - 1)
@@ -649,37 +636,14 @@ def _extension_points(field: ValueField, k, node, ii, s) -> np.ndarray:
     return out
 
 
-def extend_to_age(
-    field: ValueField,
-    s_grid: Optional[np.ndarray] = None,
-    grid: Optional[GridSpec] = None,
-) -> ValueField:
-    """Fill the age axis by one operator application per age node."""
-    if s_grid is None:
-        if grid is None:
-            raise ValueError("provide either s_grid or a GridSpec")
-        s_max = grid.s_max if grid.s_max is not None else field.horizon
-        s_grid = np.linspace(0.0, s_max, grid.n_s + 1)
-    s_grid = np.asarray(s_grid, dtype=float)
-    full = np.empty(field.core.shape + (len(s_grid),))
-    for si, sigma in enumerate(s_grid):
-        full[..., si] = extension_slice(field, sigma)
-    return replace(field, s_grid=s_grid, full=full)
-
-
 def solve_expected_price(
     kernel: SemiMarkovKernel,
     grid: GridSpec,
     horizon: float,
     p0: float,
-    extend: bool = True,
 ) -> ValueField:
     """Conditional expectation of the terminal price (identity payoff, no source)."""
-    problem = ProblemSpec(g=lambda p: p, w=None)
-    field = solve_fixed_point(kernel, problem, grid, horizon, p0)
-    if extend:
-        field = extend_to_age(field, grid=grid)
-    return field
+    return solve_fixed_point(kernel, ProblemSpec(g=lambda p: p, w=None), grid, horizon, p0)
 
 
 def expected_price_ode_oracle(
@@ -727,29 +691,25 @@ def pde_residual(
     kernel: SemiMarkovKernel,
     problem: ProblemSpec,
     field: ValueField,
+    values: np.ndarray,
 ) -> ResidualStats:
-    """Interior residual of the characteristic-form equation on the full grid.
+    """Interior residual of the characteristic-form equation on a grid of ages.
 
-    The transport derivative is a centred difference along the (t, s)
-    diagonal, which requires equal time and age steps; the jump and source
-    terms are evaluated exactly at the node.  Residuals are normalised by
-    1 + price; boundary lattice nodes (truncated jump images) are excluded.
+    ``values[..., d]`` holds the field on the (time, node, state) grid at age
+    ``d*h``, ``h`` being the time step (see :func:`extension_slice`); at
+    least three ages are needed.  The transport derivative is a centred
+    difference along the (t, s) diagonal; the jump and source terms are
+    evaluated exactly at the node.  Residuals are normalised by 1 + price;
+    boundary lattice nodes (truncated jump images) are excluded.
     """
-    if field.full is None or field.s_grid is None:
-        raise ValueError("field has no age axis; run extend_to_age first")
-    t_grid, s_grid = field.t_grid, field.s_grid
+    t_grid = field.t_grid
     h_t = t_grid[1] - t_grid[0]
-    h_s = s_grid[1] - s_grid[0]
-    if abs(h_t - h_s) > 1e-12 * max(h_t, h_s):
-        raise ValueError(
-            f"diagonal residual needs matching steps (dt={h_t!r}, ds={h_s!r})"
-        )
-    full = field.full
+    ages = h_t * np.arange(values.shape[-1])
     lattice = field.lattice
     interior_nodes = (lattice.up_index >= 0) & (lattice.down_index >= 0)
-    transport = (full[2:, :, :, 2:] - full[:-2, :, :, :-2]) / (2.0 * h_t)
+    transport = (values[2:, :, :, 2:] - values[:-2, :, :, :-2]) / (2.0 * h_t)
     n_t = len(t_grid) - 1
-    n_s = len(s_grid) - 1
+    n_s = len(ages) - 1
     res = np.zeros_like(transport)
     prices = lattice.prices
     for i in STATES:
@@ -757,14 +717,14 @@ def pde_residual(
         jump = np.zeros((n_t - 1, lattice.n_nodes, n_s - 1))
         for j in successors(i):
             img, scale = lattice.image_maps(1 if alpha(j) > 0 else -1)
-            target = full[1:-1, img, _STATE_INDEX[j], 0] * scale[None, :]
-            hj = np.asarray(kernel.directed_intensity(i, j, s_grid[1:-1]))
+            target = values[1:-1, img, _STATE_INDEX[j], 0] * scale[None, :]
+            hj = np.asarray(kernel.directed_intensity(i, j, ages[1:-1]))
             jump += hj[None, None, :] * (
-                target[:, :, None] - full[1:-1, :, ii, 1:-1]
+                target[:, :, None] - values[1:-1, :, ii, 1:-1]
             )
         res[:, :, ii, :] = transport[:, :, ii, :] + jump
         if problem.w is not None:
-            for di, s in enumerate(s_grid[1:-1]):
+            for di, s in enumerate(ages[1:-1]):
                 for ki in range(1, n_t):
                     res[ki - 1, :, ii, di] += problem.w(t_grid[ki], prices, i, s)
     res = res[:, interior_nodes, :, :]
@@ -782,13 +742,13 @@ def pde_residual(
 
 
 def save_field_csv(field: ValueField, path, header_meta: Optional[dict] = None) -> None:
-    """Dump the field as (t, p, i, s, value) rows with a metadata header line.
+    """Dump the age-zero core as (t, p, i, s, value) rows, ``s`` always 0.0,
+    under a metadata header line.
 
     Only nodes inside the requested truncation are written; the guard rings
     are a numerical device, not part of the reported field.
     """
     keep = np.nonzero(field.lattice.report_mask)[0]
-    s_axis = None if field.s_grid is None else list(map(float, field.s_grid))
     meta = {
         "p0": field.lattice.p0,
         "delta": field.lattice.delta,
@@ -796,7 +756,7 @@ def save_field_csv(field: ValueField, path, header_meta: Optional[dict] = None) 
         "n_report": field.lattice.n_report,
         "horizon": field.horizon,
         "n_t": len(field.t_grid) - 1,
-        "s_grid": s_axis,
+        "s_grid": None,  # no age axis; the key and the s column stay for old readers
         "age_invariant": field.age_invariant,
     }
     if header_meta:
@@ -806,11 +766,9 @@ def save_field_csv(field: ValueField, path, header_meta: Optional[dict] = None) 
     with open(path, "w") as fh:
         fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
         fh.write("t,p,i,s,value\n")
-        for si, s in enumerate(s_axis or [0.0]):
-            block = field.core if field.full is None else field.full[..., si]
-            heads = [f"{p},{i},{s!r}," for p in p_txt for i in STATES]
-            for ki, lead in enumerate(t_leads):
-                _write_rows(fh, lead, heads, map(repr, block[ki, keep].ravel().tolist()))
+        heads = [f"{p},{i},0.0," for p in p_txt for i in STATES]
+        for ki, lead in enumerate(t_leads):
+            _write_rows(fh, lead, heads, map(repr, field.core[ki, keep].ravel().tolist()))
 
 
 def _write_rows(fh, lead: str, heads: list, tails) -> None:
@@ -822,14 +780,17 @@ def _write_rows(fh, lead: str, heads: list, tails) -> None:
 def load_field_csv(path) -> ValueField:
     """Rebuild a field saved by :func:`save_field_csv`.
 
-    The reloaded field supports grid evaluation; exact off-grid extension is
-    unavailable because the solve context is not serialised.
+    The reloaded field supports grid evaluation at age zero; exact extension
+    to other ages is unavailable because the solve context is not serialised.
+    A file with an age axis, the format of earlier versions, is refused.
     """
     with open(path) as fh:
         header = fh.readline()
         if not header.startswith("#"):
             raise ValueError("missing metadata header line")
         meta = json.loads(header[1:].strip())
+        if meta["s_grid"] is not None:
+            _refuse_age_axis(path, meta["s_grid"])
         fh.readline()
         lattice = PriceLattice(
             p0=meta["p0"],
@@ -839,25 +800,25 @@ def load_field_csv(path) -> ValueField:
         )
         n_t = meta["n_t"]
         t_grid = np.linspace(0.0, meta["horizon"], n_t + 1)
-        s_grid = None if meta["s_grid"] is None else np.asarray(meta["s_grid"])
-        n_s = 1 if s_grid is None else len(s_grid)
-        data = np.full((n_t + 1, lattice.n_nodes, len(STATES), n_s), np.nan)
-        s_lookup = {0.0: 0} if s_grid is None else {float(s): k for k, s in enumerate(s_grid)}
+        core = np.empty((n_t + 1, lattice.n_nodes, len(STATES)))
+        core[...] = np.nan  # rows the file does not cover stay NaN
         t_step = t_grid[1] - t_grid[0]
         for line in fh:
             t_s, p_s, i_s, s_s, v_s = line.rstrip("\n").split(",")
+            if float(s_s) != 0.0:
+                _refuse_age_axis(path, [float(s_s)])
             ki = int(round(float(t_s) / t_step))
             node = lattice.locate(float(p_s))
-            data[ki, node, _STATE_INDEX[int(i_s)], s_lookup[float(s_s)]] = float(v_s)
-    if np.any(np.isnan(data)):
+            core[ki, node, _STATE_INDEX[int(i_s)]] = float(v_s)
+    if np.any(np.isnan(core)):
         raise ValueError("field file does not cover the full grid")
-    field = ValueField(
-        t_grid=t_grid,
-        lattice=lattice,
-        core=data[..., 0].copy(),
-        age_invariant=bool(meta["age_invariant"]),
+    return ValueField(
+        t_grid=t_grid, lattice=lattice, core=core, age_invariant=bool(meta["age_invariant"])
     )
-    if s_grid is not None:
-        field.s_grid = s_grid
-        field.full = data
-    return field
+
+
+def _refuse_age_axis(path, ages) -> None:
+    raise ValueError(
+        f"{path}: field file has rows at ages {ages}; fields now hold age zero "
+        "only, so re-run solve-pi to rewrite it"
+    )

@@ -19,7 +19,7 @@ from semitick import (
     QuoteGainSource,
     SemiMarkovKernel,
     checks,
-    extend_to_age,
+    extension_slice,
     pde_residual,
     solve_expected_price,
     solve_quote_value,
@@ -50,7 +50,7 @@ def asym(presets):
 @pytest.fixture(scope="module")
 def asym_field(asym):
     return solve_expected_price(
-        asym.kernel, asym.grid, asym.horizon, asym.initial_market.price, extend=False
+        asym.kernel, asym.grid, asym.horizon, asym.initial_market.price
     )
 
 
@@ -91,15 +91,16 @@ def test_criterion_3_solver_vs_closed_forms(presets):
     field = solve_expected_price(sym.kernel, sym.grid, sym.horizon, sym.initial_market.price)
     mask = field.lattice.report_mask
     col = field.lattice.prices[mask][None, :, None]
+    ages = np.linspace(0.0, sym.grid.s_max, sym.grid.n_s + 1)
     worst_sym = max(
-        float(np.max(np.abs(values[:, mask] - p) / p))
-        for values, p in ((field.core, col), (field.full, col[..., None]))
+        float(np.max(np.abs(values[:, mask] - col) / col))
+        for values in [field.core] + [extension_slice(field, s) for s in ages]
     )
 
     asym = presets["asymmetric-constant"]
     t400 = time.time()
     f400 = solve_expected_price(
-        asym.kernel, GridSpec(n_t=400), asym.horizon, asym.initial_market.price, extend=False
+        asym.kernel, GridSpec(n_t=400), asym.horizon, asym.initial_market.price
     )
     elapsed_400 = time.time() - t400
     closed = checks.closed_form(f400, asym.kernel, 1e-4)
@@ -116,7 +117,7 @@ def test_criterion_4_contraction(presets):
     details, passed = [], True
     for name, cfg in presets.items():
         field = solve_expected_price(
-            cfg.kernel, cfg.grid, cfg.horizon, cfg.initial_market.price, extend=False
+            cfg.kernel, cfg.grid, cfg.horizon, cfg.initial_market.price
         )
         check = checks.contraction(field, cfg.kernel, cfg.horizon, cfg.grid)
         passed &= check.passed
@@ -136,11 +137,10 @@ def test_criterion_5_residual_convergence_order(asym):
     for n_t in (100, 200, 400):
         field = solve_expected_price(
             asym.kernel, GridSpec(n_t=n_t), asym.horizon, asym.initial_market.price,
-            extend=False,
         )
         h = field.t_grid[1] - field.t_grid[0]
-        field = extend_to_age(field, s_grid=h * np.arange(6))
-        res = pde_residual(asym.kernel, ProblemSpec(g=lambda p: p), field)
+        values = np.stack([extension_slice(field, s) for s in h * np.arange(6)], axis=-1)
+        res = pde_residual(asym.kernel, ProblemSpec(g=lambda p: p), field, values)
         maxima.append(res.max_abs)
     orders = [math.log2(maxima[k] / maxima[k + 1]) for k in range(2)]
     passed = min(orders) >= 1.8
@@ -221,7 +221,7 @@ def test_criterion_8_policy_optimality(asym):
                 big_size=asym.mmspec.big_size, transaction_cost=eps_frac * delta,
                 portfolio_consistent=True,
             )
-            field = solve_expected_price(kernel, GridSpec(n_t=100), asym.horizon, 1.0, extend=False)
+            field = solve_expected_price(kernel, GridSpec(n_t=100), asym.horizon, 1.0)
             quote = solve_quote_value(kernel, layout, mmspec, field)
             rep = backtest_against_baselines(
                 kernel, layout, mmspec, field, MarketState(1.0, 2, 0.0), AgentState(0.0, 0),
@@ -247,7 +247,7 @@ def test_criterion_9_value_bound(presets):
     for name, cfg in presets.items():
         field = solve_expected_price(
             cfg.kernel, GridSpec(n_t=max(80, cfg.grid.n_t // 2)), cfg.horizon,
-            cfg.initial_market.price, extend=False,
+            cfg.initial_market.price,
         )
         rep = backtest_against_baselines(
             cfg.kernel, cfg.layout, cfg.mmspec, field, cfg.initial_market,
@@ -265,7 +265,7 @@ def test_criterion_10_degenerate_cost(presets):
     t0 = time.time()
     cfg = presets["symmetric-martingale"]
     kernel, layout = cfg.kernel, cfg.layout
-    field = solve_expected_price(kernel, GridSpec(n_t=100), cfg.horizon, 1.0, extend=False)
+    field = solve_expected_price(kernel, GridSpec(n_t=100), cfg.horizon, 1.0)
     max_price = float(field.lattice.prices.max())
     cases = [
         ("published-edge", MarketMakingSpec(

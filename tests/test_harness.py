@@ -189,7 +189,6 @@ class TestCommands:
             "backtest.json",
         } <= names
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_backtest_exits_2(self, tmp_path, capsys):
         data = preset_config("asymmetric-constant")
         data["initial"]["cash"] = 1e308  # the summed path values overflow

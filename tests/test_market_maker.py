@@ -19,7 +19,6 @@ from semitick import (
     backtest,
     default_baselines,
     estimate_terminal_value,
-    extend_to_age,
     holding_value,
     optimal_policy,
     quote_gain_rate,
@@ -43,14 +42,14 @@ def unit_setup():
         (0.0, 1.0, 0.0), (0.0, 1.0, 0.0),
     )
     spec = MarketMakingSpec(big_size=2, transaction_cost=0.001)
-    field = solve_expected_price(kernel, GridSpec(n_t=100), 1.0, 1.0, extend=False)
+    field = solve_expected_price(kernel, GridSpec(n_t=100), 1.0, 1.0)
     return kernel, layout, spec, field
 
 
 @pytest.fixture(scope="module")
 def asym_setup(asymmetric_kernel, asymmetric_layout):
     spec = MarketMakingSpec(big_size=2, transaction_cost=0.001, portfolio_consistent=True)
-    field = solve_expected_price(asymmetric_kernel, GridSpec(n_t=100), 1.0, 1.0, extend=False)
+    field = solve_expected_price(asymmetric_kernel, GridSpec(n_t=100), 1.0, 1.0)
     quote = solve_quote_value(asymmetric_kernel, asymmetric_layout, spec, field)
     return asymmetric_kernel, asymmetric_layout, spec, field, quote
 
@@ -104,7 +103,7 @@ class TestQuoteGainRate:
             ConstantIntensity(1.0),
             0.01,
         )
-        field = solve_expected_price(kernel, GridSpec(n_t=60), 1.0, 1.0, extend=False)
+        field = solve_expected_price(kernel, GridSpec(n_t=60), 1.0, 1.0)
         layout = MarkLayout(
             kernel, ConstantIntensity(0.0), ConstantIntensity(0.0),
             (0.0, 1.0), (0.0, 1.0),
@@ -116,7 +115,7 @@ class TestQuoteGainRate:
         assert rate == pytest.approx(-0.01, abs=1e-7)
 
     def test_consistent_variant_scales_edge_with_price(self, asymmetric_kernel, asymmetric_layout):
-        field = solve_expected_price(asymmetric_kernel, GridSpec(n_t=60), 1.0, 2.0, extend=False)
+        field = solve_expected_price(asymmetric_kernel, GridSpec(n_t=60), 1.0, 2.0)
         verbatim = MarketMakingSpec(big_size=2, transaction_cost=0.001)
         consistent = MarketMakingSpec(
             big_size=2, transaction_cost=0.001, portfolio_consistent=True
@@ -175,8 +174,7 @@ class TestOptimalPolicy:
             )
             spec = MarketMakingSpec(big_size=2, transaction_cost=0.003,
                                     portfolio_consistent=True)
-            field = solve_expected_price(kernel, GridSpec(n_t=80, n_max=8), horizon, 1.0,
-                                         extend=False)
+            field = solve_expected_price(kernel, GridSpec(n_t=80, n_max=8), horizon, 1.0)
             src = QuoteGainSource(kernel, layout, spec, field)
             rates = src.gain_rates_at_age(0.0)
             bits.append({key: rates[key] > 0 for key in rates})
@@ -218,7 +216,7 @@ class TestQuoteValue:
         else:
             kernel, layout = saturating_kernel, saturating_layout
             spec = MarketMakingSpec(big_size=layout.max_units, transaction_cost=0.001)
-            field = solve_expected_price(kernel, GridSpec(n_t=20), 1.0, 1.0, extend=False)
+            field = solve_expected_price(kernel, GridSpec(n_t=20), 1.0, 1.0)
         src = QuoteGainSource(kernel, layout, spec, field)
         h = field.t_grid[1] - field.t_grid[0]
         ages = []
@@ -365,13 +363,11 @@ class TestBacktest:
 
     def test_blocked_policies_match_per_event_replay(self, saturating_kernel, saturating_layout):
         # policies called once per block of paths on event arrays give the
-        # table of a per-event replay with scalar calls; most ages fall past
-        # the 6-step band, so the optimal policy reads exact extensions
+        # table of a per-event replay with scalar calls; the optimal policy
+        # reads exact extensions at every nonzero age
         kernel, layout = saturating_kernel, saturating_layout
         spec = MarketMakingSpec(big_size=layout.max_units, transaction_cost=0.001)
-        field = solve_expected_price(kernel, GridSpec(n_t=40), 1.0, 1.0, extend=False)
-        h = field.t_grid[1] - field.t_grid[0]
-        field = extend_to_age(field, s_grid=h * np.arange(7))
+        field = solve_expected_price(kernel, GridSpec(n_t=40), 1.0, 1.0)
         policies = default_baselines() + [optimal_policy(kernel, layout, spec, field)]
         start, agent, n_paths, seed = MarketState(1.0, 2, 0.0), AgentState(0.5, -1), 300, 21
         report = backtest(policies, kernel, layout, spec, start, agent, 1.0, n_paths, seed)
@@ -402,7 +398,7 @@ class TestBacktest:
     def test_off_lattice_price_refused(self, saturating_kernel, saturating_layout):
         kernel, layout = saturating_kernel, saturating_layout
         spec = MarketMakingSpec(big_size=layout.max_units, transaction_cost=0.001)
-        field = solve_expected_price(kernel, GridSpec(n_t=20), 1.0, 1.0, extend=False)
+        field = solve_expected_price(kernel, GridSpec(n_t=20), 1.0, 1.0)
         policies = [optimal_policy(kernel, layout, spec, field)]
         with pytest.raises(ValueError, match=r"price 1\.003 .*anchor 1\.0, delta 0\.01"):
             backtest(

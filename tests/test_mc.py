@@ -244,7 +244,7 @@ class TestDynkin:
 
 class TestSolverAgreement:
     def test_price_field_within_three_se(self, saturating_kernel):
-        field = solve_expected_price(saturating_kernel, GridSpec(n_t=120), 1.0, 1.0, extend=False)
+        field = solve_expected_price(saturating_kernel, GridSpec(n_t=120), 1.0, 1.0)
         for k, (t, p, i, s) in enumerate(
             [(0.0, 1.0, 2, 0.0), (0.25, 1.0, 1, 0.4), (0.5, 1.01, 4, 0.0)]
         ):

@@ -1,5 +1,6 @@
 """Terminal-value solver: operator sweeps, fixed point, extension, residual."""
 
+import json
 import math
 
 import numpy as np
@@ -17,7 +18,6 @@ from semitick import (
     characteristic_slices,
     contraction_bound,
     expected_price_ode_oracle,
-    extend_to_age,
     extension_slice,
     load_field_csv,
     pde_residual,
@@ -76,14 +76,14 @@ class TestLattice:
 class TestOperatorSweep:
     def test_terminal_row_is_payoff(self, saturating_kernel):
         grid = GridSpec(n_t=40)
-        field = solve_expected_price(saturating_kernel, grid, 1.0, 1.0, extend=False)
+        field = solve_expected_price(saturating_kernel, grid, 1.0, 1.0)
         out = apply_age_zero_operator(
             saturating_kernel, IDENTITY, field.t_grid, field.lattice, field.core
         )
         assert np.array_equal(out[-1], np.broadcast_to(field.lattice.prices[:, None], out[-1].shape))
 
     def test_zero_problem_stays_zero(self, saturating_kernel):
-        field = solve_expected_price(saturating_kernel, GridSpec(n_t=40), 1.0, 1.0, extend=False)
+        field = solve_expected_price(saturating_kernel, GridSpec(n_t=40), 1.0, 1.0)
         core = np.zeros_like(field.core)
         out = apply_age_zero_operator(saturating_kernel, ZERO, field.t_grid, field.lattice, core)
         assert np.all(out == 0.0)
@@ -113,14 +113,14 @@ class TestFixedPoint:
         assert np.all(field.core == 0.0)
 
     def test_symmetric_martingale(self, symmetric_kernel):
-        field = solve_expected_price(symmetric_kernel, GridSpec(n_t=200), 1.0, 1.0, extend=False)
+        field = solve_expected_price(symmetric_kernel, GridSpec(n_t=200), 1.0, 1.0)
         mask = field.lattice.report_mask
         prices = field.lattice.prices[mask]
         rel = np.abs(field.core[:, mask, :] - prices[None, :, None]) / prices[None, :, None]
         assert rel.max() <= 1e-6
 
     def test_asymmetric_matches_matrix_exponential(self, asymmetric_kernel):
-        field = solve_expected_price(asymmetric_kernel, GridSpec(n_t=200), 1.0, 1.0, extend=False)
+        field = solve_expected_price(asymmetric_kernel, GridSpec(n_t=200), 1.0, 1.0)
         taus = 1.0 - field.t_grid
         factors = expected_price_ode_oracle(0.8, 0.4, 0.01, taus)
         mask = field.lattice.report_mask
@@ -133,7 +133,7 @@ class TestFixedPoint:
 
     def test_contraction_ratios_below_bound(self, saturating_kernel):
         grid = GridSpec(n_t=120, s_max=1.25)
-        field = solve_expected_price(saturating_kernel, grid, 1.0, 1.0, extend=False)
+        field = solve_expected_price(saturating_kernel, grid, 1.0, 1.0)
         kappa = contraction_bound(saturating_kernel, 1.0, np.linspace(0.0, 1.25, 9))
         assert all(r <= kappa + 0.01 for r in field.ratios)
         budget = math.ceil(math.log(grid.tol_fp) / math.log(kappa)) + 5
@@ -183,22 +183,20 @@ class TestFixedPoint:
 
 class TestExtension:
     def test_age_zero_slice_reproduces_core(self, saturating_kernel):
-        field = solve_expected_price(saturating_kernel, GridSpec(n_t=80), 1.0, 1.0, extend=False)
+        field = solve_expected_price(saturating_kernel, GridSpec(n_t=80), 1.0, 1.0)
         gap = field.vnorm(extension_slice(field, 0.0) - field.core)
         assert gap <= 2e-8
 
     def test_terminal_layer_is_payoff_at_all_ages(self, saturating_kernel):
-        grid = GridSpec(n_t=80, n_s=4, s_max=1.0)
-        field = solve_expected_price(saturating_kernel, grid, 1.0, 1.0)
-        assert np.array_equal(
-            field.full[-1],
-            np.broadcast_to(
-                field.lattice.prices[:, None, None], field.full[-1].shape
-            ),
-        )
+        field = solve_expected_price(saturating_kernel, GridSpec(n_t=80), 1.0, 1.0)
+        for sigma in np.linspace(0.0, 1.0, 5):
+            terminal = extension_slice(field, sigma)[-1]
+            assert np.array_equal(
+                terminal, np.broadcast_to(field.lattice.prices[:, None], terminal.shape)
+            )
 
     def test_flat_hazard_field_is_age_invariant(self, asymmetric_kernel):
-        field = solve_expected_price(asymmetric_kernel, GridSpec(n_t=100), 1.0, 1.0, extend=False)
+        field = solve_expected_price(asymmetric_kernel, GridSpec(n_t=100), 1.0, 1.0)
         assert field.age_invariant
         for sigma in (0.3, 0.9, 1.7):
             gap = field.vnorm(extension_slice(field, sigma) - field.core)
@@ -207,7 +205,7 @@ class TestExtension:
     def test_point_extension_matches_slice(self, saturating_kernel):
         # one batched exact read: the three points at age 0.42 plus a batch of
         # mixed ages, each checked against one operator application per age
-        field = solve_expected_price(saturating_kernel, GridSpec(n_t=80), 1.0, 1.0, extend=False)
+        field = solve_expected_price(saturating_kernel, GridSpec(n_t=80), 1.0, 1.0)
         points = [
             (0, 0, 1, 0.42), (20, 3, 2, 0.42), (60, 7, 4, 0.42),
             (5, 2, 3, 0.1), (33, 0, 1, 0.7), (79, 5, 2, 1.3), (80, 4, 4, 0.25), (47, 6, 3, 0.1),
@@ -236,7 +234,7 @@ class TestExtension:
     def test_characteristic_sweep_matches_slices(self, saturating_kernel, n_t):
         # the streamed sweep yields every age d*h on rows d..n_t; an odd n_t
         # puts both row parities at both ends of the sweep
-        field = solve_expected_price(saturating_kernel, GridSpec(n_t=n_t), 1.0, 1.0, extend=False)
+        field = solve_expected_price(saturating_kernel, GridSpec(n_t=n_t), 1.0, 1.0)
         h = field.t_grid[1] - field.t_grid[0]
         ages = []
         for d, values in characteristic_slices(field):
@@ -245,53 +243,47 @@ class TestExtension:
         assert ages == list(range(n_t, -1, -1))
 
     def test_eval_interpolates(self, saturating_kernel):
-        grid = GridSpec(n_t=80, n_s=8, s_max=1.0)
-        field = solve_expected_price(saturating_kernel, grid, 1.0, 1.0)
-        exact = extension_slice(field, float(field.s_grid[3]))
-        got = field.eval(field.t_grid[10], 1.0, 2, float(field.s_grid[3]))
+        field = solve_expected_price(saturating_kernel, GridSpec(n_t=80), 1.0, 1.0)
+        exact = extension_slice(field, 0.375)
+        got = field.eval(field.t_grid[10], 1.0, 2, 0.375)
         node = field.lattice.locate(1.0)
         assert got == pytest.approx(exact[10, node, 1], rel=1e-12)
 
     def test_zero_tick_expected_price_is_identity(self):
         kernel = SemiMarkovKernel(ConstantIntensity(0.6), ConstantIntensity(0.6), 0.0)
-        field = solve_expected_price(kernel, GridSpec(n_t=40), 1.0, 1.0, extend=False)
+        field = solve_expected_price(kernel, GridSpec(n_t=40), 1.0, 1.0)
         assert np.allclose(field.core, 1.0, atol=1e-12)
 
 
+def age_stack(field, n_ages):
+    """The field at ages 0, h, ..., (n_ages - 1)h stacked on a last axis."""
+    h = field.t_grid[1] - field.t_grid[0]
+    return np.stack([extension_slice(field, s) for s in h * np.arange(n_ages)], axis=-1)
+
+
 class TestResidual:
-    def _solved_band(self, kernel, n_t, horizon=1.0, n_band=5):
-        grid = GridSpec(n_t=n_t)
-        field = solve_expected_price(kernel, grid, horizon, 1.0, extend=False)
-        h = field.t_grid[1] - field.t_grid[0]
-        return extend_to_age(field, s_grid=h * np.arange(n_band + 1))
+    def _solved_stack(self, kernel, n_t, horizon=1.0, n_ages=6):
+        field = solve_expected_price(kernel, GridSpec(n_t=n_t), horizon, 1.0)
+        return field, age_stack(field, n_ages)
 
     def test_zero_problem_zero_residual(self, saturating_kernel):
-        grid = GridSpec(n_t=40)
-        field = solve_fixed_point(saturating_kernel, ZERO, grid, 1.0, 1.0)
-        h = field.t_grid[1] - field.t_grid[0]
-        field = extend_to_age(field, s_grid=h * np.arange(4))
-        res = pde_residual(saturating_kernel, ZERO, field)
+        field = solve_fixed_point(saturating_kernel, ZERO, GridSpec(n_t=40), 1.0, 1.0)
+        res = pde_residual(saturating_kernel, ZERO, field, age_stack(field, 4))
         assert res.max_abs == 0.0
 
     def test_perturbation_spikes_residual(self, asymmetric_kernel):
-        field = self._solved_band(asymmetric_kernel, 60)
-        base = pde_residual(asymmetric_kernel, IDENTITY, field)
-        field.full[30, field.lattice.index_of(0, 0), 1, 2] += 1.0
-        spiked = pde_residual(asymmetric_kernel, IDENTITY, field)
+        field, values = self._solved_stack(asymmetric_kernel, 60)
+        base = pde_residual(asymmetric_kernel, IDENTITY, field, values)
+        values[30, field.lattice.index_of(0, 0), 1, 2] += 1.0
+        spiked = pde_residual(asymmetric_kernel, IDENTITY, field, values)
         assert spiked.max_abs > base.max_abs + 1.0
-
-    def test_mismatched_steps_rejected(self, asymmetric_kernel):
-        field = solve_expected_price(asymmetric_kernel, GridSpec(n_t=40), 1.0, 1.0, extend=False)
-        field = extend_to_age(field, s_grid=np.linspace(0.0, 1.0, 7))
-        with pytest.raises(ValueError, match="matching steps"):
-            pde_residual(asymmetric_kernel, IDENTITY, field)
 
     def test_residual_shrinks_with_refinement(self, asymmetric_kernel):
         r_coarse = pde_residual(
-            asymmetric_kernel, IDENTITY, self._solved_band(asymmetric_kernel, 60)
+            asymmetric_kernel, IDENTITY, *self._solved_stack(asymmetric_kernel, 60)
         )
         r_fine = pde_residual(
-            asymmetric_kernel, IDENTITY, self._solved_band(asymmetric_kernel, 120)
+            asymmetric_kernel, IDENTITY, *self._solved_stack(asymmetric_kernel, 120)
         )
         order = math.log2(r_coarse.max_abs / r_fine.max_abs)
         assert order >= 1.7
@@ -299,20 +291,33 @@ class TestResidual:
 
 class TestFieldIO:
     def test_roundtrip(self, saturating_kernel, tmp_path):
-        grid = GridSpec(n_t=20, n_s=3, s_max=0.5)
-        field = solve_expected_price(saturating_kernel, grid, 1.0, 1.0)
+        field = solve_expected_price(saturating_kernel, GridSpec(n_t=20), 1.0, 1.0)
         out = tmp_path / "field.csv"
         save_field_csv(field, out, header_meta={"master_seed": 1})
         loaded = load_field_csv(out)
-        mask = field.lattice.report_mask
-        # the saved age axis holds extension slices; its age-0 slice agrees
-        # with the iterated core to the fixed-point tolerance
-        np.testing.assert_allclose(loaded.core, field.full[..., 0][:, mask, :], rtol=1e-15)
-        np.testing.assert_allclose(loaded.full, field.full[:, mask, :, :], rtol=1e-15)
-        assert np.max(np.abs(loaded.core - field.core[:, mask, :])) <= 1e-7
-        assert loaded.eval(0.3, 1.0, 2, 0.0) == pytest.approx(
-            field.eval(0.3, 1.0, 2, 0.0), rel=1e-7
-        )
+        # the file holds the iterated core on the report nodes, digit for digit
+        assert loaded.lattice.n_nodes == int(field.lattice.report_mask.sum())
+        assert np.array_equal(loaded.core, field.core[:, field.lattice.report_mask, :])
+        assert loaded.eval(0.3, 1.0, 2, 0.0) == field.eval(0.3, 1.0, 2, 0.0)
+        with pytest.raises(ValueError, match="solve context"):
+            loaded.eval(0.3, 1.0, 2, 0.1)
+
+    def test_age_axis_file_refused(self, saturating_kernel, tmp_path):
+        # a file written while fields carried a cached age band: its header
+        # lists the ages, and the loader names them instead of failing on a row
+        field = solve_expected_price(saturating_kernel, GridSpec(n_t=20), 1.0, 1.0)
+        out = tmp_path / "field.csv"
+        save_field_csv(field, out)
+        header, body = out.read_text().split("\n", 1)
+        meta = json.loads(header[1:])
+        meta["s_grid"] = [0.0, 0.05]
+        out.write_text("# " + json.dumps(meta, sort_keys=True) + "\n" + body)
+        with pytest.raises(ValueError, match=r"ages \[0\.0, 0\.05\].*re-run solve-pi"):
+            load_field_csv(out)
+        # a null header over rows at a nonzero age is refused the same way
+        out.write_text(header + "\n" + body.replace(",2,0.0,", ",2,0.05,", 1))
+        with pytest.raises(ValueError, match=r"ages \[0\.05\].*re-run solve-pi"):
+            load_field_csv(out)
 
 
 class TestDiagnostics:

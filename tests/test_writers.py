@@ -14,7 +14,6 @@ from semitick import (
     GridSpec,
     MarketMakingSpec,
     alpha,
-    extend_to_age,
     save_field_csv,
     solve_expected_price,
     solve_quote_value,
@@ -32,7 +31,7 @@ def reference_save_field_csv(field, path, header_meta=None):
         "n_report": field.lattice.n_report,
         "horizon": field.horizon,
         "n_t": len(field.t_grid) - 1,
-        "s_grid": None if field.s_grid is None else list(map(float, field.s_grid)),
+        "s_grid": None,
         "age_invariant": field.age_invariant,
     }
     if header_meta:
@@ -40,28 +39,20 @@ def reference_save_field_csv(field, path, header_meta=None):
     with open(path, "w") as fh:
         fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
         fh.write("t,p,i,s,value\n")
-        s_axis = [0.0] if field.s_grid is None else field.s_grid
-        for si, s in enumerate(s_axis):
-            block = field.core if field.full is None else field.full[..., si]
-            for ki, t in enumerate(field.t_grid):
-                for n in keep:
-                    p = field.lattice.prices[n]
-                    for ii, i in enumerate(STATES):
-                        fh.write(
-                            f"{float(t)!r},{float(p)!r},{i},{float(s)!r},"
-                            f"{float(block[ki, n, ii])!r}\n"
-                        )
+        for ki, t in enumerate(field.t_grid):
+            for n in keep:
+                p = field.lattice.prices[n]
+                for ii, i in enumerate(STATES):
+                    fh.write(
+                        f"{float(t)!r},{float(p)!r},{i},0.0,{float(field.core[ki, n, ii])!r}\n"
+                    )
 
 
 def reference_export_policy_csv(
-    path, kernel, layout, mmspec, price_field, s_values=None, header_meta=None
+    path, kernel, layout, mmspec, price_field, s_values, header_meta=None
 ):
     mmspec.require_risk_neutral("the optimal quoting policy")
     source = QuoteGainSource(kernel, layout, mmspec, price_field)
-    if s_values is None:
-        s_values = [0.0] if price_field.s_grid is None else list(
-            np.linspace(0.0, price_field.s_grid[-1], 5)
-        )
     with open(path, "w") as fh:
         meta = {"p0": price_field.lattice.p0, "delta": kernel.delta}
         if header_meta:
@@ -94,37 +85,33 @@ def assert_same_bytes(tmp_path, write, reference):
 
 @pytest.fixture(scope="module")
 def saturating_core(saturating_kernel):
-    return solve_expected_price(saturating_kernel, GridSpec(n_t=24), 1.0, 1.0, extend=False)
+    return solve_expected_price(saturating_kernel, GridSpec(n_t=24), 1.0, 1.0)
 
 
 @pytest.fixture(scope="module")
 def asym_quote_setup(asymmetric_kernel, asymmetric_layout):
     spec = MarketMakingSpec(big_size=2, transaction_cost=0.001, portfolio_consistent=True)
-    field = solve_expected_price(asymmetric_kernel, GridSpec(n_t=30), 1.0, 1.0, extend=False)
+    field = solve_expected_price(asymmetric_kernel, GridSpec(n_t=30), 1.0, 1.0)
     quote = solve_quote_value(asymmetric_kernel, asymmetric_layout, spec, field)
     return asymmetric_kernel, asymmetric_layout, spec, field, quote
 
 
 class TestFieldCsv:
     def test_without_age_axis(self, saturating_core, tmp_path):
-        assert saturating_core.s_grid is None
-        text = assert_same_bytes(
-            tmp_path,
-            lambda out: save_field_csv(saturating_core, out),
-            lambda out: reference_save_field_csv(saturating_core, out),
-        )
-        n_rows = len(saturating_core.t_grid) * int(saturating_core.lattice.report_mask.sum()) * 4
-        assert text.count(b"\n") == 2 + n_rows
-
-    def test_age_axis_with_guard_rings_and_meta(self, saturating_core, tmp_path):
-        field = extend_to_age(saturating_core, s_grid=np.linspace(0.0, 0.5, 4))
-        assert field.lattice.n_nodes > int(field.lattice.report_mask.sum())
+        # one age-zero row per report node, none for the guard rings
+        field = saturating_core
+        assert field.s_grid is None
+        n_report = int(field.lattice.report_mask.sum())
+        assert field.lattice.n_nodes > n_report
         meta = {"config_sha256": "abc", "master_seed": 3}
-        assert_same_bytes(
+        text = assert_same_bytes(
             tmp_path,
             lambda out: save_field_csv(field, out, meta),
             lambda out: reference_save_field_csv(field, out, meta),
         )
+        assert text.count(b"\n") == 2 + len(field.t_grid) * n_report * 4
+        header = json.loads(text.split(b"\n", 1)[0][1:])
+        assert header["s_grid"] is None and header["master_seed"] == 3
 
     def test_quote_value_field(self, asym_quote_setup, tmp_path):
         quote = asym_quote_setup[-1]
@@ -157,6 +144,6 @@ class TestPolicyCsv:
         kernel, layout, spec, field, _ = asym_quote_setup
         assert_same_bytes(
             tmp_path,
-            lambda out: export_policy_csv(out, kernel, layout, spec, field),
-            lambda out: reference_export_policy_csv(out, kernel, layout, spec, field),
+            lambda out: export_policy_csv(out, kernel, layout, spec, field, [0.0]),
+            lambda out: reference_export_policy_csv(out, kernel, layout, spec, field, [0.0]),
         )
