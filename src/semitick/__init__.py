@@ -32,7 +32,6 @@ from .market_maker import (
     value_upper_bound,
 )
 from .mc import (
-    ControlledTestFunction,
     DynkinResult,
     TestFunction,
     McEstimate,

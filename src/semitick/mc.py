@@ -2,16 +2,21 @@
 solutions, and generator (Dynkin) consistency checks for the uncontrolled and
 controlled processes.
 
-Between jumps the price and direction are constant and the age grows at unit
-slope, so running-cost integrals are computed segment by segment with the same
-Simpson rule the solver uses, with the age argument varying along the segment.
+Every path draws from its own stream ``path_rng(seed, index)`` through the
+event generators of ``simulate``, so the draws and their order do not depend on
+how paths are grouped.  Paths are folded ``_PATH_BLOCK`` at a time into flat
+arrays of inter-jump segments.  On a segment the price and direction are
+constant and the age grows at unit slope, so running-cost integrals use the
+composite Simpson rule the solver uses, with the age varying along the
+segment.  All nodes of all segments of a block in one direction state are
+evaluated in one call, and the segment integrals are summed back to their
+paths, in segment order, with ``np.bincount``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -31,13 +36,14 @@ __all__ = [
     "estimate_terminal_value",
     "z_score",
     "TestFunction",
-    "ControlledTestFunction",
     "battery_uncontrolled",
     "battery_controlled",
     "DynkinResult",
     "dynkin_battery",
     "dynkin_check",
 ]
+
+_PATH_BLOCK = 1024  # paths folded into one set of segment arrays
 
 
 @dataclass(frozen=True)
@@ -77,6 +83,17 @@ def z_score(solver_value: float, estimate: McEstimate) -> float:
     return (solver_value - estimate.mean) / estimate.se
 
 
+def _check_run(horizon: float, n_paths: int, segment_subdiv: int) -> None:
+    """Argument checks shared by both oracles."""
+    if not math.isfinite(horizon):
+        raise ValueError(f"the horizon must be finite, got {horizon!r}")
+    if n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
+    even = isinstance(segment_subdiv, (int, np.integer)) and segment_subdiv % 2 == 0
+    if not even or segment_subdiv < 2:
+        raise ValueError(f"segment_subdiv must be a positive even integer, got {segment_subdiv!r}")
+
+
 def _simpson_nodes(subdiv: int) -> np.ndarray:
     w = np.ones(subdiv + 1)
     w[1:-1:2] = 4.0
@@ -84,12 +101,28 @@ def _simpson_nodes(subdiv: int) -> np.ndarray:
     return w
 
 
-def _simpson_segment(fn: Callable, a: float, b: float, subdiv: int) -> float:
-    """Composite Simpson of a vectorised integrand over [a, b]."""
-    if b <= a:
-        return 0.0
-    vals = np.asarray(fn(np.linspace(a, b, subdiv + 1)), dtype=float)
-    return float(np.dot(_simpson_nodes(subdiv), vals) * (b - a) / (3.0 * subdiv))
+def _integrate(node_values: np.ndarray, t0: np.ndarray, t1: np.ndarray, weights) -> np.ndarray:
+    """Composite Simpson integrals over segments ``[t0, t1)`` from the values
+    at their nodes, laid out as (..., segment, node)."""
+    return (node_values @ weights) * (t1 - t0) / (3.0 * (len(weights) - 1))
+
+
+def _blocks(n_paths: int, seed: int, segments: Callable):
+    """Fold paths ``_PATH_BLOCK`` at a time into segment columns.
+
+    ``segments(rng)`` lists one path's segment rows, drawn from ``rng``, with
+    the terminal segment last.  Yields the block's first path index, the
+    block-local path index of every row, the mask of each path's last row and
+    the columns.
+    """
+    for lo in range(0, n_paths, _PATH_BLOCK):
+        rows, path = [], []
+        for k in range(min(_PATH_BLOCK, n_paths - lo)):
+            seg = segments(path_rng(seed, lo + k))
+            rows += seg
+            path += [k] * len(seg)
+        path = np.array(path)
+        yield lo, path, np.append(path[1:] != path[:-1], True), np.array(rows).T
 
 
 def estimate_terminal_value(
@@ -104,28 +137,36 @@ def estimate_terminal_value(
 ) -> McEstimate:
     """Monte-Carlo estimate of E[g(P_T) + integral of w along the path].
 
-    ``start`` is (t, price, state, age); paths run from that time to the
-    horizon.  ``w(t, p, i, s)`` must broadcast over arrays of ``t`` and ``s``
-    with scalar price and state: it is evaluated at left limits, which on
-    each inter-jump segment means constant price/state and linearly growing
-    age.
+    ``start`` is (t, price, state, age); renewal paths run from that time to
+    the finite horizon.  ``g`` maps an array of terminal prices to values.
+    ``w(t, p, i, s)`` has the contract of ``solver.ProblemSpec``: it
+    broadcasts over arrays of ``t``, ``p`` and ``s`` with a scalar state
+    ``i``.  It is evaluated at left limits, where on each inter-jump segment
+    the price and state are constant and the age grows linearly; each block
+    of paths calls it once per state present, on every Simpson node of every
+    segment in that state.
     """
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
-    if segment_subdiv % 2 or segment_subdiv < 2:
-        raise ValueError("segment_subdiv must be a positive even integer")
+    _check_run(horizon, n_paths, segment_subdiv)
     if not 0.0 <= start[0] <= horizon:
         raise ValueError("start time must lie in [0, horizon]")
+    weights = _simpson_nodes(segment_subdiv)
+
+    def segments(rng):
+        return [seg[:5] for seg in renewal_segments(kernel, start, horizon, rng)]
+
     values = np.empty(n_paths)
-    for idx in range(n_paths):
-        acc = 0.0
-        rng = path_rng(seed, idx)
-        for t0, t1, p, i, s0, _, _ in renewal_segments(kernel, start, horizon, rng):
-            if w is not None and t1 > t0:
-                acc += _simpson_segment(
-                    lambda v: w(v, p, i, s0 + (v - t0)), t0, t1, segment_subdiv
-                )
-        values[idx] = float(g(p)) + acc
+    for lo, path, last, (t0, t1, p, i, s0) in _blocks(n_paths, seed, segments):
+        end_p = p[last]
+        total = np.broadcast_to(np.asarray(g(end_p), dtype=float), end_p.shape)
+        if w is not None:
+            ts = np.linspace(t0, t1, segment_subdiv + 1, axis=-1)
+            ages = s0[:, None] + (ts - t0[:, None])
+            node_w = np.empty(ts.shape)
+            for state in np.unique(i).tolist():
+                rows = i == state
+                node_w[rows] = w(ts[rows], p[rows, None], int(state), ages[rows])
+            total = total + np.bincount(path, weights=_integrate(node_w, t0, t1, weights))
+        values[lo : lo + len(total)] = total
     return McEstimate.from_values(values, seed)
 
 
@@ -134,42 +175,25 @@ def estimate_terminal_value(
 
 def _bump(s, center: float, width: float):
     """Smooth compactly-supported bump on (center - width, center + width)."""
-    if isinstance(s, (float, int)):
-        u = (s - center) / width
-        return math.exp(1.0 - 1.0 / (1.0 - u * u)) if abs(u) < 1.0 else 0.0
-    s = np.asarray(s, dtype=float)
-    u2 = ((s - center) / width) ** 2
-    safe = np.where(u2 < 1.0, u2, 0.0)
-    out = np.where(u2 < 1.0, np.exp(1.0 - 1.0 / (1.0 - safe)), 0.0)
-    return out if out.ndim else float(out)
+    u2 = ((np.asarray(s, dtype=float) - center) / width) ** 2
+    inside = u2 < 1.0
+    return np.where(inside, np.exp(1.0 - 1.0 / (1.0 - np.where(inside, u2, 0.0))), 0.0)
 
 
 def _bump_ds(s, center: float, width: float):
-    if isinstance(s, (float, int)):
-        u = (s - center) / width
-        if abs(u) >= 1.0:
-            return 0.0
-        return math.exp(1.0 - 1.0 / (1.0 - u * u)) * (-2.0 * u / (1.0 - u * u) ** 2) / width
-    s = np.asarray(s, dtype=float)
-    u = (s - center) / width
-    u2 = u * u
-    mask = u2 < 1.0
-    safe = np.where(mask, u2, 0.0)
-    om = 1.0 - safe
-    out = np.where(
-        mask, np.exp(1.0 - 1.0 / om) * (-2.0 * u / (om * om)) / width, 0.0
-    )
-    return out if out.ndim else float(out)
+    u = (np.asarray(s, dtype=float) - center) / width
+    inside = u * u < 1.0
+    om = 1.0 - np.where(inside, u * u, 0.0)
+    return np.where(inside, np.exp(1.0 - 1.0 / om) * (-2.0 * u / (om * om)) / width, 0.0)
 
 
 @dataclass(frozen=True)
 class TestFunction:
     """Smooth, age-compactly-supported test function with analytic age slope.
 
-    ``state_part`` and ``age_bump`` expose the product structure
-    psi(p, i, s) = state_part(p, i) * bump(s; center, width) when the
-    function has one; the battery checks exploit it to share the age-factor
-    quadratures across functions.
+    ``psi`` and ``dpsi_ds`` take ``(p, i, s)`` on the uncontrolled state and
+    ``(p, i, s, x, y)``, with cash ``x`` and inventory ``y``, on the
+    controlled one; both must broadcast over arrays of every argument.
     """
 
     __test__ = False  # not a pytest class despite the name
@@ -177,171 +201,92 @@ class TestFunction:
     name: str
     psi: Callable
     dpsi_ds: Callable
-    state_part: Optional[Callable] = None
-    age_bump: Optional[tuple[float, float]] = None
 
 
-@dataclass(frozen=True)
-class ControlledTestFunction:
-    """Test function on the controlled state (p, i, s, x, y)."""
-
-    name: str
-    psi: Callable
-    dpsi_ds: Callable
-    state_part: Optional[Callable] = None
-    age_bump: Optional[tuple[float, float]] = None
-
-
-def _product_tf(name: str, g: Callable, center: float, width: float) -> TestFunction:
+def _product(name: str, g: Callable, center: float, width: float) -> TestFunction:
+    """psi = g(p, i, *xy) * bump(s), with ``xy`` empty or (cash, inventory)."""
     return TestFunction(
         name,
-        psi=lambda p, i, s: g(p, i) * _bump(s, center, width),
-        dpsi_ds=lambda p, i, s: g(p, i) * _bump_ds(s, center, width),
-        state_part=g,
-        age_bump=(center, width),
-    )
-
-
-def _product_ctf(name: str, g: Callable, center: float, width: float) -> ControlledTestFunction:
-    return ControlledTestFunction(
-        name,
-        psi=lambda p, i, s, x, y: g(p, i, x, y) * _bump(s, center, width),
-        dpsi_ds=lambda p, i, s, x, y: g(p, i, x, y) * _bump_ds(s, center, width),
-        state_part=g,
-        age_bump=(center, width),
+        psi=lambda p, i, s, *xy: g(p, i, *xy) * _bump(s, center, width),
+        dpsi_ds=lambda p, i, s, *xy: g(p, i, *xy) * _bump_ds(s, center, width),
     )
 
 
 def battery_uncontrolled(horizon: float, p_scale: float = 1.0) -> list[TestFunction]:
     """Fixed battery mixing bounded price factors, state indicators, and bumps."""
     w1, w2, w3 = 1.6 * horizon, 1.1 * horizon, 2.2 * horizon
+    # 1 - 2 * (i % 2) is alpha(i) over arrays of states
     return [
-        _product_tf("age_bump", lambda p, i: 1.0, 0.0, w1),
-        _product_tf(
-            "price_ratio_bump", lambda p, i: p / (1.0 + p), 0.4 * horizon, w2
+        _product("age_bump", lambda p, i: 1.0, 0.0, w1),
+        _product("price_ratio_bump", lambda p, i: p / (1.0 + p), 0.4 * horizon, w2),
+        _product("class_indicator", lambda p, i: np.where(i <= 2, 1.0, 0.0), 0.0, w2),
+        _product(
+            "signed_price", lambda p, i: (1 - 2 * (i % 2)) * p / (1.0 + p), 0.2 * horizon, w1
         ),
-        _product_tf(
-            "class_indicator", lambda p, i: 1.0 if i <= 2 else 0.0, 0.0, w2
-        ),
-        _product_tf(
-            "signed_price",
-            lambda p, i: alpha(i) * p / (1.0 + p),
-            0.2 * horizon,
-            w1,
-        ),
-        _product_tf(
-            "price_wave", lambda p, i: math.cos(p / p_scale), 0.0, w3
-        ),
+        _product("price_wave", lambda p, i: np.cos(p / p_scale), 0.0, w3),
     ]
 
 
-def battery_controlled(horizon: float, p_scale: float = 1.0) -> list[ControlledTestFunction]:
+def battery_controlled(horizon: float, p_scale: float = 1.0) -> list[TestFunction]:
     w1, w2 = 1.6 * horizon, 2.0 * horizon
     # the inventory bell is even in y, so symmetric order flow cannot cancel
     # its generator terms: the right pick for the ablation negative control
     return [
-        _product_ctf(
-            "inventory_bell",
-            lambda p, i, x, y: np.exp(-((y / 3.0) ** 2)),
-            0.0,
-            w1,
-        ),
-        _product_ctf(
-            "inventory_tanh", lambda p, i, x, y: np.tanh(y / 3.0), 0.0, w1
-        ),
-        _product_ctf(
-            "cash_tanh",
-            lambda p, i, x, y: np.tanh(x / (5.0 * p_scale)),
-            0.0,
-            w2,
-        ),
-        _product_ctf(
+        _product("inventory_bell", lambda p, i, x, y: np.exp(-((y / 3.0) ** 2)), 0.0, w1),
+        _product("inventory_tanh", lambda p, i, x, y: np.tanh(y / 3.0), 0.0, w1),
+        _product("cash_tanh", lambda p, i, x, y: np.tanh(x / (5.0 * p_scale)), 0.0, w2),
+        _product(
             "joint",
-            lambda p, i, x, y: alpha(i) * np.tanh(y / 2.0) * p / (1.0 + p),
+            lambda p, i, x, y: (1 - 2 * (i % 2)) * np.tanh(y / 2.0) * p / (1.0 + p),
             0.3 * horizon,
             w1,
         ),
-        _product_ctf(
-            "wealth_mark",
-            lambda p, i, x, y: np.tanh((x + y * p) / (4.0 * p_scale)),
-            0.0,
-            w2,
+        _product(
+            "wealth_mark", lambda p, i, x, y: np.tanh((x + y * p) / (4.0 * p_scale)), 0.0, w2
         ),
     ]
 
 
-def _segment_defects_unc(kernel, tfs, p, i, s0, a, b, weights, acc):
-    """Add each test function's generator integral over one segment to acc."""
-    if b <= a:
-        return
-    subdiv = len(weights) - 1
-    vs = np.linspace(a, b, subdiv + 1)
-    ages = s0 + (vs - a)
-    scale = (b - a) / (3.0 * subdiv)
-    rates = {}
-    for j in successors(i):
-        spec = kernel.continuation if alpha(j) == alpha(i) else kernel.reversal
-        rates[j] = spec.value(ages)
-    for q, tf in enumerate(tfs):
-        psi_here = np.asarray(tf.psi(p, i, ages), dtype=float)
-        integrand = np.asarray(tf.dpsi_ds(p, i, ages), dtype=float)
-        for j in successors(i):
-            pj = p * (1.0 + kernel.delta * alpha(j))
-            integrand = integrand + rates[j] * (float(tf.psi(pj, j, 0.0)) - psi_here)
-        acc[q] += float(np.dot(weights, integrand)) * scale
+def _events_unc(kernel, p, i, ages):
+    """Big jumps out of state ``i``: (intensity at the nodes, state after)."""
+    return [
+        (kernel.directed_intensity(i, j, ages), (p * (1.0 + kernel.delta * alpha(j)), j, 0.0))
+        for j in successors(i)
+    ]
 
 
-def _segment_defects_ctl(
-    kernel, layout, cost, tfs, p, i, s0, x, y, a, b, control, include_small, weights, acc
-):
-    if b <= a:
-        return
-    subdiv = len(weights) - 1
-    vs = np.linspace(a, b, subdiv + 1)
-    ages = s0 + (vs - a)
-    scale = (b - a) / (3.0 * subdiv)
-    big = layout.max_units
-    rates = {}
-    fills_small = {}
+def _events_ctl(kernel, layout, cost, control, include_small, p, i, ages, x, y):
+    """Big jumps out of state ``i`` and, on quoted sides unless excluded,
+    small orders, with the agent's fills: (intensity at the nodes, state after)."""
+    events = []
     for j in successors(i):
         d = alpha(j)
-        spec = kernel.continuation if alpha(j) == alpha(i) else kernel.reversal
-        rates[j] = spec.value(ages)
-        if include_small:
-            bit = control[0] if d > 0 else control[1]
-            probs = np.asarray(layout.side_sizes(d))
-            dxs = np.empty(len(probs))
-            dys = np.empty(len(probs), dtype=int)
-            for k in range(len(probs)):
-                dxs[k], dys[k], _ = small_order_fill(d, k, p, kernel.delta, cost, bit)
-            live = (probs > 0) & ((dxs != 0) | (dys != 0))
-            fills_small[d] = (
-                layout.side_flow(d).value(ages),
-                probs[live],
-                dxs[live],
-                dys[live],
-            )
-    for q, tf in enumerate(tfs):
-        psi_here = np.asarray(tf.psi(p, i, ages, x, y), dtype=float)
-        integrand = np.asarray(tf.dpsi_ds(p, i, ages, x, y), dtype=float)
-        for j in successors(i):
-            d = alpha(j)
-            bit = control[0] if d > 0 else control[1]
-            if include_small and len(fills_small[d][1]):
-                lam, probs, dxs, dys = fills_small[d]
-                shifted = np.asarray(
-                    tf.psi(p, i, ages[None, :], x + dxs[:, None], y + dys[:, None]),
-                    dtype=float,
-                )
-                integrand = integrand + lam * (
-                    probs @ shifted - probs.sum() * psi_here
-                )
-            dxb, dyb, _ = big_order_fill(j, big, p, kernel.delta, cost, bit)
-            pj = p * (1.0 + kernel.delta * d)
-            integrand = integrand + rates[j] * (
-                float(tf.psi(pj, j, 0.0, x + dxb, y + dyb)) - psi_here
-            )
-        acc[q] += float(np.dot(weights, integrand)) * scale
+        bit = control[0] if d > 0 else control[1]
+        if include_small and bit:
+            flow = layout.side_flow(d).value(ages)
+            for units, prob in enumerate(layout.side_sizes(d)):
+                if units and prob:
+                    dx, dy, _ = small_order_fill(d, units, p, kernel.delta, cost, bit)
+                    events.append((prob * flow, (p, i, ages, x + dx, y + dy)))
+        dx, dy, _ = big_order_fill(j, layout.max_units, p, kernel.delta, cost, bit)
+        events.append((
+            kernel.directed_intensity(i, j, ages),
+            (p * (1.0 + kernel.delta * d), j, 0.0, x + dx, y + dy),
+        ))
+    return events
+
+
+def _controlled_segments(kernel, layout, start, t, agent, control, cost, rng):
+    """Rows (t0, t1, p, i, s0, cash, inventory) of one thinning path under a
+    constant control, each fill settled at its event."""
+    x, y = agent.cash, agent.inventory
+    rows = []
+    for t0, t1, p, i, s0, _, mark in thinning_segments(kernel, layout, start, t, rng):
+        rows.append((t0, t1, p, i, s0, x, y))
+        if mark is not None and mark is not NO_EVENT:
+            _, dx, dy, _, _ = order_fill(mark, control, layout.max_units, p, kernel.delta, cost)
+            x, y = x + dx, y + dy
+    return rows
 
 
 @dataclass(frozen=True)
@@ -358,107 +303,9 @@ class DynkinResult:
         return self.z
 
 
-def _segment_separable_unc(kernel, tfs, p, i, s0, a, b, weights, acc, frac, b0_map):
-    """Separable-product fast path: shared age-factor quadratures per segment."""
-    if b <= a:
-        return
-    subdiv = len(weights) - 1
-    ages = s0 + (b - a) * frac
-    scale = (b - a) / (3.0 * subdiv)
-    hc = np.asarray(kernel.continuation.value(ages))
-    hr = np.asarray(kernel.reversal.value(ages))
-    i_hc = float(np.dot(weights, hc)) * scale
-    i_hr = float(np.dot(weights, hr)) * scale
-    cache = {}
-    for key, b0 in b0_map.items():
-        bump = _bump(ages, *key)
-        cache[key] = (
-            float(np.dot(weights, _bump_ds(ages, *key))) * scale,
-            float(np.dot(weights, hc * bump)) * scale,
-            float(np.dot(weights, hr * bump)) * scale,
-            b0,
-        )
-    delta = kernel.delta
-    for q, tf in enumerate(tfs):
-        i_bp, i_hcb, i_hrb, b0 = cache[tf.age_bump]
-        g = tf.state_part
-        g_here = g(p, i)
-        total = g_here * i_bp
-        for j in successors(i):
-            cont = alpha(j) == alpha(i)
-            i_h, i_hb = (i_hc, i_hcb) if cont else (i_hr, i_hrb)
-            total += g(p * (1.0 + delta * alpha(j)), j) * b0 * i_h - g_here * i_hb
-        acc[q] += total
-
-
-def _segment_separable_ctl(
-    kernel, layout, cost, tfs, p, i, s0, x, y, a, b, control, include_small, weights,
-    acc, frac, b0_map
-):
-    if b <= a:
-        return
-    subdiv = len(weights) - 1
-    ages = s0 + (b - a) * frac
-    scale = (b - a) / (3.0 * subdiv)
-    hc = np.asarray(kernel.continuation.value(ages))
-    hr = np.asarray(kernel.reversal.value(ages))
-    i_hc = float(np.dot(weights, hc)) * scale
-    i_hr = float(np.dot(weights, hr)) * scale
-    lam = {
-        +1: np.asarray(layout.ask_flow.value(ages)),
-        -1: np.asarray(layout.bid_flow.value(ages)),
-    }
-    cache = {}
-    for key, b0 in b0_map.items():
-        bump = _bump(ages, *key)
-        cache[key] = (
-            float(np.dot(weights, _bump_ds(ages, *key))) * scale,
-            float(np.dot(weights, hc * bump)) * scale,
-            float(np.dot(weights, hr * bump)) * scale,
-            float(np.dot(weights, lam[+1] * bump)) * scale,
-            float(np.dot(weights, lam[-1] * bump)) * scale,
-            b0,
-        )
-    delta = kernel.delta
-    big = layout.max_units
-    fills = {}
-    for j in successors(i):
-        d = alpha(j)
-        bit = control[0] if d > 0 else control[1]
-        small = []
-        if include_small and bit:
-            for k, prob in enumerate(layout.side_sizes(d)):
-                if prob == 0.0 or k == 0:
-                    continue
-                dx, dy, _ = small_order_fill(d, k, p, delta, cost, bit)
-                small.append((prob, dx, dy))
-        fills[j] = (small, big_order_fill(j, big, p, delta, cost, bit))
-    for q, tf in enumerate(tfs):
-        i_bp, i_hcb, i_hrb, i_lab, i_lbb, b0 = cache[tf.age_bump]
-        g = tf.state_part
-        g_here = g(p, i, x, y)
-        total = g_here * i_bp
-        for j in successors(i):
-            d = alpha(j)
-            cont = alpha(j) == alpha(i)
-            i_h, i_hb = (i_hc, i_hcb) if cont else (i_hr, i_hrb)
-            small, (dxb, dyb, _) = fills[j]
-            if small:
-                shift_sum = sum(
-                    prob * (g(p, i, x + dx, y + dy) - g_here)
-                    for prob, dx, dy in small
-                )
-                total += (i_lab if d > 0 else i_lbb) * shift_sum
-            total += (
-                g(p * (1.0 + delta * d), j, x + dxb, y + dyb) * b0 * i_h
-                - g_here * i_hb
-            )
-        acc[q] += total
-
-
 def dynkin_battery(
     kernel: SemiMarkovKernel,
-    tfs: Sequence,
+    tfs: Sequence[TestFunction],
     start,
     t: float,
     n_paths: int,
@@ -471,60 +318,64 @@ def dynkin_battery(
 ) -> list[DynkinResult]:
     """Run the Dynkin identity check for several test functions on shared paths.
 
-    Each path is simulated once; every function's martingale defect is
-    accumulated against it segment by segment.
+    Each path is simulated once to the finite time ``t``.  On every block of
+    paths, each function's generator (its age slope plus, per event, the
+    event's intensity times the jump in psi) is evaluated at every Simpson
+    node of every segment, one call per direction state present, and
+    integrated per path.  The test functions must broadcast over arrays of
+    all their arguments.
     """
+    _check_run(t, n_paths, segment_subdiv)
     if t <= 0:
         raise ValueError("the check horizon must be positive")
     if control is not None and layout is None:
         raise ValueError("controlled checks need the mark layout")
-    values = np.empty((len(tfs), n_paths))
-    weights = _simpson_nodes(segment_subdiv)
-    separable = all(tf.state_part is not None and tf.age_bump is not None for tf in tfs)
-    if separable:
-        shared = dict(
-            frac=np.linspace(0.0, 1.0, segment_subdiv + 1),
-            b0_map={key: _bump(0.0, *key) for key in {tf.age_bump for tf in tfs}},
-        )
-        seg_unc = partial(_segment_separable_unc, **shared)
-        seg_ctl = partial(_segment_separable_ctl, **shared)
-    else:
-        seg_unc, seg_ctl = _segment_defects_unc, _segment_defects_ctl
+    market, agent = (start, None) if control is None else start
+    start_seg = (0.0, market.price, market.state, market.age)
     if control is None:
-        start_seg = (0.0, start.price, start.state, start.age)
-        psi0 = [float(tf.psi(start.price, start.state, start.age)) for tf in tfs]
-        for idx in range(n_paths):
-            acc = [0.0] * len(tfs)
-            rng = path_rng(seed, idx)
-            for t0, t1, p, i, s0, s1, _ in renewal_segments(kernel, start_seg, t, rng):
-                seg_unc(kernel, tfs, p, i, s0, t0, t1, weights, acc)
-            for q, tf in enumerate(tfs):
-                values[q, idx] = float(tf.psi(p, i, s1)) - psi0[q] - acc[q]
+        agent_xy = ()
+
+        def segments(rng):
+            return [seg[:5] for seg in renewal_segments(kernel, start_seg, t, rng)]
+
+        def events(*here):
+            return _events_unc(kernel, *here)
     else:
-        market, agent = start
-        start_seg = (0.0, market.price, market.state, market.age)
-        psi0 = [
-            float(
-                tf.psi(market.price, market.state, market.age, agent.cash, agent.inventory)
+        agent_xy = (agent.cash, agent.inventory)
+
+        def segments(rng):
+            return _controlled_segments(
+                kernel, layout, start_seg, t, agent, control, transaction_cost, rng
             )
-            for tf in tfs
-        ]
-        for idx in range(n_paths):
-            x, y = agent.cash, agent.inventory
-            acc = [0.0] * len(tfs)
-            rng = path_rng(seed, idx)
-            for t0, t1, p, i, s0, s1, mark in thinning_segments(kernel, layout, start_seg, t, rng):
-                seg_ctl(
-                    kernel, layout, transaction_cost, tfs, p, i, s0, x, y,
-                    t0, t1, control, include_small_orders, weights, acc,
-                )
-                if mark is not None and mark is not NO_EVENT:
-                    _, dx, dy, _, _ = order_fill(
-                        mark, control, layout.max_units, p, kernel.delta, transaction_cost
-                    )
-                    x, y = x + dx, y + dy
+
+        def events(*here):
+            return _events_ctl(
+                kernel, layout, transaction_cost, control, include_small_orders, *here
+            )
+
+    weights = _simpson_nodes(segment_subdiv)
+    frac = np.linspace(0.0, 1.0, segment_subdiv + 1)
+    psi0 = [tf.psi(market.price, market.state, market.age, *agent_xy) for tf in tfs]
+    values = np.empty((len(tfs), n_paths))
+    for lo, path, last, (t0, t1, p, i, s0, *xy) in _blocks(n_paths, seed, segments):
+        i = i.astype(int)
+        ages = s0[:, None] + (t1 - t0)[:, None] * frac
+        generator = np.empty((len(tfs),) + ages.shape)
+        for state in np.unique(i).tolist():
+            rows = i == state
+            here = (p[rows, None], state, ages[rows], *(c[rows, None] for c in xy))
+            moves = events(*here)
             for q, tf in enumerate(tfs):
-                values[q, idx] = float(tf.psi(p, i, s1, x, y)) - psi0[q] - acc[q]
+                psi_here = tf.psi(*here)
+                generator[q, rows] = tf.dpsi_ds(*here) + sum(
+                    rate * (tf.psi(*after) - psi_here) for rate, after in moves
+                )
+        acc = _integrate(generator, t0, t1, weights)
+        end = (p[last], i[last], (s0 + (t1 - t0))[last], *(c[last] for c in xy))
+        for q, tf in enumerate(tfs):
+            values[q, lo : lo + len(end[0])] = (
+                tf.psi(*end) - psi0[q] - np.bincount(path, weights=acc[q])
+            )
     results = []
     for q, tf in enumerate(tfs):
         est = McEstimate.from_values(values[q], seed)
@@ -540,7 +391,7 @@ def dynkin_battery(
 
 def dynkin_check(
     kernel: SemiMarkovKernel,
-    tf,
+    tf: TestFunction,
     start,
     t: float,
     n_paths: int,

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from semitick import (
+    NO_EVENT,
     AgentState,
     ConstantIntensity,
-    ControlledTestFunction,
     GridSpec,
+    MarketMakingSpec,
     MarketState,
     McEstimate,
+    QuoteGainSource,
     SemiMarkovKernel,
     TestFunction,
     alpha,
@@ -24,9 +26,18 @@ from semitick import (
     path_rng,
     simulate_price_path,
     solve_expected_price,
+    successors,
     z_score,
 )
+from semitick import mc
 from semitick.mc import _bump, _bump_ds
+from semitick.simulate import (
+    big_order_fill,
+    order_fill,
+    renewal_segments,
+    small_order_fill,
+    thinning_segments,
+)
 
 
 class TestEstimator:
@@ -47,6 +58,11 @@ class TestEstimator:
                 symmetric_kernel, lambda p: p, None, (0.0, 1.0, 2, 0.0), 1.0, 10, 1,
                 segment_subdiv=3,
             )
+        for horizon in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                estimate_terminal_value(
+                    symmetric_kernel, lambda p: p, None, (0.0, 1.0, 2, 0.0), horizon, 10, 1
+                )
 
     def test_martingale_price(self, symmetric_kernel):
         est = estimate_terminal_value(
@@ -202,40 +218,14 @@ class TestDynkin:
         )
         assert full.mean == pytest.approx(ablated.mean, abs=1e-12)
 
-    @pytest.mark.parametrize("case", ["uncontrolled", "controlled", "builtin_controlled"])
-    def test_generic_and_separable_agree(self, saturating_kernel, saturating_layout, case):
-        if case == "builtin_controlled":
-            # the shipped battery, stripped of its product structure, must run
-            # on the generic path, which shifts x and y by arrays of fills
-            seps = battery_controlled(1.0, 1.0)
-            start = (MarketState(1.0, 2, 0.0), AgentState(0.0, 1))
-            kw = dict(layout=saturating_layout, control=(1, 1), transaction_cost=0.001)
-        elif case == "controlled":
-            # the generic path shifts y by arrays of fills, so psi must be vectorised
-            seps = [ControlledTestFunction(
-                "inventory_tanh",
-                psi=lambda p, i, s, x, y: np.tanh(y / 2.0) * _bump(s, 0.0, 1.6),
-                dpsi_ds=lambda p, i, s, x, y: np.tanh(y / 2.0) * _bump_ds(s, 0.0, 1.6),
-                state_part=lambda p, i, x, y: np.tanh(y / 2.0),
-                age_bump=(0.0, 1.6),
-            )]
-            start = (MarketState(1.0, 2, 0.0), AgentState(0.0, 1))
-            kw = dict(layout=saturating_layout, control=(1, 0), transaction_cost=0.001)
-        else:
-            seps = [battery_uncontrolled(1.0, 1.0)[1]]
-            start = MarketState(1.0, 2, 0.0)
-            kw = {}
-        gen_cls = TestFunction if case == "uncontrolled" else ControlledTestFunction
-        gens = [gen_cls("generic", tf.psi, tf.dpsi_ds) for tf in seps]
-        r_sep = dynkin_battery(saturating_kernel, seps, start, 0.7, 400, 77, **kw)
-        r_gen = dynkin_battery(saturating_kernel, gens, start, 0.7, 400, 77, **kw)
-        for a, b in zip(r_sep, r_gen, strict=True):
-            assert a.mean == pytest.approx(b.mean, abs=1e-13)
-
     def test_invalid_arguments(self, symmetric_kernel, start_state):
         tf = battery_uncontrolled(1.0)[0]
-        with pytest.raises(ValueError):
-            dynkin_check(symmetric_kernel, tf, start_state, 0.0, 10, 1)
+        for t in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                dynkin_check(symmetric_kernel, tf, start_state, t, 10, 1)
+        for subdiv in (3, 0):
+            with pytest.raises(ValueError, match="segment_subdiv"):
+                dynkin_check(symmetric_kernel, tf, start_state, 0.5, 10, 1, segment_subdiv=subdiv)
         with pytest.raises(ValueError, match="layout"):
             dynkin_check(
                 symmetric_kernel, tf, (start_state, AgentState()), 0.5, 10, 1, control=(1, 1)
@@ -252,3 +242,198 @@ class TestSolverAgreement:
                 saturating_kernel, lambda q: q, None, (t, p, i, s), 1.0, 6000, 55 + k
             )
             assert abs(z_score(field.eval(t, p, i, s), est)) < 3.0
+
+
+# -- per-segment reference: the scalar loops the block path replaced ----------
+
+
+def _simpson_nodes(subdiv):
+    w = np.ones(subdiv + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return w
+
+
+def _simpson_segment(fn, a, b, subdiv):
+    """Composite Simpson of a vectorised integrand over [a, b]."""
+    if b <= a:
+        return 0.0
+    vals = np.asarray(fn(np.linspace(a, b, subdiv + 1)), dtype=float)
+    return float(np.dot(_simpson_nodes(subdiv), vals) * (b - a) / (3.0 * subdiv))
+
+
+def _reference_estimate(kernel, g, w, start, horizon, n_paths, seed, subdiv=8):
+    values = np.empty(n_paths)
+    for idx in range(n_paths):
+        acc = 0.0
+        for t0, t1, p, i, s0, _, _ in renewal_segments(kernel, start, horizon, path_rng(seed, idx)):
+            if w is not None and t1 > t0:
+                acc += _simpson_segment(
+                    lambda v: w(v, p, i, s0 + (v - t0)), t0, t1, subdiv
+                )
+        values[idx] = float(g(p)) + acc
+    return McEstimate.from_values(values, seed).mean
+
+
+def _segment_defects_unc(kernel, tfs, p, i, s0, a, b, weights, acc):
+    if b <= a:
+        return
+    subdiv = len(weights) - 1
+    vs = np.linspace(a, b, subdiv + 1)
+    ages = s0 + (vs - a)
+    scale = (b - a) / (3.0 * subdiv)
+    rates = {}
+    for j in successors(i):
+        spec = kernel.continuation if alpha(j) == alpha(i) else kernel.reversal
+        rates[j] = spec.value(ages)
+    for q, tf in enumerate(tfs):
+        psi_here = np.asarray(tf.psi(p, i, ages), dtype=float)
+        integrand = np.asarray(tf.dpsi_ds(p, i, ages), dtype=float)
+        for j in successors(i):
+            pj = p * (1.0 + kernel.delta * alpha(j))
+            integrand = integrand + rates[j] * (float(tf.psi(pj, j, 0.0)) - psi_here)
+        acc[q] += float(np.dot(weights, integrand)) * scale
+
+
+def _segment_defects_ctl(
+    kernel, layout, cost, tfs, p, i, s0, x, y, a, b, control, include_small, weights, acc
+):
+    if b <= a:
+        return
+    subdiv = len(weights) - 1
+    vs = np.linspace(a, b, subdiv + 1)
+    ages = s0 + (vs - a)
+    scale = (b - a) / (3.0 * subdiv)
+    big = layout.max_units
+    rates = {}
+    fills_small = {}
+    for j in successors(i):
+        d = alpha(j)
+        spec = kernel.continuation if alpha(j) == alpha(i) else kernel.reversal
+        rates[j] = spec.value(ages)
+        if include_small:
+            bit = control[0] if d > 0 else control[1]
+            probs = np.asarray(layout.side_sizes(d))
+            dxs = np.empty(len(probs))
+            dys = np.empty(len(probs), dtype=int)
+            for k in range(len(probs)):
+                dxs[k], dys[k], _ = small_order_fill(d, k, p, kernel.delta, cost, bit)
+            live = (probs > 0) & ((dxs != 0) | (dys != 0))
+            fills_small[d] = (
+                layout.side_flow(d).value(ages),
+                probs[live],
+                dxs[live],
+                dys[live],
+            )
+    for q, tf in enumerate(tfs):
+        psi_here = np.asarray(tf.psi(p, i, ages, x, y), dtype=float)
+        integrand = np.asarray(tf.dpsi_ds(p, i, ages, x, y), dtype=float)
+        for j in successors(i):
+            d = alpha(j)
+            bit = control[0] if d > 0 else control[1]
+            if include_small and len(fills_small[d][1]):
+                lam, probs, dxs, dys = fills_small[d]
+                shifted = np.asarray(
+                    tf.psi(p, i, ages[None, :], x + dxs[:, None], y + dys[:, None]),
+                    dtype=float,
+                )
+                integrand = integrand + lam * (
+                    probs @ shifted - probs.sum() * psi_here
+                )
+            dxb, dyb, _ = big_order_fill(j, big, p, kernel.delta, cost, bit)
+            pj = p * (1.0 + kernel.delta * d)
+            integrand = integrand + rates[j] * (
+                float(tf.psi(pj, j, 0.0, x + dxb, y + dyb)) - psi_here
+            )
+        acc[q] += float(np.dot(weights, integrand)) * scale
+
+
+def _reference_dynkin(
+    kernel, tfs, start, t, n_paths, seed, layout=None, control=None,
+    transaction_cost=0.0, include_small_orders=True, subdiv=4,
+):
+    """Per-path means of the Dynkin defects, one segment at a time."""
+    values = np.empty((len(tfs), n_paths))
+    weights = _simpson_nodes(subdiv)
+    if control is None:
+        start_seg = (0.0, start.price, start.state, start.age)
+        psi0 = [float(tf.psi(start.price, start.state, start.age)) for tf in tfs]
+        for idx in range(n_paths):
+            acc = [0.0] * len(tfs)
+            rng = path_rng(seed, idx)
+            for t0, t1, p, i, s0, s1, _ in renewal_segments(kernel, start_seg, t, rng):
+                _segment_defects_unc(kernel, tfs, p, i, s0, t0, t1, weights, acc)
+            for q, tf in enumerate(tfs):
+                values[q, idx] = float(tf.psi(p, i, s1)) - psi0[q] - acc[q]
+    else:
+        market, agent = start
+        start_seg = (0.0, market.price, market.state, market.age)
+        psi0 = [
+            float(tf.psi(market.price, market.state, market.age, agent.cash, agent.inventory))
+            for tf in tfs
+        ]
+        for idx in range(n_paths):
+            x, y = agent.cash, agent.inventory
+            acc = [0.0] * len(tfs)
+            rng = path_rng(seed, idx)
+            for t0, t1, p, i, s0, s1, mark in thinning_segments(kernel, layout, start_seg, t, rng):
+                _segment_defects_ctl(
+                    kernel, layout, transaction_cost, tfs, p, i, s0, x, y,
+                    t0, t1, control, include_small_orders, weights, acc,
+                )
+                if mark is not None and mark is not NO_EVENT:
+                    _, dx, dy, _, _ = order_fill(
+                        mark, control, layout.max_units, p, kernel.delta, transaction_cost
+                    )
+                    x, y = x + dx, y + dy
+            for q, tf in enumerate(tfs):
+                values[q, idx] = float(tf.psi(p, i, s1, x, y)) - psi0[q] - acc[q]
+    return [McEstimate.from_values(values[q], seed).mean for q in range(len(tfs))]
+
+
+class TestBlockMatchesReference:
+    """The block path against the per-segment loops above, at 1e-13."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        # 400 paths fill two blocks of 150 and part of a third
+        monkeypatch.setattr(mc, "_PATH_BLOCK", 150)
+
+    @pytest.mark.parametrize(
+        "case", ["uncontrolled", "controlled", "builtin_controlled", "no_small_orders"]
+    )
+    def test_dynkin_battery(self, saturating_kernel, saturating_layout, case):
+        ctl_start = (MarketState(1.0, 2, 0.0), AgentState(0.0, 1))
+        ctl_kw = dict(layout=saturating_layout, transaction_cost=0.001)
+        if case == "uncontrolled":
+            tfs, start, kw = battery_uncontrolled(1.0, 1.0), MarketState(1.0, 2, 0.25), {}
+        elif case == "controlled":
+            tfs = [TestFunction(
+                "inventory_tanh",
+                psi=lambda p, i, s, x, y: np.tanh(y / 2.0) * _bump(s, 0.0, 1.6),
+                dpsi_ds=lambda p, i, s, x, y: np.tanh(y / 2.0) * _bump_ds(s, 0.0, 1.6),
+            )]
+            start, kw = ctl_start, dict(ctl_kw, control=(1, 0))
+        else:
+            tfs, start = battery_controlled(1.0, 1.0), ctl_start
+            kw = dict(ctl_kw, control=(1, 1), include_small_orders=case == "builtin_controlled")
+        block = dynkin_battery(saturating_kernel, tfs, start, 0.7, 400, 77, **kw)
+        reference = _reference_dynkin(saturating_kernel, tfs, start, 0.7, 400, 77, **kw)
+        for r, mean in zip(block, reference, strict=True):
+            assert r.mean == pytest.approx(mean, abs=1e-13), r.name
+
+    @pytest.mark.parametrize("flat", [True, False], ids=["flat", "saturating"])
+    def test_estimator_with_quote_source(
+        self, asymmetric_kernel, asymmetric_layout, saturating_kernel, saturating_layout, flat
+    ):
+        kernel, layout = (
+            (asymmetric_kernel, asymmetric_layout) if flat
+            else (saturating_kernel, saturating_layout)
+        )
+        spec = MarketMakingSpec(big_size=2, transaction_cost=0.001, portfolio_consistent=True)
+        field = solve_expected_price(kernel, GridSpec(n_t=40), 1.0, 1.0)
+        source = QuoteGainSource(kernel, layout, spec, field)
+        start = (0.1, 1.0, 3, 0.3)
+        block = estimate_terminal_value(kernel, lambda p: p, source, start, 1.0, 400, 41)
+        reference = _reference_estimate(kernel, lambda p: p, source, start, 1.0, 400, 41)
+        assert block.mean == pytest.approx(reference, abs=1e-13)
