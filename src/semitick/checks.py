@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sps
 
 from . import mc
 from .hazards import STATES, alpha, successors
@@ -93,6 +92,8 @@ def mark_partition(layout, ages, tol: float = 1e-9) -> Check:
 
 def holding_ks(kernel, rng, n_draws: int) -> Check:
     """Inverse-transform holding times from age zero against F (KS p > 0.01)."""
+    from scipy import stats as sps
+
     draws = np.array([sample_holding(kernel, 0.0, u) for u in rng.uniform(1e-12, 1.0, n_draws)])
     ks = sps.kstest(draws, lambda y: kernel.holding_cdf(np.maximum(y, 0.0)))
     return Check(
@@ -117,6 +118,8 @@ def transition_freq(kernel, rng, n_draws: int) -> Check:
 def renewal_vs_thinning(kernel, layout, market, horizon: float, n_paths: int, seed: int) -> Check:
     """Holding times of renewal paths (streams ``seed``) and thinning paths
     (streams ``seed + 1``) come from one law (two-sample KS p > 0.01)."""
+    from scipy import stats as sps
+
     renewal, thinning = [], []
     for idx in range(n_paths):
         renewal += simulate_price_path(kernel, market, horizon, path_rng(seed, idx)).holding_times()

@@ -8,13 +8,18 @@ from the Poisson tail of the dominating jump count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.stats import poisson
 
 __all__ = ["PriceLattice", "max_jumps_for_tail"]
+
+_JUMP_CAP = 80
+# pmf terms 0..400: past 400 the Poisson tail is negligible beside every
+# exceedance the cap allows (a mean above the cap puts all its mass beyond it)
+_TAIL_TERMS = 401
 
 
 def max_jumps_for_tail(intensity_bound: float, horizon: float, tail_tol: float) -> int:
@@ -23,15 +28,36 @@ def max_jumps_for_tail(intensity_bound: float, horizon: float, tail_tol: float) 
     Jump times are a thinning of a homogeneous Poisson stream with rate twice
     the one-sided intensity bound, so the count over the horizon is dominated
     by a Poisson variable with that mean.  Budgets above 80 jumps raise.
+
+    The exceedance ``sf(k)`` is ``1 - cdf(k)`` while ``cdf(k) < 0.5`` and
+    otherwise the upper-tail sum accumulated from the smallest term, both over
+    a fixed number of pmf terms, so the cost does not depend on the mean.
     """
     mu = 2.0 * intensity_bound * horizon
-    n = max(int(poisson.isf(tail_tol, mu)), 1)
-    while poisson.sf(n, mu) >= tail_tol:
-        n += 1
-    if n > 80:
-        raise ValueError(f"a jump tail below {tail_tol:g} over horizon {horizon:g} needs {n} "
-                         f"jumps, above the cap of 80 (tail mass at 80: {poisson.sf(80, mu):.3g})")
-    return n
+    if not (math.isfinite(mu) and mu >= 0.0):
+        raise ValueError(
+            f"the jump-count mean 2 * intensity bound * horizon = {mu!r} "
+            "must be finite and nonnegative"
+        )
+    if not 0.0 < tail_tol < 1.0:
+        raise ValueError(f"the jump tail tolerance must lie in (0, 1), got {tail_tol!r}")
+    log_mu = math.log(mu) if mu > 0.0 else -math.inf
+    pmf = [math.exp(-mu)] + [
+        math.exp(j * log_mu - mu - math.lgamma(j + 1.0)) for j in range(1, _TAIL_TERMS)
+    ]
+    upper = [0.0] * _TAIL_TERMS  # upper[k] = sum of pmf[k + 1:], smallest first
+    for j in range(_TAIL_TERMS - 1, 0, -1):
+        upper[j - 1] = upper[j] + pmf[j]
+    cdf = pmf[0]
+    for k in range(1, _JUMP_CAP + 1):
+        cdf += pmf[k]
+        sf = 1.0 - cdf if cdf < 0.5 else upper[k]
+        if sf < tail_tol:
+            return k
+    raise ValueError(
+        f"a jump tail below {tail_tol:g} over horizon {horizon:g} (Poisson mean {mu:g}) "
+        f"needs more than {_JUMP_CAP} jumps, the cap (tail mass at {_JUMP_CAP}: {sf:.3g})"
+    )
 
 
 @dataclass

@@ -792,24 +792,27 @@ def load_field_csv(path) -> ValueField:
         if meta["s_grid"] is not None:
             _refuse_age_axis(path, meta["s_grid"])
         fh.readline()
-        lattice = PriceLattice(
-            p0=meta["p0"],
-            delta=meta["delta"],
-            n_max=meta["n_max"],
-            n_report=meta.get("n_report"),
-        )
-        n_t = meta["n_t"]
-        t_grid = np.linspace(0.0, meta["horizon"], n_t + 1)
-        core = np.empty((n_t + 1, lattice.n_nodes, len(STATES)))
-        core[...] = np.nan  # rows the file does not cover stay NaN
-        t_step = t_grid[1] - t_grid[0]
-        for line in fh:
-            t_s, p_s, i_s, s_s, v_s = line.rstrip("\n").split(",")
-            if float(s_s) != 0.0:
-                _refuse_age_axis(path, [float(s_s)])
-            ki = int(round(float(t_s) / t_step))
-            node = lattice.locate(float(p_s))
-            core[ki, node, _STATE_INDEX[int(i_s)]] = float(v_s)
+        rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+    t_col, p_col, i_col, s_col, values = rows.T
+    aged = np.flatnonzero(s_col != 0.0)
+    if aged.size:
+        _refuse_age_axis(path, [float(s_col[aged[0]])])
+    lattice = PriceLattice(
+        p0=meta["p0"],
+        delta=meta["delta"],
+        n_max=meta["n_max"],
+        n_report=meta.get("n_report"),
+    )
+    n_t = meta["n_t"]
+    t_grid = np.linspace(0.0, meta["horizon"], n_t + 1)
+    core = np.full((n_t + 1, lattice.n_nodes, len(STATES)), np.nan)  # uncovered stays NaN
+    # each distinct price and state is located once, not once per row
+    prices, p_rows = np.unique(p_col, return_inverse=True)
+    nodes = np.array([lattice.locate(p) for p in prices.tolist()], dtype=int)
+    states, i_rows = np.unique(i_col, return_inverse=True)
+    slots = np.array([_STATE_INDEX[i] for i in states.tolist()], dtype=int)
+    ki = np.rint(t_col / (t_grid[1] - t_grid[0])).astype(int)
+    core[ki, nodes[p_rows], slots[i_rows]] = values
     if np.any(np.isnan(core)):
         raise ValueError("field file does not cover the full grid")
     return ValueField(

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -232,11 +236,12 @@ class TestCli:
             ("grid", "s_max", -1.0),
             ("grid", "tail_tol", 2.0),
             (None, "horizon", 40.0),  # needs more jumps than the lattice cap
+            ("kernel.continuation", "level", 1e300),  # a Poisson mean far past the cap
         ],
         ids=[
             "delta_str", "n_paths_str", "n_max_str", "top_level_list", "nan_horizon",
             "nan_age", "max_iter_0", "n_max_0", "s_max_negative", "tail_tol_2",
-            "horizon_40",
+            "horizon_40", "level_1e300",
         ],
     )
     def test_malformed_field_exits_2(self, tmp_path, capsys, section, key, value):
@@ -244,11 +249,29 @@ class TestCli:
         if key is None:
             data = [data]
         else:
-            (data if section is None else data[section])[key] = value
+            node = data
+            for name in section.split(".") if section else ():
+                node = node[name]
+            node[key] = value
         path = write_config(tmp_path, data)
         rc = main(["solve-pi", "--config", path, "--quiet", "--out", str(tmp_path)])
         assert rc == 2
         assert "config error:" in capsys.readouterr().err
+
+    def test_cli_import_path_skips_scipy_stats(self):
+        # every command starts a fresh interpreter; scipy.stats alone cost over a
+        # second of start-up, so only validate may load it, inside the KS checks
+        import semitick
+
+        code = (
+            "import sys, semitick.harness, semitick; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.special') if m in sys.modules))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(semitick.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
     def test_commands_listed(self):
         assert set(COMMANDS) == {

@@ -72,6 +72,47 @@ class TestLattice:
     def test_tail_budget_monotone(self):
         assert max_jumps_for_tail(1.0, 1.0, 1e-10) > max_jumps_for_tail(1.0, 1.0, 1e-4)
 
+    def test_tail_budget_matches_scipy_loop(self):
+        # the scipy isf/sf loop the closed-form tail replaced, kept here as the
+        # reference; the package itself must not import scipy.stats
+        from scipy.stats import poisson
+
+        def scipy_budget(mu, tol):
+            n = max(int(poisson.isf(tol, mu)), 1)
+            while poisson.sf(n, mu) >= tol:
+                n += 1
+            return "refused" if n > 80 else n
+
+        def budget(mu, tol):
+            try:
+                return max_jumps_for_tail(mu / 2.0, 1.0, tol)
+            except ValueError as exc:
+                assert "more than 80 jumps" in str(exc)
+                return "refused"
+
+        tols = (0.999, 0.9, 0.5, 1e-2, 1e-6, 1e-10, 1e-14, 3e-9)
+        for mu in np.geomspace(1e-3, 200.0).tolist():
+            for tol in tols:
+                assert budget(mu, tol) == scipy_budget(mu, tol), (mu, tol)
+
+    @pytest.mark.parametrize(
+        "bound, tol, match",
+        [
+            (math.inf, 1e-10, r"mean 2 \* intensity bound \* horizon = inf must be finite"),
+            (math.nan, 1e-10, r"= nan must be finite and nonnegative"),
+            (-1.0, 1e-10, r"= -2\.0 must be finite and nonnegative"),
+            (1e308, 1e-10, r"= inf must be finite"),  # the mean 2 * bound overflows
+            (1.0, math.nan, r"tolerance must lie in \(0, 1\), got nan"),
+            (1.0, 0.0, r"tolerance must lie in \(0, 1\), got 0\.0"),
+            (1.0, 1.0, r"tolerance must lie in \(0, 1\), got 1\.0"),
+            (1e6, 1e-10, r"more than 80 jumps.*tail mass at 80: 1\)"),
+            (1e300, 1e-10, r"more than 80 jumps.*tail mass at 80: 1\)"),
+        ],
+    )
+    def test_tail_refusals(self, bound, tol, match):
+        with pytest.raises(ValueError, match=match):
+            max_jumps_for_tail(bound, 1.0, tol)
+
 
 class TestOperatorSweep:
     def test_terminal_row_is_payoff(self, saturating_kernel):
@@ -317,6 +358,18 @@ class TestFieldIO:
         # a null header over rows at a nonzero age is refused the same way
         out.write_text(header + "\n" + body.replace(",2,0.0,", ",2,0.05,", 1))
         with pytest.raises(ValueError, match=r"ages \[0\.05\].*re-run solve-pi"):
+            load_field_csv(out)
+
+    def test_headerless_or_partial_file_refused(self, saturating_kernel, tmp_path):
+        field = solve_expected_price(saturating_kernel, GridSpec(n_t=20), 1.0, 1.0)
+        out = tmp_path / "field.csv"
+        save_field_csv(field, out)
+        header, body = out.read_text().split("\n", 1)
+        out.write_text(body)
+        with pytest.raises(ValueError, match="missing metadata header"):
+            load_field_csv(out)
+        out.write_text(header + "\n" + body.rstrip("\n").rsplit("\n", 1)[0] + "\n")
+        with pytest.raises(ValueError, match="does not cover the full grid"):
             load_field_csv(out)
 
 
