@@ -85,6 +85,10 @@ class ConstantIntensity:
         out = self.level * y
         return float(out) if out.ndim == 0 else out
 
+    def increment(self, s0: float, w: float) -> float:
+        """Integrated intensity on [s0, s0 + w] (scalar)."""
+        return self.level * w
+
     @property
     def upper_bound(self) -> float:
         return self.level
@@ -139,6 +143,13 @@ class SaturatingIntensity:
             -self.rate * y
         )
         return float(out) if out.ndim == 0 else out
+
+    def increment(self, s0: float, w: float) -> float:
+        """Integrated intensity on [s0, s0 + w] (scalar), formed without the
+        difference ``integral(s0 + w) - integral(s0)``, which cancels at large s0."""
+        return (self.base + self.gain) * w + (self.gain / self.rate) * math.exp(
+            -self.rate * s0
+        ) * math.expm1(-self.rate * w)
 
     @property
     def upper_bound(self) -> float:
@@ -207,6 +218,11 @@ class SemiMarkovKernel:
 
     def integrated_intensity(self, y):
         return self.continuation.integral(y) + self.reversal.integral(y)
+
+    def integrated_increment(self, s0: float, w: float) -> float:
+        """Total integrated intensity on [s0, s0 + w], the log-survival of a
+        holding of length ``w`` that starts at age ``s0`` (scalar)."""
+        return self.continuation.increment(s0, w) + self.reversal.increment(s0, w)
 
     def directed_intensity(self, i: int, j: int, y):
         """Intensity of the specific transition i -> j at holding age y."""

@@ -72,7 +72,7 @@ __all__ = [
     "RandomQuotePolicy",
 ]
 
-_BISECTION_STEPS = 100
+_MAX_STEPS = 100  # Newton and safeguard steps per holding time
 
 
 @dataclass(frozen=True)
@@ -228,34 +228,46 @@ def _uniform_open(rng: np.random.Generator) -> float:
 def sample_holding(kernel: SemiMarkovKernel, s0: float, u: float) -> float:
     """Waiting time w > 0 with conditional law F given current age ``s0``.
 
-    Solves (F(s0+w) - F(s0)) / (1 - F(s0)) = u.  Flat total intensity gives
-    the closed exponential form; otherwise the monotone integrated intensity
-    is inverted by bracketed bisection (robust, the target is exact in
-    log-survival space).
+    Solves (F(s0+w) - F(s0)) / (1 - F(s0)) = u, that is
+    ``kernel.integrated_increment(s0, w) = -log1p(-u)``.  Flat total
+    intensity gives the closed exponential form.  Otherwise the increment,
+    formed directly rather than as a difference of integrated intensities
+    (which cancels at large ages), is inverted by Newton's method with the
+    total intensity as derivative.  The intensity is nondecreasing, so the
+    increment is convex in w: the start ``target / h(s0)`` lies right of the
+    root and the iterates fall onto it.  A bracket safeguards the iteration
+    (an iterate outside it is replaced by a bisection step), and a step too
+    small to move the iterate probes the adjacent float instead.  The draw is
+    the upper end of the bracket once its ends are adjacent floats: the
+    smallest w at which the computed increment reaches the target, so it is
+    nondecreasing in ``u`` wherever the computed increment is nondecreasing
+    in w (rounding can break that by a few ulps where the increment cancels,
+    as with a saturating intensity of base zero at small w).
     """
     if not 0.0 < u < 1.0:
         raise ValueError(f"u must lie strictly inside (0, 1), got {u}")
+    if not math.isfinite(s0):
+        raise ValueError(f"current age must be finite, got {s0}")
     if s0 < 0:
         raise ValueError("current age must be nonnegative")
     target = -math.log1p(-u)  # integrated intensity the increment must accrue
     if kernel.is_memoryless:
         return target / kernel.total_intensity(0.0)
-    lam0 = kernel.integrated_intensity(s0)
-
-    def gap(w: float) -> float:
-        return kernel.integrated_intensity(s0 + w) - lam0 - target
-
-    hi = 1.0 / max(kernel.total_intensity(s0), 1e-12)
-    while gap(hi) < 0.0:
-        hi *= 2.0
-    lo = 0.0
-    for _ in range(_BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        if gap(mid) < 0.0:
-            lo = mid
+    lo, hi = 0.0, math.inf  # the increment is below the target at lo, not below at hi
+    w = target / kernel.total_intensity(s0)
+    for _ in range(_MAX_STEPS):
+        gap = kernel.integrated_increment(s0, w) - target
+        if gap < 0.0:
+            lo = w
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            hi = w
+        if math.nextafter(lo, math.inf) == hi:
+            break
+        step = w - gap / kernel.total_intensity(s0 + w)
+        if step == w:  # converged to within an ulp: probe the neighbour toward the root
+            step = math.nextafter(w, math.inf if gap < 0.0 else 0.0)
+        w = step if lo < step < hi else 0.5 * (lo + hi)
+    return hi
 
 
 def sample_transition(kernel: SemiMarkovKernel, i: int, y: float, u: float) -> int:

@@ -87,6 +87,10 @@ class GridSpec:
             raise ValueError("n_t must be at least 2")
         if self.n_s < 1:
             raise ValueError("n_s must be at least 1")
+        for name in ("tol_fp", "tail_tol", "s_max"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.tol_fp <= 0 or self.tail_tol <= 0:
             raise ValueError("tolerances must be positive")
         if self.tail_tol >= 1:
@@ -811,8 +815,23 @@ def load_field_csv(path) -> ValueField:
     nodes = np.array([lattice.locate(p) for p in prices.tolist()], dtype=int)
     states, i_rows = np.unique(i_col, return_inverse=True)
     slots = np.array([_STATE_INDEX[i] for i in states.tolist()], dtype=int)
-    ki = np.rint(t_col / (t_grid[1] - t_grid[0])).astype(int)
-    core[ki, nodes[p_rows], slots[i_rows]] = values
+    steps = t_col / (t_grid[1] - t_grid[0])
+    ki = np.rint(steps)
+    off = np.flatnonzero(~((np.abs(steps - ki) <= 1e-9) & (ki >= 0) & (ki <= n_t)))
+    if off.size:
+        raise ValueError(
+            f"{path}: row at t = {float(t_col[off[0]])!r} is off the time grid "
+            f"of {n_t} steps on [0, {meta['horizon']}]"
+        )
+    cells = np.ravel_multi_index((ki.astype(int), nodes[p_rows], slots[i_rows]), core.shape)
+    _, first = np.unique(cells, return_index=True)
+    if first.size < cells.size:
+        row = np.setdiff1d(np.arange(cells.size), first)[0]
+        raise ValueError(
+            f"{path}: field file covers the cell at t = {float(t_col[row])!r}, "
+            f"p = {float(p_col[row])!r}, state {int(i_col[row])} twice"
+        )
+    core.flat[cells] = values
     if np.any(np.isnan(core)):
         raise ValueError("field file does not cover the full grid")
     return ValueField(

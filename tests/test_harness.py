@@ -166,6 +166,21 @@ class TestCommands:
         assert meta["config_sha256"] == cfg.config_hash
         assert meta["master_seed"] == cfg.seed
 
+    def test_simulate_at_a_large_age(self, tmp_path):
+        # saturated from the start, so no jump before the horizon has
+        # probability exp(-2 * horizon); a holding gap formed as a difference of
+        # integrated intensities cancels at this age and leaves every path jump-free
+        data = preset_config("saturating-hazard")
+        data["initial"]["age"] = 1e17
+        data["run"]["n_paths"] = 2000
+        rc = main(["simulate", "--config", write_config(tmp_path, data), "--out",
+                   str(tmp_path / "out"), "--quiet"])
+        assert rc == 0
+        paths = json.loads((tmp_path / "out" / "paths_summary.json").read_text())["paths"]
+        no_jump = sum(p["n_big_jumps"] == 0 for p in paths) / len(paths)
+        p0 = math.exp(-2.0)
+        assert abs(no_jump - p0) <= 4.0 * math.sqrt(p0 * (1.0 - p0) / len(paths))
+
     def test_solve_u_requires_solve_pi(self, tmp_path, capsys):
         cfg = load_config("symmetric-martingale")
         rc = run_command("solve-u", cfg, out_dir=str(tmp_path), quiet=True)

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from semitick import (
@@ -13,6 +15,7 @@ from semitick import (
     BigJump,
     ConstantIntensity,
     HoldPolicy,
+    SaturatingIntensity,
     MarketState,
     RandomQuotePolicy,
     MarkLayout,
@@ -55,6 +58,94 @@ class TestSampleHolding:
             f0 = saturating_kernel.holding_cdf(s0)
             fw = saturating_kernel.holding_cdf(s0 + w)
             assert fw - f0 == pytest.approx(u * (1.0 - f0), abs=1e-10)
+
+
+# constant continuation beside a saturating reversal that starts at zero: the
+# saturating part of the increment is all cancellation at small w
+MIXED_KERNEL = SemiMarkovKernel(
+    ConstantIntensity(0.4), SaturatingIntensity(base=0.0, gain=3.0, rate=0.5), 0.01
+)
+GRID_S0 = np.linspace(0.0, 3.0, 31).tolist()
+GRID_U = np.linspace(1e-6, 1.0 - 1e-6, 80).tolist()
+
+
+def bisect_holding(gap, s0, kernel):
+    """The 100-step bracketed bisection the Newton inversion replaced."""
+    hi = 1.0 / max(kernel.total_intensity(s0), 1e-12)
+    while gap(hi) < 0.0:
+        hi *= 2.0
+    lo = 0.0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if gap(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.fixture(params=["saturating", "mixed"])
+def age_kernel(request, saturating_kernel):
+    return saturating_kernel if request.param == "saturating" else MIXED_KERNEL
+
+
+class TestNewtonHolding:
+    def test_matches_bisection_on_the_increment(self, age_kernel):
+        worst = 0.0
+        for s0 in GRID_S0:
+            for u in GRID_U:
+                target = -math.log1p(-u)
+                ref = bisect_holding(
+                    lambda w: age_kernel.integrated_increment(s0, w) - target, s0, age_kernel
+                )
+                worst = max(worst, abs(sample_holding(age_kernel, s0, u) - ref) / ref)
+        assert worst <= 1e-14
+
+    def test_matches_bisection_on_the_integrated_intensity(self, age_kernel):
+        # the old gap Lambda(s0 + w) - Lambda(s0) carries a rounding of about
+        # eps * Lambda(s0 + w), which moves its root by that over h(s0 + w)
+        eps = np.finfo(float).eps
+        for s0 in GRID_S0:
+            lam0 = age_kernel.integrated_intensity(s0)
+            for u in GRID_U:
+                target = -math.log1p(-u)
+                ref = bisect_holding(
+                    lambda w: age_kernel.integrated_intensity(s0 + w) - lam0 - target,
+                    s0, age_kernel,
+                )
+                w = sample_holding(age_kernel, s0, u)
+                lam, h = age_kernel.integrated_intensity(s0 + w), age_kernel.total_intensity(s0 + w)
+                assert abs(w - ref) <= 16.0 * eps * lam / h, (s0, u)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        which=st.sampled_from(["saturating", "mixed"]),
+        s0=st.floats(0.0, 1e300),
+        pair=st.lists(st.floats(2.0**-53, 1.0 - 2.0**-53), min_size=2, max_size=2),
+    )
+    def test_draw_solves_the_increment(self, saturating_kernel, which, s0, pair):
+        kernel = saturating_kernel if which == "saturating" else MIXED_KERNEL
+        draws = []
+        for u in sorted(pair):
+            w = sample_holding(kernel, s0, u)
+            target = -math.log1p(-u)
+            assert math.isfinite(w) and w > 0.0
+            assert abs(kernel.integrated_increment(s0, w) - target) <= 1e-14 * target
+            draws.append(w)
+        assert draws[0] <= draws[1]
+
+    @pytest.mark.parametrize("s0", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_age_refused(self, saturating_kernel, symmetric_kernel, s0):
+        for kernel in (saturating_kernel, symmetric_kernel):
+            with pytest.raises(ValueError, match=f"current age must be finite, got {s0}"):
+                sample_holding(kernel, s0, 0.5)
+
+    def test_large_age_draws_from_the_saturated_tail(self, saturating_kernel):
+        # past saturation the holding is exponential at the total bound 2.0; a
+        # difference of integrated intensities would cancel to zero at age 1e17
+        u = 1.0 - math.exp(-2.0)
+        for s0 in (40.0, 1e17, 1e300):
+            assert sample_holding(saturating_kernel, s0, u) == pytest.approx(1.0, rel=1e-15)
 
 
 class TestSampleTransition:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -221,6 +222,13 @@ class TestFixedPoint:
         with pytest.raises(ValueError):
             GridSpec(n_t=10, tol_fp=0.0)
 
+    @pytest.mark.parametrize("name", ["tol_fp", "tail_tol", "s_max"])
+    def test_grid_refuses_non_finite(self, name):
+        # NaN is neither <= 0 nor >= 1, so the range checks alone let it through
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
+                GridSpec(n_t=10, **{name: value})
+
 
 class TestExtension:
     def test_age_zero_slice_reproduces_core(self, saturating_kernel):
@@ -370,6 +378,30 @@ class TestFieldIO:
             load_field_csv(out)
         out.write_text(header + "\n" + body.rstrip("\n").rsplit("\n", 1)[0] + "\n")
         with pytest.raises(ValueError, match="does not cover the full grid"):
+            load_field_csv(out)
+
+    @pytest.mark.parametrize("steps", [-1.0, 21.0, 0.4])
+    def test_row_off_the_time_grid_refused(self, saturating_kernel, tmp_path, steps):
+        # unchecked, t = -h would write the last time row through negative
+        # indexing and t = 0.4 h would round onto row 0
+        field = solve_expected_price(saturating_kernel, GridSpec(n_t=20), 1.0, 1.0)
+        out = tmp_path / "field.csv"
+        save_field_csv(field, out)
+        t = steps * float(field.t_grid[1] - field.t_grid[0])
+        lines = out.read_text().splitlines(keepends=True)
+        lines[2] = f"{t!r}," + lines[2].split(",", 1)[1]
+        out.write_text("".join(lines))
+        with pytest.raises(ValueError, match=rf"row at t = {re.escape(repr(t))} is off the time"):
+            load_field_csv(out)
+
+    def test_cell_covered_twice_refused(self, saturating_kernel, tmp_path):
+        field = solve_expected_price(saturating_kernel, GridSpec(n_t=20), 1.0, 1.0)
+        out = tmp_path / "field.csv"
+        save_field_csv(field, out)
+        lines = out.read_text().splitlines(keepends=True)
+        out.write_text("".join(lines + [lines[5]]))
+        t, p, i = lines[5].split(",")[:3]
+        with pytest.raises(ValueError, match=rf"cell at t = {t}, p = {p}, state {i} twice"):
             load_field_csv(out)
 
 
