@@ -85,9 +85,13 @@ class ConstantIntensity:
         out = self.level * y
         return float(out) if out.ndim == 0 else out
 
-    def increment(self, s0: float, w: float) -> float:
-        """Integrated intensity on [s0, s0 + w] (scalar)."""
-        return self.level * w
+    def increment(self, s0, w):
+        """Integrated intensity on [s0, s0 + w]; broadcasts over both."""
+        if isinstance(s0, (float, int)) and isinstance(w, (float, int)):
+            return self.level * w
+        _, w = np.broadcast_arrays(np.asarray(s0, dtype=float), np.asarray(w, dtype=float))
+        out = self.level * w
+        return float(out) if out.ndim == 0 else out
 
     @property
     def upper_bound(self) -> float:
@@ -144,12 +148,19 @@ class SaturatingIntensity:
         )
         return float(out) if out.ndim == 0 else out
 
-    def increment(self, s0: float, w: float) -> float:
-        """Integrated intensity on [s0, s0 + w] (scalar), formed without the
-        difference ``integral(s0 + w) - integral(s0)``, which cancels at large s0."""
-        return (self.base + self.gain) * w + (self.gain / self.rate) * math.exp(
+    def increment(self, s0, w):
+        """Integrated intensity on [s0, s0 + w], formed without the difference
+        ``integral(s0 + w) - integral(s0)``, which cancels at large s0;
+        broadcasts over both, with a scalar path for the holding-time draws."""
+        if isinstance(s0, (float, int)) and isinstance(w, (float, int)):
+            return (self.base + self.gain) * w + (self.gain / self.rate) * math.exp(
+                -self.rate * s0
+            ) * math.expm1(-self.rate * w)
+        s0, w = np.asarray(s0, dtype=float), np.asarray(w, dtype=float)
+        out = (self.base + self.gain) * w + (self.gain / self.rate) * np.exp(
             -self.rate * s0
-        ) * math.expm1(-self.rate * w)
+        ) * np.expm1(-self.rate * w)
+        return float(out) if out.ndim == 0 else out
 
     @property
     def upper_bound(self) -> float:
@@ -219,9 +230,9 @@ class SemiMarkovKernel:
     def integrated_intensity(self, y):
         return self.continuation.integral(y) + self.reversal.integral(y)
 
-    def integrated_increment(self, s0: float, w: float) -> float:
+    def integrated_increment(self, s0, w):
         """Total integrated intensity on [s0, s0 + w], the log-survival of a
-        holding of length ``w`` that starts at age ``s0`` (scalar)."""
+        holding of length ``w`` that starts at age ``s0``; broadcasts over both."""
         return self.continuation.increment(s0, w) + self.reversal.increment(s0, w)
 
     def directed_intensity(self, i: int, j: int, y):

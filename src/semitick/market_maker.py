@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import threading
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -40,9 +42,10 @@ from .solver import (
     GridSpec,
     ProblemSpec,
     ValueField,
+    _CharacteristicSweep,
     _interp_time,
+    _source_integrals,
     _write_rows,
-    characteristic_slices,
     extension_slice,
     solve_fixed_point,
 )
@@ -67,6 +70,13 @@ __all__ = [
 ]
 
 _STATE_INDEX = {s: k for k, s in enumerate(STATES)}
+# price direction of successor slot 0 and 1: successors(i) lists the one
+# entering a down state first
+_SLOT_DIRECTIONS = (-1, +1)
+# fewest lattice nodes in a block of the source integral: a block pays about
+# 60 us of interpreter time per age, under the interpreter lock, which a
+# narrower block would not earn back on many CPUs
+_MIN_BLOCK_NODES = 32
 # policy.csv tails "quote_ask,quote_bid" indexed by 2 * ask bit + bid bit
 _QUOTE_BITS = ("0,0", "0,1", "1,0", "1,1")
 # paths simulated before each policy is called once on all of their events
@@ -110,10 +120,12 @@ class MarketMakingSpec:
 class QuoteGainSource:
     """Per-side quote gain rates and the running source sum(max(rate, 0)).
 
-    Serves two callers: grid slabs for the quoting-premium solve (streamed
-    from one characteristic sweep of the expected-price field, or one
-    age-free source when everything is flat) and pointwise evaluation along
-    simulated paths, which broadcasts over arrays of points.
+    Serves two callers: the quoting-premium solve, which takes the integrated
+    source from :meth:`integrals`, and pointwise evaluation along simulated
+    paths, which broadcasts over arrays of points.  Grid rates are held on
+    flat (node, state) columns, one array per successor slot: slot 0 is the
+    successor that moves the price down, slot 1 the one that moves it up, the
+    order in which ``successors`` lists them.
     """
 
     def __init__(
@@ -138,19 +150,20 @@ class QuoteGainSource:
             +1: self.lattice.image_maps(+1),
             -1: self.lattice.image_maps(-1),
         }
+        self._prices = np.repeat(self.lattice.prices, len(STATES))
+        self._edge_cols = np.broadcast_to(self._edge(self._prices), self._prices.shape)
         # the big-order edge d * (price - age-zero expected price at the jump
-        # image) + edge, per (direction, target state); only its factor
-        # h_dir(age) * big_size depends on the age
+        # image) + edge per successor slot on (time, node x state); only its
+        # factor h_dir(age) * big_size depends on the age
         prices = self.lattice.prices[None, :]
-        self._big_edge = {}
-        for i in STATES:
-            for j in successors(i):
-                d = alpha(j)
-                key = (d, j)
-                if key not in self._big_edge:
-                    idx, scale = self._img[d]
-                    image = price_field.core[:, idx, _STATE_INDEX[j]] * scale[None, :]
-                    self._big_edge[key] = d * (prices - image) + self._edge(prices)
+        self._big_edge = []
+        for b, d in enumerate(_SLOT_DIRECTIONS):
+            idx, scale = self._img[d]
+            big_edge = np.empty_like(price_field.core)
+            for ii, i in enumerate(STATES):
+                image = price_field.core[:, idx, _STATE_INDEX[successors(i)[b]]] * scale[None, :]
+                big_edge[:, :, ii] = d * (prices - image) + self._edge(prices)
+            self._big_edge.append(big_edge.reshape(len(big_edge), -1))
         self._age_free = price_field.age_invariant and layout.is_memoryless
 
     def _price_slice(self, age: float) -> np.ndarray:
@@ -164,57 +177,106 @@ class QuoteGainSource:
             return prices * self.kernel.delta - self.mmspec.transaction_cost
         return self.kernel.delta - self.mmspec.transaction_cost
 
+    def _age_terms(self, age: float) -> list:
+        """``(flow, coef)`` per successor slot at one age: the small-order flow
+        times its mean size, and h_dir(age) * big_size for each state."""
+        cont, rev = self.kernel.continuation.value(age), self.kernel.reversal.value(age)
+        big = self.mmspec.big_size
+        terms = []
+        for d in _SLOT_DIRECTIONS:
+            flow = self.layout.side_flow(d).value(age) * self.layout.mean_size(d)
+            terms.append((flow, np.array([(cont if alpha(i) == d else rev) * big for i in STATES])))
+        return terms
+
+    def _rates_into(self, out, scratch, b: int, flow, coef, pi, cols, first: int):
+        """Gain rate toward successor slot ``b`` on the flat columns ``cols``
+        and time rows ``first..n_t``, from the expected price ``pi`` there:
+        flow * (d * (price - pi) + edge) + h_dir * big_size * big-order edge,
+        with ``coef`` = h_dir * big_size per state."""
+        # d * (price - pi), where -(price - pi) is pi - price bit for bit
+        if _SLOT_DIRECTIONS[b] > 0:
+            np.subtract(self._prices[cols], pi, out=out)
+        else:
+            np.subtract(pi, self._prices[cols], out=out)
+        out += self._edge_cols[cols]
+        out *= flow
+        coef_row = np.tile(coef, out.shape[1] // len(STATES))
+        out += np.multiply(self._big_edge[b][first:, cols], coef_row, out=scratch)
+        return out
+
+    def _source_into(self, bufs, terms, pi, cols, first: int) -> np.ndarray:
+        """max(rate, 0) summed over both successors, into ``bufs[0]``; ``bufs``
+        holds three arrays shaped like ``pi``."""
+        down, up, scratch = bufs
+        for b, (out, (flow, coef)) in enumerate(zip((down, up), terms)):
+            np.maximum(self._rates_into(out, scratch, b, flow, coef, pi, cols, first), 0.0, out=out)
+        down += up
+        return down
+
     def gain_rates_at_age(self, age: float) -> dict:
         """Gain-rate arrays (time, node) for every transition (i, j) at one age."""
-        return dict(self._gain_rates(age, self._price_slice(age)))
+        pi = self._price_slice(age)
+        flat = pi.reshape(len(pi), -1)
+        rates = []
+        for b, (flow, coef) in enumerate(self._age_terms(age)):
+            out = np.empty_like(flat)
+            self._rates_into(out, np.empty_like(flat), b, flow, coef, flat, slice(None), 0)
+            rates.append(out.reshape(pi.shape))
+        return {
+            (i, j): rates[b][:, :, ii]
+            for ii, i in enumerate(STATES) for b, j in enumerate(successors(i))
+        }
 
-    def _gain_rates(self, age: float, pi_rows: np.ndarray, first: int = 0):
-        """Yield ((i, j), rates on time nodes >= first) one transition at a
-        time, from the expected price ``pi_rows`` at ``age`` on those nodes,
-        so a caller that folds them holds one array, not all eight."""
-        prices = self.lattice.prices[None, :]
-        edge = self._edge(prices)
-        big = self.mmspec.big_size
-        for i in STATES:
-            ii = _STATE_INDEX[i]
-            for j in successors(i):
-                d = alpha(j)
-                flow = self.layout.side_flow(d).value(age) * self.layout.mean_size(d)
-                h_dir = (
-                    self.kernel.continuation.value(age)
-                    if alpha(i) == d
-                    else self.kernel.reversal.value(age)
-                )
-                small = flow * (d * (prices - pi_rows[:, :, ii]) + edge)
-                large = h_dir * big * self._big_edge[(d, j)][first:]
-                yield (i, j), small + large
+    def integrals(self, q_source: np.ndarray) -> np.ndarray:
+        """Integrated running source on the (time, node, state) grid: over
+        every age node d, the d-th diagonal of the survival-weighted
+        quadrature matrix ``q_source`` times the source at age ``d*h`` on
+        time nodes ``d..n_t``.
 
-    def slab(self, d: int, pi_rows: np.ndarray) -> np.ndarray:
-        """Source values at age ``d*h`` on every (time node >= d, lattice node,
-        state), from the expected price ``pi_rows`` at that age on those nodes."""
+        An age-dependent source is folded by :meth:`_fold_block`, one pass per
+        block of lattice nodes (:func:`_node_blocks`), each block on its own
+        thread.  Blocks write disjoint columns and every element keeps its
+        operations and their order, so the result does not depend on the
+        number of blocks.  Every kernel, layout and payoff evaluation happens
+        here, on the calling thread.
+        """
+        n_rows = len(self.field.t_grid)
         if self._age_free:
-            # one source serves every age: slab d is its tail from time node d on
-            return self._age_free_source[d:]
+            return _source_integrals(
+                q_source, ((d, self.slab(d)) for d in range(n_rows)), self.lattice.n_nodes
+            )
         h = self.field.t_grid[1] - self.field.t_grid[0]
-        return self._source_rows(self._gain_rates(d * h, pi_rows, d), d)
-
-    def slabs(self):
-        """Yield ``(d, slab(d))`` for every age node, for the quoting-premium solve."""
-        core = self.field.core
-        if self.field.age_invariant:
-            for d in range(len(self.field.t_grid)):
-                yield d, self.slab(d, core[d:])
-            return
-        for d, pi_rows in characteristic_slices(self.field):
-            # age zero reads the iterated core, as _price_slice does
-            yield d, self.slab(d, core if d == 0 else pi_rows)
-
-    def _source_rows(self, rates, d: int) -> np.ndarray:
-        """Per-state sum of max(rate, 0) over ((i, j), rates) pairs, nodes >= d."""
-        out = np.zeros((len(self.field.t_grid) - d, self.lattice.n_nodes, len(STATES)))
-        for (i, _), rates_ij in rates:
-            out[:, :, _STATE_INDEX[i]] += np.maximum(rates_ij, 0.0)
+        terms = [self._age_terms(d * h) for d in range(n_rows)]
+        sweep = None if self.field.age_invariant else _CharacteristicSweep(self.field)
+        out = np.zeros(self.field.core.shape)
+        flat, core = out.reshape(n_rows, -1), self.field.core.reshape(n_rows, -1)
+        tasks = []
+        for lo, hi in _node_blocks(self.lattice.n_nodes):
+            # every buffer is allocated here, on the calling thread (see
+            # _CharacteristicSweep.rows)
+            cols = slice(lo * len(STATES), hi * len(STATES))
+            ages = _price_ages(core[:, cols], sweep, lo, hi)
+            bufs = [np.empty((n_rows, cols.stop - cols.start)) for _ in range(3)]
+            tasks.append(partial(self._fold_block, flat, q_source, terms, ages, bufs, cols))
+        _on_threads(tasks)
         return out
+
+    def _fold_block(self, out, q_source, terms, ages, bufs, cols) -> None:
+        """Add the integrated source of the flat columns ``cols`` to ``out``
+        (time, node x state): per ``(d, expected price)`` pair of ``ages``,
+        the gain rates, max(rate, 0) and the diagonal fold in one pass, in
+        the three buffers ``bufs`` of ``out``'s length."""
+        for d, pi in ages:
+            n = len(pi)
+            source = self._source_into([buf[:n] for buf in bufs], terms[d], pi, cols, d)
+            source *= q_source.diagonal(d)[:, None]
+            out[:n, cols] += source
+
+    def slab(self, d: int) -> np.ndarray:
+        """Age-free source on every (time node >= d, lattice node, state): with
+        flat hazards and flat flow one source serves every age, and the one at
+        age ``d*h`` is its tail from time node d on."""
+        return self._age_free_source[d:]
 
     @cached_property
     def _age_free_rates(self) -> dict:
@@ -224,7 +286,10 @@ class QuoteGainSource:
 
     @cached_property
     def _age_free_source(self) -> np.ndarray:
-        return self._source_rows(self._gain_rates(0.0, self.field.core), 0)
+        core = self.field.core
+        flat = core.reshape(len(core), -1)
+        bufs = [np.empty_like(flat) for _ in range(3)]
+        return self._source_into(bufs, self._age_terms(0.0), flat, slice(None), 0).reshape(core.shape)
 
     def _nodes(self, p) -> np.ndarray:
         """Lattice nodes of an array of prices; each distinct price is located
@@ -305,6 +370,49 @@ class QuoteGainSource:
         return total
 
 
+def _price_ages(core, sweep, lo: int, hi: int):
+    """``(d, expected price at age d*h on time rows d..n_t)`` for every age
+    node, on the core columns ``core`` of lattice nodes ``lo..hi-1``: from
+    the characteristic ``sweep``, or from the core of an age-invariant field
+    when ``sweep`` is None.  Age zero reads the iterated core, as
+    ``QuoteGainSource._price_slice`` does."""
+    if sweep is None:
+        return ((d, core[d:]) for d in range(len(core)))
+    return ((d, core if d == 0 else pi) for d, pi in sweep.rows(lo, hi))
+
+
+def _node_blocks(n_nodes: int) -> list:
+    """``(lo, hi)`` bounds of contiguous blocks of the lattice nodes
+    ``0..n_nodes-1``, one block per CPU this process may run on, as long as
+    each block keeps ``_MIN_BLOCK_NODES`` nodes."""
+    n_blocks = max(1, min(len(os.sched_getaffinity(0)), n_nodes // _MIN_BLOCK_NODES))
+    return [(n_nodes * k // n_blocks, n_nodes * (k + 1) // n_blocks) for k in range(n_blocks)]
+
+
+def _on_threads(tasks) -> None:
+    """Run the callables ``tasks`` at once: the first on the calling thread,
+    every other on a thread of its own.  numpy releases the interpreter lock
+    inside its loops, so numpy work runs in parallel.  Once every task is
+    done, the exception of the first task that failed is re-raised here."""
+    errors = [None] * len(tasks)
+
+    def run(k):
+        try:
+            tasks[k]()
+        except BaseException as exc:  # re-raised on the calling thread below
+            errors[k] = exc
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(1, len(tasks))]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+
+
 def quote_gain_rate(
     kernel: SemiMarkovKernel,
     layout: MarkLayout,
@@ -368,9 +476,10 @@ def solve_quote_value(
 ) -> ValueField:
     """Expected optimal quoting premium: zero payoff, source sum(max(rate, 0)).
 
-    Shares the expected-price field's time grid and lattice so the source can
-    be streamed, one age at a time, from a characteristic sweep of that
-    field.  The result is nonnegative and vanishes at the horizon.
+    Shares the expected-price field's time grid and lattice so the source
+    integral can be folded from one characteristic sweep of that field
+    (:meth:`QuoteGainSource.integrals`).  The result is nonnegative and
+    vanishes at the horizon.
     """
     mmspec.require_risk_neutral("the quoting premium")
     n_t = len(price_field.t_grid) - 1
@@ -384,7 +493,7 @@ def solve_quote_value(
     problem = ProblemSpec(g=lambda p: np.zeros_like(np.asarray(p, dtype=float)), w=source)
     fld = solve_fixed_point(
         kernel, problem, grid, price_field.horizon, price_field.lattice.p0,
-        source=source.slabs(),
+        source=source.integrals,
         lattice=price_field.lattice,
     )
     fld.age_invariant = layout.is_memoryless

@@ -84,12 +84,12 @@ class MarketState:
     age: float
 
     def __post_init__(self):
-        if self.price <= 0:
-            raise ValueError(f"price must be > 0, got {self.price}")
+        if not (math.isfinite(self.price) and self.price > 0):
+            raise ValueError(f"price must be finite and > 0, got {self.price}")
         if self.state not in (1, 2, 3, 4):
             raise ValueError(f"state must be in {{1,2,3,4}}, got {self.state}")
-        if self.age < 0:
-            raise ValueError(f"age must be >= 0, got {self.age}")
+        if not (math.isfinite(self.age) and self.age >= 0):
+            raise ValueError(f"age must be finite and >= 0, got {self.age}")
 
 
 @dataclass(frozen=True)

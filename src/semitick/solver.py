@@ -5,9 +5,9 @@ fixed-point equation whose unknown enters only through its age-zero slices.
 Picard iteration therefore runs on a core array indexed by (time node, price
 lattice node, direction state); any other age is recovered afterwards from
 the core by a single application of the operator at that age
-(:func:`extension_slice`), by one streamed sweep along the characteristics
-for every grid age at once (:func:`characteristic_slices`), or exactly at
-scattered points (:meth:`ValueField.read`).
+(:func:`extension_slice`), by one sweep along the characteristics for every
+grid age at once (:class:`_CharacteristicSweep`, run on blocks of lattice
+nodes), or exactly at scattered points (:meth:`ValueField.read`).
 
 Quadrature along the time axis is composite Simpson on the uniform grid, with
 the leading interval of odd-length rows handled by a Simpson step whose
@@ -284,11 +284,13 @@ class _OperatorTables:
 def _build_tables(kernel: SemiMarkovKernel, t_grid: np.ndarray, sigma: float) -> _OperatorTables:
     n_t = len(t_grid) - 1
     h = t_grid[1] - t_grid[0]
-    ages = sigma + h * np.arange(n_t + 1)
-    lam0 = kernel.integrated_intensity(sigma)
-    survival = np.exp(lam0 - np.asarray(kernel.integrated_intensity(ages)))
+    offsets = h * np.arange(n_t + 1)
+    ages = sigma + offsets
+    # survival ratios from the increment, not a difference of integrated
+    # intensities, which cancels at large sigma
+    survival = np.exp(-np.asarray(kernel.integrated_increment(sigma, offsets)))
     half_age = sigma + 0.5 * h
-    half_surv = math.exp(lam0 - kernel.integrated_intensity(half_age))
+    half_surv = math.exp(-kernel.integrated_increment(sigma, 0.5 * h))
     fp_cont = np.asarray(kernel.continuation.value(ages)) * survival
     fp_rev = np.asarray(kernel.reversal.value(ages)) * survival
     half_cont = kernel.continuation.value(half_age) * half_surv
@@ -331,28 +333,29 @@ def _pointwise_slabs(problem: ProblemSpec, t_grid: np.ndarray, lattice: PriceLat
         yield d, slab
 
 
-def _source_integrals(tables: _OperatorTables, slabs, n_nodes: int) -> np.ndarray:
+def _source_integrals(q_source: np.ndarray, slabs, n_nodes: int) -> np.ndarray:
     """Integrated running-source term on the (time, node, state) grid.
 
     ``slabs`` yields ``(d, values)`` pairs, ``values`` being the source at age
-    offset ``d*h`` on every (time node m >= d, lattice node, state); each pair
-    is folded in as it arrives, so the caller can stream them.
+    offset ``d*h`` on every (time node m >= d, lattice node, state), and
+    ``q_source`` is the survival-weighted quadrature matrix; each pair is
+    folded in with its diagonal ``d`` as it arrives.
     """
-    n_t = len(tables.survival) - 1
+    n_t = len(q_source) - 1
     out = np.zeros((n_t + 1, n_nodes, len(STATES)))
     for d, slab in slabs:
-        out[: n_t + 1 - d] += tables.q_source.diagonal(d)[:, None, None] * slab
-    if not np.all(np.isfinite(out)):
-        raise SolverError("running source produced non-finite integrals")
+        out[: n_t + 1 - d] += q_source.diagonal(d)[:, None, None] * slab
     return out
 
 
 class _AgeOperator:
     """One application of the value operator at a fixed age offset.
 
-    ``source``, when given, is an iterable of ``(d, values)`` source slabs at
-    offset zero (see :func:`_source_integrals`); otherwise a problem with a
-    running source is sampled pointwise at the operator's offset.
+    ``source``, when given, maps the survival-weighted quadrature matrix
+    ``q_source`` to the integrated running source on the (time, node, state)
+    grid (:func:`_source_integrals` folds it from per-age slabs); otherwise a
+    problem with a running source is sampled pointwise at the operator's
+    offset.
     """
 
     def __init__(
@@ -369,12 +372,17 @@ class _AgeOperator:
         self.tables = _build_tables(kernel, t_grid, sigma)
         self.payoff = problem.payoff_on(lattice.prices)
         self.branches = _branch_maps(lattice)
-        if source is None and problem.w is not None:
-            source = _pointwise_slabs(problem, t_grid, lattice, sigma)
-        self.source = (
-            None if source is None
-            else _source_integrals(self.tables, source, lattice.n_nodes)
-        )
+        if source is not None:
+            self.source = source(self.tables.q_source)
+        elif problem.w is not None:
+            self.source = _source_integrals(
+                self.tables.q_source, _pointwise_slabs(problem, t_grid, lattice, sigma),
+                lattice.n_nodes,
+            )
+        else:
+            self.source = None
+        if self.source is not None and not np.all(np.isfinite(self.source)):
+            raise SolverError("running source produced non-finite integrals")
 
     def apply(self, core: np.ndarray) -> np.ndarray:
         out = np.empty_like(core)
@@ -431,9 +439,10 @@ def solve_fixed_point(
 ) -> ValueField:
     """Picard iteration from the terminal payoff until the grid norm settles.
 
-    ``source``, when given, is an iterable of ``(d, values)`` running-source
-    slabs (see :func:`_source_integrals`) that replaces pointwise sampling of
-    ``problem.w``; it is consumed once.  Returns the age-zero core with its
+    ``source``, when given, maps the survival-weighted quadrature matrix of
+    the age-zero operator to the integrated running source on the (time,
+    node, state) grid, in place of pointwise sampling of ``problem.w``; it is
+    called once.  Returns the age-zero core with its
     per-step difference norms and contraction ratios.  Raises
     :class:`ConvergenceError` (carrying the ratio history) if
     ``grid.max_iter`` sweeps do not reach ``grid.tol_fp``.
@@ -494,6 +503,19 @@ def characteristic_slices(field: ValueField):
     """Yield ``(d, values)`` for d = n_t, ..., 0: the extension at age ``d*h``
     on time rows ``d..n_t``, for a field without a running source.
 
+    Runs :class:`_CharacteristicSweep` over the whole lattice; ``values``
+    (time row, node, state) is overwritten by the next step.
+    """
+    sweep = _CharacteristicSweep(field)
+    shape = field.core.shape[1:]
+    for d, values in sweep.rows(0, field.lattice.n_nodes):
+        yield d, values.reshape((len(values),) + shape)
+
+
+class _CharacteristicSweep:
+    """The extension at every grid age ``d*h`` by one sweep along the
+    characteristics.
+
     The survival ratio in the extension integral factorises as
     exp(L(d*h)) * exp(-L(a*h)) with L the integrated intensity, so along each
     characteristic c = k - d the integrand at time node m depends on m and c
@@ -502,85 +524,119 @@ def characteristic_slices(field: ValueField):
     odd-row head step of :func:`_quad_matrix`: O(n_t**2 * nodes) for all
     ages, where one :func:`extension_slice` per age costs O(n_t**3 * nodes).
     Only the running sums and the current slice are held.
+
+    The kernel tables are evaluated once, here; :meth:`rows` is numpy
+    arithmetic on the columns of one block of lattice nodes, each column
+    independent of every other, so blocks may run on separate threads.
     """
-    if field.kernel is None or field.problem is None:
-        raise ValueError("field carries no solve context")
-    if field.problem.w is not None:
-        raise ValueError("the characteristic sweep needs a field without a running source")
-    kernel, core = field.kernel, field.core
-    n_t = len(field.t_grid) - 1
-    h = field.t_grid[1] - field.t_grid[0]
-    ages = h * np.arange(n_t + 1)
-    half_ages = ages[:-1] + 0.5 * h
-    lam = np.asarray(kernel.integrated_intensity(ages))
-    # exp(+-L) stay finite: the 80-jump cap of max_jumps_for_tail bounds the
-    # intensity times the horizon, which keeps L(T) below about 50
-    grow = np.exp(lam)
-    decay = np.exp(-lam)
-    half_decay = np.exp(-np.asarray(kernel.integrated_intensity(half_ages)))
-    rates = {"cont": kernel.continuation.value(ages), "rev": kernel.reversal.value(ages)}
-    half_rates = {
-        "cont": kernel.continuation.value(half_ages), "rev": kernel.reversal.value(half_ages)
-    }
-    # per successor slot b: jump targets y_b on (time, node x state), and
-    # the integrand factor f_b = h_ij(a*h) * exp(-L(a*h)) on (age, state);
-    # rows stay flat so every product streams along node x state
-    n_nodes = field.lattice.n_nodes
-    targets, factors, half_factors = [], [], []
-    branches = _branch_maps(field.lattice)
-    for b in (0, 1):
-        y = np.empty_like(core)
-        f = np.empty((n_t + 1, len(STATES)))
-        f_half = np.empty((n_t, len(STATES)))
-        for ii, i in enumerate(STATES):
-            kind, j_idx, img, scale = branches[i][b]
-            y[:, :, ii] = core[:, img, j_idx] * scale[None, :]
-            f[:, ii] = rates[kind] * decay
-            f_half[:, ii] = half_rates[kind] * half_decay
-        targets.append(y.reshape(n_t + 1, -1))
-        factors.append(f)
-        half_factors.append(f_half)
-    payoff = np.repeat(field.problem.payoff_on(field.lattice.prices), len(STATES))
-    # composite Simpson weights counted back from the horizon: 1, 4, 2, 4, 2, ...
-    pattern = np.where(np.arange(n_t + 1) % 2 == 1, 4.0, 2.0)
-    pattern[0] = 1.0
-    sums = np.zeros_like(targets[0])
-    new_buf = np.empty_like(sums)  # scratch rows reused by every step
-    full_bufs = [np.empty((n_t // 2 + 1, sums.shape[1])) for _ in range(2)]
-    prev = None
-    for d in range(n_t, -1, -1):
-        n = n_t + 1 - d  # rows k = d + c for c = 0..n-1, with n-1-c intervals left
-        even, odd = (n - 1) % 2, n % 2  # rows with an even or odd interval count
-        new = new_buf[:n]
-        values = np.empty((n, sums.shape[1]))  # scratch until its rows are set
-        np.multiply(targets[0][d:], np.tile(factors[0][d], n_nodes), out=new)
-        new += np.multiply(targets[1][d:], np.tile(factors[1][d], n_nodes), out=values)
-        new *= pattern[n - 1 :: -1, None]
-        sums[:n] += new
-        # an even row is composite Simpson from its own node, whose weight is
-        # 1 where the running pattern gave it 2 (the horizon row integrates
-        # nothing)
-        full = full_bufs[d % 2][: (n + 1 - even) // 2]
-        np.subtract(sums[even:n:2], np.multiply(new[even::2], 0.5, out=full), out=full)
-        full[-1] = 0.0
-        np.multiply(full, grow[d] * h / 3.0, out=values[even::2])
-        if n > 1:
-            # an odd row is the previous age's even row one node later plus a
-            # Simpson head step on [t_k, t_k+1] with its midpoint at age (d+1/2)h
-            rows = values[odd::2]
-            part = new[: len(rows)]
-            np.multiply(prev, grow[d] * h / 3.0, out=rows)
-            for y, f, f_half in zip(targets, factors, half_factors):
-                first = (f[d] + 2.0 * f_half[d]) * grow[d] * h / 6.0
-                second = (2.0 * f_half[d] + f[d + 1]) * grow[d] * h / 6.0
-                rows += np.multiply(y[d + odd : n_t : 2], np.tile(first, n_nodes), out=part)
-                rows += np.multiply(y[d + odd + 1 :: 2], np.tile(second, n_nodes), out=part)
-        terminal = np.exp(lam[d] - lam[d:][::-1])
-        values += np.multiply(terminal[:, None], payoff, out=new)
-        if not np.all(np.isfinite(values)):
-            raise SolverError("characteristic sweep produced non-finite values")
-        prev = full
-        yield d, values.reshape((n,) + core.shape[1:])
+
+    def __init__(self, field: ValueField):
+        if field.kernel is None or field.problem is None:
+            raise ValueError("field carries no solve context")
+        if field.problem.w is not None:
+            raise ValueError("the characteristic sweep needs a field without a running source")
+        kernel = field.kernel
+        n_t = len(field.t_grid) - 1
+        h = field.t_grid[1] - field.t_grid[0]
+        ages = h * np.arange(n_t + 1)
+        half_ages = ages[:-1] + 0.5 * h
+        lam = np.asarray(kernel.integrated_intensity(ages))
+        # exp(+-L) stay finite: the 80-jump cap of max_jumps_for_tail bounds the
+        # intensity times the horizon, which keeps L(T) below about 50
+        decay = np.exp(-lam)
+        half_decay = np.exp(-np.asarray(kernel.integrated_intensity(half_ages)))
+        rates = {"cont": kernel.continuation.value(ages), "rev": kernel.reversal.value(ages)}
+        half_rates = {
+            "cont": kernel.continuation.value(half_ages), "rev": kernel.reversal.value(half_ages)
+        }
+        # per successor slot b the integrand factor f_b = h_ij(a*h) * exp(-L(a*h))
+        # on (age, state); the jump targets it multiplies are built per block
+        self.branches = _branch_maps(field.lattice)
+        self.factors, self.half_factors = [], []
+        for b in (0, 1):
+            f = np.empty((n_t + 1, len(STATES)))
+            f_half = np.empty((n_t, len(STATES)))
+            for ii, i in enumerate(STATES):
+                kind = self.branches[i][b][0]
+                f[:, ii] = rates[kind] * decay
+                f_half[:, ii] = half_rates[kind] * half_decay
+            self.factors.append(f)
+            self.half_factors.append(f_half)
+        self.core, self.n_t, self.h, self.lam, self.grow = field.core, n_t, h, lam, np.exp(lam)
+        self.payoff = np.repeat(field.problem.payoff_on(field.lattice.prices), len(STATES))
+
+    def rows(self, lo: int, hi: int):
+        """Iterator of ``(d, values)`` for d = n_t, ..., 0 on the flat (node,
+        state) columns of lattice nodes ``lo..hi-1``: ``values`` holds time
+        rows ``d..n_t`` and is overwritten by the next step.
+
+        The jump targets and every buffer are allocated by this call, so a
+        thread that only consumes the iterator allocates nothing large (a
+        worker thread's freed memory stays in its own malloc arena, out of
+        reach of the calling thread).
+        """
+        n_t, core = self.n_t, self.core
+        width = (hi - lo) * len(STATES)
+        targets = []  # per successor slot: jump targets on (time, node x state)
+        for b in (0, 1):
+            y = np.empty((n_t + 1, hi - lo, len(STATES)))
+            for ii, i in enumerate(STATES):
+                _, j_idx, img, scale = self.branches[i][b]
+                y[:, :, ii] = core[:, img[lo:hi], j_idx] * scale[None, lo:hi]
+            targets.append(y.reshape(n_t + 1, width))
+        # rows stay flat so every product streams along node x state; every
+        # buffer is reused by every step
+        buffers = (
+            np.zeros((n_t + 1, width)),  # running sums along the characteristics
+            np.empty((2, n_t + 1, width)),  # scratch rows and the current slice
+            [np.empty((n_t // 2 + 1, width)) for _ in range(2)],  # even rows, this step and last
+            np.empty((2, width)),  # per-state factors repeated along the nodes
+            np.empty((n_t + 1, width), dtype=bool),  # finiteness of the slice
+        )
+        return self._steps(targets, self.payoff[lo * len(STATES) : hi * len(STATES)], buffers)
+
+    def _steps(self, targets, payoff, buffers):
+        n_t, h, grow = self.n_t, self.h, self.grow
+        sums, (new_buf, values_buf), full_bufs, tiled, finite_buf = buffers
+        tile_a, tile_b = (row.reshape(-1, len(STATES)) for row in tiled)
+        # composite Simpson weights counted back from the horizon: 1, 4, 2, 4, 2, ...
+        pattern = np.where(np.arange(n_t + 1) % 2 == 1, 4.0, 2.0)
+        pattern[0] = 1.0
+        prev = None
+        for d in range(n_t, -1, -1):
+            n = n_t + 1 - d  # rows k = d + c for c = 0..n-1, with n-1-c intervals left
+            even, odd = (n - 1) % 2, n % 2  # rows with an even or odd interval count
+            new, values = new_buf[:n], values_buf[:n]
+            tile_a[:] = self.factors[0][d]
+            tile_b[:] = self.factors[1][d]
+            np.multiply(targets[0][d:], tiled[0], out=new)
+            new += np.multiply(targets[1][d:], tiled[1], out=values)
+            new *= pattern[n - 1 :: -1, None]
+            sums[:n] += new
+            # an even row is composite Simpson from its own node, whose weight is
+            # 1 where the running pattern gave it 2 (the horizon row integrates
+            # nothing)
+            full = full_bufs[d % 2][: (n + 1 - even) // 2]
+            np.subtract(sums[even:n:2], np.multiply(new[even::2], 0.5, out=full), out=full)
+            full[-1] = 0.0
+            np.multiply(full, grow[d] * h / 3.0, out=values[even::2])
+            if n > 1:
+                # an odd row is the previous age's even row one node later plus a
+                # Simpson head step on [t_k, t_k+1] with its midpoint at age (d+1/2)h
+                rows = values[odd::2]
+                part = new[: len(rows)]
+                np.multiply(prev, grow[d] * h / 3.0, out=rows)
+                for y, f, f_half in zip(targets, self.factors, self.half_factors):
+                    tile_a[:] = (f[d] + 2.0 * f_half[d]) * grow[d] * h / 6.0
+                    tile_b[:] = (2.0 * f_half[d] + f[d + 1]) * grow[d] * h / 6.0
+                    rows += np.multiply(y[d + odd : n_t : 2], tiled[0], out=part)
+                    rows += np.multiply(y[d + odd + 1 :: 2], tiled[1], out=part)
+            terminal = np.exp(self.lam[d] - self.lam[d:][::-1])
+            values += np.multiply(terminal[:, None], payoff, out=new)
+            if not np.isfinite(values, out=finite_buf[:n]).all():
+                raise SolverError("characteristic sweep produced non-finite values")
+            prev = full
+            yield d, values
 
 
 def _extension_points(field: ValueField, k, node, ii, s) -> np.ndarray:
@@ -604,10 +660,9 @@ def _extension_points(field: ValueField, k, node, ii, s) -> np.ndarray:
         kc, nc, ic, sc = k[part], node[part], ii[part], s[part]
         m_int = n_t - kc
         ages = sc[:, None] + h * u
-        lam0 = np.asarray(kernel.integrated_intensity(sc))
-        surv = np.exp(lam0[:, None] - np.asarray(kernel.integrated_intensity(ages)))
+        surv = np.exp(-np.asarray(kernel.integrated_increment(sc[:, None], h * u)))
         half_age = sc + 0.5 * h
-        half_surv = np.exp(lam0 - np.asarray(kernel.integrated_intensity(half_age)))
+        half_surv = np.exp(-np.asarray(kernel.integrated_increment(sc, 0.5 * h)))
         # rows with an odd interval count open with a Simpson step: rate and
         # survival exact at age s + h/2, grid values the mean of its two ends
         head = np.where(m_int % 2 == 1, h / 3.0, 0.0) * half_surv
@@ -686,9 +741,7 @@ def contraction_bound(
     slack); the maximiser over the time axis is always t = 0.
     """
     s_values = np.asarray(s_values, dtype=float)
-    lam_s = np.asarray(kernel.integrated_intensity(s_values))
-    lam_end = np.asarray(kernel.integrated_intensity(s_values + horizon))
-    return float(np.max(-np.expm1(lam_s - lam_end)))
+    return float(np.max(-np.expm1(-np.asarray(kernel.integrated_increment(s_values, horizon)))))
 
 
 def pde_residual(

@@ -156,6 +156,35 @@ class TestHoldingLaw:
         np.testing.assert_allclose(numeric, saturating_kernel.holding_pdf(grid), rtol=1e-7)
 
 
+class TestIncrement:
+    @pytest.mark.parametrize("kernel_name", ["symmetric_kernel", "saturating_kernel"])
+    def test_age_zero_survival_is_unchanged(self, kernel_name, request):
+        # every age-zero table keeps its bits: exp(-increment(0, w)) is the
+        # exp(0.0 - integral(w)) it replaced, element for element
+        kernel = request.getfixturevalue(kernel_name)
+        w = (1.0 / 120) * np.arange(121)
+        new = np.exp(-np.asarray(kernel.integrated_increment(0.0, w)))
+        old = np.exp(kernel.integrated_intensity(0.0) - np.asarray(kernel.integrated_intensity(w)))
+        assert new.tobytes() == old.tobytes()
+        half = 0.5 / 120
+        assert math.exp(-kernel.integrated_increment(0.0, half)) == math.exp(
+            kernel.integrated_intensity(0.0) - kernel.integrated_intensity(half)
+        )
+
+    @pytest.mark.parametrize("kernel_name", ["symmetric_kernel", "saturating_kernel"])
+    def test_broadcasts_like_the_scalar_path(self, kernel_name, request):
+        kernel = request.getfixturevalue(kernel_name)
+        s0 = np.array([0.0, 0.4, 30.0, 1e15])
+        w = np.array([0.0, 1e-9, 0.25, 2.0, 7.0])
+        grid = kernel.integrated_increment(s0[:, None], w)
+        assert grid.shape == (4, 5)
+        for a, s in enumerate(s0.tolist()):
+            for b, width in enumerate(w.tolist()):
+                scalar = kernel.integrated_increment(s, width)
+                assert isinstance(scalar, float)
+                assert grid[a, b] == pytest.approx(scalar, rel=1e-15, abs=0.0)
+
+
 class TestTransitionKernel:
     def test_symmetric_is_half(self, symmetric_kernel):
         for i, j, *_ in TRANSITION_TABLE:

@@ -30,6 +30,7 @@ from semitick import (
 )
 from semitick.market_maker import export_policy_csv
 from semitick.mc import McEstimate
+from semitick.solver import _build_tables
 from semitick.simulate import NO_EVENT, order_fill, path_rng, thinning_segments
 
 
@@ -205,12 +206,12 @@ class TestQuoteValue:
         assert abs(z_score(quote.eval(0.0, 1.0, 2, 0.0), est)) < 3.0
 
     @pytest.mark.parametrize("flat", [True, False], ids=["age_free", "saturating"])
-    def test_slab_matches_rates_at_each_age(
+    def test_integrals_match_rates_at_each_age(
         self, asym_setup, saturating_kernel, saturating_layout, flat
     ):
-        # streamed slabs read one shared age-free source (flat, exactly) or one
-        # characteristic sweep (saturating, to rounding); both must equal the
-        # sum over gain_rates_at_age at every age node
+        # the source integral reads one shared age-free source (flat, exactly)
+        # or one characteristic sweep (saturating, to rounding); both must
+        # equal the fold of the sum over gain_rates_at_age at every age node
         if flat:
             kernel, layout, spec, field, _ = asym_setup
         else:
@@ -219,17 +220,18 @@ class TestQuoteValue:
             field = solve_expected_price(kernel, GridSpec(n_t=20), 1.0, 1.0)
         src = QuoteGainSource(kernel, layout, spec, field)
         h = field.t_grid[1] - field.t_grid[0]
-        ages = []
-        for d, slab in src.slabs():
-            expected = np.zeros_like(field.core[d:])
+        q_source = _build_tables(kernel, field.t_grid, 0.0).q_source
+        expected = np.zeros_like(field.core)
+        for d in range(len(field.t_grid)):
+            slab = np.zeros_like(field.core[d:])
             for (i, _), rates in src.gain_rates_at_age(d * h).items():
-                expected[:, :, STATES.index(i)] += np.maximum(rates[d:], 0.0)
-            if flat:
-                np.testing.assert_array_equal(slab, expected)
-            else:
-                assert field.vnorm(slab - expected) <= 1e-12
-            ages.append(d)
-        assert sorted(ages) == list(range(len(field.t_grid)))
+                slab[:, :, STATES.index(i)] += np.maximum(rates[d:], 0.0)
+            expected[: len(slab)] += q_source.diagonal(d)[:, None, None] * slab
+        got = src.integrals(q_source)
+        if flat:
+            np.testing.assert_array_equal(got, expected)
+        else:
+            assert field.vnorm(got - expected) <= 1e-12
 
     def test_grid_mismatch_rejected(self, asym_setup):
         kernel, layout, spec, field, _ = asym_setup

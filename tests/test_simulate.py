@@ -296,6 +296,24 @@ class TestThinningPath:
         assert stats.ks_2samp(hold_r, hold_t).pvalue > 0.01
 
 
+class TestMarketState:
+    @pytest.mark.parametrize(
+        "price, age",
+        [(math.nan, 0.0), (math.inf, 0.0), (1.0, math.nan), (1.0, math.inf)],
+        ids=["nan_price", "inf_price", "nan_age", "inf_age"],
+    )
+    def test_non_finite_refused(self, price, age):
+        with pytest.raises(ValueError, match="must be finite"):
+            MarketState(price, 2, age)
+
+    def test_no_thinning_path_from_a_nan_age(self, saturating_kernel, saturating_layout):
+        # a NaN age would classify every mark before the first jump at age NaN
+        with pytest.raises(ValueError, match="age must be finite"):
+            simulate_price_path_thinning(
+                saturating_kernel, saturating_layout, MarketState(1.0, 2, math.nan), 1.0, 3
+            )
+
+
 class TestControlledAccounting:
     def test_small_order_fill_example(self):
         d_cash, d_inv, px = small_order_fill(+1, 2, 100.0, 0.01, 0.1, 1)

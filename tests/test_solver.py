@@ -181,6 +181,13 @@ class TestFixedPoint:
         budget = math.ceil(math.log(grid.tol_fp) / math.log(kappa)) + 5
         assert field.iterations <= budget
 
+    def test_contraction_bound_at_a_large_age(self, saturating_kernel):
+        # the saturated law at age 1e17 is the one at age 40; a difference of
+        # integrated intensities there gave a bound of -0.0
+        far = contraction_bound(saturating_kernel, 1.0, np.array([1e17]))
+        assert far == pytest.approx(contraction_bound(saturating_kernel, 1.0, np.array([40.0])))
+        assert far == pytest.approx(-math.expm1(-2.0))
+
     def test_linearity(self, saturating_kernel):
         grid = GridSpec(n_t=60)
         w1 = lambda t, p, i, s: 0.3 * np.asarray(p) / (1.0 + np.asarray(p)) + 0.0 * s
@@ -235,6 +242,22 @@ class TestExtension:
         field = solve_expected_price(saturating_kernel, GridSpec(n_t=80), 1.0, 1.0)
         gap = field.vnorm(extension_slice(field, 0.0) - field.core)
         assert gap <= 2e-8
+
+    @pytest.mark.parametrize("age", [1e12, 1e15])
+    def test_large_age_is_the_saturated_law(self, saturating_kernel, age):
+        # past age 1e3 the saturating hazards are flat to the last bit, so the
+        # field may not move; survival ratios formed as a difference of
+        # integrated intensities moved it by 1.0e-4 at 1e12 and 0.20 at 1e15
+        field = solve_expected_price(saturating_kernel, GridSpec(n_t=40), 1.0, 1.0)
+        ref = extension_slice(field, 1e3)
+        got = extension_slice(field, age)
+        assert np.all(np.abs(got - ref) <= 1e-12 * (1.0 + np.abs(ref)))
+        t = np.array([0.0, 0.3125, 0.51, 0.975])
+        node = np.array([0, 7, field.lattice.n_nodes // 2, field.lattice.n_nodes - 1])
+        i = np.array([1, 2, 3, 4])
+        ref_read = field.read(t, node, i, 1e3)
+        got_read = field.read(t, node, i, age)
+        assert np.all(np.abs(got_read - ref_read) <= 1e-12 * (1.0 + np.abs(ref_read)))
 
     def test_terminal_layer_is_payoff_at_all_ages(self, saturating_kernel):
         field = solve_expected_price(saturating_kernel, GridSpec(n_t=80), 1.0, 1.0)
