@@ -18,7 +18,6 @@ from semitick import (
     battery_controlled,
     battery_uncontrolled,
     dynkin_battery,
-    dynkin_check,
 )
 
 kernel = SemiMarkovKernel(
@@ -48,10 +47,10 @@ for r in dynkin_battery(kernel, battery_controlled(1.0, 1.0), (market, agent),
                         transaction_cost=0.001):
     print(f"  {r.name:<18} defect {r.mean:+.2e} +- {r.se:.2e}   z = {r.z:+.2f}")
 
-ablated = dynkin_check(
-    kernel, battery_controlled(1.0, 1.0)[0], (market, agent), horizon, n_paths,
+ablated = dynkin_battery(
+    kernel, battery_controlled(1.0, 1.0)[:1], (market, agent), horizon, n_paths,
     seed=6, layout=layout, control=(1, 1), transaction_cost=0.001,
     include_small_orders=False,
-)
+)[0]
 print(f"\nnegative control (small-order terms removed): z = {ablated.z:+.1f} "
       f"-- the identity must and does break")

@@ -26,7 +26,6 @@ from .market_maker import (
     default_baselines,
     holding_value,
     optimal_policy,
-    quote_gain_rate,
     solve_quote_value,
     total_value,
     value_upper_bound,
@@ -38,7 +37,6 @@ from .mc import (
     battery_controlled,
     battery_uncontrolled,
     dynkin_battery,
-    dynkin_check,
     estimate_terminal_value,
     z_score,
 )
@@ -66,12 +64,9 @@ from .solver import (
     ResidualStats,
     SolverError,
     ValueField,
-    apply_age_zero_operator,
-    characteristic_slices,
     contraction_bound,
     expected_price_ode_oracle,
     extension_slice,
-    load_field_csv,
     pde_residual,
     save_field_csv,
     solve_expected_price,

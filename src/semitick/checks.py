@@ -249,11 +249,11 @@ def dynkin_controlled(kernel, layout, mmspec, market, agent, horizon: float, n_p
 def dynkin_ablation(kernel, layout, mmspec, market, agent, horizon: float, n_paths: int,
                     seed: int) -> Check:
     """Negative control: dropping the small-order terms must give |z| > 3."""
-    r = mc.dynkin_check(
-        kernel, mc.battery_controlled(horizon, market.price)[0], (market, agent),
+    r = mc.dynkin_battery(
+        kernel, mc.battery_controlled(horizon, market.price)[:1], (market, agent),
         0.8 * horizon, n_paths, seed, layout=layout, control=(1, 1),
         transaction_cost=mmspec.transaction_cost, include_small_orders=False,
-    )
+    )[0]
     return Check(
         "dynkin_ablation", abs(r.z) > 3.0,
         f"dropping small-order terms gives z={r.z:+.1f} (must exceed 3)",

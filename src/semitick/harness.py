@@ -6,8 +6,9 @@ Configs are JSON.  Three presets parameterise the oracle suite:
 closed form), and ``saturating-hazard`` (age-dependent intensities).
 
 Commands: simulate, solve-pi, solve-u, policy, backtest, validate.  Exit
-codes: 0 ok, 1 validation failure, 2 configuration error.  Every artifact
-embeds the config hash and master seed in a leading comment line.
+codes: 0 ok, 1 validation failure, 2 configuration error or a solve that does
+not converge.  Every artifact embeds the config hash and master seed in a
+leading comment line.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .hazards import ConstantIntensity, MarkLayout, SaturatingIntensity, SemiMar
 from .lattice import max_jumps_for_tail
 from .simulate import AgentState, MarketState, path_rng, simulate_price_path
 from .solver import (
+    ConvergenceError,
     GridSpec,
     ProblemSpec,
     extension_slice,
@@ -342,19 +344,17 @@ def load_config(path_or_name) -> ExperimentConfig:
             [f"config {name!r} is neither a file nor a preset {sorted(PRESETS)}"]
         )
     try:
-        data = json.loads(p.read_text())
+        text = p.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError([f"{name}: cannot read ({exc})"]) from exc
+    try:
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError([f"{name}: invalid JSON ({exc})"]) from exc
     return _build_config(data)
 
 
 # -- commands ---------------------------------------------------------------
-
-
-def _out_dir(cfg: ExperimentConfig, override: Optional[str]) -> FsPath:
-    out = FsPath(override if override is not None else cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _cmd_simulate(cfg: ExperimentConfig, out: FsPath, quiet: bool) -> int:
@@ -566,7 +566,12 @@ def run_command(
     """Execute one command against a validated config; returns the exit code."""
     if cmd not in COMMANDS:
         raise ValueError(f"unknown command {cmd!r}; choose from {COMMANDS}")
-    out = _out_dir(cfg, out_dir)
+    out = FsPath(out_dir if out_dir is not None else cfg.out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"{cmd}: cannot use output directory {str(out)!r} ({exc})", file=sys.stderr)
+        return 2
     try:
         if cmd == "simulate":
             return _cmd_simulate(cfg, out, quiet)
@@ -579,7 +584,7 @@ def run_command(
         if cmd == "backtest":
             return _cmd_backtest(cfg, out, quiet)
         return _cmd_validate(cfg, out, quiet)
-    except mm.UnsupportedRiskAversion as exc:
+    except (mm.UnsupportedRiskAversion, ConvergenceError) as exc:
         print(f"{cmd}: {exc}", file=sys.stderr)
         return 2
 

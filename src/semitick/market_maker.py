@@ -54,7 +54,6 @@ __all__ = [
     "MarketMakingSpec",
     "UnsupportedRiskAversion",
     "QuoteGainSource",
-    "quote_gain_rate",
     "OptimalQuotePolicy",
     "optimal_policy",
     "solve_quote_value",
@@ -411,24 +410,6 @@ def _on_threads(tasks) -> None:
     for exc in errors:
         if exc is not None:
             raise exc
-
-
-def quote_gain_rate(
-    kernel: SemiMarkovKernel,
-    layout: MarkLayout,
-    mmspec: MarketMakingSpec,
-    price_field: ValueField,
-    t: float,
-    p: float,
-    i: int,
-    s: float,
-    j: int,
-) -> float:
-    """Marginal expected gain rate of quoting the side toward successor ``j``."""
-    if price_field is None:
-        raise ValueError("expected-price field must be solved first")
-    source = QuoteGainSource(kernel, layout, mmspec, price_field)
-    return float(source.rate_point(t, p, i, s, j))
 
 
 @dataclass

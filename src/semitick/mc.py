@@ -40,7 +40,6 @@ __all__ = [
     "battery_controlled",
     "DynkinResult",
     "dynkin_battery",
-    "dynkin_check",
 ]
 
 _PATH_BLOCK = 1024  # paths folded into one set of segment arrays
@@ -299,9 +298,6 @@ class DynkinResult:
     se: float
     n_paths: int
 
-    def __float__(self):
-        return self.z
-
 
 def dynkin_battery(
     kernel: SemiMarkovKernel,
@@ -316,7 +312,8 @@ def dynkin_battery(
     include_small_orders: bool = True,
     segment_subdiv: int = 4,
 ) -> list[DynkinResult]:
-    """Run the Dynkin identity check for several test functions on shared paths.
+    """Check E[psi(Z_t)] - psi(z_0) - E[integral of the generator] = 0 for
+    several test functions on shared paths.
 
     Each path is simulated once to the finite time ``t``.  On every block of
     paths, each function's generator (its age slope plus, per event, the
@@ -324,6 +321,13 @@ def dynkin_battery(
     node of every segment, one call per direction state present, and
     integrated per path.  The test functions must broadcast over arrays of
     all their arguments.
+
+    Without a ``control`` the uncontrolled triple is simulated by renewal
+    sampling.  With a constant control (and a layout) the controlled state
+    including cash and inventory is simulated by thinning, and the generator
+    gains the small-order terms; ``include_small_orders=False`` deliberately
+    drops them, which must break the identity for inventory-sensitive
+    functions (negative control).
     """
     _check_run(t, n_paths, segment_subdiv)
     if t <= 0:
@@ -387,40 +391,3 @@ def dynkin_battery(
             DynkinResult(name=tf.name, z=float(z), mean=est.mean, se=est.se, n_paths=n_paths)
         )
     return results
-
-
-def dynkin_check(
-    kernel: SemiMarkovKernel,
-    tf: TestFunction,
-    start,
-    t: float,
-    n_paths: int,
-    seed: int,
-    layout: Optional[MarkLayout] = None,
-    control: Optional[tuple[int, int]] = None,
-    transaction_cost: float = 0.0,
-    include_small_orders: bool = True,
-    segment_subdiv: int = 4,
-) -> DynkinResult:
-    """Check E[psi(Z_t)] - psi(z_0) - E[integral of the generator] = 0.
-
-    Without a ``control`` the uncontrolled triple is simulated by renewal
-    sampling.  With a constant control (and a layout) the controlled state
-    including cash and inventory is simulated by thinning, and the generator
-    gains the small-order terms; ``include_small_orders=False`` deliberately
-    drops them, which must break the identity for inventory-sensitive
-    functions (negative control).
-    """
-    return dynkin_battery(
-        kernel,
-        [tf],
-        start,
-        t,
-        n_paths,
-        seed,
-        layout=layout,
-        control=control,
-        transaction_cost=transaction_cost,
-        include_small_orders=include_small_orders,
-        segment_subdiv=segment_subdiv,
-    )[0]

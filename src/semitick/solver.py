@@ -35,16 +35,13 @@ __all__ = [
     "ResidualStats",
     "SolverError",
     "ConvergenceError",
-    "apply_age_zero_operator",
     "solve_fixed_point",
     "extension_slice",
-    "characteristic_slices",
     "solve_expected_price",
     "expected_price_ode_oracle",
     "contraction_bound",
     "pde_residual",
     "save_field_csv",
-    "load_field_csv",
 ]
 
 _STATE_INDEX = {s: k for k, s in enumerate(STATES)}
@@ -131,16 +128,14 @@ class ValueField:
     ``core`` holds the age-zero values on (time node, lattice node, state),
     read linearly in time and exactly in price on the lattice.  Every other
     age is computed exactly from the core through the solve context
-    (``kernel`` and ``problem``) that a solved field carries; a field
-    reloaded from CSV has none, so it reads age zero only unless it is
-    age-invariant.
+    (``kernel`` and ``problem``).
     """
 
     t_grid: np.ndarray
     lattice: PriceLattice
     core: np.ndarray
-    kernel: Optional[SemiMarkovKernel] = None
-    problem: Optional[ProblemSpec] = None
+    kernel: SemiMarkovKernel
+    problem: ProblemSpec
     age_invariant: bool = False
     diff_norms: list = field(default_factory=list)
     ratios: list = field(default_factory=list)
@@ -162,11 +157,7 @@ class ValueField:
         return _scaled_max(values, 1.0 + self.lattice.prices)
 
     def eval(self, t: float, p: float, i: int, s: float = 0.0) -> float:
-        node = self.lattice.locate(p)
-        return self.eval_node(t, node, i, s)
-
-    def eval_node(self, t: float, node: int, i: int, s: float = 0.0) -> float:
-        return float(self.read(t, node, i, s))
+        return float(self.read(t, self.lattice.locate(p), i, s))
 
     def read(self, t, node, i, s=0.0) -> np.ndarray:
         """Values at broadcast arrays of (time, lattice node, state, age).
@@ -191,11 +182,6 @@ class ValueField:
         return out
 
     def _extended_values(self, t, node, ii, s):
-        if self.kernel is None:
-            raise ValueError(
-                "field carries no solve context to extend to a nonzero age "
-                "(a field reloaded from CSV reads age zero only)"
-            )
         n_t = len(self.t_grid) - 1
         ti = np.clip(np.searchsorted(self.t_grid, t) - 1, 0, n_t - 1)
         both = _extension_points(
@@ -416,18 +402,6 @@ def _make_lattice(kernel: SemiMarkovKernel, grid: GridSpec, horizon: float, p0: 
     )
 
 
-def apply_age_zero_operator(
-    kernel: SemiMarkovKernel,
-    problem: ProblemSpec,
-    t_grid: np.ndarray,
-    lattice: PriceLattice,
-    core: np.ndarray,
-) -> np.ndarray:
-    """Single sweep of the age-zero operator over a core array."""
-    op = _AgeOperator(kernel, problem, t_grid, lattice, sigma=0.0)
-    return op.apply(core)
-
-
 def solve_fixed_point(
     kernel: SemiMarkovKernel,
     problem: ProblemSpec,
@@ -493,23 +467,8 @@ def extension_slice(field: ValueField, sigma: float) -> np.ndarray:
     supplies every age-zero value the integral needs, so no iteration is
     involved.
     """
-    if field.kernel is None or field.problem is None:
-        raise ValueError("field carries no solve context")
     op = _AgeOperator(field.kernel, field.problem, field.t_grid, field.lattice, float(sigma))
     return op.apply(field.core)
-
-
-def characteristic_slices(field: ValueField):
-    """Yield ``(d, values)`` for d = n_t, ..., 0: the extension at age ``d*h``
-    on time rows ``d..n_t``, for a field without a running source.
-
-    Runs :class:`_CharacteristicSweep` over the whole lattice; ``values``
-    (time row, node, state) is overwritten by the next step.
-    """
-    sweep = _CharacteristicSweep(field)
-    shape = field.core.shape[1:]
-    for d, values in sweep.rows(0, field.lattice.n_nodes):
-        yield d, values.reshape((len(values),) + shape)
 
 
 class _CharacteristicSweep:
@@ -531,8 +490,6 @@ class _CharacteristicSweep:
     """
 
     def __init__(self, field: ValueField):
-        if field.kernel is None or field.problem is None:
-            raise ValueError("field carries no solve context")
         if field.problem.w is not None:
             raise ValueError("the characteristic sweep needs a field without a running source")
         kernel = field.kernel
@@ -795,7 +752,7 @@ def pde_residual(
     )
 
 
-# -- flat-file round trip ----------------------------------------------------
+# -- flat-file output ------------------------------------------------------
 
 
 def save_field_csv(field: ValueField, path, header_meta: Optional[dict] = None) -> None:
@@ -832,68 +789,3 @@ def _write_rows(fh, lead: str, heads: list, tails) -> None:
     """Write the lines ``lead + head + tail`` with one join and one write;
     the grid writers stream one time row per call."""
     fh.write(lead + ("\n" + lead).join(map(str.__add__, heads, tails)) + "\n")
-
-
-def load_field_csv(path) -> ValueField:
-    """Rebuild a field saved by :func:`save_field_csv`.
-
-    The reloaded field supports grid evaluation at age zero; exact extension
-    to other ages is unavailable because the solve context is not serialised.
-    A file with an age axis, the format of earlier versions, is refused.
-    """
-    with open(path) as fh:
-        header = fh.readline()
-        if not header.startswith("#"):
-            raise ValueError("missing metadata header line")
-        meta = json.loads(header[1:].strip())
-        if meta["s_grid"] is not None:
-            _refuse_age_axis(path, meta["s_grid"])
-        fh.readline()
-        rows = np.loadtxt(fh, delimiter=",", ndmin=2)
-    t_col, p_col, i_col, s_col, values = rows.T
-    aged = np.flatnonzero(s_col != 0.0)
-    if aged.size:
-        _refuse_age_axis(path, [float(s_col[aged[0]])])
-    lattice = PriceLattice(
-        p0=meta["p0"],
-        delta=meta["delta"],
-        n_max=meta["n_max"],
-        n_report=meta.get("n_report"),
-    )
-    n_t = meta["n_t"]
-    t_grid = np.linspace(0.0, meta["horizon"], n_t + 1)
-    core = np.full((n_t + 1, lattice.n_nodes, len(STATES)), np.nan)  # uncovered stays NaN
-    # each distinct price and state is located once, not once per row
-    prices, p_rows = np.unique(p_col, return_inverse=True)
-    nodes = np.array([lattice.locate(p) for p in prices.tolist()], dtype=int)
-    states, i_rows = np.unique(i_col, return_inverse=True)
-    slots = np.array([_STATE_INDEX[i] for i in states.tolist()], dtype=int)
-    steps = t_col / (t_grid[1] - t_grid[0])
-    ki = np.rint(steps)
-    off = np.flatnonzero(~((np.abs(steps - ki) <= 1e-9) & (ki >= 0) & (ki <= n_t)))
-    if off.size:
-        raise ValueError(
-            f"{path}: row at t = {float(t_col[off[0]])!r} is off the time grid "
-            f"of {n_t} steps on [0, {meta['horizon']}]"
-        )
-    cells = np.ravel_multi_index((ki.astype(int), nodes[p_rows], slots[i_rows]), core.shape)
-    _, first = np.unique(cells, return_index=True)
-    if first.size < cells.size:
-        row = np.setdiff1d(np.arange(cells.size), first)[0]
-        raise ValueError(
-            f"{path}: field file covers the cell at t = {float(t_col[row])!r}, "
-            f"p = {float(p_col[row])!r}, state {int(i_col[row])} twice"
-        )
-    core.flat[cells] = values
-    if np.any(np.isnan(core)):
-        raise ValueError("field file does not cover the full grid")
-    return ValueField(
-        t_grid=t_grid, lattice=lattice, core=core, age_invariant=bool(meta["age_invariant"])
-    )
-
-
-def _refuse_age_axis(path, ages) -> None:
-    raise ValueError(
-        f"{path}: field file has rows at ages {ages}; fields now hold age zero "
-        "only, so re-run solve-pi to rewrite it"
-    )

@@ -220,6 +220,16 @@ class TestCommands:
         assert "policy 'hold' has a non-finite mean" in capsys.readouterr().err
         assert not (out / "backtest.json").exists()
 
+    @pytest.mark.parametrize("cmd", ["solve-pi", "policy", "backtest"])
+    def test_no_convergence_exits_2(self, tmp_path, capsys, cmd):
+        data = preset_config("saturating-hazard")
+        data["grid"]["max_iter"] = 1
+        data["run"]["n_paths"] = 20
+        rc = main([cmd, "--config", write_config(tmp_path, data), "--out",
+                   str(tmp_path / "out"), "--quiet"])
+        assert rc == 2
+        assert "no convergence" in capsys.readouterr().err
+
     def test_risk_aversion_rejected_at_solves(self, tmp_path, capsys):
         data = preset_config("symmetric-martingale")
         data["agent"]["risk_aversion"] = 1.0
@@ -272,6 +282,25 @@ class TestCli:
         rc = main(["solve-pi", "--config", path, "--quiet", "--out", str(tmp_path)])
         assert rc == 2
         assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [None, b"\xff\xfe{}"], ids=["directory", "bad_bytes"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, content):
+        path = tmp_path / "cfg"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        rc = main(["simulate", "--config", str(path), "--quiet", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "config error:" in capsys.readouterr().err
+
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        rc = main(["simulate", "--config", "symmetric-martingale", "--out", str(out),
+                   "--paths", "5", "--quiet"])
+        assert rc == 2
+        assert "simulate: cannot use output directory" in capsys.readouterr().err
 
     def test_cli_import_path_skips_scipy_stats(self):
         # every command starts a fresh interpreter; scipy.stats alone cost over a

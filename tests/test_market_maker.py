@@ -21,7 +21,6 @@ from semitick import (
     estimate_terminal_value,
     holding_value,
     optimal_policy,
-    quote_gain_rate,
     solve_expected_price,
     solve_quote_value,
     total_value,
@@ -85,7 +84,7 @@ class TestQuoteGainRate:
         # unit hazard, big size 2, price 1: rate = 0.009 - 0.002 = 0.007
         kernel, layout, spec, field = unit_setup
         for j in (3, 4):
-            rate = quote_gain_rate(kernel, layout, spec, field, 0.2, 1.0, 2, 0.0, j)
+            rate = QuoteGainSource(kernel, layout, spec, field).rate_point(0.2, 1.0, 2, 0.0, j)
             assert rate == pytest.approx(0.007, abs=1e-7)
 
     def test_cost_above_tick_kills_both_terms(self, unit_setup):
@@ -112,7 +111,7 @@ class TestQuoteGainRate:
         spec = MarketMakingSpec(big_size=1, transaction_cost=0.01)  # cost == delta
         # with zero flow, a martingale price and cost == tick the big term is
         # K * h * (p - p_img)*alpha + (delta - cost) = -p*delta + 0 at p = 1
-        rate = quote_gain_rate(kernel, layout, spec, field, 0.5, 1.0, 1, 0.0, 3)
+        rate = QuoteGainSource(kernel, layout, spec, field).rate_point(0.5, 1.0, 1, 0.0, 3)
         assert rate == pytest.approx(-0.01, abs=1e-7)
 
     def test_consistent_variant_scales_edge_with_price(self, asymmetric_kernel, asymmetric_layout):
@@ -121,8 +120,12 @@ class TestQuoteGainRate:
         consistent = MarketMakingSpec(
             big_size=2, transaction_cost=0.001, portfolio_consistent=True
         )
-        r_v = quote_gain_rate(asymmetric_kernel, asymmetric_layout, verbatim, field, 0.3, 2.0, 2, 0.0, 4)
-        r_c = quote_gain_rate(asymmetric_kernel, asymmetric_layout, consistent, field, 0.3, 2.0, 2, 0.0, 4)
+        r_v, r_c = (
+            QuoteGainSource(asymmetric_kernel, asymmetric_layout, spec, field).rate_point(
+                0.3, 2.0, 2, 0.0, 4
+            )
+            for spec in (verbatim, consistent)
+        )
         # at price 2 the per-unit edge differs by (p-1)*delta per intensity unit
         lam_term = asymmetric_layout.ask_flow.value(0.0) * asymmetric_layout.mean_size(+1)
         big_term = asymmetric_kernel.continuation.value(0.0) * 2
@@ -142,7 +145,7 @@ class TestQuoteGainRate:
     def test_invalid_transition(self, unit_setup):
         kernel, layout, spec, field = unit_setup
         with pytest.raises(ValueError, match="equivalent"):
-            quote_gain_rate(kernel, layout, spec, field, 0.2, 1.0, 2, 0.0, 1)
+            QuoteGainSource(kernel, layout, spec, field).rate_point(0.2, 1.0, 2, 0.0, 1)
 
 
 class TestOptimalPolicy:
@@ -418,16 +421,3 @@ class TestPolicyExport:
         assert lines[1] == "t,p,i,s,quote_ask,quote_bid"
         n_nodes = int(field.lattice.report_mask.sum())
         assert len(lines) == 2 + 2 * 4 * len(field.t_grid) * n_nodes
-
-
-class TestReloadedFieldConsumption:
-    def test_gain_rates_from_reloaded_field(self, asym_setup, tmp_path):
-        # exported fields must be consumable by the quoting layer after reload
-        from semitick.solver import load_field_csv, save_field_csv
-
-        kernel, layout, spec, field, _ = asym_setup
-        save_field_csv(field, tmp_path / "pi.csv")
-        loaded = load_field_csv(tmp_path / "pi.csv")
-        direct = quote_gain_rate(kernel, layout, spec, field, 0.3, 1.0, 2, 0.0, 4)
-        reloaded = quote_gain_rate(kernel, layout, spec, loaded, 0.3, 1.0, 2, 0.0, 4)
-        assert reloaded == pytest.approx(direct, rel=1e-12)

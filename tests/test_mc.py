@@ -20,7 +20,6 @@ from semitick import (
     battery_controlled,
     battery_uncontrolled,
     dynkin_battery,
-    dynkin_check,
     estimate_terminal_value,
     expected_price_ode_oracle,
     path_rng,
@@ -164,7 +163,7 @@ class TestZScore:
 class TestDynkin:
     def test_constant_function_is_exactly_zero(self, symmetric_kernel, start_state):
         tf = TestFunction("const", lambda p, i, s: 1.0, lambda p, i, s: 0.0)
-        res = dynkin_check(symmetric_kernel, tf, start_state, 0.5, 40, 1)
+        res = dynkin_battery(symmetric_kernel, [tf], start_state, 0.5, 40, 1)[0]
         assert res.z == 0.0 and res.mean == 0.0
 
     def test_uncontrolled_battery(self, saturating_kernel):
@@ -196,39 +195,41 @@ class TestDynkin:
     def test_ablation_breaks_identity(self, symmetric_kernel, symmetric_layout):
         start = (MarketState(1.0, 2, 0.0), AgentState(0.0, 0))
         tf = battery_controlled(1.0, 1.0)[0]
-        res = dynkin_check(
-            symmetric_kernel, tf, start, 0.8, 3000, 321,
+        res = dynkin_battery(
+            symmetric_kernel, [tf], start, 0.8, 3000, 321,
             layout=symmetric_layout, control=(1, 1), transaction_cost=0.002,
             include_small_orders=False,
-        )
+        )[0]
         assert abs(res.z) > 3.0
 
     def test_hold_control_has_no_small_order_terms(self, symmetric_kernel, symmetric_layout):
         # with the zero control the ablation changes nothing
         start = (MarketState(1.0, 2, 0.0), AgentState(0.0, 2))
         tf = battery_controlled(1.0, 1.0)[0]
-        full = dynkin_check(
-            symmetric_kernel, tf, start, 0.6, 400, 9,
+        full = dynkin_battery(
+            symmetric_kernel, [tf], start, 0.6, 400, 9,
             layout=symmetric_layout, control=(0, 0), transaction_cost=0.002,
-        )
-        ablated = dynkin_check(
-            symmetric_kernel, tf, start, 0.6, 400, 9,
+        )[0]
+        ablated = dynkin_battery(
+            symmetric_kernel, [tf], start, 0.6, 400, 9,
             layout=symmetric_layout, control=(0, 0), transaction_cost=0.002,
             include_small_orders=False,
-        )
+        )[0]
         assert full.mean == pytest.approx(ablated.mean, abs=1e-12)
 
     def test_invalid_arguments(self, symmetric_kernel, start_state):
         tf = battery_uncontrolled(1.0)[0]
         for t in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError):
-                dynkin_check(symmetric_kernel, tf, start_state, t, 10, 1)
+                dynkin_battery(symmetric_kernel, [tf], start_state, t, 10, 1)
         for subdiv in (3, 0):
             with pytest.raises(ValueError, match="segment_subdiv"):
-                dynkin_check(symmetric_kernel, tf, start_state, 0.5, 10, 1, segment_subdiv=subdiv)
+                dynkin_battery(
+                    symmetric_kernel, [tf], start_state, 0.5, 10, 1, segment_subdiv=subdiv
+                )
         with pytest.raises(ValueError, match="layout"):
-            dynkin_check(
-                symmetric_kernel, tf, (start_state, AgentState()), 0.5, 10, 1, control=(1, 1)
+            dynkin_battery(
+                symmetric_kernel, [tf], (start_state, AgentState()), 0.5, 10, 1, control=(1, 1)
             )
 
 

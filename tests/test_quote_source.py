@@ -19,7 +19,6 @@ from semitick import (
     SemiMarkovKernel,
     SolverError,
     alpha,
-    characteristic_slices,
     solve_expected_price,
     solve_quote_value,
     successors,
@@ -105,7 +104,9 @@ def _streamed_fold(src, q_source):
     if field.age_invariant:
         pairs = ((d, field.core[d:]) for d in range(n_t + 1))
     else:
-        pairs = ((d, field.core if d == 0 else pi) for d, pi in characteristic_slices(field))
+        rows = solver._CharacteristicSweep(field).rows(0, field.lattice.n_nodes)
+        pairs = ((d, field.core if d == 0 else pi.reshape(-1, *field.core.shape[1:]))
+                 for d, pi in rows)
     out = np.zeros(field.core.shape)
     for d, pi_rows in pairs:
         out[: n_t + 1 - d] += q_source.diagonal(d)[:, None, None] * slab(d * h, pi_rows, d)

@@ -2,7 +2,6 @@
 
 import json
 import math
-import re
 
 import numpy as np
 import pytest
@@ -15,18 +14,16 @@ from semitick import (
     STATES,
     SemiMarkovKernel,
     alpha,
-    apply_age_zero_operator,
-    characteristic_slices,
     contraction_bound,
     expected_price_ode_oracle,
     extension_slice,
-    load_field_csv,
     pde_residual,
     save_field_csv,
     solve_expected_price,
     solve_fixed_point,
 )
 from semitick.lattice import PriceLattice, max_jumps_for_tail
+from semitick.solver import _AgeOperator, _CharacteristicSweep
 
 STATE_IDX = {s: k for k, s in enumerate(STATES)}
 
@@ -119,15 +116,15 @@ class TestOperatorSweep:
     def test_terminal_row_is_payoff(self, saturating_kernel):
         grid = GridSpec(n_t=40)
         field = solve_expected_price(saturating_kernel, grid, 1.0, 1.0)
-        out = apply_age_zero_operator(
-            saturating_kernel, IDENTITY, field.t_grid, field.lattice, field.core
+        out = _AgeOperator(saturating_kernel, IDENTITY, field.t_grid, field.lattice).apply(
+            field.core
         )
         assert np.array_equal(out[-1], np.broadcast_to(field.lattice.prices[:, None], out[-1].shape))
 
     def test_zero_problem_stays_zero(self, saturating_kernel):
         field = solve_expected_price(saturating_kernel, GridSpec(n_t=40), 1.0, 1.0)
         core = np.zeros_like(field.core)
-        out = apply_age_zero_operator(saturating_kernel, ZERO, field.t_grid, field.lattice, core)
+        out = _AgeOperator(saturating_kernel, ZERO, field.t_grid, field.lattice).apply(core)
         assert np.all(out == 0.0)
 
     def test_single_sweep_matches_quadrature_oracle(self, saturating_kernel):
@@ -137,7 +134,7 @@ class TestOperatorSweep:
         core = np.broadcast_to(
             lattice.prices[None, :, None], (161, lattice.n_nodes, 4)
         ).copy()
-        out = apply_age_zero_operator(saturating_kernel, IDENTITY, t_grid, lattice, core)
+        out = _AgeOperator(saturating_kernel, IDENTITY, t_grid, lattice).apply(core)
         for t, p, i, expect in SWEEP_ORACLE:
             k = int(round(t / (1.0 / 160)))
             assert t_grid[k] == pytest.approx(t, abs=1e-12)
@@ -309,8 +306,9 @@ class TestExtension:
         field = solve_expected_price(saturating_kernel, GridSpec(n_t=n_t), 1.0, 1.0)
         h = field.t_grid[1] - field.t_grid[0]
         ages = []
-        for d, values in characteristic_slices(field):
-            assert field.vnorm(values - extension_slice(field, d * h)[d:]) <= 1e-12
+        for d, values in _CharacteristicSweep(field).rows(0, field.lattice.n_nodes):
+            exact = extension_slice(field, d * h)[d:]
+            assert field.vnorm(values.reshape(exact.shape) - exact) <= 1e-12
             ages.append(d)
         assert ages == list(range(n_t, -1, -1))
 
@@ -366,66 +364,18 @@ class TestFieldIO:
         field = solve_expected_price(saturating_kernel, GridSpec(n_t=20), 1.0, 1.0)
         out = tmp_path / "field.csv"
         save_field_csv(field, out, header_meta={"master_seed": 1})
-        loaded = load_field_csv(out)
+        with open(out) as fh:
+            meta, columns = json.loads(fh.readline()[2:]), fh.readline()
+            t, p, i, s, values = np.loadtxt(fh, delimiter=",", ndmin=2).T
+        mask = field.lattice.report_mask
+        shape = (len(field.t_grid), int(mask.sum()), len(STATES))
         # the file holds the iterated core on the report nodes, digit for digit
-        assert loaded.lattice.n_nodes == int(field.lattice.report_mask.sum())
-        assert np.array_equal(loaded.core, field.core[:, field.lattice.report_mask, :])
-        assert loaded.eval(0.3, 1.0, 2, 0.0) == field.eval(0.3, 1.0, 2, 0.0)
-        with pytest.raises(ValueError, match="solve context"):
-            loaded.eval(0.3, 1.0, 2, 0.1)
-
-    def test_age_axis_file_refused(self, saturating_kernel, tmp_path):
-        # a file written while fields carried a cached age band: its header
-        # lists the ages, and the loader names them instead of failing on a row
-        field = solve_expected_price(saturating_kernel, GridSpec(n_t=20), 1.0, 1.0)
-        out = tmp_path / "field.csv"
-        save_field_csv(field, out)
-        header, body = out.read_text().split("\n", 1)
-        meta = json.loads(header[1:])
-        meta["s_grid"] = [0.0, 0.05]
-        out.write_text("# " + json.dumps(meta, sort_keys=True) + "\n" + body)
-        with pytest.raises(ValueError, match=r"ages \[0\.0, 0\.05\].*re-run solve-pi"):
-            load_field_csv(out)
-        # a null header over rows at a nonzero age is refused the same way
-        out.write_text(header + "\n" + body.replace(",2,0.0,", ",2,0.05,", 1))
-        with pytest.raises(ValueError, match=r"ages \[0\.05\].*re-run solve-pi"):
-            load_field_csv(out)
-
-    def test_headerless_or_partial_file_refused(self, saturating_kernel, tmp_path):
-        field = solve_expected_price(saturating_kernel, GridSpec(n_t=20), 1.0, 1.0)
-        out = tmp_path / "field.csv"
-        save_field_csv(field, out)
-        header, body = out.read_text().split("\n", 1)
-        out.write_text(body)
-        with pytest.raises(ValueError, match="missing metadata header"):
-            load_field_csv(out)
-        out.write_text(header + "\n" + body.rstrip("\n").rsplit("\n", 1)[0] + "\n")
-        with pytest.raises(ValueError, match="does not cover the full grid"):
-            load_field_csv(out)
-
-    @pytest.mark.parametrize("steps", [-1.0, 21.0, 0.4])
-    def test_row_off_the_time_grid_refused(self, saturating_kernel, tmp_path, steps):
-        # unchecked, t = -h would write the last time row through negative
-        # indexing and t = 0.4 h would round onto row 0
-        field = solve_expected_price(saturating_kernel, GridSpec(n_t=20), 1.0, 1.0)
-        out = tmp_path / "field.csv"
-        save_field_csv(field, out)
-        t = steps * float(field.t_grid[1] - field.t_grid[0])
-        lines = out.read_text().splitlines(keepends=True)
-        lines[2] = f"{t!r}," + lines[2].split(",", 1)[1]
-        out.write_text("".join(lines))
-        with pytest.raises(ValueError, match=rf"row at t = {re.escape(repr(t))} is off the time"):
-            load_field_csv(out)
-
-    def test_cell_covered_twice_refused(self, saturating_kernel, tmp_path):
-        field = solve_expected_price(saturating_kernel, GridSpec(n_t=20), 1.0, 1.0)
-        out = tmp_path / "field.csv"
-        save_field_csv(field, out)
-        lines = out.read_text().splitlines(keepends=True)
-        out.write_text("".join(lines + [lines[5]]))
-        t, p, i = lines[5].split(",")[:3]
-        with pytest.raises(ValueError, match=rf"cell at t = {t}, p = {p}, state {i} twice"):
-            load_field_csv(out)
+        assert np.array_equal(values.reshape(shape), field.core[:, mask, :])
+        assert np.array_equal(t.reshape(shape)[:, 0, 0], field.t_grid)
+        assert np.array_equal(p.reshape(shape)[0, :, 0], field.lattice.prices[mask])
+        assert np.array_equal(i.reshape(shape)[0, 0], STATES) and not s.any()
+        assert columns == "t,p,i,s,value\n" and meta["master_seed"] == 1
+        assert meta["n_t"] == 20 and meta["s_grid"] is None
 
 
 class TestDiagnostics:
