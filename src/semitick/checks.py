@@ -136,11 +136,14 @@ def renewal_vs_thinning(kernel, layout, market, horizon: float, n_paths: int, se
 # -- the expected-price solve (criteria 3 and 4) --------------------------------
 
 
-def contraction(price_field, kernel, horizon: float, grid) -> Check:
-    """Every Picard ratio within the grid bound kappa + 0.01, and the sweep
-    count within log(tol_fp) / log(kappa) + 5."""
-    kappa = contraction_bound(kernel, horizon, np.linspace(0.0, grid.s_max, grid.n_s + 1))
-    budget = math.ceil(math.log(grid.tol_fp) / math.log(kappa)) + 5
+def contraction(price_field, kernel, horizon: float, tol_fp: float, max_age: float) -> Check:
+    """Every Picard ratio within the bound kappa + 0.01, and the sweep count
+    within log(tol_fp) / log(kappa) + 5.  ``kappa`` is the jump probability
+    within the horizon from age ``max_age``, the largest reachable age; with
+    nondecreasing hazards (both supported families) no younger age has a
+    larger one."""
+    kappa = contraction_bound(kernel, horizon, [max_age])
+    budget = math.ceil(math.log(tol_fp) / math.log(kappa)) + 5
     ratio = float(np.max(price_field.ratios, initial=0.0))
     sweeps = price_field.iterations
     return Check(

@@ -6,9 +6,10 @@ Configs are JSON.  Three presets parameterise the oracle suite:
 closed form), and ``saturating-hazard`` (age-dependent intensities).
 
 Commands: simulate, solve-pi, solve-u, policy, backtest, validate.  Exit
-codes: 0 ok, 1 validation failure, 2 configuration error or a solve that does
-not converge.  Every artifact embeds the config hash and master seed in a
-leading comment line.
+codes: 0 ok, 1 validation failure, 2 configuration error, a solve that fails
+(no convergence, non-finite values) or a simulated price that overflows.
+Every artifact embeds the config hash and master seed in a leading comment
+line.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path as FsPath
 from typing import Optional
 
@@ -32,9 +33,8 @@ from .hazards import ConstantIntensity, MarkLayout, SaturatingIntensity, SemiMar
 from .lattice import max_jumps_for_tail
 from .simulate import AgentState, MarketState, path_rng, simulate_price_path
 from .solver import (
-    ConvergenceError,
     GridSpec,
-    ProblemSpec,
+    SolverError,
     extension_slice,
     pde_residual,
     save_field_csv,
@@ -86,7 +86,7 @@ PRESETS = {
         },
         "horizon": 1.0,
         "initial": {"price": 1.0, "state": 2, "age": 0.0, "cash": 0.0, "inventory": 0},
-        "grid": {"n_t": 200, "n_s": 8},
+        "grid": {"n_t": 200},
         "run": {"n_paths": 4000, "seed": 20240811, "out_dir": "out"},
     },
     "asymmetric-constant": {
@@ -109,7 +109,7 @@ PRESETS = {
         },
         "horizon": 1.0,
         "initial": {"price": 1.0, "state": 2, "age": 0.0, "cash": 0.0, "inventory": 0},
-        "grid": {"n_t": 200, "n_s": 8},
+        "grid": {"n_t": 200},
         "run": {"n_paths": 4000, "seed": 20240811, "out_dir": "out"},
     },
     "saturating-hazard": {
@@ -132,7 +132,7 @@ PRESETS = {
         },
         "horizon": 1.0,
         "initial": {"price": 1.0, "state": 2, "age": 0.25, "cash": 0.0, "inventory": 0},
-        "grid": {"n_t": 120, "n_s": 8},
+        "grid": {"n_t": 120},
         "run": {"n_paths": 3000, "seed": 20240811, "out_dir": "out"},
     },
 }
@@ -191,12 +191,32 @@ def _number(sec: dict, where: str, errors: list, default=None, integer: bool = F
     return int(value) if integer else float(value)
 
 
+# the keys each config object may hold; an intensity object holds "family"
+# and the parameters of its family (_FAMILIES)
+_KEYS = {
+    "config": ("kernel", "layout", "agent", "horizon", "initial", "grid", "run"),
+    "kernel": ("continuation", "reversal", "delta"),
+    "layout": ("ask_flow", "bid_flow", "ask_sizes", "bid_sizes"),
+    "agent": ("big_size", "transaction_cost", "risk_aversion", "portfolio_consistent"),
+    "initial": ("price", "state", "age", "cash", "inventory"),
+    "grid": ("n_t", "n_max", "tol_fp", "tail_tol", "max_iter"),
+    "run": ("n_paths", "seed", "out_dir"),
+}
+
+
+def _refuse_unknown(sec: dict, where: str, keys, errors: list) -> None:
+    prefix = "" if where == "config" else where + "."
+    errors.extend(f"{prefix}{key}: unknown key" for key in sec if key not in keys)
+
+
 def _section(parent: dict, where: str, errors: list) -> dict:
     sec = parent.get(where.rsplit(".", 1)[-1], {})
-    if isinstance(sec, dict):
-        return sec
-    errors.append(f"{where}: expected an object, got {sec!r}")
-    return {}
+    if not isinstance(sec, dict):
+        errors.append(f"{where}: expected an object, got {sec!r}")
+        return {}
+    if where in _KEYS:
+        _refuse_unknown(sec, where, _KEYS[where], errors)
+    return sec
 
 
 def _make(where: str, errors: list, cls, *args, **kwargs):
@@ -227,6 +247,7 @@ def _intensity_from(parent: dict, where: str, errors: list):
         )
         return None
     cls, names = _FAMILIES[family]
+    _refuse_unknown(section, where, ("family",) + names, errors)
     return _make(where, errors, cls, *[_number(section, f"{where}.{n}", errors) for n in names])
 
 
@@ -234,6 +255,7 @@ def _build_config(data) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError([f"config: expected a JSON object, got {type(data).__name__}"])
     errors: list[str] = []
+    _refuse_unknown(data, "config", _KEYS["config"], errors)
     ksec = _section(data, "kernel", errors)
     cont = _intensity_from(ksec, "kernel.continuation", errors)
     rev = _intensity_from(ksec, "kernel.reversal", errors)
@@ -289,15 +311,13 @@ def _build_config(data) -> ExperimentConfig:
         _number(isec, "initial.inventory", errors, 0, integer=True),
     )
     gsec = _section(data, "grid", errors)
-    optional = {
-        key: _number(gsec, f"grid.{key}", errors, integer=key == "n_max")
-        for key in ("n_max", "s_max")
-        if gsec.get(key) is not None
-    }
+    # n_max is the one grid key whose absence means "from tail_tol"
+    optional = {}
+    if gsec.get("n_max") is not None:
+        optional["n_max"] = _number(gsec, "grid.n_max", errors, integer=True)
     grid = _make(
         "grid", errors, GridSpec,
         n_t=_number(gsec, "grid.n_t", errors, 200, integer=True),
-        n_s=_number(gsec, "grid.n_s", errors, 8, integer=True),
         tol_fp=_number(gsec, "grid.tol_fp", errors, 1e-8),
         tail_tol=_number(gsec, "grid.tail_tol", errors, 1e-10),
         max_iter=_number(gsec, "grid.max_iter", errors, 400, integer=True),
@@ -316,8 +336,6 @@ def _build_config(data) -> ExperimentConfig:
         _make("grid", errors, max_jumps_for_tail, kernel.intensity_bound, horizon, tol)
     if errors:
         raise ConfigError(errors)
-    if grid.s_max is None:
-        grid = replace(grid, s_max=initial_market.age + horizon)
     return ExperimentConfig(
         kernel=kernel,
         layout=layout,
@@ -376,9 +394,11 @@ def _cmd_simulate(cfg: ExperimentConfig, out: FsPath, quiet: bool) -> int:
                     f"{float(e.market_before.price)!r},{float(e.market_after.price)!r},"
                     f"{float(e.market_before.age)!r}\n"
                 )
-            summaries.append(path.summary())
+            # the stream is path_rng(master seed, path index)
+            summaries.append({**path.summary(), "seed": [cfg.seed, idx]})
     with open(out / "paths_summary.json", "w") as fh:
-        json.dump({"meta": meta, "paths": summaries}, fh, indent=2, sort_keys=True)
+        # one write: an indented json.dump writes every token on its own
+        fh.write(json.dumps({"meta": meta, "paths": summaries}, indent=2, sort_keys=True))
     if not quiet:
         print(f"simulate: wrote {cfg.n_paths} paths to {rows_path}")
     return 0
@@ -391,11 +411,10 @@ def _solve_pi(cfg: ExperimentConfig):
 def _cmd_solve_pi(cfg: ExperimentConfig, out: FsPath, quiet: bool) -> int:
     field = _solve_pi(cfg)
     save_field_csv(field, out / "expected_price.csv", cfg.header_meta())
-    # the residual differences along the (t, s) diagonal, so it needs ages 0, h, 2h, ...
+    # the residual differences along the (t, s) diagonal, on the ages 0, h, ..., 6h
     h = field.t_grid[1] - field.t_grid[0]
-    ages = h * np.arange(min(cfg.grid.n_s, 6) + 1)
-    values = np.stack([extension_slice(field, s) for s in ages], axis=-1)
-    res = pde_residual(cfg.kernel, ProblemSpec(g=lambda p: p), field, values)
+    values = np.stack([extension_slice(field, s) for s in h * np.arange(7)], axis=-1)
+    res = pde_residual(field, values)
     report = {
         "meta": cfg.header_meta(),
         "iterations": field.iterations,
@@ -422,7 +441,7 @@ def _cmd_solve_u(cfg: ExperimentConfig, out: FsPath, quiet: bool) -> int:
         return 2
     cfg.mmspec.require_risk_neutral("solve-u")
     field = _solve_pi(cfg)
-    quote_field = mm.solve_quote_value(cfg.kernel, cfg.layout, cfg.mmspec, field)
+    quote_field = mm.solve_quote_value(cfg.kernel, cfg.layout, cfg.mmspec, field, cfg.grid)
     save_field_csv(quote_field, out / "quote_value.csv", cfg.header_meta())
     report = {
         "meta": cfg.header_meta(),
@@ -441,7 +460,8 @@ def _cmd_solve_u(cfg: ExperimentConfig, out: FsPath, quiet: bool) -> int:
 def _cmd_policy(cfg: ExperimentConfig, out: FsPath, quiet: bool) -> int:
     cfg.mmspec.require_risk_neutral("policy")
     field = _solve_pi(cfg)
-    s_vals = np.linspace(0.0, cfg.grid.s_max, 5)
+    # ages reachable before the horizon
+    s_vals = np.linspace(0.0, cfg.initial_market.age + cfg.horizon, 5)
     mm.export_policy_csv(
         out / "policy.csv",
         cfg.kernel,
@@ -500,7 +520,7 @@ def _validation(cfg: ExperimentConfig):
         kernel, layout, market, horizon, min(4000, max(1000, n // 2)), seed + 1
     )
     field = _solve_pi(cfg)
-    yield checks.contraction(field, kernel, horizon, cfg.grid)
+    yield checks.contraction(field, kernel, horizon, cfg.grid.tol_fp, market.age + horizon)
     yield checks.extension_age0(field, 2.0 * cfg.grid.tol_fp)
     if kernel.is_memoryless:
         flat_tol = 1e-6 if kernel.continuation.level == kernel.reversal.level else 1e-4
@@ -513,7 +533,7 @@ def _validation(cfg: ExperimentConfig):
         (0.0, float(lattice.prices[lattice.index_of(1, 0)]), 1, 0.0),
     ]
     yield checks.price_mc(kernel, field, points, horizon, n_mc, seed + 110)
-    quote = mm.solve_quote_value(kernel, layout, mmspec, field)
+    quote = mm.solve_quote_value(kernel, layout, mmspec, field, cfg.grid)
     yield checks.quote_value_shape(quote)
     yield checks.quote_value_mc(
         kernel, layout, mmspec, field, quote, points[:2], horizon, max(2000, n // 2), seed + 220
@@ -584,7 +604,7 @@ def run_command(
         if cmd == "backtest":
             return _cmd_backtest(cfg, out, quiet)
         return _cmd_validate(cfg, out, quiet)
-    except (mm.UnsupportedRiskAversion, ConvergenceError) as exc:
+    except (mm.UnsupportedRiskAversion, SolverError, OverflowError) as exc:
         print(f"{cmd}: {exc}", file=sys.stderr)
         return 2
 

@@ -108,7 +108,10 @@ class PriceLattice:
         self.b_counts = np.array(b_list)
         log_u = np.log1p(self.delta)
         log_d = np.log1p(-self.delta)
-        self.prices = self.p0 * np.exp(self.a_counts * log_u + self.b_counts * log_d)
+        # a price past the float range is inf here; the solver refuses it as a
+        # non-finite payoff
+        with np.errstate(over="ignore"):
+            self.prices = self.p0 * np.exp(self.a_counts * log_u + self.b_counts * log_d)
         pairs = list(zip(a_list, b_list))
         self.up_index = np.array([index.get((a + 1, b), -1) for a, b in pairs], dtype=int)
         self.down_index = np.array([index.get((a, b + 1), -1) for a, b in pairs], dtype=int)
@@ -127,26 +130,33 @@ class PriceLattice:
     def index_of(self, a: int, b: int) -> int:
         return self._index[(a, b)]
 
-    def locate(self, p: float, rtol: float = 1e-9) -> int:
-        """Node whose price matches ``p`` within relative tolerance.
+    def locate(self, p, rtol: float = 1e-9):
+        """Node whose price matches ``p`` within relative tolerance: an int at
+        a scalar ``p``, an int array of ``p``'s shape at an array.
 
-        Raises when no lattice price is that close; adjacent lattice prices
-        differ at order delta**2 at worst, far above the tolerance.
+        Each price takes the nearest of the three sorted prices around its
+        ``searchsorted`` position.  Raises ``ValueError`` when no lattice
+        price is that close; adjacent lattice prices differ at order
+        delta**2 at worst, far above the tolerance.
         """
-        pos = np.searchsorted(self._sorted_prices, p)
-        best, best_err = -1, np.inf
-        for cand in (pos - 1, pos, pos + 1):
-            if 0 <= cand < len(self._sorted_prices):
-                err = abs(self._sorted_prices[cand] - p)
-                if err < best_err:
-                    best, best_err = cand, err
-        node = self._sorted[best]
-        if best_err > rtol * max(abs(p), 1e-300):
-            raise KeyError(
-                f"price {p!r} is not on the lattice "
-                f"(nearest {self.prices[node]!r}, rel err {best_err / p:.3e})"
+        p = np.asarray(p, dtype=float)
+        ranked = self._sorted_prices
+        cand = np.searchsorted(ranked, p)[..., None] + np.arange(-1, 2)
+        inside = (cand >= 0) & (cand < len(ranked))
+        cand = np.clip(cand, 0, len(ranked) - 1)
+        err = np.where(inside, np.abs(ranked[cand] - p[..., None]), np.inf)
+        best = np.argmin(err, axis=-1)[..., None]
+        best_err = np.take_along_axis(err, best, axis=-1)[..., 0]
+        # written so that a NaN or infinite price misses too
+        missed = ~(best_err <= rtol * np.maximum(np.abs(p), 1e-300)) | np.isinf(p)
+        if missed.any():
+            bad = float(p[missed].flat[0])
+            raise ValueError(
+                f"price {bad!r} is not on the price lattice "
+                f"(anchor {self.p0!r}, delta {self.delta!r})"
             )
-        return int(node)
+        node = self._sorted[np.take_along_axis(cand, best, axis=-1)[..., 0]]
+        return int(node) if node.ndim == 0 else node
 
     def image_maps(self, direction: int) -> tuple[np.ndarray, np.ndarray]:
         """Jump-image indices and linear-growth envelope scales.

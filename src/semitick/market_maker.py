@@ -17,7 +17,7 @@ import json
 import math
 import os
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Optional, Sequence
 
@@ -43,7 +43,6 @@ from .solver import (
     ProblemSpec,
     ValueField,
     _CharacteristicSweep,
-    _interp_time,
     _source_integrals,
     _write_rows,
     extension_slice,
@@ -144,7 +143,6 @@ class QuoteGainSource:
         self.mmspec = mmspec
         self.field = price_field
         self.lattice = price_field.lattice
-        self._locate_cache: dict[float, int] = {}
         self._img = {
             +1: self.lattice.image_maps(+1),
             -1: self.lattice.image_maps(-1),
@@ -290,34 +288,6 @@ class QuoteGainSource:
         bufs = [np.empty_like(flat) for _ in range(3)]
         return self._source_into(bufs, self._age_terms(0.0), flat, slice(None), 0).reshape(core.shape)
 
-    def _nodes(self, p) -> np.ndarray:
-        """Lattice nodes of an array of prices; each distinct price is located
-        once, and an off-lattice price is refused by name."""
-        p = np.asarray(p, dtype=float)
-        if p.ndim == 0:
-            nodes = np.asarray(self._node(float(p)))
-        else:
-            uniq, inverse = np.unique(p, return_inverse=True)
-            located = np.array([self._node(price) for price in uniq.tolist()], dtype=int)
-            nodes = located[inverse].reshape(p.shape)
-        if (nodes < 0).any():
-            bad = p.ravel()[np.argmax(nodes.ravel() < 0)]
-            raise ValueError(
-                f"price {float(bad)!r} is not on the expected-price lattice "
-                f"(anchor {self.lattice.p0!r}, delta {self.lattice.delta!r})"
-            )
-        return nodes
-
-    def _node(self, price: float) -> int:
-        """Cached lattice node of one price, -1 when it is off the lattice."""
-        node = self._locate_cache.get(price)
-        if node is None:
-            try:
-                node = self._locate_cache[price] = self.lattice.locate(price)
-            except KeyError:
-                return -1
-        return node
-
     def rate_point(self, t, p, i, s, j):
         """Gain rate of quoting toward ``j``; broadcasts over all five arguments."""
         t, p, s = (np.asarray(x, dtype=float) for x in (t, p, s))
@@ -331,7 +301,7 @@ class QuoteGainSource:
             )
         rising = j % 2 == 0  # alpha(j) > 0
         d = np.where(rising, 1, -1)
-        node = self._nodes(p)
+        node = self.lattice.locate(p)
         pi_here = self.field.read(t, node, i, s)
         (up_idx, up_scale), (down_idx, down_scale) = self._img[+1], self._img[-1]
         img = np.where(rising, up_idx[node], down_idx[node])
@@ -353,20 +323,11 @@ class QuoteGainSource:
         return (small + large)[()]
 
     def __call__(self, t, p, i: int, s):
-        """Running source: sum over successors of max(gain rate, 0);
-        broadcasts over ``t``, ``p`` and ``s``."""
-        total = 0.0
-        if self._age_free:
-            node = self._nodes(p)
-            for j in successors(i):
-                rate = _interp_time(self.field.t_grid, t, self._age_free_rates[(i, j)], node)
-                total = total + np.maximum(rate, 0.0)
-            if np.ndim(s) == 0:
-                return total
-            return np.broadcast_to(total, np.broadcast_shapes(np.shape(total), np.shape(s)))
-        for j in successors(i):
-            total = total + np.maximum(self.rate_point(t, p, i, s, j), 0.0)
-        return total
+        """Running source: sum over successors of max(gain rate, 0), from one
+        rate evaluation; broadcasts over ``t``, ``p`` and ``s``."""
+        ndim = max(np.ndim(t), np.ndim(p), np.ndim(s))
+        rates = self.rate_point(t, p, i, s, np.reshape(successors(i), (2,) + (1,) * ndim))
+        return (np.maximum(rates[0], 0.0) + np.maximum(rates[1], 0.0))[()]
 
 
 def _price_ages(core, sweep, lo: int, hi: int):
@@ -465,11 +426,9 @@ def solve_quote_value(
     mmspec.require_risk_neutral("the quoting premium")
     n_t = len(price_field.t_grid) - 1
     if grid is None:
-        grid = GridSpec(n_t=n_t, n_max=price_field.lattice.n_max)
-    if grid.n_t != n_t or (grid.n_max or price_field.lattice.n_max) != price_field.lattice.n_max:
+        grid = GridSpec(n_t=n_t)
+    if grid.n_t != n_t:
         raise ValueError("quote-value grid must match the expected-price grid")
-    if grid.n_max is None:
-        grid = replace(grid, n_max=price_field.lattice.n_max)
     source = QuoteGainSource(kernel, layout, mmspec, price_field)
     problem = ProblemSpec(g=lambda p: np.zeros_like(np.asarray(p, dtype=float)), w=source)
     fld = solve_fixed_point(
@@ -640,7 +599,7 @@ def backtest(
                 kernel, layout, start, horizon, path_rng(seed, idx)
             ):
                 if mark is not None and mark is not NO_EVENT:
-                    side, d_cash, d_inv, _, _ = order_fill(
+                    side, d_cash, d_inv, _ = order_fill(
                         mark, (1, 1), layout.max_units, p, kernel.delta, mmspec.transaction_cost
                     )
                     events.append((t1, p, i, s1, side > 0, d_cash, d_inv))

@@ -21,15 +21,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .hazards import NO_EVENT, MarkLayout, SemiMarkovKernel, alpha, successors
-from .simulate import (
-    big_order_fill,
-    order_fill,
-    path_rng,
-    renewal_segments,
-    small_order_fill,
-    thinning_segments,
-)
+from .hazards import NO_EVENT, BigJump, MarkLayout, SemiMarkovKernel, SmallOrder, alpha, successors
+from .simulate import order_fill, path_rng, renewal_segments, thinning_segments
 
 __all__ = [
     "McEstimate",
@@ -260,14 +253,15 @@ def _events_ctl(kernel, layout, cost, control, include_small, p, i, ages, x, y):
     events = []
     for j in successors(i):
         d = alpha(j)
-        bit = control[0] if d > 0 else control[1]
-        if include_small and bit:
+        if include_small and (control[0] if d > 0 else control[1]):
             flow = layout.side_flow(d).value(ages)
             for units, prob in enumerate(layout.side_sizes(d)):
                 if units and prob:
-                    dx, dy, _ = small_order_fill(d, units, p, kernel.delta, cost, bit)
+                    _, dx, dy, _ = order_fill(
+                        SmallOrder(d, units), control, layout.max_units, p, kernel.delta, cost
+                    )
                     events.append((prob * flow, (p, i, ages, x + dx, y + dy)))
-        dx, dy, _ = big_order_fill(j, layout.max_units, p, kernel.delta, cost, bit)
+        _, dx, dy, _ = order_fill(BigJump(j), control, layout.max_units, p, kernel.delta, cost)
         events.append((
             kernel.directed_intensity(i, j, ages),
             (p * (1.0 + kernel.delta * d), j, 0.0, x + dx, y + dy),
@@ -283,7 +277,7 @@ def _controlled_segments(kernel, layout, start, t, agent, control, cost, rng):
     for t0, t1, p, i, s0, _, mark in thinning_segments(kernel, layout, start, t, rng):
         rows.append((t0, t1, p, i, s0, x, y))
         if mark is not None and mark is not NO_EVENT:
-            _, dx, dy, _, _ = order_fill(mark, control, layout.max_units, p, kernel.delta, cost)
+            _, dx, dy, _ = order_fill(mark, control, layout.max_units, p, kernel.delta, cost)
             x, y = x + dx, y + dy
     return rows
 

@@ -105,14 +105,12 @@ class JumpEvent:
     """One Poisson event with full provenance.
 
     ``executed_units`` is zero whenever the agent did not quote the executed
-    side (or the run is uncontrolled).  ``price_at_execution`` is the price
-    the traded units changed hands at, None when nothing was executed.
+    side (or the run is uncontrolled).
     """
 
     time: float
     kind: object  # BigJump or SmallOrder
     executed_units: int
-    price_at_execution: Optional[float]
     market_before: MarketState
     market_after: MarketState
     agent_before: Optional[AgentState] = None
@@ -144,23 +142,16 @@ class Path:
     def jump_count(self) -> int:
         return len(self.big_jumps())
 
-    def holding_times(self, complete_only: bool = True) -> list[float]:
+    def holding_times(self) -> list[float]:
         """Durations between consecutive big jumps.
 
         The stretch before the first jump is included only when the run
-        started at age zero (otherwise its law is the conditional one), and
-        the censored stretch after the last jump is dropped when
-        ``complete_only``.
+        started at age zero (otherwise its law is the conditional one); the
+        censored stretch after the last jump is dropped.
         """
-        jumps = self.big_jumps()
-        times = [e.time for e in jumps]
-        out = []
-        if self.initial_market.age == 0.0 and times:
-            out.append(times[0])
+        times = [e.time for e in self.big_jumps()]
+        out = [times[0]] if self.initial_market.age == 0.0 and times else []
         out.extend(np.diff(times).tolist())
-        if not complete_only:
-            last = times[-1] if times else 0.0
-            out.append(self.horizon - last + (0.0 if times else self.initial_market.age))
         return out
 
     def summary(self) -> dict:
@@ -285,7 +276,10 @@ def _as_rng(seed) -> np.random.Generator:
 
 
 def _price_after(p: float, delta: float, j: int) -> float:
-    return p * (1.0 + delta * alpha(j))
+    price = p * (1.0 + delta * alpha(j))
+    if math.isinf(price):
+        raise OverflowError(f"the price overflows: a jump from {p!r} at tick size {delta!r}")
+    return price
 
 
 def _right_limit(p: float, i: int, s: float, mark, delta: float) -> tuple:
@@ -333,7 +327,6 @@ def _market_event(t: float, p: float, i: int, s: float, mark, delta: float) -> J
         time=t,
         kind=mark,
         executed_units=0,
-        price_at_execution=None,
         market_before=MarketState(p, i, s),
         market_after=MarketState(*_right_limit(p, i, s, mark, delta)),
     )
@@ -384,57 +377,29 @@ def simulate_price_path_thinning(
     return path
 
 
-def small_order_fill(
-    side: int, units: int, price: float, delta: float, cost: float, quoted: int
-) -> tuple[float, int, Optional[float]]:
-    """Cash/inventory change when a small order on ``side`` meets the agent.
-
-    With the side quoted, ``units`` trade at price*(1 + side*delta) and the
-    fixed cost is paid: cash changes by side*units*(exec_price - side*cost),
-    inventory by -side*units.
-    """
-    if not quoted or units == 0:
-        return 0.0, 0, None
-    exec_price = price * (1.0 + side * delta)
-    d_cash = side * units * (exec_price - side * cost)
-    return d_cash, -side * units, exec_price
-
-
-def big_order_fill(
-    j: int, big_units: int, price: float, delta: float, cost: float, quoted: int
-) -> tuple[float, int, Optional[float]]:
-    """Cash/inventory change when a big order (jump into ``j``) meets the agent.
-
-    The executed side is the direction of the jump; ``big_units`` trade at the
-    post-jump price price*(1 + delta*alpha(j)), evaluated at the pre-jump
-    mid-price ``price``.
-    """
-    a = alpha(j)
-    if not quoted:
-        return 0.0, 0, None
-    exec_price = price * (1.0 + delta * a)
-    d_cash = a * big_units * (exec_price - a * cost)
-    return d_cash, -a * big_units, exec_price
-
-
 def order_fill(mark, quotes, big_units: int, price: float, delta: float, cost: float):
     """Settle one market order against the agent's quotes ``(ask bit, bid bit)``.
 
-    ``price`` is the pre-event mid-price.  Returns ``(side, d_cash, d_inv,
-    exec_price, executed_units)``, where ``side`` is the quote side the order
-    executes against (+1 ask, -1 bid); with that side unquoted nothing trades.
+    A small order trades its own size on its own side; a big order (a jump
+    into ``mark.target``) trades ``big_units`` on the side of the jump.  With
+    that side quoted the units trade at exec_price = price*(1 + side*delta),
+    ``price`` being the pre-event mid-price (so a big order trades at the
+    post-jump price), and the fixed cost is paid: cash changes by
+    side*units*(exec_price - side*cost), inventory by -side*units.  ``price``
+    may be an array.
+
+    Returns ``(side, d_cash, d_inv, executed_units)``, where ``side`` is the
+    quote side the order executes against (+1 ask, -1 bid); with that side
+    unquoted nothing trades.
     """
     if isinstance(mark, SmallOrder):
-        side = mark.side
-        quoted = quotes[0] if side > 0 else quotes[1]
-        fill = small_order_fill(side, mark.units, price, delta, cost, quoted)
-        executed = mark.units if (quoted and mark.units) else 0
+        side, units = mark.side, mark.units
     else:
-        side = alpha(mark.target)
-        quoted = quotes[0] if side > 0 else quotes[1]
-        fill = big_order_fill(mark.target, big_units, price, delta, cost, quoted)
-        executed = big_units if quoted else 0
-    return (side, *fill, executed)
+        side, units = alpha(mark.target), big_units
+    if not (quotes[0] if side > 0 else quotes[1]) or units == 0:
+        return side, 0.0, 0, 0
+    d_cash = side * units * (price * (1.0 + side * delta) - side * cost)
+    return side, d_cash, -side * units, units
 
 
 def simulate_controlled_path(
@@ -475,7 +440,7 @@ def simulate_controlled_path(
         if mark is NO_EVENT:
             continue
         l_ask, l_bid = policy(t1, p, i, s1)
-        _, d_cash, d_inv, exec_price, executed = order_fill(
+        _, d_cash, d_inv, executed = order_fill(
             mark, (l_ask, l_bid), layout.max_units, p, kernel.delta, transaction_cost
         )
         after = AgentState(agent.cash + d_cash, agent.inventory + d_inv)
@@ -484,7 +449,6 @@ def simulate_controlled_path(
                 time=t1,
                 kind=mark,
                 executed_units=executed,
-                price_at_execution=exec_price,
                 market_before=MarketState(p, i, s1),
                 market_after=MarketState(*_right_limit(p, i, s1, mark, kernel.delta)),
                 agent_before=agent,

@@ -53,7 +53,7 @@ class SolverError(RuntimeError):
     """Raised when the operator produces non-finite values."""
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(SolverError):
     """Raised when Picard iteration fails to reach tolerance; carries the ratio log."""
 
     def __init__(self, message: str, diff_norms: list[float], ratios: list[float]):
@@ -67,14 +67,11 @@ class GridSpec:
     """Numerical discretisation parameters.
 
     ``n_max`` (lattice truncation) defaults to the Poisson-tail budget for
-    ``tail_tol``; ``s_max`` defaults to the initial age plus the horizon so
-    every reachable age is covered.
+    ``tail_tol``.
     """
 
     n_t: int
-    n_s: int = 8
     n_max: Optional[int] = None
-    s_max: Optional[float] = None
     tol_fp: float = 1e-8
     tail_tol: float = 1e-10
     max_iter: int = 400
@@ -82,11 +79,9 @@ class GridSpec:
     def __post_init__(self):
         if self.n_t < 2:
             raise ValueError("n_t must be at least 2")
-        if self.n_s < 1:
-            raise ValueError("n_s must be at least 1")
-        for name in ("tol_fp", "tail_tol", "s_max"):
+        for name in ("tol_fp", "tail_tol"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.tol_fp <= 0 or self.tail_tol <= 0:
             raise ValueError("tolerances must be positive")
@@ -96,8 +91,6 @@ class GridSpec:
             raise ValueError("max_iter must be at least 1")
         if self.n_max is not None and self.n_max < 1:
             raise ValueError("n_max must be at least 1")
-        if self.s_max is not None and self.s_max <= 0:
-            raise ValueError("s_max must be positive")
 
 
 @dataclass(frozen=True)
@@ -218,8 +211,6 @@ class ResidualStats:
 
     max_abs: float
     mean_abs: float
-    n_points: int
-    argmax: tuple
 
 
 # -- quadrature machinery --------------------------------------------------
@@ -701,22 +692,20 @@ def contraction_bound(
     return float(np.max(-np.expm1(-np.asarray(kernel.integrated_increment(s_values, horizon)))))
 
 
-def pde_residual(
-    kernel: SemiMarkovKernel,
-    problem: ProblemSpec,
-    field: ValueField,
-    values: np.ndarray,
-) -> ResidualStats:
+def pde_residual(field: ValueField, values: np.ndarray) -> ResidualStats:
     """Interior residual of the characteristic-form equation on a grid of ages.
 
-    ``values[..., d]`` holds the field on the (time, node, state) grid at age
+    ``values[..., d]`` holds ``field`` on the (time, node, state) grid at age
     ``d*h``, ``h`` being the time step (see :func:`extension_slice`); at
     least three ages are needed.  The transport derivative is a centred
-    difference along the (t, s) diagonal; the jump and source terms are
-    evaluated exactly at the node.  Residuals are normalised by 1 + price;
-    boundary lattice nodes (truncated jump images) are excluded.
+    difference along the (t, s) diagonal; the jump terms are evaluated
+    exactly at the node.  Residuals are normalised by 1 + price; boundary
+    lattice nodes (truncated jump images) are excluded.  A field with a
+    running source is refused.
     """
-    t_grid = field.t_grid
+    if field.problem.w is not None:
+        raise ValueError("the residual needs a field without a running source")
+    kernel, t_grid = field.kernel, field.t_grid
     h_t = t_grid[1] - t_grid[0]
     ages = h_t * np.arange(values.shape[-1])
     lattice = field.lattice
@@ -725,7 +714,6 @@ def pde_residual(
     n_t = len(t_grid) - 1
     n_s = len(ages) - 1
     res = np.zeros_like(transport)
-    prices = lattice.prices
     for i in STATES:
         ii = _STATE_INDEX[i]
         jump = np.zeros((n_t - 1, lattice.n_nodes, n_s - 1))
@@ -737,19 +725,9 @@ def pde_residual(
                 target[:, :, None] - values[1:-1, :, ii, 1:-1]
             )
         res[:, :, ii, :] = transport[:, :, ii, :] + jump
-        if problem.w is not None:
-            for di, s in enumerate(ages[1:-1]):
-                for ki in range(1, n_t):
-                    res[ki - 1, :, ii, di] += problem.w(t_grid[ki], prices, i, s)
     res = res[:, interior_nodes, :, :]
-    norm = np.abs(res) / (1.0 + prices[interior_nodes])[None, :, None, None]
-    arg = np.unravel_index(int(np.argmax(norm)), norm.shape)
-    return ResidualStats(
-        max_abs=float(np.max(norm)),
-        mean_abs=float(np.mean(norm)),
-        n_points=int(norm.size),
-        argmax=arg,
-    )
+    norm = np.abs(res) / (1.0 + lattice.prices[interior_nodes])[None, :, None, None]
+    return ResidualStats(max_abs=float(np.max(norm)), mean_abs=float(np.mean(norm)))
 
 
 # -- flat-file output ------------------------------------------------------

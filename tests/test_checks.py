@@ -9,7 +9,6 @@ from semitick import checks
 from semitick.hazards import STATES, MarkLayout
 from semitick.market_maker import BacktestReport, BacktestRow
 from semitick.mc import DynkinResult, McEstimate
-from semitick.solver import GridSpec
 
 NAN = float("nan")
 CASES = [([0.1, 0.2], True), ([0.1, NAN], False), ([NAN, 0.1], False)]
@@ -51,8 +50,7 @@ def test_value_bound_fails_on_a_nan_mean(values, passed):
 @pytest.mark.parametrize("values, passed", CASES)
 def test_contraction_fails_on_a_nan_ratio(symmetric_kernel, values, passed):
     field = SimpleNamespace(ratios=[v * 1e-3 for v in values], iterations=3)
-    grid = GridSpec(n_t=10, s_max=2.0)
-    assert checks.contraction(field, symmetric_kernel, 1.0, grid).passed is passed
+    assert checks.contraction(field, symmetric_kernel, 1.0, 1e-8, 2.0).passed is passed
 
 
 @pytest.mark.parametrize("bad_state, passed", [(None, True), (STATES[0], False), (STATES[-1], False)])

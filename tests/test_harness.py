@@ -22,6 +22,8 @@ from semitick.harness import (
     preset_config,
     run_command,
 )
+from semitick.simulate import path_rng, simulate_price_path
+from semitick.solver import GridSpec
 
 
 def write_config(tmp_path, data, name="cfg.json"):
@@ -64,8 +66,7 @@ class TestLoadConfig:
         data = preset_config("symmetric-martingale")
         del data["grid"]
         cfg = load_config(write_config(tmp_path, data))
-        assert cfg.grid.n_t == 200
-        assert cfg.grid.s_max == pytest.approx(cfg.horizon + cfg.initial_market.age)
+        assert cfg.grid == GridSpec(n_t=200, n_max=None, tol_fp=1e-8, tail_tol=1e-10, max_iter=400)
 
     def test_unknown_source(self):
         with pytest.raises(ConfigError, match="neither a file nor a preset"):
@@ -157,6 +158,20 @@ class TestCommands:
         b = (tmp_path / "b" / "paths.csv").read_bytes()
         assert a == b
 
+    def test_paths_summary_records_stream_pairs(self, tmp_path):
+        rc = main(["simulate", "--config", "saturating-hazard", "--out", str(tmp_path),
+                   "--paths", "30", "--seed", "5", "--quiet"])
+        assert rc == 0
+        paths = json.loads((tmp_path / "paths_summary.json").read_text())["paths"]
+        pairs = [tuple(p["seed"]) for p in paths]
+        assert pairs == [(5, idx) for idx in range(30)]
+        cfg = load_config("saturating-hazard")
+        for idx in (0, 17, 29):
+            # the recorded pair seeds the stream the path was drawn from
+            again = simulate_price_path(cfg.kernel, cfg.initial_market, cfg.horizon,
+                                        path_rng(*pairs[idx])).summary()
+            assert {**again, "seed": list(pairs[idx])} == paths[idx]
+
     def test_outputs_embed_hash_and_seed(self, tmp_path):
         cfg = load_config("symmetric-martingale")
         rc = run_command("simulate", cfg, out_dir=str(tmp_path), quiet=True)
@@ -230,6 +245,49 @@ class TestCommands:
         assert rc == 2
         assert "no convergence" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "cmd, price, delta",
+        [
+            # the lattice prices overflow, so the solve meets a non-finite payoff
+            ("solve-pi", 1e306, 0.5),
+            ("policy", 1e306, 0.5),
+            ("backtest", 1e306, 0.5),
+            ("backtest", 1e308, 0.9),
+            # the first up move of a path overflows
+            ("simulate", 1e308, 0.9),
+        ],
+    )
+    def test_numeric_failure_exits_2(self, tmp_path, capsys, cmd, price, delta):
+        data = preset_config("asymmetric-constant")
+        data["initial"]["price"] = price
+        data["kernel"]["delta"] = delta
+        data["run"]["n_paths"] = 20
+        rc = main([cmd, "--config", write_config(tmp_path, data), "--out",
+                   str(tmp_path / "out"), "--quiet"])
+        assert rc == 2
+        expect = "overflows" if cmd == "simulate" else "non-finite values on the lattice"
+        err = capsys.readouterr().err
+        assert err.startswith(f"{cmd}: ") and expect in err
+
+    def test_quote_solve_honours_max_iter(self, tmp_path, capsys):
+        # the expected price converges in 5 sweeps, the quote value needs 9
+        data = preset_config("saturating-hazard")
+        data["grid"]["max_iter"] = 6
+        argv = ["--config", write_config(tmp_path, data), "--out", str(tmp_path / "out"),
+                "--quiet"]
+        assert main(["solve-pi"] + argv) == 0
+        assert main(["solve-u"] + argv) == 2
+        assert "solve-u: no convergence to 1e-08 within 6 sweeps" in capsys.readouterr().err
+
+    def test_quote_solve_takes_the_price_lattice(self, tmp_path):
+        # n_max sets the reported truncation; the guard rings make the lattice larger
+        data = preset_config("saturating-hazard")
+        data["grid"]["n_max"] = 10
+        argv = ["--config", write_config(tmp_path, data), "--out", str(tmp_path / "out"),
+                "--quiet"]
+        assert main(["solve-pi"] + argv) == 0
+        assert main(["solve-u"] + argv) == 0
+
     def test_risk_aversion_rejected_at_solves(self, tmp_path, capsys):
         data = preset_config("symmetric-martingale")
         data["agent"]["risk_aversion"] = 1.0
@@ -258,14 +316,17 @@ class TestCli:
             ("initial", "age", float("nan")),
             ("grid", "max_iter", 0),
             ("grid", "n_max", 0),
-            ("grid", "s_max", -1.0),
+            ("grid", "n_s", 8),  # the knobs of the deleted age band
+            ("grid", "s_max", 1.25),
+            ("grid", "typo_key", 1),
             ("grid", "tail_tol", 2.0),
             (None, "horizon", 40.0),  # needs more jumps than the lattice cap
             ("kernel.continuation", "level", 1e300),  # a Poisson mean far past the cap
         ],
         ids=[
             "delta_str", "n_paths_str", "n_max_str", "top_level_list", "nan_horizon",
-            "nan_age", "max_iter_0", "n_max_0", "s_max_negative", "tail_tol_2",
+            "nan_age", "max_iter_0", "n_max_0", "unknown_n_s", "unknown_s_max",
+            "unknown_typo", "tail_tol_2",
             "horizon_40", "level_1e300",
         ],
     )
@@ -282,6 +343,24 @@ class TestCli:
         rc = main(["solve-pi", "--config", path, "--quiet", "--out", str(tmp_path)])
         assert rc == 2
         assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [(None, "horizn"), ("kernel", "detla"), ("kernel.continuation", "rate"),
+         ("layout", "sizes"), ("agent", "size"), ("initial", "prise"), ("grid", "typo_key"),
+         ("run", "paths")],
+    )
+    def test_unknown_key_named(self, tmp_path, capsys, section, key):
+        data = preset_config("symmetric-martingale")
+        node = data
+        for name in section.split(".") if section else ():
+            node = node[name]
+        node[key] = 1
+        rc = main(["solve-pi", "--config", write_config(tmp_path, data), "--quiet", "--out",
+                   str(tmp_path)])
+        assert rc == 2
+        where = f"{section}.{key}" if section else key
+        assert capsys.readouterr().err == f"config error: {where}: unknown key\n"
 
     @pytest.mark.parametrize("content", [None, b"\xff\xfe{}"], ids=["directory", "bad_bytes"])
     def test_unreadable_config_exits_2(self, tmp_path, capsys, content):

@@ -383,7 +383,7 @@ class TestBacktest:
                 kernel, layout, (0.0, 1.0, 2, 0.0), 1.0, path_rng(seed, idx)
             ):
                 if mark is not None and mark is not NO_EVENT:
-                    side, d_cash, d_inv, _, _ = order_fill(
+                    side, d_cash, d_inv, _ = order_fill(
                         mark, (1, 1), layout.max_units, p, kernel.delta, spec.transaction_cost
                     )
                     events.append((t1, p, i, s1, side > 0, d_cash, d_inv))

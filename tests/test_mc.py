@@ -8,6 +8,7 @@ import pytest
 from semitick import (
     NO_EVENT,
     AgentState,
+    BigJump,
     ConstantIntensity,
     GridSpec,
     MarketMakingSpec,
@@ -15,6 +16,7 @@ from semitick import (
     McEstimate,
     QuoteGainSource,
     SemiMarkovKernel,
+    SmallOrder,
     TestFunction,
     alpha,
     battery_controlled,
@@ -30,13 +32,7 @@ from semitick import (
 )
 from semitick import mc
 from semitick.mc import _bump, _bump_ds
-from semitick.simulate import (
-    big_order_fill,
-    order_fill,
-    renewal_segments,
-    small_order_fill,
-    thinning_segments,
-)
+from semitick.simulate import order_fill, renewal_segments, thinning_segments
 
 
 class TestEstimator:
@@ -313,12 +309,13 @@ def _segment_defects_ctl(
         spec = kernel.continuation if alpha(j) == alpha(i) else kernel.reversal
         rates[j] = spec.value(ages)
         if include_small:
-            bit = control[0] if d > 0 else control[1]
             probs = np.asarray(layout.side_sizes(d))
             dxs = np.empty(len(probs))
             dys = np.empty(len(probs), dtype=int)
             for k in range(len(probs)):
-                dxs[k], dys[k], _ = small_order_fill(d, k, p, kernel.delta, cost, bit)
+                _, dxs[k], dys[k], _ = order_fill(
+                    SmallOrder(d, k), control, big, p, kernel.delta, cost
+                )
             live = (probs > 0) & ((dxs != 0) | (dys != 0))
             fills_small[d] = (
                 layout.side_flow(d).value(ages),
@@ -331,7 +328,6 @@ def _segment_defects_ctl(
         integrand = np.asarray(tf.dpsi_ds(p, i, ages, x, y), dtype=float)
         for j in successors(i):
             d = alpha(j)
-            bit = control[0] if d > 0 else control[1]
             if include_small and len(fills_small[d][1]):
                 lam, probs, dxs, dys = fills_small[d]
                 shifted = np.asarray(
@@ -341,7 +337,7 @@ def _segment_defects_ctl(
                 integrand = integrand + lam * (
                     probs @ shifted - probs.sum() * psi_here
                 )
-            dxb, dyb, _ = big_order_fill(j, big, p, kernel.delta, cost, bit)
+            _, dxb, dyb, _ = order_fill(BigJump(j), control, big, p, kernel.delta, cost)
             pj = p * (1.0 + kernel.delta * d)
             integrand = integrand + rates[j] * (
                 float(tf.psi(pj, j, 0.0, x + dxb, y + dyb)) - psi_here
@@ -383,7 +379,7 @@ def _reference_dynkin(
                     t0, t1, control, include_small_orders, weights, acc,
                 )
                 if mark is not None and mark is not NO_EVENT:
-                    _, dx, dy, _, _ = order_fill(
+                    _, dx, dy, _ = order_fill(
                         mark, control, layout.max_units, p, kernel.delta, transaction_cost
                     )
                     x, y = x + dx, y + dy

@@ -31,7 +31,7 @@ from semitick import (
     simulate_price_path,
     simulate_price_path_thinning,
 )
-from semitick.simulate import big_order_fill, small_order_fill
+from semitick.simulate import order_fill
 
 
 class TestSampleHolding:
@@ -316,21 +316,20 @@ class TestMarketState:
 
 class TestControlledAccounting:
     def test_small_order_fill_example(self):
-        d_cash, d_inv, px = small_order_fill(+1, 2, 100.0, 0.01, 0.1, 1)
+        # ask quoted, 2 units sold at 101 each, less the fixed cost
+        side, d_cash, d_inv, units = order_fill(SmallOrder(+1, 2), (1, 0), 3, 100.0, 0.01, 0.1)
         assert d_cash == pytest.approx(201.8, abs=1e-12)
-        assert d_inv == -2
-        assert px == pytest.approx(101.0)
+        assert (side, d_inv, units) == (+1, -2, 2)
 
     def test_big_order_fill_example(self):
         # down jump, bid quoted, 3 units: pay 99 each plus the fixed cost
-        d_cash, d_inv, px = big_order_fill(3, 3, 100.0, 0.01, 0.1, 1)
+        side, d_cash, d_inv, units = order_fill(BigJump(3), (0, 1), 3, 100.0, 0.01, 0.1)
         assert d_cash == pytest.approx(-297.3, abs=1e-12)
-        assert d_inv == 3
-        assert px == pytest.approx(99.0)
+        assert (side, d_inv, units) == (-1, 3, 3)
 
     def test_unquoted_side_leaves_portfolio(self):
-        assert small_order_fill(-1, 2, 100.0, 0.01, 0.1, 0) == (0.0, 0, None)
-        assert big_order_fill(4, 2, 100.0, 0.01, 0.1, 0) == (0.0, 0, None)
+        assert order_fill(SmallOrder(-1, 2), (1, 0), 2, 100.0, 0.01, 0.1) == (-1, 0.0, 0, 0)
+        assert order_fill(BigJump(4), (0, 1), 2, 100.0, 0.01, 0.1) == (+1, 0.0, 0, 0)
 
     def test_hold_policy_freezes_agent(self, asymmetric_kernel, asymmetric_layout):
         start = MarketState(1.0, 2, 0.0)
@@ -354,10 +353,7 @@ class TestControlledAccounting:
         big = asymmetric_layout.max_units
         for e in path.events:
             p = e.market_before.price
-            if isinstance(e.kind, SmallOrder):
-                d_cash, d_inv, _ = small_order_fill(e.kind.side, e.kind.units, p, delta, cost, 1)
-            else:
-                d_cash, d_inv, _ = big_order_fill(e.kind.target, big, p, delta, cost, 1)
+            _, d_cash, d_inv, _ = order_fill(e.kind, (1, 1), big, p, delta, cost)
             assert e.agent_after.cash - e.agent_before.cash == pytest.approx(d_cash, rel=1e-12)
             assert e.agent_after.inventory - e.agent_before.inventory == d_inv
 

@@ -42,6 +42,20 @@ IDENTITY = ProblemSpec(g=lambda p: p)
 ZERO = ProblemSpec(g=lambda p: np.zeros_like(np.asarray(p, dtype=float)))
 
 
+def _locate_one(lat, p, rtol=1e-9):
+    """Reference for ``PriceLattice.locate`` at one price: of the sorted prices
+    around ``searchsorted``, the first nearest, within ``rtol``."""
+    order = np.argsort(lat.prices)
+    ranked = lat.prices[order]
+    pos = int(np.searchsorted(ranked, p))
+    best, best_err = -1, math.inf
+    for cand in (pos - 1, pos, pos + 1):
+        if 0 <= cand < len(ranked) and abs(ranked[cand] - p) < best_err:
+            best, best_err = cand, abs(ranked[cand] - p)
+    assert best_err <= rtol * abs(p)
+    return int(order[best])
+
+
 class TestLattice:
     def test_node_layout(self):
         lat = PriceLattice(p0=1.0, delta=0.01, n_max=3)
@@ -56,8 +70,26 @@ class TestLattice:
         for a, b in ((0, 0), (3, 2), (0, 6)):
             n = lat.index_of(a, b)
             assert lat.locate(lat.prices[n] * (1 + 2e-10)) == n
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match=r"price 1\.5 is not on the price lattice "
+                           r"\(anchor 1\.0, delta 0\.01\)"):
             lat.locate(1.5)
+
+    @pytest.mark.parametrize("delta", [0.01, 0.0])
+    def test_locate_arrays_match_the_per_price_rule(self, delta):
+        # a zero tick puts every node on the anchor, so every price is a tie
+        lat = PriceLattice(p0=1.0, delta=delta, n_max=6)
+        rng = np.random.default_rng(5)
+        prices = lat.prices[rng.integers(0, lat.n_nodes, 60)] * (1 + rng.uniform(-9e-10, 9e-10, 60))
+        nodes = lat.locate(prices.reshape(6, 10))
+        assert nodes.shape == (6, 10)
+        assert nodes.ravel().tolist() == [_locate_one(lat, p) for p in prices.tolist()]
+        assert [lat.locate(p) for p in prices.tolist()] == nodes.ravel().tolist()
+
+    @pytest.mark.parametrize("bad", [1.5, math.nan, math.inf, 0.0])
+    def test_locate_refuses_any_miss_in_an_array(self, bad):
+        lat = PriceLattice(p0=1.0, delta=0.01, n_max=6)
+        with pytest.raises(ValueError, match=f"price {bad!r} is not on the price lattice"):
+            lat.locate(np.append(lat.prices, bad))
 
     def test_boundary_envelope(self):
         lat = PriceLattice(p0=1.0, delta=0.01, n_max=2)
@@ -171,7 +203,7 @@ class TestFixedPoint:
         assert worst <= 1e-4
 
     def test_contraction_ratios_below_bound(self, saturating_kernel):
-        grid = GridSpec(n_t=120, s_max=1.25)
+        grid = GridSpec(n_t=120)
         field = solve_expected_price(saturating_kernel, grid, 1.0, 1.0)
         kappa = contraction_bound(saturating_kernel, 1.0, np.linspace(0.0, 1.25, 9))
         assert all(r <= kappa + 0.01 for r in field.ratios)
@@ -226,7 +258,20 @@ class TestFixedPoint:
         with pytest.raises(ValueError):
             GridSpec(n_t=10, tol_fp=0.0)
 
-    @pytest.mark.parametrize("name", ["tol_fp", "tail_tol", "s_max"])
+    def test_contraction_bound_peaks_at_the_oldest_age(self, saturating_kernel):
+        # nondecreasing hazards: the reachable endpoint bounds every younger age
+        ages = np.linspace(0.0, 1.25, 9)
+        assert contraction_bound(saturating_kernel, 1.0, ages) == contraction_bound(
+            saturating_kernel, 1.0, [1.25]
+        )
+
+    @pytest.mark.parametrize("name", ["n_s", "s_max"])
+    def test_grid_refuses_age_knobs(self, name):
+        # the grid has no age axis: ages come from the start age and the horizon
+        with pytest.raises(TypeError, match=name):
+            GridSpec(n_t=10, **{name: 1})
+
+    @pytest.mark.parametrize("name", ["tol_fp", "tail_tol"])
     def test_grid_refuses_non_finite(self, name):
         # NaN is neither <= 0 nor >= 1, so the range checks alone let it through
         for value in (math.nan, math.inf, -math.inf):
@@ -338,23 +383,25 @@ class TestResidual:
 
     def test_zero_problem_zero_residual(self, saturating_kernel):
         field = solve_fixed_point(saturating_kernel, ZERO, GridSpec(n_t=40), 1.0, 1.0)
-        res = pde_residual(saturating_kernel, ZERO, field, age_stack(field, 4))
+        res = pde_residual(field, age_stack(field, 4))
         assert res.max_abs == 0.0
+
+    def test_running_source_refused(self, saturating_kernel):
+        source = ProblemSpec(g=lambda p: p, w=lambda t, p, i, s: 0.0 * np.asarray(p))
+        field = solve_fixed_point(saturating_kernel, source, GridSpec(n_t=20), 1.0, 1.0)
+        with pytest.raises(ValueError, match="without a running source"):
+            pde_residual(field, age_stack(field, 3))
 
     def test_perturbation_spikes_residual(self, asymmetric_kernel):
         field, values = self._solved_stack(asymmetric_kernel, 60)
-        base = pde_residual(asymmetric_kernel, IDENTITY, field, values)
+        base = pde_residual(field, values)
         values[30, field.lattice.index_of(0, 0), 1, 2] += 1.0
-        spiked = pde_residual(asymmetric_kernel, IDENTITY, field, values)
+        spiked = pde_residual(field, values)
         assert spiked.max_abs > base.max_abs + 1.0
 
     def test_residual_shrinks_with_refinement(self, asymmetric_kernel):
-        r_coarse = pde_residual(
-            asymmetric_kernel, IDENTITY, *self._solved_stack(asymmetric_kernel, 60)
-        )
-        r_fine = pde_residual(
-            asymmetric_kernel, IDENTITY, *self._solved_stack(asymmetric_kernel, 120)
-        )
+        r_coarse = pde_residual(*self._solved_stack(asymmetric_kernel, 60))
+        r_fine = pde_residual(*self._solved_stack(asymmetric_kernel, 120))
         order = math.log2(r_coarse.max_abs / r_fine.max_abs)
         assert order >= 1.7
 
