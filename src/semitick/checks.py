@@ -17,7 +17,7 @@ import numpy as np
 from . import mc
 from .hazards import STATES, alpha, successors
 from .market_maker import QuoteGainSource
-from .simulate import path_rng, sample_holding, simulate_price_path, simulate_price_path_thinning
+from .simulate import path_streams, sample_holding, simulate_price_path, simulate_price_path_thinning
 from .solver import contraction_bound, expected_price_ode_oracle, extension_slice
 
 
@@ -121,10 +121,11 @@ def renewal_vs_thinning(kernel, layout, market, horizon: float, n_paths: int, se
     from scipy import stats as sps
 
     renewal, thinning = [], []
-    for idx in range(n_paths):
-        renewal += simulate_price_path(kernel, market, horizon, path_rng(seed, idx)).holding_times()
+    streams = zip(path_streams(seed, 0, n_paths), path_streams(seed + 1, 0, n_paths))
+    for rng, rng_thin in streams:
+        renewal += simulate_price_path(kernel, market, horizon, rng).holding_times()
         thinning += simulate_price_path_thinning(
-            kernel, layout, market, horizon, path_rng(seed + 1, idx)
+            kernel, layout, market, horizon, rng_thin
         ).holding_times()
     ks = sps.ks_2samp(renewal, thinning)
     return Check(

@@ -31,7 +31,7 @@ from . import checks
 from . import market_maker as mm
 from .hazards import ConstantIntensity, MarkLayout, SaturatingIntensity, SemiMarkovKernel
 from .lattice import max_jumps_for_tail
-from .simulate import AgentState, MarketState, path_rng, simulate_price_path
+from .simulate import AgentState, MarketState, path_streams, simulate_price_path
 from .solver import (
     GridSpec,
     SolverError,
@@ -375,19 +375,37 @@ def load_config(path_or_name) -> ExperimentConfig:
 # -- commands ---------------------------------------------------------------
 
 
+# one path's block of paths_summary.json as json.dumps(indent=2, sort_keys=True)
+# lays it out; the values are Python ints and floats, whose repr is what json
+# writes for them
+_SUMMARY_BLOCK = """\
+    {{
+      "horizon": {horizon!r},
+      "method": "{method}",
+      "n_big_jumps": {n_big_jumps!r},
+      "n_events": {n_events!r},
+      "n_small_orders": {n_small_orders!r},
+      "seed": [
+        {seed[0]!r},
+        {seed[1]!r}
+      ],
+      "terminal_age": {terminal_age!r},
+      "terminal_price": {terminal_price!r},
+      "terminal_state": {terminal_state!r}
+    }}"""
+
+
 def _cmd_simulate(cfg: ExperimentConfig, out: FsPath, quiet: bool) -> int:
     meta = cfg.header_meta()
     rows_path = out / "paths.csv"
-    summaries = []
+    blocks = []
     with open(rows_path, "w") as fh:
         fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
         fh.write(
             "path,time,kind,target_or_side,units,price_before,price_after,age_before\n"
         )
-        for idx in range(cfg.n_paths):
-            path = simulate_price_path(
-                cfg.kernel, cfg.initial_market, cfg.horizon, path_rng(cfg.seed, idx)
-            )
+        for idx, rng in enumerate(path_streams(cfg.seed, 0, cfg.n_paths)):
+            path = simulate_price_path(cfg.kernel, cfg.initial_market, cfg.horizon, rng)
             for e in path.events:
                 fh.write(
                     f"{idx},{float(e.time)!r},big,{e.kind.target},0,"
@@ -395,10 +413,10 @@ def _cmd_simulate(cfg: ExperimentConfig, out: FsPath, quiet: bool) -> int:
                     f"{float(e.market_before.age)!r}\n"
                 )
             # the stream is path_rng(master seed, path index)
-            summaries.append({**path.summary(), "seed": [cfg.seed, idx]})
+            blocks.append(_SUMMARY_BLOCK.format(**{**path.summary(), "seed": (cfg.seed, idx)}))
+    head = json.dumps(meta, indent=2, sort_keys=True).replace("\n", "\n  ")
     with open(out / "paths_summary.json", "w") as fh:
-        # one write: an indented json.dump writes every token on its own
-        fh.write(json.dumps({"meta": meta, "paths": summaries}, indent=2, sort_keys=True))
+        fh.write(f'{{\n  "meta": {head},\n  "paths": [\n' + ",\n".join(blocks) + "\n  ]\n}")
     if not quiet:
         print(f"simulate: wrote {cfg.n_paths} paths to {rows_path}")
     return 0

@@ -14,7 +14,9 @@ move direction (continuation); otherwise it reverses it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
+from itertools import accumulate
 from typing import Union
 
 import numpy as np
@@ -358,6 +360,15 @@ class MarkLayout:
             raise ValueError("ask and bid size distributions must share the support 0..K")
         object.__setattr__(self, "ask_sizes", tuple(float(v) for v in self.ask_sizes))
         object.__setattr__(self, "bid_sizes", tuple(float(v) for v in self.bid_sizes))
+        # per current state, the mark of each interval in layout order; the
+        # marks are frozen, so every candidate may share them
+        small = [SmallOrder(+1, k) for k in range(len(self.ask_sizes))]
+        small += [SmallOrder(-1, k) for k in range(len(self.bid_sizes))]
+        marks = {}
+        for i in STATES:
+            cont, rev = sorted(successors(i), key=lambda j: alpha(j) != alpha(i))
+            marks[i] = (BigJump(cont), BigJump(rev), *small)
+        object.__setattr__(self, "_marks", marks)
 
     @property
     def max_units(self) -> int:
@@ -402,8 +413,9 @@ class MarkLayout:
             + self.bid_flow.value(s)
         )
 
-    def boundaries(self, s: float) -> np.ndarray:
-        """Right endpoints of the consecutive intervals at age ``s``.
+    def _ends(self, s: float) -> list:
+        """Right endpoints of the consecutive intervals at age ``s``, summed in
+        order (as ``np.cumsum`` would).
 
         Order: continuation, reversal, ask sizes 0..K, bid sizes 0..K.
         """
@@ -415,7 +427,11 @@ class MarkLayout:
         lengths.extend(lam_a * q for q in self.ask_sizes)
         lam_b = self.bid_flow.value(s)
         lengths.extend(lam_b * q for q in self.bid_sizes)
-        return np.cumsum(lengths)
+        return list(accumulate(lengths))
+
+    def boundaries(self, s: float) -> np.ndarray:
+        """Right endpoints of the consecutive intervals at age ``s``."""
+        return np.array(self._ends(s))
 
     def classify(self, i: int, s: float, z: float):
         """Resolve a mark coordinate ``z`` at age ``s`` with current state ``i``.
@@ -427,18 +443,7 @@ class MarkLayout:
             raise ValueError("age must be nonnegative")
         if z < 0:
             return NO_EVENT
-        bounds = self.boundaries(s)
-        if z >= bounds[-1]:
+        ends = self._ends(s)
+        if z >= ends[-1]:
             return NO_EVENT
-        idx = int(np.searchsorted(bounds, z, side="right"))
-        if idx == 0:
-            j = next(j for j in successors(i) if alpha(j) == alpha(i))
-            return BigJump(j)
-        if idx == 1:
-            j = next(j for j in successors(i) if alpha(j) != alpha(i))
-            return BigJump(j)
-        idx -= 2
-        n_sizes = len(self.ask_sizes)
-        if idx < n_sizes:
-            return SmallOrder(side=+1, units=idx)
-        return SmallOrder(side=-1, units=idx - n_sizes)
+        return self._marks[i][bisect_right(ends, z)]

@@ -108,8 +108,8 @@ class PriceLattice:
         self.b_counts = np.array(b_list)
         log_u = np.log1p(self.delta)
         log_d = np.log1p(-self.delta)
-        # a price past the float range is inf here; the solver refuses it as a
-        # non-finite payoff
+        # a price past the float range is inf here; the solver refuses such a
+        # lattice by its initial price and tick
         with np.errstate(over="ignore"):
             self.prices = self.p0 * np.exp(self.a_counts * log_u + self.b_counts * log_d)
         pairs = list(zip(a_list, b_list))

@@ -35,7 +35,7 @@ from .simulate import (
     MarketState,
     RandomQuotePolicy,
     order_fill,
-    path_rng,
+    path_streams,
     thinning_segments,
 )
 from .solver import (
@@ -594,10 +594,8 @@ def backtest(
         # a fill depends on the policy only through the quote bit of its
         # side, so each event is settled once and every policy replays it
         events, bounds, terminal = [], [0], []
-        for idx in block:
-            for _, t1, p, i, _, s1, mark in thinning_segments(
-                kernel, layout, start, horizon, path_rng(seed, idx)
-            ):
+        for rng in path_streams(seed, first, len(block)):
+            for _, t1, p, i, _, s1, mark in thinning_segments(kernel, layout, start, horizon, rng):
                 if mark is not None and mark is not NO_EVENT:
                     side, d_cash, d_inv, _ = order_fill(
                         mark, (1, 1), layout.max_units, p, kernel.delta, mmspec.transaction_cost

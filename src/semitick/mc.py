@@ -2,7 +2,8 @@
 solutions, and generator (Dynkin) consistency checks for the uncontrolled and
 controlled processes.
 
-Every path draws from its own stream ``path_rng(seed, index)`` through the
+Every path draws from its own stream ``path_rng(seed, index)``, seeded a
+block at a time by ``path_streams``, through the
 event generators of ``simulate``, so the draws and their order do not depend on
 how paths are grouped.  Paths are folded ``_PATH_BLOCK`` at a time into flat
 arrays of inter-jump segments.  On a segment the price and direction are
@@ -22,7 +23,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .hazards import NO_EVENT, BigJump, MarkLayout, SemiMarkovKernel, SmallOrder, alpha, successors
-from .simulate import order_fill, path_rng, renewal_segments, thinning_segments
+from .simulate import order_fill, path_streams, renewal_segments, thinning_segments
 
 __all__ = [
     "McEstimate",
@@ -109,8 +110,8 @@ def _blocks(n_paths: int, seed: int, segments: Callable):
     """
     for lo in range(0, n_paths, _PATH_BLOCK):
         rows, path = [], []
-        for k in range(min(_PATH_BLOCK, n_paths - lo)):
-            seg = segments(path_rng(seed, lo + k))
+        for k, rng in enumerate(path_streams(seed, lo, min(_PATH_BLOCK, n_paths - lo))):
+            seg = segments(rng)
             rows += seg
             path += [k] * len(seg)
         path = np.array(path)

@@ -37,6 +37,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import struct
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -57,6 +58,7 @@ __all__ = [
     "JumpEvent",
     "Path",
     "path_rng",
+    "path_streams",
     "renewal_segments",
     "thinning_segments",
     "order_fill",
@@ -207,6 +209,85 @@ def path_rng(master_seed: int, index: int) -> np.random.Generator:
     serial and parallel runs agree path by path.
     """
     return np.random.default_rng([int(master_seed), int(index)])
+
+
+# numpy's SeedSequence (O'Neill's seed_seq_fe) on a 4-word pool, and PCG64's
+# 128-bit LCG multiplier
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_SEED_BLOCK = 1024  # paths seeded by one set of array operations
+
+
+def _hash_consts(init: int, mult: int, n: int) -> list:
+    """(xor, multiplier) of ``n`` successive hashmix calls: the running hash
+    constant does not depend on the data, so every call's pair is fixed."""
+    out = []
+    for _ in range(n):
+        nxt = (init * mult) & _MASK32
+        out.append((np.uint32(init), np.uint32(nxt)))
+        init = nxt
+    return out
+
+
+_POOL_HASH = _hash_consts(0x43B0D7E5, 0x931E8875, 4 + 12)  # pool fill, then mixing
+_STATE_HASH = _hash_consts(0x8B51F9DD, 0x58F38DED, 8)  # generate_state(4, uint64)
+
+
+def _hashmix(value: np.ndarray, consts) -> np.ndarray:
+    xor, mult = consts
+    value = (value ^ xor) * mult  # uint32 arrays wrap silently
+    return value ^ (value >> np.uint32(16))
+
+
+def _pcg_states(seed: int, indices: np.ndarray) -> list:
+    """PCG64 ``(state, inc)`` of ``default_rng([seed, idx])`` for 32-bit
+    ``seed`` and ``indices``: the two-word entropy mixed into the pool and
+    expanded to four 64-bit words over the whole block, then PCG64's
+    ``srandom`` (two LCG steps) in Python ints."""
+    words = [np.full(indices.shape, seed, np.uint32), indices.astype(np.uint32)]
+    words += [np.zeros(indices.shape, np.uint32)] * 2
+    pool = [_hashmix(w, c) for w, c in zip(words, _POOL_HASH)]
+    consts = iter(_POOL_HASH[4:])
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = pool[dst] * _MIX_L - _hashmix(pool[src], next(consts)) * _MIX_R
+                pool[dst] = mixed ^ (mixed >> np.uint32(16))
+    out = np.stack([_hashmix(pool[k % 4], c) for k, c in enumerate(_STATE_HASH)], axis=1)
+    states = []
+    for v0, v1, v2, v3 in out.astype("<u4").view("<u8").tolist():
+        inc = ((((v2 << 64) | v3) << 1) | 1) & _MASK128
+        states.append((((inc + ((v0 << 64) | v1)) * _PCG_MULT + inc) & _MASK128, inc))
+    return states
+
+
+def path_streams(master_seed: int, first: int, n: int):
+    """The streams ``path_rng(master_seed, idx)`` for ``idx`` in
+    ``first .. first + n - 1``, seeded a block at a time.
+
+    Yields one reused Generator, set to each path's state in turn, so a
+    stream must be drawn from before the next one is taken.  A pair outside
+    ``[0, 2**32)`` adds entropy words, so its block takes ``path_rng``.
+    """
+    seed = int(master_seed)
+    rng = np.random.default_rng(0)
+    bitgen = rng.bit_generator
+    for lo in range(first, first + n, _SEED_BLOCK):
+        hi = min(lo + _SEED_BLOCK, first + n)
+        if not (0 <= seed <= _MASK32 and 0 <= lo and hi - 1 <= _MASK32):
+            for idx in range(lo, hi):
+                yield path_rng(seed, idx)
+            continue
+        for state, inc in _pcg_states(seed, np.arange(lo, hi, dtype=np.int64)):
+            bitgen.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            yield rng
 
 
 def _uniform_open(rng: np.random.Generator) -> float:
@@ -501,11 +582,15 @@ class BidOnlyPolicy:
         return (0, 1)
 
 
-def _mix_bits(*values: int) -> int:
-    h = hashlib.blake2b(digest_size=8)
-    for v in values:
-        h.update((int(v) & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little"))
-    return int.from_bytes(h.digest(), "little")
+_COIN_RECORD = np.dtype([("seed", "<u8"), ("t", "<f8"), ("p", "<f8"), ("i", "<i8"), ("s", "<f8")])
+_COIN_PACK = struct.Struct("<QddQd")  # the same 40 bytes as one _COIN_RECORD
+_ONE = (1).to_bytes(8, "little")
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+
+
+def _unit(digest: bytes) -> float:
+    """The top 53 bits of a little-endian 64-bit digest as a float in [0, 1)."""
+    return (int.from_bytes(digest, "little") >> 11) / float(1 << 53)
 
 
 @dataclass(frozen=True)
@@ -513,7 +598,9 @@ class RandomQuotePolicy:
     """Seeded coin flips per side, a pure function of (t, p, i, s, seed).
 
     Hash based rather than stateful so the rule stays predictable and
-    identical across replays of the same path.
+    identical across replays of the same path.  The ask coin is the blake2b
+    digest of the little-endian record (seed, t, p, i, s), floats as their
+    IEEE bits; the bid coin hashes that digest followed by the word 1.
     """
 
     prob: float = 0.5
@@ -524,20 +611,21 @@ class RandomQuotePolicy:
         """Bits at scalar arguments, or int arrays at equal-length arrays,
         each element hashed on its own."""
         if np.ndim(t) == np.ndim(p) == np.ndim(i) == np.ndim(s) == 0:
-            return self._flip(t, p, i, s)
+            return self._flip(
+                _COIN_PACK.pack(self.seed & _MASK64, t, p, int(i) & _MASK64, s)
+            )
         t, p, i, s = np.broadcast_arrays(t, p, i, s)
-        bits = [self._flip(*a) for a in zip(t.ravel(), p.ravel(), i.ravel(), s.ravel())]
+        records = np.empty(t.size, _COIN_RECORD)
+        records["seed"] = self.seed & _MASK64
+        for name, values in (("t", t), ("p", p), ("i", i), ("s", s)):
+            records[name] = values.ravel()
+        data = memoryview(records.tobytes())
+        size = _COIN_RECORD.itemsize
+        bits = [self._flip(data[k : k + size]) for k in range(0, len(data), size)]
         l_ask, l_bid = np.array(bits, dtype=int).reshape(-1, 2).T
         return l_ask.reshape(t.shape), l_bid.reshape(t.shape)
 
-    def _flip(self, t, p, i, s):
-        base = _mix_bits(
-            self.seed,
-            np.float64(t).view(np.int64),
-            np.float64(p).view(np.int64),
-            i,
-            np.float64(s).view(np.int64),
-        )
-        u_ask = ((base >> 11) & ((1 << 53) - 1)) / float(1 << 53)
-        u_bid = (_mix_bits(base, 1) >> 11 & ((1 << 53) - 1)) / float(1 << 53)
-        return (int(u_ask < self.prob), int(u_bid < self.prob))
+    def _flip(self, record):
+        ask = hashlib.blake2b(record, digest_size=8).digest()
+        bid = hashlib.blake2b(ask + _ONE, digest_size=8).digest()
+        return (int(_unit(ask) < self.prob), int(_unit(bid) < self.prob))

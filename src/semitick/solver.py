@@ -388,9 +388,15 @@ def _make_lattice(kernel: SemiMarkovKernel, grid: GridSpec, horizon: float, p0: 
     # attenuated inward by the probability of crossing the guard, so sizing
     # the guard by the fixed-point tolerance keeps reported nodes clean
     guard = max_jumps_for_tail(kernel.intensity_bound, horizon, grid.tol_fp)
-    return PriceLattice(
+    lattice = PriceLattice(
         p0=p0, delta=kernel.delta, n_max=n_report + guard, n_report=n_report
     )
+    if not np.all(np.isfinite(lattice.prices)):
+        raise SolverError(
+            f"the price lattice overflows: {lattice.n_max} jumps from the initial price "
+            f"{p0!r} at tick size {kernel.delta!r} leave the float range"
+        )
+    return lattice
 
 
 def solve_fixed_point(

@@ -248,7 +248,7 @@ class TestCommands:
     @pytest.mark.parametrize(
         "cmd, price, delta",
         [
-            # the lattice prices overflow, so the solve meets a non-finite payoff
+            # the lattice prices overflow, which the lattice build refuses
             ("solve-pi", 1e306, 0.5),
             ("policy", 1e306, 0.5),
             ("backtest", 1e306, 0.5),
@@ -265,9 +265,11 @@ class TestCommands:
         rc = main([cmd, "--config", write_config(tmp_path, data), "--out",
                    str(tmp_path / "out"), "--quiet"])
         assert rc == 2
-        expect = "overflows" if cmd == "simulate" else "non-finite values on the lattice"
+        expect = "the price overflows" if cmd == "simulate" else "the price lattice overflows"
         err = capsys.readouterr().err
         assert err.startswith(f"{cmd}: ") and expect in err
+        # the message names the price and the tick that overflow
+        assert repr(price) in err and repr(delta) in err
 
     def test_quote_solve_honours_max_iter(self, tmp_path, capsys):
         # the expected price converges in 5 sweeps, the quote value needs 9

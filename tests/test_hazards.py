@@ -17,6 +17,33 @@ from semitick import (
     equivalent,
     successors,
 )
+from semitick.harness import load_config
+
+
+def reference_boundaries(layout, s):
+    """Interval ends as first written: ``np.cumsum`` of the interval lengths."""
+    lengths = [layout.kernel.continuation.value(s), layout.kernel.reversal.value(s)]
+    lengths.extend(layout.ask_flow.value(s) * q for q in layout.ask_sizes)
+    lengths.extend(layout.bid_flow.value(s) * q for q in layout.bid_sizes)
+    return np.cumsum(lengths)
+
+
+def reference_classify(layout, i, s, z):
+    """Classification as first written: ``searchsorted`` on the cumsum ends."""
+    if z < 0:
+        return NO_EVENT
+    bounds = reference_boundaries(layout, s)
+    if z >= bounds[-1]:
+        return NO_EVENT
+    idx = int(np.searchsorted(bounds, z, side="right"))
+    if idx == 0:
+        return BigJump(next(j for j in successors(i) if alpha(j) == alpha(i)))
+    if idx == 1:
+        return BigJump(next(j for j in successors(i) if alpha(j) != alpha(i)))
+    idx -= 2
+    n_sizes = len(layout.ask_sizes)
+    return SmallOrder(+1, idx) if idx < n_sizes else SmallOrder(-1, idx - n_sizes)
+
 
 # (previous state, next state) -> hazard side (+1 continuation, -1 reversal),
 # executed LOB side, incoming order type; every admissible transition once
@@ -307,6 +334,21 @@ class TestMarkLayout:
             expected = [(tag, ln) for tag, ln in expected if ln > 0]
             assert tags == [tag for tag, _ in expected]
             np.testing.assert_allclose(lengths, [ln for _, ln in expected], atol=1e-9)
+
+    @pytest.mark.parametrize("preset", ["asymmetric-constant", "saturating-hazard"])
+    def test_classify_matches_cumsum_search(self, preset):
+        layout = load_config(preset).layout
+        rng = np.random.default_rng(8)
+        ages = rng.random(3000) * 4.0
+        zs = rng.uniform(-0.5, layout.mark_domain + 0.5, 3000)
+        states = rng.integers(1, 5, 3000)
+        for k, (i, s) in enumerate(zip(states.tolist(), ages.tolist())):
+            ends = reference_boundaries(layout, s)
+            # exactly on an interval end, at and past the total mass, below zero
+            zs[k] = (ends[k % len(ends)], layout.total_mass(s), ends[-1], -1e-300, zs[k])[k % 5]
+        for i, s, z in zip(states.tolist(), ages.tolist(), zs.tolist()):
+            assert layout.classify(i, s, z) == reference_classify(layout, i, s, z), (i, s, z)
+            np.testing.assert_array_equal(layout.boundaries(s), reference_boundaries(layout, s))
 
     def test_immutability(self, symmetric_kernel, symmetric_layout):
         with pytest.raises(Exception):

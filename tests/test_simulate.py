@@ -1,6 +1,7 @@
 """Path simulators: sampling primitives, renewal/thinning equivalence,
 controlled accounting, determinism."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -31,7 +32,7 @@ from semitick import (
     simulate_price_path,
     simulate_price_path_thinning,
 )
-from semitick.simulate import order_fill
+from semitick.simulate import order_fill, path_streams
 
 
 class TestSampleHolding:
@@ -431,7 +432,80 @@ class TestControlledAccounting:
             assert report.rows[0].mean == x + p_t * y - spec.risk_aversion * y * y
 
 
+class TestPathStreams:
+    """``path_streams`` seeds whole blocks; each stream must be the one
+    ``path_rng`` gives, which also guards against numpy changing its seeding."""
+
+    @staticmethod
+    def assert_same_streams(seed, first, n):
+        streams = path_streams(seed, first, n)
+        for idx, rng in zip(range(first, first + n), streams, strict=True):
+            ref = path_rng(seed, idx)
+            assert rng.bit_generator.state == ref.bit_generator.state, (seed, idx)
+            draws = (rng.exponential(0.5), rng.uniform(0.0, 3.0), rng.random(), rng.random(3))
+            expect = (ref.exponential(0.5), ref.uniform(0.0, 3.0), ref.random(), ref.random(3))
+            assert draws[:3] == expect[:3]
+            assert draws[3].tolist() == expect[3].tolist()
+
+    def test_blocks_at_seed_zero(self):
+        # 1,500 paths from index 7: a block start off the block grid, a full
+        # block of 1,024 and a partial one
+        self.assert_same_streams(0, 7, 1500)
+
+    @pytest.mark.parametrize("seed", [0, 20240811, 2**32 - 1, 2**32, 2**40 + 3])
+    def test_across_the_32_bit_boundary(self, seed):
+        # indices 2**32 - 3 .. 2**32 + 3 add an entropy word past 2**32
+        self.assert_same_streams(seed, 2**32 - 3, 7)
+        self.assert_same_streams(seed, 5, 3)
+
+    def test_stream_after_a_drawn_one_is_fresh(self):
+        streams = path_streams(11, 0, 2)
+        next(streams).random(50)
+        assert next(streams).random() == path_rng(11, 1).random()
+
+    def test_negative_index_is_refused_like_path_rng(self):
+        with pytest.raises(ValueError):
+            next(path_streams(3, -1, 2))
+
+
+def _mix_bits(*values):
+    """The per-word hash the coins were first defined by, kept as the reference."""
+    h = hashlib.blake2b(digest_size=8)
+    for v in values:
+        h.update((int(v) & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little"))
+    return int.from_bytes(h.digest(), "little")
+
+
+def reference_coins(policy, t, p, i, s):
+    base = _mix_bits(
+        policy.seed,
+        np.float64(t).view(np.int64),
+        np.float64(p).view(np.int64),
+        i,
+        np.float64(s).view(np.int64),
+    )
+    u_ask = ((base >> 11) & ((1 << 53) - 1)) / float(1 << 53)
+    u_bid = (_mix_bits(base, 1) >> 11 & ((1 << 53) - 1)) / float(1 << 53)
+    return (int(u_ask < policy.prob), int(u_bid < policy.prob))
+
+
 class TestPolicies:
+    @pytest.mark.parametrize("seed", [0, 7, 2**63 + 1])
+    def test_random_policy_matches_per_word_hash(self, seed):
+        pol = RandomQuotePolicy(prob=0.37, seed=seed)
+        rng = np.random.default_rng(seed % 1000)
+        n = 2000
+        t, s = rng.random(n) * 3.0, rng.random(n) * 5.0
+        p, i = 1.01 ** rng.integers(-40, 41, n), rng.integers(1, 5, n)
+        # a negative zero time; subnormal and zero ages
+        t[:3] = [-0.0, 0.0, 1.0]
+        s[:3] = [5e-324, 0.0, 2.2250738585072014e-308 / 3]
+        expect = [reference_coins(pol, *a) for a in zip(t, p, i, s)]
+        assert [pol(*a) for a in zip(t.tolist(), p.tolist(), i.tolist(), s.tolist())] == expect
+        l_ask, l_bid = pol(t, p, i, s)
+        assert list(zip(l_ask.tolist(), l_bid.tolist())) == expect
+        assert sum(a for a, _ in expect) not in (0, n)
+
     def test_random_policy_is_pure(self):
         pol = RandomQuotePolicy(prob=0.5, seed=9)
         args = (0.37, 1.01, 2, 0.12)

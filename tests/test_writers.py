@@ -1,4 +1,5 @@
-"""Grid artifact writers: the streamed CSVs equal the row-by-row originals.
+"""Artifact writers: the streamed CSVs equal the row-by-row originals, and the
+templated path summary equals the json encoder's.
 
 The reference writers below are the row-at-a-time implementations the
 streamed ones replaced, kept verbatim as the slow path to compare against.
@@ -19,7 +20,9 @@ from semitick import (
     solve_quote_value,
     successors,
 )
+from semitick.harness import load_config, run_command
 from semitick.market_maker import QuoteGainSource, export_policy_csv
+from semitick.simulate import path_rng, simulate_price_path
 
 
 def reference_save_field_csv(field, path, header_meta=None):
@@ -147,3 +150,26 @@ class TestPolicyCsv:
             lambda out: export_policy_csv(out, kernel, layout, spec, field, [0.0]),
             lambda out: reference_export_policy_csv(out, kernel, layout, spec, field, [0.0]),
         )
+
+
+class TestPathsSummary:
+    @pytest.mark.parametrize(
+        "preset", ["symmetric-martingale", "asymmetric-constant", "saturating-hazard"]
+    )
+    def test_equals_indented_json(self, preset, tmp_path):
+        cfg = load_config(preset)
+        cfg.n_paths = 40
+        assert run_command("simulate", cfg, out_dir=str(tmp_path), quiet=True) == 0
+        summaries = [
+            {
+                **simulate_price_path(
+                    cfg.kernel, cfg.initial_market, cfg.horizon, path_rng(cfg.seed, idx)
+                ).summary(),
+                "seed": [cfg.seed, idx],
+            }
+            for idx in range(cfg.n_paths)
+        ]
+        expect = json.dumps(
+            {"meta": cfg.header_meta(), "paths": summaries}, indent=2, sort_keys=True
+        )
+        assert (tmp_path / "paths_summary.json").read_bytes() == expect.encode()
