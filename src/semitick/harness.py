@@ -7,7 +7,8 @@ closed form), and ``saturating-hazard`` (age-dependent intensities).
 
 Commands: simulate, solve-pi, solve-u, policy, backtest, validate.  Exit
 codes: 0 ok, 1 validation failure, 2 configuration error, a solve that fails
-(no convergence, non-finite values) or a simulated price that overflows.
+(no convergence, non-finite values), a simulated price that overflows or a
+value bound past the float range.
 Every artifact embeds the config hash and master seed in a leading comment
 line.
 """
@@ -450,13 +451,6 @@ def _cmd_solve_pi(cfg: ExperimentConfig, out: FsPath, quiet: bool) -> int:
 
 
 def _cmd_solve_u(cfg: ExperimentConfig, out: FsPath, quiet: bool) -> int:
-    if not (out / "expected_price.csv").exists():
-        print(
-            "solve-u: expected_price.csv not found in the output directory; "
-            "run solve-pi first",
-            file=sys.stderr,
-        )
-        return 2
     cfg.mmspec.require_risk_neutral("solve-u")
     field = _solve_pi(cfg)
     quote_field = mm.solve_quote_value(cfg.kernel, cfg.layout, cfg.mmspec, field, cfg.grid)

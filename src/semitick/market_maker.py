@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .hazards import STATES, MarkLayout, SemiMarkovKernel, alpha, successors
-from .mc import McEstimate
+from .mc import McEstimate, _blocks
 from .simulate import (
     NO_EVENT,
     AgentState,
@@ -35,7 +35,6 @@ from .simulate import (
     MarketState,
     RandomQuotePolicy,
     order_fill,
-    path_streams,
     thinning_segments,
 )
 from .solver import (
@@ -43,7 +42,6 @@ from .solver import (
     ProblemSpec,
     ValueField,
     _CharacteristicSweep,
-    _source_integrals,
     _write_rows,
     extension_slice,
     solve_fixed_point,
@@ -77,8 +75,6 @@ _SLOT_DIRECTIONS = (-1, +1)
 _MIN_BLOCK_NODES = 32
 # policy.csv tails "quote_ask,quote_bid" indexed by 2 * ask bit + bid bit
 _QUOTE_BITS = ("0,0", "0,1", "1,0", "1,1")
-# paths simulated before each policy is called once on all of their events
-_BACKTEST_BLOCK = 256
 
 
 class UnsupportedRiskAversion(ValueError):
@@ -230,25 +226,25 @@ class QuoteGainSource:
         quadrature matrix ``q_source`` times the source at age ``d*h`` on
         time nodes ``d..n_t``.
 
-        An age-dependent source is folded by :meth:`_fold_block`, one pass per
-        block of lattice nodes (:func:`_node_blocks`), each block on its own
-        thread.  Blocks write disjoint columns and every element keeps its
-        operations and their order, so the result does not depend on the
-        number of blocks.  Every kernel, layout and payoff evaluation happens
-        here, on the calling thread.
+        The source is folded by :meth:`_fold_block`, one pass per block of
+        lattice nodes (:func:`_node_blocks`; one block when the source is age
+        free), each block on its own thread.
+        Blocks write disjoint columns and every element keeps its operations
+        and their order, so the result does not depend on the number of
+        blocks.  Every kernel, layout and payoff evaluation happens here, on
+        the calling thread.
         """
         n_rows = len(self.field.t_grid)
-        if self._age_free:
-            return _source_integrals(
-                q_source, ((d, self.slab(d)) for d in range(n_rows)), self.lattice.n_nodes
-            )
         h = self.field.t_grid[1] - self.field.t_grid[0]
-        terms = [self._age_terms(d * h) for d in range(n_rows)]
+        terms = [self._age_terms(d * h) for d in range(1 if self._age_free else n_rows)]
         sweep = None if self.field.age_invariant else _CharacteristicSweep(self.field)
         out = np.zeros(self.field.core.shape)
         flat, core = out.reshape(n_rows, -1), self.field.core.reshape(n_rows, -1)
+        n_nodes = self.lattice.n_nodes
         tasks = []
-        for lo, hi in _node_blocks(self.lattice.n_nodes):
+        # the age-free fold is one multiply-add per age, bound by memory
+        # bandwidth, and measured slower on two threads than on one
+        for lo, hi in [(0, n_nodes)] if self._age_free else _node_blocks(n_nodes):
             # every buffer is allocated here, on the calling thread (see
             # _CharacteristicSweep.rows)
             cols = slice(lo * len(STATES), hi * len(STATES))
@@ -262,31 +258,26 @@ class QuoteGainSource:
         """Add the integrated source of the flat columns ``cols`` to ``out``
         (time, node x state): per ``(d, expected price)`` pair of ``ages``,
         the gain rates, max(rate, 0) and the diagonal fold in one pass, in
-        the three buffers ``bufs`` of ``out``'s length."""
+        the three buffers ``bufs`` of ``out``'s length.  With flat hazards
+        and flat flow one source serves every age: it is computed at age
+        zero, and the one at age ``d*h`` is its tail from time node d on."""
+        source = bufs[0]
         for d, pi in ages:
             n = len(pi)
-            source = self._source_into([buf[:n] for buf in bufs], terms[d], pi, cols, d)
-            source *= q_source.diagonal(d)[:, None]
-            out[:n, cols] += source
+            if d == 0 or not self._age_free:
+                self._source_into([buf[:n] for buf in bufs], terms[d], pi, cols, d)
+            rows = source[d:] if self._age_free else source[:n]
+            out[:n, cols] += np.multiply(rows, q_source.diagonal(d)[:, None], out=bufs[1][:n])
 
-    def slab(self, d: int) -> np.ndarray:
-        """Age-free source on every (time node >= d, lattice node, state): with
-        flat hazards and flat flow one source serves every age, and the one at
-        age ``d*h`` is its tail from time node d on."""
-        return self._age_free_source[d:]
+    # the age-free source has no second path; kept, always None, for the
+    # benchmark tracer, which patches this name (ROADMAP item 3)
+    slab = None
 
     @cached_property
     def _age_free_rates(self) -> dict:
         # with flat hazards and flat flow the gain rates are age free and
         # affine in the core columns, so their grid values interpolate exactly
         return self.gain_rates_at_age(0.0)
-
-    @cached_property
-    def _age_free_source(self) -> np.ndarray:
-        core = self.field.core
-        flat = core.reshape(len(core), -1)
-        bufs = [np.empty_like(flat) for _ in range(3)]
-        return self._source_into(bufs, self._age_terms(0.0), flat, slice(None), 0).reshape(core.shape)
 
     def rate_point(self, t, p, i, s, j):
         """Gain rate of quoting toward ``j``; broadcasts over all five arguments."""
@@ -484,19 +475,30 @@ def value_upper_bound(
     Every fill improves the portfolio by at most K*(p*delta + cost) at the
     then-current price, and fills are dominated by a Poisson stream with rate
     2*(K+1)*max(intensity bounds).  At zero tick size the geometric factor
-    degenerates and the bound is reported in its series-limit form.
+    degenerates and the bound is reported in its series-limit form.  A bound
+    past the float range raises ``OverflowError`` naming its inputs.
     """
     tau = horizon - t
     if tau < 0:
         raise ValueError("evaluation time is beyond the horizon")
     big = mmspec.big_size
-    c = 2.0 * (big + 1) * max(kernel.intensity_bound, layout.flow_bound)
+    rate = max(kernel.intensity_bound, layout.flow_bound)
+    c = 2.0 * (big + 1) * rate
     delta = kernel.delta
-    if delta > 0:
-        growth = big * p * (1.0 + delta) / delta * math.expm1(c * tau * delta)
-    else:
-        growth = big * p * (1.0 + delta) * c * tau
-    return x + y * p + growth + big * c * tau * mmspec.transaction_cost
+    try:
+        if delta > 0:
+            growth = big * p * (1.0 + delta) / delta * math.expm1(c * tau * delta)
+        else:
+            growth = big * p * (1.0 + delta) * c * tau
+    except OverflowError:
+        growth = math.inf
+    bound = x + y * p + growth + big * c * tau * mmspec.transaction_cost
+    if not math.isfinite(bound):
+        raise OverflowError(
+            f"the a-priori value bound overflows: flow or intensity bound {rate!r}, "
+            f"big size {big}, time to horizon {tau!r}, tick {delta!r}, price {p!r}"
+        )
+    return bound
 
 
 def default_baselines(random_seed: int = 7) -> list:
@@ -576,68 +578,65 @@ def backtest(
 ) -> BacktestReport:
     """Monte-Carlo comparison of terminal utility across policies.
 
-    All policies are replayed against the same market realisations (the
+    All policies are settled against the same market realisations (the
     market ignores the agent, so the event stream is policy independent);
     this shares the randomness and sharpens the comparison.  Per-path streams
     are derived from (seed, path index) and aggregation is pairwise, so the
-    table does not depend on execution order.  Each policy is called once
-    per block of paths, on the arrays (t, p, i, s) of the block's events, and
-    returns its (ask, bid) bits as arrays or as scalars that broadcast.
+    table does not depend on execution order.  Paths are folded by
+    ``mc._blocks``; each policy is called once per block, on the arrays
+    (t, p, i, s) of the block's events, and returns its (ask, bid) bits as
+    arrays or as scalars that broadcast.  Each path's cash and inventory are
+    ``np.bincount`` sums of its fills in event order, starting from the
+    initial agent, so the table equals that of a per-event replay exactly.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
+    # refused before any path is simulated
+    bound = value_upper_bound(
+        mmspec, kernel, layout, 0.0, initial_market.price, initial_agent.cash,
+        initial_agent.inventory, horizon,
+    )
     start = (0.0, initial_market.price, initial_market.state, initial_market.age)
     eta = mmspec.risk_aversion
-    values = np.empty((len(policies), n_paths))
-    for first in range(0, n_paths, _BACKTEST_BLOCK):
-        block = range(first, min(first + _BACKTEST_BLOCK, n_paths))
+
+    def settled(rng):
         # a fill depends on the policy only through the quote bit of its
-        # side, so each event is settled once and every policy replays it
-        events, bounds, terminal = [], [0], []
-        for rng in path_streams(seed, first, len(block)):
-            for _, t1, p, i, _, s1, mark in thinning_segments(kernel, layout, start, horizon, rng):
-                if mark is not None and mark is not NO_EVENT:
-                    side, d_cash, d_inv, _ = order_fill(
-                        mark, (1, 1), layout.max_units, p, kernel.delta, mmspec.transaction_cost
-                    )
-                    events.append((t1, p, i, s1, side > 0, d_cash, d_inv))
-            bounds.append(len(events))
-            terminal.append(p)
-        t_ev, p_ev, i_ev, s_ev, ask_side, d_cash, d_inv = list(zip(*events)) or [()] * 7
-        args = (np.array(t_ev, dtype=float), np.array(p_ev, dtype=float),
-                np.array(i_ev, dtype=int), np.array(s_ev, dtype=float))
-        for pi_idx, policy in enumerate(policies):
+        # side, so each event is settled once, with both sides quoted
+        out = []
+        for _, t1, p, i, _, s1, mark in thinning_segments(kernel, layout, start, horizon, rng):
+            if mark is None:
+                out.append((t1, p, i, s1, False, 0.0, 0))
+            elif mark is not NO_EVENT:
+                side, d_cash, d_inv, _ = order_fill(
+                    mark, (1, 1), layout.max_units, p, kernel.delta, mmspec.transaction_cost
+                )
+                out.append((t1, p, i, s1, side > 0, d_cash, d_inv))
+        return out
+
+    values = np.empty((len(policies), n_paths))
+    for lo, path, last, (t, p, i, s, ask_side, d_cash, d_inv) in _blocks(n_paths, seed, settled):
+        event = ~last
+        args = (t[event], p[event], i[event].astype(int), s[event])
+        first = np.append(True, last[:-1])
+        end_p = p[last]
+        for k, policy in enumerate(policies):
             l_ask, l_bid = policy(*args)
-            quoted = np.where(np.array(ask_side, dtype=bool), l_ask, l_bid).tolist()
-            for q, idx in enumerate(block):
-                x, y = initial_agent.cash, initial_agent.inventory
-                for e in range(bounds[q], bounds[q + 1]):
-                    if quoted[e]:
-                        x += d_cash[e]
-                        y += d_inv[e]
-                values[pi_idx, idx] = x + terminal[q] * y - eta * y * y
+            quoted = np.zeros(len(t), dtype=bool)
+            quoted[event] = np.where(ask_side[event] > 0.0, l_ask, l_bid)
+            # the first addition of each path is its initial holding plus
+            # its first fill, as in a replay from the initial agent
+            x, y = np.where(quoted, d_cash, 0.0), np.where(quoted, d_inv, 0.0)
+            x[first] += initial_agent.cash
+            y[first] += initial_agent.inventory
+            x, y = np.bincount(path, weights=x), np.bincount(path, weights=y)
+            values[k, lo : lo + len(x)] = x + end_p * y - eta * y * y
     rows = []
-    for pi_idx, policy in enumerate(policies):
+    for k, policy in enumerate(policies):
         name = getattr(policy, "name", type(policy).__name__)
-        est = McEstimate.from_values(values[pi_idx], seed)
+        est = McEstimate.from_values(values[k], seed)
         rows.append(BacktestRow(policy=name, mean=est.mean, se=est.se, n_paths=n_paths))
-    bound = value_upper_bound(
-        mmspec,
-        kernel,
-        layout,
-        0.0,
-        initial_market.price,
-        initial_agent.cash,
-        initial_agent.inventory,
-        horizon,
-    )
-    return BacktestReport(
-        rows=rows,
-        upper_bound=bound,
-        horizon=horizon,
-        seed=seed,
-        risk_aversion=eta,
-    )
+    return BacktestReport(rows=rows, upper_bound=bound, horizon=horizon, seed=seed,
+                          risk_aversion=eta)
 
 
 def backtest_against_baselines(

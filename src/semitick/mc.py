@@ -5,8 +5,10 @@ controlled processes.
 Every path draws from its own stream ``path_rng(seed, index)``, seeded a
 block at a time by ``path_streams``, through the
 event generators of ``simulate``, so the draws and their order do not depend on
-how paths are grouped.  Paths are folded ``_PATH_BLOCK`` at a time into flat
-arrays of inter-jump segments.  On a segment the price and direction are
+how paths are grouped.  ``_blocks`` folds paths ``_PATH_BLOCK`` at a time, or
+fewer once a block holds ``_ROW_BUDGET`` rows, into flat row columns; it is
+the one path fold, which ``market_maker.backtest`` shares.  Here the rows are
+inter-jump segments.  On a segment the price and direction are
 constant and the age grows at unit slope, so running-cost integrals use the
 composite Simpson rule the solver uses, with the age varying along the
 segment.  All nodes of all segments of a block in one direction state are
@@ -37,6 +39,7 @@ __all__ = [
 ]
 
 _PATH_BLOCK = 1024  # paths folded into one set of segment arrays
+_ROW_BUDGET = 2**18  # rows after which a block closes early
 
 
 @dataclass(frozen=True)
@@ -101,21 +104,28 @@ def _integrate(node_values: np.ndarray, t0: np.ndarray, t1: np.ndarray, weights)
 
 
 def _blocks(n_paths: int, seed: int, segments: Callable):
-    """Fold paths ``_PATH_BLOCK`` at a time into segment columns.
+    """Fold paths into row columns, ``_PATH_BLOCK`` at a time or fewer once a
+    block holds ``_ROW_BUDGET`` rows, since every row of a block is kept as a
+    Python tuple until the block is converted.
 
-    ``segments(rng)`` lists one path's segment rows, drawn from ``rng``, with
-    the terminal segment last.  Yields the block's first path index, the
-    block-local path index of every row, the mask of each path's last row and
-    the columns.
+    ``segments(rng)`` lists one path's rows, drawn from ``rng``, with the
+    terminal row last.  Yields the block's first path index, the block-local
+    path index of every row, the mask of each path's last row and the columns.
     """
-    for lo in range(0, n_paths, _PATH_BLOCK):
+    streams = path_streams(seed, 0, n_paths)
+    lo = 0
+    while lo < n_paths:
         rows, path = [], []
-        for k, rng in enumerate(path_streams(seed, lo, min(_PATH_BLOCK, n_paths - lo))):
+        # range first, so a full block takes no stream of the next one
+        for k, rng in zip(range(min(_PATH_BLOCK, n_paths - lo)), streams):
             seg = segments(rng)
             rows += seg
             path += [k] * len(seg)
+            if len(rows) >= _ROW_BUDGET:
+                break
         path = np.array(path)
         yield lo, path, np.append(path[1:] != path[:-1], True), np.array(rows).T
+        lo += int(path[-1]) + 1
 
 
 def estimate_terminal_value(

@@ -19,10 +19,11 @@ cuts, so a fold ends on the terminal state.
 Every consumer folds over one generator.  ``simulate_price_path``,
 ``mc.estimate_terminal_value`` and the uncontrolled ``mc.dynkin_battery``
 fold over renewal; ``simulate_price_path_thinning``,
-``simulate_controlled_path``, ``market_maker.backtest`` and the controlled
-``mc.dynkin_battery`` fold over thinning and settle fills with
-``order_fill``.  The market ignores the agent, so neither generator takes a
-policy.
+``market_maker.backtest`` and the controlled ``mc.dynkin_battery`` fold over
+thinning, the last two through the one Monte-Carlo path fold ``mc._blocks``,
+and settle fills with ``order_fill``.  The market ignores the agent, so
+neither generator takes a policy: ``simulate_controlled_path`` settles its
+fills on the events of ``simulate_price_path_thinning``.
 
 Draw-order contract: per segment renewal draws one open uniform for the
 holding time and then, unless the horizon cuts the holding, one uniform for
@@ -38,7 +39,7 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -498,47 +499,26 @@ def simulate_controlled_path(
     Big orders execute the layout's maximal size on the jump side; small
     orders execute their drawn size on their own side, in both cases only
     when the corresponding quote bit is set.  The market ignores the agent,
-    so the events are those of :func:`simulate_price_path_thinning`.
+    so the events are those of :func:`simulate_price_path_thinning`, on
+    which the fills are settled.
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
     if transaction_cost < 0:
         raise ValueError("transaction cost must be >= 0")
-    path = Path(
-        initial_market=initial_market,
-        horizon=horizon,
-        seed=seed,
-        method="thinning",
-        initial_agent=initial_agent,
-    )
-    start = (0.0, initial_market.price, initial_market.state, initial_market.age)
-    agent = initial_agent
-    segments = thinning_segments(kernel, layout, start, horizon, _as_rng(seed))
-    for _, t1, p, i, _, s1, mark in segments:
-        if mark is None:
-            break
-        path.n_candidates += 1
-        if mark is NO_EVENT:
-            continue
-        l_ask, l_bid = policy(t1, p, i, s1)
+    path = simulate_price_path_thinning(kernel, layout, initial_market, horizon, seed)
+    path.initial_agent = agent = initial_agent
+    for k, e in enumerate(path.events):
+        before = e.market_before
+        l_ask, l_bid = policy(e.time, before.price, before.state, before.age)
         _, d_cash, d_inv, executed = order_fill(
-            mark, (l_ask, l_bid), layout.max_units, p, kernel.delta, transaction_cost
+            e.kind, (l_ask, l_bid), layout.max_units, before.price, kernel.delta,
+            transaction_cost,
         )
         after = AgentState(agent.cash + d_cash, agent.inventory + d_inv)
-        path.events.append(
-            JumpEvent(
-                time=t1,
-                kind=mark,
-                executed_units=executed,
-                market_before=MarketState(p, i, s1),
-                market_after=MarketState(*_right_limit(p, i, s1, mark, kernel.delta)),
-                agent_before=agent,
-                agent_after=after,
-                control=(l_ask, l_bid),
-            )
+        path.events[k] = replace(
+            e, executed_units=executed, agent_before=agent, agent_after=after,
+            control=(l_ask, l_bid),
         )
         agent = after
-    path.terminal_market = MarketState(p, i, s1)
     path.terminal_agent = agent
     return path
 

@@ -296,31 +296,23 @@ def _branch_maps(lattice: PriceLattice):
     return per_state
 
 
-def _pointwise_slabs(problem: ProblemSpec, t_grid: np.ndarray, lattice: PriceLattice, sigma: float):
-    """``(d, values)`` pairs from the pointwise source: ``values`` holds ``w`` at
-    age ``sigma + d*h`` on every (time node m >= d, lattice node, state)."""
+def _pointwise_source(
+    problem: ProblemSpec, q_source: np.ndarray, t_grid: np.ndarray, lattice: PriceLattice,
+    sigma: float,
+) -> np.ndarray:
+    """Integrated running source on the (time, node, state) grid, from ``w``
+    sampled pointwise: for every age node d, ``w`` at age ``sigma + d*h`` on
+    every (time node m >= d, lattice node, state), folded in with the d-th
+    diagonal of the survival-weighted quadrature matrix ``q_source``."""
     n_t = len(t_grid) - 1
     h = t_grid[1] - t_grid[0]
+    out = np.zeros((n_t + 1, lattice.n_nodes, len(STATES)))
     for d in range(n_t + 1):
         age = sigma + d * h
         slab = np.empty((n_t + 1 - d, lattice.n_nodes, len(STATES)))
         for m in range(d, n_t + 1):
             for ii, i in enumerate(STATES):
                 slab[m - d, :, ii] = problem.w(t_grid[m], lattice.prices, i, age)
-        yield d, slab
-
-
-def _source_integrals(q_source: np.ndarray, slabs, n_nodes: int) -> np.ndarray:
-    """Integrated running-source term on the (time, node, state) grid.
-
-    ``slabs`` yields ``(d, values)`` pairs, ``values`` being the source at age
-    offset ``d*h`` on every (time node m >= d, lattice node, state), and
-    ``q_source`` is the survival-weighted quadrature matrix; each pair is
-    folded in with its diagonal ``d`` as it arrives.
-    """
-    n_t = len(q_source) - 1
-    out = np.zeros((n_t + 1, n_nodes, len(STATES)))
-    for d, slab in slabs:
         out[: n_t + 1 - d] += q_source.diagonal(d)[:, None, None] * slab
     return out
 
@@ -330,9 +322,8 @@ class _AgeOperator:
 
     ``source``, when given, maps the survival-weighted quadrature matrix
     ``q_source`` to the integrated running source on the (time, node, state)
-    grid (:func:`_source_integrals` folds it from per-age slabs); otherwise a
-    problem with a running source is sampled pointwise at the operator's
-    offset.
+    grid; otherwise a problem with a running source is sampled pointwise at
+    the operator's offset (:func:`_pointwise_source`).
     """
 
     def __init__(
@@ -352,10 +343,7 @@ class _AgeOperator:
         if source is not None:
             self.source = source(self.tables.q_source)
         elif problem.w is not None:
-            self.source = _source_integrals(
-                self.tables.q_source, _pointwise_slabs(problem, t_grid, lattice, sigma),
-                lattice.n_nodes,
-            )
+            self.source = _pointwise_source(problem, self.tables.q_source, t_grid, lattice, sigma)
         else:
             self.source = None
         if self.source is not None and not np.all(np.isfinite(self.source)):

@@ -196,11 +196,16 @@ class TestCommands:
         p0 = math.exp(-2.0)
         assert abs(no_jump - p0) <= 4.0 * math.sqrt(p0 * (1.0 - p0) / len(paths))
 
-    def test_solve_u_requires_solve_pi(self, tmp_path, capsys):
+    def test_solve_u_needs_no_solve_pi(self, tmp_path):
+        # solve-u solves the expected price itself and never reads
+        # expected_price.csv, so it runs in an empty directory
         cfg = load_config("symmetric-martingale")
-        rc = run_command("solve-u", cfg, out_dir=str(tmp_path), quiet=True)
-        assert rc == 2
-        assert "solve-pi first" in capsys.readouterr().err
+        alone, after = tmp_path / "alone", tmp_path / "after"
+        assert run_command("solve-u", cfg, out_dir=str(alone), quiet=True) == 0
+        assert not (alone / "expected_price.csv").exists()
+        assert run_command("solve-pi", cfg, out_dir=str(after), quiet=True) == 0
+        assert run_command("solve-u", cfg, out_dir=str(after), quiet=True) == 0
+        assert (alone / "quote_value.csv").read_bytes() == (after / "quote_value.csv").read_bytes()
 
     def test_pipeline_artifacts(self, tmp_path):
         quick = preset_config("symmetric-martingale")
@@ -246,30 +251,44 @@ class TestCommands:
         assert "no convergence" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "cmd, price, delta",
+        "cmd, price, delta, flow",
         [
             # the lattice prices overflow, which the lattice build refuses
-            ("solve-pi", 1e306, 0.5),
-            ("policy", 1e306, 0.5),
-            ("backtest", 1e306, 0.5),
-            ("backtest", 1e308, 0.9),
+            pytest.param("solve-pi", 1e306, 0.5, None, id="solve-pi-1e+306-0.5"),
+            pytest.param("policy", 1e306, 0.5, None, id="policy-1e+306-0.5"),
+            pytest.param("backtest", 1e306, 0.5, None, id="backtest-1e+306-0.5"),
+            pytest.param("backtest", 1e308, 0.9, None, id="backtest-1e+308-0.9"),
             # the first up move of a path overflows
-            ("simulate", 1e308, 0.9),
+            pytest.param("simulate", 1e308, 0.9, None, id="simulate-1e+308-0.9"),
+            # the a-priori value bound overflows, before any path is simulated
+            pytest.param("backtest", 1.0, 0.5, 1e4, id="backtest-bound-flow-1e4"),
         ],
     )
-    def test_numeric_failure_exits_2(self, tmp_path, capsys, cmd, price, delta):
+    def test_numeric_failure_exits_2(self, tmp_path, capsys, cmd, price, delta, flow):
         data = preset_config("asymmetric-constant")
         data["initial"]["price"] = price
         data["kernel"]["delta"] = delta
         data["run"]["n_paths"] = 20
+        if flow is not None:
+            data["layout"]["ask_flow"]["level"] = flow
         rc = main([cmd, "--config", write_config(tmp_path, data), "--out",
                    str(tmp_path / "out"), "--quiet"])
         assert rc == 2
-        expect = "the price overflows" if cmd == "simulate" else "the price lattice overflows"
+        if flow is not None:
+            expect = "the a-priori value bound overflows"
+        elif cmd == "simulate":
+            expect = "the price overflows"
+        else:
+            expect = "the price lattice overflows"
         err = capsys.readouterr().err
         assert err.startswith(f"{cmd}: ") and expect in err
         # the message names the price and the tick that overflow
         assert repr(price) in err and repr(delta) in err
+        if flow is not None:
+            # and the flow bound, big size and horizon of the bound
+            big, horizon = data["agent"]["big_size"], data["horizon"]
+            assert f"bound {flow!r}" in err and f"big size {big}" in err
+            assert f"horizon {float(horizon)!r}" in err
 
     def test_quote_solve_honours_max_iter(self, tmp_path, capsys):
         # the expected price converges in 5 sweeps, the quote value needs 9

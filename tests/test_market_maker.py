@@ -1,6 +1,7 @@
 """Quote gain rates, optimal policy, quoting premium, values, bound, backtest."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,6 +28,8 @@ from semitick import (
     value_upper_bound,
     z_score,
 )
+from semitick import market_maker as mm
+from semitick import mc
 from semitick.market_maker import export_policy_csv
 from semitick.mc import McEstimate
 from semitick.solver import _build_tables
@@ -366,39 +369,74 @@ class TestBacktest:
         assert len(payload["rows"]) == 5
 
 
-    def test_blocked_policies_match_per_event_replay(self, saturating_kernel, saturating_layout):
+    def test_blocked_policies_match_per_event_replay(
+        self, saturating_kernel, saturating_layout, monkeypatch
+    ):
         # policies called once per block of paths on event arrays give the
         # table of a per-event replay with scalar calls; the optimal policy
-        # reads exact extensions at every nonzero age
+        # reads exact extensions at every nonzero age.  So do a horizon at
+        # which most paths have no event, risk aversion, a block boundary and
+        # blocks that the row budget closes early
         kernel, layout = saturating_kernel, saturating_layout
         spec = MarketMakingSpec(big_size=layout.max_units, transaction_cost=0.001)
         field = solve_expected_price(kernel, GridSpec(n_t=40), 1.0, 1.0)
         policies = default_baselines() + [optimal_policy(kernel, layout, spec, field)]
         start, agent, n_paths, seed = MarketState(1.0, 2, 0.0), AgentState(0.5, -1), 300, 21
-        report = backtest(policies, kernel, layout, spec, start, agent, 1.0, n_paths, seed)
-        values = np.empty((len(policies), n_paths))
-        for idx in range(n_paths):
-            events = []
-            for _, t1, p, i, _, s1, mark in thinning_segments(
-                kernel, layout, (0.0, 1.0, 2, 0.0), 1.0, path_rng(seed, idx)
-            ):
-                if mark is not None and mark is not NO_EVENT:
-                    side, d_cash, d_inv, _ = order_fill(
-                        mark, (1, 1), layout.max_units, p, kernel.delta, spec.transaction_cost
-                    )
-                    events.append((t1, p, i, s1, side > 0, d_cash, d_inv))
-            for k, policy in enumerate(policies):
-                x, y = agent.cash, agent.inventory
-                for tv, p_pre, i_pre, s_pre, ask_side, d_cash, d_inv in events:
-                    l_ask, l_bid = policy(tv, p_pre, i_pre, s_pre)
-                    if (l_ask if ask_side else l_bid):
-                        x += d_cash
-                        y += d_inv
-                values[k, idx] = x + p * y
-        expected = [McEstimate.from_values(values[k], seed) for k in range(len(policies))]
-        assert [(r.policy, r.mean, r.se) for r in report.rows] == [
-            (pol.name, est.mean, est.se) for pol, est in zip(policies, expected)
-        ]
+
+        def replay(horizon, eta):
+            values = np.empty((len(policies), n_paths))
+            n_quiet = 0
+            for idx in range(n_paths):
+                events = []
+                for _, t1, p, i, _, s1, mark in thinning_segments(
+                    kernel, layout, (0.0, 1.0, 2, 0.0), horizon, path_rng(seed, idx)
+                ):
+                    if mark is not None and mark is not NO_EVENT:
+                        side, d_cash, d_inv, _ = order_fill(
+                            mark, (1, 1), layout.max_units, p, kernel.delta, spec.transaction_cost
+                        )
+                        events.append((t1, p, i, s1, side > 0, d_cash, d_inv))
+                n_quiet += not events
+                for k, policy in enumerate(policies):
+                    x, y = agent.cash, agent.inventory
+                    for tv, p_pre, i_pre, s_pre, ask_side, d_cash, d_inv in events:
+                        l_ask, l_bid = policy(tv, p_pre, i_pre, s_pre)
+                        if (l_ask if ask_side else l_bid):
+                            x += d_cash
+                            y += d_inv
+                    values[k, idx] = x + p * y - eta * y * y
+            expected = [McEstimate.from_values(values[k], seed) for k in range(len(policies))]
+            return n_quiet, [(pol.name, est.mean, est.se) for pol, est in zip(policies, expected)]
+
+        def table(horizon, eta):
+            report = backtest(
+                policies, kernel, layout, replace(spec, risk_aversion=eta), start, agent,
+                horizon, n_paths, seed,
+            )
+            return [(r.policy, r.mean, r.se) for r in report.rows]
+
+        n_quiet, expected = replay(1.0, 0.0)
+        assert table(1.0, 0.0) == expected
+        n_quiet, short = replay(0.05, 0.0)
+        assert n_quiet > n_paths // 2
+        assert table(0.05, 0.0) == short
+        assert table(1.0, 0.05) == replay(1.0, 0.05)[1]
+        with monkeypatch.context() as patch:
+            patch.setattr(mc, "_PATH_BLOCK", 150)  # 300 paths fill two blocks
+            assert table(1.0, 0.0) == expected
+        with monkeypatch.context() as patch:
+            starts = []
+            blocks = mc._blocks
+
+            def recorded(*args):
+                for block in blocks(*args):
+                    starts.append(block[0])
+                    yield block
+
+            patch.setattr(mc, "_ROW_BUDGET", 64)
+            patch.setattr(mm, "_blocks", recorded)
+            assert table(1.0, 0.0) == expected
+            assert len(starts) > 2
 
     def test_off_lattice_price_refused(self, saturating_kernel, saturating_layout):
         kernel, layout = saturating_kernel, saturating_layout

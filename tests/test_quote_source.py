@@ -32,8 +32,8 @@ SIZES = (0.25, 0.5, 0.25)
 
 
 def _setup(name):
-    """(kernel, layout) of one test case; every layout has an aged ask flow,
-    so no case takes the age-free path."""
+    """(kernel, layout) of one test case; every layout but the age-free one
+    has an aged ask flow, so only that case takes the age-free path."""
     if name == "saturating-preset":
         cfg = load_config("saturating-hazard")
         return cfg.kernel, cfg.layout
@@ -41,12 +41,13 @@ def _setup(name):
         kernel = SemiMarkovKernel(
             ConstantIntensity(0.4), SaturatingIntensity(base=0.0, gain=3.0, rate=0.5), 0.01
         )
-    else:  # flat hazards: an age-invariant field, but the flow still ages
+    else:  # flat hazards: an age-invariant field
         kernel = SemiMarkovKernel(ConstantIntensity(0.8), ConstantIntensity(0.4), 0.01)
-    layout = MarkLayout(
-        kernel, SaturatingIntensity(base=0.5, gain=0.8, rate=1.5), ConstantIntensity(0.9),
-        SIZES, SIZES,
-    )
+    if name == "age-free":  # and flat flow: one source serves every age
+        ask_flow = ConstantIntensity(1.5)
+    else:
+        ask_flow = SaturatingIntensity(base=0.5, gain=0.8, rate=1.5)
+    layout = MarkLayout(kernel, ask_flow, ConstantIntensity(0.9), SIZES, SIZES)
     return kernel, layout
 
 
@@ -120,14 +121,14 @@ def _use_cpus(monkeypatch, count):
 class TestFusedSourceKernel:
     @pytest.mark.parametrize("n_t", [120, 81])
     @pytest.mark.parametrize("consistent", [True, False], ids=["node_edge", "scalar_edge"])
-    @pytest.mark.parametrize("name", ["saturating-preset", "mixed", "flat-hazards"])
+    @pytest.mark.parametrize("name", ["saturating-preset", "mixed", "flat-hazards", "age-free"])
     def test_matches_streamed_fold(self, monkeypatch, name, consistent, n_t):
         # every element keeps its operations and their order, so the result
         # is the streamed fold's bit for bit at every block count (an odd
         # n_t puts both row parities at both ends of the sweep)
         kernel, layout = _setup(name)
         field = _field(name, n_t)
-        assert field.age_invariant == (name == "flat-hazards")
+        assert field.age_invariant == (name in ("flat-hazards", "age-free"))
         spec = MarketMakingSpec(
             big_size=layout.max_units, transaction_cost=0.001, portfolio_consistent=consistent
         )
@@ -190,7 +191,8 @@ class TestFusedSourceKernel:
     def test_traced_names_stay_on_the_calling_thread(self, monkeypatch, name, asymmetric_kernel,
                                                     asymmetric_layout):
         # the benchmark tracer records spans and counters without a lock, so
-        # worker threads may call none of the names it patches
+        # worker threads may call none of the names it patches; the age-free
+        # solve need not call any of them
         if name == "age-free":
             kernel, layout = asymmetric_kernel, asymmetric_layout
             field = solve_expected_price(kernel, GridSpec(n_t=40, n_max=6), 1.0, 1.0)
@@ -210,13 +212,11 @@ class TestFusedSourceKernel:
 
         for owner, attr in [
             (SemiMarkovKernel, "integrated_intensity"),
-            (QuoteGainSource, "slab"),
             (QuoteGainSource, "rate_point"),
             (solver, "extension_slice"),
             (mm, "extension_slice"),
         ]:
             monkeypatch.setattr(owner, attr, spy(attr, getattr(owner, attr)))
         solve_quote_value(kernel, layout, spec, field)
-        assert calls
-        assert {ident for _, ident in calls} == {threading.get_ident()}
-        assert ("slab" in {label for label, _ in calls}) == (name == "age-free")
+        assert calls or name == "age-free"
+        assert {ident for _, ident in calls} <= {threading.get_ident()}
