@@ -22,7 +22,7 @@ from semitick.harness import (
     preset_config,
     run_command,
 )
-from semitick.simulate import path_rng, simulate_price_path
+from semitick.simulate import path_rng
 from semitick.solver import GridSpec
 
 
@@ -158,7 +158,7 @@ class TestCommands:
         b = (tmp_path / "b" / "paths.csv").read_bytes()
         assert a == b
 
-    def test_paths_summary_records_stream_pairs(self, tmp_path):
+    def test_paths_summary_records_stream_pairs(self, reference_paths, tmp_path):
         rc = main(["simulate", "--config", "saturating-hazard", "--out", str(tmp_path),
                    "--paths", "30", "--seed", "5", "--quiet"])
         assert rc == 0
@@ -168,8 +168,8 @@ class TestCommands:
         cfg = load_config("saturating-hazard")
         for idx in (0, 17, 29):
             # the recorded pair seeds the stream the path was drawn from
-            again = simulate_price_path(cfg.kernel, cfg.initial_market, cfg.horizon,
-                                        path_rng(*pairs[idx])).summary()
+            again = reference_paths.renewal(cfg.kernel, cfg.initial_market, cfg.horizon,
+                                            path_rng(*pairs[idx])).summary()
             assert {**again, "seed": list(pairs[idx])} == paths[idx]
 
     def test_outputs_embed_hash_and_seed(self, tmp_path):

@@ -1,5 +1,6 @@
 """Artifact writers: the streamed CSVs equal the row-by-row originals, and the
-templated path summary equals the json encoder's.
+path artifacts written from the renewal fold equal the json encoder's output
+on event-object paths.
 
 The reference writers below are the row-at-a-time implementations the
 streamed ones replaced, kept verbatim as the slow path to compare against.
@@ -22,7 +23,7 @@ from semitick import (
 )
 from semitick.harness import load_config, run_command
 from semitick.market_maker import QuoteGainSource, export_policy_csv
-from semitick.simulate import path_rng, simulate_price_path
+from semitick.simulate import path_rng
 
 
 def reference_save_field_csv(field, path, header_meta=None):
@@ -76,6 +77,31 @@ def reference_export_policy_csv(
                             f"{float(t)!r},{float(prices[n])!r},{i},{float(s)!r},"
                             f"{int(bits[1][ki, n])},{int(bits[-1][ki, n])}\n"
                         )
+
+
+def reference_simulate(cfg, renewal_path, out):
+    """``paths.csv`` and ``paths_summary.json`` written event by event from
+    event-object paths, the summaries through the json encoder."""
+    out.mkdir()
+    meta = cfg.header_meta()
+    summaries = []
+    with open(out / "paths.csv", "w") as fh:
+        fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
+        fh.write(
+            "path,time,kind,target_or_side,units,price_before,price_after,age_before\n"
+        )
+        for idx in range(cfg.n_paths):
+            rng = path_rng(cfg.seed, idx)
+            path = renewal_path(cfg.kernel, cfg.initial_market, cfg.horizon, rng)
+            for e in path.events:
+                fh.write(
+                    f"{idx},{float(e.time)!r},big,{e.kind.target},0,"
+                    f"{float(e.market_before.price)!r},{float(e.market_after.price)!r},"
+                    f"{float(e.market_before.age)!r}\n"
+                )
+            summaries.append({**path.summary(), "seed": [cfg.seed, idx]})
+    with open(out / "paths_summary.json", "w") as fh:
+        fh.write(json.dumps({"meta": meta, "paths": summaries}, indent=2, sort_keys=True))
 
 
 def assert_same_bytes(tmp_path, write, reference):
@@ -156,20 +182,20 @@ class TestPathsSummary:
     @pytest.mark.parametrize(
         "preset", ["symmetric-martingale", "asymmetric-constant", "saturating-hazard"]
     )
-    def test_equals_indented_json(self, preset, tmp_path):
+    def test_equals_indented_json(self, preset, reference_paths, tmp_path):
         cfg = load_config(preset)
         cfg.n_paths = 40
-        assert run_command("simulate", cfg, out_dir=str(tmp_path), quiet=True) == 0
-        summaries = [
-            {
-                **simulate_price_path(
-                    cfg.kernel, cfg.initial_market, cfg.horizon, path_rng(cfg.seed, idx)
-                ).summary(),
-                "seed": [cfg.seed, idx],
-            }
-            for idx in range(cfg.n_paths)
-        ]
-        expect = json.dumps(
-            {"meta": cfg.header_meta(), "paths": summaries}, indent=2, sort_keys=True
-        )
-        assert (tmp_path / "paths_summary.json").read_bytes() == expect.encode()
+        assert run_command("simulate", cfg, out_dir=str(tmp_path / "fold"), quiet=True) == 0
+        reference_simulate(cfg, reference_paths.renewal, tmp_path / "ref")
+        summary = (tmp_path / "fold" / "paths_summary.json").read_bytes()
+        assert summary == (tmp_path / "ref" / "paths_summary.json").read_bytes()
+
+    @pytest.mark.parametrize("preset", ["asymmetric-constant", "saturating-hazard"])
+    def test_both_files_equal_event_paths(self, preset, reference_paths, tmp_path):
+        # 1,100 paths cross the 1,024-path seeding block of path_streams
+        cfg = load_config(preset)
+        cfg.n_paths = 1100
+        assert run_command("simulate", cfg, out_dir=str(tmp_path / "fold"), quiet=True) == 0
+        reference_simulate(cfg, reference_paths.renewal, tmp_path / "ref")
+        for name in ("paths.csv", "paths_summary.json"):
+            assert (tmp_path / "fold" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
