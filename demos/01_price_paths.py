@@ -4,11 +4,11 @@ The mid-price moves by a constant relative tick at the jumps of a four-state
 semi-Markov direction process.  Paths can be produced by renewal sampling
 (inverse-CDF holding times plus a categorical transition draw) or by thinning
 a dominating Poisson stream of marked points; both give the same law, which
-this script checks empirically before exporting a path to CSV.
+this script checks empirically with the checks `semitick validate` runs.
+`semitick simulate` writes renewal paths to `paths.csv`.
 """
 
 import numpy as np
-from scipy import stats
 
 from semitick import (
     MarkLayout,
@@ -16,9 +16,9 @@ from semitick import (
     SaturatingIntensity,
     ConstantIntensity,
     SemiMarkovKernel,
+    checks,
     path_rng,
-    simulate_price_path,
-    simulate_price_path_thinning,
+    renewal_segments,
 )
 
 # trending microstructure: continuations arrive faster than reversals, and
@@ -38,41 +38,24 @@ layout = MarkLayout(
 start = MarketState(price=1.0, state=2, age=0.0)
 horizon = 2.0
 
-path = simulate_price_path(kernel, start, horizon, seed=7)
-print(f"renewal path: {path.jump_count} price moves over {horizon} time units")
-for e in path.events[:6]:
-    move = "up  " if e.market_after.price > e.market_before.price else "down"
-    print(
-        f"  t={e.time:.3f}  {move}  {e.market_before.price:.5f} -> "
-        f"{e.market_after.price:.5f}  (held {e.market_before.age:.3f})"
-    )
-
-# the two constructions agree in law: compare completed holding times
-hold_renewal, hold_thinning = [], []
-for idx in range(4000):
-    hold_renewal.extend(
-        simulate_price_path(kernel, start, horizon, path_rng(1, idx)).holding_times()
-    )
-    hold_thinning.extend(
-        simulate_price_path_thinning(
-            kernel, layout, start, horizon, path_rng(2, idx)
-        ).holding_times()
-    )
-ks = stats.ks_2samp(hold_renewal, hold_thinning)
-print(
-    f"\nrenewal vs thinning holding times: KS p-value {ks.pvalue:.3f} "
-    f"({len(hold_renewal)} vs {len(hold_thinning)} samples)"
+# one segment per holding time: price p and state i hold on [t0, t1) while the
+# age runs from s0 to s1; j is the state entered at t1 (None on the last
+# segment, which the horizon cuts), and the next segment starts at the new price
+segments = list(
+    renewal_segments(kernel, (0.0, start.price, start.state, start.age), horizon, path_rng(7, 0))
 )
+print(f"renewal path: {len(segments) - 1} price moves over {horizon} time units")
+for (_, t1, p, _, _, s1, j), after in list(zip(segments, segments[1:]))[:6]:
+    move = "up  " if after[2] > p else "down"
+    print(f"  t={t1:.3f}  {move}  {p:.5f} -> {after[2]:.5f}  (held {s1:.3f})")
+
+# the two constructions agree in law: completed holding times of 4,000
+# renewal paths (streams seeded 1) against 4,000 thinning paths (seeded 2)
+check = checks.renewal_vs_thinning(kernel, layout, start, horizon, 4000, seed=1)
+print(f"\nrenewal vs thinning holding times: KS {check.detail}")
 
 # holding times against the analytic distribution; note these must be drawn
 # directly, not harvested from finite-horizon paths, where completed holdings
 # are biased short by the censoring at the horizon
-rng = np.random.default_rng(3)
-from semitick import sample_holding
-
-draws = np.array([sample_holding(kernel, 0.0, u) for u in rng.uniform(1e-12, 1, 8000)])
-ks1 = stats.kstest(draws, lambda y: kernel.holding_cdf(np.maximum(y, 0.0)))
-print(f"holding times vs analytic law:     KS p-value {ks1.pvalue:.3f}")
-
-path.to_csv("demo_path.csv", header_meta={"demo": "01_price_paths"})
-print("\nwrote demo_path.csv (one event per row)")
+check = checks.holding_ks(kernel, np.random.default_rng(3), 8000)
+print(f"holding times vs analytic law:     KS {check.detail}")

@@ -46,16 +46,13 @@ from .simulate import (
     AskOnlyPolicy,
     BidOnlyPolicy,
     HoldPolicy,
-    JumpEvent,
     MarketState,
-    Path,
     RandomQuotePolicy,
     path_rng,
+    renewal_segments,
     sample_holding,
     sample_transition,
-    simulate_controlled_path,
-    simulate_price_path,
-    simulate_price_path_thinning,
+    thinning_segments,
 )
 from .solver import (
     ConvergenceError,

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mc
-from .hazards import STATES, alpha, successors
+from .hazards import STATES, BigJump, alpha, successors
 from .market_maker import QuoteGainSource
-from .simulate import path_streams, sample_holding, simulate_price_path, simulate_price_path_thinning
+from .simulate import path_streams, renewal_segments, sample_holding, thinning_segments
 from .solver import contraction_bound, expected_price_ode_oracle, extension_slice
 
 
@@ -115,18 +115,35 @@ def transition_freq(kernel, rng, n_draws: int) -> Check:
     return Check("transition_freq", ok, "; ".join(details))
 
 
+def _holding_times(segments, start_age: float) -> list:
+    """Durations between consecutive big jumps of one path's segments from
+    time zero: a renewal mark is the successor state, a thinning mark a
+    ``BigJump`` (small orders and thinned candidates are skipped).
+
+    The stretch before the first jump is included only when the path
+    started at age zero (otherwise its law is the conditional one); the
+    censored stretch after the last jump is dropped.
+    """
+    times = [t1 for _, t1, _, _, _, _, mark in segments if isinstance(mark, (int, BigJump))]
+    out = [times[0]] if start_age == 0.0 and times else []
+    out.extend(np.diff(times).tolist())
+    return out
+
+
 def renewal_vs_thinning(kernel, layout, market, horizon: float, n_paths: int, seed: int) -> Check:
     """Holding times of renewal paths (streams ``seed``) and thinning paths
-    (streams ``seed + 1``) come from one law (two-sample KS p > 0.01)."""
+    (streams ``seed + 1``) from the ``MarketState`` ``market`` at time zero
+    come from one law (two-sample KS p > 0.01)."""
     from scipy import stats as sps
 
+    start = (0.0, market.price, market.state, market.age)
     renewal, thinning = [], []
     streams = zip(path_streams(seed, 0, n_paths), path_streams(seed + 1, 0, n_paths))
     for rng, rng_thin in streams:
-        renewal += simulate_price_path(kernel, market, horizon, rng).holding_times()
-        thinning += simulate_price_path_thinning(
-            kernel, layout, market, horizon, rng_thin
-        ).holding_times()
+        renewal += _holding_times(renewal_segments(kernel, start, horizon, rng), market.age)
+        thinning += _holding_times(
+            thinning_segments(kernel, layout, start, horizon, rng_thin), market.age
+        )
     ks = sps.ks_2samp(renewal, thinning)
     return Check(
         "renewal_vs_thinning", ks.pvalue > 0.01,

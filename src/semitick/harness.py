@@ -32,7 +32,7 @@ from . import checks
 from . import market_maker as mm
 from .hazards import ConstantIntensity, MarkLayout, SaturatingIntensity, SemiMarkovKernel
 from .lattice import max_jumps_for_tail
-from .simulate import AgentState, MarketState, path_streams, simulate_price_path
+from .simulate import AgentState, MarketState, path_streams, renewal_segments
 from .solver import (
     GridSpec,
     SolverError,
@@ -376,16 +376,16 @@ def load_config(path_or_name) -> ExperimentConfig:
 # -- commands ---------------------------------------------------------------
 
 
-# one path's block of paths_summary.json as json.dumps(indent=2, sort_keys=True)
-# lays it out; the values are Python ints and floats, whose repr is what json
-# writes for them
+# one renewal path's block of paths_summary.json as json.dumps(indent=2,
+# sort_keys=True) lays it out; its events are its big jumps, and the values
+# are Python ints and floats, whose repr is what json writes for them
 _SUMMARY_BLOCK = """\
     {{
       "horizon": {horizon!r},
-      "method": "{method}",
-      "n_big_jumps": {n_big_jumps!r},
-      "n_events": {n_events!r},
-      "n_small_orders": {n_small_orders!r},
+      "method": "renewal",
+      "n_big_jumps": {n_jumps!r},
+      "n_events": {n_jumps!r},
+      "n_small_orders": 0,
       "seed": [
         {seed[0]!r},
         {seed[1]!r}
@@ -399,6 +399,8 @@ _SUMMARY_BLOCK = """\
 def _cmd_simulate(cfg: ExperimentConfig, out: FsPath, quiet: bool) -> int:
     meta = cfg.header_meta()
     rows_path = out / "paths.csv"
+    m = cfg.initial_market
+    start = (0.0, m.price, m.state, m.age)
     blocks = []
     with open(rows_path, "w") as fh:
         fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
@@ -406,15 +408,22 @@ def _cmd_simulate(cfg: ExperimentConfig, out: FsPath, quiet: bool) -> int:
             "path,time,kind,target_or_side,units,price_before,price_after,age_before\n"
         )
         for idx, rng in enumerate(path_streams(cfg.seed, 0, cfg.n_paths)):
-            path = simulate_price_path(cfg.kernel, cfg.initial_market, cfg.horizon, rng)
-            for e in path.events:
+            segments = renewal_segments(cfg.kernel, start, cfg.horizon, rng)
+            _, t1, p, i, _, s1, j = next(segments)
+            n_jumps = 0
+            for after in segments:
+                # a jump into j at t1; the next segment starts at the price it moved to
                 fh.write(
-                    f"{idx},{float(e.time)!r},big,{e.kind.target},0,"
-                    f"{float(e.market_before.price)!r},{float(e.market_after.price)!r},"
-                    f"{float(e.market_before.age)!r}\n"
+                    f"{idx},{float(t1)!r},big,{j},0,"
+                    f"{float(p)!r},{float(after[2])!r},{float(s1)!r}\n"
                 )
+                n_jumps += 1
+                _, t1, p, i, _, s1, j = after
             # the stream is path_rng(master seed, path index)
-            blocks.append(_SUMMARY_BLOCK.format(**{**path.summary(), "seed": (cfg.seed, idx)}))
+            blocks.append(_SUMMARY_BLOCK.format(
+                horizon=cfg.horizon, n_jumps=n_jumps, seed=(cfg.seed, idx),
+                terminal_age=s1, terminal_price=p, terminal_state=i,
+            ))
     head = json.dumps(meta, indent=2, sort_keys=True).replace("\n", "\n  ")
     with open(out / "paths_summary.json", "w") as fh:
         fh.write(f'{{\n  "meta": {head},\n  "paths": [\n' + ",\n".join(blocks) + "\n  ]\n}")

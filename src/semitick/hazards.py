@@ -369,6 +369,8 @@ class MarkLayout:
             cont, rev = sorted(successors(i), key=lambda j: alpha(j) != alpha(i))
             marks[i] = (BigJump(cont), BigJump(rev), *small)
         object.__setattr__(self, "_marks", marks)
+        # the interval ends of a memoryless layout are the same at every age
+        object.__setattr__(self, "_fixed_ends", self._ends(0.0) if self.is_memoryless else None)
 
     @property
     def max_units(self) -> int:
@@ -443,7 +445,7 @@ class MarkLayout:
             raise ValueError("age must be nonnegative")
         if z < 0:
             return NO_EVENT
-        ends = self._ends(s)
+        ends = self._fixed_ends if self._fixed_ends is not None else self._ends(s)
         if z >= ends[-1]:
             return NO_EVENT
         return self._marks[i][bisect_right(ends, z)]

@@ -23,10 +23,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .hazards import STATES, MarkLayout, SemiMarkovKernel, alpha, successors
+from .hazards import NO_EVENT, STATES, MarkLayout, SemiMarkovKernel, alpha, successors
 from .mc import McEstimate, _blocks
 from .simulate import (
-    NO_EVENT,
     AgentState,
     AlwaysQuotePolicy,
     AskOnlyPolicy,

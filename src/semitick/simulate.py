@@ -16,14 +16,14 @@ Each yields tuples ``(t0, t1, p, i, s0, s1, mark)``: price ``p`` and state
 ``NO_EVENT`` (thinning); it is None on the last segment, which the horizon
 cuts, so a fold ends on the terminal state.
 
-Every consumer folds over one generator.  ``simulate_price_path``,
+Every consumer folds over one generator, and there is no other path
+representation.  ``harness``'s ``simulate`` command,
 ``mc.estimate_terminal_value`` and the uncontrolled ``mc.dynkin_battery``
-fold over renewal; ``simulate_price_path_thinning``,
-``market_maker.backtest`` and the controlled ``mc.dynkin_battery`` fold over
-thinning, the last two through the one Monte-Carlo path fold ``mc._blocks``,
-and settle fills with ``order_fill``.  The market ignores the agent, so
-neither generator takes a policy: ``simulate_controlled_path`` settles its
-fills on the events of ``simulate_price_path_thinning``.
+fold over renewal; ``market_maker.backtest`` and the controlled
+``mc.dynkin_battery`` fold over thinning, through the one Monte-Carlo path
+fold ``mc._blocks``, and settle fills with ``order_fill``; the
+``renewal_vs_thinning`` check takes the big-jump times of both.  The market
+ignores the agent, so neither generator takes a policy.
 
 Draw-order contract: per segment renewal draws one open uniform for the
 holding time and then, unless the horizon cuts the holding, one uniform for
@@ -36,28 +36,17 @@ one law for (price, state, age).
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import struct
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from dataclasses import dataclass
 
 import numpy as np
 
-from .hazards import (
-    NO_EVENT,
-    BigJump,
-    MarkLayout,
-    SemiMarkovKernel,
-    SmallOrder,
-    alpha,
-)
+from .hazards import BigJump, MarkLayout, SemiMarkovKernel, SmallOrder, alpha
 
 __all__ = [
     "MarketState",
     "AgentState",
-    "JumpEvent",
-    "Path",
     "path_rng",
     "path_streams",
     "renewal_segments",
@@ -65,9 +54,6 @@ __all__ = [
     "order_fill",
     "sample_holding",
     "sample_transition",
-    "simulate_price_path",
-    "simulate_price_path_thinning",
-    "simulate_controlled_path",
     "HoldPolicy",
     "AlwaysQuotePolicy",
     "AskOnlyPolicy",
@@ -101,106 +87,6 @@ class AgentState:
 
     cash: float = 0.0
     inventory: int = 0
-
-
-@dataclass(frozen=True)
-class JumpEvent:
-    """One Poisson event with full provenance.
-
-    ``executed_units`` is zero whenever the agent did not quote the executed
-    side (or the run is uncontrolled).
-    """
-
-    time: float
-    kind: object  # BigJump or SmallOrder
-    executed_units: int
-    market_before: MarketState
-    market_after: MarketState
-    agent_before: Optional[AgentState] = None
-    agent_after: Optional[AgentState] = None
-    control: Optional[tuple[int, int]] = None
-
-
-@dataclass
-class Path:
-    """Ordered jump events of one simulated run plus terminal bookkeeping."""
-
-    initial_market: MarketState
-    horizon: float
-    events: list[JumpEvent] = field(default_factory=list)
-    terminal_market: Optional[MarketState] = None
-    initial_agent: Optional[AgentState] = None
-    terminal_agent: Optional[AgentState] = None
-    seed: object = None
-    method: str = "renewal"
-    n_candidates: int = 0
-
-    def big_jumps(self) -> list[JumpEvent]:
-        return [e for e in self.events if isinstance(e.kind, BigJump)]
-
-    def small_orders(self) -> list[JumpEvent]:
-        return [e for e in self.events if isinstance(e.kind, SmallOrder)]
-
-    @property
-    def jump_count(self) -> int:
-        return len(self.big_jumps())
-
-    def holding_times(self) -> list[float]:
-        """Durations between consecutive big jumps.
-
-        The stretch before the first jump is included only when the run
-        started at age zero (otherwise its law is the conditional one); the
-        censored stretch after the last jump is dropped.
-        """
-        times = [e.time for e in self.big_jumps()]
-        out = [times[0]] if self.initial_market.age == 0.0 and times else []
-        out.extend(np.diff(times).tolist())
-        return out
-
-    def summary(self) -> dict:
-        term = self.terminal_market
-        d = {
-            "horizon": self.horizon,
-            "method": self.method,
-            "seed": str(self.seed),
-            "n_events": len(self.events),
-            "n_big_jumps": self.jump_count,
-            "n_small_orders": len(self.small_orders()),
-            "terminal_price": term.price if term else None,
-            "terminal_state": term.state if term else None,
-            "terminal_age": term.age if term else None,
-        }
-        if self.terminal_agent is not None:
-            d["terminal_cash"] = self.terminal_agent.cash
-            d["terminal_inventory"] = self.terminal_agent.inventory
-        return d
-
-    def to_csv(self, path, header_meta: Optional[dict] = None) -> None:
-        """One event per row; lines starting with '#' carry reproducibility metadata."""
-        with open(path, "w") as fh:
-            meta = {"seed": str(self.seed), "method": self.method}
-            if header_meta:
-                meta.update(header_meta)
-            fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
-            fh.write(
-                "time,kind,target_or_side,units,price_before,price_after,"
-                "age_before,cash_after,inventory_after,quote_ask,quote_bid\n"
-            )
-            for e in self.events:
-                if isinstance(e.kind, BigJump):
-                    kind, tag, units = "big", e.kind.target, e.executed_units
-                else:
-                    kind, tag, units = "small", e.kind.side, e.executed_units
-                agent = e.agent_after
-                ctrl = e.control if e.control is not None else ("", "")
-                fh.write(
-                    f"{float(e.time)!r},{kind},{tag},{units},"
-                    f"{float(e.market_before.price)!r},{float(e.market_after.price)!r},"
-                    f"{float(e.market_before.age)!r},"
-                    f"{'' if agent is None else repr(float(agent.cash))},"
-                    f"{'' if agent is None else agent.inventory},"
-                    f"{ctrl[0]},{ctrl[1]}\n"
-                )
 
 
 def path_rng(master_seed: int, index: int) -> np.random.Generator:
@@ -353,10 +239,6 @@ def sample_transition(kernel: SemiMarkovKernel, i: int, y: float, u: float) -> i
     return succ[0] if u < weights[0] else succ[1]
 
 
-def _as_rng(seed) -> np.random.Generator:
-    return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-
-
 def _price_after(p: float, delta: float, j: int) -> float:
     price = p * (1.0 + delta * alpha(j))
     if math.isinf(price):
@@ -371,10 +253,21 @@ def _right_limit(p: float, i: int, s: float, mark, delta: float) -> tuple:
     return p, i, s
 
 
+def _check_span(t: float, horizon: float) -> None:
+    if not (math.isfinite(t) and math.isfinite(horizon)):
+        raise ValueError(f"start time and horizon must be finite, got {t!r} and {horizon!r}")
+    if t > horizon:
+        raise ValueError(f"start time {t!r} is past the horizon {horizon!r}")
+
+
 def renewal_segments(kernel: SemiMarkovKernel, start, horizon: float, rng):
     """Renewal construction from ``start = (t, price, state, age)`` to the
-    horizon: one segment per holding time, marked with the successor state."""
+    horizon: one segment per holding time, marked with the successor state.
+
+    A start time or horizon that is not finite, or a start time past the
+    horizon, raises ``ValueError`` when the first segment is drawn."""
     t, p, i, s = start
+    _check_span(t, horizon)
     while True:
         w = sample_holding(kernel, s, _uniform_open(rng))
         if t + w > horizon:
@@ -388,8 +281,10 @@ def renewal_segments(kernel: SemiMarkovKernel, start, horizon: float, rng):
 def thinning_segments(kernel: SemiMarkovKernel, layout: MarkLayout, start, horizon: float, rng):
     """Thinning construction from ``start = (t, price, state, age)`` to the
     horizon: one segment per candidate of the dominating Poisson stream,
-    thinned ones included, marked through the layout at the candidate's age."""
+    thinned ones included, marked through the layout at the candidate's age.
+    The start and horizon are refused as by :func:`renewal_segments`."""
     t, p, i, s = start
+    _check_span(t, horizon)
     width = layout.mark_domain
     while True:
         gap = rng.exponential(1.0 / width)
@@ -401,62 +296,6 @@ def thinning_segments(kernel: SemiMarkovKernel, layout: MarkLayout, start, horiz
         yield t, t + gap, p, i, s, s1, mark
         t += gap
         p, i, s = _right_limit(p, i, s1, mark, kernel.delta)
-
-
-def _market_event(t: float, p: float, i: int, s: float, mark, delta: float) -> JumpEvent:
-    """Uncontrolled event ``mark`` at time ``t`` from the left limit ``(p, i, s)``."""
-    return JumpEvent(
-        time=t,
-        kind=mark,
-        executed_units=0,
-        market_before=MarketState(p, i, s),
-        market_after=MarketState(*_right_limit(p, i, s, mark, delta)),
-    )
-
-
-def simulate_price_path(
-    kernel: SemiMarkovKernel,
-    initial: MarketState,
-    horizon: float,
-    seed,
-) -> Path:
-    """Renewal construction of the uncontrolled path on [0, horizon]."""
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    path = Path(initial_market=initial, horizon=horizon, seed=seed, method="renewal")
-    start = (0.0, initial.price, initial.state, initial.age)
-    for _, t1, p, i, _, s1, j in renewal_segments(kernel, start, horizon, _as_rng(seed)):
-        if j is not None:
-            path.events.append(_market_event(t1, p, i, s1, BigJump(j), kernel.delta))
-    path.terminal_market = MarketState(p, i, s1)
-    return path
-
-
-def simulate_price_path_thinning(
-    kernel: SemiMarkovKernel,
-    layout: MarkLayout,
-    initial: MarketState,
-    horizon: float,
-    seed,
-) -> Path:
-    """Thinning construction of the uncontrolled path on [0, horizon].
-
-    Distributionally equivalent to the renewal construction for (price,
-    state, age); the events also include the small orders.
-    """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    path = Path(initial_market=initial, horizon=horizon, seed=seed, method="thinning")
-    start = (0.0, initial.price, initial.state, initial.age)
-    segments = thinning_segments(kernel, layout, start, horizon, _as_rng(seed))
-    for _, t1, p, i, _, s1, mark in segments:
-        if mark is None:
-            break
-        path.n_candidates += 1
-        if mark is not NO_EVENT:
-            path.events.append(_market_event(t1, p, i, s1, mark, kernel.delta))
-    path.terminal_market = MarketState(p, i, s1)
-    return path
 
 
 def order_fill(mark, quotes, big_units: int, price: float, delta: float, cost: float):
@@ -482,45 +321,6 @@ def order_fill(mark, quotes, big_units: int, price: float, delta: float, cost: f
         return side, 0.0, 0, 0
     d_cash = side * units * (price * (1.0 + side * delta) - side * cost)
     return side, d_cash, -side * units, units
-
-
-def simulate_controlled_path(
-    kernel: SemiMarkovKernel,
-    layout: MarkLayout,
-    policy: Callable[[float, float, int, float], tuple[int, int]],
-    initial_market: MarketState,
-    initial_agent: AgentState,
-    horizon: float,
-    seed,
-    transaction_cost: float = 0.0,
-) -> Path:
-    """Controlled run: the policy is evaluated at left limits for every event.
-
-    Big orders execute the layout's maximal size on the jump side; small
-    orders execute their drawn size on their own side, in both cases only
-    when the corresponding quote bit is set.  The market ignores the agent,
-    so the events are those of :func:`simulate_price_path_thinning`, on
-    which the fills are settled.
-    """
-    if transaction_cost < 0:
-        raise ValueError("transaction cost must be >= 0")
-    path = simulate_price_path_thinning(kernel, layout, initial_market, horizon, seed)
-    path.initial_agent = agent = initial_agent
-    for k, e in enumerate(path.events):
-        before = e.market_before
-        l_ask, l_bid = policy(e.time, before.price, before.state, before.age)
-        _, d_cash, d_inv, executed = order_fill(
-            e.kind, (l_ask, l_bid), layout.max_units, before.price, kernel.delta,
-            transaction_cost,
-        )
-        after = AgentState(agent.cash + d_cash, agent.inventory + d_inv)
-        path.events[k] = replace(
-            e, executed_units=executed, agent_before=agent, agent_after=after,
-            control=(l_ask, l_bid),
-        )
-        agent = after
-    path.terminal_agent = agent
-    return path
 
 
 # -- built-in policies ----------------------------------------------------

@@ -33,7 +33,8 @@ from semitick import mc
 from semitick.market_maker import export_policy_csv
 from semitick.mc import McEstimate
 from semitick.solver import _build_tables
-from semitick.simulate import NO_EVENT, order_fill, path_rng, thinning_segments
+from semitick.hazards import NO_EVENT
+from semitick.simulate import order_fill, path_rng, thinning_segments
 
 
 @pytest.fixture(scope="module")

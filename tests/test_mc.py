@@ -25,7 +25,6 @@ from semitick import (
     estimate_terminal_value,
     expected_price_ode_oracle,
     path_rng,
-    simulate_price_path,
     solve_expected_price,
     successors,
     z_score,
@@ -89,7 +88,7 @@ class TestEstimator:
 
     def test_age_argument_along_segments(self, symmetric_kernel):
         # w = age is piecewise linear along the path; check against a direct
-        # per-path accumulation from the event times
+        # per-path accumulation over the segments
         n = 300
         est = estimate_terminal_value(
             symmetric_kernel, lambda p: 0.0, lambda t, p, i, s: np.asarray(s),
@@ -97,16 +96,12 @@ class TestEstimator:
         )
         acc = np.empty(n)
         for idx in range(n):
-            path = simulate_price_path(
-                symmetric_kernel, MarketState(1.0, 2, 0.5), 1.5, path_rng(13, idx)
-            )
-            total, t_prev, s_prev = 0.0, 0.0, 0.5
-            for e in path.events:
-                seg = e.time - t_prev
-                total += s_prev * seg + 0.5 * seg * seg
-                t_prev, s_prev = e.time, 0.0
-            seg = 1.5 - t_prev
-            total += s_prev * seg + 0.5 * seg * seg
+            total = 0.0
+            for t0, t1, _, _, s0, _, _ in renewal_segments(
+                symmetric_kernel, (0.0, 1.0, 2, 0.5), 1.5, path_rng(13, idx)
+            ):
+                seg = t1 - t0
+                total += s0 * seg + 0.5 * seg * seg
             acc[idx] = total
         assert est.mean == pytest.approx(np.sum(acc) / n, rel=1e-12)
 
@@ -123,16 +118,13 @@ class TestEstimator:
 
     def test_order_independent_aggregation(self, symmetric_kernel, start_state):
         # per-path streams derive from (seed, index): generation order is moot
-        vals_fwd = [
-            simulate_price_path(symmetric_kernel, start_state, 1.0, path_rng(21, i))
-            .terminal_market.price
-            for i in range(200)
-        ]
-        vals_rev = [
-            simulate_price_path(symmetric_kernel, start_state, 1.0, path_rng(21, i))
-            .terminal_market.price
-            for i in reversed(range(200))
-        ][::-1]
+        start = (0.0, start_state.price, start_state.state, start_state.age)
+
+        def terminal_price(i):
+            return list(renewal_segments(symmetric_kernel, start, 1.0, path_rng(21, i)))[-1][2]
+
+        vals_fwd = [terminal_price(i) for i in range(200)]
+        vals_rev = [terminal_price(i) for i in reversed(range(200))][::-1]
         assert vals_fwd == vals_rev
         assert abs(float(np.sum(vals_fwd)) - float(np.sum(np.array(vals_rev)))) <= 1e-12
 

@@ -1,5 +1,5 @@
-"""Path simulators: sampling primitives, renewal/thinning equivalence,
-controlled accounting, determinism."""
+"""Event generators: sampling primitives, renewal/thinning equivalence,
+order fills, determinism."""
 
 import hashlib
 import math
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from semitick import (
-    AgentState,
+    NO_EVENT,
     AlwaysQuotePolicy,
     BigJump,
     ConstantIntensity,
@@ -20,17 +20,15 @@ from semitick import (
     MarketState,
     RandomQuotePolicy,
     MarkLayout,
-    MarketMakingSpec,
     SemiMarkovKernel,
     SmallOrder,
     alpha,
-    backtest,
+    checks,
     path_rng,
+    renewal_segments,
     sample_holding,
     sample_transition,
-    simulate_controlled_path,
-    simulate_price_path,
-    simulate_price_path_thinning,
+    thinning_segments,
 )
 from semitick.simulate import order_fill, path_streams
 
@@ -175,33 +173,50 @@ class TestSampleTransition:
         assert abs(hits - n * p_first) <= 3.0 * sd
 
 
+def at_zero(market):
+    """The generators' ``start`` for ``market`` at time zero."""
+    return (0.0, market.price, market.state, market.age)
+
+
+def jumps(segments):
+    """``(time, target, price before, price after, age before, age after)``
+    of each big jump of a renewal path's segments."""
+    segments = list(segments)
+    return [
+        (t1, j, p, after[2], s1, after[4])
+        for (_, t1, p, _, _, s1, j), after in zip(segments, segments[1:])
+    ]
+
+
 class TestRenewalPath:
     def test_zero_tick_keeps_price_constant(self):
         k = SemiMarkovKernel(ConstantIntensity(1.0), ConstantIntensity(1.0), 0.0)
-        path = simulate_price_path(k, MarketState(5.0, 1, 0.0), 3.0, 11)
-        assert path.jump_count > 0
-        assert all(e.market_after.price == 5.0 for e in path.events)
-        assert path.terminal_market.price == 5.0
+        segments = list(renewal_segments(k, (0.0, 5.0, 1, 0.0), 3.0, np.random.default_rng(11)))
+        assert len(segments) > 1
+        # every price after a jump and the terminal one
+        assert all(p == 5.0 for _, _, p, *_ in segments)
 
     def test_prices_live_on_lattice(self, asymmetric_kernel, start_state):
         log_u = math.log1p(asymmetric_kernel.delta)
         log_d = math.log1p(-asymmetric_kernel.delta)
+        start = at_zero(start_state)
         for idx in range(30):
-            path = simulate_price_path(asymmetric_kernel, start_state, 2.0, path_rng(3, idx))
+            segments = renewal_segments(asymmetric_kernel, start, 2.0, path_rng(3, idx))
             a = b = 0
-            for e in path.events:
-                if alpha(e.kind.target) > 0:
+            for _, target, _, price_after, _, _ in jumps(segments):
+                if alpha(target) > 0:
                     a += 1
                 else:
                     b += 1
                 expect = start_state.price * math.exp(a * log_u + b * log_d)
-                assert e.market_after.price == pytest.approx(expect, rel=1e-9)
+                assert price_after == pytest.approx(expect, rel=1e-9)
 
     def test_jump_count_is_poisson_for_flat_hazard(self, symmetric_kernel, start_state):
         # flat total intensity 1.0 over horizon 2.0
         n, horizon = 10_000, 2.0
+        start = at_zero(start_state)
         counts = [
-            simulate_price_path(symmetric_kernel, start_state, horizon, path_rng(5, i)).jump_count
+            len(list(renewal_segments(symmetric_kernel, start, horizon, path_rng(5, i)))) - 1
             for i in range(n)
         ]
         lam = horizon * symmetric_kernel.total_intensity(0.0)
@@ -209,34 +224,31 @@ class TestRenewalPath:
         assert abs(np.mean(counts) - lam) <= 3.0 * se
 
     def test_age_bookkeeping(self, saturating_kernel):
-        start = MarketState(1.0, 3, 0.6)
-        path = simulate_price_path(saturating_kernel, start, 2.0, 9)
-        t_prev, s_prev = 0.0, start.age
-        for e in path.events:
-            assert e.market_before.age == pytest.approx(s_prev + (e.time - t_prev), rel=1e-12)
-            assert e.market_after.age == 0.0
-            t_prev, s_prev = e.time, 0.0
-        assert path.terminal_market.age == pytest.approx(
-            s_prev + (path.horizon - t_prev), rel=1e-12
+        segments = list(
+            renewal_segments(saturating_kernel, (0.0, 1.0, 3, 0.6), 2.0, np.random.default_rng(9))
         )
+        t_prev, s_prev = 0.0, 0.6
+        for time, _, _, _, age_before, age_after in jumps(segments):
+            assert age_before == pytest.approx(s_prev + (time - t_prev), rel=1e-12)
+            assert age_after == 0.0
+            t_prev, s_prev = time, 0.0
+        assert segments[-1][5] == pytest.approx(s_prev + (2.0 - t_prev), rel=1e-12)
 
     def test_determinism(self, saturating_kernel, start_state):
-        p1 = simulate_price_path(saturating_kernel, start_state, 2.0, path_rng(17, 4))
-        p2 = simulate_price_path(saturating_kernel, start_state, 2.0, path_rng(17, 4))
-        assert [(e.time, e.kind, e.market_after.price) for e in p1.events] == [
-            (e.time, e.kind, e.market_after.price) for e in p2.events
-        ]
+        start = at_zero(start_state)
+        p1 = list(renewal_segments(saturating_kernel, start, 2.0, path_rng(17, 4)))
+        p2 = list(renewal_segments(saturating_kernel, start, 2.0, path_rng(17, 4)))
+        assert p1 == p2
 
     def test_reachability(self, symmetric_kernel):
         # every direction state and both price directions show up
         seen_states, seen_up, seen_down = set(), 0, 0
         for idx in range(400):
-            path = simulate_price_path(
-                symmetric_kernel, MarketState(1.0, 1, 0.0), 3.0, path_rng(23, idx)
-            )
-            for e in path.events:
-                seen_states.add(e.kind.target)
-                if e.market_after.price > e.market_before.price:
+            start = (0.0, 1.0, 1, 0.0)
+            segments = renewal_segments(symmetric_kernel, start, 3.0, path_rng(23, idx))
+            for _, target, price_before, price_after, _, _ in jumps(segments):
+                seen_states.add(target)
+                if price_after > price_before:
                     seen_up += 1
                 else:
                     seen_down += 1
@@ -251,50 +263,98 @@ class TestThinningPath:
             k, ConstantIntensity(1.0), ConstantIntensity(1.0),
             (0.1, 0.5, 0.3, 0.1), (0.1, 0.5, 0.3, 0.1),
         )
-        path = simulate_price_path_thinning(k, lay, MarketState(2.0, 2, 0.0), 2.0, 3)
-        assert path.terminal_market.price == 2.0
+        rng = np.random.default_rng(3)
+        segments = list(thinning_segments(k, lay, (0.0, 2.0, 2, 0.0), 2.0, rng))
+        assert segments[-1][2] == 2.0
 
     def test_acceptance_fraction(self, saturating_kernel, saturating_layout):
         # accepted candidates / all candidates ~ time-average mass / domain
-        start = MarketState(1.0, 2, 0.0)
+        start = (0.0, 1.0, 2, 0.0)
         accepted = candidates = 0
         mass_samples = []
         for idx in range(1500):
-            path = simulate_price_path_thinning(
+            for *_, mark in thinning_segments(
                 saturating_kernel, saturating_layout, start, 1.0, path_rng(31, idx)
-            )
-            accepted += len(path.events)
-            candidates += path.n_candidates
+            ):
+                candidates += mark is not None
+                accepted += mark is not None and mark is not NO_EVENT
         rng = np.random.default_rng(0)
         for idx in range(1500):
             # estimate the expected mass along an independent ensemble
-            path = simulate_price_path(
-                saturating_kernel, start, 1.0, path_rng(32, idx)
-            )
+            segments = renewal_segments(saturating_kernel, start, 1.0, path_rng(32, idx))
+            times = [t1 for _, t1, *_, j in segments if j is not None]
             for t in rng.uniform(0.0, 1.0, 4):
-                s = start.age + t
-                for e in path.events:
-                    if e.time > t:
+                s = start[3] + t
+                for time in times:
+                    if time > t:
                         break
-                    s = t - e.time
+                    s = t - time
                 mass_samples.append(saturating_layout.total_mass(s))
         frac = accepted / candidates
         expect = np.mean(mass_samples) / saturating_layout.mark_domain
         assert frac == pytest.approx(expect, abs=0.02)
 
     def test_agrees_with_renewal(self, saturating_kernel, saturating_layout):
-        start = MarketState(1.0, 2, 0.0)
-        hold_r, hold_t = [], []
-        for idx in range(3000):
-            hold_r.extend(
-                simulate_price_path(saturating_kernel, start, 1.5, path_rng(41, idx)).holding_times()
+        # holding times of renewal paths (streams 41) and thinning paths (42)
+        check = checks.renewal_vs_thinning(
+            saturating_kernel, saturating_layout, MarketState(1.0, 2, 0.0), 1.5, 3000, 41
+        )
+        assert check.measured["p"] > 0.01
+
+
+class TestHoldingTimes:
+    @pytest.mark.parametrize("age", [0.0, 0.25])
+    def test_match_event_paths(self, saturating_kernel, saturating_layout, reference_paths, age):
+        # short paths, so many have no jump and some two or more
+        market = MarketState(1.0, 2, age)
+        lengths = set()
+        for idx in range(300):
+            segments = renewal_segments(saturating_kernel, at_zero(market), 0.6, path_rng(7, idx))
+            expect = reference_paths.renewal(
+                saturating_kernel, market, 0.6, path_rng(7, idx)
+            ).holding_times()
+            assert checks._holding_times(segments, age) == expect
+            segments = thinning_segments(
+                saturating_kernel, saturating_layout, at_zero(market), 0.6, path_rng(8, idx)
             )
-            hold_t.extend(
-                simulate_price_path_thinning(
-                    saturating_kernel, saturating_layout, start, 1.5, path_rng(42, idx)
-                ).holding_times()
+            path = reference_paths.thinning(
+                saturating_kernel, saturating_layout, market, 0.6, path_rng(8, idx)
             )
-        assert stats.ks_2samp(hold_r, hold_t).pvalue > 0.01
+            assert checks._holding_times(segments, age) == path.holding_times()
+            lengths.add(path.jump_count)
+        assert 0 in lengths and max(lengths) >= 2
+
+
+class TestSpan:
+    """Both generators refuse a path that runs backwards or never ends, at
+    the first segment; a start at the horizon is one terminal segment."""
+
+    @pytest.fixture(params=["renewal", "thinning"])
+    def segments(self, request, saturating_kernel, saturating_layout):
+        def draw(t, horizon):
+            start, rng = (t, 1.0, 2, 0.0), np.random.default_rng(0)
+            if request.param == "renewal":
+                return renewal_segments(saturating_kernel, start, horizon, rng)
+            return thinning_segments(saturating_kernel, saturating_layout, start, horizon, rng)
+
+        return draw
+
+    @pytest.mark.parametrize(
+        "t, horizon",
+        [(0.0, math.inf), (0.0, math.nan), (0.0, -math.inf), (math.nan, 1.0), (-math.inf, 1.0)],
+    )
+    def test_non_finite_refused(self, segments, t, horizon):
+        with pytest.raises(ValueError, match="must be finite"):
+            next(segments(t, horizon))
+
+    def test_start_past_the_horizon_refused(self, segments):
+        with pytest.raises(ValueError, match="past the horizon"):
+            next(segments(1.5, 1.0))
+        with pytest.raises(ValueError, match="past the horizon"):
+            next(segments(0.0, -0.5))
+
+    def test_start_at_the_horizon(self, segments):
+        assert list(segments(1.0, 1.0)) == [(1.0, 1.0, 1.0, 2, 0.0, 0.0, None)]
 
 
 class TestMarketState:
@@ -306,13 +366,6 @@ class TestMarketState:
     def test_non_finite_refused(self, price, age):
         with pytest.raises(ValueError, match="must be finite"):
             MarketState(price, 2, age)
-
-    def test_no_thinning_path_from_a_nan_age(self, saturating_kernel, saturating_layout):
-        # a NaN age would classify every mark before the first jump at age NaN
-        with pytest.raises(ValueError, match="age must be finite"):
-            simulate_price_path_thinning(
-                saturating_kernel, saturating_layout, MarketState(1.0, 2, math.nan), 1.0, 3
-            )
 
 
 class TestControlledAccounting:
@@ -332,104 +385,24 @@ class TestControlledAccounting:
         assert order_fill(SmallOrder(-1, 2), (1, 0), 2, 100.0, 0.01, 0.1) == (-1, 0.0, 0, 0)
         assert order_fill(BigJump(4), (0, 1), 2, 100.0, 0.01, 0.1) == (+1, 0.0, 0, 0)
 
-    def test_hold_policy_freezes_agent(self, asymmetric_kernel, asymmetric_layout):
-        start = MarketState(1.0, 2, 0.0)
-        agent = AgentState(cash=3.0, inventory=2)
-        path = simulate_controlled_path(
-            asymmetric_kernel, asymmetric_layout, HoldPolicy(), start, agent, 2.0, 13,
-            transaction_cost=0.001,
-        )
-        assert path.terminal_agent == agent
-        assert all(e.executed_units == 0 for e in path.events)
-
-    def test_event_accounting_matches_fills(self, asymmetric_kernel, asymmetric_layout):
-        start = MarketState(1.0, 2, 0.0)
-        cost = 0.001
-        path = simulate_controlled_path(
-            asymmetric_kernel, asymmetric_layout, AlwaysQuotePolicy(), start,
-            AgentState(0.0, 0), 2.0, 29, transaction_cost=cost,
-        )
-        assert path.events, "expected events on this seed"
-        delta = asymmetric_kernel.delta
-        big = asymmetric_layout.max_units
-        for e in path.events:
-            p = e.market_before.price
-            _, d_cash, d_inv, _ = order_fill(e.kind, (1, 1), big, p, delta, cost)
-            assert e.agent_after.cash - e.agent_before.cash == pytest.approx(d_cash, rel=1e-12)
-            assert e.agent_after.inventory - e.agent_before.inventory == d_inv
-
     @pytest.mark.parametrize("policy", [AlwaysQuotePolicy(), RandomQuotePolicy(seed=3)])
     def test_per_event_portfolio_change_bound(
         self, asymmetric_kernel, asymmetric_layout, policy
     ):
-        # the trade's portfolio impact at post prices never beats K(p*delta + cost)
-        start = MarketState(1.0, 2, 0.0)
-        cost = 0.002
+        # the trade's portfolio impact at post prices never beats K(p*delta + cost);
+        # the policy quotes at the left limit of each event
+        cost, delta = 0.002, asymmetric_kernel.delta
         big = asymmetric_layout.max_units
         for idx in range(60):
-            path = simulate_controlled_path(
-                asymmetric_kernel, asymmetric_layout, policy, start,
-                AgentState(0.0, 0), 2.0, path_rng(55, idx), transaction_cost=cost,
-            )
-            for e in path.events:
-                change = (
-                    e.agent_after.cash
-                    - e.agent_before.cash
-                    + (e.agent_after.inventory - e.agent_before.inventory)
-                    * e.market_after.price
-                )
-                bound = big * (e.market_before.price * asymmetric_kernel.delta + cost)
-                assert change <= bound + 1e-12
-
-    def test_control_evaluated_at_left_limits(self, asymmetric_kernel, asymmetric_layout):
-        seen = []
-
-        class Recorder:
-            name = "recorder"
-
-            def __call__(self, t, p, i, s):
-                seen.append((t, p, i, s))
-                return (1, 1)
-
-        path = simulate_controlled_path(
-            asymmetric_kernel, asymmetric_layout, Recorder(), MarketState(1.0, 2, 0.0),
-            AgentState(0.0, 0), 1.5, 77, transaction_cost=0.0,
-        )
-        assert len(seen) == len(path.events)
-        for (t, p, i, s), e in zip(seen, path.events):
-            assert (t, p, i, s) == (
-                e.time,
-                e.market_before.price,
-                e.market_before.state,
-                e.market_before.age,
-            )
-
-
-    def test_market_ignores_agent(self, saturating_kernel, saturating_layout):
-        # the controlled run sees the uncontrolled thinning events, and the
-        # backtest's replay of those events lands on the same terminal utility
-        policy = RandomQuotePolicy(prob=0.5, seed=4)
-        spec = MarketMakingSpec(big_size=2, transaction_cost=0.002, risk_aversion=0.05)
-        start, agent = MarketState(1.0, 2, 0.25), AgentState(0.5, -1)
-        for seed in range(8):
-            plain = simulate_price_path_thinning(
-                saturating_kernel, saturating_layout, start, 1.5, path_rng(seed, 0)
-            )
-            ctl = simulate_controlled_path(
-                saturating_kernel, saturating_layout, policy, start, agent, 1.5,
-                path_rng(seed, 0), transaction_cost=spec.transaction_cost,
-            )
-            assert ctl.n_candidates == plain.n_candidates
-            assert ctl.terminal_market == plain.terminal_market
-            assert [(e.time, e.kind, e.market_before, e.market_after) for e in ctl.events] == [
-                (e.time, e.kind, e.market_before, e.market_after) for e in plain.events
-            ]
-            report = backtest(
-                [policy], saturating_kernel, saturating_layout, spec, start, agent, 1.5, 1, seed
-            )
-            x, y = ctl.terminal_agent.cash, ctl.terminal_agent.inventory
-            p_t = ctl.terminal_market.price
-            assert report.rows[0].mean == x + p_t * y - spec.risk_aversion * y * y
+            segments = list(thinning_segments(
+                asymmetric_kernel, asymmetric_layout, (0.0, 1.0, 2, 0.0), 2.0, path_rng(55, idx)
+            ))
+            for (_, t1, p, i, _, s1, mark), after in zip(segments, segments[1:]):
+                if mark is NO_EVENT:
+                    continue
+                _, d_cash, d_inv, _ = order_fill(mark, policy(t1, p, i, s1), big, p, delta, cost)
+                change = d_cash + d_inv * after[2]
+                assert change <= big * (p * delta + cost) + 1e-12
 
 
 class TestPathStreams:
@@ -532,21 +505,3 @@ class TestPolicies:
     def test_builtin_ranges(self):
         assert HoldPolicy()(0.1, 1.0, 1, 0.0) == (0, 0)
         assert AlwaysQuotePolicy()(0.1, 1.0, 1, 0.0) == (1, 1)
-
-
-class TestPathExport:
-    def test_csv_roundtrip_determinism(self, asymmetric_kernel, asymmetric_layout, tmp_path):
-        start = MarketState(1.0, 2, 0.0)
-        for run in (0, 1):
-            path = simulate_controlled_path(
-                asymmetric_kernel, asymmetric_layout, AlwaysQuotePolicy(), start,
-                AgentState(0.0, 0), 2.0, path_rng(99, 0), transaction_cost=0.001,
-            )
-            path.to_csv(tmp_path / f"run{run}.csv", header_meta={"seed": 99})
-        assert (tmp_path / "run0.csv").read_bytes() == (tmp_path / "run1.csv").read_bytes()
-
-    def test_summary_fields(self, symmetric_kernel, start_state):
-        path = simulate_price_path(symmetric_kernel, start_state, 1.0, 5)
-        s = path.summary()
-        assert s["n_big_jumps"] == path.jump_count
-        assert s["terminal_price"] == path.terminal_market.price
