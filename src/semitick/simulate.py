@@ -253,21 +253,24 @@ def _right_limit(p: float, i: int, s: float, mark, delta: float) -> tuple:
     return p, i, s
 
 
-def _check_span(t: float, horizon: float) -> None:
+def _check_start(t: float, s: float, horizon: float) -> None:
     if not (math.isfinite(t) and math.isfinite(horizon)):
         raise ValueError(f"start time and horizon must be finite, got {t!r} and {horizon!r}")
     if t > horizon:
         raise ValueError(f"start time {t!r} is past the horizon {horizon!r}")
+    if not (math.isfinite(s) and s >= 0.0):
+        raise ValueError(f"start age must be finite and >= 0, got {s!r}")
 
 
 def renewal_segments(kernel: SemiMarkovKernel, start, horizon: float, rng):
     """Renewal construction from ``start = (t, price, state, age)`` to the
     horizon: one segment per holding time, marked with the successor state.
 
-    A start time or horizon that is not finite, or a start time past the
-    horizon, raises ``ValueError`` when the first segment is drawn."""
+    A start time or horizon that is not finite, a start time past the
+    horizon, or a start age that is not finite or is negative raises
+    ``ValueError`` when the first segment is drawn."""
     t, p, i, s = start
-    _check_span(t, horizon)
+    _check_start(t, s, horizon)
     while True:
         w = sample_holding(kernel, s, _uniform_open(rng))
         if t + w > horizon:
@@ -284,7 +287,7 @@ def thinning_segments(kernel: SemiMarkovKernel, layout: MarkLayout, start, horiz
     thinned ones included, marked through the layout at the candidate's age.
     The start and horizon are refused as by :func:`renewal_segments`."""
     t, p, i, s = start
-    _check_span(t, horizon)
+    _check_start(t, s, horizon)
     width = layout.mark_domain
     while True:
         gap = rng.exponential(1.0 / width)

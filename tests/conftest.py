@@ -94,7 +94,6 @@ class _Path:
     terminal_market: MarketState = None
     seed: object = None
     method: str = "renewal"
-    n_candidates: int = 0
 
     def big_jumps(self):
         return [e for e in self.events if isinstance(e.kind, BigJump)]
@@ -150,10 +149,7 @@ def _thinning_path(kernel, layout, initial, horizon, rng):
     path = _Path(initial_market=initial, horizon=horizon, seed=rng, method="thinning")
     start = (0.0, initial.price, initial.state, initial.age)
     for _, t1, p, i, _, s1, mark in thinning_segments(kernel, layout, start, horizon, rng):
-        if mark is None:
-            break
-        path.n_candidates += 1
-        if mark is not NO_EVENT:
+        if mark is not None and mark is not NO_EVENT:
             path.events.append(_market_event(t1, p, i, s1, mark, kernel.delta))
     path.terminal_market = MarketState(p, i, s1)
     return path

@@ -326,13 +326,14 @@ class TestHoldingTimes:
 
 
 class TestSpan:
-    """Both generators refuse a path that runs backwards or never ends, at
-    the first segment; a start at the horizon is one terminal segment."""
+    """Both generators refuse a path that runs backwards or never ends, or
+    one from an age that is not finite and nonnegative, at the first
+    segment; a start at the horizon is one terminal segment."""
 
     @pytest.fixture(params=["renewal", "thinning"])
     def segments(self, request, saturating_kernel, saturating_layout):
-        def draw(t, horizon):
-            start, rng = (t, 1.0, 2, 0.0), np.random.default_rng(0)
+        def draw(t, horizon, age=0.0):
+            start, rng = (t, 1.0, 2, age), np.random.default_rng(0)
             if request.param == "renewal":
                 return renewal_segments(saturating_kernel, start, horizon, rng)
             return thinning_segments(saturating_kernel, saturating_layout, start, horizon, rng)
@@ -344,7 +345,7 @@ class TestSpan:
         [(0.0, math.inf), (0.0, math.nan), (0.0, -math.inf), (math.nan, 1.0), (-math.inf, 1.0)],
     )
     def test_non_finite_refused(self, segments, t, horizon):
-        with pytest.raises(ValueError, match="must be finite"):
+        with pytest.raises(ValueError, match="start time and horizon must be finite"):
             next(segments(t, horizon))
 
     def test_start_past_the_horizon_refused(self, segments):
@@ -352,6 +353,11 @@ class TestSpan:
             next(segments(1.5, 1.0))
         with pytest.raises(ValueError, match="past the horizon"):
             next(segments(0.0, -0.5))
+
+    @pytest.mark.parametrize("age", [math.nan, math.inf, -0.5])
+    def test_bad_start_age_refused(self, segments, age):
+        with pytest.raises(ValueError, match="start age must be finite and >= 0"):
+            next(segments(0.0, 1.0, age))
 
     def test_start_at_the_horizon(self, segments):
         assert list(segments(1.0, 1.0)) == [(1.0, 1.0, 1.0, 2, 0.0, 0.0, None)]
@@ -366,6 +372,15 @@ class TestMarketState:
     def test_non_finite_refused(self, price, age):
         with pytest.raises(ValueError, match="must be finite"):
             MarketState(price, 2, age)
+
+    def test_no_thinning_path_from_a_nan_age(self, saturating_kernel, saturating_layout):
+        # a NaN age would classify every mark before the first jump at age NaN
+        segments = thinning_segments(
+            saturating_kernel, saturating_layout, (0.0, 1.0, 2, math.nan), 1.0,
+            np.random.default_rng(3),
+        )
+        with pytest.raises(ValueError, match="age must be finite"):
+            next(segments)
 
 
 class TestControlledAccounting:
