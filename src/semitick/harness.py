@@ -439,10 +439,10 @@ def _solve_pi(cfg: ExperimentConfig):
 def _cmd_solve_pi(cfg: ExperimentConfig, out: FsPath, quiet: bool) -> int:
     field = _solve_pi(cfg)
     save_field_csv(field, out / "expected_price.csv", cfg.header_meta())
-    # the residual differences along the (t, s) diagonal, on the ages 0, h, ..., 6h
+    # the residual differences along the (t, s) diagonal, on the ages 0, h, ..., 6h;
+    # it consumes their slices one at a time, so the age stack is never built
     h = field.t_grid[1] - field.t_grid[0]
-    values = np.stack([extension_slice(field, s) for s in h * np.arange(7)], axis=-1)
-    res = pde_residual(field, values)
+    res = pde_residual(field, (extension_slice(field, s) for s in h * np.arange(7)), 7)
     report = {
         "meta": cfg.header_meta(),
         "iterations": field.iterations,
@@ -627,6 +627,14 @@ def run_command(
         return _cmd_validate(cfg, out, quiet)
     except (mm.UnsupportedRiskAversion, SolverError, OverflowError) as exc:
         print(f"{cmd}: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # numpy raises a MemoryError subclass when an array cannot be allocated
+        print(
+            f"{cmd}: out of memory at grid.n_t = {cfg.grid.n_t} and run.n_paths = "
+            f"{cfg.n_paths} ({exc}); reduce them",
+            file=sys.stderr,
+        )
         return 2
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -134,7 +134,7 @@ class ValueField:
     ratios: list = field(default_factory=list)
 
     # no age axis is cached; kept, always None, for the benchmark tracer's
-    # band counter until the package instruments itself (ROADMAP item 4)
+    # band counter until the package instruments itself (ROADMAP item 3)
     s_grid = None
 
     @property
@@ -686,41 +686,70 @@ def contraction_bound(
     return float(np.max(-np.expm1(-np.asarray(kernel.integrated_increment(s_values, horizon)))))
 
 
-def pde_residual(field: ValueField, values: np.ndarray) -> ResidualStats:
+def pde_residual(
+    field: ValueField, slices: Iterable[np.ndarray], n_ages: Optional[int] = None
+) -> ResidualStats:
     """Interior residual of the characteristic-form equation on a grid of ages.
 
-    ``values[..., d]`` holds ``field`` on the (time, node, state) grid at age
-    ``d*h``, ``h`` being the time step (see :func:`extension_slice`); at
-    least three ages are needed.  The transport derivative is a centred
-    difference along the (t, s) diagonal; the jump terms are evaluated
-    exactly at the node.  Residuals are normalised by 1 + price; boundary
-    lattice nodes (truncated jump images) are excluded.  A field with a
-    running source is refused.
+    ``slices`` yields ``field`` on the (time, node, state) grid at the ages
+    ``0, h, 2h, ...``, ``h`` being the time step (see :func:`extension_slice`);
+    ``n_ages`` is their count, at least three, and defaults to ``len(slices)``.
+    The slices are consumed one at a time: the age-zero slice supplies every
+    jump target, and only a rolling window of three ages is held, so a
+    generator of slices never builds the age stack.  The transport derivative
+    is a centred difference along the (t, s) diagonal; the jump terms are
+    evaluated exactly at the node.  Residuals are normalised by 1 + price;
+    boundary lattice nodes (truncated jump images) are excluded.  A field with
+    a running source is refused.
     """
     if field.problem.w is not None:
         raise ValueError("the residual needs a field without a running source")
-    kernel, t_grid = field.kernel, field.t_grid
+    if n_ages is None:
+        n_ages = len(slices)
+    if n_ages < 3:
+        raise ValueError(f"the residual needs at least three ages, got {n_ages}")
+    kernel, t_grid, lattice = field.kernel, field.t_grid, field.lattice
     h_t = t_grid[1] - t_grid[0]
-    ages = h_t * np.arange(values.shape[-1])
-    lattice = field.lattice
-    interior_nodes = (lattice.up_index >= 0) & (lattice.down_index >= 0)
-    transport = (values[2:, :, :, 2:] - values[:-2, :, :, :-2]) / (2.0 * h_t)
-    n_t = len(t_grid) - 1
-    n_s = len(ages) - 1
-    res = np.zeros_like(transport)
-    for i in STATES:
-        ii = _STATE_INDEX[i]
-        jump = np.zeros((n_t - 1, lattice.n_nodes, n_s - 1))
-        for j in successors(i):
-            img, scale = lattice.image_maps(1 if alpha(j) > 0 else -1)
-            target = values[1:-1, img, _STATE_INDEX[j], 0] * scale[None, :]
-            hj = np.asarray(kernel.directed_intensity(i, j, ages[1:-1]))
-            jump += hj[None, None, :] * (
-                target[:, :, None] - values[1:-1, :, ii, 1:-1]
-            )
-        res[:, :, ii, :] = transport[:, :, ii, :] + jump
-    res = res[:, interior_nodes, :, :]
-    norm = np.abs(res) / (1.0 + lattice.prices[interior_nodes])[None, :, None, None]
+    ages = h_t * np.arange(n_ages)
+    interior = np.nonzero((lattice.up_index >= 0) & (lattice.down_index >= 0))[0]
+    weight = 1.0 + lattice.prices[interior]
+    rates = {
+        (i, j): np.asarray(kernel.directed_intensity(i, j, ages[1:-1]))
+        for i in STATES
+        for j in successors(i)
+    }
+    # indexed (time, node, state, age) but node-major in memory: np.mean sums in
+    # memory order, and this is the order of a boolean node selection from a
+    # (time, node, state, age) stack, so the mean keeps the bits of that form
+    norm = np.empty((interior.size, len(t_grid) - 2, len(STATES), n_ages - 2))
+    norm = norm.transpose(1, 0, 2, 3)
+    stream = iter(slices)
+
+    def next_slice() -> np.ndarray:
+        value = next(stream, None)
+        if value is None:
+            raise ValueError(f"the residual needs {n_ages} age slices, got fewer")
+        return value
+
+    before, here = next_slice(), next_slice()
+    # the jump target of state j at every interior node, read from age zero
+    targets = {}
+    for j in STATES:
+        img, scale = lattice.image_maps(1 if alpha(j) > 0 else -1)
+        targets[j] = before[1:-1, img[interior], _STATE_INDEX[j]] * scale[interior][None, :]
+    for d in range(1, n_ages - 1):
+        after = next_slice()
+        for i in STATES:
+            ii = _STATE_INDEX[i]
+            level = here[1:-1, interior, ii]
+            res = np.zeros_like(level)
+            for j in successors(i):
+                res += rates[i, j][d - 1] * (targets[j] - level)
+            res += (after[2:, interior, ii] - before[:-2, interior, ii]) / (2.0 * h_t)
+            np.divide(np.abs(res, out=res), weight[None, :], out=norm[:, :, ii, d - 1])
+        # free this age's temporaries and age d - 1 before the next slice is made
+        del level, res
+        before, here = here, after
     return ResidualStats(max_abs=float(np.max(norm)), mean_abs=float(np.mean(norm)))
 
 

@@ -417,6 +417,33 @@ class TestCli:
         )
         assert out.stdout.strip() == "[]"
 
+    def test_unallocatable_grid_exits_2(self, tmp_path):
+        # one quadrature matrix of this grid needs 7.28 TiB; numpy's allocation
+        # error is a MemoryError, which exits 2 with one line naming the knobs.
+        # The child runs under a 2 GB address-space limit, so a regression
+        # that allocates instead of failing cannot exhaust the machine.
+        import semitick
+
+        raw = preset_config("asymmetric-constant")
+        raw["grid"]["n_t"] = 1_000_000
+        config = write_config(tmp_path, raw)
+        code = (
+            "import resource, sys; "
+            "resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9)); "
+            "from semitick.harness import main; sys.exit(main(sys.argv[1:]))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(semitick.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", code, "solve-pi", "--config", config,
+             "--out", str(tmp_path / "out"), "--quiet"],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert out.returncode == 2, out.stderr
+        assert "Traceback" not in out.stderr
+        lines = out.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("solve-pi: out of memory")
+        assert "grid.n_t = 1000000" in lines[0] and "run.n_paths" in lines[0]
+
     def test_commands_listed(self):
         assert set(COMMANDS) == {
             "simulate", "solve-pi", "solve-u", "policy", "backtest", "validate"

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from semitick import (
     ConvergenceError,
     GridSpec,
     ProblemSpec,
+    ResidualStats,
     STATES,
     SemiMarkovKernel,
     alpha,
@@ -21,7 +23,9 @@ from semitick import (
     save_field_csv,
     solve_expected_price,
     solve_fixed_point,
+    successors,
 )
+from semitick.harness import load_config
 from semitick.lattice import PriceLattice, max_jumps_for_tail
 from semitick.solver import _AgeOperator, _CharacteristicSweep
 
@@ -370,40 +374,138 @@ class TestExtension:
         assert np.allclose(field.core, 1.0, atol=1e-12)
 
 
-def age_stack(field, n_ages):
-    """The field at ages 0, h, ..., (n_ages - 1)h stacked on a last axis."""
+def age_slices(field, n_ages):
+    """The field at ages 0, h, ..., (n_ages - 1)h, one slice per age."""
     h = field.t_grid[1] - field.t_grid[0]
-    return np.stack([extension_slice(field, s) for s in h * np.arange(n_ages)], axis=-1)
+    return [extension_slice(field, s) for s in h * np.arange(n_ages)]
+
+
+def stacked_residual(field, values):
+    """The residual as first built, on the ages stacked on a last axis of
+    ``values``: the reference for the streamed :func:`pde_residual`."""
+    kernel, t_grid = field.kernel, field.t_grid
+    h_t = t_grid[1] - t_grid[0]
+    ages = h_t * np.arange(values.shape[-1])
+    lattice = field.lattice
+    interior_nodes = (lattice.up_index >= 0) & (lattice.down_index >= 0)
+    transport = (values[2:, :, :, 2:] - values[:-2, :, :, :-2]) / (2.0 * h_t)
+    n_t = len(t_grid) - 1
+    n_s = len(ages) - 1
+    res = np.zeros_like(transport)
+    for i in STATES:
+        ii = STATE_IDX[i]
+        jump = np.zeros((n_t - 1, lattice.n_nodes, n_s - 1))
+        for j in successors(i):
+            img, scale = lattice.image_maps(1 if alpha(j) > 0 else -1)
+            target = values[1:-1, img, STATE_IDX[j], 0] * scale[None, :]
+            hj = np.asarray(kernel.directed_intensity(i, j, ages[1:-1]))
+            jump += hj[None, None, :] * (
+                target[:, :, None] - values[1:-1, :, ii, 1:-1]
+            )
+        res[:, :, ii, :] = transport[:, :, ii, :] + jump
+    res = res[:, interior_nodes, :, :]
+    norm = np.abs(res) / (1.0 + lattice.prices[interior_nodes])[None, :, None, None]
+    return ResidualStats(max_abs=float(np.max(norm)), mean_abs=float(np.mean(norm)))
+
+
+@pytest.fixture(scope="module")
+def preset_field():
+    """The solve-pi field of a preset, solved once per module."""
+    fields = {}
+
+    def solved(name):
+        if name not in fields:
+            cfg = load_config(name)
+            fields[name] = solve_expected_price(
+                cfg.kernel, cfg.grid, cfg.horizon, cfg.initial_market.price
+            )
+        return fields[name]
+
+    return solved
+
+
+def traced_peak(fn):
+    """Peak bytes traced by tracemalloc while ``fn()`` runs; numpy reports its
+    array buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestResidual:
-    def _solved_stack(self, kernel, n_t, horizon=1.0, n_ages=6):
+    def _solved_slices(self, kernel, n_t, horizon=1.0, n_ages=6):
         field = solve_expected_price(kernel, GridSpec(n_t=n_t), horizon, 1.0)
-        return field, age_stack(field, n_ages)
+        return field, age_slices(field, n_ages)
 
     def test_zero_problem_zero_residual(self, saturating_kernel):
         field = solve_fixed_point(saturating_kernel, ZERO, GridSpec(n_t=40), 1.0, 1.0)
-        res = pde_residual(field, age_stack(field, 4))
+        res = pde_residual(field, age_slices(field, 4))
         assert res.max_abs == 0.0
 
     def test_running_source_refused(self, saturating_kernel):
         source = ProblemSpec(g=lambda p: p, w=lambda t, p, i, s: 0.0 * np.asarray(p))
         field = solve_fixed_point(saturating_kernel, source, GridSpec(n_t=20), 1.0, 1.0)
         with pytest.raises(ValueError, match="without a running source"):
-            pde_residual(field, age_stack(field, 3))
+            pde_residual(field, age_slices(field, 3))
 
     def test_perturbation_spikes_residual(self, asymmetric_kernel):
-        field, values = self._solved_stack(asymmetric_kernel, 60)
+        field, values = self._solved_slices(asymmetric_kernel, 60)
         base = pde_residual(field, values)
-        values[30, field.lattice.index_of(0, 0), 1, 2] += 1.0
+        values[2][30, field.lattice.index_of(0, 0), 1] += 1.0
         spiked = pde_residual(field, values)
         assert spiked.max_abs > base.max_abs + 1.0
 
     def test_residual_shrinks_with_refinement(self, asymmetric_kernel):
-        r_coarse = pde_residual(*self._solved_stack(asymmetric_kernel, 60))
-        r_fine = pde_residual(*self._solved_stack(asymmetric_kernel, 120))
+        r_coarse = pde_residual(*self._solved_slices(asymmetric_kernel, 60))
+        r_fine = pde_residual(*self._solved_slices(asymmetric_kernel, 120))
         order = math.log2(r_coarse.max_abs / r_fine.max_abs)
         assert order >= 1.7
+
+    def test_too_few_slices_refused(self, asymmetric_kernel):
+        field, values = self._solved_slices(asymmetric_kernel, 20, n_ages=4)
+        with pytest.raises(ValueError, match="at least three ages"):
+            pde_residual(field, values[:2])
+        with pytest.raises(ValueError, match="needs 5 age slices"):
+            pde_residual(field, iter(values), 5)
+
+    @pytest.mark.parametrize("n_ages", [3, 6, 7])
+    @pytest.mark.parametrize(
+        "preset", ["symmetric-martingale", "asymmetric-constant", "saturating-hazard"]
+    )
+    def test_streamed_matches_stacked_bit_for_bit(self, preset_field, preset, n_ages):
+        field = preset_field(preset)
+        slices = age_slices(field, n_ages)
+        ref = stacked_residual(field, np.stack(slices, axis=-1))
+        got = pde_residual(field, iter(slices), n_ages)
+        assert got.max_abs.hex() == ref.max_abs.hex()
+        assert got.mean_abs.hex() == ref.mean_abs.hex()
+
+    def test_streamed_peak_memory(self, preset_field):
+        # solve-pi's residual: 7 ages of asymmetric-constant, each slice made
+        # as it is consumed. The streamed form holds about four slices and the
+        # normalised residual; the stacked form holds all seven, their stack
+        # and full-size temporaries.
+        field = preset_field("asymmetric-constant")
+        h = field.t_grid[1] - field.t_grid[0]
+        ages = h * np.arange(7)
+        lattice = field.lattice
+        n_interior = int(np.sum((lattice.up_index >= 0) & (lattice.down_index >= 0)))
+        slice_bytes = extension_slice(field, 0.0).nbytes
+        norm_bytes = (len(field.t_grid) - 2) * n_interior * len(STATES) * (len(ages) - 2) * 8
+        bound = 1.25 * (4 * slice_bytes + norm_bytes)
+        streamed = traced_peak(
+            lambda: pde_residual(field, (extension_slice(field, s) for s in ages), len(ages))
+        )
+        stacked = traced_peak(
+            lambda: stacked_residual(
+                field, np.stack([extension_slice(field, s) for s in ages], axis=-1)
+            )
+        )
+        assert streamed < bound
+        assert stacked > bound
 
 
 class TestFieldIO:
