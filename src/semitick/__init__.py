@@ -2,6 +2,7 @@
 solving, and risk-neutral market making."""
 
 from .hazards import (
+    SLOT_MOVES,
     STATES,
     BigJump,
     ConstantIntensity,

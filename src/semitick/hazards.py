@@ -8,7 +8,13 @@ between the two classes.  The direction of the price move entering state ``j``
 is ``alpha(j) = (-1)**j``, so each class contains one "down" and one "up"
 state and every up/down combination of consecutive moves is covered exactly
 once.  A transition i -> j with ``alpha(i) == alpha(j)`` repeats the previous
-move direction (continuation); otherwise it reverses it.
+move direction (continuation); otherwise it reverses it.  Successor slots:
+``successors(i)[b]`` is entered on the price move ``SLOT_MOVES[b]``, down for
+``b = 0`` and up for ``b = 1``, for every ``i``.
+
+An intensity family is nondecreasing and bounded, and is given by three
+members: ``value(y)``, ``increment(s0, w)`` (its integral over ``[s0, s0 + w]``)
+and ``upper_bound``.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import numpy as np
 
 __all__ = [
     "STATES",
+    "SLOT_MOVES",
     "alpha",
     "successors",
     "equivalent",
@@ -42,10 +49,14 @@ STATES = (1, 2, 3, 4)
 
 _SUCCESSORS = {1: (3, 4), 2: (3, 4), 3: (1, 2), 4: (1, 2)}
 
+#: The price move entering ``successors(i)[b]``, for every state ``i``.
+SLOT_MOVES = (-1, +1)
 
-def alpha(i: int) -> int:
-    """Signed move direction of state ``i``: -1 for odd states, +1 for even."""
-    return -1 if i % 2 else 1
+
+def alpha(i):
+    """Signed move direction of state ``i``: -1 for odd states, +1 for even;
+    elementwise on integer arrays."""
+    return 1 - 2 * (i % 2)
 
 
 def equivalent(i: int, j: int) -> bool:
@@ -79,14 +90,6 @@ class ConstantIntensity:
         out = np.full_like(y, self.level)
         return float(out) if out.ndim == 0 else out
 
-    def integral(self, y):
-        """Integrated intensity on [0, y]."""
-        if isinstance(y, (float, int)):
-            return self.level * y
-        y = np.asarray(y, dtype=float)
-        out = self.level * y
-        return float(out) if out.ndim == 0 else out
-
     def increment(self, s0, w):
         """Integrated intensity on [s0, s0 + w]; broadcasts over both."""
         if isinstance(s0, (float, int)) and isinstance(w, (float, int)):
@@ -98,15 +101,6 @@ class ConstantIntensity:
     @property
     def upper_bound(self) -> float:
         return self.level
-
-    @property
-    def start_value(self) -> float:
-        return self.level
-
-    @property
-    def diverging(self) -> bool:
-        """Whether the integrated intensity grows without bound."""
-        return self.level > 0
 
 
 @dataclass(frozen=True)
@@ -138,22 +132,10 @@ class SaturatingIntensity:
         out = self.base - self.gain * np.expm1(-self.rate * y)
         return float(out) if out.ndim == 0 else out
 
-    def integral(self, y):
-        """Closed form: (base + gain) * y - (gain / rate) * (1 - exp(-rate*y))."""
-        if isinstance(y, (float, int)):
-            return (self.base + self.gain) * y + (self.gain / self.rate) * math.expm1(
-                -self.rate * y
-            )
-        y = np.asarray(y, dtype=float)
-        out = (self.base + self.gain) * y + (self.gain / self.rate) * np.expm1(
-            -self.rate * y
-        )
-        return float(out) if out.ndim == 0 else out
-
     def increment(self, s0, w):
         """Integrated intensity on [s0, s0 + w], formed without the difference
-        ``integral(s0 + w) - integral(s0)``, which cancels at large s0;
-        broadcasts over both, with a scalar path for the holding-time draws."""
+        of the integrated intensities at s0 + w and s0, which cancels at large
+        s0; broadcasts over both, with a scalar path for the holding-time draws."""
         if isinstance(s0, (float, int)) and isinstance(w, (float, int)):
             return (self.base + self.gain) * w + (self.gain / self.rate) * math.exp(
                 -self.rate * s0
@@ -167,14 +149,6 @@ class SaturatingIntensity:
     @property
     def upper_bound(self) -> float:
         return self.base + self.gain
-
-    @property
-    def start_value(self) -> float:
-        return self.base
-
-    @property
-    def diverging(self) -> bool:
-        return self.base > 0 or self.gain > 0
 
 
 IntensitySpec = Union[ConstantIntensity, SaturatingIntensity]
@@ -193,9 +167,10 @@ class SemiMarkovKernel:
 
     * both intensities bounded (their families guarantee it),
     * the total intensity is positive at every age, which for these
-      nondecreasing families reduces to a positive value at age zero,
-    * the total integrated intensity diverges, so the holding-time
-      distribution is proper.
+      nondecreasing families reduces to a positive value at age zero; the
+      total integrated intensity then diverges, so the holding-time
+      distribution is proper, and the embedded transition law is defined at
+      every age.
     """
 
     continuation: IntensitySpec
@@ -205,18 +180,12 @@ class SemiMarkovKernel:
     def __post_init__(self):
         if not 0 <= self.delta < 1:
             raise ValueError(f"tick size delta must lie in [0, 1), got {self.delta}")
-        floor = self.continuation.start_value + self.reversal.start_value
-        if floor <= 0:
+        cont, rev = self.continuation.value(0.0), self.reversal.value(0.0)
+        if cont + rev <= 0:
             raise ValueError(
                 "total intensity vanishes at age 0 "
-                f"(continuation start {self.continuation.start_value}, "
-                f"reversal start {self.reversal.start_value}); "
+                f"(continuation start {cont}, reversal start {rev}); "
                 "the embedded transition law would be undefined"
-            )
-        if not (self.continuation.diverging or self.reversal.diverging):
-            raise ValueError(
-                "total integrated intensity must diverge for the holding time "
-                "to be almost-surely finite"
             )
 
     # -- raw intensities -------------------------------------------------
@@ -230,7 +199,8 @@ class SemiMarkovKernel:
         return self.continuation.value(y) + self.reversal.value(y)
 
     def integrated_intensity(self, y):
-        return self.continuation.integral(y) + self.reversal.integral(y)
+        """Total integrated intensity on [0, y]."""
+        return self.integrated_increment(0.0, y)
 
     def integrated_increment(self, s0, w):
         """Total integrated intensity on [s0, s0 + w], the log-survival of a
@@ -267,18 +237,7 @@ class SemiMarkovKernel:
 
     def transition_prob(self, i: int, j: int, y):
         """Probability that the next state is ``j`` given the holding lasted ``y``."""
-        if equivalent(i, j):
-            raise ValueError(f"invalid transition {i} -> {j}: states are equivalent")
-        num = self.directed_intensity(i, j, y)
-        den = self.total_intensity(y)
-        if isinstance(den, float):
-            if den <= 0:
-                raise ValueError("total intensity is zero; transition law undefined")
-            return num / den
-        if np.any(den <= 0):
-            raise ValueError("total intensity is zero; transition law undefined")
-        out = np.asarray(num, dtype=float) / den
-        return float(out) if out.ndim == 0 else out
+        return self.directed_intensity(i, j, y) / self.total_intensity(y)
 
     def transition_weights(self, i: int, y: float) -> tuple[tuple[int, int], tuple[float, float]]:
         """Successor states of ``i`` (ascending) and their probabilities at age y."""

@@ -23,7 +23,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .hazards import NO_EVENT, STATES, MarkLayout, SemiMarkovKernel, alpha, successors
+from .hazards import (
+    NO_EVENT,
+    SLOT_MOVES,
+    STATES,
+    MarkLayout,
+    SemiMarkovKernel,
+    alpha,
+    equivalent,
+    successors,
+)
 from .mc import McEstimate, _blocks
 from .simulate import (
     AgentState,
@@ -41,6 +50,7 @@ from .solver import (
     ProblemSpec,
     ValueField,
     _CharacteristicSweep,
+    _slot_images,
     _write_rows,
     extension_slice,
     solve_fixed_point,
@@ -65,9 +75,6 @@ __all__ = [
 ]
 
 _STATE_INDEX = {s: k for k, s in enumerate(STATES)}
-# price direction of successor slot 0 and 1: successors(i) lists the one
-# entering a down state first
-_SLOT_DIRECTIONS = (-1, +1)
 # fewest lattice nodes in a block of the source integral: a block pays about
 # 60 us of interpreter time per age, under the interpreter lock, which a
 # narrower block would not earn back on many CPUs
@@ -116,9 +123,8 @@ class QuoteGainSource:
     Serves two callers: the quoting-premium solve, which takes the integrated
     source from :meth:`integrals`, and pointwise evaluation along simulated
     paths, which broadcasts over arrays of points.  Grid rates are held on
-    flat (node, state) columns, one array per successor slot: slot 0 is the
-    successor that moves the price down, slot 1 the one that moves it up, the
-    order in which ``successors`` lists them.
+    flat (node, state) columns, one array per successor slot ``b``, which
+    moves the price by ``SLOT_MOVES[b]``.
     """
 
     def __init__(
@@ -138,10 +144,8 @@ class QuoteGainSource:
         self.mmspec = mmspec
         self.field = price_field
         self.lattice = price_field.lattice
-        self._img = {
-            +1: self.lattice.image_maps(+1),
-            -1: self.lattice.image_maps(-1),
-        }
+        # jump-image indices and scales on (successor slot, lattice node)
+        self._img_idx, self._img_scale = map(np.stack, zip(*_slot_images(self.lattice)))
         self._prices = np.repeat(self.lattice.prices, len(STATES))
         self._edge_cols = np.broadcast_to(self._edge(self._prices), self._prices.shape)
         # the big-order edge d * (price - age-zero expected price at the jump
@@ -149,8 +153,8 @@ class QuoteGainSource:
         # factor h_dir(age) * big_size depends on the age
         prices = self.lattice.prices[None, :]
         self._big_edge = []
-        for b, d in enumerate(_SLOT_DIRECTIONS):
-            idx, scale = self._img[d]
+        for b, d in enumerate(SLOT_MOVES):
+            idx, scale = self._img_idx[b], self._img_scale[b]
             big_edge = np.empty_like(price_field.core)
             for ii, i in enumerate(STATES):
                 image = price_field.core[:, idx, _STATE_INDEX[successors(i)[b]]] * scale[None, :]
@@ -175,7 +179,7 @@ class QuoteGainSource:
         cont, rev = self.kernel.continuation.value(age), self.kernel.reversal.value(age)
         big = self.mmspec.big_size
         terms = []
-        for d in _SLOT_DIRECTIONS:
+        for d in SLOT_MOVES:
             flow = self.layout.side_flow(d).value(age) * self.layout.mean_size(d)
             terms.append((flow, np.array([(cont if alpha(i) == d else rev) * big for i in STATES])))
         return terms
@@ -186,7 +190,7 @@ class QuoteGainSource:
         flow * (d * (price - pi) + edge) + h_dir * big_size * big-order edge,
         with ``coef`` = h_dir * big_size per state."""
         # d * (price - pi), where -(price - pi) is pi - price bit for bit
-        if _SLOT_DIRECTIONS[b] > 0:
+        if SLOT_MOVES[b] > 0:
             np.subtract(self._prices[cols], pi, out=out)
         else:
             np.subtract(pi, self._prices[cols], out=out)
@@ -282,32 +286,26 @@ class QuoteGainSource:
         """Gain rate of quoting toward ``j``; broadcasts over all five arguments."""
         t, p, s = (np.asarray(x, dtype=float) for x in (t, p, s))
         i, j = np.asarray(i), np.asarray(j)
-        same_class = (i <= 2) == (j <= 2)
+        same_class = equivalent(i, j)
         if np.any(same_class):
             i, j, same_class = np.broadcast_arrays(i, j, same_class)
             q = np.argmax(same_class)
             raise ValueError(
                 f"invalid transition {i.flat[q]} -> {j.flat[q]}: states are equivalent"
             )
-        rising = j % 2 == 0  # alpha(j) > 0
-        d = np.where(rising, 1, -1)
+        d = alpha(j)
+        slot = np.asarray(d > 0, dtype=int)  # SLOT_MOVES[slot] == d
         node = self.lattice.locate(p)
         pi_here = self.field.read(t, node, i, s)
-        (up_idx, up_scale), (down_idx, down_scale) = self._img[+1], self._img[-1]
-        img = np.where(rising, up_idx[node], down_idx[node])
-        pi_img = self.field.read(t, img, j, 0.0) * np.where(
-            rising, up_scale[node], down_scale[node]
-        )
+        pi_img = self.field.read(t, self._img_idx[slot, node], j, 0.0) * self._img_scale[slot, node]
         edge = self._edge(p)
         layout, kernel = self.layout, self.kernel
         flow = np.where(
-            rising,
+            d > 0,
             layout.ask_flow.value(s) * layout.mean_size(+1),
             layout.bid_flow.value(s) * layout.mean_size(-1),
         )
-        h_dir = np.where(
-            rising == (i % 2 == 0), kernel.continuation.value(s), kernel.reversal.value(s)
-        )
+        h_dir = np.where(d == alpha(i), kernel.continuation.value(s), kernel.reversal.value(s))
         small = flow * (d * (p - pi_here) + edge)
         large = h_dir * self.mmspec.big_size * (d * (p - pi_img) + edge)
         return (small + large)[()]
@@ -380,9 +378,9 @@ class OptimalQuotePolicy:
         t, p, i, s = np.broadcast_arrays(
             np.asarray(t, dtype=float), np.asarray(p, dtype=float), i, np.asarray(s, dtype=float)
         )
-        # successors are (3, 4) or (1, 2): the even one moves the price up
-        up = np.where(i <= 2, 4, 2)
-        rates = self.source.rate_point(t, p, i, s, np.stack([up, up - 1]))
+        # successor slot 1 moves the price up, slot 0 down (SLOT_MOVES)
+        down, up = np.array([successors(k) for k in STATES]).T[:, i - STATES[0]]
+        rates = self.source.rate_point(t, p, i, s, np.stack([up, down]))
         l_ask, l_bid = np.broadcast_to(rates, (2,) + t.shape) > 0.0
         if t.ndim == 0:
             return (int(l_ask), int(l_bid))
@@ -673,8 +671,8 @@ def export_policy_csv(
         for s in map(float, s_values):
             rates = source._age_free_rates if source._age_free else source.gain_rates_at_age(s)
             for i in STATES:
-                bits = {alpha(j): rates[(i, j)][:, keep] > 0.0 for j in successors(i)}
-                codes = 2 * bits[1] + bits[-1]
+                down, up = (rates[(i, j)][:, keep] > 0.0 for j in successors(i))
+                codes = 2 * up + down
                 heads = [f"{p},{i},{s!r}," for p in p_txt]
                 for ki, lead in enumerate(t_leads):
                     _write_rows(fh, lead, heads, map(_QUOTE_BITS.__getitem__, codes[ki].tolist()))

@@ -24,8 +24,18 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .hazards import NO_EVENT, BigJump, MarkLayout, SemiMarkovKernel, SmallOrder, alpha, successors
+from .hazards import (
+    NO_EVENT,
+    BigJump,
+    MarkLayout,
+    SemiMarkovKernel,
+    SmallOrder,
+    alpha,
+    equivalent,
+    successors,
+)
 from .simulate import order_fill, path_streams, renewal_segments, thinning_segments
+from .solver import _simpson_weights
 
 __all__ = [
     "McEstimate",
@@ -90,13 +100,6 @@ def _check_run(horizon: float, n_paths: int, segment_subdiv: int) -> None:
         raise ValueError(f"segment_subdiv must be a positive even integer, got {segment_subdiv!r}")
 
 
-def _simpson_nodes(subdiv: int) -> np.ndarray:
-    w = np.ones(subdiv + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w
-
-
 def _integrate(node_values: np.ndarray, t0: np.ndarray, t1: np.ndarray, weights) -> np.ndarray:
     """Composite Simpson integrals over segments ``[t0, t1)`` from the values
     at their nodes, laid out as (..., segment, node)."""
@@ -152,7 +155,7 @@ def estimate_terminal_value(
     _check_run(horizon, n_paths, segment_subdiv)
     if not 0.0 <= start[0] <= horizon:
         raise ValueError("start time must lie in [0, horizon]")
-    weights = _simpson_nodes(segment_subdiv)
+    weights = _simpson_weights(segment_subdiv, 3.0)
 
     def segments(rng):
         return [seg[:5] for seg in renewal_segments(kernel, start, horizon, rng)]
@@ -218,13 +221,12 @@ def _product(name: str, g: Callable, center: float, width: float) -> TestFunctio
 def battery_uncontrolled(horizon: float, p_scale: float = 1.0) -> list[TestFunction]:
     """Fixed battery mixing bounded price factors, state indicators, and bumps."""
     w1, w2, w3 = 1.6 * horizon, 1.1 * horizon, 2.2 * horizon
-    # 1 - 2 * (i % 2) is alpha(i) over arrays of states
     return [
         _product("age_bump", lambda p, i: 1.0, 0.0, w1),
         _product("price_ratio_bump", lambda p, i: p / (1.0 + p), 0.4 * horizon, w2),
-        _product("class_indicator", lambda p, i: np.where(i <= 2, 1.0, 0.0), 0.0, w2),
+        _product("class_indicator", lambda p, i: np.where(equivalent(i, 1), 1.0, 0.0), 0.0, w2),
         _product(
-            "signed_price", lambda p, i: (1 - 2 * (i % 2)) * p / (1.0 + p), 0.2 * horizon, w1
+            "signed_price", lambda p, i: alpha(i) * p / (1.0 + p), 0.2 * horizon, w1
         ),
         _product("price_wave", lambda p, i: np.cos(p / p_scale), 0.0, w3),
     ]
@@ -240,7 +242,7 @@ def battery_controlled(horizon: float, p_scale: float = 1.0) -> list[TestFunctio
         _product("cash_tanh", lambda p, i, x, y: np.tanh(x / (5.0 * p_scale)), 0.0, w2),
         _product(
             "joint",
-            lambda p, i, x, y: (1 - 2 * (i % 2)) * np.tanh(y / 2.0) * p / (1.0 + p),
+            lambda p, i, x, y: alpha(i) * np.tanh(y / 2.0) * p / (1.0 + p),
             0.3 * horizon,
             w1,
         ),
@@ -362,7 +364,7 @@ def dynkin_battery(
                 kernel, layout, transaction_cost, control, include_small_orders, *here
             )
 
-    weights = _simpson_nodes(segment_subdiv)
+    weights = _simpson_weights(segment_subdiv, 3.0)
     frac = np.linspace(0.0, 1.0, segment_subdiv + 1)
     psi0 = [tf.psi(market.price, market.state, market.age, *agent_xy) for tf in tfs]
     values = np.empty((len(tfs), n_paths))

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -366,7 +365,6 @@ class BidOnlyPolicy:
 
 
 _COIN_RECORD = np.dtype([("seed", "<u8"), ("t", "<f8"), ("p", "<f8"), ("i", "<i8"), ("s", "<f8")])
-_COIN_PACK = struct.Struct("<QddQd")  # the same 40 bytes as one _COIN_RECORD
 _ONE = (1).to_bytes(8, "little")
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -391,12 +389,8 @@ class RandomQuotePolicy:
     name: str = "random"
 
     def __call__(self, t, p, i, s):
-        """Bits at scalar arguments, or int arrays at equal-length arrays,
+        """Ints at scalar arguments, or int arrays at equal-length arrays,
         each element hashed on its own."""
-        if np.ndim(t) == np.ndim(p) == np.ndim(i) == np.ndim(s) == 0:
-            return self._flip(
-                _COIN_PACK.pack(self.seed & _MASK64, t, p, int(i) & _MASK64, s)
-            )
         t, p, i, s = np.broadcast_arrays(t, p, i, s)
         records = np.empty(t.size, _COIN_RECORD)
         records["seed"] = self.seed & _MASK64
@@ -406,6 +400,8 @@ class RandomQuotePolicy:
         size = _COIN_RECORD.itemsize
         bits = [self._flip(data[k : k + size]) for k in range(0, len(data), size)]
         l_ask, l_bid = np.array(bits, dtype=int).reshape(-1, 2).T
+        if t.ndim == 0:
+            return (int(l_ask[0]), int(l_bid[0]))
         return l_ask.reshape(t.shape), l_bid.reshape(t.shape)
 
     def _flip(self, record):

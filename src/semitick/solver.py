@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .hazards import STATES, SemiMarkovKernel, alpha, successors
+from .hazards import SLOT_MOVES, STATES, SemiMarkovKernel, alpha, successors
 from .lattice import PriceLattice, max_jumps_for_tail
 
 __all__ = [
@@ -158,8 +158,16 @@ class ValueField:
         Age zero, or any age of an age-invariant field, interpolates the core
         linearly in time; every other age is extended exactly, all points at
         once, at the two grid times around ``t`` and interpolated between them.
+        Refuses a time outside ``[0, horizon]`` and an age that is negative or
+        not finite, NaN included.
         """
         t, s = np.asarray(t, dtype=float), np.asarray(s, dtype=float)
+        off = ~((t >= self.t_grid[0]) & (t <= self.t_grid[-1]))
+        if off.any():
+            raise ValueError(f"time {float(t[off].flat[0])!r} lies outside [0, {self.horizon!r}]")
+        off = ~(np.isfinite(s) & (s >= 0.0))
+        if off.any():
+            raise ValueError(f"age {float(s[off].flat[0])!r} must be finite and nonnegative")
         ii = np.asarray(i) - STATES[0]  # states are consecutive integers
         if self.age_invariant or not s.any():
             shape = np.broadcast_shapes(t.shape, np.shape(node), ii.shape, s.shape)
@@ -194,10 +202,7 @@ def _scaled_max(values: np.ndarray, scale: np.ndarray, out=None) -> float:
 
 def _interp_time(t_grid: np.ndarray, t, grid: np.ndarray, *index) -> np.ndarray:
     """``np.interp(t, t_grid, grid[:, *index])`` bit for bit, where the index
-    arrays may give every point its own column; scalar indices call
-    ``np.interp`` itself."""
-    if all(np.ndim(x) == 0 for x in index):
-        return np.interp(t, t_grid, grid[(slice(None),) + index])
+    arrays may give every point its own column."""
     k = np.clip(np.searchsorted(t_grid, t, side="right") - 1, 0, len(t_grid) - 2)
     y0, y1 = grid[(k,) + index], grid[(k + 1,) + index]
     slope = (y1 - y0) / (t_grid[k + 1] - t_grid[k])
@@ -281,19 +286,9 @@ def _build_tables(kernel: SemiMarkovKernel, t_grid: np.ndarray, sigma: float) ->
     )
 
 
-def _branch_maps(lattice: PriceLattice):
-    """Per-state successor bookkeeping: (state idx, image idx, image scale)."""
-    up_idx, up_scale = lattice.image_maps(+1)
-    down_idx, down_scale = lattice.image_maps(-1)
-    per_state = {}
-    for i in STATES:
-        branches = []
-        for j in successors(i):
-            idx, scale = (up_idx, up_scale) if alpha(j) > 0 else (down_idx, down_scale)
-            kind = "cont" if alpha(j) == alpha(i) else "rev"
-            branches.append((kind, _STATE_INDEX[j], idx, scale))
-        per_state[i] = branches
-    return per_state
+def _slot_images(lattice: PriceLattice) -> list:
+    """Jump-image indices and scales of the lattice nodes per successor slot."""
+    return [lattice.image_maps(d) for d in SLOT_MOVES]
 
 
 def _pointwise_source(
@@ -339,7 +334,7 @@ class _AgeOperator:
         self.lattice = lattice
         self.tables = _build_tables(kernel, t_grid, sigma)
         self.payoff = problem.payoff_on(lattice.prices)
-        self.branches = _branch_maps(lattice)
+        self.images = _slot_images(lattice)
         if source is not None:
             self.source = source(self.tables.q_source)
         elif problem.w is not None:
@@ -354,9 +349,9 @@ class _AgeOperator:
         g_term = self.tables.terminal[:, None] * self.payoff[None, :]
         for i in STATES:
             acc = g_term.copy()
-            for kind, j_idx, img, scale in self.branches[i]:
-                q = self.tables.q_cont if kind == "cont" else self.tables.q_rev
-                acc += q @ (core[:, img, j_idx] * scale[None, :])
+            for j, d, (img, scale) in zip(successors(i), SLOT_MOVES, self.images):
+                q = self.tables.q_cont if d == alpha(i) else self.tables.q_rev
+                acc += q @ (core[:, img, _STATE_INDEX[j]] * scale[None, :])
             if self.source is not None:
                 acc += self.source[:, :, _STATE_INDEX[i]]
             out[:, :, _STATE_INDEX[i]] = acc
@@ -487,21 +482,19 @@ class _CharacteristicSweep:
         # intensity times the horizon, which keeps L(T) below about 50
         decay = np.exp(-lam)
         half_decay = np.exp(-np.asarray(kernel.integrated_intensity(half_ages)))
-        rates = {"cont": kernel.continuation.value(ages), "rev": kernel.reversal.value(ages)}
-        half_rates = {
-            "cont": kernel.continuation.value(half_ages), "rev": kernel.reversal.value(half_ages)
-        }
+        cont, rev = kernel.continuation.value(ages), kernel.reversal.value(ages)
+        half_cont, half_rev = kernel.continuation.value(half_ages), kernel.reversal.value(half_ages)
         # per successor slot b the integrand factor f_b = h_ij(a*h) * exp(-L(a*h))
         # on (age, state); the jump targets it multiplies are built per block
-        self.branches = _branch_maps(field.lattice)
+        self.images = _slot_images(field.lattice)
         self.factors, self.half_factors = [], []
-        for b in (0, 1):
+        for d in SLOT_MOVES:
             f = np.empty((n_t + 1, len(STATES)))
             f_half = np.empty((n_t, len(STATES)))
             for ii, i in enumerate(STATES):
-                kind = self.branches[i][b][0]
-                f[:, ii] = rates[kind] * decay
-                f_half[:, ii] = half_rates[kind] * half_decay
+                same = d == alpha(i)
+                f[:, ii] = (cont if same else rev) * decay
+                f_half[:, ii] = (half_cont if same else half_rev) * half_decay
             self.factors.append(f)
             self.half_factors.append(f_half)
         self.core, self.n_t, self.h, self.lam, self.grow = field.core, n_t, h, lam, np.exp(lam)
@@ -520,10 +513,10 @@ class _CharacteristicSweep:
         n_t, core = self.n_t, self.core
         width = (hi - lo) * len(STATES)
         targets = []  # per successor slot: jump targets on (time, node x state)
-        for b in (0, 1):
+        for b, (img, scale) in enumerate(self.images):
             y = np.empty((n_t + 1, hi - lo, len(STATES)))
             for ii, i in enumerate(STATES):
-                _, j_idx, img, scale = self.branches[i][b]
+                j_idx = _STATE_INDEX[successors(i)[b]]
                 y[:, :, ii] = core[:, img[lo:hi], j_idx] * scale[None, lo:hi]
             targets.append(y.reshape(n_t + 1, width))
         # rows stay flat so every product streams along node x state; every
@@ -594,8 +587,10 @@ def _extension_points(field: ValueField, k, node, ii, s) -> np.ndarray:
         weights[n_t - row, : n_t + 1 - row] = unit[row, row:]
     u = np.arange(n_t + 1)
     payoff = problem.payoff_on(lattice.prices)
-    up, down = lattice.image_maps(+1), lattice.image_maps(-1)
-    succ = np.array([successors(i) for i in STATES])
+    images = _slot_images(lattice)
+    # per state index: the state index of each successor slot, and alpha
+    succ = np.array([[_STATE_INDEX[j] for j in successors(i)] for i in STATES])
+    moves = alpha(np.array(STATES))
     out = np.empty(len(k))
     for lo in range(0, len(k), _READ_CHUNK):
         part = slice(lo, lo + _READ_CHUNK)
@@ -614,13 +609,9 @@ def _extension_points(field: ValueField, k, node, ii, s) -> np.ndarray:
         cont, rev = kernel.continuation.value(ages), kernel.reversal.value(ages)
         half_cont = kernel.continuation.value(half_age)
         half_rev = kernel.reversal.value(half_age)
-        for slot in (0, 1):
-            j = succ[ic, slot]
-            rising = j % 2 == 0  # alpha(j) > 0
-            same = rising == (ic % 2 == 1)  # alpha(i) == alpha(j), states being ii + 1
-            img = np.where(rising, up[0][nc], down[0][nc])
-            scl = np.where(rising, up[1][nc], down[1][nc])
-            vals = field.core[rows, img[:, None], (j - STATES[0])[:, None]] * scl[:, None]
+        for slot, (img, scl) in enumerate(images):
+            same = moves[ic] == SLOT_MOVES[slot]
+            vals = field.core[rows, img[nc][:, None], succ[ic, slot][:, None]] * scl[nc][:, None]
             rate = np.where(same[:, None], cont, rev)
             half_rate = np.where(same, half_cont, half_rev)
             acc += np.sum(wts * rate * vals, axis=1) + head * half_rate * (vals[:, 0] + vals[:, 1])
@@ -735,7 +726,7 @@ def pde_residual(
     # the jump target of state j at every interior node, read from age zero
     targets = {}
     for j in STATES:
-        img, scale = lattice.image_maps(1 if alpha(j) > 0 else -1)
+        img, scale = lattice.image_maps(alpha(j))
         targets[j] = before[1:-1, img[interior], _STATE_INDEX[j]] * scale[interior][None, :]
     for d in range(1, n_ages - 1):
         after = next_slice()

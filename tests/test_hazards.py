@@ -11,6 +11,8 @@ from semitick import (
     ConstantIntensity,
     MarkLayout,
     SaturatingIntensity,
+    SLOT_MOVES,
+    STATES,
     SemiMarkovKernel,
     SmallOrder,
     alpha,
@@ -18,6 +20,22 @@ from semitick import (
     successors,
 )
 from semitick.harness import load_config
+
+
+def reference_integral(spec, y):
+    """Integrated intensity on [0, y] in the closed form each family once
+    carried as its own member, with its scalar path."""
+    if isinstance(spec, ConstantIntensity):
+        if isinstance(y, (float, int)):
+            return spec.level * y
+        out = spec.level * np.asarray(y, dtype=float)
+    else:
+        b, g, r = spec.base, spec.gain, spec.rate
+        if isinstance(y, (float, int)):
+            return (b + g) * y + (g / r) * math.expm1(-r * y)
+        y = np.asarray(y, dtype=float)
+        out = (b + g) * y + (g / r) * np.expm1(-r * y)
+    return float(out) if out.ndim == 0 else out
 
 
 def reference_boundaries(layout, s):
@@ -70,6 +88,20 @@ class TestStateSpace:
 
     def test_alpha_signs(self):
         assert [alpha(i) for i in (1, 2, 3, 4)] == [-1, 1, -1, 1]
+
+    def test_alpha_on_arrays_is_the_scalar_map(self):
+        states = np.array([[1, 2, 3, 4], [4, 3, 2, 1]])
+        got = alpha(states)
+        assert got.shape == states.shape
+        assert got.tolist() == [[alpha(int(i)) for i in row] for row in states]
+        assert all(type(alpha(i)) is int for i in STATES)
+
+    def test_slot_moves(self):
+        # successors(i)[b] is entered on the move SLOT_MOVES[b], for every i
+        assert SLOT_MOVES == (-1, +1)
+        for i in STATES:
+            for b, j in enumerate(successors(i)):
+                assert alpha(j) == SLOT_MOVES[b]
 
     def test_direction_table(self):
         kernel = SemiMarkovKernel(ConstantIntensity(0.6), ConstantIntensity(0.4), 0.01)
@@ -184,6 +216,26 @@ class TestHoldingLaw:
 
 
 class TestIncrement:
+    @pytest.mark.parametrize("kernel_name", ["symmetric_kernel", "asymmetric_kernel",
+                                             "saturating_kernel"])
+    def test_integrated_intensity_is_the_closed_form(self, kernel_name, request):
+        # the increment from age zero keeps the bits of the deleted closed form
+        kernel = request.getfixturevalue(kernel_name)
+        ys = np.concatenate([np.linspace(0.0, 50.0, 1001), [1e-300, 1e-9, 1e3, 1e6]])
+
+        def reference(y):
+            return reference_integral(kernel.continuation, y) + reference_integral(
+                kernel.reversal, y
+            )
+
+        assert np.asarray(kernel.integrated_intensity(ys)).tobytes() == reference(ys).tobytes()
+        assert np.asarray(kernel.integrated_intensity(ys[None, :])).tobytes() == (
+            reference(ys[None, :]).tobytes()
+        )
+        for y in ys.tolist() + [0, 3]:
+            got, want = kernel.integrated_intensity(y), reference(y)
+            assert type(got) is type(want) and got == want, y
+
     @pytest.mark.parametrize("kernel_name", ["symmetric_kernel", "saturating_kernel"])
     def test_age_zero_survival_is_unchanged(self, kernel_name, request):
         # every age-zero table keeps its bits: exp(-increment(0, w)) is the

@@ -30,6 +30,7 @@ from semitick import (
 )
 from semitick import market_maker as mm
 from semitick import mc
+from semitick.harness import load_config
 from semitick.market_maker import export_policy_csv
 from semitick.mc import McEstimate
 from semitick.solver import _build_tables
@@ -460,3 +461,48 @@ class TestPolicyExport:
         assert lines[1] == "t,p,i,s,quote_ask,quote_bid"
         n_nodes = int(field.lattice.report_mask.sum())
         assert len(lines) == 2 + 2 * 4 * len(field.t_grid) * n_nodes
+
+
+class TestReadDomain:
+    """Every read of a field refuses a time off [0, horizon] and an age that is
+    negative or not finite, with one ValueError naming the value; reads of
+    the field feed ``eval``, the gain rate and the optimal policy."""
+
+    @pytest.fixture(scope="class", params=["saturating-hazard", "asymmetric-constant"])
+    def reader(self, request):
+        cfg = load_config(request.param)
+        field = solve_expected_price(cfg.kernel, cfg.grid, cfg.horizon, 1.0)
+        return field, optimal_policy(cfg.kernel, cfg.layout, cfg.mmspec, field)
+
+    @pytest.mark.parametrize(
+        "t, s, named",
+        [
+            (-0.5, 0.3, r"time -0\.5"),
+            (1.5, 0.0, r"time 1\.5"),
+            (1.5, 0.3, r"time 1\.5"),
+            (math.nan, 0.3, "time nan"),
+            (0.5, -0.1, r"age -0\.1"),
+            (0.5, math.nan, "age nan"),
+            (0.5, math.inf, "age inf"),
+        ],
+    )
+    def test_off_domain_refused(self, reader, t, s, named):
+        field, policy = reader
+        assert field.horizon == 1.0
+        for read in (
+            lambda: field.eval(t, 1.0, 2, s),
+            lambda: policy.source.rate_point(t, 1.0, 2, s, 4),
+            lambda: policy(t, 1.0, 2, s),
+        ):
+            with pytest.raises(ValueError, match=named):
+                read()
+
+    def test_domain_ends_accepted(self, reader):
+        field, policy = reader
+        for t in (0.0, field.horizon):
+            for s in (0.0, 0.3):
+                assert math.isfinite(field.eval(t, 1.0, 2, s))
+                assert math.isfinite(policy.source.rate_point(t, 1.0, 2, s, 4))
+                assert policy(t, 1.0, 2, s) in {(0, 0), (0, 1), (1, 0), (1, 1)}
+        # the expected terminal price is the payoff at the horizon, at any age
+        assert field.eval(field.horizon, 1.0, 2, 0.3) == 1.0
