@@ -37,22 +37,18 @@ for frac in (0.0, 0.3, 0.6, 0.9, 1.2):
         big_size=2, transaction_cost=frac * kernel.delta, portfolio_consistent=True
     )
     source = QuoteGainSource(kernel, layout, spec, field)
+    # (side, time, node, state): side 0 is the bid, side 1 the ask
     rates = source.gain_rates_at_age(0.0)
-    mask = field.lattice.report_mask
-    ask_on = np.mean([np.mean(rates[(i, j)][:, mask] > 0)
-                      for (i, j) in rates if j % 2 == 0])
-    bid_on = np.mean([np.mean(rates[(i, j)][:, mask] > 0)
-                      for (i, j) in rates if j % 2 == 1])
+    quoted = rates[:, :, field.lattice.report_mask] > 0
+    ask_on, bid_on = np.mean(quoted[1]), np.mean(quoted[0])
     print(f"{frac:>10.1f} {ask_on:>10.2%} {bid_on:>10.2%}")
 
 spec = MarketMakingSpec(big_size=2, transaction_cost=0.006, portfolio_consistent=True)
 source = QuoteGainSource(kernel, layout, spec, field)
 print("\ngain rates at the anchor price (time 0, age 0, cost 0.6 tick):")
 for i in (1, 2, 3, 4):
-    rates = {j: float(source.rate_point(0.0, 1.0, i, 0.0, j))
-             for j in ((3, 4) if i <= 2 else (1, 2))}
-    print(f"  state {i}: " + ", ".join(
-        f"toward {j}: {r:+.5f}" for j, r in rates.items()))
+    bid, ask = source.rate_point(0.0, 1.0, i, 0.0)
+    print(f"  state {i}: ask {ask:+.5f}, bid {bid:+.5f}")
 
 export_policy_csv(
     "demo_policy.csv", kernel, layout, spec, field, s_values=[0.0],

@@ -43,10 +43,7 @@ from .mc import (
 )
 from .simulate import (
     AgentState,
-    AlwaysQuotePolicy,
-    AskOnlyPolicy,
-    BidOnlyPolicy,
-    HoldPolicy,
+    FixedQuotePolicy,
     MarketState,
     RandomQuotePolicy,
     path_rng,

@@ -401,8 +401,9 @@ def _cmd_simulate(cfg: ExperimentConfig, out: FsPath, quiet: bool) -> int:
     rows_path = out / "paths.csv"
     m = cfg.initial_market
     start = (0.0, m.price, m.state, m.age)
-    blocks = []
-    with open(rows_path, "w") as fh:
+    head = json.dumps(meta, indent=2, sort_keys=True).replace("\n", "\n  ")
+    with open(rows_path, "w") as fh, open(out / "paths_summary.json", "w") as summary:
+        summary.write(f'{{\n  "meta": {head},\n  "paths": [\n')
         fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
         fh.write(
             "path,time,kind,target_or_side,units,price_before,price_after,age_before\n"
@@ -420,13 +421,11 @@ def _cmd_simulate(cfg: ExperimentConfig, out: FsPath, quiet: bool) -> int:
                 n_jumps += 1
                 _, t1, p, i, _, s1, j = after
             # the stream is path_rng(master seed, path index)
-            blocks.append(_SUMMARY_BLOCK.format(
+            summary.write((",\n" if idx else "") + _SUMMARY_BLOCK.format(
                 horizon=cfg.horizon, n_jumps=n_jumps, seed=(cfg.seed, idx),
                 terminal_age=s1, terminal_price=p, terminal_state=i,
             ))
-    head = json.dumps(meta, indent=2, sort_keys=True).replace("\n", "\n  ")
-    with open(out / "paths_summary.json", "w") as fh:
-        fh.write(f'{{\n  "meta": {head},\n  "paths": [\n' + ",\n".join(blocks) + "\n  ]\n}")
+        summary.write("\n  ]\n}")
     if not quiet:
         print(f"simulate: wrote {cfg.n_paths} paths to {rows_path}")
     return 0

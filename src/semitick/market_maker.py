@@ -2,11 +2,13 @@
 optimal policy, the quoting-premium value solve, closed-form portfolio values,
 the a-priori utility bound, and policy backtesting.
 
-The marginal gain rate of quoting the side toward successor ``j`` combines the
-small-order flow earning the half-spread against the expected terminal price
-with the big-order term earning the post-jump edge.  The published form prices
-the half-spread as ``delta - cost`` per unit; the portfolio accounting of the
-simulator implies ``price*delta - cost`` instead, and both variants are
+Gain rates are per side, on the successor slots of ``hazards.SLOT_MOVES``:
+slot 0 is the down move, the bid side, and slot 1 the up move, the ask side.
+The marginal gain rate of quoting a side combines the small-order flow earning
+the half-spread against the expected terminal price with the big-order term
+earning the post-jump edge toward that slot's successor.  The published form
+prices the half-spread as ``delta - cost`` per unit; the portfolio accounting
+of the simulator implies ``price*delta - cost`` instead, and both variants are
 available behind ``MarketMakingSpec.portfolio_consistent`` (default off, the
 published form).
 """
@@ -30,16 +32,12 @@ from .hazards import (
     MarkLayout,
     SemiMarkovKernel,
     alpha,
-    equivalent,
     successors,
 )
 from .mc import McEstimate, _blocks
 from .simulate import (
     AgentState,
-    AlwaysQuotePolicy,
-    AskOnlyPolicy,
-    BidOnlyPolicy,
-    HoldPolicy,
+    FixedQuotePolicy,
     MarketState,
     RandomQuotePolicy,
     order_fill,
@@ -74,7 +72,8 @@ __all__ = [
     "export_policy_csv",
 ]
 
-_STATE_INDEX = {s: k for k, s in enumerate(STATES)}
+# the successor state of each (state index, successor slot)
+_SUCCESSORS = np.array([successors(i) for i in STATES])
 # fewest lattice nodes in a block of the source integral: a block pays about
 # 60 us of interpreter time per age, under the interpreter lock, which a
 # narrower block would not earn back on many CPUs
@@ -122,9 +121,9 @@ class QuoteGainSource:
 
     Serves two callers: the quoting-premium solve, which takes the integrated
     source from :meth:`integrals`, and pointwise evaluation along simulated
-    paths, which broadcasts over arrays of points.  Grid rates are held on
-    flat (node, state) columns, one array per successor slot ``b``, which
-    moves the price by ``SLOT_MOVES[b]``.
+    paths, which broadcasts over arrays of points.  Rates come per side, on a
+    leading successor-slot axis: slot ``b`` moves the price by
+    ``SLOT_MOVES[b]``, so slot 0 is the bid side and slot 1 the ask side.
     """
 
     def __init__(
@@ -156,17 +155,11 @@ class QuoteGainSource:
         for b, d in enumerate(SLOT_MOVES):
             idx, scale = self._img_idx[b], self._img_scale[b]
             big_edge = np.empty_like(price_field.core)
-            for ii, i in enumerate(STATES):
-                image = price_field.core[:, idx, _STATE_INDEX[successors(i)[b]]] * scale[None, :]
+            for ii in range(len(STATES)):
+                image = price_field.core[:, idx, _SUCCESSORS[ii, b] - STATES[0]] * scale[None, :]
                 big_edge[:, :, ii] = d * (prices - image) + self._edge(prices)
             self._big_edge.append(big_edge.reshape(len(big_edge), -1))
         self._age_free = price_field.age_invariant and layout.is_memoryless
-
-    def _price_slice(self, age: float) -> np.ndarray:
-        """Expected-price values on the (time, node, state) grid at one age."""
-        if self.field.age_invariant or age == 0.0:
-            return self.field.core
-        return extension_slice(self.field, age)
 
     def _edge(self, prices: np.ndarray):
         if self.mmspec.portfolio_consistent:
@@ -209,19 +202,15 @@ class QuoteGainSource:
         down += up
         return down
 
-    def gain_rates_at_age(self, age: float) -> dict:
-        """Gain-rate arrays (time, node) for every transition (i, j) at one age."""
-        pi = self._price_slice(age)
+    def gain_rates_at_age(self, age: float) -> np.ndarray:
+        """Gain rates on the (successor slot, time, node, state) grid at one age."""
+        fld = self.field
+        pi = fld.core if fld.age_invariant or age == 0.0 else extension_slice(fld, age)
         flat = pi.reshape(len(pi), -1)
-        rates = []
+        rates = np.empty((len(SLOT_MOVES),) + flat.shape)
         for b, (flow, coef) in enumerate(self._age_terms(age)):
-            out = np.empty_like(flat)
-            self._rates_into(out, np.empty_like(flat), b, flow, coef, flat, slice(None), 0)
-            rates.append(out.reshape(pi.shape))
-        return {
-            (i, j): rates[b][:, :, ii]
-            for ii, i in enumerate(STATES) for b, j in enumerate(successors(i))
-        }
+            self._rates_into(rates[b], np.empty_like(flat), b, flow, coef, flat, slice(None), 0)
+        return rates.reshape((len(SLOT_MOVES),) + pi.shape)
 
     def integrals(self, q_source: np.ndarray) -> np.ndarray:
         """Integrated running source on the (time, node, state) grid: over
@@ -277,26 +266,23 @@ class QuoteGainSource:
     slab = None
 
     @cached_property
-    def _age_free_rates(self) -> dict:
+    def _age_free_rates(self) -> np.ndarray:
         # with flat hazards and flat flow the gain rates are age free and
         # affine in the core columns, so their grid values interpolate exactly
         return self.gain_rates_at_age(0.0)
 
-    def rate_point(self, t, p, i, s, j):
-        """Gain rate of quoting toward ``j``; broadcasts over all five arguments."""
+    def rate_point(self, t, p, i, s):
+        """Gain rates of quoting the bid side and the ask side, stacked on a
+        leading axis in ``SLOT_MOVES`` order; broadcasts over all four
+        arguments."""
         t, p, s = (np.asarray(x, dtype=float) for x in (t, p, s))
-        i, j = np.asarray(i), np.asarray(j)
-        same_class = equivalent(i, j)
-        if np.any(same_class):
-            i, j, same_class = np.broadcast_arrays(i, j, same_class)
-            q = np.argmax(same_class)
-            raise ValueError(
-                f"invalid transition {i.flat[q]} -> {j.flat[q]}: states are equivalent"
-            )
-        d = alpha(j)
-        slot = np.asarray(d > 0, dtype=int)  # SLOT_MOVES[slot] == d
+        i = np.asarray(i)
         node = self.lattice.locate(p)
+        # the read refuses a state outside STATES before the successor lookup
         pi_here = self.field.read(t, node, i, s)
+        slot = np.arange(len(SLOT_MOVES)).reshape((-1,) + (1,) * pi_here.ndim)
+        d = np.asarray(SLOT_MOVES)[slot]
+        j = _SUCCESSORS[i.astype(int) - STATES[0], slot]
         pi_img = self.field.read(t, self._img_idx[slot, node], j, 0.0) * self._img_scale[slot, node]
         edge = self._edge(p)
         layout, kernel = self.layout, self.kernel
@@ -311,10 +297,9 @@ class QuoteGainSource:
         return (small + large)[()]
 
     def __call__(self, t, p, i: int, s):
-        """Running source: sum over successors of max(gain rate, 0), from one
+        """Running source: sum over both sides of max(gain rate, 0), from one
         rate evaluation; broadcasts over ``t``, ``p`` and ``s``."""
-        ndim = max(np.ndim(t), np.ndim(p), np.ndim(s))
-        rates = self.rate_point(t, p, i, s, np.reshape(successors(i), (2,) + (1,) * ndim))
+        rates = self.rate_point(t, p, i, s)
         return (np.maximum(rates[0], 0.0) + np.maximum(rates[1], 0.0))[()]
 
 
@@ -323,7 +308,7 @@ def _price_ages(core, sweep, lo: int, hi: int):
     node, on the core columns ``core`` of lattice nodes ``lo..hi-1``: from
     the characteristic ``sweep``, or from the core of an age-invariant field
     when ``sweep`` is None.  Age zero reads the iterated core, as
-    ``QuoteGainSource._price_slice`` does."""
+    ``QuoteGainSource.gain_rates_at_age`` does."""
     if sweep is None:
         return ((d, core[d:]) for d in range(len(core)))
     return ((d, core if d == 0 else pi) for d, pi in sweep.rows(lo, hi))
@@ -365,8 +350,8 @@ def _on_threads(tasks) -> None:
 class OptimalQuotePolicy:
     """Quote a side exactly when its gain rate is strictly positive.
 
-    The ask bit follows the successor moving the price up, the bid bit the
-    one moving it down; a zero rate leaves the side unquoted.
+    The ask bit reads the up-move slot, the bid bit the down-move slot; a zero
+    rate leaves the side unquoted.
     """
 
     source: QuoteGainSource
@@ -378,10 +363,8 @@ class OptimalQuotePolicy:
         t, p, i, s = np.broadcast_arrays(
             np.asarray(t, dtype=float), np.asarray(p, dtype=float), i, np.asarray(s, dtype=float)
         )
-        # successor slot 1 moves the price up, slot 0 down (SLOT_MOVES)
-        down, up = np.array([successors(k) for k in STATES]).T[:, i - STATES[0]]
-        rates = self.source.rate_point(t, p, i, s, np.stack([up, down]))
-        l_ask, l_bid = np.broadcast_to(rates, (2,) + t.shape) > 0.0
+        rates = self.source.rate_point(t, p, i, s)
+        l_bid, l_ask = np.broadcast_to(rates, (len(SLOT_MOVES),) + t.shape) > 0.0
         if t.ndim == 0:
             return (int(l_ask), int(l_bid))
         return (l_ask.astype(int), l_bid.astype(int))
@@ -501,10 +484,10 @@ def value_upper_bound(
 def default_baselines(random_seed: int = 7) -> list:
     """The fixed comparison set: hold, both sides, each single side, a coin flip."""
     return [
-        HoldPolicy(),
-        AlwaysQuotePolicy(),
-        AskOnlyPolicy(),
-        BidOnlyPolicy(),
+        FixedQuotePolicy(0, 0, "hold"),
+        FixedQuotePolicy(1, 1, "always_quote"),
+        FixedQuotePolicy(1, 0, "ask_only"),
+        FixedQuotePolicy(0, 1, "bid_only"),
         RandomQuotePolicy(prob=0.5, seed=random_seed),
     ]
 
@@ -670,9 +653,9 @@ def export_policy_csv(
         fh.write("t,p,i,s,quote_ask,quote_bid\n")
         for s in map(float, s_values):
             rates = source._age_free_rates if source._age_free else source.gain_rates_at_age(s)
-            for i in STATES:
-                down, up = (rates[(i, j)][:, keep] > 0.0 for j in successors(i))
-                codes = 2 * up + down
+            for ii, i in enumerate(STATES):
+                bid, ask = rates[..., ii][:, :, keep] > 0.0
+                codes = 2 * ask + bid
                 heads = [f"{p},{i},{s!r}," for p in p_txt]
                 for ki, lead in enumerate(t_leads):
                     _write_rows(fh, lead, heads, map(_QUOTE_BITS.__getitem__, codes[ki].tolist()))

@@ -53,10 +53,7 @@ __all__ = [
     "order_fill",
     "sample_holding",
     "sample_transition",
-    "HoldPolicy",
-    "AlwaysQuotePolicy",
-    "AskOnlyPolicy",
-    "BidOnlyPolicy",
+    "FixedQuotePolicy",
     "RandomQuotePolicy",
 ]
 
@@ -329,39 +326,16 @@ def order_fill(mark, quotes, big_units: int, price: float, delta: float, cost: f
 
 
 @dataclass(frozen=True)
-class HoldPolicy:
-    """Never quote."""
+class FixedQuotePolicy:
+    """The same (ask bit, bid bit) at every point: (0, 0) never quotes,
+    (1, 1) quotes both sides at all times."""
 
-    name: str = "hold"
-
-    def __call__(self, t, p, i, s):
-        return (0, 0)
-
-
-@dataclass(frozen=True)
-class AlwaysQuotePolicy:
-    """Quote both sides at all times."""
-
-    name: str = "always_quote"
+    ask: int
+    bid: int
+    name: str
 
     def __call__(self, t, p, i, s):
-        return (1, 1)
-
-
-@dataclass(frozen=True)
-class AskOnlyPolicy:
-    name: str = "ask_only"
-
-    def __call__(self, t, p, i, s):
-        return (1, 0)
-
-
-@dataclass(frozen=True)
-class BidOnlyPolicy:
-    name: str = "bid_only"
-
-    def __call__(self, t, p, i, s):
-        return (0, 1)
+        return (self.ask, self.bid)
 
 
 _COIN_RECORD = np.dtype([("seed", "<u8"), ("t", "<f8"), ("p", "<f8"), ("i", "<i8"), ("s", "<f8")])

@@ -158,8 +158,8 @@ class ValueField:
         Age zero, or any age of an age-invariant field, interpolates the core
         linearly in time; every other age is extended exactly, all points at
         once, at the two grid times around ``t`` and interpolated between them.
-        Refuses a time outside ``[0, horizon]`` and an age that is negative or
-        not finite, NaN included.
+        Refuses a time outside ``[0, horizon]``, an age that is negative or
+        not finite, NaN included, and a state outside ``STATES``.
         """
         t, s = np.asarray(t, dtype=float), np.asarray(s, dtype=float)
         off = ~((t >= self.t_grid[0]) & (t <= self.t_grid[-1]))
@@ -168,7 +168,11 @@ class ValueField:
         off = ~(np.isfinite(s) & (s >= 0.0))
         if off.any():
             raise ValueError(f"age {float(s[off].flat[0])!r} must be finite and nonnegative")
-        ii = np.asarray(i) - STATES[0]  # states are consecutive integers
+        i = np.asarray(i)
+        off = ~((i >= STATES[0]) & (i <= STATES[-1]) & (np.floor(i) == i))
+        if off.any():
+            raise ValueError(f"state {i[off].flat[0].item()!r} is not one of {STATES}")
+        ii = i.astype(int) - STATES[0]  # states are consecutive integers
         if self.age_invariant or not s.any():
             shape = np.broadcast_shapes(t.shape, np.shape(node), ii.shape, s.shape)
             return np.broadcast_to(_interp_time(self.t_grid, t, self.core, node, ii), shape)
@@ -256,7 +260,6 @@ def _quad_matrix(nodes: np.ndarray, half0: float, h: float) -> np.ndarray:
 class _OperatorTables:
     """Age-shifted quadrature tables shared by core sweeps and extensions."""
 
-    survival: np.ndarray  # conditional survival at node ages
     q_cont: np.ndarray  # kernel matrix for the continuation branch
     q_rev: np.ndarray  # reversal branch
     q_source: np.ndarray  # survival-weighted matrix for the running source
@@ -278,7 +281,6 @@ def _build_tables(kernel: SemiMarkovKernel, t_grid: np.ndarray, sigma: float) ->
     half_cont = kernel.continuation.value(half_age) * half_surv
     half_rev = kernel.reversal.value(half_age) * half_surv
     return _OperatorTables(
-        survival=survival,
         q_cont=_quad_matrix(fp_cont, half_cont, h),
         q_rev=_quad_matrix(fp_rev, half_rev, h),
         q_source=_quad_matrix(survival, half_surv, h),

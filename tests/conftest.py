@@ -6,6 +6,7 @@ import pytest
 
 from semitick import (
     NO_EVENT,
+    STATES,
     BigJump,
     ConstantIntensity,
     MarkLayout,
@@ -14,6 +15,10 @@ from semitick import (
     SaturatingIntensity,
     SemiMarkovKernel,
     SmallOrder,
+    alpha,
+    equivalent,
+    extension_slice,
+    successors,
 )
 from semitick.simulate import _right_limit, renewal_segments, thinning_segments
 
@@ -162,3 +167,60 @@ def reference_paths():
     path with ``events`` (time, kind, market state before and after),
     ``terminal_market``, ``summary()`` and ``holding_times()``."""
     return SimpleNamespace(renewal=_renewal_path, thinning=_thinning_path)
+
+
+# -- the transition-keyed gain rates the slot forms replaced, kept as the reference --
+
+
+def _rate_point(source, t, p, i, s, j):
+    t, p, s = (np.asarray(x, dtype=float) for x in (t, p, s))
+    i, j = np.asarray(i), np.asarray(j)
+    same_class = equivalent(i, j)
+    if np.any(same_class):
+        i, j, same_class = np.broadcast_arrays(i, j, same_class)
+        q = np.argmax(same_class)
+        raise ValueError(
+            f"invalid transition {i.flat[q]} -> {j.flat[q]}: states are equivalent"
+        )
+    d = alpha(j)
+    slot = np.asarray(d > 0, dtype=int)  # SLOT_MOVES[slot] == d
+    node = source.lattice.locate(p)
+    pi_here = source.field.read(t, node, i, s)
+    img_idx, img_scale = source._img_idx[slot, node], source._img_scale[slot, node]
+    pi_img = source.field.read(t, img_idx, j, 0.0) * img_scale
+    edge = source._edge(p)
+    layout, kernel = source.layout, source.kernel
+    flow = np.where(
+        d > 0,
+        layout.ask_flow.value(s) * layout.mean_size(+1),
+        layout.bid_flow.value(s) * layout.mean_size(-1),
+    )
+    h_dir = np.where(d == alpha(i), kernel.continuation.value(s), kernel.reversal.value(s))
+    small = flow * (d * (p - pi_here) + edge)
+    large = h_dir * source.mmspec.big_size * (d * (p - pi_img) + edge)
+    return (small + large)[()]
+
+
+def _gain_rates_at_age(source, age):
+    fld = source.field
+    pi = fld.core if fld.age_invariant or age == 0.0 else extension_slice(fld, age)
+    flat = pi.reshape(len(pi), -1)
+    rates = []
+    for b, (flow, coef) in enumerate(source._age_terms(age)):
+        out = np.empty_like(flat)
+        source._rates_into(out, np.empty_like(flat), b, flow, coef, flat, slice(None), 0)
+        rates.append(out.reshape(pi.shape))
+    return {
+        (i, j): rates[b][:, :, ii]
+        for ii, i in enumerate(STATES) for b, j in enumerate(successors(i))
+    }
+
+
+@pytest.fixture(scope="session")
+def reference_rates():
+    """Gain rates of a ``QuoteGainSource`` keyed by transition, as first
+    built: ``rate_point(source, t, p, i, s, j)`` is the rate of quoting
+    toward the successor ``j`` of ``i`` (refusing an equivalent ``j``), and
+    ``gain_rates_at_age(source, age)`` a dict of (time, node) arrays keyed by
+    every transition ``(i, j)``."""
+    return SimpleNamespace(rate_point=_rate_point, gain_rates_at_age=_gain_rates_at_age)

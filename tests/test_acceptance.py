@@ -285,8 +285,7 @@ def test_criterion_10_degenerate_cost(presets):
         source = QuoteGainSource(kernel, layout, mmspec, field)
         all_off = True
         for age in (0.0, 0.4):
-            rates = source.gain_rates_at_age(age)
-            all_off &= all(np.all(arr <= 0.0) for arr in rates.values())
+            all_off &= bool(np.all(source.gain_rates_at_age(age) <= 0.0))
         ok = u_max <= 1e-10 and all_off
         passed &= ok
         details.append(f"{name}: max|u|={u_max:.1e}, all rates <= 0: {all_off}")

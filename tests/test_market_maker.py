@@ -24,6 +24,7 @@ from semitick import (
     optimal_policy,
     solve_expected_price,
     solve_quote_value,
+    successors,
     total_value,
     value_upper_bound,
     z_score,
@@ -88,8 +89,9 @@ class TestQuoteGainRate:
         # martingale price, unit flows and mean size, delta=0.01, cost=0.001,
         # unit hazard, big size 2, price 1: rate = 0.009 - 0.002 = 0.007
         kernel, layout, spec, field = unit_setup
-        for j in (3, 4):
-            rate = QuoteGainSource(kernel, layout, spec, field).rate_point(0.2, 1.0, 2, 0.0, j)
+        rates = QuoteGainSource(kernel, layout, spec, field).rate_point(0.2, 1.0, 2, 0.0)
+        assert rates.shape == (2,)
+        for rate in rates:
             assert rate == pytest.approx(0.007, abs=1e-7)
 
     def test_cost_above_tick_kills_both_terms(self, unit_setup):
@@ -99,8 +101,7 @@ class TestQuoteGainRate:
         mask = lattice.report_mask & (lattice.prices >= 1.0)
         source = QuoteGainSource(kernel, layout, spec, field)
         rates = source.gain_rates_at_age(0.0)
-        for key, arr in rates.items():
-            assert np.all(arr[:, mask] <= 1e-12)
+        assert np.all(rates[:, :, mask] <= 1e-12)
 
     def test_vanishing_intensities_give_zero(self, unit_setup):
         kernel = SemiMarkovKernel(
@@ -116,7 +117,8 @@ class TestQuoteGainRate:
         spec = MarketMakingSpec(big_size=1, transaction_cost=0.01)  # cost == delta
         # with zero flow, a martingale price and cost == tick the big term is
         # K * h * (p - p_img)*alpha + (delta - cost) = -p*delta + 0 at p = 1
-        rate = QuoteGainSource(kernel, layout, spec, field).rate_point(0.5, 1.0, 1, 0.0, 3)
+        # slot 0, the down move from state 1, enters state 3
+        rate = QuoteGainSource(kernel, layout, spec, field).rate_point(0.5, 1.0, 1, 0.0)[0]
         assert rate == pytest.approx(-0.01, abs=1e-7)
 
     def test_consistent_variant_scales_edge_with_price(self, asymmetric_kernel, asymmetric_layout):
@@ -126,9 +128,10 @@ class TestQuoteGainRate:
             big_size=2, transaction_cost=0.001, portfolio_consistent=True
         )
         r_v, r_c = (
+            # slot 1, the up move from state 2 into state 4
             QuoteGainSource(asymmetric_kernel, asymmetric_layout, spec, field).rate_point(
-                0.3, 2.0, 2, 0.0, 4
-            )
+                0.3, 2.0, 2, 0.0
+            )[1]
             for spec in (verbatim, consistent)
         )
         # at price 2 the per-unit edge differs by (p-1)*delta per intensity unit
@@ -143,14 +146,8 @@ class TestQuoteGainRate:
             spec = MarketMakingSpec(big_size=2, transaction_cost=cost, portfolio_consistent=True)
             src = QuoteGainSource(kernel, layout, spec, field)
             rates.append(src.gain_rates_at_age(0.0))
-        for key in rates[0]:
-            assert np.all(rates[0][key] >= rates[1][key] - 1e-15)
-            assert np.all(rates[1][key] >= rates[2][key] - 1e-15)
-
-    def test_invalid_transition(self, unit_setup):
-        kernel, layout, spec, field = unit_setup
-        with pytest.raises(ValueError, match="equivalent"):
-            QuoteGainSource(kernel, layout, spec, field).rate_point(0.2, 1.0, 2, 0.0, 1)
+        assert np.all(rates[0] >= rates[1] - 1e-15)
+        assert np.all(rates[1] >= rates[2] - 1e-15)
 
 
 class TestOptimalPolicy:
@@ -185,11 +182,10 @@ class TestOptimalPolicy:
                                     portfolio_consistent=True)
             field = solve_expected_price(kernel, GridSpec(n_t=80, n_max=8), horizon, 1.0)
             src = QuoteGainSource(kernel, layout, spec, field)
-            rates = src.gain_rates_at_age(0.0)
-            bits.append({key: rates[key] > 0 for key in rates})
-        for key in bits[0]:
-            mismatch = bits[0][key] != bits[1][key]
-            assert mismatch.mean() < 0.005  # boundary nodes may flip, bulk must not
+            bits.append(src.gain_rates_at_age(0.0) > 0)
+        # per (slot, state): boundary nodes may flip, bulk must not
+        mismatch = bits[0] != bits[1]
+        assert np.all(mismatch.mean(axis=(1, 2)) < 0.005)
 
 
 class TestQuoteValue:
@@ -219,7 +215,8 @@ class TestQuoteValue:
     ):
         # the source integral reads one shared age-free source (flat, exactly)
         # or one characteristic sweep (saturating, to rounding); both must
-        # equal the fold of the sum over gain_rates_at_age at every age node
+        # equal the fold of the sum over both slots of gain_rates_at_age at
+        # every age node
         if flat:
             kernel, layout, spec, field, _ = asym_setup
         else:
@@ -232,8 +229,8 @@ class TestQuoteValue:
         expected = np.zeros_like(field.core)
         for d in range(len(field.t_grid)):
             slab = np.zeros_like(field.core[d:])
-            for (i, _), rates in src.gain_rates_at_age(d * h).items():
-                slab[:, :, STATES.index(i)] += np.maximum(rates[d:], 0.0)
+            for rates in src.gain_rates_at_age(d * h):
+                slab += np.maximum(rates[d:], 0.0)
             expected[: len(slab)] += q_source.diagonal(d)[:, None, None] * slab
         got = src.integrals(q_source)
         if flat:
@@ -463,16 +460,46 @@ class TestPolicyExport:
         assert len(lines) == 2 + 2 * 4 * len(field.t_grid) * n_nodes
 
 
-class TestReadDomain:
-    """Every read of a field refuses a time off [0, horizon] and an age that is
-    negative or not finite, with one ValueError naming the value; reads of
-    the field feed ``eval``, the gain rate and the optimal policy."""
+@pytest.fixture(scope="module", params=["saturating-hazard", "asymmetric-constant"])
+def reader(request):
+    """A preset's expected-price field and the optimal policy on it."""
+    cfg = load_config(request.param)
+    field = solve_expected_price(cfg.kernel, cfg.grid, cfg.horizon, 1.0)
+    return field, optimal_policy(cfg.kernel, cfg.layout, cfg.mmspec, field)
 
-    @pytest.fixture(scope="class", params=["saturating-hazard", "asymmetric-constant"])
-    def reader(self, request):
-        cfg = load_config(request.param)
-        field = solve_expected_price(cfg.kernel, cfg.grid, cfg.horizon, 1.0)
-        return field, optimal_policy(cfg.kernel, cfg.layout, cfg.mmspec, field)
+
+class TestSlotForms:
+    def test_match_transition_keyed_reference(self, reader, reference_rates):
+        # slot b of state i is the transition i -> successors(i)[b], byte for
+        # byte: on the grid, at scalar points and at arrays of points of
+        # mixed states, at age zero and at an age the field extends to
+        field, policy = reader
+        source = policy.source
+        rng = np.random.default_rng(8)
+        report = field.lattice.prices[field.lattice.report_mask]
+        t, p = rng.random(40), rng.choice(report, 40)
+        i = rng.integers(STATES[0], STATES[-1] + 1, 40)
+        for s in (0.0, 0.3):
+            grid, keyed = source.gain_rates_at_age(s), reference_rates.gain_rates_at_age(source, s)
+            assert grid.shape == (2,) + field.core.shape
+            at_points = source.rate_point(t, p, i, np.full(40, s))
+            for b in range(2):
+                j = np.array([successors(k)[b] for k in i])
+                expect = reference_rates.rate_point(source, t, p, i, np.full(40, s), j)
+                assert at_points[b].tobytes() == expect.tobytes()
+            for ii, state in enumerate(STATES):
+                at_point = source.rate_point(0.4, 1.0, state, s)
+                for b, j in enumerate(successors(state)):
+                    assert grid[b, :, :, ii].tobytes() == keyed[(state, j)].tobytes()
+                    expect = reference_rates.rate_point(source, 0.4, 1.0, state, s, j)
+                    assert at_point[b].tobytes() == expect.tobytes()
+
+
+class TestReadDomain:
+    """Every read of a field refuses a time off [0, horizon], an age that is
+    negative or not finite and a state outside STATES, with one ValueError
+    naming the value; reads of the field feed ``eval``, the gain rate and the
+    optimal policy."""
 
     @pytest.mark.parametrize(
         "t, s, named",
@@ -491,8 +518,22 @@ class TestReadDomain:
         assert field.horizon == 1.0
         for read in (
             lambda: field.eval(t, 1.0, 2, s),
-            lambda: policy.source.rate_point(t, 1.0, 2, s, 4),
+            lambda: policy.source.rate_point(t, 1.0, 2, s),
             lambda: policy(t, 1.0, 2, s),
+        ):
+            with pytest.raises(ValueError, match=named):
+                read()
+
+    @pytest.mark.parametrize(
+        "i, named", [(0, "state 0 is"), (5, "state 5 is"), (2.5, r"state 2\.5 is")]
+    )
+    def test_bad_state_refused(self, reader, i, named):
+        field, policy = reader
+        for read in (
+            lambda: field.eval(0.5, 1.0, i, 0.3),
+            lambda: policy.source.rate_point(0.5, 1.0, i, 0.3),
+            lambda: policy(0.5, 1.0, i, 0.3),
+            lambda: policy(np.array([0.5, 0.6]), 1.0, np.array([2, i]), 0.3),
         ):
             with pytest.raises(ValueError, match=named):
                 read()
@@ -502,7 +543,7 @@ class TestReadDomain:
         for t in (0.0, field.horizon):
             for s in (0.0, 0.3):
                 assert math.isfinite(field.eval(t, 1.0, 2, s))
-                assert math.isfinite(policy.source.rate_point(t, 1.0, 2, s, 4))
+                assert np.isfinite(policy.source.rate_point(t, 1.0, 2, s)).all()
                 assert policy(t, 1.0, 2, s) in {(0, 0), (0, 1), (1, 0), (1, 1)}
         # the expected terminal price is the payoff at the horizon, at any age
         assert field.eval(field.horizon, 1.0, 2, 0.3) == 1.0

@@ -12,10 +12,9 @@ from scipy import stats
 
 from semitick import (
     NO_EVENT,
-    AlwaysQuotePolicy,
     BigJump,
     ConstantIntensity,
-    HoldPolicy,
+    FixedQuotePolicy,
     SaturatingIntensity,
     MarketState,
     RandomQuotePolicy,
@@ -24,6 +23,7 @@ from semitick import (
     SmallOrder,
     alpha,
     checks,
+    default_baselines,
     path_rng,
     renewal_segments,
     sample_holding,
@@ -400,7 +400,9 @@ class TestControlledAccounting:
         assert order_fill(SmallOrder(-1, 2), (1, 0), 2, 100.0, 0.01, 0.1) == (-1, 0.0, 0, 0)
         assert order_fill(BigJump(4), (0, 1), 2, 100.0, 0.01, 0.1) == (+1, 0.0, 0, 0)
 
-    @pytest.mark.parametrize("policy", [AlwaysQuotePolicy(), RandomQuotePolicy(seed=3)])
+    @pytest.mark.parametrize(
+        "policy", [FixedQuotePolicy(1, 1, "always_quote"), RandomQuotePolicy(seed=3)]
+    )
     def test_per_event_portfolio_change_bound(
         self, asymmetric_kernel, asymmetric_layout, policy
     ):
@@ -518,5 +520,7 @@ class TestPolicies:
         assert list(zip(l_ask.tolist(), l_bid.tolist())) == scalar
 
     def test_builtin_ranges(self):
-        assert HoldPolicy()(0.1, 1.0, 1, 0.0) == (0, 0)
-        assert AlwaysQuotePolicy()(0.1, 1.0, 1, 0.0) == (1, 1)
+        fixed = [(pol.name, pol(0.1, 1.0, 1, 0.0)) for pol in default_baselines()[:4]]
+        assert fixed == [
+            ("hold", (0, 0)), ("always_quote", (1, 1)), ("ask_only", (1, 0)), ("bid_only", (0, 1))
+        ]

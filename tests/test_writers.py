@@ -53,8 +53,10 @@ def reference_save_field_csv(field, path, header_meta=None):
 
 
 def reference_export_policy_csv(
-    path, kernel, layout, mmspec, price_field, s_values, header_meta=None
+    gain_rates_at_age, path, kernel, layout, mmspec, price_field, s_values, header_meta=None
 ):
+    """Reads the transition-keyed ``gain_rates_at_age(source, age)`` of the
+    ``reference_rates`` fixture."""
     mmspec.require_risk_neutral("the optimal quoting policy")
     source = QuoteGainSource(kernel, layout, mmspec, price_field)
     with open(path, "w") as fh:
@@ -66,7 +68,7 @@ def reference_export_policy_csv(
         prices = price_field.lattice.prices
         keep = np.nonzero(price_field.lattice.report_mask)[0]
         for s in s_values:
-            rates = source.gain_rates_at_age(float(s))
+            rates = gain_rates_at_age(source, float(s))
             for i in STATES:
                 bits = {}
                 for j in successors(i):
@@ -153,7 +155,7 @@ class TestFieldCsv:
 
 class TestPolicyCsv:
     def test_saturating_layout_two_ages(
-        self, saturating_kernel, saturating_layout, saturating_core, tmp_path
+        self, saturating_kernel, saturating_layout, saturating_core, reference_rates, tmp_path
     ):
         spec = MarketMakingSpec(big_size=saturating_layout.max_units, transaction_cost=0.001)
         args = (saturating_kernel, saturating_layout, spec, saturating_core)
@@ -162,19 +164,35 @@ class TestPolicyCsv:
             tmp_path,
             lambda out: export_policy_csv(out, *args, s_values=[0.0, 0.5], header_meta=meta),
             lambda out: reference_export_policy_csv(
-                out, *args, s_values=[0.0, 0.5], header_meta=meta
+                reference_rates.gain_rates_at_age, out, *args, s_values=[0.0, 0.5],
+                header_meta=meta,
             ),
         )
         # the grid mixes quoted and unquoted sides, so the bits are exercised
         bit_pairs = {line[-3:] for line in text.splitlines()[2:]}
         assert len(bit_pairs) > 1
 
-    def test_asymmetric_layout(self, asym_quote_setup, tmp_path):
+    def test_asymmetric_layout(self, asym_quote_setup, reference_rates, tmp_path):
         kernel, layout, spec, field, _ = asym_quote_setup
         assert_same_bytes(
             tmp_path,
             lambda out: export_policy_csv(out, kernel, layout, spec, field, [0.0]),
-            lambda out: reference_export_policy_csv(out, kernel, layout, spec, field, [0.0]),
+            lambda out: reference_export_policy_csv(
+                reference_rates.gain_rates_at_age, out, kernel, layout, spec, field, [0.0]
+            ),
+        )
+
+    def test_published_form_preset(self, reference_rates, tmp_path):
+        # symmetric-martingale prices the half-spread as delta - cost, one
+        # edge for every price
+        cfg = load_config("symmetric-martingale")
+        assert not cfg.mmspec.portfolio_consistent
+        field = solve_expected_price(cfg.kernel, cfg.grid, cfg.horizon, 1.0)
+        args = (cfg.kernel, cfg.layout, cfg.mmspec, field, [0.0, 0.5])
+        assert_same_bytes(
+            tmp_path,
+            lambda out: export_policy_csv(out, *args),
+            lambda out: reference_export_policy_csv(reference_rates.gain_rates_at_age, out, *args),
         )
 
 
