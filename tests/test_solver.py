@@ -1,5 +1,6 @@
 """Terminal-value solver: operator sweeps, fixed point, extension, residual."""
 
+import itertools
 import json
 import math
 import tracemalloc
@@ -13,6 +14,7 @@ from semitick import (
     GridSpec,
     ProblemSpec,
     ResidualStats,
+    SLOT_MOVES,
     STATES,
     SemiMarkovKernel,
     alpha,
@@ -25,9 +27,16 @@ from semitick import (
     solve_fixed_point,
     successors,
 )
+from semitick import solver as solver_module
 from semitick.harness import load_config
 from semitick.lattice import PriceLattice, max_jumps_for_tail
-from semitick.solver import _AgeOperator, _CharacteristicSweep
+from semitick.market_maker import QuoteGainSource
+from semitick.solver import (
+    _AgeOperator,
+    _CharacteristicSweep,
+    _quad_matrix,
+    _simpson_weights,
+)
 
 STATE_IDX = {s: k for k, s in enumerate(STATES)}
 
@@ -507,6 +516,105 @@ class TestResidual:
         assert streamed < bound
         assert stacked > bound
 
+
+# -- the operator as first written, kept as the reference for its fast forms --
+
+
+def reference_quad_matrix(nodes, half0, h):
+    """The quadrature matrix filled one row at a time."""
+    n = len(nodes) - 1
+    q = np.zeros((n + 1, n + 1))
+    for k in range(n + 1):
+        m = n - k
+        if m == 0:
+            continue
+        if m % 2 == 0:
+            q[k, k:] = _simpson_weights(m, h) * nodes[: m + 1]
+        else:
+            q[k, k] = (h / 6.0) * (nodes[0] + 2.0 * half0)
+            q[k, k + 1] = (h / 6.0) * (2.0 * half0 + nodes[1])
+            if m > 1:
+                q[k, k + 1 :] += _simpson_weights(m - 1, h) * nodes[1 : m + 1]
+    return q
+
+
+def reference_operator(field, sigma, problem=None, source=None):
+    """The operator at age ``sigma`` with its tables built by
+    :func:`reference_quad_matrix`."""
+    original = solver_module._quad_matrix
+    solver_module._quad_matrix = reference_quad_matrix
+    try:
+        return _AgeOperator(
+            field.kernel, problem or field.problem, field.t_grid, field.lattice, sigma, source
+        )
+    finally:
+        solver_module._quad_matrix = original
+
+
+def reference_apply(op, core):
+    """The sweep as first written: every state gathers both of its jump
+    targets and sums on a copy of the discounted payoff."""
+    out = np.empty_like(core)
+    g_term = op.tables.terminal[:, None] * op.payoff[None, :]
+    for i in STATES:
+        acc = g_term.copy()
+        for j, d, (img, scale) in zip(successors(i), SLOT_MOVES, op.images):
+            q = op.tables.q_cont if d == alpha(i) else op.tables.q_rev
+            acc += q @ (core[:, img, STATE_IDX[j]] * scale[None, :])
+        if op.source is not None:
+            acc += op.source[:, :, STATE_IDX[i]]
+        out[:, :, STATE_IDX[i]] = acc
+    return out
+
+
+PRESETS = ("symmetric-martingale", "asymmetric-constant", "saturating-hazard")
+
+
+class TestOperatorAgreement:
+    @pytest.mark.parametrize("n_t", [2, 3, 4, 5, 120, 121, 200])
+    def test_quad_matrix_matches_row_loop(self, n_t):
+        rng = np.random.default_rng(n_t)
+        nodes, half0, h = rng.random(n_t + 1), rng.random(), 1.0 / n_t
+        got = _quad_matrix(nodes, half0, h)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == reference_quad_matrix(nodes, half0, h).tobytes()
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    @pytest.mark.parametrize("sigma", [0.0, 0.3])
+    @pytest.mark.parametrize("with_source", [False, True])
+    def test_apply_matches_per_state_sweep(self, preset_field, preset, sigma, with_source):
+        field = preset_field(preset)
+        problem, source = None, None
+        if with_source:
+            cfg = load_config(preset)
+            quote = QuoteGainSource(cfg.kernel, cfg.layout, cfg.mmspec, field)
+            # the price payoff, not the quote solve's zero, so that every
+            # state's sum has four nonzero terms
+            problem, source = ProblemSpec(g=field.problem.g, w=quote), quote.integrals
+        op = _AgeOperator(
+            field.kernel, problem or field.problem, field.t_grid, field.lattice, sigma, source
+        )
+        ref = reference_operator(field, sigma, problem, source)
+        assert op.apply(field.core).tobytes() == reference_apply(ref, field.core).tobytes()
+
+    @pytest.mark.parametrize("preset", ["asymmetric-constant", "symmetric-martingale"])
+    def test_age_invariant_slices_equal_at_every_age(self, preset_field, preset):
+        field = preset_field(preset)
+        assert field.age_invariant
+        h = field.t_grid[1] - field.t_grid[0]
+        expected = reference_apply(reference_operator(field, 0.0), field.core).tobytes()
+        for s in h * np.arange(7):
+            assert extension_slice(field, s).tobytes() == expected
+
+    @pytest.mark.parametrize("preset", ["asymmetric-constant", "symmetric-martingale"])
+    def test_residual_of_one_repeated_slice(self, preset_field, preset):
+        field = preset_field(preset)
+        h = field.t_grid[1] - field.t_grid[0]
+        seven = [reference_apply(reference_operator(field, s), field.core) for s in h * np.arange(7)]
+        ref = pde_residual(field, seven)
+        got = pde_residual(field, itertools.repeat(extension_slice(field, 0.0), 7), 7)
+        assert got.max_abs.hex() == ref.max_abs.hex()
+        assert got.mean_abs.hex() == ref.mean_abs.hex()
 
 class TestFieldIO:
     def test_roundtrip(self, saturating_kernel, tmp_path):
