@@ -4,6 +4,7 @@ solving, and risk-neutral market making."""
 from .hazards import (
     SLOT_MOVES,
     STATES,
+    SUCCESSOR_INDEX,
     BigJump,
     ConstantIntensity,
     MarkLayout,

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import copy
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -435,13 +436,24 @@ def _solve_pi(cfg: ExperimentConfig):
     return solve_expected_price(cfg.kernel, cfg.grid, cfg.horizon, cfg.initial_market.price)
 
 
+def _residual_slices(field, n_ages: int):
+    """The field's slices at the ages ``0, h, ..., (n_ages - 1)h``, each made
+    when it is consumed.  An age-invariant field has the same slice, bit for
+    bit, at every age, so its one slice at age zero serves them all."""
+    if field.age_invariant:
+        yield from itertools.repeat(extension_slice(field, 0.0), n_ages)
+        return
+    h = field.t_grid[1] - field.t_grid[0]
+    for s in h * np.arange(n_ages):
+        yield extension_slice(field, s)
+
+
 def _cmd_solve_pi(cfg: ExperimentConfig, out: FsPath, quiet: bool) -> int:
     field = _solve_pi(cfg)
     save_field_csv(field, out / "expected_price.csv", cfg.header_meta())
     # the residual differences along the (t, s) diagonal, on the ages 0, h, ..., 6h;
     # it consumes their slices one at a time, so the age stack is never built
-    h = field.t_grid[1] - field.t_grid[0]
-    res = pde_residual(field, (extension_slice(field, s) for s in h * np.arange(7)), 7)
+    res = pde_residual(field, _residual_slices(field, 7), 7)
     report = {
         "meta": cfg.header_meta(),
         "iterations": field.iterations,

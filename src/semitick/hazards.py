@@ -30,6 +30,7 @@ import numpy as np
 __all__ = [
     "STATES",
     "SLOT_MOVES",
+    "SUCCESSOR_INDEX",
     "alpha",
     "successors",
     "equivalent",
@@ -47,10 +48,17 @@ __all__ = [
 #: The four direction states.  1, 3 enter on a down move; 2, 4 on an up move.
 STATES = (1, 2, 3, 4)
 
-_SUCCESSORS = {1: (3, 4), 2: (3, 4), 3: (1, 2), 4: (1, 2)}
-
 #: The price move entering ``successors(i)[b]``, for every state ``i``.
 SLOT_MOVES = (-1, +1)
+
+#: The index in ``STATES`` of ``successors(STATES[k])[b]``, per (state index
+#: ``k``, successor slot ``b``): each class moves to the other class.
+SUCCESSOR_INDEX = np.array([[2, 3], [2, 3], [0, 1], [0, 1]])
+SUCCESSOR_INDEX.flags.writeable = False
+
+_SUCCESSORS = {
+    i: tuple(STATES[j] for j in row) for i, row in zip(STATES, SUCCESSOR_INDEX.tolist())
+}
 
 
 def alpha(i):

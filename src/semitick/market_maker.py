@@ -29,10 +29,10 @@ from .hazards import (
     NO_EVENT,
     SLOT_MOVES,
     STATES,
+    SUCCESSOR_INDEX,
     MarkLayout,
     SemiMarkovKernel,
     alpha,
-    successors,
 )
 from .mc import McEstimate, _blocks
 from .simulate import (
@@ -72,8 +72,6 @@ __all__ = [
     "export_policy_csv",
 ]
 
-# the successor state of each (state index, successor slot)
-_SUCCESSORS = np.array([successors(i) for i in STATES])
 # fewest lattice nodes in a block of the source integral: a block pays about
 # 60 us of interpreter time per age, under the interpreter lock, which a
 # narrower block would not earn back on many CPUs
@@ -156,7 +154,7 @@ class QuoteGainSource:
             idx, scale = self._img_idx[b], self._img_scale[b]
             big_edge = np.empty_like(price_field.core)
             for ii in range(len(STATES)):
-                image = price_field.core[:, idx, _SUCCESSORS[ii, b] - STATES[0]] * scale[None, :]
+                image = price_field.core[:, idx, SUCCESSOR_INDEX[ii, b]] * scale[None, :]
                 big_edge[:, :, ii] = d * (prices - image) + self._edge(prices)
             self._big_edge.append(big_edge.reshape(len(big_edge), -1))
         self._age_free = price_field.age_invariant and layout.is_memoryless
@@ -282,7 +280,7 @@ class QuoteGainSource:
         pi_here = self.field.read(t, node, i, s)
         slot = np.arange(len(SLOT_MOVES)).reshape((-1,) + (1,) * pi_here.ndim)
         d = np.asarray(SLOT_MOVES)[slot]
-        j = _SUCCESSORS[i.astype(int) - STATES[0], slot]
+        j = STATES[0] + SUCCESSOR_INDEX[i.astype(int) - STATES[0], slot]
         pi_img = self.field.read(t, self._img_idx[slot, node], j, 0.0) * self._img_scale[slot, node]
         edge = self._edge(p)
         layout, kernel = self.layout, self.kernel

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .hazards import SLOT_MOVES, STATES, SemiMarkovKernel, alpha, successors
+from .hazards import SLOT_MOVES, STATES, SUCCESSOR_INDEX, SemiMarkovKernel, alpha, successors
 from .lattice import PriceLattice, max_jumps_for_tail
 
 __all__ = [
@@ -232,28 +232,53 @@ def _simpson_weights(n_intervals: int, h: float) -> np.ndarray:
     return w * (h / 3.0)
 
 
-def _quad_matrix(nodes: np.ndarray, half0: float, h: float) -> np.ndarray:
-    """Triangular matrix Q with Q[k] integrating nodes[m-k]*y[m] over [t_k, T].
+def _row_weights(nodes: np.ndarray, half0: float, h: float) -> np.ndarray:
+    """Quadrature weights of every row of :func:`_quad_matrix`, each row
+    aligned at its own first node: entry ``[k, u]`` weighs ``y[k + u]`` in the
+    integral over ``[t_k, T]``, which has ``m = n - k`` intervals.
 
     Rows with an even interval count get plain composite Simpson.  Odd rows
     spend a Simpson step on their first interval with the integrand's smooth
     factor evaluated exactly at the midpoint (``half0``) and the grid function
-    linearly interpolated there, then composite Simpson on the rest.
+    linearly interpolated there, then composite Simpson on the rest.  An entry
+    is ``(w * (h/3)) * nodes[u]`` with ``w`` the Simpson weight 1, 4 or 2,
+    plus the head step on the second node of an odd row.  ``nodes`` are
+    nonnegative, so writing an odd row's Simpson part keeps the bits of
+    adding it to zero.  Rows are ``n + 2`` long and zero past their last
+    node, so the buffer read flat as ``(n+1, n+1)`` is the triangular matrix.
     """
     n = len(nodes) - 1
-    q = np.zeros((n + 1, n + 1))
-    for k in range(n + 1):
-        m = n - k
-        if m == 0:
-            continue
-        if m % 2 == 0:
-            q[k, k:] = _simpson_weights(m, h) * nodes[: m + 1]
-        else:
-            q[k, k] = (h / 6.0) * (nodes[0] + 2.0 * half0)
-            q[k, k + 1] = (h / 6.0) * (2.0 * half0 + nodes[1])
-            if m > 1:
-                q[k, k + 1 :] += _simpson_weights(m - 1, h) * nodes[1 : m + 1]
-    return q
+    third = h / 3.0
+    # away from a row's first Simpson node its weight depends on the intervals
+    # left after the node, m - u = n - (k + u): 1 at the row's end, 4 an odd
+    # count before it, 2 an even count; read as a Hankel view on (k, u)
+    left = np.where(np.arange(n + 1) % 2 == 1, 4.0, 2.0)
+    left[0] = 1.0
+    hankel = np.concatenate([(left * third)[::-1], np.zeros(n + 1)])
+    table = np.multiply(
+        np.lib.stride_tricks.sliding_window_view(hankel, n + 2),
+        np.append(nodes, 0.0),
+        out=np.empty((n + 1, n + 2)),
+    )
+    # the row of one interval is the head step alone; the horizon row is empty
+    table[n - 1 :] = 0.0
+    # each composite Simpson part opens with weight 1, on the row's first node
+    # or, after a head step, its second
+    odd = (n - np.arange(n - 1)) % 2
+    table[np.arange(n - 1), odd] = third * nodes[odd]
+    odd_rows = np.nonzero((n - np.arange(n)) % 2)[0]
+    table[odd_rows, 0] = (h / 6.0) * (nodes[0] + 2.0 * half0)
+    table[odd_rows, 1] += (h / 6.0) * (2.0 * half0 + nodes[1])
+    return table
+
+
+def _quad_matrix(nodes: np.ndarray, half0: float, h: float) -> np.ndarray:
+    """Triangular matrix Q with Q[k] integrating nodes[m-k]*y[m] over [t_k, T]
+    (see :func:`_row_weights`).  Row k of the rows table starts at flat offset
+    k*(n+2), which is entry (k, k) of a C-contiguous (n+1, n+1) matrix, and
+    the zero tails of the rows fill its lower triangle."""
+    n = len(nodes) - 1
+    return _row_weights(nodes, half0, h).reshape(-1)[: (n + 1) ** 2].reshape(n + 1, n + 1)
 
 
 @dataclass
@@ -337,6 +362,22 @@ class _AgeOperator:
         self.tables = _build_tables(kernel, t_grid, sigma)
         self.payoff = problem.payoff_on(lattice.prices)
         self.images = _slot_images(lattice)
+        # per state index, the kernel matrix of each successor slot
+        self.kernels = [
+            [self.tables.q_cont if d == alpha(i) else self.tables.q_rev for d in SLOT_MOVES]
+            for i in STATES
+        ]
+        # states with the same successor per slot share their jump targets;
+        # each such class is a run of consecutive states.  Per class and slot,
+        # the target's columns in the core read flat as (time, node x state)
+        rows = [tuple(row) for row in SUCCESSOR_INDEX.tolist()]
+        self.classes = [
+            (
+                [img * len(STATES) + j for j, (img, _) in zip(row, self.images)],
+                [ii for ii, other in enumerate(rows) if other == row],
+            )
+            for row in dict.fromkeys(rows)
+        ]
         if source is not None:
             self.source = source(self.tables.q_source)
         elif problem.w is not None:
@@ -347,16 +388,35 @@ class _AgeOperator:
             raise SolverError("running source produced non-finite integrals")
 
     def apply(self, core: np.ndarray) -> np.ndarray:
+        """The operator on ``core``: per state, the payoff discounted by
+        survival to the horizon, plus one kernel-matrix product per successor
+        slot, plus the source.
+
+        The jump target of each (successor, slot) is gathered once into one of
+        two buffers and serves every state of its class, so a sweep is eight
+        products on four gathered blocks.  Each state's sum is accumulated in
+        place in its column of the result, in the order payoff, slot 0,
+        slot 1, source; the discounted payoff is written straight into that
+        column, so it is neither kept nor copied.  Besides the result, one
+        product and the two targets of one class are held.
+        """
         out = np.empty_like(core)
-        g_term = self.tables.terminal[:, None] * self.payoff[None, :]
-        for i in STATES:
-            acc = g_term.copy()
-            for j, d, (img, scale) in zip(successors(i), SLOT_MOVES, self.images):
-                q = self.tables.q_cont if d == alpha(i) else self.tables.q_rev
-                acc += q @ (core[:, img, _STATE_INDEX[j]] * scale[None, :])
-            if self.source is not None:
-                acc += self.source[:, :, _STATE_INDEX[i]]
-            out[:, :, _STATE_INDEX[i]] = acc
+        terminal = self.tables.terminal[:, None]
+        targets = [np.empty(core.shape[:2]) for _ in SLOT_MOVES]
+        product = np.empty(core.shape[:2])
+        flat = core.reshape(len(core), -1)
+        for columns, members in self.classes:
+            for y, cols, (_, scale) in zip(targets, columns, self.images):
+                # mode="clip" writes straight into y; the columns are in range
+                np.take(flat, cols, axis=1, out=y, mode="clip")
+                y *= scale[None, :]
+            for ii in members:
+                acc = np.multiply(terminal, self.payoff[None, :], out=out[:, :, ii])
+                for q, y in zip(self.kernels[ii], targets):
+                    acc += np.matmul(q, y, out=product)
+                if self.source is not None:
+                    acc += self.source[:, :, ii]
+        del targets, product  # freed before the finiteness mask is made
         if not np.all(np.isfinite(out)):
             raise SolverError("operator sweep produced non-finite values")
         return out
@@ -517,9 +577,8 @@ class _CharacteristicSweep:
         targets = []  # per successor slot: jump targets on (time, node x state)
         for b, (img, scale) in enumerate(self.images):
             y = np.empty((n_t + 1, hi - lo, len(STATES)))
-            for ii, i in enumerate(STATES):
-                j_idx = _STATE_INDEX[successors(i)[b]]
-                y[:, :, ii] = core[:, img[lo:hi], j_idx] * scale[None, lo:hi]
+            for ii in range(len(STATES)):
+                y[:, :, ii] = core[:, img[lo:hi], SUCCESSOR_INDEX[ii, b]] * scale[None, lo:hi]
             targets.append(y.reshape(n_t + 1, width))
         # rows stay flat so every product streams along node x state; every
         # buffer is reused by every step
@@ -583,15 +642,12 @@ def _extension_points(field: ValueField, k, node, ii, s) -> np.ndarray:
     kernel, problem, lattice, t_grid = field.kernel, field.problem, field.lattice, field.t_grid
     n_t = len(t_grid) - 1
     h = t_grid[1] - t_grid[0]
-    unit = _quad_matrix(np.ones(n_t + 1), 0.0, h)
-    weights = np.zeros_like(unit)  # weights[M, u]: u-th node of a row with M intervals
-    for row in range(n_t + 1):
-        weights[n_t - row, : n_t + 1 - row] = unit[row, row:]
+    # weights[k, u]: the u-th node of the row from time node k, which has
+    # n_t - k intervals
+    weights = _row_weights(np.ones(n_t + 1), 0.0, h)
     u = np.arange(n_t + 1)
     payoff = problem.payoff_on(lattice.prices)
     images = _slot_images(lattice)
-    # per state index: the state index of each successor slot, and alpha
-    succ = np.array([[_STATE_INDEX[j] for j in successors(i)] for i in STATES])
     moves = alpha(np.array(STATES))
     out = np.empty(len(k))
     for lo in range(0, len(k), _READ_CHUNK):
@@ -605,7 +661,7 @@ def _extension_points(field: ValueField, k, node, ii, s) -> np.ndarray:
         # rows with an odd interval count open with a Simpson step: rate and
         # survival exact at age s + h/2, grid values the mean of its two ends
         head = np.where(m_int % 2 == 1, h / 3.0, 0.0) * half_surv
-        wts = weights[m_int] * surv
+        wts = weights[kc, : n_t + 1] * surv
         rows = np.minimum(kc[:, None] + u, n_t)
         acc = surv[np.arange(len(kc)), m_int] * payoff[nc]
         cont, rev = kernel.continuation.value(ages), kernel.reversal.value(ages)
@@ -613,7 +669,8 @@ def _extension_points(field: ValueField, k, node, ii, s) -> np.ndarray:
         half_rev = kernel.reversal.value(half_age)
         for slot, (img, scl) in enumerate(images):
             same = moves[ic] == SLOT_MOVES[slot]
-            vals = field.core[rows, img[nc][:, None], succ[ic, slot][:, None]] * scl[nc][:, None]
+            j = SUCCESSOR_INDEX[ic, slot]
+            vals = field.core[rows, img[nc][:, None], j[:, None]] * scl[nc][:, None]
             rate = np.where(same[:, None], cont, rev)
             half_rate = np.where(same, half_cont, half_rev)
             acc += np.sum(wts * rate * vals, axis=1) + head * half_rate * (vals[:, 0] + vals[:, 1])

@@ -13,6 +13,7 @@ from semitick import (
     SaturatingIntensity,
     SLOT_MOVES,
     STATES,
+    SUCCESSOR_INDEX,
     SemiMarkovKernel,
     SmallOrder,
     alpha,
@@ -102,6 +103,14 @@ class TestStateSpace:
         for i in STATES:
             for b, j in enumerate(successors(i)):
                 assert alpha(j) == SLOT_MOVES[b]
+
+    def test_successor_index(self):
+        # the one successor table: successors(STATES[k])[b] is STATES[SUCCESSOR_INDEX[k, b]]
+        assert SUCCESSOR_INDEX.shape == (len(STATES), len(SLOT_MOVES))
+        for k, i in enumerate(STATES):
+            assert tuple(STATES[j] for j in SUCCESSOR_INDEX[k]) == successors(i)
+        with pytest.raises(ValueError):
+            SUCCESSOR_INDEX[0, 0] = 0
 
     def test_direction_table(self):
         kernel = SemiMarkovKernel(ConstantIntensity(0.6), ConstantIntensity(0.4), 0.01)

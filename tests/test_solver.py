@@ -1,6 +1,5 @@
 """Terminal-value solver: operator sweeps, fixed point, extension, residual."""
 
-import itertools
 import json
 import math
 import tracemalloc
@@ -28,13 +27,14 @@ from semitick import (
     successors,
 )
 from semitick import solver as solver_module
-from semitick.harness import load_config
+from semitick.harness import _residual_slices, load_config
 from semitick.lattice import PriceLattice, max_jumps_for_tail
 from semitick.market_maker import QuoteGainSource
 from semitick.solver import (
     _AgeOperator,
     _CharacteristicSweep,
     _quad_matrix,
+    _row_weights,
     _simpson_weights,
 )
 
@@ -538,6 +538,16 @@ def reference_quad_matrix(nodes, half0, h):
     return q
 
 
+def reference_extension_weights(n_t, h):
+    """The extension read's table weights[M, u] of the u-th node of a row with
+    M intervals, shifted out of the unit quadrature matrix row by row."""
+    unit = reference_quad_matrix(np.ones(n_t + 1), 0.0, h)
+    weights = np.zeros_like(unit)
+    for row in range(n_t + 1):
+        weights[n_t - row, : n_t + 1 - row] = unit[row, row:]
+    return weights
+
+
 def reference_operator(field, sigma, problem=None, source=None):
     """The operator at age ``sigma`` with its tables built by
     :func:`reference_quad_matrix`."""
@@ -579,6 +589,13 @@ class TestOperatorAgreement:
         assert got.flags.c_contiguous
         assert got.tobytes() == reference_quad_matrix(nodes, half0, h).tobytes()
 
+    @pytest.mark.parametrize("n_t", [2, 3, 120, 121])
+    def test_extension_weights_match_row_loop(self, n_t):
+        h = 1.0 / n_t
+        # the read takes row k of the rows table for a point at time node k
+        got = _row_weights(np.ones(n_t + 1), 0.0, h)[::-1, : n_t + 1]
+        assert got.tobytes() == reference_extension_weights(n_t, h).tobytes()
+
     @pytest.mark.parametrize("preset", PRESETS)
     @pytest.mark.parametrize("sigma", [0.0, 0.3])
     @pytest.mark.parametrize("with_source", [False, True])
@@ -612,9 +629,33 @@ class TestOperatorAgreement:
         h = field.t_grid[1] - field.t_grid[0]
         seven = [reference_apply(reference_operator(field, s), field.core) for s in h * np.arange(7)]
         ref = pde_residual(field, seven)
-        got = pde_residual(field, itertools.repeat(extension_slice(field, 0.0), 7), 7)
+        got = pde_residual(field, _residual_slices(field, 7), 7)
         assert got.max_abs.hex() == ref.max_abs.hex()
         assert got.mean_abs.hex() == ref.mean_abs.hex()
+
+    def test_residual_slices_per_age_unless_age_invariant(self, preset_field):
+        flat = list(_residual_slices(preset_field("asymmetric-constant"), 7))
+        assert all(one is flat[0] for one in flat)
+        field = preset_field("saturating-hazard")
+        h = field.t_grid[1] - field.t_grid[0]
+        slices = list(_residual_slices(field, 7))
+        assert len({id(one) for one in slices}) == 7
+        for s, one in zip(h * np.arange(7), slices):
+            ref = reference_apply(reference_operator(field, s), field.core)
+            assert one.tobytes() == ref.tobytes()
+
+    def test_apply_peak_memory(self, preset_field):
+        # one sweep on asymmetric-constant, in (n_t + 1) x nodes blocks: the
+        # per-state sweep peaked at 8.09 (the four-block result, the discounted
+        # payoff, its copy, one target and its product); the class-shared
+        # gather holds the result, two targets and one product, about 7.09.
+        # Holding all four targets with their products takes 12.
+        field = preset_field("asymmetric-constant")
+        op = _AgeOperator(field.kernel, field.problem, field.t_grid, field.lattice)
+        block = field.core[:, :, 0].nbytes
+        op.apply(field.core)
+        assert traced_peak(lambda: op.apply(field.core)) < 8 * block
+
 
 class TestFieldIO:
     def test_roundtrip(self, saturating_kernel, tmp_path):
