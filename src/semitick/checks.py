@@ -17,7 +17,7 @@ import numpy as np
 from . import mc
 from .hazards import STATES, BigJump, alpha, successors
 from .market_maker import QuoteGainSource
-from .simulate import path_streams, renewal_segments, sample_holding, thinning_segments
+from .simulate import path_streams, renewal_blocks, sample_holding, thinning_segments
 from .solver import contraction_bound, expected_price_ode_oracle, extension_slice
 
 
@@ -94,7 +94,7 @@ def holding_ks(kernel, rng, n_draws: int) -> Check:
     """Inverse-transform holding times from age zero against F (KS p > 0.01)."""
     from scipy import stats as sps
 
-    draws = np.array([sample_holding(kernel, 0.0, u) for u in rng.uniform(1e-12, 1.0, n_draws)])
+    draws = sample_holding(kernel, 0.0, rng.uniform(1e-12, 1.0, n_draws))
     ks = sps.kstest(draws, lambda y: kernel.holding_cdf(np.maximum(y, 0.0)))
     return Check(
         "holding_ks", ks.pvalue > 0.01, f"p={ks.pvalue:.4f} on {n_draws} draws",
@@ -115,19 +115,22 @@ def transition_freq(kernel, rng, n_draws: int) -> Check:
     return Check("transition_freq", ok, "; ".join(details))
 
 
-def _holding_times(segments, start_age: float) -> list:
-    """Durations between consecutive big jumps of one path's segments from
-    time zero: a renewal mark is the successor state, a thinning mark a
-    ``BigJump`` (small orders and thinned candidates are skipped).
+def _holding_times(times, path, start_age: float) -> np.ndarray:
+    """Durations between consecutive big jumps of paths from time zero, from
+    the jump ``times`` of each path in order and the ``path`` of each jump,
+    paths in order.
 
-    The stretch before the first jump is included only when the path
+    The stretch before a path's first jump is included only when the paths
     started at age zero (otherwise its law is the conditional one); the
-    censored stretch after the last jump is dropped.
+    censored stretch after the last jump is dropped.  First stretches come
+    first, then the others, each path's in order.
     """
-    times = [t1 for _, t1, _, _, _, _, mark in segments if isinstance(mark, (int, BigJump))]
-    out = [times[0]] if start_age == 0.0 and times else []
-    out.extend(np.diff(times).tolist())
-    return out
+    times, path = np.asarray(times, dtype=float), np.asarray(path)
+    same = path[1:] == path[:-1]
+    rest = np.diff(times)[same]
+    if start_age != 0.0 or not len(times):
+        return rest
+    return np.concatenate([times[np.append(True, ~same)], rest])
 
 
 def renewal_vs_thinning(kernel, layout, market, horizon: float, n_paths: int, seed: int) -> Check:
@@ -137,13 +140,17 @@ def renewal_vs_thinning(kernel, layout, market, horizon: float, n_paths: int, se
     from scipy import stats as sps
 
     start = (0.0, market.price, market.state, market.age)
-    renewal, thinning = [], []
-    streams = zip(path_streams(seed, 0, n_paths), path_streams(seed + 1, 0, n_paths))
-    for rng, rng_thin in streams:
-        renewal += _holding_times(renewal_segments(kernel, start, horizon, rng), market.age)
-        thinning += _holding_times(
-            thinning_segments(kernel, layout, start, horizon, rng_thin), market.age
-        )
+    renewal = []
+    for lo, path, last, (_, t1, *_) in renewal_blocks(kernel, start, horizon, n_paths, seed):
+        renewal.append(_holding_times(t1[~last], lo + path[~last], market.age))
+    renewal = np.concatenate(renewal)
+    times, paths = [], []
+    for idx, rng in enumerate(path_streams(seed + 1, 0, n_paths)):
+        for _, t1, *_, mark in thinning_segments(kernel, layout, start, horizon, rng):
+            if isinstance(mark, BigJump):
+                times.append(t1)
+                paths.append(idx)
+    thinning = _holding_times(times, paths, market.age)
     ks = sps.ks_2samp(renewal, thinning)
     return Check(
         "renewal_vs_thinning", ks.pvalue > 0.01,

@@ -33,7 +33,7 @@ from . import checks
 from . import market_maker as mm
 from .hazards import ConstantIntensity, MarkLayout, SaturatingIntensity, SemiMarkovKernel
 from .lattice import max_jumps_for_tail
-from .simulate import AgentState, MarketState, path_streams, renewal_segments
+from .simulate import AgentState, MarketState, renewal_blocks
 from .solver import (
     GridSpec,
     SolverError,
@@ -379,22 +379,24 @@ def load_config(path_or_name) -> ExperimentConfig:
 
 # one renewal path's block of paths_summary.json as json.dumps(indent=2,
 # sort_keys=True) lays it out; its events are its big jumps, and the values
-# are Python ints and floats, whose repr is what json writes for them
+# are Python ints and floats, whose repr is what json writes for them.  The
+# fields, in order: horizon, jump count (twice), master seed, path index,
+# terminal age, price and state
 _SUMMARY_BLOCK = """\
-    {{
-      "horizon": {horizon!r},
+    {
+      "horizon": %r,
       "method": "renewal",
-      "n_big_jumps": {n_jumps!r},
-      "n_events": {n_jumps!r},
+      "n_big_jumps": %r,
+      "n_events": %r,
       "n_small_orders": 0,
       "seed": [
-        {seed[0]!r},
-        {seed[1]!r}
+        %r,
+        %r
       ],
-      "terminal_age": {terminal_age!r},
-      "terminal_price": {terminal_price!r},
-      "terminal_state": {terminal_state!r}
-    }}"""
+      "terminal_age": %r,
+      "terminal_price": %r,
+      "terminal_state": %r
+    }"""
 
 
 def _cmd_simulate(cfg: ExperimentConfig, out: FsPath, quiet: bool) -> int:
@@ -409,22 +411,26 @@ def _cmd_simulate(cfg: ExperimentConfig, out: FsPath, quiet: bool) -> int:
         fh.write(
             "path,time,kind,target_or_side,units,price_before,price_after,age_before\n"
         )
-        for idx, rng in enumerate(path_streams(cfg.seed, 0, cfg.n_paths)):
-            segments = renewal_segments(cfg.kernel, start, cfg.horizon, rng)
-            _, t1, p, i, _, s1, j = next(segments)
-            n_jumps = 0
-            for after in segments:
-                # a jump into j at t1; the next segment starts at the price it moved to
-                fh.write(
-                    f"{idx},{float(t1)!r},big,{j},0,"
-                    f"{float(p)!r},{float(after[2])!r},{float(s1)!r}\n"
+        blocks = renewal_blocks(cfg.kernel, start, cfg.horizon, cfg.n_paths, cfg.seed)
+        for lo, path, last, (_, t1, p, i, _, s1, j) in blocks:
+            # a jump into j at t1; the path's next segment starts at the price it moved to
+            jump = np.flatnonzero(~last)
+            fh.write("".join(
+                f"{idx},{t!r},big,{target},0,{before!r},{after!r},{age!r}\n"
+                for idx, t, target, before, after, age in zip(
+                    (lo + path[jump]).tolist(), t1[jump].tolist(), j[jump].tolist(),
+                    p[jump].tolist(), p[jump + 1].tolist(), s1[jump].tolist(),
                 )
-                n_jumps += 1
-                _, t1, p, i, _, s1, j = after
-            # the stream is path_rng(master seed, path index)
-            summary.write((",\n" if idx else "") + _SUMMARY_BLOCK.format(
-                horizon=cfg.horizon, n_jumps=n_jumps, seed=(cfg.seed, idx),
-                terminal_age=s1, terminal_price=p, terminal_state=i,
+            ))
+            # the stream of path idx is path_rng(master seed, idx)
+            ends = zip(
+                range(lo, lo + int(path[-1]) + 1), (np.bincount(path) - 1).tolist(),
+                s1[last].tolist(), p[last].tolist(), i[last].tolist(),
+            )
+            summary.write("".join(
+                (",\n" if idx else "")
+                + _SUMMARY_BLOCK % (cfg.horizon, n_jumps, n_jumps, cfg.seed, idx, age, price, state)
+                for idx, n_jumps, age, price, state in ends
             ))
         summary.write("\n  ]\n}")
     if not quiet:

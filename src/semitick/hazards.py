@@ -111,6 +111,31 @@ class ConstantIntensity:
         return self.level
 
 
+# phi(x) = x + expm1(-x) = x**2 * sum over m >= 0 of (-x)**m / (m + 2)!; below
+# the cutoff the sum cancels, so the series is summed instead (by Horner, highest
+# power first), its first dropped term below 1e-17 relative at x = 0.5
+_PHI_CUT = 0.5
+_PHI_SERIES = tuple((-1) ** m / math.factorial(m + 2) for m in reversed(range(14)))
+
+
+def _phi(x):
+    """``x + expm1(-x)`` for ``x >= 0``, a float or an array, accurate to a few
+    ulps: by its Taylor series below ``_PHI_CUT``, directly above it."""
+    if isinstance(x, float):
+        if x >= _PHI_CUT:
+            return x + math.expm1(-x)
+        acc = 0.0
+        for c in _PHI_SERIES:
+            acc = acc * x + c
+        return acc * x * x
+    small = np.minimum(x, _PHI_CUT)  # keeps the series finite where it is not used
+    acc = np.full_like(small, _PHI_SERIES[0])
+    for c in _PHI_SERIES[1:]:
+        acc *= small
+        acc += c
+    return np.where(x < _PHI_CUT, acc * small * small, x + np.expm1(-x))
+
+
 @dataclass(frozen=True)
 class SaturatingIntensity:
     """Intensity h(y) = base + gain * (1 - exp(-rate * y)).
@@ -141,17 +166,22 @@ class SaturatingIntensity:
         return float(out) if out.ndim == 0 else out
 
     def increment(self, s0, w):
-        """Integrated intensity on [s0, s0 + w], formed without the difference
-        of the integrated intensities at s0 + w and s0, which cancels at large
-        s0; broadcasts over both, with a scalar path for the holding-time draws."""
+        """Integrated intensity on [s0, s0 + w], as
+        ``base * w + (gain / rate) * phi(rate * w) + (gain / rate) *
+        expm1(-rate * s0) * expm1(-rate * w)``: a sum of nonnegative terms, so
+        it cancels neither at large s0, as the difference of the integrated
+        intensities at s0 + w and s0 does, nor at small w; broadcasts over
+        both, and only the last product takes their joint shape."""
+        scale = self.gain / self.rate
         if isinstance(s0, (float, int)) and isinstance(w, (float, int)):
-            return (self.base + self.gain) * w + (self.gain / self.rate) * math.exp(
-                -self.rate * s0
-            ) * math.expm1(-self.rate * w)
+            x = self.rate * w
+            return (
+                self.base * w + scale * _phi(x)
+                + scale * math.expm1(-self.rate * s0) * math.expm1(-x)
+            )
         s0, w = np.asarray(s0, dtype=float), np.asarray(w, dtype=float)
-        out = (self.base + self.gain) * w + (self.gain / self.rate) * np.exp(
-            -self.rate * s0
-        ) * np.expm1(-self.rate * w)
+        x = self.rate * w
+        out = (self.base * w + scale * _phi(x)) + (scale * np.expm1(-self.rate * s0)) * np.expm1(-x)
         return float(out) if out.ndim == 0 else out
 
     @property
@@ -247,11 +277,21 @@ class SemiMarkovKernel:
         """Probability that the next state is ``j`` given the holding lasted ``y``."""
         return self.directed_intensity(i, j, y) / self.total_intensity(y)
 
-    def transition_weights(self, i: int, y: float) -> tuple[tuple[int, int], tuple[float, float]]:
-        """Successor states of ``i`` (ascending) and their probabilities at age y."""
-        succ = successors(i)
-        first = self.transition_prob(i, succ[0], float(y))
-        return succ, (first, 1.0 - first)
+    def transition_weights(self, i, y) -> tuple[tuple, tuple]:
+        """Successor states of ``i`` (ascending) and their probabilities at
+        age y; broadcasts over an integer array ``i`` and ``y``, with arrays
+        in place of the two states and the two probabilities, and gives ints
+        and floats at scalars."""
+        i = np.asarray(i)
+        off = ~np.isin(i, STATES)
+        if off.any():
+            raise ValueError(f"state {i[off].flat[0].item()!r} is not one of {STATES}")
+        succ = STATES[0] + SUCCESSOR_INDEX[i - STATES[0], 0]
+        cont, rev = self.continuation.value(y), self.reversal.value(y)
+        first = np.where(alpha(succ) == alpha(i), cont, rev) / (cont + rev)
+        if first.ndim == 0:
+            return (int(succ), int(succ) + 1), (float(first), 1.0 - float(first))
+        return (succ, succ + 1), (first, 1.0 - first)
 
 
 # -- mark layout ---------------------------------------------------------

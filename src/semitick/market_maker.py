@@ -49,7 +49,6 @@ from .solver import (
     ValueField,
     _CharacteristicSweep,
     _slot_images,
-    _write_rows,
     extension_slice,
     solve_fixed_point,
 )
@@ -274,14 +273,20 @@ class QuoteGainSource:
         leading axis in ``SLOT_MOVES`` order; broadcasts over all four
         arguments."""
         t, p, s = (np.asarray(x, dtype=float) for x in (t, p, s))
-        i = np.asarray(i)
         node = self.lattice.locate(p)
-        # the read refuses a state outside STATES before the successor lookup
-        pi_here = self.field.read(t, node, i, s)
-        slot = np.arange(len(SLOT_MOVES)).reshape((-1,) + (1,) * pi_here.ndim)
+        t, node, i, s = np.broadcast_arrays(t, node, np.asarray(i), s)
+        slot = np.arange(len(SLOT_MOVES)).reshape((-1,) + (1,) * node.ndim)
         d = np.asarray(SLOT_MOVES)[slot]
-        j = STATES[0] + SUCCESSOR_INDEX[i.astype(int) - STATES[0], slot]
-        pi_img = self.field.read(t, self._img_idx[slot, node], j, 0.0) * self._img_scale[slot, node]
+        # a state outside STATES looks up the successors of STATES[0]; the
+        # read below refuses it at the state's own point, which comes first
+        k = np.where(np.isin(i, STATES), i, STATES[0]).astype(int) - STATES[0]
+        j = STATES[0] + SUCCESSOR_INDEX[k, slot]
+        # one read of the state's own point and both jump images, at age zero
+        values = self.field.read(
+            t, np.concatenate([node[None], self._img_idx[slot, node]]),
+            np.concatenate([i[None], j]), np.concatenate([s[None], np.zeros(j.shape)]),
+        )
+        pi_here, pi_img = values[0], values[1:] * self._img_scale[slot, node]
         edge = self._edge(p)
         layout, kernel = self.layout, self.kernel
         flow = np.where(
@@ -649,11 +654,13 @@ def export_policy_csv(
             meta.update(header_meta)
         fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
         fh.write("t,p,i,s,quote_ask,quote_bid\n")
+        n_report = len(p_txt)
         for s in map(float, s_values):
             rates = source._age_free_rates if source._age_free else source.gain_rates_at_age(s)
             for ii, i in enumerate(STATES):
+                # every line tail of this (age, state), at code * n_report + node
+                lines = [f"{p},{i},{s!r},{bits}" for bits in _QUOTE_BITS for p in p_txt]
                 bid, ask = rates[..., ii][:, :, keep] > 0.0
-                codes = 2 * ask + bid
-                heads = [f"{p},{i},{s!r}," for p in p_txt]
-                for ki, lead in enumerate(t_leads):
-                    _write_rows(fh, lead, heads, map(_QUOTE_BITS.__getitem__, codes[ki].tolist()))
+                picks = (2 * ask + bid) * n_report + np.arange(n_report)
+                for lead, row in zip(t_leads, picks.tolist()):
+                    fh.write(lead + ("\n" + lead).join(map(lines.__getitem__, row)) + "\n")

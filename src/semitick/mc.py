@@ -4,11 +4,14 @@ controlled processes.
 
 Every path draws from its own stream ``path_rng(seed, index)``, seeded a
 block at a time by ``path_streams``, through the
-event generators of ``simulate``, so the draws and their order do not depend on
-how paths are grouped.  ``_blocks`` folds paths ``_PATH_BLOCK`` at a time, or
-fewer once a block holds ``_ROW_BUDGET`` rows, into flat row columns; it is
-the one path fold, which ``market_maker.backtest`` shares.  Here the rows are
-inter-jump segments.  On a segment the price and direction are
+event constructions of ``simulate``, so the draws and their order do not
+depend on how paths are grouped.  Paths come in blocks of flat row columns,
+1,024 paths at a time or fewer: renewal paths from
+``simulate.renewal_blocks``, which moves a block in lockstep, and thinning
+paths from ``_blocks``, which collects one path's rows at a time and closes
+a block of ``_PATH_BLOCK`` paths early once it holds ``_ROW_BUDGET`` rows;
+``market_maker.backtest`` shares ``_blocks``.  Here the rows are inter-jump
+segments.  On a segment the price and direction are
 constant and the age grows at unit slope, so running-cost integrals use the
 composite Simpson rule the solver uses, with the age varying along the
 segment.  All nodes of all segments of a block in one direction state are
@@ -34,7 +37,7 @@ from .hazards import (
     equivalent,
     successors,
 )
-from .simulate import order_fill, path_streams, renewal_segments, thinning_segments
+from .simulate import order_fill, path_streams, renewal_blocks, thinning_segments
 from .solver import _simpson_weights
 
 __all__ = [
@@ -156,12 +159,10 @@ def estimate_terminal_value(
     if not 0.0 <= start[0] <= horizon:
         raise ValueError("start time must lie in [0, horizon]")
     weights = _simpson_weights(segment_subdiv, 3.0)
-
-    def segments(rng):
-        return [seg[:5] for seg in renewal_segments(kernel, start, horizon, rng)]
-
     values = np.empty(n_paths)
-    for lo, path, last, (t0, t1, p, i, s0) in _blocks(n_paths, seed, segments):
+    for lo, path, last, (t0, t1, p, i, s0, _, _) in renewal_blocks(
+        kernel, start, horizon, n_paths, seed
+    ):
         end_p = p[last]
         total = np.broadcast_to(np.asarray(g(end_p), dtype=float), end_p.shape)
         if w is not None:
@@ -345,9 +346,10 @@ def dynkin_battery(
     start_seg = (0.0, market.price, market.state, market.age)
     if control is None:
         agent_xy = ()
-
-        def segments(rng):
-            return [seg[:5] for seg in renewal_segments(kernel, start_seg, t, rng)]
+        blocks = (
+            (lo, path, last, columns[:5])
+            for lo, path, last, columns in renewal_blocks(kernel, start_seg, t, n_paths, seed)
+        )
 
         def events(*here):
             return _events_unc(kernel, *here)
@@ -359,6 +361,8 @@ def dynkin_battery(
                 kernel, layout, start_seg, t, agent, control, transaction_cost, rng
             )
 
+        blocks = _blocks(n_paths, seed, segments)
+
         def events(*here):
             return _events_ctl(
                 kernel, layout, transaction_cost, control, include_small_orders, *here
@@ -368,7 +372,7 @@ def dynkin_battery(
     frac = np.linspace(0.0, 1.0, segment_subdiv + 1)
     psi0 = [tf.psi(market.price, market.state, market.age, *agent_xy) for tf in tfs]
     values = np.empty((len(tfs), n_paths))
-    for lo, path, last, (t0, t1, p, i, s0, *xy) in _blocks(n_paths, seed, segments):
+    for lo, path, last, (t0, t1, p, i, s0, *xy) in blocks:
         i = i.astype(int)
         ages = s0[:, None] + (t1 - t0)[:, None] * frac
         generator = np.empty((len(tfs),) + ages.shape)

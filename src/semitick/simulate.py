@@ -1,36 +1,43 @@
 """Exact simulation of the tick-price triple (price, direction state, age)
 and of the controlled quintuple including the agent's cash and inventory.
 
-Market events come from exactly two generators, one per construction:
+Market events come from exactly two constructions:
 
-* ``renewal_segments``: inverse-CDF holding times plus categorical
-  transitions, one segment per holding time;
+* renewal: inverse-CDF holding times plus categorical transitions, one
+  segment per holding time.  ``renewal_blocks`` moves a block of paths in
+  lockstep on arrays, one segment of every live path per step, and yields
+  the block's segments as columns; ``renewal_segments`` is a block of one
+  path, yielded as tuples;
 * ``thinning_segments``: a dominating homogeneous Poisson stream on the time
   axis with uniform marks resolved through the mark-interval layout, one
   segment per candidate point, thinned ``NO_EVENT`` candidates included.
 
-Each yields tuples ``(t0, t1, p, i, s0, s1, mark)``: price ``p`` and state
-``i`` hold on ``[t0, t1)`` while the age grows from ``s0`` to ``s1``, so
+A segment is ``(t0, t1, p, i, s0, s1, mark)``: price ``p`` and state ``i``
+hold on ``[t0, t1)`` while the age grows from ``s0`` to ``s1``, so
 ``(p, i, s1)`` is the left limit at ``t1``.  ``mark`` is what happens at
 ``t1``: the successor state (renewal) or a ``BigJump``, ``SmallOrder`` or
-``NO_EVENT`` (thinning); it is None on the last segment, which the horizon
-cuts, so a fold ends on the terminal state.
+``NO_EVENT`` (thinning); the horizon cuts the last segment, whose mark is
+None in a tuple and 0 in a column, so a fold ends on the terminal state.
 
-Every consumer folds over one generator, and there is no other path
+Every consumer folds over one construction, and there is no other path
 representation.  ``harness``'s ``simulate`` command,
-``mc.estimate_terminal_value`` and the uncontrolled ``mc.dynkin_battery``
-fold over renewal; ``market_maker.backtest`` and the controlled
-``mc.dynkin_battery`` fold over thinning, through the one Monte-Carlo path
-fold ``mc._blocks``, and settle fills with ``order_fill``; the
-``renewal_vs_thinning`` check takes the big-jump times of both.  The market
-ignores the agent, so neither generator takes a policy.
+``mc.estimate_terminal_value``, the uncontrolled ``mc.dynkin_battery`` and
+the renewal half of the ``renewal_vs_thinning`` check fold the columns of
+``renewal_blocks``; ``market_maker.backtest`` and the controlled
+``mc.dynkin_battery`` fold thinning paths through ``mc._blocks`` and settle
+fills with ``order_fill``.  The market ignores the agent, so neither
+construction takes a policy.
 
 Draw-order contract: per segment renewal draws one open uniform for the
 holding time and then, unless the horizon cuts the holding, one uniform for
 the successor; thinning draws one exponential gap and then, unless the
 horizon cuts it, one uniform mark.  Seeded outputs depend on this order.
-The two constructions share no draws, so they stay independent checks of
-one law for (price, state, age).
+Renewal draws only uniforms, and ``Generator.random(k)`` returns the next
+``k`` of them, so a renewal block prefetches each path's uniforms in one
+call and reads them in that order.  Thinning interleaves exponential and
+uniform draws, so it could not prefetch without reordering its stream, and
+it draws one path at a time.  The two constructions share no draws, so they
+stay independent checks of one law for (price, state, age).
 """
 
 from __future__ import annotations
@@ -48,6 +55,7 @@ __all__ = [
     "AgentState",
     "path_rng",
     "path_streams",
+    "renewal_blocks",
     "renewal_segments",
     "thinning_segments",
     "order_fill",
@@ -100,7 +108,10 @@ _MASK32 = 0xFFFFFFFF
 _MASK128 = (1 << 128) - 1
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_SEED_BLOCK = 1024  # paths seeded by one set of array operations
+# paths seeded by one set of array operations, and moved in lockstep by one
+# renewal block
+_SEED_BLOCK = 1024
+_BLOCK_ROWS = 2**18  # expected segments of one renewal block, at most
 
 
 def _hash_consts(init: int, mult: int, n: int) -> list:
@@ -173,22 +184,18 @@ def path_streams(master_seed: int, first: int, n: int):
             yield rng
 
 
-def _uniform_open(rng: np.random.Generator) -> float:
-    u = rng.random()
-    while u == 0.0:
-        u = rng.random()
-    return u
-
-
-def sample_holding(kernel: SemiMarkovKernel, s0: float, u: float) -> float:
-    """Waiting time w > 0 with conditional law F given current age ``s0``.
+def sample_holding(kernel: SemiMarkovKernel, s0, u):
+    """Waiting times w > 0 with conditional law F given current ages ``s0``;
+    broadcasts over ``s0`` and ``u``, and returns a float at scalars.
 
     Solves (F(s0+w) - F(s0)) / (1 - F(s0)) = u, that is
-    ``kernel.integrated_increment(s0, w) = -log1p(-u)``.  Flat total
-    intensity gives the closed exponential form.  Otherwise the increment,
-    formed directly rather than as a difference of integrated intensities
-    (which cancels at large ages), is inverted by Newton's method with the
-    total intensity as derivative.  The intensity is nondecreasing, so the
+    ``kernel.integrated_increment(s0, w) = -log1p(-u)``, with the target
+    formed by ``math.log1p`` on every element.  Flat total intensity gives
+    the closed exponential form.  Otherwise the increment, formed directly
+    rather than as a difference of integrated intensities (which cancels at
+    large ages), is inverted by Newton's method with the total intensity as
+    derivative, on all elements at once; an element leaves the iteration
+    when its bracket closes.  The intensity is nondecreasing, so the
     increment is convex in w: the start ``target / h(s0)`` lies right of the
     root and the iterates fall onto it.  A bracket safeguards the iteration
     (an iterate outside it is replaced by a bisection step), and a step too
@@ -196,56 +203,77 @@ def sample_holding(kernel: SemiMarkovKernel, s0: float, u: float) -> float:
     the upper end of the bracket once its ends are adjacent floats: the
     smallest w at which the computed increment reaches the target, so it is
     nondecreasing in ``u`` wherever the computed increment is nondecreasing
-    in w (rounding can break that by a few ulps where the increment cancels,
-    as with a saturating intensity of base zero at small w).
+    in w.
+
+    Refuses, naming the first offending element, a ``u`` outside (0, 1) and
+    then an age that is not finite or is negative.
     """
-    if not 0.0 < u < 1.0:
-        raise ValueError(f"u must lie strictly inside (0, 1), got {u}")
-    if not math.isfinite(s0):
-        raise ValueError(f"current age must be finite, got {s0}")
-    if s0 < 0:
+    scalar = np.ndim(s0) == 0 and np.ndim(u) == 0
+    u, s0 = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(s0, dtype=float))
+    shape, u, s0 = u.shape, u.ravel(), s0.ravel()
+    bad = ~((0.0 < u) & (u < 1.0))
+    if bad.any():
+        raise ValueError(f"u must lie strictly inside (0, 1), got {float(u[bad][0])}")
+    bad = ~np.isfinite(s0)
+    if bad.any():
+        raise ValueError(f"current age must be finite, got {float(s0[bad][0])}")
+    if (s0 < 0).any():
         raise ValueError("current age must be nonnegative")
-    target = -math.log1p(-u)  # integrated intensity the increment must accrue
+    # integrated intensity the increment must accrue
+    target = np.array([-math.log1p(-x) for x in u.tolist()])
     if kernel.is_memoryless:
-        return target / kernel.total_intensity(0.0)
-    lo, hi = 0.0, math.inf  # the increment is below the target at lo, not below at hi
+        out = target / kernel.total_intensity(0.0)
+    else:
+        out = _newton_holding(kernel, s0, target)
+    return float(out[0]) if scalar else out.reshape(shape)
+
+
+def _newton_holding(kernel: SemiMarkovKernel, s0: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """The masked Newton iteration of :func:`sample_holding` on flat arrays."""
+    out = np.empty(len(target))
+    rows = np.arange(len(target))
+    lo, hi = np.zeros(len(target)), np.full(len(target), math.inf)
     w = target / kernel.total_intensity(s0)
     for _ in range(_MAX_STEPS):
         gap = kernel.integrated_increment(s0, w) - target
-        if gap < 0.0:
-            lo = w
-        else:
-            hi = w
-        if math.nextafter(lo, math.inf) == hi:
-            break
+        below = gap < 0.0  # the increment is below the target at lo, not below at hi
+        lo, hi = np.where(below, w, lo), np.where(below, hi, w)
+        done = np.nextafter(lo, math.inf) == hi
+        out[rows[done]] = hi[done]
+        if done.all():
+            return out
+        keep = ~done
+        rows, s0, target, w, lo, hi, gap, below = (
+            x[keep] for x in (rows, s0, target, w, lo, hi, gap, below)
+        )
         step = w - gap / kernel.total_intensity(s0 + w)
-        if step == w:  # converged to within an ulp: probe the neighbour toward the root
-            step = math.nextafter(w, math.inf if gap < 0.0 else 0.0)
-        w = step if lo < step < hi else 0.5 * (lo + hi)
-    return hi
+        # converged to within an ulp: probe the neighbour toward the root
+        step = np.where(step == w, np.nextafter(w, np.where(below, math.inf, 0.0)), step)
+        w = np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
+    out[rows] = hi
+    return out
 
 
-def sample_transition(kernel: SemiMarkovKernel, i: int, y: float, u: float) -> int:
-    """Next state after a holding of length ``y``, drawn with a uniform ``u``.
+def sample_transition(kernel: SemiMarkovKernel, i, y, u):
+    """Next states after holdings of length ``y`` from states ``i``, drawn
+    with uniforms ``u``; broadcasts over all three, and returns an int at
+    scalars.
 
     Successors are enumerated in increasing order and the draw is resolved
     against their cumulative transition probabilities.
     """
-    succ, weights = kernel.transition_weights(i, y)
-    return succ[0] if u < weights[0] else succ[1]
-
-
-def _price_after(p: float, delta: float, j: int) -> float:
-    price = p * (1.0 + delta * alpha(j))
-    if math.isinf(price):
-        raise OverflowError(f"the price overflows: a jump from {p!r} at tick size {delta!r}")
-    return price
+    (first, second), (weight, _) = kernel.transition_weights(i, y)
+    j = np.where(u < weight, first, second)
+    return int(j) if j.ndim == 0 else j
 
 
 def _right_limit(p: float, i: int, s: float, mark, delta: float) -> tuple:
     """(price, state, age) right after ``mark`` occurs at the left limit ``(p, i, s)``."""
     if isinstance(mark, BigJump):
-        return _price_after(p, delta, mark.target), mark.target, 0.0
+        price = p * (1.0 + delta * alpha(mark.target))
+        if math.isinf(price):
+            raise OverflowError(f"the price overflows: a jump from {p!r} at tick size {delta!r}")
+        return price, mark.target, 0.0
     return p, i, s
 
 
@@ -258,23 +286,141 @@ def _check_start(t: float, s: float, horizon: float) -> None:
         raise ValueError(f"start age must be finite and >= 0, got {s!r}")
 
 
+def _prefetch_width(kernel: SemiMarkovKernel, span: float) -> int:
+    """Uniforms prefetched per renewal path over a time ``span``: two per
+    jump for the mean jump count at the total intensity bound plus six of
+    its standard deviations and two, and one for the holding the horizon
+    cuts.  A path needs more with a probability below 1e-9."""
+    mean = (kernel.continuation.upper_bound + kernel.reversal.upper_bound) * span
+    return 2 * math.ceil(mean + 6.0 * math.sqrt(mean) + 2.0) + 1
+
+
+class _Uniforms:
+    """Each path's uniforms in its stream's order: a prefetched run per path,
+    extended by ``refill(path, n_fetched)``, the stream's next uniforms after
+    the ``n_fetched`` already fetched, once the path has read its run."""
+
+    def __init__(self, runs: np.ndarray, refill):
+        n, width = runs.shape
+        self.pool = runs.ravel()
+        self.next = np.arange(n) * width  # pool position of each path's next uniform
+        self.end = self.next + width  # end of each path's current run
+        self.fetched = np.full(n, width)
+        self.refill = refill
+
+    def take(self, rows: np.ndarray) -> np.ndarray:
+        """The next uniform of every path in ``rows``."""
+        for r in rows[self.next[rows] == self.end[rows]].tolist():
+            run = self.refill(r, int(self.fetched[r]))
+            self.next[r], self.end[r] = len(self.pool), len(self.pool) + len(run)
+            self.fetched[r] += len(run)
+            self.pool = np.concatenate([self.pool, run])
+        u = self.pool[self.next[rows]]
+        self.next[rows] += 1
+        return u
+
+    def take_open(self, rows: np.ndarray) -> np.ndarray:
+        """The next nonzero uniform of every path in ``rows``: a zero is
+        skipped, as a scalar draw of an open uniform would reject it."""
+        u = self.take(rows)
+        zero = np.flatnonzero(u == 0.0)
+        while zero.size:
+            u[zero] = self.take(rows[zero])
+            zero = zero[u[zero] == 0.0]
+        return u
+
+
+def _renewal_block(kernel: SemiMarkovKernel, start, horizon: float, uniforms: _Uniforms):
+    """Renewal paths from ``start = (t, price, state, age)`` to the horizon,
+    one per row of ``uniforms``, moved in lockstep: every step draws one
+    holding time for each live path and, for each whose holding the horizon
+    does not cut, its successor and its next price.
+
+    Returns the block-local path index of every segment and the segment
+    columns ``(t0, t1, p, i, s0, s1, mark)``, path by path and in segment
+    order within a path, with mark 0 on each path's last segment."""
+    n = len(uniforms.next)
+    live = np.arange(n)
+    t, p = np.full(n, float(start[0])), np.full(n, float(start[1]))
+    i, s = np.full(n, int(start[2])), np.full(n, float(start[3]))
+    steps = []
+    while live.size:
+        w = sample_holding(kernel, s, uniforms.take_open(live))
+        t1 = t + w
+        cut = t1 > horizon
+        if cut.any():
+            tc, sc = t[cut], s[cut]
+            steps.append((live[cut], tc, np.full(len(tc), horizon), p[cut], i[cut], sc,
+                          sc + (horizon - tc), np.zeros(len(tc), dtype=int)))
+            go = ~cut
+            live, t, t1, p, i, s, w = (x[go] for x in (live, t, t1, p, i, s, w))
+            if not live.size:
+                break
+        y = s + w
+        j = sample_transition(kernel, i, y, uniforms.take(live))
+        steps.append((live, t, t1, p, i, s, y, j))
+        with np.errstate(over="ignore"):
+            p_next = p * (1.0 + kernel.delta * alpha(j))
+        over = np.isinf(p_next)
+        if over.any():
+            raise OverflowError(
+                f"the price overflows: a jump from {float(p[over][0])!r} "
+                f"at tick size {kernel.delta!r}"
+            )
+        t, p, i, s = t1, p_next, j, np.zeros(len(live))
+    path, *columns = (np.concatenate(col) for col in zip(*steps))
+    order = np.argsort(path, kind="stable")
+    return path[order], tuple(col[order] for col in columns)
+
+
+def renewal_blocks(kernel: SemiMarkovKernel, start, horizon: float, n_paths: int, seed: int):
+    """Renewal paths ``0 .. n_paths - 1`` from ``start = (t, price, state,
+    age)`` to the horizon, path ``idx`` drawn from ``path_rng(seed, idx)``,
+    in blocks of at most ``_SEED_BLOCK`` paths moved in lockstep.
+
+    A block also holds no more paths than keep its expected segment count
+    within ``_BLOCK_ROWS``.  Each path's uniforms are prefetched from its
+    stream with one ``Generator.random`` call; a path that reads them all is
+    refilled from ``path_rng(seed, idx)`` advanced past them.  Yields the
+    block's first path index, the block-local path index of every segment,
+    the mask of each path's last segment and the segment columns ``(t0, t1,
+    p, i, s0, s1, mark)``, as ``mc._blocks`` does.  The start and horizon are
+    refused as by :func:`renewal_segments`, when the first block is drawn."""
+    _check_start(start[0], start[3], horizon)
+    width = _prefetch_width(kernel, horizon - start[0])
+    # a path has width / 2 segments or fewer in expectation
+    size = max(1, min(_SEED_BLOCK, 2 * _BLOCK_ROWS // width))
+    for lo in range(0, n_paths, size):
+        runs = np.empty((min(size, n_paths - lo), width))
+        for run, rng in zip(runs, path_streams(seed, lo, len(runs))):
+            rng.random(out=run)
+
+        def refill(r, fetched, lo=lo):
+            rng = path_rng(seed, lo + r)
+            rng.bit_generator.advance(fetched)
+            return rng.random(width)
+
+        path, columns = _renewal_block(kernel, start, horizon, _Uniforms(runs, refill))
+        yield lo, path, np.append(path[1:] != path[:-1], True), columns
+
+
 def renewal_segments(kernel: SemiMarkovKernel, start, horizon: float, rng):
-    """Renewal construction from ``start = (t, price, state, age)`` to the
-    horizon: one segment per holding time, marked with the successor state.
+    """Renewal construction of one path from ``start = (t, price, state,
+    age)`` to the horizon, drawn from ``rng``: one segment per holding time,
+    marked with the successor state.  The path is a block of one; its
+    uniforms are fetched from ``rng`` in runs, so ``rng`` may be left past
+    the path's last draw.
 
     A start time or horizon that is not finite, a start time past the
     horizon, or a start age that is not finite or is negative raises
     ``ValueError`` when the first segment is drawn."""
-    t, p, i, s = start
-    _check_start(t, s, horizon)
-    while True:
-        w = sample_holding(kernel, s, _uniform_open(rng))
-        if t + w > horizon:
-            yield t, horizon, p, i, s, s + (horizon - t), None
-            return
-        j = sample_transition(kernel, i, s + w, rng.random())
-        yield t, t + w, p, i, s, s + w, j
-        t, p, i, s = t + w, _price_after(p, kernel.delta, j), j, 0.0
+    _check_start(start[0], start[3], horizon)
+    width = _prefetch_width(kernel, horizon - start[0])
+    uniforms = _Uniforms(rng.random((1, width)), lambda r, fetched: rng.random(width))
+    _, columns = _renewal_block(kernel, start, horizon, uniforms)
+    rows = list(zip(*(col.tolist() for col in columns)))
+    yield from rows[:-1]
+    yield rows[-1][:-1] + (None,)
 
 
 def thinning_segments(kernel: SemiMarkovKernel, layout: MarkLayout, start, horizon: float, rng):

@@ -838,5 +838,5 @@ def save_field_csv(field: ValueField, path, header_meta: Optional[dict] = None) 
 
 def _write_rows(fh, lead: str, heads: list, tails) -> None:
     """Write the lines ``lead + head + tail`` with one join and one write;
-    the grid writers stream one time row per call."""
+    :func:`save_field_csv` streams one time row per call."""
     fh.write(lead + ("\n" + lead).join(map(str.__add__, heads, tails)) + "\n")

@@ -1,3 +1,4 @@
+import math
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -167,6 +168,55 @@ def reference_paths():
     path with ``events`` (time, kind, market state before and after),
     ``terminal_market``, ``summary()`` and ``holding_times()``."""
     return SimpleNamespace(renewal=_renewal_path, thinning=_thinning_path)
+
+
+# -- the scalar renewal loop the block engine replaced, kept as the reference --
+
+
+def _scalar_holding(kernel, s0, u):
+    target = -math.log1p(-u)
+    if kernel.is_memoryless:
+        return target / kernel.total_intensity(0.0)
+    lo, hi = 0.0, math.inf
+    w = target / kernel.total_intensity(s0)
+    for _ in range(100):
+        gap = kernel.integrated_increment(s0, w) - target
+        if gap < 0.0:
+            lo = w
+        else:
+            hi = w
+        if math.nextafter(lo, math.inf) == hi:
+            break
+        step = w - gap / kernel.total_intensity(s0 + w)
+        if step == w:
+            step = math.nextafter(w, math.inf if gap < 0.0 else 0.0)
+        w = step if lo < step < hi else 0.5 * (lo + hi)
+    return hi
+
+
+def _scalar_segments(kernel, start, horizon, rng):
+    t, p, i, s = start
+    while True:
+        u = rng.random()
+        while u == 0.0:
+            u = rng.random()
+        w = _scalar_holding(kernel, s, u)
+        if t + w > horizon:
+            yield t, horizon, p, i, s, s + (horizon - t), None
+            return
+        succ, weights = kernel.transition_weights(i, s + w)
+        j = succ[0] if rng.random() < weights[0] else succ[1]
+        yield t, t + w, p, i, s, s + w, j
+        t, p, i, s = t + w, p * (1.0 + kernel.delta * alpha(j)), j, 0.0
+
+
+@pytest.fixture(scope="session")
+def scalar_renewal():
+    """The renewal construction as first built, one scalar draw at a time:
+    ``holding(kernel, s0, u)`` inverts one uniform by the safeguarded Newton
+    iteration and ``segments(kernel, start, horizon, rng)`` yields one path's
+    segment tuples, drawing ``rng.random()`` in the draw-order contract."""
+    return SimpleNamespace(holding=_scalar_holding, segments=_scalar_segments)
 
 
 # -- the transition-keyed gain rates the slot forms replaced, kept as the reference --

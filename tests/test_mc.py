@@ -29,7 +29,7 @@ from semitick import (
     successors,
     z_score,
 )
-from semitick import mc
+from semitick import mc, simulate
 from semitick.mc import _bump, _bump_ds
 from semitick.simulate import order_fill, renewal_segments, thinning_segments
 
@@ -385,8 +385,10 @@ class TestBlockMatchesReference:
 
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
-        # 400 paths fill two blocks of 150 and part of a third
+        # 400 paths fill two blocks of 150 and part of a third, renewal and
+        # thinning alike
         monkeypatch.setattr(mc, "_PATH_BLOCK", 150)
+        monkeypatch.setattr(simulate, "_SEED_BLOCK", 150)
 
     @pytest.mark.parametrize(
         "case", ["uncontrolled", "controlled", "builtin_controlled", "no_small_orders"]

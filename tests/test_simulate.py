@@ -1,6 +1,7 @@
 """Event generators: sampling primitives, renewal/thinning equivalence,
 order fills, determinism."""
 
+import decimal
 import hashlib
 import math
 
@@ -30,7 +31,9 @@ from semitick import (
     sample_transition,
     thinning_segments,
 )
-from semitick.simulate import order_fill, path_streams
+from semitick import simulate
+from semitick.hazards import _PHI_CUT, _phi
+from semitick.simulate import order_fill, path_streams, renewal_blocks
 
 
 class TestSampleHolding:
@@ -50,13 +53,12 @@ class TestSampleHolding:
     def test_saturating_self_consistency(self, saturating_kernel):
         # the sampled increment must hit the conditional distribution exactly
         rng = np.random.default_rng(7)
-        for _ in range(200):
-            s0 = rng.uniform(0.0, 3.0)
-            u = rng.uniform(1e-6, 1.0 - 1e-6)
-            w = sample_holding(saturating_kernel, s0, u)
-            f0 = saturating_kernel.holding_cdf(s0)
-            fw = saturating_kernel.holding_cdf(s0 + w)
-            assert fw - f0 == pytest.approx(u * (1.0 - f0), abs=1e-10)
+        pairs = [(rng.uniform(0.0, 3.0), rng.uniform(1e-6, 1.0 - 1e-6)) for _ in range(200)]
+        s0, u = np.array(pairs).T
+        w = sample_holding(saturating_kernel, s0, u)
+        f0 = saturating_kernel.holding_cdf(s0)
+        fw = saturating_kernel.holding_cdf(s0 + w)
+        np.testing.assert_allclose(fw - f0, u * (1.0 - f0), rtol=0.0, atol=1e-10)
 
 
 # constant continuation beside a saturating reversal that starts at zero: the
@@ -64,22 +66,24 @@ class TestSampleHolding:
 MIXED_KERNEL = SemiMarkovKernel(
     ConstantIntensity(0.4), SaturatingIntensity(base=0.0, gain=3.0, rate=0.5), 0.01
 )
-GRID_S0 = np.linspace(0.0, 3.0, 31).tolist()
-GRID_U = np.linspace(1e-6, 1.0 - 1e-6, 80).tolist()
+# every age of a grid with every uniform of another, flattened
+GRID_S0, GRID_U = (
+    g.ravel() for g in np.meshgrid(np.linspace(0.0, 3.0, 31), np.linspace(1e-6, 1.0 - 1e-6, 80))
+)
+GRID_TARGET = np.array([-math.log1p(-u) for u in GRID_U.tolist()])
 
 
 def bisect_holding(gap, s0, kernel):
-    """The 100-step bracketed bisection the Newton inversion replaced."""
-    hi = 1.0 / max(kernel.total_intensity(s0), 1e-12)
-    while gap(hi) < 0.0:
-        hi *= 2.0
-    lo = 0.0
+    """The 100-step bracketed bisection the Newton inversion replaced, on
+    every element of the arrays ``s0`` and ``gap(w)``."""
+    hi = 1.0 / np.maximum(kernel.total_intensity(s0), 1e-12)
+    while (short := gap(hi) < 0.0).any():
+        hi = np.where(short, 2.0 * hi, hi)
+    lo = np.zeros_like(hi)
     for _ in range(100):
         mid = 0.5 * (lo + hi)
-        if gap(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
+        below = gap(mid) < 0.0
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
     return 0.5 * (lo + hi)
 
 
@@ -90,31 +94,26 @@ def age_kernel(request, saturating_kernel):
 
 class TestNewtonHolding:
     def test_matches_bisection_on_the_increment(self, age_kernel):
-        worst = 0.0
-        for s0 in GRID_S0:
-            for u in GRID_U:
-                target = -math.log1p(-u)
-                ref = bisect_holding(
-                    lambda w: age_kernel.integrated_increment(s0, w) - target, s0, age_kernel
-                )
-                worst = max(worst, abs(sample_holding(age_kernel, s0, u) - ref) / ref)
-        assert worst <= 1e-14
+        ref = bisect_holding(
+            lambda w: age_kernel.integrated_increment(GRID_S0, w) - GRID_TARGET,
+            GRID_S0, age_kernel,
+        )
+        draws = sample_holding(age_kernel, GRID_S0, GRID_U)
+        assert np.max(np.abs(draws - ref) / ref) <= 1e-14
 
     def test_matches_bisection_on_the_integrated_intensity(self, age_kernel):
         # the old gap Lambda(s0 + w) - Lambda(s0) carries a rounding of about
         # eps * Lambda(s0 + w), which moves its root by that over h(s0 + w)
         eps = np.finfo(float).eps
-        for s0 in GRID_S0:
-            lam0 = age_kernel.integrated_intensity(s0)
-            for u in GRID_U:
-                target = -math.log1p(-u)
-                ref = bisect_holding(
-                    lambda w: age_kernel.integrated_intensity(s0 + w) - lam0 - target,
-                    s0, age_kernel,
-                )
-                w = sample_holding(age_kernel, s0, u)
-                lam, h = age_kernel.integrated_intensity(s0 + w), age_kernel.total_intensity(s0 + w)
-                assert abs(w - ref) <= 16.0 * eps * lam / h, (s0, u)
+        lam0 = age_kernel.integrated_intensity(GRID_S0)
+        ref = bisect_holding(
+            lambda w: age_kernel.integrated_intensity(GRID_S0 + w) - lam0 - GRID_TARGET,
+            GRID_S0, age_kernel,
+        )
+        w = sample_holding(age_kernel, GRID_S0, GRID_U)
+        lam = age_kernel.integrated_intensity(GRID_S0 + w)
+        h = age_kernel.total_intensity(GRID_S0 + w)
+        assert np.all(np.abs(w - ref) <= 16.0 * eps * lam / h)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -147,6 +146,194 @@ class TestNewtonHolding:
             assert sample_holding(saturating_kernel, s0, u) == pytest.approx(1.0, rel=1e-15)
 
 
+class TestIncrementSeries:
+    """``phi(x) = x + expm1(-x)``, which the saturating increment sums, is
+    accurate where the direct sum cancels; the draws are then monotone."""
+
+    @staticmethod
+    def exact_phi(x):
+        # 340 digits resolve x**2 / 2 beside x down to x = 1e-150
+        with decimal.localcontext() as ctx:
+            ctx.prec = 340
+            d = decimal.Decimal(x)
+            return float(d + ((-d).exp() - 1))
+
+    def test_phi_against_decimal(self):
+        xs = np.concatenate([
+            np.logspace(-150, 2, 600), _PHI_CUT * np.linspace(0.8, 1.2, 201), [1e-3, 40.0]
+        ])
+        exact = np.array([self.exact_phi(x) for x in xs.tolist()])
+        eps = np.finfo(float).eps
+        for got in (np.array([_phi(x) for x in xs.tolist()]), _phi(xs)):
+            assert np.max(np.abs(got - exact) / exact) <= 2.0 * eps
+
+    def test_phi_of_zero_and_infinity(self):
+        assert _phi(0.0) == 0.0 and _phi(math.inf) == math.inf
+        assert _phi(np.array([0.0, math.inf])).tolist() == [0.0, math.inf]
+
+    def test_draws_monotone_in_u(self):
+        # adjacent floats u < u' with u in [1e-9, 1e-3]: at these small holdings
+        # the saturating part of MIXED_KERNEL's increment is all phi
+        rng = np.random.default_rng(0)
+        u = np.exp(rng.uniform(math.log(1e-9), math.log(1e-3), 5000))
+        low, high = (sample_holding(MIXED_KERNEL, 0.0, v) for v in (u, np.nextafter(u, 1.0)))
+        assert np.all(low <= high)
+
+
+class TestArrayHolding:
+    """``sample_holding`` on arrays: the scalar draws, element by element,
+    and the scalar refusals, naming the first offending element."""
+
+    @pytest.mark.parametrize("which", ["flat", "saturating", "mixed"])
+    def test_matches_scalar_reference(self, which, asymmetric_kernel, saturating_kernel,
+                                      scalar_renewal):
+        kernel = {"flat": asymmetric_kernel, "saturating": saturating_kernel,
+                  "mixed": MIXED_KERNEL}[which]
+        rng = np.random.default_rng(4)
+        s0, u = rng.uniform(0.0, 3.0, 400), rng.uniform(1e-9, 1.0, 400)
+        s0[:3] = [0.0, 1e17, 1e300]
+        got = sample_holding(kernel, s0.reshape(20, 20), u.reshape(20, 20))
+        assert got.shape == (20, 20)
+        ref = np.array([scalar_renewal.holding(kernel, a, b) for a, b in zip(s0, u)])
+        if which == "flat":
+            assert got.ravel().tolist() == ref.tolist()
+        else:
+            assert np.max(np.abs(got.ravel() - ref) / ref) <= 1e-14
+        assert got[0, 0] == sample_holding(kernel, 0.0, float(u[0]))
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.3, math.nan])
+    def test_u_refused_by_element(self, saturating_kernel, symmetric_kernel, bad):
+        u = np.array([0.5, 0.25, bad, 0.0 if bad != 0.0 else 1.0])
+        for kernel in (saturating_kernel, symmetric_kernel):
+            with pytest.raises(ValueError, match=rf"strictly inside \(0, 1\), got {bad}$"):
+                sample_holding(kernel, np.zeros(4), u)
+
+    @pytest.mark.parametrize("s0", [math.nan, math.inf, -math.inf])
+    def test_non_finite_age_refused_by_element(self, saturating_kernel, symmetric_kernel, s0):
+        for kernel in (saturating_kernel, symmetric_kernel):
+            with pytest.raises(ValueError, match=f"current age must be finite, got {s0}$"):
+                sample_holding(kernel, np.array([0.3, s0, math.nan]), np.full(3, 0.5))
+
+    def test_negative_age_refused(self, saturating_kernel, symmetric_kernel):
+        for kernel in (saturating_kernel, symmetric_kernel):
+            with pytest.raises(ValueError, match="current age must be nonnegative"):
+                sample_holding(kernel, np.array([0.3, -1e-300]), 0.5)
+
+    def test_u_refused_before_age(self, saturating_kernel):
+        with pytest.raises(ValueError, match="strictly inside"):
+            sample_holding(saturating_kernel, np.array([math.nan]), np.array([1.0]))
+
+
+class _StubStream:
+    """A stream of set uniforms: ``random()`` gives the next one and
+    ``random(size)`` the next ones, as an array of that size."""
+
+    def __init__(self, values):
+        self.values, self.drawn = list(values), 0
+
+    def random(self, size=None):
+        n = 1 if size is None else int(np.prod(size))
+        out = self.values[self.drawn : self.drawn + n]
+        self.drawn += n
+        return out[0] if size is None else np.array(out).reshape(size)
+
+
+def engine_paths(kernel, start, horizon, n_paths, seed):
+    """Each path's segment tuples from the block engine, marks as tuples have them."""
+    paths = [[] for _ in range(n_paths)]
+    for lo, path, _, columns in renewal_blocks(kernel, start, horizon, n_paths, seed):
+        for k, row in zip(path.tolist(), zip(*(c.tolist() for c in columns))):
+            paths[lo + k].append(row)
+    return [rows[:-1] + [rows[-1][:-1] + (None,)] for rows in paths]
+
+
+class TestBlockEngine:
+    """The block engine against the scalar renewal loop it replaced."""
+
+    @pytest.mark.parametrize("age", [0.0, 0.6])
+    def test_flat_kernels_byte_for_byte(self, asymmetric_kernel, symmetric_kernel,
+                                        scalar_renewal, age):
+        for kernel in (asymmetric_kernel, symmetric_kernel):
+            start = (0.25, 1.0, 3, age)
+            got = engine_paths(kernel, start, 2.0, 700, 12)
+            for idx, rows in enumerate(got):
+                assert rows == list(scalar_renewal.segments(kernel, start, 2.0, path_rng(12, idx)))
+
+    @pytest.mark.parametrize("which", ["saturating", "mixed"])
+    def test_age_dependent_kernels(self, saturating_kernel, scalar_renewal, which):
+        # the array Newton rounds as numpy does, so event times may move by
+        # ulps; segment counts, marks and prices may not
+        kernel = saturating_kernel if which == "saturating" else MIXED_KERNEL
+        start = (0.0, 1.0, 2, 0.25)
+        moved = 0
+        for idx, rows in enumerate(engine_paths(kernel, start, 2.0, 700, 13)):
+            ref = list(scalar_renewal.segments(kernel, start, 2.0, path_rng(13, idx)))
+            assert [(r[2], r[3], r[6]) for r in rows] == [(r[2], r[3], r[6]) for r in ref]
+            for (_, t1, *_), (_, ref_t1, *_) in zip(rows, ref):
+                assert abs(t1 - ref_t1) <= 1e-14 * ref_t1
+                moved += t1 != ref_t1
+        assert moved < 700
+
+    def test_outrun_prefetch_reads_the_stream_in_order(self, monkeypatch, asymmetric_kernel,
+                                                       saturating_kernel, scalar_renewal):
+        # every path refills after each uniform, so each refill advances a
+        # fresh path_rng past the uniforms already drawn
+        start = (0.0, 1.0, 2, 0.0)
+        full = engine_paths(saturating_kernel, start, 1.5, 60, 21)
+        monkeypatch.setattr(simulate, "_prefetch_width", lambda kernel, span: 1)
+        assert engine_paths(saturating_kernel, start, 1.5, 60, 21) == full
+        got = engine_paths(asymmetric_kernel, start, 3.0, 60, 22)
+        assert max(len(rows) for rows in got) >= 6
+        for idx, rows in enumerate(got):
+            ref = scalar_renewal.segments(asymmetric_kernel, start, 3.0, path_rng(22, idx))
+            assert rows == list(ref)
+            assert list(renewal_segments(asymmetric_kernel, start, 3.0, path_rng(22, idx))) == rows
+
+    @pytest.mark.parametrize("width", [1, 2, 17])
+    def test_zero_uniform_rejected_at_the_same_position(self, monkeypatch, asymmetric_kernel,
+                                                        scalar_renewal, width):
+        # zeros at holding draws are skipped, singly and in a run; a zero
+        # successor uniform is kept; prefetch runs of 1, 2 and 17 uniforms
+        values = [0.0, 0.3, 0.0, 0.0, 0.0, 0.45, 0.0, 0.2, 0.7, 0.0, 0.0] * 3 + [0.99] * 20
+        monkeypatch.setattr(simulate, "_prefetch_width", lambda kernel, span: width)
+        start = (0.0, 1.0, 2, 0.0)
+        ref_stream, stream = _StubStream(values), _StubStream(values)
+        ref = list(scalar_renewal.segments(asymmetric_kernel, start, 4.0, ref_stream))
+        assert list(renewal_segments(asymmetric_kernel, start, 4.0, stream)) == ref
+        assert len(ref) > 5 and 0.0 in [u for u in values[: ref_stream.drawn]]
+
+    def test_block_sizes_give_identical_columns(self, monkeypatch, saturating_kernel):
+        start = (0.0, 1.0, 2, 0.25)
+
+        def columns(n_paths, block):
+            monkeypatch.setattr(simulate, "_SEED_BLOCK", block)
+            blocks = list(renewal_blocks(saturating_kernel, start, 1.0, n_paths, 5))
+            assert len(blocks) == -(-n_paths // block)
+            path = np.concatenate([lo + path for lo, path, _, _ in blocks])
+            last = np.concatenate([last for _, _, last, _ in blocks])
+            return [path, last] + [np.concatenate(c) for c in zip(*(b[3] for b in blocks))]
+
+        # blocks of one are slow, so they draw the first 60 paths only
+        full, seven, one = columns(1030, 1024), columns(1030, 7), columns(60, 1)
+        head = full[0] < 60
+        for a, b, c in zip(full, seven, one, strict=True):
+            assert a.tobytes() == b.tobytes()
+            assert a[head].tobytes() == c.tobytes()
+
+    def test_row_budget_shrinks_blocks(self, monkeypatch, saturating_kernel):
+        start = (0.0, 1.0, 2, 0.25)
+        full = engine_paths(saturating_kernel, start, 1.0, 50, 6)
+        monkeypatch.setattr(simulate, "_BLOCK_ROWS", 40)
+        blocks = list(renewal_blocks(saturating_kernel, start, 1.0, 50, 6))
+        assert len(blocks) > 5
+        assert engine_paths(saturating_kernel, start, 1.0, 50, 6) == full
+
+    def test_price_overflow_refused(self):
+        k = SemiMarkovKernel(ConstantIntensity(5.0), ConstantIntensity(5.0), 0.9)
+        with pytest.raises(OverflowError, match=r"a jump from 1e\+308 at tick size 0\.9"):
+            list(renewal_blocks(k, (0.0, 1e308, 1, 0.0), 1.0, 30, 3))
+
+
 class TestSampleTransition:
     def test_symmetric_first_cell(self, symmetric_kernel):
         assert sample_transition(symmetric_kernel, 1, 1.0, 0.25) == 3
@@ -165,12 +352,27 @@ class TestSampleTransition:
         n = 100_000
         y = 0.8
         p_first = saturating_kernel.transition_prob(1, 3, y)
-        draws = np.array(
-            [sample_transition(saturating_kernel, 1, y, u) for u in rng.random(n)]
-        )
+        draws = sample_transition(saturating_kernel, 1, y, rng.random(n))
         hits = np.sum(draws == 3)
         sd = math.sqrt(n * p_first * (1 - p_first))
         assert abs(hits - n * p_first) <= 3.0 * sd
+
+    def test_arrays_match_scalars(self, saturating_kernel):
+        rng = np.random.default_rng(5)
+        i, y, u = rng.integers(1, 5, 300), rng.uniform(0.0, 3.0, 300), rng.random(300)
+        got = sample_transition(saturating_kernel, i, y, u)
+        expect = [
+            sample_transition(saturating_kernel, a, b, c)
+            for a, b, c in zip(i.tolist(), y.tolist(), u.tolist())
+        ]
+        assert got.tolist() == expect
+        assert {type(j) for j in expect} == {int}
+
+    @pytest.mark.parametrize("bad", [0, 5, 2.5])
+    def test_state_outside_states_refused(self, saturating_kernel, bad):
+        for i in (bad, np.array([2, bad])):
+            with pytest.raises(ValueError, match=f"state {bad} is not one of"):
+                sample_transition(saturating_kernel, i, 0.4, 0.5)
 
 
 def at_zero(market):
@@ -215,10 +417,10 @@ class TestRenewalPath:
         # flat total intensity 1.0 over horizon 2.0
         n, horizon = 10_000, 2.0
         start = at_zero(start_state)
-        counts = [
-            len(list(renewal_segments(symmetric_kernel, start, horizon, path_rng(5, i)))) - 1
-            for i in range(n)
-        ]
+        counts = np.concatenate([
+            np.bincount(path) - 1
+            for _, path, _, _ in renewal_blocks(symmetric_kernel, start, horizon, n, 5)
+        ])
         lam = horizon * symmetric_kernel.total_intensity(0.0)
         se = math.sqrt(lam / n)
         assert abs(np.mean(counts) - lam) <= 3.0 * se
@@ -243,9 +445,7 @@ class TestRenewalPath:
     def test_reachability(self, symmetric_kernel):
         # every direction state and both price directions show up
         seen_states, seen_up, seen_down = set(), 0, 0
-        for idx in range(400):
-            start = (0.0, 1.0, 1, 0.0)
-            segments = renewal_segments(symmetric_kernel, start, 3.0, path_rng(23, idx))
+        for segments in engine_paths(symmetric_kernel, (0.0, 1.0, 1, 0.0), 3.0, 400, 23):
             for _, target, price_before, price_after, _, _ in jumps(segments):
                 seen_states.add(target)
                 if price_after > price_before:
@@ -279,9 +479,8 @@ class TestThinningPath:
                 candidates += mark is not None
                 accepted += mark is not None and mark is not NO_EVENT
         rng = np.random.default_rng(0)
-        for idx in range(1500):
-            # estimate the expected mass along an independent ensemble
-            segments = renewal_segments(saturating_kernel, start, 1.0, path_rng(32, idx))
+        # estimate the expected mass along an independent ensemble
+        for segments in engine_paths(saturating_kernel, start, 1.0, 1500, 32):
             times = [t1 for _, t1, *_, j in segments if j is not None]
             for t in rng.uniform(0.0, 1.0, 4):
                 s = start[3] + t
@@ -307,21 +506,28 @@ class TestHoldingTimes:
     def test_match_event_paths(self, saturating_kernel, saturating_layout, reference_paths, age):
         # short paths, so many have no jump and some two or more
         market = MarketState(1.0, 2, age)
-        lengths = set()
+        ((_, path, last, (_, t1, *_)),) = renewal_blocks(
+            saturating_kernel, at_zero(market), 0.6, 300, 7
+        )
+        firsts, rests, lengths = [], [], set()
         for idx in range(300):
-            segments = renewal_segments(saturating_kernel, at_zero(market), 0.6, path_rng(7, idx))
-            expect = reference_paths.renewal(
+            holds = reference_paths.renewal(
                 saturating_kernel, market, 0.6, path_rng(7, idx)
             ).holding_times()
-            assert checks._holding_times(segments, age) == expect
+            if age == 0.0 and holds:
+                firsts.append(holds.pop(0))
+            rests += holds
             segments = thinning_segments(
                 saturating_kernel, saturating_layout, at_zero(market), 0.6, path_rng(8, idx)
             )
-            path = reference_paths.thinning(
+            times = [t for _, t, *_, mark in segments if isinstance(mark, BigJump)]
+            thin = reference_paths.thinning(
                 saturating_kernel, saturating_layout, market, 0.6, path_rng(8, idx)
             )
-            assert checks._holding_times(segments, age) == path.holding_times()
-            lengths.add(path.jump_count)
+            got = checks._holding_times(times, [idx] * len(times), age)
+            assert got.tolist() == thin.holding_times()
+            lengths.add(thin.jump_count)
+        assert checks._holding_times(t1[~last], path[~last], age).tolist() == firsts + rests
         assert 0 in lengths and max(lengths) >= 2
 
 
