@@ -422,7 +422,8 @@ def _cmd_simulate(cfg: ExperimentConfig, out: FsPath, quiet: bool) -> int:
                     p[jump].tolist(), p[jump + 1].tolist(), s1[jump].tolist(),
                 )
             ))
-            # the stream of path idx is path_rng(master seed, idx)
+            # the stream of path idx is path_rng(master seed, idx)'s,
+            # computed in arrays by renewal_blocks
             ends = zip(
                 range(lo, lo + int(path[-1]) + 1), (np.bincount(path) - 1).tolist(),
                 s1[last].tolist(), p[last].tolist(), i[last].tolist(),

@@ -3,15 +3,16 @@ solutions, and generator (Dynkin) consistency checks for the uncontrolled and
 controlled processes.
 
 Every path draws from its own stream ``path_rng(seed, index)``, seeded a
-block at a time by ``path_streams``, through the
-event constructions of ``simulate``, so the draws and their order do not
-depend on how paths are grouped.  Paths come in blocks of flat row columns,
-1,024 paths at a time or fewer: renewal paths from
-``simulate.renewal_blocks``, which moves a block in lockstep, and thinning
-paths from ``_blocks``, which collects one path's rows at a time and closes
-a block of ``_PATH_BLOCK`` paths early once it holds ``_ROW_BUDGET`` rows;
-``market_maker.backtest`` shares ``_blocks``.  Here the rows are inter-jump
-segments.  On a segment the price and direction are
+block at a time in arrays, through the event constructions of
+``simulate``, so the draws and their order do not depend on how paths are
+grouped.  Paths come in blocks of flat row columns, 1,024 paths at a time
+or fewer: renewal paths from ``simulate.renewal_blocks``, which moves a
+block in lockstep and computes its uniforms from each path's PCG64 state
+in arrays, and thinning paths from ``_blocks``, which draws each path from
+a Generator of ``simulate.path_streams``, collects one path's rows at a
+time and closes a block of ``_PATH_BLOCK`` paths early once it holds
+``_ROW_BUDGET`` rows; ``market_maker.backtest`` shares ``_blocks``.  Here
+the rows are inter-jump segments.  On a segment the price and direction are
 constant and the age grows at unit slope, so running-cost integrals use the
 composite Simpson rule the solver uses, with the age varying along the
 segment.  All nodes of all segments of a block in one direction state are

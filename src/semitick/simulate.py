@@ -32,12 +32,14 @@ Draw-order contract: per segment renewal draws one open uniform for the
 holding time and then, unless the horizon cuts the holding, one uniform for
 the successor; thinning draws one exponential gap and then, unless the
 horizon cuts it, one uniform mark.  Seeded outputs depend on this order.
-Renewal draws only uniforms, and ``Generator.random(k)`` returns the next
-``k`` of them, so a renewal block prefetches each path's uniforms in one
-call and reads them in that order.  Thinning interleaves exponential and
-uniform draws, so it could not prefetch without reordering its stream, and
-it draws one path at a time.  The two constructions share no draws, so they
-stay independent checks of one law for (price, state, age).
+Renewal draws only uniforms, the ones ``path_rng(seed, idx).random(k)``
+returns, so a renewal block computes each path's next uniforms in arrays
+from its PCG64 state, with no Generator per path, and reads them in that
+order.  Thinning interleaves exponential and uniform draws from a
+Generator (``path_streams``), so it could not prefetch without reordering
+its stream, and it draws one path at a time.  The two constructions share
+no draws, so they stay independent checks of one law for (price, state,
+age).
 """
 
 from __future__ import annotations
@@ -103,11 +105,15 @@ def path_rng(master_seed: int, index: int) -> np.random.Generator:
 
 
 # numpy's SeedSequence (O'Neill's seed_seq_fe) on a 4-word pool, and PCG64's
-# 128-bit LCG multiplier
+# 128-bit LCG multiplier as uint64 words and as the 32-bit limbs of its low word
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
+_MASK64 = 0xFFFFFFFFFFFFFFFF
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MULT_HI, _MULT_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & _MASK64)
+_MULT_L0, _MULT_L1 = np.uint64(_PCG_MULT & _MASK32), np.uint64((_PCG_MULT >> 32) & _MASK32)
+_LOW32 = np.uint64(_MASK32)
+_U1, _U11, _U32, _U58, _U63, _U64 = (np.uint64(k) for k in (1, 11, 32, 58, 63, 64))
 # paths seeded by one set of array operations, and moved in lockstep by one
 # renewal block
 _SEED_BLOCK = 1024
@@ -135,11 +141,25 @@ def _hashmix(value: np.ndarray, consts) -> np.ndarray:
     return value ^ (value >> np.uint32(16))
 
 
-def _pcg_states(seed: int, indices: np.ndarray) -> list:
+def _lcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray):
+    """One step ``state * M + inc mod 2**128`` of PCG64's LCG on the uint64
+    words ``(hi, lo)`` of the states: the full 128-bit product of the low
+    words from their 32-bit limbs, the cross products mod ``2**64``."""
+    a0, a1 = lo & _LOW32, lo >> _U32
+    p00, p01, p10 = a0 * _MULT_L0, a0 * _MULT_L1, a1 * _MULT_L0
+    mid = (p00 >> _U32) + (p01 & _LOW32) + (p10 & _LOW32)
+    new_lo = ((mid << _U32) | (p00 & _LOW32)) + inc_lo
+    new_hi = (a1 * _MULT_L1 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32)
+              + hi * _MULT_LO + lo * _MULT_HI + inc_hi + (new_lo < inc_lo))
+    return new_hi, new_lo
+
+
+def _pcg_states(seed: int, indices: np.ndarray):
     """PCG64 ``(state, inc)`` of ``default_rng([seed, idx])`` for 32-bit
-    ``seed`` and ``indices``: the two-word entropy mixed into the pool and
-    expanded to four 64-bit words over the whole block, then PCG64's
-    ``srandom`` (two LCG steps) in Python ints."""
+    ``seed`` and ``indices``, each a (2, path) uint64 array of the 128-bit
+    values' high and low words, over the whole block: the two-word entropy
+    mixed into the pool and expanded to four 64-bit words, then PCG64's
+    ``srandom`` (two LCG steps)."""
     words = [np.full(indices.shape, seed, np.uint32), indices.astype(np.uint32)]
     words += [np.zeros(indices.shape, np.uint32)] * 2
     pool = [_hashmix(w, c) for w, c in zip(words, _POOL_HASH)]
@@ -150,16 +170,41 @@ def _pcg_states(seed: int, indices: np.ndarray) -> list:
                 mixed = pool[dst] * _MIX_L - _hashmix(pool[src], next(consts)) * _MIX_R
                 pool[dst] = mixed ^ (mixed >> np.uint32(16))
     out = np.stack([_hashmix(pool[k % 4], c) for k, c in enumerate(_STATE_HASH)], axis=1)
-    states = []
-    for v0, v1, v2, v3 in out.astype("<u4").view("<u8").tolist():
-        inc = ((((v2 << 64) | v3) << 1) | 1) & _MASK128
-        states.append((((inc + ((v0 << 64) | v1)) * _PCG_MULT + inc) & _MASK128, inc))
-    return states
+    v0, v1, v2, v3 = out.astype("<u4").view("<u8").T
+    # state = ((inc + initstate) * M + inc), inc = initseq << 1 | 1, with
+    # initstate = (v0, v1) and initseq = (v2, v3)
+    inc = ((v2 << _U1) | (v3 >> _U63), (v3 << _U1) | _U1)
+    with np.errstate(over="ignore"):
+        lo = inc[1] + v1
+        state = _lcg_step(inc[0] + v0 + (lo < v1), lo, *inc)
+    return np.stack(state), np.stack(inc)
+
+
+def _pcg_uniforms(state, inc, k: int):
+    """The next ``k`` uniforms of PCG64 streams at the states ``state`` with
+    increments ``inc`` (as :func:`_pcg_states` gives them), as
+    ``Generator.random`` draws them, with the states ``k`` steps on.
+
+    Each step advances the LCG and takes the XSL-RR output of the new state
+    (the xor of its words rotated right by its top 6 bits); a uniform is the
+    output's top 53 bits times ``2**-53``, numpy's ``next_double``.  Returns
+    the (path, k) uniforms and the advanced states."""
+    hi, lo = state
+    out = np.empty((k, len(hi)))
+    with np.errstate(over="ignore"):  # uint64 arithmetic wraps mod 2**64
+        for row in out:
+            hi, lo = _lcg_step(hi, lo, *inc)
+            xor, rot = hi ^ lo, hi >> _U58
+            bits = (xor >> rot) | (xor << ((_U64 - rot) & _U63))
+            np.multiply(bits >> _U11, 2.0**-53, out=row)
+    return out.T, np.stack([hi, lo])
 
 
 def path_streams(master_seed: int, first: int, n: int):
     """The streams ``path_rng(master_seed, idx)`` for ``idx`` in
-    ``first .. first + n - 1``, seeded a block at a time.
+    ``first .. first + n - 1``, seeded a block at a time, for thinning,
+    whose exponential gaps need a Generator (renewal computes its uniforms
+    from the same states in arrays, see :func:`renewal_blocks`).
 
     Yields one reused Generator, set to each path's state in turn, so a
     stream must be drawn from before the next one is taken.  A pair outside
@@ -170,18 +215,25 @@ def path_streams(master_seed: int, first: int, n: int):
     bitgen = rng.bit_generator
     for lo in range(first, first + n, _SEED_BLOCK):
         hi = min(lo + _SEED_BLOCK, first + n)
-        if not (0 <= seed <= _MASK32 and 0 <= lo and hi - 1 <= _MASK32):
+        if not _in_32_bits(seed, lo, hi):
             for idx in range(lo, hi):
                 yield path_rng(seed, idx)
             continue
-        for state, inc in _pcg_states(seed, np.arange(lo, hi, dtype=np.int64)):
+        state, inc = _pcg_states(seed, np.arange(lo, hi, dtype=np.int64))
+        for s_hi, s_lo, i_hi, i_lo in zip(*state.tolist(), *inc.tolist()):
             bitgen.state = {
                 "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
+                "state": {"state": (s_hi << 64) | s_lo, "inc": (i_hi << 64) | i_lo},
                 "has_uint32": 0,
                 "uinteger": 0,
             }
             yield rng
+
+
+def _in_32_bits(seed: int, lo: int, hi: int) -> bool:
+    """Whether the pairs ``(seed, idx)``, ``lo <= idx < hi``, are two 32-bit
+    words, the entropy :func:`_pcg_states` seeds from."""
+    return 0 <= seed <= _MASK32 and 0 <= lo and hi - 1 <= _MASK32
 
 
 def sample_holding(kernel: SemiMarkovKernel, s0, u):
@@ -296,27 +348,24 @@ def _prefetch_width(kernel: SemiMarkovKernel, span: float) -> int:
 
 
 class _Uniforms:
-    """Each path's uniforms in its stream's order: a prefetched run per path,
-    extended by ``refill(path, n_fetched)``, the stream's next uniforms after
-    the ``n_fetched`` already fetched, once the path has read its run."""
+    """Each path's uniforms in its stream's order, read from a run per path:
+    ``refill(rows)`` gives the next run of each path in ``rows``, as a
+    (row, width) array, at the start and whenever a path has read its run.
+    One position counter per path says how far it has read."""
 
-    def __init__(self, runs: np.ndarray, refill):
-        n, width = runs.shape
-        self.pool = runs.ravel()
-        self.next = np.arange(n) * width  # pool position of each path's next uniform
-        self.end = self.next + width  # end of each path's current run
-        self.fetched = np.full(n, width)
+    def __init__(self, n: int, refill):
         self.refill = refill
+        self.pool = refill(np.arange(n))
+        self.col = np.zeros(n, dtype=np.intp)  # position of each path's next uniform in its run
 
     def take(self, rows: np.ndarray) -> np.ndarray:
         """The next uniform of every path in ``rows``."""
-        for r in rows[self.next[rows] == self.end[rows]].tolist():
-            run = self.refill(r, int(self.fetched[r]))
-            self.next[r], self.end[r] = len(self.pool), len(self.pool) + len(run)
-            self.fetched[r] += len(run)
-            self.pool = np.concatenate([self.pool, run])
-        u = self.pool[self.next[rows]]
-        self.next[rows] += 1
+        spent = rows[self.col[rows] == self.pool.shape[1]]
+        if spent.size:
+            self.pool[spent] = self.refill(spent)
+            self.col[spent] = 0
+        u = self.pool[rows, self.col[rows]]
+        self.col[rows] += 1
         return u
 
     def take_open(self, rows: np.ndarray) -> np.ndarray:
@@ -339,7 +388,7 @@ def _renewal_block(kernel: SemiMarkovKernel, start, horizon: float, uniforms: _U
     Returns the block-local path index of every segment and the segment
     columns ``(t0, t1, p, i, s0, s1, mark)``, path by path and in segment
     order within a path, with mark 0 on each path's last segment."""
-    n = len(uniforms.next)
+    n = len(uniforms.col)
     live = np.arange(n)
     t, p = np.full(n, float(start[0])), np.full(n, float(start[1]))
     i, s = np.full(n, int(start[2])), np.full(n, float(start[3]))
@@ -373,34 +422,52 @@ def _renewal_block(kernel: SemiMarkovKernel, start, horizon: float, uniforms: _U
     return path[order], tuple(col[order] for col in columns)
 
 
+def _path_uniforms(seed: int, lo: int, n: int, width: int) -> _Uniforms:
+    """The uniforms of the streams ``path_rng(seed, idx)``, ``lo <= idx <
+    lo + n``, in runs of ``width``.
+
+    The streams are computed in arrays: :func:`_pcg_states` seeds the whole
+    block and :func:`_pcg_uniforms` steps the rows that need a run, so no
+    Generator is built.  A pair outside ``[0, 2**32)`` adds entropy words,
+    so its block draws from ``path_rng`` itself."""
+    seed = int(seed)
+    if _in_32_bits(seed, lo, lo + n):
+        state, inc = _pcg_states(seed, np.arange(lo, lo + n))
+
+        def refill(rows):
+            run, state[:, rows] = _pcg_uniforms(state[:, rows], inc[:, rows], width)
+            return run
+    else:
+        streams = [path_rng(seed, idx) for idx in range(lo, lo + n)]
+
+        def refill(rows):
+            return np.array([streams[r].random(width) for r in rows.tolist()])
+
+    return _Uniforms(n, refill)
+
+
 def renewal_blocks(kernel: SemiMarkovKernel, start, horizon: float, n_paths: int, seed: int):
     """Renewal paths ``0 .. n_paths - 1`` from ``start = (t, price, state,
-    age)`` to the horizon, path ``idx`` drawn from ``path_rng(seed, idx)``,
-    in blocks of at most ``_SEED_BLOCK`` paths moved in lockstep.
+    age)`` to the horizon, path ``idx`` drawn from the stream of
+    ``path_rng(seed, idx)``, in blocks of at most ``_SEED_BLOCK`` paths moved
+    in lockstep.
 
     A block also holds no more paths than keep its expected segment count
-    within ``_BLOCK_ROWS``.  Each path's uniforms are prefetched from its
-    stream with one ``Generator.random`` call; a path that reads them all is
-    refilled from ``path_rng(seed, idx)`` advanced past them.  Yields the
-    block's first path index, the block-local path index of every segment,
-    the mask of each path's last segment and the segment columns ``(t0, t1,
-    p, i, s0, s1, mark)``, as ``mc._blocks`` does.  The start and horizon are
-    refused as by :func:`renewal_segments`, when the first block is drawn."""
+    within ``_BLOCK_ROWS``.  Each path's uniforms are computed in arrays from
+    its PCG64 state (:func:`_path_uniforms`), ``_prefetch_width`` at a time,
+    and a path that reads them all continues from its state in the same
+    way.  Yields the block's first path index, the block-local path index of
+    every segment, the mask of each path's last segment and the segment
+    columns ``(t0, t1, p, i, s0, s1, mark)``, as ``mc._blocks`` does.  The
+    start and horizon are refused as by :func:`renewal_segments`, when the
+    first block is drawn."""
     _check_start(start[0], start[3], horizon)
     width = _prefetch_width(kernel, horizon - start[0])
     # a path has width / 2 segments or fewer in expectation
     size = max(1, min(_SEED_BLOCK, 2 * _BLOCK_ROWS // width))
     for lo in range(0, n_paths, size):
-        runs = np.empty((min(size, n_paths - lo), width))
-        for run, rng in zip(runs, path_streams(seed, lo, len(runs))):
-            rng.random(out=run)
-
-        def refill(r, fetched, lo=lo):
-            rng = path_rng(seed, lo + r)
-            rng.bit_generator.advance(fetched)
-            return rng.random(width)
-
-        path, columns = _renewal_block(kernel, start, horizon, _Uniforms(runs, refill))
+        uniforms = _path_uniforms(seed, lo, min(size, n_paths - lo), width)
+        path, columns = _renewal_block(kernel, start, horizon, uniforms)
         yield lo, path, np.append(path[1:] != path[:-1], True), columns
 
 
@@ -416,7 +483,7 @@ def renewal_segments(kernel: SemiMarkovKernel, start, horizon: float, rng):
     ``ValueError`` when the first segment is drawn."""
     _check_start(start[0], start[3], horizon)
     width = _prefetch_width(kernel, horizon - start[0])
-    uniforms = _Uniforms(rng.random((1, width)), lambda r, fetched: rng.random(width))
+    uniforms = _Uniforms(1, lambda rows: rng.random((1, width)))
     _, columns = _renewal_block(kernel, start, horizon, uniforms)
     rows = list(zip(*(col.tolist() for col in columns)))
     yield from rows[:-1]
@@ -486,7 +553,6 @@ class FixedQuotePolicy:
 
 _COIN_RECORD = np.dtype([("seed", "<u8"), ("t", "<f8"), ("p", "<f8"), ("i", "<i8"), ("s", "<f8")])
 _ONE = (1).to_bytes(8, "little")
-_MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 def _unit(digest: bytes) -> float:

@@ -21,7 +21,7 @@ from semitick import (
     extension_slice,
     successors,
 )
-from semitick.simulate import _right_limit, renewal_segments, thinning_segments
+from semitick.simulate import _right_limit, renewal_blocks, renewal_segments, thinning_segments
 
 
 @pytest.fixture(scope="session")
@@ -140,9 +140,14 @@ def _market_event(t, p, i, s, mark, delta):
 def _renewal_path(kernel, initial, horizon, rng):
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    path = _Path(initial_market=initial, horizon=horizon, seed=rng, method="renewal")
     start = (0.0, initial.price, initial.state, initial.age)
-    for _, t1, p, i, _, s1, j in renewal_segments(kernel, start, horizon, rng):
+    segments = renewal_segments(kernel, start, horizon, rng)
+    return _renewal_path_from(kernel, initial, horizon, segments, rng)
+
+
+def _renewal_path_from(kernel, initial, horizon, segments, seed=None):
+    path = _Path(initial_market=initial, horizon=horizon, seed=seed, method="renewal")
+    for _, t1, p, i, _, s1, j in segments:
         if j is not None:
             path.events.append(_market_event(t1, p, i, s1, BigJump(j), kernel.delta))
     path.terminal_market = MarketState(p, i, s1)
@@ -166,8 +171,30 @@ def reference_paths():
     """Event-object paths as first built: ``renewal(kernel, initial, horizon,
     rng)`` and ``thinning(kernel, layout, initial, horizon, rng)`` return a
     path with ``events`` (time, kind, market state before and after),
-    ``terminal_market``, ``summary()`` and ``holding_times()``."""
-    return SimpleNamespace(renewal=_renewal_path, thinning=_thinning_path)
+    ``terminal_market``, ``summary()`` and ``holding_times()``;
+    ``renewal_from(kernel, initial, horizon, segments)`` builds the renewal
+    path from segment tuples drawn elsewhere."""
+    return SimpleNamespace(
+        renewal=_renewal_path, renewal_from=_renewal_path_from, thinning=_thinning_path
+    )
+
+
+def _engine_paths(kernel, start, horizon, n_paths, seed):
+    paths = [[] for _ in range(n_paths)]
+    for lo, path, _, columns in renewal_blocks(kernel, start, horizon, n_paths, seed):
+        for k, row in zip(path.tolist(), zip(*(c.tolist() for c in columns))):
+            paths[lo + k].append(row)
+    return [rows[:-1] + [rows[-1][:-1] + (None,)] for rows in paths]
+
+
+@pytest.fixture(scope="session")
+def engine_paths():
+    """``engine_paths(kernel, start, horizon, n_paths, seed)``: each path's
+    segment tuples from the block engine ``renewal_blocks``, the last one
+    marked None as ``renewal_segments`` marks it.  Replaying single paths
+    through ``renewal_segments`` (a block of one) costs numpy call overhead
+    at every segment."""
+    return _engine_paths
 
 
 # -- the scalar renewal loop the block engine replaced, kept as the reference --

@@ -86,7 +86,7 @@ class TestEstimator:
         )
         assert est.mean == pytest.approx(math.sin(6.0) / 3.0, abs=1e-7)
 
-    def test_age_argument_along_segments(self, symmetric_kernel):
+    def test_age_argument_along_segments(self, symmetric_kernel, engine_paths):
         # w = age is piecewise linear along the path; check against a direct
         # per-path accumulation over the segments
         n = 300
@@ -95,11 +95,10 @@ class TestEstimator:
             (0.0, 1.0, 2, 0.5), 1.5, n, 13,
         )
         acc = np.empty(n)
-        for idx in range(n):
+        paths = engine_paths(symmetric_kernel, (0.0, 1.0, 2, 0.5), 1.5, n, 13)
+        for idx, segments in enumerate(paths):
             total = 0.0
-            for t0, t1, _, _, s0, _, _ in renewal_segments(
-                symmetric_kernel, (0.0, 1.0, 2, 0.5), 1.5, path_rng(13, idx)
-            ):
+            for t0, t1, _, _, s0, _, _ in segments:
                 seg = t1 - t0
                 total += s0 * seg + 0.5 * seg * seg
             acc[idx] = total
@@ -251,11 +250,12 @@ def _simpson_segment(fn, a, b, subdiv):
     return float(np.dot(_simpson_nodes(subdiv), vals) * (b - a) / (3.0 * subdiv))
 
 
-def _reference_estimate(kernel, g, w, start, horizon, n_paths, seed, subdiv=8):
-    values = np.empty(n_paths)
-    for idx in range(n_paths):
+def _reference_estimate(paths, g, w, seed, subdiv=8):
+    """The estimate over ``paths`` (segment tuples), one segment at a time."""
+    values = np.empty(len(paths))
+    for idx, segments in enumerate(paths):
         acc = 0.0
-        for t0, t1, p, i, s0, _, _ in renewal_segments(kernel, start, horizon, path_rng(seed, idx)):
+        for t0, t1, p, i, s0, _, _ in segments:
             if w is not None and t1 > t0:
                 acc += _simpson_segment(
                     lambda v: w(v, p, i, s0 + (v - t0)), t0, t1, subdiv
@@ -338,19 +338,19 @@ def _segment_defects_ctl(
 
 
 def _reference_dynkin(
-    kernel, tfs, start, t, n_paths, seed, layout=None, control=None,
+    engine_paths, kernel, tfs, start, t, n_paths, seed, layout=None, control=None,
     transaction_cost=0.0, include_small_orders=True, subdiv=4,
 ):
-    """Per-path means of the Dynkin defects, one segment at a time."""
+    """Per-path means of the Dynkin defects, one segment at a time; renewal
+    segments come from ``engine_paths``, thinning ones path by path."""
     values = np.empty((len(tfs), n_paths))
     weights = _simpson_nodes(subdiv)
     if control is None:
         start_seg = (0.0, start.price, start.state, start.age)
         psi0 = [float(tf.psi(start.price, start.state, start.age)) for tf in tfs]
-        for idx in range(n_paths):
+        for idx, segments in enumerate(engine_paths(kernel, start_seg, t, n_paths, seed)):
             acc = [0.0] * len(tfs)
-            rng = path_rng(seed, idx)
-            for t0, t1, p, i, s0, s1, _ in renewal_segments(kernel, start_seg, t, rng):
+            for t0, t1, p, i, s0, s1, _ in segments:
                 _segment_defects_unc(kernel, tfs, p, i, s0, t0, t1, weights, acc)
             for q, tf in enumerate(tfs):
                 values[q, idx] = float(tf.psi(p, i, s1)) - psi0[q] - acc[q]
@@ -393,7 +393,7 @@ class TestBlockMatchesReference:
     @pytest.mark.parametrize(
         "case", ["uncontrolled", "controlled", "builtin_controlled", "no_small_orders"]
     )
-    def test_dynkin_battery(self, saturating_kernel, saturating_layout, case):
+    def test_dynkin_battery(self, saturating_kernel, saturating_layout, engine_paths, case):
         ctl_start = (MarketState(1.0, 2, 0.0), AgentState(0.0, 1))
         ctl_kw = dict(layout=saturating_layout, transaction_cost=0.001)
         if case == "uncontrolled":
@@ -409,13 +409,16 @@ class TestBlockMatchesReference:
             tfs, start = battery_controlled(1.0, 1.0), ctl_start
             kw = dict(ctl_kw, control=(1, 1), include_small_orders=case == "builtin_controlled")
         block = dynkin_battery(saturating_kernel, tfs, start, 0.7, 400, 77, **kw)
-        reference = _reference_dynkin(saturating_kernel, tfs, start, 0.7, 400, 77, **kw)
+        reference = _reference_dynkin(
+            engine_paths, saturating_kernel, tfs, start, 0.7, 400, 77, **kw
+        )
         for r, mean in zip(block, reference, strict=True):
             assert r.mean == pytest.approx(mean, abs=1e-13), r.name
 
     @pytest.mark.parametrize("flat", [True, False], ids=["flat", "saturating"])
     def test_estimator_with_quote_source(
-        self, asymmetric_kernel, asymmetric_layout, saturating_kernel, saturating_layout, flat
+        self, asymmetric_kernel, asymmetric_layout, saturating_kernel, saturating_layout,
+        engine_paths, flat,
     ):
         kernel, layout = (
             (asymmetric_kernel, asymmetric_layout) if flat
@@ -426,5 +429,6 @@ class TestBlockMatchesReference:
         source = QuoteGainSource(kernel, layout, spec, field)
         start = (0.1, 1.0, 3, 0.3)
         block = estimate_terminal_value(kernel, lambda p: p, source, start, 1.0, 400, 41)
-        reference = _reference_estimate(kernel, lambda p: p, source, start, 1.0, 400, 41)
+        paths = engine_paths(kernel, start, 1.0, 400, 41)
+        reference = _reference_estimate(paths, lambda p: p, source, 41)
         assert block.mean == pytest.approx(reference, abs=1e-13)

@@ -238,21 +238,12 @@ class _StubStream:
         return out[0] if size is None else np.array(out).reshape(size)
 
 
-def engine_paths(kernel, start, horizon, n_paths, seed):
-    """Each path's segment tuples from the block engine, marks as tuples have them."""
-    paths = [[] for _ in range(n_paths)]
-    for lo, path, _, columns in renewal_blocks(kernel, start, horizon, n_paths, seed):
-        for k, row in zip(path.tolist(), zip(*(c.tolist() for c in columns))):
-            paths[lo + k].append(row)
-    return [rows[:-1] + [rows[-1][:-1] + (None,)] for rows in paths]
-
-
 class TestBlockEngine:
     """The block engine against the scalar renewal loop it replaced."""
 
     @pytest.mark.parametrize("age", [0.0, 0.6])
     def test_flat_kernels_byte_for_byte(self, asymmetric_kernel, symmetric_kernel,
-                                        scalar_renewal, age):
+                                        scalar_renewal, engine_paths, age):
         for kernel in (asymmetric_kernel, symmetric_kernel):
             start = (0.25, 1.0, 3, age)
             got = engine_paths(kernel, start, 2.0, 700, 12)
@@ -260,7 +251,8 @@ class TestBlockEngine:
                 assert rows == list(scalar_renewal.segments(kernel, start, 2.0, path_rng(12, idx)))
 
     @pytest.mark.parametrize("which", ["saturating", "mixed"])
-    def test_age_dependent_kernels(self, saturating_kernel, scalar_renewal, which):
+    def test_age_dependent_kernels(self, saturating_kernel, scalar_renewal, engine_paths,
+                                   which):
         # the array Newton rounds as numpy does, so event times may move by
         # ulps; segment counts, marks and prices may not
         kernel = saturating_kernel if which == "saturating" else MIXED_KERNEL
@@ -275,9 +267,10 @@ class TestBlockEngine:
         assert moved < 700
 
     def test_outrun_prefetch_reads_the_stream_in_order(self, monkeypatch, asymmetric_kernel,
-                                                       saturating_kernel, scalar_renewal):
-        # every path refills after each uniform, so each refill advances a
-        # fresh path_rng past the uniforms already drawn
+                                                       saturating_kernel, scalar_renewal,
+                                                       engine_paths):
+        # every path refills after each uniform, so each refill steps the
+        # path's PCG64 state on by one uniform
         start = (0.0, 1.0, 2, 0.0)
         full = engine_paths(saturating_kernel, start, 1.5, 60, 21)
         monkeypatch.setattr(simulate, "_prefetch_width", lambda kernel, span: 1)
@@ -320,7 +313,7 @@ class TestBlockEngine:
             assert a.tobytes() == b.tobytes()
             assert a[head].tobytes() == c.tobytes()
 
-    def test_row_budget_shrinks_blocks(self, monkeypatch, saturating_kernel):
+    def test_row_budget_shrinks_blocks(self, monkeypatch, saturating_kernel, engine_paths):
         start = (0.0, 1.0, 2, 0.25)
         full = engine_paths(saturating_kernel, start, 1.0, 50, 6)
         monkeypatch.setattr(simulate, "_BLOCK_ROWS", 40)
@@ -442,7 +435,7 @@ class TestRenewalPath:
         p2 = list(renewal_segments(saturating_kernel, start, 2.0, path_rng(17, 4)))
         assert p1 == p2
 
-    def test_reachability(self, symmetric_kernel):
+    def test_reachability(self, symmetric_kernel, engine_paths):
         # every direction state and both price directions show up
         seen_states, seen_up, seen_down = set(), 0, 0
         for segments in engine_paths(symmetric_kernel, (0.0, 1.0, 1, 0.0), 3.0, 400, 23):
@@ -467,7 +460,7 @@ class TestThinningPath:
         segments = list(thinning_segments(k, lay, (0.0, 2.0, 2, 0.0), 2.0, rng))
         assert segments[-1][2] == 2.0
 
-    def test_acceptance_fraction(self, saturating_kernel, saturating_layout):
+    def test_acceptance_fraction(self, saturating_kernel, saturating_layout, engine_paths):
         # accepted candidates / all candidates ~ time-average mass / domain
         start = (0.0, 1.0, 2, 0.0)
         accepted = candidates = 0
@@ -626,6 +619,87 @@ class TestControlledAccounting:
                 _, d_cash, d_inv, _ = order_fill(mark, policy(t1, p, i, s1), big, p, delta, cost)
                 change = d_cash + d_inv * after[2]
                 assert change <= big * (p * delta + cost) + 1e-12
+
+
+def _read_unevenly(uniforms, n, reads):
+    """``reads`` rounds of ``uniforms.take`` on a shifting subset of the
+    ``n`` rows, so rows reach the end of their runs at different rounds;
+    returns each row's uniforms in the order read."""
+    got = [[] for _ in range(n)]
+    for k in range(reads):
+        rows = np.flatnonzero((np.arange(n) + k) % 3 != 0)
+        for r, u in zip(rows.tolist(), uniforms.take(rows).tolist()):
+            got[r].append(u)
+    return got
+
+
+class TestPathUniforms:
+    """The renewal engine's uniforms, computed in arrays from each path's
+    PCG64 state, byte for byte against ``path_rng(seed, idx).random(k)``."""
+
+    @staticmethod
+    def assert_streams(seed, lo, n, width):
+        got = _read_unevenly(simulate._path_uniforms(seed, lo, n, width), n, 41)
+        for r, run in enumerate(got):
+            ref = path_rng(seed, lo + r).random(len(run))
+            assert np.array(run).tobytes() == ref.tobytes(), (seed, lo + r)
+
+    @pytest.mark.parametrize("width", [1, 2, 17])
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1])
+    def test_equal_path_rng(self, seed, width):
+        # 41 uniforms read past runs of 1, 2 and 17; the second block
+        # straddles path 1,024, the third ends at the last 32-bit index
+        for lo, n in ((0, 40), (1000, 50), (2**32 - 30, 30)):
+            self.assert_streams(seed, lo, n, width)
+
+    @pytest.mark.parametrize("seed, lo", [(2**32, 0), (2**32, 2**32 - 3), (7, 2**32 - 3)])
+    def test_pairs_outside_32_bits_take_path_rng(self, seed, lo):
+        self.assert_streams(seed, lo, 7, 5)
+
+    @pytest.mark.parametrize("width", [1, 2, 17])
+    def test_zero_uniform_skipped_at_the_same_position(self, monkeypatch, asymmetric_kernel,
+                                                       scalar_renewal, engine_paths, width):
+        # uniforms below 0.1 read as zero on both sides, so zeros fall at
+        # holding and successor draws alike, wherever a run starts
+        pcg_uniforms = simulate._pcg_uniforms
+
+        def zeroed(state, inc, k):
+            run, state = pcg_uniforms(state, inc, k)
+            return np.where(run < 0.1, 0.0, run), state
+
+        monkeypatch.setattr(simulate, "_pcg_uniforms", zeroed)
+        monkeypatch.setattr(simulate, "_prefetch_width", lambda kernel, span: width)
+        start = (0.0, 1.0, 2, 0.0)
+        skipped = 0
+        for idx, rows in enumerate(engine_paths(asymmetric_kernel, start, 4.0, 60, 9)):
+            values = path_rng(9, idx).random(400)
+            stream = _StubStream(np.where(values < 0.1, 0.0, values).tolist())
+            assert rows == list(scalar_renewal.segments(asymmetric_kernel, start, 4.0, stream))
+            skipped += stream.drawn - sum(2 for *_, j in rows if j is not None) - 1
+        assert skipped > 10
+
+    @pytest.mark.parametrize("width", [None, 1])
+    def test_no_generator_per_path(self, monkeypatch, asymmetric_kernel, saturating_kernel,
+                                   scalar_renewal, engine_paths, width):
+        # 1,030 paths straddle the 1,024-path block; width 1 refills at
+        # every draw
+        start = (0.0, 1.0, 2, 0.0)
+        checked = list(range(8)) + list(range(1018, 1030))
+        ref = [list(scalar_renewal.segments(asymmetric_kernel, start, 2.0, path_rng(1, idx)))
+               for idx in checked]
+        saturating = engine_paths(saturating_kernel, start, 1.0, 200, 2)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Generator was built")
+
+        for target, name in ((simulate, "path_rng"), (simulate, "path_streams"),
+                             (np.random, "default_rng")):
+            monkeypatch.setattr(target, name, refuse)
+        if width is not None:
+            monkeypatch.setattr(simulate, "_prefetch_width", lambda kernel, span: width)
+        got = engine_paths(asymmetric_kernel, start, 2.0, 1030, 1)
+        assert [got[idx] for idx in checked] == ref
+        assert engine_paths(saturating_kernel, start, 1.0, 200, 2) == saturating
 
 
 class TestPathStreams:

@@ -23,7 +23,6 @@ from semitick import (
 )
 from semitick.harness import load_config, run_command
 from semitick.market_maker import QuoteGainSource, export_policy_csv
-from semitick.simulate import path_rng
 
 
 def reference_save_field_csv(field, path, header_meta=None):
@@ -81,9 +80,10 @@ def reference_export_policy_csv(
                         )
 
 
-def reference_simulate(cfg, renewal_path, out):
+def reference_simulate(cfg, reference_paths, engine_paths, out):
     """``paths.csv`` and ``paths_summary.json`` written event by event from
-    event-object paths, the summaries through the json encoder."""
+    event-object paths built from the block engine's segment tuples, the
+    summaries through the json encoder."""
     out.mkdir()
     meta = cfg.header_meta()
     summaries = []
@@ -92,9 +92,11 @@ def reference_simulate(cfg, renewal_path, out):
         fh.write(
             "path,time,kind,target_or_side,units,price_before,price_after,age_before\n"
         )
-        for idx in range(cfg.n_paths):
-            rng = path_rng(cfg.seed, idx)
-            path = renewal_path(cfg.kernel, cfg.initial_market, cfg.horizon, rng)
+        m = cfg.initial_market
+        start = (0.0, m.price, m.state, m.age)
+        paths = engine_paths(cfg.kernel, start, cfg.horizon, cfg.n_paths, cfg.seed)
+        for idx, segments in enumerate(paths):
+            path = reference_paths.renewal_from(cfg.kernel, m, cfg.horizon, segments)
             for e in path.events:
                 fh.write(
                     f"{idx},{float(e.time)!r},big,{e.kind.target},0,"
@@ -200,20 +202,22 @@ class TestPathsSummary:
     @pytest.mark.parametrize(
         "preset", ["symmetric-martingale", "asymmetric-constant", "saturating-hazard"]
     )
-    def test_equals_indented_json(self, preset, reference_paths, tmp_path):
+    def test_equals_indented_json(self, preset, reference_paths, engine_paths, tmp_path):
         cfg = load_config(preset)
         cfg.n_paths = 40
         assert run_command("simulate", cfg, out_dir=str(tmp_path / "fold"), quiet=True) == 0
-        reference_simulate(cfg, reference_paths.renewal, tmp_path / "ref")
+        reference_simulate(cfg, reference_paths, engine_paths, tmp_path / "ref")
         summary = (tmp_path / "fold" / "paths_summary.json").read_bytes()
         assert summary == (tmp_path / "ref" / "paths_summary.json").read_bytes()
 
     @pytest.mark.parametrize("preset", ["asymmetric-constant", "saturating-hazard"])
-    def test_both_files_equal_event_paths(self, preset, reference_paths, tmp_path):
-        # 1,100 paths cross the 1,024-path seeding block of path_streams
+    def test_both_files_equal_event_paths(self, preset, reference_paths, engine_paths,
+                                          tmp_path):
+        # 1,100 paths cross the 1,024-path block of renewal_blocks, so the
+        # command writes two blocks
         cfg = load_config(preset)
         cfg.n_paths = 1100
         assert run_command("simulate", cfg, out_dir=str(tmp_path / "fold"), quiet=True) == 0
-        reference_simulate(cfg, reference_paths.renewal, tmp_path / "ref")
+        reference_simulate(cfg, reference_paths, engine_paths, tmp_path / "ref")
         for name in ("paths.csv", "paths_summary.json"):
             assert (tmp_path / "fold" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
