@@ -15,10 +15,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mc
-from .hazards import STATES, BigJump, alpha, successors
+from .hazards import BIG, SMALL, STATES, alpha, successors
 from .market_maker import QuoteGainSource
-from .simulate import path_streams, renewal_blocks, sample_holding, thinning_segments
+from .simulate import renewal_blocks, sample_holding, thinning_blocks
 from .solver import contraction_bound, expected_price_ode_oracle, extension_slice
+
+
+# nominal false-alarm rates of a normal statistic's two-sided 3 sd and one-sided 2 sd bounds
+_RATE_3SD, _RATE_2SD_ONE_SIDED = math.erfc(3.0 / math.sqrt(2.0)), 0.5 * math.erfc(math.sqrt(2.0))
 
 
 @dataclass
@@ -140,21 +144,20 @@ def renewal_vs_thinning(kernel, layout, market, horizon: float, n_paths: int, se
     from scipy import stats as sps
 
     start = (0.0, market.price, market.state, market.age)
-    renewal = []
+    renewal, thinning = [], []
     for lo, path, last, (_, t1, *_) in renewal_blocks(kernel, start, horizon, n_paths, seed):
         renewal.append(_holding_times(t1[~last], lo + path[~last], market.age))
-    renewal = np.concatenate(renewal)
-    times, paths = [], []
-    for idx, rng in enumerate(path_streams(seed + 1, 0, n_paths)):
-        for _, t1, *_, mark in thinning_segments(kernel, layout, start, horizon, rng):
-            if isinstance(mark, BigJump):
-                times.append(t1)
-                paths.append(idx)
-    thinning = _holding_times(times, paths, market.age)
+    for lo, path, _, (_, t1, *_, code) in thinning_blocks(
+        kernel, layout, start, horizon, n_paths, seed + 1
+    ):
+        big = (code >= BIG) & (code < SMALL)
+        thinning.append(_holding_times(t1[big], lo + path[big], market.age))
+    renewal, thinning = np.concatenate(renewal), np.concatenate(thinning)
     ks = sps.ks_2samp(renewal, thinning)
     return Check(
         "renewal_vs_thinning", ks.pvalue > 0.01,
-        f"p={ks.pvalue:.4f} ({len(renewal)} vs {len(thinning)} holds)", measured={"p": ks.pvalue},
+        f"p={ks.pvalue:.4f} ({len(renewal)} vs {len(thinning)} holds)",
+        {"p": float(ks.pvalue), "nominal_false_alarm": 0.01}, measured={"p": ks.pvalue},
     )
 
 
@@ -268,10 +271,13 @@ def dynkin_uncontrolled(kernel, market, horizon: float, n_paths: int, seed: int)
 def dynkin_controlled(kernel, layout, mmspec, market, agent, horizon: float, n_paths: int,
                       seed: int) -> Check:
     battery = mc.battery_controlled(horizon, market.price)
-    return _battery("dynkin_controlled", mc.dynkin_battery(
+    check = _battery("dynkin_controlled", mc.dynkin_battery(
         kernel, battery, (market, agent), 0.8 * horizon, n_paths, seed,
         layout=layout, control=(1, 1), transaction_cost=mmspec.transaction_cost,
     ))
+    for record in check.stats:
+        record["nominal_false_alarm"] = _RATE_3SD
+    return check
 
 
 def dynkin_ablation(kernel, layout, mmspec, market, agent, horizon: float, n_paths: int,
@@ -293,14 +299,18 @@ def dynkin_ablation(kernel, layout, mmspec, market, agent, horizon: float, n_pat
 
 
 def backtest_ordering(report) -> Check:
-    """The optimal mean is at least every baseline mean minus 2 se."""
+    """The optimal mean is at least every baseline mean minus 2 se; each
+    record's ``z`` is the optimum's lead in that se (None at a zero se)."""
     opt = report.row("optimal")
-    ok, details = True, []
+    ok, details, stats = True, [], []
     for row in report.rows:
         if row.policy != "optimal":
+            lead = opt.mean - row.mean
             ok &= opt.mean >= row.mean - 2.0 * row.se
-            details.append(f"{row.policy}: {opt.mean - row.mean:+.2e} (2se {2 * row.se:.2e})")
-    return Check("backtest_ordering", ok, "; ".join(details))
+            details.append(f"{row.policy}: {lead:+.2e} (2se {2 * row.se:.2e})")
+            stats.append({"policy": row.policy, "z": lead / row.se if row.se > 0.0 else None,
+                          "nominal_false_alarm": _RATE_2SD_ONE_SIDED})
+    return Check("backtest_ordering", ok, "; ".join(details), stats)
 
 
 def value_bound(report) -> Check:
@@ -314,8 +324,10 @@ def optimal_matches_value(report, solved: float) -> Check:
     """The optimal policy's mean is within 3 se of the solved value."""
     opt = report.row("optimal")
     gap = abs(opt.mean - solved)
+    se = max(opt.se, 1e-12)
     return Check(
-        "optimal_matches_value", gap <= 3.0 * max(opt.se, 1e-12),
+        "optimal_matches_value", gap <= 3.0 * se,
         f"backtest {opt.mean:+.6f} vs solved {solved:+.6f} (3se {3 * opt.se:.1e})",
+        {"z": (opt.mean - solved) / se, "nominal_false_alarm": _RATE_3SD},
         measured={"gap": gap},
     )

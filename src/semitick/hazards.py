@@ -20,9 +20,7 @@ and ``upper_bound``.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Union
 
 import numpy as np
@@ -43,6 +41,10 @@ __all__ = [
     "SmallOrder",
     "NoEvent",
     "NO_EVENT",
+    "TERMINAL",
+    "THINNED",
+    "BIG",
+    "SMALL",
 ]
 
 #: The four direction states.  1, 3 enter on a down move; 2, 4 on an up move.
@@ -328,6 +330,12 @@ class NoEvent:
 
 NO_EVENT = NoEvent()
 
+#: Mark codes of thinning: the horizon cut, a thinned candidate, a big jump into
+#: successor slot ``b`` as ``BIG + b`` and a small order of ``u`` units on side
+#: slot ``b`` (moving as ``SLOT_MOVES[b]``: 0 bid, 1 ask) as ``SMALL + b * (K + 1) + u``.
+TERMINAL, THINNED, BIG = 0, 1, 2
+SMALL = BIG + len(SLOT_MOVES)
+
 
 @dataclass(frozen=True)
 class MarkLayout:
@@ -367,17 +375,17 @@ class MarkLayout:
             raise ValueError("ask and bid size distributions must share the support 0..K")
         object.__setattr__(self, "ask_sizes", tuple(float(v) for v in self.ask_sizes))
         object.__setattr__(self, "bid_sizes", tuple(float(v) for v in self.bid_sizes))
-        # per current state, the mark of each interval in layout order; the
-        # marks are frozen, so every candidate may share them
-        small = [SmallOrder(+1, k) for k in range(len(self.ask_sizes))]
-        small += [SmallOrder(-1, k) for k in range(len(self.bid_sizes))]
-        marks = {}
-        for i in STATES:
-            cont, rev = sorted(successors(i), key=lambda j: alpha(j) != alpha(i))
-            marks[i] = (BigJump(cont), BigJump(rev), *small)
-        object.__setattr__(self, "_marks", marks)
+        # per state index, the mark code of a coordinate below zero, of each
+        # interval in layout order (the continuation's slot repeats alpha(i)),
+        # and of a coordinate past the total mass
+        n = len(self.ask_sizes)
+        small = [SMALL + n + u for u in range(n)] + [SMALL + u for u in range(n)]
+        codes = [[THINNED, BIG + c, BIG + 1 - c, *small, THINNED]
+                 for c in ((alpha(i) + 1) // 2 for i in STATES)]
+        object.__setattr__(self, "_codes", np.array(codes))
         # the interval ends of a memoryless layout are the same at every age
-        object.__setattr__(self, "_fixed_ends", self._ends(0.0) if self.is_memoryless else None)
+        fixed = self.boundaries(0.0) if self.is_memoryless else None
+        object.__setattr__(self, "_fixed_ends", fixed)
 
     @property
     def max_units(self) -> int:
@@ -422,37 +430,48 @@ class MarkLayout:
             + self.bid_flow.value(s)
         )
 
-    def _ends(self, s: float) -> list:
-        """Right endpoints of the consecutive intervals at age ``s``, summed in
-        order (as ``np.cumsum`` would).
+    def boundaries(self, s):
+        """Right endpoints of the consecutive intervals at age ``s``, a float
+        or an array, on a trailing axis, summed in order by ``np.cumsum``.
 
         Order: continuation, reversal, ask sizes 0..K, bid sizes 0..K.
         """
-        lengths = [
-            self.kernel.continuation.value(s),
-            self.kernel.reversal.value(s),
-        ]
-        lam_a = self.ask_flow.value(s)
-        lengths.extend(lam_a * q for q in self.ask_sizes)
-        lam_b = self.bid_flow.value(s)
-        lengths.extend(lam_b * q for q in self.bid_sizes)
-        return list(accumulate(lengths))
+        lam_a, lam_b = self.ask_flow.value(s), self.bid_flow.value(s)
+        lengths = [self.kernel.continuation.value(s), self.kernel.reversal.value(s)]
+        lengths += [lam_a * q for q in self.ask_sizes] + [lam_b * q for q in self.bid_sizes]
+        if np.ndim(s) == 0:
+            return np.cumsum(lengths)
+        return np.cumsum(np.stack(lengths, axis=-1), axis=-1)
 
-    def boundaries(self, s: float) -> np.ndarray:
-        """Right endpoints of the consecutive intervals at age ``s``."""
-        return np.array(self._ends(s))
+    def mark_codes(self, i, s, z):
+        """Mark codes of coordinates ``z`` at ages ``s`` in states ``i`` (arrays
+        or scalars): the left-closed interval holding ``z``, by ``searchsorted``
+        on the ends (fixed when memoryless); ``THINNED`` outside the mass."""
+        ends = self._fixed_ends if self._fixed_ends is not None else self.boundaries(s)
+        if ends.ndim == 1:
+            k = np.searchsorted(ends, z, side="right")
+        else:
+            k = np.count_nonzero(ends <= z[..., None], axis=-1)
+        return self._codes[np.asarray(i) - STATES[0], k + (z >= 0.0)]
+
+    def mark(self, i: int, code: int):
+        """The mark object of ``code`` in state ``i``: None at the horizon
+        cut, :data:`NO_EVENT`, a :class:`BigJump` or a :class:`SmallOrder`."""
+        if code == TERMINAL:
+            return None
+        if code == THINNED:
+            return NO_EVENT
+        if code < SMALL:
+            return BigJump(successors(i)[code - BIG])
+        slot, units = divmod(code - SMALL, self.max_units + 1)
+        return SmallOrder(SLOT_MOVES[slot], units)
 
     def classify(self, i: int, s: float, z: float):
         """Resolve a mark coordinate ``z`` at age ``s`` with current state ``i``.
 
-        Returns a :class:`BigJump`, a :class:`SmallOrder`, or :data:`NO_EVENT`.
-        Intervals are left closed and right open.
+        Returns a :class:`BigJump`, a :class:`SmallOrder`, or :data:`NO_EVENT`,
+        from :meth:`mark_codes`; the benchmark tracer patches this name.
         """
         if s < 0:
             raise ValueError("age must be nonnegative")
-        if z < 0:
-            return NO_EVENT
-        ends = self._fixed_ends if self._fixed_ends is not None else self._ends(s)
-        if z >= ends[-1]:
-            return NO_EVENT
-        return self._marks[i][bisect_right(ends, z)]
+        return self.mark(i, int(self.mark_codes(i, s, z)))

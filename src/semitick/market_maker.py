@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .hazards import (
-    NO_EVENT,
+    BIG,
     SLOT_MOVES,
     STATES,
     SUCCESSOR_INDEX,
@@ -34,14 +34,14 @@ from .hazards import (
     SemiMarkovKernel,
     alpha,
 )
-from .mc import McEstimate, _blocks
+from .mc import McEstimate, _running
 from .simulate import (
     AgentState,
     FixedQuotePolicy,
     MarketState,
     RandomQuotePolicy,
     order_fill,
-    thinning_segments,
+    thinning_blocks,
 )
 from .solver import (
     GridSpec,
@@ -510,6 +510,8 @@ class BacktestReport:
     horizon: float
     seed: int
     risk_aversion: float
+    candidates: int = 0  # thinning candidates over all paths
+    events: int = 0  # the candidates not thinned: big jumps and small orders
 
     def row(self, name: str) -> BacktestRow:
         for r in self.rows:
@@ -536,6 +538,8 @@ class BacktestReport:
             "horizon": self.horizon,
             "risk_aversion": self.risk_aversion,
             "upper_bound": self.upper_bound,
+            "candidates": self.candidates,
+            "events": self.events,
             "rows": [
                 {"policy": r.policy, "mean": r.mean, "se": r.se, "n_paths": r.n_paths}
                 for r in self.rows
@@ -565,12 +569,13 @@ def backtest(
     market ignores the agent, so the event stream is policy independent);
     this shares the randomness and sharpens the comparison.  Per-path streams
     are derived from (seed, path index) and aggregation is pairwise, so the
-    table does not depend on execution order.  Paths are folded by
-    ``mc._blocks``; each policy is called once per block, on the arrays
-    (t, p, i, s) of the block's events, and returns its (ask, bid) bits as
-    arrays or as scalars that broadcast.  Each path's cash and inventory are
-    ``np.bincount`` sums of its fills in event order, starting from the
-    initial agent, so the table equals that of a per-event replay exactly.
+    table does not depend on execution order.  On each block of
+    ``simulate.thinning_blocks`` each policy is called once, on the arrays
+    (t, p, i, s) of the events, and returns its (ask, bid) bits as arrays or
+    as scalars that broadcast.  Cash and inventory are per-path cumulative
+    sums of the quoted fills from the initial agent (``mc._running``), so the
+    table equals a per-event replay's exactly.  The report counts the
+    thinning candidates and the events (orders) among them.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
@@ -581,45 +586,32 @@ def backtest(
     )
     start = (0.0, initial_market.price, initial_market.state, initial_market.age)
     eta = mmspec.risk_aversion
-
-    def settled(rng):
+    agent = (initial_agent.cash, initial_agent.inventory)
+    values = np.empty((len(policies), n_paths))
+    candidates = events = 0
+    for lo, path, last, (_, t, p, i, _, s, code) in thinning_blocks(
+        kernel, layout, start, horizon, n_paths, seed
+    ):
+        event = np.flatnonzero(code >= BIG)
+        candidates, events = candidates + int(np.count_nonzero(code)), events + len(event)
         # a fill depends on the policy only through the quote bit of its
         # side, so each event is settled once, with both sides quoted
-        out = []
-        for _, t1, p, i, _, s1, mark in thinning_segments(kernel, layout, start, horizon, rng):
-            if mark is None:
-                out.append((t1, p, i, s1, False, 0.0, 0))
-            elif mark is not NO_EVENT:
-                side, d_cash, d_inv, _ = order_fill(
-                    mark, (1, 1), layout.max_units, p, kernel.delta, mmspec.transaction_cost
-                )
-                out.append((t1, p, i, s1, side > 0, d_cash, d_inv))
-        return out
-
-    values = np.empty((len(policies), n_paths))
-    for lo, path, last, (t, p, i, s, ask_side, d_cash, d_inv) in _blocks(n_paths, seed, settled):
-        event = ~last
-        args = (t[event], p[event], i[event].astype(int), s[event])
-        first = np.append(True, last[:-1])
-        end_p = p[last]
+        side, d_cash, d_inv, _ = order_fill(
+            code[event], (1, 1), layout.max_units, p[event], kernel.delta,
+            mmspec.transaction_cost,
+        )
+        fills, args = np.stack([d_cash, d_inv], 1), (t[event], p[event], i[event], s[event])
         for k, policy in enumerate(policies):
-            l_ask, l_bid = policy(*args)
-            quoted = np.zeros(len(t), dtype=bool)
-            quoted[event] = np.where(ask_side[event] > 0.0, l_ask, l_bid)
-            # the first addition of each path is its initial holding plus
-            # its first fill, as in a replay from the initial agent
-            x, y = np.where(quoted, d_cash, 0.0), np.where(quoted, d_inv, 0.0)
-            x[first] += initial_agent.cash
-            y[first] += initial_agent.inventory
-            x, y = np.bincount(path, weights=x), np.bincount(path, weights=y)
-            values[k, lo : lo + len(x)] = x + end_p * y - eta * y * y
+            quoted = np.where(side > 0, *policy(*args)) != 0
+            x, y = _running(path, last, event[quoted], fills[quoted], agent)[last].T
+            values[k, lo : lo + len(x)] = x + p[last] * y - eta * y * y
     rows = []
     for k, policy in enumerate(policies):
         name = getattr(policy, "name", type(policy).__name__)
         est = McEstimate.from_values(values[k], seed)
         rows.append(BacktestRow(policy=name, mean=est.mean, se=est.se, n_paths=n_paths))
     return BacktestReport(rows=rows, upper_bound=bound, horizon=horizon, seed=seed,
-                          risk_aversion=eta)
+                          risk_aversion=eta, candidates=candidates, events=events)
 
 
 def backtest_against_baselines(

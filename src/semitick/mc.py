@@ -2,34 +2,30 @@
 solutions, and generator (Dynkin) consistency checks for the uncontrolled and
 controlled processes.
 
-Every path draws from its own stream ``path_rng(seed, index)``, seeded a
-block at a time in arrays, through the event constructions of
-``simulate``, so the draws and their order do not depend on how paths are
-grouped.  Paths come in blocks of flat row columns, 1,024 paths at a time
-or fewer: renewal paths from ``simulate.renewal_blocks``, which moves a
-block in lockstep and computes its uniforms from each path's PCG64 state
-in arrays, and thinning paths from ``_blocks``, which draws each path from
-a Generator of ``simulate.path_streams``, collects one path's rows at a
-time and closes a block of ``_PATH_BLOCK`` paths early once it holds
-``_ROW_BUDGET`` rows; ``market_maker.backtest`` shares ``_blocks``.  Here
-the rows are inter-jump segments.  On a segment the price and direction are
-constant and the age grows at unit slope, so running-cost integrals use the
-composite Simpson rule the solver uses, with the age varying along the
-segment.  All nodes of all segments of a block in one direction state are
-evaluated in one call, and the segment integrals are summed back to their
-paths, in segment order, with ``np.bincount``.
+Every path draws from its own stream ``path_rng(seed, index)``, so the
+draws do not depend on how paths are grouped.  Paths come in blocks of
+segment columns, 1,024 paths at a time or fewer, from the block engine of
+``simulate``: ``renewal_blocks`` or ``thinning_blocks``.  On a segment the
+price and direction are constant and the age grows at unit slope, so
+running-cost integrals use the composite Simpson rule the solver uses, with
+the age varying along the segment.  All nodes of all segments of a block in
+one direction state are evaluated in one call, and the segment integrals are
+summed back to their paths, in segment order, with ``np.bincount``.  Under a
+control, each segment's cash and inventory are per-path ``np.cumsum``s of the
+earlier fills, starting from the initial agent.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .hazards import (
-    NO_EVENT,
+    BIG,
     BigJump,
     MarkLayout,
     SemiMarkovKernel,
@@ -38,7 +34,7 @@ from .hazards import (
     equivalent,
     successors,
 )
-from .simulate import order_fill, path_streams, renewal_blocks, thinning_segments
+from .simulate import order_fill, renewal_blocks, thinning_blocks
 from .solver import _simpson_weights
 
 __all__ = [
@@ -51,10 +47,6 @@ __all__ = [
     "DynkinResult",
     "dynkin_battery",
 ]
-
-_PATH_BLOCK = 1024  # paths folded into one set of segment arrays
-_ROW_BUDGET = 2**18  # rows after which a block closes early
-
 
 @dataclass(frozen=True)
 class McEstimate:
@@ -108,31 +100,6 @@ def _integrate(node_values: np.ndarray, t0: np.ndarray, t1: np.ndarray, weights)
     """Composite Simpson integrals over segments ``[t0, t1)`` from the values
     at their nodes, laid out as (..., segment, node)."""
     return (node_values @ weights) * (t1 - t0) / (3.0 * (len(weights) - 1))
-
-
-def _blocks(n_paths: int, seed: int, segments: Callable):
-    """Fold paths into row columns, ``_PATH_BLOCK`` at a time or fewer once a
-    block holds ``_ROW_BUDGET`` rows, since every row of a block is kept as a
-    Python tuple until the block is converted.
-
-    ``segments(rng)`` lists one path's rows, drawn from ``rng``, with the
-    terminal row last.  Yields the block's first path index, the block-local
-    path index of every row, the mask of each path's last row and the columns.
-    """
-    streams = path_streams(seed, 0, n_paths)
-    lo = 0
-    while lo < n_paths:
-        rows, path = [], []
-        # range first, so a full block takes no stream of the next one
-        for k, rng in zip(range(min(_PATH_BLOCK, n_paths - lo)), streams):
-            seg = segments(rng)
-            rows += seg
-            path += [k] * len(seg)
-            if len(rows) >= _ROW_BUDGET:
-                break
-        path = np.array(path)
-        yield lo, path, np.append(path[1:] != path[:-1], True), np.array(rows).T
-        lo += int(path[-1]) + 1
 
 
 def estimate_terminal_value(
@@ -284,17 +251,30 @@ def _events_ctl(kernel, layout, cost, control, include_small, p, i, ages, x, y):
     return events
 
 
-def _controlled_segments(kernel, layout, start, t, agent, control, cost, rng):
-    """Rows (t0, t1, p, i, s0, cash, inventory) of one thinning path under a
-    constant control, each fill settled at its event."""
-    x, y = agent.cash, agent.inventory
-    rows = []
-    for t0, t1, p, i, s0, _, mark in thinning_segments(kernel, layout, start, t, rng):
-        rows.append((t0, t1, p, i, s0, x, y))
-        if mark is not None and mark is not NO_EVENT:
-            _, dx, dy, _ = order_fill(mark, control, layout.max_units, p, kernel.delta, cost)
-            x, y = x + dx, y + dy
-    return rows
+def _running(path, last, rows, d, init) -> np.ndarray:
+    """The holdings on every row of a block, (row, holding): ``init`` plus
+    the rows of ``d`` added at the rows ``rows`` (a mask or indices) of its
+    path before it, as a per-path ``np.cumsum``, so bit for bit a replay's
+    running sums."""
+    first = np.flatnonzero(np.append(True, last[:-1]))
+    pos = np.arange(len(path)) - first[path]
+    acc = np.zeros((len(first), int(pos.max()) + 2, len(init)))
+    acc[:, 0] = init
+    acc[path[rows], pos[rows] + 1] = d
+    return np.cumsum(acc, axis=1)[path, pos]
+
+
+def _controlled_blocks(kernel, layout, start, t, n_paths, seed, agent, control, cost):
+    """Thinning blocks with columns (t0, t1, p, i, s0, cash, inventory) under
+    a constant control, each fill settled at its event."""
+    for lo, path, last, (t0, t1, p, i, s0, _, code) in thinning_blocks(
+        kernel, layout, start, t, n_paths, seed
+    ):
+        fill = code >= BIG
+        _, dx, dy, _ = order_fill(code[fill], control, layout.max_units, p[fill], kernel.delta,
+                                  cost)
+        x, y = _running(path, last, fill, np.stack([dx, dy], 1), (agent.cash, agent.inventory)).T
+        yield lo, path, last, (t0, t1, p, i, s0, x, y)
 
 
 @dataclass(frozen=True)
@@ -351,30 +331,20 @@ def dynkin_battery(
             (lo, path, last, columns[:5])
             for lo, path, last, columns in renewal_blocks(kernel, start_seg, t, n_paths, seed)
         )
-
-        def events(*here):
-            return _events_unc(kernel, *here)
+        events = partial(_events_unc, kernel)
     else:
         agent_xy = (agent.cash, agent.inventory)
-
-        def segments(rng):
-            return _controlled_segments(
-                kernel, layout, start_seg, t, agent, control, transaction_cost, rng
-            )
-
-        blocks = _blocks(n_paths, seed, segments)
-
-        def events(*here):
-            return _events_ctl(
-                kernel, layout, transaction_cost, control, include_small_orders, *here
-            )
+        blocks = _controlled_blocks(
+            kernel, layout, start_seg, t, n_paths, seed, agent, control, transaction_cost
+        )
+        events = partial(_events_ctl, kernel, layout, transaction_cost, control,
+                         include_small_orders)
 
     weights = _simpson_weights(segment_subdiv, 3.0)
     frac = np.linspace(0.0, 1.0, segment_subdiv + 1)
     psi0 = [tf.psi(market.price, market.state, market.age, *agent_xy) for tf in tfs]
     values = np.empty((len(tfs), n_paths))
     for lo, path, last, (t0, t1, p, i, s0, *xy) in blocks:
-        i = i.astype(int)
         ages = s0[:, None] + (t1 - t0)[:, None] * frac
         generator = np.empty((len(tfs),) + ages.shape)
         for state in np.unique(i).tolist():

@@ -1,64 +1,68 @@
 """Exact simulation of the tick-price triple (price, direction state, age)
 and of the controlled quintuple including the agent's cash and inventory.
 
-Market events come from exactly two constructions:
+Market events come from one block engine, ``_block``, which moves a block of
+paths in lockstep on arrays, one segment of every live path per step, with
+exactly two constructions:
 
-* renewal: inverse-CDF holding times plus categorical transitions, one
-  segment per holding time.  ``renewal_blocks`` moves a block of paths in
-  lockstep on arrays, one segment of every live path per step, and yields
-  the block's segments as columns; ``renewal_segments`` is a block of one
-  path, yielded as tuples;
-* ``thinning_segments``: a dominating homogeneous Poisson stream on the time
-  axis with uniform marks resolved through the mark-interval layout, one
-  segment per candidate point, thinned ``NO_EVENT`` candidates included.
+* renewal (``renewal_blocks``): inverse-CDF holding times plus categorical
+  transitions, one segment per holding time, marked with the successor;
+* thinning (``thinning_blocks``): a dominating homogeneous Poisson stream
+  whose uniform marks resolve through the mark-interval layout, one segment
+  per candidate, marked with a ``hazards`` mark code (a big jump, a small
+  order or a thinned candidate).
 
 A segment is ``(t0, t1, p, i, s0, s1, mark)``: price ``p`` and state ``i``
 hold on ``[t0, t1)`` while the age grows from ``s0`` to ``s1``, so
-``(p, i, s1)`` is the left limit at ``t1``.  ``mark`` is what happens at
-``t1``: the successor state (renewal) or a ``BigJump``, ``SmallOrder`` or
-``NO_EVENT`` (thinning); the horizon cuts the last segment, whose mark is
-None in a tuple and 0 in a column, so a fold ends on the terminal state.
+``(p, i, s1)`` is the left limit at ``t1``, where ``mark`` happens.  The
+horizon cuts each path's last segment, marked 0.  ``renewal_segments`` and
+``thinning_segments`` are a block of one, yielded as tuples with the last
+mark None; thinning tuples decode codes into ``BigJump``, ``SmallOrder`` and
+``NO_EVENT``.  There is no other path representation: the ``simulate``
+command, ``mc.estimate_terminal_value`` and the uncontrolled Dynkin battery
+fold renewal blocks, ``market_maker.backtest`` and the controlled battery
+thinning blocks, settling fills with ``order_fill``, and the
+``renewal_vs_thinning`` check both.  Neither construction takes a policy.
 
-Every consumer folds over one construction, and there is no other path
-representation.  ``harness``'s ``simulate`` command,
-``mc.estimate_terminal_value``, the uncontrolled ``mc.dynkin_battery`` and
-the renewal half of the ``renewal_vs_thinning`` check fold the columns of
-``renewal_blocks``; ``market_maker.backtest`` and the controlled
-``mc.dynkin_battery`` fold thinning paths through ``mc._blocks`` and settle
-fills with ``order_fill``.  The market ignores the agent, so neither
-construction takes a policy.
-
-Draw-order contract: per segment renewal draws one open uniform for the
-holding time and then, unless the horizon cuts the holding, one uniform for
-the successor; thinning draws one exponential gap and then, unless the
-horizon cuts it, one uniform mark.  Seeded outputs depend on this order.
-Renewal draws only uniforms, the ones ``path_rng(seed, idx).random(k)``
-returns, so a renewal block computes each path's next uniforms in arrays
-from its PCG64 state, with no Generator per path, and reads them in that
-order.  Thinning interleaves exponential and uniform draws from a
-Generator (``path_streams``), so it could not prefetch without reordering
-its stream, and it draws one path at a time.  The two constructions share
-no draws, so they stay independent checks of one law for (price, state,
-age).
+Draw-order contract: per segment both draw an open uniform ``u1`` (a zero is
+skipped) for its length and then, unless the horizon cuts it, a uniform
+``u2`` for its mark.  Renewal inverts the holding law at ``u1`` and draws
+the successor with ``u2``; thinning's gap is ``-np.log1p(-u1) / width`` and
+its mark coordinate ``width * u2``, ``width`` being the layout's
+``mark_domain``.  Seeded outputs depend on this order.  The uniforms are
+those of ``path_rng(seed, idx).random(k)``, computed in arrays from each
+path's PCG64 state, with no Generator per path.  A check draws the two
+constructions from different seeds, so they stay independent of each other.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .hazards import BigJump, MarkLayout, SemiMarkovKernel, SmallOrder, alpha
+from .hazards import (
+    BIG,
+    SLOT_MOVES,
+    SMALL,
+    STATES,
+    SUCCESSOR_INDEX,
+    BigJump,
+    MarkLayout,
+    SemiMarkovKernel,
+    SmallOrder,
+    alpha,
+)
 
 __all__ = [
     "MarketState",
     "AgentState",
     "path_rng",
-    "path_streams",
     "renewal_blocks",
     "renewal_segments",
+    "thinning_blocks",
     "thinning_segments",
     "order_fill",
     "sample_holding",
@@ -131,14 +135,40 @@ def _hash_consts(init: int, mult: int, n: int) -> list:
     return out
 
 
-_POOL_HASH = _hash_consts(0x43B0D7E5, 0x931E8875, 4 + 12)  # pool fill, then mixing
-_STATE_HASH = _hash_consts(0x8B51F9DD, 0x58F38DED, 8)  # generate_state(4, uint64)
+# pool fill, mixing and up to six entropy words past the pool; then the
+# output words of generate_state
+_POOL_HASH = _hash_consts(0x43B0D7E5, 0x931E8875, 4 + 12 + 6 * 4)
+_STATE_HASH = _hash_consts(0x8B51F9DD, 0x58F38DED, 8)
 
 
 def _hashmix(value: np.ndarray, consts) -> np.ndarray:
     xor, mult = consts
     value = (value ^ xor) * mult  # uint32 arrays wrap silently
     return value ^ (value >> np.uint32(16))
+
+
+def _seed_state(words, n: int) -> np.ndarray:
+    """``SeedSequence(entropy).generate_state(n, np.uint32)`` for the uint32
+    entropy ``words`` (one array per word, at most ten), elementwise: the
+    words hashed into the 4-word pool, the pool mixed, any words past the
+    pool mixed into every pool word, then ``n`` output words, as (element,
+    n) uint32."""
+    consts = iter(_POOL_HASH)
+    zero = np.zeros_like(words[0])
+    pool = [_hashmix(words[k] if k < len(words) else zero, next(consts)) for k in range(4)]
+
+    def mix(dst, value):
+        mixed = pool[dst] * _MIX_L - _hashmix(value, next(consts)) * _MIX_R
+        pool[dst] = mixed ^ (mixed >> np.uint32(16))
+
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mix(dst, pool[src])
+    for word in words[4:]:
+        for dst in range(4):
+            mix(dst, word)
+    return np.stack([_hashmix(pool[k % 4], c) for k, c in zip(range(n), _STATE_HASH)], axis=1)
 
 
 def _lcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray):
@@ -160,16 +190,7 @@ def _pcg_states(seed: int, indices: np.ndarray):
     values' high and low words, over the whole block: the two-word entropy
     mixed into the pool and expanded to four 64-bit words, then PCG64's
     ``srandom`` (two LCG steps)."""
-    words = [np.full(indices.shape, seed, np.uint32), indices.astype(np.uint32)]
-    words += [np.zeros(indices.shape, np.uint32)] * 2
-    pool = [_hashmix(w, c) for w, c in zip(words, _POOL_HASH)]
-    consts = iter(_POOL_HASH[4:])
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                mixed = pool[dst] * _MIX_L - _hashmix(pool[src], next(consts)) * _MIX_R
-                pool[dst] = mixed ^ (mixed >> np.uint32(16))
-    out = np.stack([_hashmix(pool[k % 4], c) for k, c in enumerate(_STATE_HASH)], axis=1)
+    out = _seed_state([np.full(indices.shape, seed, np.uint32), indices.astype(np.uint32)], 8)
     v0, v1, v2, v3 = out.astype("<u4").view("<u8").T
     # state = ((inc + initstate) * M + inc), inc = initseq << 1 | 1, with
     # initstate = (v0, v1) and initseq = (v2, v3)
@@ -198,42 +219,6 @@ def _pcg_uniforms(state, inc, k: int):
             bits = (xor >> rot) | (xor << ((_U64 - rot) & _U63))
             np.multiply(bits >> _U11, 2.0**-53, out=row)
     return out.T, np.stack([hi, lo])
-
-
-def path_streams(master_seed: int, first: int, n: int):
-    """The streams ``path_rng(master_seed, idx)`` for ``idx`` in
-    ``first .. first + n - 1``, seeded a block at a time, for thinning,
-    whose exponential gaps need a Generator (renewal computes its uniforms
-    from the same states in arrays, see :func:`renewal_blocks`).
-
-    Yields one reused Generator, set to each path's state in turn, so a
-    stream must be drawn from before the next one is taken.  A pair outside
-    ``[0, 2**32)`` adds entropy words, so its block takes ``path_rng``.
-    """
-    seed = int(master_seed)
-    rng = np.random.default_rng(0)
-    bitgen = rng.bit_generator
-    for lo in range(first, first + n, _SEED_BLOCK):
-        hi = min(lo + _SEED_BLOCK, first + n)
-        if not _in_32_bits(seed, lo, hi):
-            for idx in range(lo, hi):
-                yield path_rng(seed, idx)
-            continue
-        state, inc = _pcg_states(seed, np.arange(lo, hi, dtype=np.int64))
-        for s_hi, s_lo, i_hi, i_lo in zip(*state.tolist(), *inc.tolist()):
-            bitgen.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": (s_hi << 64) | s_lo, "inc": (i_hi << 64) | i_lo},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            yield rng
-
-
-def _in_32_bits(seed: int, lo: int, hi: int) -> bool:
-    """Whether the pairs ``(seed, idx)``, ``lo <= idx < hi``, are two 32-bit
-    words, the entropy :func:`_pcg_states` seeds from."""
-    return 0 <= seed <= _MASK32 and 0 <= lo and hi - 1 <= _MASK32
 
 
 def sample_holding(kernel: SemiMarkovKernel, s0, u):
@@ -319,14 +304,17 @@ def sample_transition(kernel: SemiMarkovKernel, i, y, u):
     return int(j) if j.ndim == 0 else j
 
 
-def _right_limit(p: float, i: int, s: float, mark, delta: float) -> tuple:
-    """(price, state, age) right after ``mark`` occurs at the left limit ``(p, i, s)``."""
-    if isinstance(mark, BigJump):
-        price = p * (1.0 + delta * alpha(mark.target))
-        if math.isinf(price):
-            raise OverflowError(f"the price overflows: a jump from {p!r} at tick size {delta!r}")
-        return price, mark.target, 0.0
-    return p, i, s
+def _jump(p: np.ndarray, move, delta: float) -> np.ndarray:
+    """Prices after jumps by ``move`` (+1 up, -1 down) from the prices ``p``;
+    a price that overflows is refused, naming the first."""
+    with np.errstate(over="ignore"):
+        p_next = p * (1.0 + delta * move)
+    over = np.isinf(p_next)
+    if over.any():
+        raise OverflowError(
+            f"the price overflows: a jump from {float(p[over][0])!r} at tick size {delta!r}"
+        )
+    return p_next
 
 
 def _check_start(t: float, s: float, horizon: float) -> None:
@@ -338,12 +326,12 @@ def _check_start(t: float, s: float, horizon: float) -> None:
         raise ValueError(f"start age must be finite and >= 0, got {s!r}")
 
 
-def _prefetch_width(kernel: SemiMarkovKernel, span: float) -> int:
-    """Uniforms prefetched per renewal path over a time ``span``: two per
-    jump for the mean jump count at the total intensity bound plus six of
-    its standard deviations and two, and one for the holding the horizon
-    cuts.  A path needs more with a probability below 1e-9."""
-    mean = (kernel.continuation.upper_bound + kernel.reversal.upper_bound) * span
+def _prefetch_width(rate: float, span: float) -> int:
+    """Uniforms prefetched per path over a time ``span`` at most ``rate``
+    segments per unit time: two per segment for the mean count plus six of
+    its standard deviations and two, and one for the last segment, which the
+    horizon cuts.  A path needs more with a probability below 1e-9."""
+    mean = rate * span
     return 2 * math.ceil(mean + 6.0 * math.sqrt(mean) + 2.0) + 1
 
 
@@ -379,22 +367,54 @@ class _Uniforms:
         return u
 
 
-def _renewal_block(kernel: SemiMarkovKernel, start, horizon: float, uniforms: _Uniforms):
-    """Renewal paths from ``start = (t, price, state, age)`` to the horizon,
-    one per row of ``uniforms``, moved in lockstep: every step draws one
-    holding time for each live path and, for each whose holding the horizon
-    does not cut, its successor and its next price.
+def _renewal(kernel: SemiMarkovKernel):
+    """Renewal's ``(rate, length, event)`` for :func:`_blocks`: the holding
+    time at the current age, then the successor and its price."""
 
-    Returns the block-local path index of every segment and the segment
-    columns ``(t0, t1, p, i, s0, s1, mark)``, path by path and in segment
-    order within a path, with mark 0 on each path's last segment."""
+    def event(p, i, y, u):
+        j = sample_transition(kernel, i, y, u)
+        return j, _jump(p, alpha(j), kernel.delta), j, np.zeros(len(j))
+
+    rate = kernel.continuation.upper_bound + kernel.reversal.upper_bound
+    return rate, partial(sample_holding, kernel), event
+
+
+def _thinning(kernel: SemiMarkovKernel, layout: MarkLayout):
+    """Thinning's ``(rate, length, event)`` for :func:`_blocks`: the gap to
+    the next candidate, then its mark code at the candidate's age.  A big jump
+    enters its slot's successor and moves the price; nothing else does."""
+    width = layout.mark_domain
+
+    def event(p, i, y, u):
+        code = layout.mark_codes(i, y, width * u)
+        big = np.flatnonzero((code >= BIG) & (code < SMALL))
+        slot = code[big] - BIG
+        p, i, y = p.copy(), i.copy(), y.copy()
+        p[big] = _jump(p[big], np.asarray(SLOT_MOVES)[slot], kernel.delta)
+        i[big] = STATES[0] + SUCCESSOR_INDEX[i[big] - STATES[0], slot]
+        y[big] = 0.0
+        return code, p, i, y
+
+    return width, (lambda s, u: -np.log1p(-u) / width), event
+
+
+def _block(length, event, start, horizon: float, uniforms: _Uniforms):
+    """Paths from ``start = (t, price, state, age)`` to the horizon, one per
+    row of ``uniforms``, in lockstep: each step draws every live path's next
+    segment length ``length(age, u1)`` from an open uniform and, unless the
+    horizon cuts the segment, ``event(price, state, end age, u2)`` from the
+    next uniform: the segment's mark and the path's next price, state and age.
+
+    Returns the block-local path index of every segment and the columns
+    ``(t0, t1, p, i, s0, s1, mark)``, path by path and in segment order, with
+    mark 0 on each path's last segment."""
     n = len(uniforms.col)
     live = np.arange(n)
     t, p = np.full(n, float(start[0])), np.full(n, float(start[1]))
     i, s = np.full(n, int(start[2])), np.full(n, float(start[3]))
     steps = []
     while live.size:
-        w = sample_holding(kernel, s, uniforms.take_open(live))
+        w = length(s, uniforms.take_open(live))
         t1 = t + w
         cut = t1 > horizon
         if cut.any():
@@ -406,17 +426,9 @@ def _renewal_block(kernel: SemiMarkovKernel, start, horizon: float, uniforms: _U
             if not live.size:
                 break
         y = s + w
-        j = sample_transition(kernel, i, y, uniforms.take(live))
-        steps.append((live, t, t1, p, i, s, y, j))
-        with np.errstate(over="ignore"):
-            p_next = p * (1.0 + kernel.delta * alpha(j))
-        over = np.isinf(p_next)
-        if over.any():
-            raise OverflowError(
-                f"the price overflows: a jump from {float(p[over][0])!r} "
-                f"at tick size {kernel.delta!r}"
-            )
-        t, p, i, s = t1, p_next, j, np.zeros(len(live))
+        mark, p_next, i_next, s_next = event(p, i, y, uniforms.take(live))
+        steps.append((live, t, t1, p, i, s, y, mark))
+        t, p, i, s = t1, p_next, i_next, s_next
     path, *columns = (np.concatenate(col) for col in zip(*steps))
     order = np.argsort(path, kind="stable")
     return path[order], tuple(col[order] for col in columns)
@@ -431,7 +443,7 @@ def _path_uniforms(seed: int, lo: int, n: int, width: int) -> _Uniforms:
     Generator is built.  A pair outside ``[0, 2**32)`` adds entropy words,
     so its block draws from ``path_rng`` itself."""
     seed = int(seed)
-    if _in_32_bits(seed, lo, lo + n):
+    if 0 <= seed <= _MASK32 and 0 <= lo and lo + n - 1 <= _MASK32:
         state, inc = _pcg_states(seed, np.arange(lo, lo + n))
 
         def refill(rows):
@@ -446,93 +458,98 @@ def _path_uniforms(seed: int, lo: int, n: int, width: int) -> _Uniforms:
     return _Uniforms(n, refill)
 
 
-def renewal_blocks(kernel: SemiMarkovKernel, start, horizon: float, n_paths: int, seed: int):
-    """Renewal paths ``0 .. n_paths - 1`` from ``start = (t, price, state,
-    age)`` to the horizon, path ``idx`` drawn from the stream of
-    ``path_rng(seed, idx)``, in blocks of at most ``_SEED_BLOCK`` paths moved
-    in lockstep.
-
-    A block also holds no more paths than keep its expected segment count
-    within ``_BLOCK_ROWS``.  Each path's uniforms are computed in arrays from
-    its PCG64 state (:func:`_path_uniforms`), ``_prefetch_width`` at a time,
-    and a path that reads them all continues from its state in the same
-    way.  Yields the block's first path index, the block-local path index of
-    every segment, the mask of each path's last segment and the segment
-    columns ``(t0, t1, p, i, s0, s1, mark)``, as ``mc._blocks`` does.  The
-    start and horizon are refused as by :func:`renewal_segments`, when the
-    first block is drawn."""
+def _blocks(steps, start, horizon: float, n_paths: int, uniforms):
+    """Paths ``0 .. n_paths - 1`` of :func:`_block` with ``steps = (rate,
+    length, event)``, segments ending at most at ``rate``: blocks of at most
+    ``_SEED_BLOCK`` paths and ``_BLOCK_ROWS`` expected segments, the uniforms
+    of paths ``lo .. lo + n - 1`` from ``uniforms(lo, n, width)``.  Yields the
+    first path index, each segment's block-local path index, the mask of each
+    path's last segment and the columns; refused as :func:`renewal_segments`."""
+    rate, *step = steps
     _check_start(start[0], start[3], horizon)
-    width = _prefetch_width(kernel, horizon - start[0])
+    width = _prefetch_width(rate, horizon - start[0])
     # a path has width / 2 segments or fewer in expectation
     size = max(1, min(_SEED_BLOCK, 2 * _BLOCK_ROWS // width))
     for lo in range(0, n_paths, size):
-        uniforms = _path_uniforms(seed, lo, min(size, n_paths - lo), width)
-        path, columns = _renewal_block(kernel, start, horizon, uniforms)
+        path, columns = _block(*step, start, horizon, uniforms(lo, min(size, n_paths - lo), width))
         yield lo, path, np.append(path[1:] != path[:-1], True), columns
+
+
+def _one_path(steps, start, horizon: float, rng):
+    """The segment tuples of one path of :func:`_blocks`, its uniforms
+    fetched from ``rng`` in runs, so ``rng`` may be left past its last draw."""
+
+    def uniforms(lo, n, width):
+        return _Uniforms(n, lambda rows: rng.random((len(rows), width)))
+
+    ((*_, columns),) = _blocks(steps, start, horizon, 1, uniforms)
+    return zip(*(col.tolist() for col in columns))
+
+
+def renewal_blocks(kernel: SemiMarkovKernel, start, horizon: float, n_paths: int, seed: int):
+    """Renewal paths ``0 .. n_paths - 1`` from ``start = (t, price, state,
+    age)`` to the horizon, marked with successors, path ``idx`` drawn from
+    the stream of ``path_rng(seed, idx)`` in arrays (:func:`_blocks`)."""
+    yield from _blocks(_renewal(kernel), start, horizon, n_paths, partial(_path_uniforms, seed))
+
+
+def thinning_blocks(kernel: SemiMarkovKernel, layout: MarkLayout, start, horizon: float,
+                    n_paths: int, seed: int):
+    """Thinning paths as :func:`renewal_blocks` gives renewal paths, marked
+    with codes."""
+    steps = _thinning(kernel, layout)
+    yield from _blocks(steps, start, horizon, n_paths, partial(_path_uniforms, seed))
 
 
 def renewal_segments(kernel: SemiMarkovKernel, start, horizon: float, rng):
     """Renewal construction of one path from ``start = (t, price, state,
     age)`` to the horizon, drawn from ``rng``: one segment per holding time,
-    marked with the successor state.  The path is a block of one; its
-    uniforms are fetched from ``rng`` in runs, so ``rng`` may be left past
-    the path's last draw.
-
-    A start time or horizon that is not finite, a start time past the
-    horizon, or a start age that is not finite or is negative raises
+    marked with the successor state (None on the last).  The path is a block
+    of one.  A start time or horizon that is not finite, a start time past
+    the horizon, or a start age that is not finite or is negative raises
     ``ValueError`` when the first segment is drawn."""
-    _check_start(start[0], start[3], horizon)
-    width = _prefetch_width(kernel, horizon - start[0])
-    uniforms = _Uniforms(1, lambda rows: rng.random((1, width)))
-    _, columns = _renewal_block(kernel, start, horizon, uniforms)
-    rows = list(zip(*(col.tolist() for col in columns)))
-    yield from rows[:-1]
-    yield rows[-1][:-1] + (None,)
+    for *row, j in _one_path(_renewal(kernel), start, horizon, rng):
+        yield (*row, j or None)
 
 
 def thinning_segments(kernel: SemiMarkovKernel, layout: MarkLayout, start, horizon: float, rng):
-    """Thinning construction from ``start = (t, price, state, age)`` to the
-    horizon: one segment per candidate of the dominating Poisson stream,
-    thinned ones included, marked through the layout at the candidate's age.
-    The start and horizon are refused as by :func:`renewal_segments`."""
-    t, p, i, s = start
-    _check_start(t, s, horizon)
-    width = layout.mark_domain
-    while True:
-        gap = rng.exponential(1.0 / width)
-        if t + gap > horizon:
-            yield t, horizon, p, i, s, s + (horizon - t), None
-            return
-        s1 = s + gap
-        mark = layout.classify(i, s1, rng.uniform(0.0, width))
-        yield t, t + gap, p, i, s, s1, mark
-        t += gap
-        p, i, s = _right_limit(p, i, s1, mark, kernel.delta)
+    """Thinning construction of one path from ``start = (t, price, state,
+    age)`` to the horizon, drawn from ``rng``: one segment per candidate of
+    the dominating Poisson stream, thinned ones included, marked with
+    ``layout.mark`` of its code (None on the last).  The path is a block of
+    one, refused as :func:`renewal_segments` is."""
+    for *row, code in _one_path(_thinning(kernel, layout), start, horizon, rng):
+        yield (*row, layout.mark(row[3], code))
 
 
-def order_fill(mark, quotes, big_units: int, price: float, delta: float, cost: float):
-    """Settle one market order against the agent's quotes ``(ask bit, bid bit)``.
+def order_fill(mark, quotes, big_units: int, price, delta: float, cost: float):
+    """Settle market orders against the agent's quotes ``(ask bit, bid bit)``.
 
     A small order trades its own size on its own side; a big order (a jump
     into ``mark.target``) trades ``big_units`` on the side of the jump.  With
     that side quoted the units trade at exec_price = price*(1 + side*delta),
     ``price`` being the pre-event mid-price (so a big order trades at the
     post-jump price), and the fixed cost is paid: cash changes by
-    side*units*(exec_price - side*cost), inventory by -side*units.  ``price``
-    may be an array.
-
-    Returns ``(side, d_cash, d_inv, executed_units)``, where ``side`` is the
-    quote side the order executes against (+1 ask, -1 bid); with that side
-    unquoted nothing trades.
+    side*units*(exec_price - side*cost), inventory by -side*units.  ``mark``
+    is a :class:`BigJump`, a :class:`SmallOrder` or an int array of order
+    codes of a layout whose K is ``big_units``; quotes and ``price`` broadcast.
+    Returns ``(side, d_cash, d_inv, executed_units)``, ``side`` being the
+    quote side hit (+1 ask, -1 bid); with that side unquoted nothing trades.
     """
     if isinstance(mark, SmallOrder):
         side, units = mark.side, mark.units
-    else:
+    elif isinstance(mark, BigJump):
         side, units = alpha(mark.target), big_units
-    if not (quotes[0] if side > 0 else quotes[1]) or units == 0:
-        return side, 0.0, 0, 0
-    d_cash = side * units * (price * (1.0 + side * delta) - side * cost)
-    return side, d_cash, -side * units, units
+    else:
+        big = mark < SMALL
+        slot, units = np.divmod(mark - SMALL, big_units + 1)
+        side = np.asarray(SLOT_MOVES)[np.where(big, mark - BIG, slot)]
+        units = np.where(big, big_units, units)
+    traded = (np.where(side > 0, quotes[0], quotes[1]) != 0) & (units != 0)
+    with np.errstate(over="ignore"):  # an infinite fill is refused by its caller
+        d_cash = side * units * (price * (1.0 + side * delta) - side * cost)
+    return (side, np.where(traded, d_cash, 0.0)[()], np.where(traded, -side * units, 0)[()],
+            np.where(traded, units, 0)[()])
 
 
 # -- built-in policies ----------------------------------------------------
@@ -552,12 +569,6 @@ class FixedQuotePolicy:
 
 
 _COIN_RECORD = np.dtype([("seed", "<u8"), ("t", "<f8"), ("p", "<f8"), ("i", "<i8"), ("s", "<f8")])
-_ONE = (1).to_bytes(8, "little")
-
-
-def _unit(digest: bytes) -> float:
-    """The top 53 bits of a little-endian 64-bit digest as a float in [0, 1)."""
-    return (int.from_bytes(digest, "little") >> 11) / float(1 << 53)
 
 
 @dataclass(frozen=True)
@@ -565,9 +576,10 @@ class RandomQuotePolicy:
     """Seeded coin flips per side, a pure function of (t, p, i, s, seed).
 
     Hash based rather than stateful so the rule stays predictable and
-    identical across replays of the same path.  The ask coin is the blake2b
-    digest of the little-endian record (seed, t, p, i, s), floats as their
-    IEEE bits; the bid coin hashes that digest followed by the word 1.
+    identical across replays of the same path.  The coins are the first two
+    64-bit words of numpy's ``SeedSequence`` of the record (seed, t, p, i,
+    s) as ten little-endian 32-bit words, floats as their IEEE bits: the ask
+    coin first, each its top 53 bits times ``2**-53``.
     """
 
     prob: float = 0.5
@@ -582,15 +594,9 @@ class RandomQuotePolicy:
         records["seed"] = self.seed & _MASK64
         for name, values in (("t", t), ("p", p), ("i", i), ("s", s)):
             records[name] = values.ravel()
-        data = memoryview(records.tobytes())
-        size = _COIN_RECORD.itemsize
-        bits = [self._flip(data[k : k + size]) for k in range(0, len(data), size)]
-        l_ask, l_bid = np.array(bits, dtype=int).reshape(-1, 2).T
+        words = records.view("<u4").reshape(t.size, _COIN_RECORD.itemsize // 4)
+        state = _seed_state(list(words.T), 4).astype("<u4").view("<u8")
+        l_ask, l_bid = ((state >> _U11) * 2.0**-53 < self.prob).astype(int).T
         if t.ndim == 0:
             return (int(l_ask[0]), int(l_bid[0]))
         return l_ask.reshape(t.shape), l_bid.reshape(t.shape)
-
-    def _flip(self, record):
-        ask = hashlib.blake2b(record, digest_size=8).digest()
-        bid = hashlib.blake2b(ask + _ONE, digest_size=8).digest()
-        return (int(_unit(ask) < self.prob), int(_unit(bid) < self.prob))

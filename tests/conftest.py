@@ -21,7 +21,7 @@ from semitick import (
     extension_slice,
     successors,
 )
-from semitick.simulate import _right_limit, renewal_blocks, renewal_segments, thinning_segments
+from semitick.simulate import renewal_blocks, renewal_segments, thinning_segments
 
 
 @pytest.fixture(scope="session")
@@ -130,6 +130,13 @@ class _Path:
             "terminal_state": term.state if term else None,
             "terminal_age": term.age if term else None,
         }
+
+
+def _right_limit(p, i, s, mark, delta):
+    """(price, state, age) right after ``mark`` at the left limit ``(p, i, s)``."""
+    if isinstance(mark, BigJump):
+        return p * (1.0 + delta * alpha(mark.target)), mark.target, 0.0
+    return p, i, s
 
 
 def _market_event(t, p, i, s, mark, delta):
@@ -244,6 +251,53 @@ def scalar_renewal():
     iteration and ``segments(kernel, start, horizon, rng)`` yields one path's
     segment tuples, drawing ``rng.random()`` in the draw-order contract."""
     return SimpleNamespace(holding=_scalar_holding, segments=_scalar_segments)
+
+
+# -- the two-uniform thinning contract, one scalar draw at a time --
+
+
+def _scalar_mark(layout, i, s, z):
+    """The mark at coordinate ``z``: the interval ends at age ``s`` from
+    numpy's functions on a 0-d age, as on arrays of ages, then a bisection."""
+    s = np.asarray(s)
+    lam_a, lam_b = layout.ask_flow.value(s), layout.bid_flow.value(s)
+    lengths = [layout.kernel.continuation.value(s), layout.kernel.reversal.value(s)]
+    lengths += [lam_a * q for q in layout.ask_sizes] + [lam_b * q for q in layout.bid_sizes]
+    k = int(np.searchsorted(np.cumsum(lengths), z, side="right"))
+    cont, rev = sorted(successors(i), key=lambda j: alpha(j) != alpha(i))
+    n_sizes = len(layout.ask_sizes)
+    marks = [BigJump(cont), BigJump(rev)] + [SmallOrder(+1, u) for u in range(n_sizes)]
+    marks += [SmallOrder(-1, u) for u in range(n_sizes)] + [NO_EVENT]
+    return marks[k]
+
+
+def _scalar_thinning(kernel, layout, start, horizon, rng):
+    t, p, i, s = start
+    width = layout.mark_domain
+    while True:
+        u = rng.random()
+        while u == 0.0:
+            u = rng.random()
+        gap = float(-np.log1p(-u) / width)
+        if t + gap > horizon:
+            yield t, horizon, p, i, s, s + (horizon - t), None
+            return
+        s1 = s + gap
+        mark = _scalar_mark(layout, i, s1, width * rng.random())
+        yield t, t + gap, p, i, s, s1, mark
+        t += gap
+        p, i, s = _right_limit(p, i, s1, mark, kernel.delta)
+
+
+@pytest.fixture(scope="session")
+def scalar_thinning():
+    """The thinning construction's two-uniform contract, one scalar draw at a
+    time: ``segments(kernel, layout, start, horizon, rng)`` yields one path's
+    segment tuples with mark objects, drawing ``rng.random()`` for an open
+    gap uniform (a zero is skipped), gap ``-np.log1p(-u1) / width``, and then,
+    unless the horizon cuts the gap, ``rng.random()`` for the mark
+    coordinate ``width * u2``; ``mark(layout, i, s, z)`` resolves one mark."""
+    return SimpleNamespace(segments=_scalar_thinning, mark=_scalar_mark)
 
 
 # -- the transition-keyed gain rates the slot forms replaced, kept as the reference --

@@ -1,5 +1,6 @@
 """Quote gain rates, optimal policy, quoting premium, values, bound, backtest."""
 
+import functools
 import math
 from dataclasses import replace
 
@@ -30,13 +31,13 @@ from semitick import (
     z_score,
 )
 from semitick import market_maker as mm
-from semitick import mc
+from semitick import simulate
 from semitick.harness import load_config
 from semitick.market_maker import export_policy_csv
 from semitick.mc import McEstimate
 from semitick.solver import _build_tables
-from semitick.hazards import NO_EVENT
-from semitick.simulate import order_fill, path_rng, thinning_segments
+from semitick.hazards import BIG, NO_EVENT
+from semitick.simulate import order_fill, path_rng
 
 
 @pytest.fixture(scope="module")
@@ -368,8 +369,33 @@ class TestBacktest:
         assert len(payload["rows"]) == 5
 
 
+    def test_no_event_on_any_path(self, asym_setup):
+        # every policy is called on empty event arrays and keeps the agent
+        kernel, layout, spec, field, _ = asym_setup
+        policies = default_baselines() + [optimal_policy(kernel, layout, spec, field)]
+        r = backtest(
+            policies, kernel, layout, spec, MarketState(1.0, 2, 0.0), AgentState(0.5, 2),
+            1e-9, 30, 5,
+        )
+        assert r.events == 0
+        assert [(row.mean, row.se) for row in r.rows] == [(2.5, 0.0)] * len(policies)
+
+    def test_report_counts_candidates_and_events(self, asym_setup):
+        kernel, layout, spec, *_ = asym_setup
+        r = backtest(
+            default_baselines(), kernel, layout, spec,
+            MarketState(1.0, 2, 0.0), AgentState(), 1.0, 50, 5,
+        )
+        codes = np.concatenate([code for *_, (*_, code) in simulate.thinning_blocks(
+            kernel, layout, (0.0, 1.0, 2, 0.0), 1.0, 50, 5
+        )])
+        counts = (np.count_nonzero(codes), np.count_nonzero(codes >= BIG))
+        assert (r.candidates, r.events) == counts and 0 < counts[1] < counts[0]
+        payload = r.to_json()
+        assert (payload["candidates"], payload["events"]) == counts
+
     def test_blocked_policies_match_per_event_replay(
-        self, saturating_kernel, saturating_layout, monkeypatch
+        self, saturating_kernel, saturating_layout, scalar_thinning, monkeypatch
     ):
         # policies called once per block of paths on event arrays give the
         # table of a per-event replay with scalar calls; the optimal policy
@@ -382,12 +408,15 @@ class TestBacktest:
         policies = default_baselines() + [optimal_policy(kernel, layout, spec, field)]
         start, agent, n_paths, seed = MarketState(1.0, 2, 0.0), AgentState(0.5, -1), 300, 21
 
-        def replay(horizon, eta):
-            values = np.empty((len(policies), n_paths))
+        @functools.cache
+        def holdings(horizon):
+            # each policy's terminal cash and inventory on every path, and
+            # each path's terminal price
+            x, y, end_p = np.empty((len(policies), n_paths)), np.empty((len(policies), n_paths)), []
             n_quiet = 0
             for idx in range(n_paths):
                 events = []
-                for _, t1, p, i, _, s1, mark in thinning_segments(
+                for _, t1, p, i, _, s1, mark in scalar_thinning.segments(
                     kernel, layout, (0.0, 1.0, 2, 0.0), horizon, path_rng(seed, idx)
                 ):
                     if mark is not None and mark is not NO_EVENT:
@@ -397,13 +426,18 @@ class TestBacktest:
                         events.append((t1, p, i, s1, side > 0, d_cash, d_inv))
                 n_quiet += not events
                 for k, policy in enumerate(policies):
-                    x, y = agent.cash, agent.inventory
+                    x[k, idx], y[k, idx] = agent.cash, agent.inventory
                     for tv, p_pre, i_pre, s_pre, ask_side, d_cash, d_inv in events:
                         l_ask, l_bid = policy(tv, p_pre, i_pre, s_pre)
                         if (l_ask if ask_side else l_bid):
-                            x += d_cash
-                            y += d_inv
-                    values[k, idx] = x + p * y - eta * y * y
+                            x[k, idx] += d_cash
+                            y[k, idx] += d_inv
+                end_p.append(p)
+            return n_quiet, x, y, np.array(end_p)
+
+        def replay(horizon, eta):
+            n_quiet, x, y, end_p = holdings(horizon)
+            values = x + end_p * y - eta * y * y
             expected = [McEstimate.from_values(values[k], seed) for k in range(len(policies))]
             return n_quiet, [(pol.name, est.mean, est.se) for pol, est in zip(policies, expected)]
 
@@ -421,19 +455,19 @@ class TestBacktest:
         assert table(0.05, 0.0) == short
         assert table(1.0, 0.05) == replay(1.0, 0.05)[1]
         with monkeypatch.context() as patch:
-            patch.setattr(mc, "_PATH_BLOCK", 150)  # 300 paths fill two blocks
+            patch.setattr(simulate, "_SEED_BLOCK", 150)  # 300 paths fill two blocks
             assert table(1.0, 0.0) == expected
         with monkeypatch.context() as patch:
             starts = []
-            blocks = mc._blocks
+            blocks = mm.thinning_blocks
 
             def recorded(*args):
                 for block in blocks(*args):
                     starts.append(block[0])
                     yield block
 
-            patch.setattr(mc, "_ROW_BUDGET", 64)
-            patch.setattr(mm, "_blocks", recorded)
+            patch.setattr(simulate, "_BLOCK_ROWS", 64)
+            patch.setattr(mm, "thinning_blocks", recorded)
             assert table(1.0, 0.0) == expected
             assert len(starts) > 2
 

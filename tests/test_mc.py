@@ -31,7 +31,7 @@ from semitick import (
 )
 from semitick import mc, simulate
 from semitick.mc import _bump, _bump_ds
-from semitick.simulate import order_fill, renewal_segments, thinning_segments
+from semitick.simulate import order_fill, renewal_segments
 
 
 class TestEstimator:
@@ -338,11 +338,12 @@ def _segment_defects_ctl(
 
 
 def _reference_dynkin(
-    engine_paths, kernel, tfs, start, t, n_paths, seed, layout=None, control=None,
-    transaction_cost=0.0, include_small_orders=True, subdiv=4,
+    engine_paths, scalar_thinning, kernel, tfs, start, t, n_paths, seed, layout=None,
+    control=None, transaction_cost=0.0, include_small_orders=True, subdiv=4,
 ):
     """Per-path means of the Dynkin defects, one segment at a time; renewal
-    segments come from ``engine_paths``, thinning ones path by path."""
+    segments come from ``engine_paths``, thinning ones path by path from the
+    scalar reference ``scalar_thinning``."""
     values = np.empty((len(tfs), n_paths))
     weights = _simpson_nodes(subdiv)
     if control is None:
@@ -365,7 +366,9 @@ def _reference_dynkin(
             x, y = agent.cash, agent.inventory
             acc = [0.0] * len(tfs)
             rng = path_rng(seed, idx)
-            for t0, t1, p, i, s0, s1, mark in thinning_segments(kernel, layout, start_seg, t, rng):
+            for t0, t1, p, i, s0, s1, mark in scalar_thinning.segments(
+                kernel, layout, start_seg, t, rng
+            ):
                 _segment_defects_ctl(
                     kernel, layout, transaction_cost, tfs, p, i, s0, x, y,
                     t0, t1, control, include_small_orders, weights, acc,
@@ -387,13 +390,13 @@ class TestBlockMatchesReference:
     def small_blocks(self, monkeypatch):
         # 400 paths fill two blocks of 150 and part of a third, renewal and
         # thinning alike
-        monkeypatch.setattr(mc, "_PATH_BLOCK", 150)
         monkeypatch.setattr(simulate, "_SEED_BLOCK", 150)
 
     @pytest.mark.parametrize(
         "case", ["uncontrolled", "controlled", "builtin_controlled", "no_small_orders"]
     )
-    def test_dynkin_battery(self, saturating_kernel, saturating_layout, engine_paths, case):
+    def test_dynkin_battery(self, saturating_kernel, saturating_layout, engine_paths,
+                            scalar_thinning, case):
         ctl_start = (MarketState(1.0, 2, 0.0), AgentState(0.0, 1))
         ctl_kw = dict(layout=saturating_layout, transaction_cost=0.001)
         if case == "uncontrolled":
@@ -410,10 +413,38 @@ class TestBlockMatchesReference:
             kw = dict(ctl_kw, control=(1, 1), include_small_orders=case == "builtin_controlled")
         block = dynkin_battery(saturating_kernel, tfs, start, 0.7, 400, 77, **kw)
         reference = _reference_dynkin(
-            engine_paths, saturating_kernel, tfs, start, 0.7, 400, 77, **kw
+            engine_paths, scalar_thinning, saturating_kernel, tfs, start, 0.7, 400, 77, **kw
         )
         for r, mean in zip(block, reference, strict=True):
             assert r.mean == pytest.approx(mean, abs=1e-13), r.name
+
+    @pytest.mark.parametrize("control", [(1, 1), (0, 1)])
+    def test_controlled_holdings_replay_the_fills(self, saturating_kernel, saturating_layout,
+                                                  scalar_thinning, control):
+        # each segment's cash and inventory equal a per-event replay of the
+        # scalar reference from the initial agent, bit for bit
+        kernel, layout, cost = saturating_kernel, saturating_layout, 0.001
+        start, agent = (0.0, 1.0, 2, 0.0), AgentState(0.25, -1)
+        got = [[] for _ in range(400)]
+        for lo, path, _, (*_, x, y) in mc._controlled_blocks(
+            kernel, layout, start, 0.7, 400, 77, agent, control, cost
+        ):
+            for k, xy in zip(path.tolist(), zip(x.tolist(), y.tolist())):
+                got[lo + k].append(xy)
+        filled = 0
+        for idx, rows in enumerate(got):
+            x, y = agent.cash, agent.inventory
+            ref = []
+            for *_, p, _, _, _, mark in scalar_thinning.segments(
+                kernel, layout, start, 0.7, path_rng(77, idx)
+            ):
+                ref.append((x, y))
+                if mark is not None and mark is not NO_EVENT:
+                    _, dx, dy, units = order_fill(mark, control, layout.max_units, p,
+                                                  kernel.delta, cost)
+                    x, y, filled = x + dx, y + dy, filled + (units > 0)
+            assert np.array(rows).tobytes() == np.array(ref, dtype=float).tobytes()
+        assert filled > 100
 
     @pytest.mark.parametrize("flat", [True, False], ids=["flat", "saturating"])
     def test_estimator_with_quote_source(

@@ -2,7 +2,6 @@
 order fills, determinism."""
 
 import decimal
-import hashlib
 import math
 
 import numpy as np
@@ -31,9 +30,9 @@ from semitick import (
     sample_transition,
     thinning_segments,
 )
-from semitick import simulate
+from semitick import hazards, simulate
 from semitick.hazards import _PHI_CUT, _phi
-from semitick.simulate import order_fill, path_streams, renewal_blocks
+from semitick.simulate import order_fill, renewal_blocks, thinning_blocks
 
 
 class TestSampleHolding:
@@ -465,12 +464,11 @@ class TestThinningPath:
         start = (0.0, 1.0, 2, 0.0)
         accepted = candidates = 0
         mass_samples = []
-        for idx in range(1500):
-            for *_, mark in thinning_segments(
-                saturating_kernel, saturating_layout, start, 1.0, path_rng(31, idx)
-            ):
-                candidates += mark is not None
-                accepted += mark is not None and mark is not NO_EVENT
+        for *_, (*_, code) in thinning_blocks(
+            saturating_kernel, saturating_layout, start, 1.0, 1500, 31
+        ):
+            candidates += np.count_nonzero(code)
+            accepted += np.count_nonzero(code >= hazards.BIG)
         rng = np.random.default_rng(0)
         # estimate the expected mass along an independent ensemble
         for segments in engine_paths(saturating_kernel, start, 1.0, 1500, 32):
@@ -492,6 +490,131 @@ class TestThinningPath:
             saturating_kernel, saturating_layout, MarketState(1.0, 2, 0.0), 1.5, 3000, 41
         )
         assert check.measured["p"] > 0.01
+
+
+def decoded(layout, blocks, n_paths):
+    """Each path's segment tuples from thinning blocks, the mark codes
+    decoded by ``layout.mark``."""
+    paths = [[] for _ in range(n_paths)]
+    for lo, path, _, columns in blocks:
+        for k, (*row, code) in zip(path.tolist(), zip(*(c.tolist() for c in columns))):
+            paths[lo + k].append((*row, layout.mark(row[3], code)))
+    return paths
+
+
+def assert_rows_equal(rows, ref):
+    """Equal marks, and equal bytes in every numeric column."""
+    assert [r[6] for r in rows] == [r[6] for r in ref]
+    as_bytes = [np.array([r[:6] for r in x], dtype=float).tobytes() for x in (rows, ref)]
+    assert as_bytes[0] == as_bytes[1]
+
+
+class TestThinningEngine:
+    """The lockstep thinning engine against the scalar two-uniform contract."""
+
+    @pytest.fixture(params=["flat", "saturating"])
+    def model(self, request, asymmetric_kernel, asymmetric_layout, saturating_kernel,
+              saturating_layout):
+        if request.param == "flat":
+            return asymmetric_kernel, asymmetric_layout
+        return saturating_kernel, saturating_layout
+
+    @staticmethod
+    def reference(scalar_thinning, kernel, layout, start, horizon, seed, indices):
+        return [list(scalar_thinning.segments(kernel, layout, start, horizon, path_rng(seed, idx)))
+                for idx in indices]
+
+    @pytest.mark.parametrize("age", [0.0, 0.25])
+    def test_byte_for_byte(self, model, scalar_thinning, age):
+        kernel, layout = model
+        start = (0.0, 1.0, 2, age)
+        got = decoded(layout, thinning_blocks(kernel, layout, start, 2.0, 300, 14), 300)
+        ref = self.reference(scalar_thinning, kernel, layout, start, 2.0, 14, range(300))
+        for rows, ref_rows in zip(got, ref, strict=True):
+            assert_rows_equal(rows, ref_rows)
+        kinds = {type(r[6]) for rows in got for r in rows}
+        assert kinds == {BigJump, SmallOrder, type(NO_EVENT), type(None)}
+
+    def test_block_splits(self, monkeypatch, saturating_kernel, saturating_layout,
+                          scalar_thinning):
+        # blocks of 1,024 (1,030 paths straddle one), 7 and 1 path, and
+        # blocks that the row budget shrinks
+        kernel, layout, start = saturating_kernel, saturating_layout, (0.0, 1.0, 2, 0.25)
+        ref = self.reference(scalar_thinning, kernel, layout, start, 1.0, 5, range(1030))
+        for block, rows_budget, n_paths, n_blocks in (
+            (1024, 2**18, 1030, 2), (7, 2**18, 1030, 148), (1, 2**18, 60, 60), (1024, 400, 200, 12)
+        ):
+            monkeypatch.setattr(simulate, "_SEED_BLOCK", block)
+            monkeypatch.setattr(simulate, "_BLOCK_ROWS", rows_budget)
+            blocks = list(thinning_blocks(kernel, layout, start, 1.0, n_paths, 5))
+            assert len(blocks) == n_blocks
+            for rows, ref_rows in zip(decoded(layout, blocks, n_paths), ref):
+                assert_rows_equal(rows, ref_rows)
+
+    @pytest.mark.parametrize("width", [1, 2, 17])
+    def test_zero_gap_uniform_skipped(self, monkeypatch, asymmetric_kernel, asymmetric_layout,
+                                      scalar_thinning, width):
+        # zeros at gap draws are skipped, singly and in a run; a zero mark
+        # uniform is kept (coordinate 0, the continuation interval); runs of
+        # 1, 2 and 17 uniforms from a stubbed stream, then from the array
+        # streams with every uniform below 0.1 read as zero on both sides
+        kernel, layout, start = asymmetric_kernel, asymmetric_layout, (0.0, 1.0, 2, 0.0)
+        values = [0.0, 0.3, 0.0, 0.0, 0.0, 0.45, 0.0, 0.2, 0.7, 0.0, 0.0] * 3 + [0.99] * 20
+        monkeypatch.setattr(simulate, "_prefetch_width", lambda rate, span: width)
+        ref_stream, stream = _StubStream(values), _StubStream(values)
+        ref = list(scalar_thinning.segments(kernel, layout, start, 4.0, ref_stream))
+        assert_rows_equal(list(thinning_segments(kernel, layout, start, 4.0, stream)), ref)
+        assert len(ref) > 5 and values[: ref_stream.drawn].count(0.0) > 5
+        pcg_uniforms = simulate._pcg_uniforms
+
+        def zeroed(state, inc, k):
+            run, state = pcg_uniforms(state, inc, k)
+            return np.where(run < 0.1, 0.0, run), state
+
+        monkeypatch.setattr(simulate, "_pcg_uniforms", zeroed)
+        got = decoded(layout, thinning_blocks(kernel, layout, start, 4.0, 60, 9), 60)
+        skipped = 0
+        for idx, rows in enumerate(got):
+            values = path_rng(9, idx).random(400)
+            stream = _StubStream(np.where(values < 0.1, 0.0, values).tolist())
+            assert_rows_equal(rows, list(scalar_thinning.segments(kernel, layout, start, 4.0,
+                                                                  stream)))
+            skipped += stream.drawn - 2 * len(rows) + 1
+        assert skipped > 10
+
+    def test_price_overflow_refused(self):
+        k = SemiMarkovKernel(ConstantIntensity(5.0), ConstantIntensity(5.0), 0.9)
+        lay = MarkLayout(k, ConstantIntensity(1.0), ConstantIntensity(1.0), (0.5, 0.5), (0.5, 0.5))
+        message = r"the price overflows: a jump from 1e\+308 at tick size 0\.9"
+        with pytest.raises(OverflowError, match=message):
+            list(thinning_blocks(k, lay, (0.0, 1e308, 1, 0.0), 1.0, 30, 3))
+        with pytest.raises(OverflowError, match=message):
+            for idx in range(30):
+                list(thinning_segments(k, lay, (0.0, 1e308, 1, 0.0), 1.0, path_rng(3, idx)))
+
+    def test_seed_past_32_bits_takes_path_rng(self, model, scalar_thinning):
+        kernel, layout = model
+        start = (0.0, 1.0, 3, 0.0)
+        got = decoded(layout, thinning_blocks(kernel, layout, start, 2.0, 40, 2**32), 40)
+        ref = self.reference(scalar_thinning, kernel, layout, start, 2.0, 2**32, range(40))
+        for rows, ref_rows in zip(got, ref, strict=True):
+            assert_rows_equal(rows, ref_rows)
+
+    def test_no_generator_per_path(self, monkeypatch, model, scalar_thinning):
+        # 1,030 paths straddle the 1,024-path block
+        kernel, layout = model
+        start = (0.0, 1.0, 2, 0.0)
+        checked = list(range(8)) + list(range(1018, 1030))
+        ref = self.reference(scalar_thinning, kernel, layout, start, 1.0, 1, checked)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Generator was built")
+
+        monkeypatch.setattr(simulate, "path_rng", refuse)
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        got = decoded(layout, thinning_blocks(kernel, layout, start, 1.0, 1030, 1), 1030)
+        for idx, ref_rows in zip(checked, ref):
+            assert_rows_equal(got[idx], ref_rows)
 
 
 class TestHoldingTimes:
@@ -692,8 +815,7 @@ class TestPathUniforms:
         def refuse(*args, **kwargs):
             raise AssertionError("a Generator was built")
 
-        for target, name in ((simulate, "path_rng"), (simulate, "path_streams"),
-                             (np.random, "default_rng")):
+        for target, name in ((simulate, "path_rng"), (np.random, "default_rng")):
             monkeypatch.setattr(target, name, refuse)
         if width is not None:
             monkeypatch.setattr(simulate, "_prefetch_width", lambda kernel, span: width)
@@ -703,23 +825,21 @@ class TestPathUniforms:
 
 
 class TestPathStreams:
-    """``path_streams`` seeds whole blocks; each stream must be the one
-    ``path_rng`` gives, which also guards against numpy changing its seeding."""
+    """The engine seeds whole blocks in arrays; each path's uniforms must be
+    the ones ``path_rng`` gives, which also guards against numpy changing
+    its seeding."""
 
     @staticmethod
-    def assert_same_streams(seed, first, n):
-        streams = path_streams(seed, first, n)
-        for idx, rng in zip(range(first, first + n), streams, strict=True):
-            ref = path_rng(seed, idx)
-            assert rng.bit_generator.state == ref.bit_generator.state, (seed, idx)
-            draws = (rng.exponential(0.5), rng.uniform(0.0, 3.0), rng.random(), rng.random(3))
-            expect = (ref.exponential(0.5), ref.uniform(0.0, 3.0), ref.random(), ref.random(3))
-            assert draws[:3] == expect[:3]
-            assert draws[3].tolist() == expect[3].tolist()
+    def assert_same_streams(seed, first, n, width=3):
+        uniforms = simulate._path_uniforms(seed, first, n, width)
+        rows = np.arange(n)
+        got = np.stack([uniforms.take(rows) for _ in range(7)], axis=1)
+        for r, idx in enumerate(range(first, first + n)):
+            assert got[r].tobytes() == path_rng(seed, idx).random(7).tobytes(), (seed, idx)
 
     def test_blocks_at_seed_zero(self):
-        # 1,500 paths from index 7: a block start off the block grid, a full
-        # block of 1,024 and a partial one
+        # 1,500 paths from index 7: a block start off the block grid, and
+        # more paths than one seeding block
         self.assert_same_streams(0, 7, 1500)
 
     @pytest.mark.parametrize("seed", [0, 20240811, 2**32 - 1, 2**32, 2**40 + 3])
@@ -729,34 +849,26 @@ class TestPathStreams:
         self.assert_same_streams(seed, 5, 3)
 
     def test_stream_after_a_drawn_one_is_fresh(self):
-        streams = path_streams(11, 0, 2)
-        next(streams).random(50)
-        assert next(streams).random() == path_rng(11, 1).random()
+        uniforms = simulate._path_uniforms(11, 0, 2, 3)
+        for _ in range(50):
+            uniforms.take(np.array([0]))
+        assert uniforms.take(np.array([1]))[0] == path_rng(11, 1).random()
 
     def test_negative_index_is_refused_like_path_rng(self):
         with pytest.raises(ValueError):
-            next(path_streams(3, -1, 2))
-
-
-def _mix_bits(*values):
-    """The per-word hash the coins were first defined by, kept as the reference."""
-    h = hashlib.blake2b(digest_size=8)
-    for v in values:
-        h.update((int(v) & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little"))
-    return int.from_bytes(h.digest(), "little")
+            simulate._path_uniforms(3, -1, 2, 3)
 
 
 def reference_coins(policy, t, p, i, s):
-    base = _mix_bits(
-        policy.seed,
-        np.float64(t).view(np.int64),
-        np.float64(p).view(np.int64),
-        i,
-        np.float64(s).view(np.int64),
-    )
-    u_ask = ((base >> 11) & ((1 << 53) - 1)) / float(1 << 53)
-    u_bid = (_mix_bits(base, 1) >> 11 & ((1 << 53) - 1)) / float(1 << 53)
-    return (int(u_ask < policy.prob), int(u_bid < policy.prob))
+    """The coins of one record from numpy's own ``SeedSequence`` on its ten
+    little-endian 32-bit words."""
+    record = [policy.seed & 0xFFFFFFFFFFFFFFFF] + [
+        int(np.asarray(v, dtype=dtype).view(np.uint64))
+        for v, dtype in ((t, np.float64), (p, np.float64), (i, np.int64), (s, np.float64))
+    ]
+    words = np.array([w >> k & 0xFFFFFFFF for w in record for k in (0, 32)], dtype=np.uint32)
+    ask, bid = np.random.SeedSequence(words).generate_state(2, np.uint64).tolist()
+    return (int((ask >> 11) / 2.0**53 < policy.prob), int((bid >> 11) / 2.0**53 < policy.prob))
 
 
 class TestPolicies:
@@ -789,6 +901,27 @@ class TestPolicies:
         draws = [pol(t, 1.0, 1, 0.0) for t in np.linspace(0.0, 1.0, 4001)]
         mean_ask = np.mean([d[0] for d in draws])
         assert abs(mean_ask - 0.5) < 0.05
+
+    @pytest.mark.parametrize("prob", [0.5, 0.1])
+    def test_random_policy_frequency_within_4_sd(self, prob):
+        pol = RandomQuotePolicy(prob=prob, seed=4)
+        rng = np.random.default_rng(6)
+        n = 100_000
+        t, s = rng.random(n), rng.random(n) * 2.0
+        p, i = 1.01 ** rng.integers(-20, 21, n), rng.integers(1, 5, n)
+        sd = math.sqrt(n * prob * (1.0 - prob))
+        for bits in pol(t, p, i, s):
+            assert abs(bits.sum() - n * prob) <= 4.0 * sd
+
+    def test_random_policy_does_not_depend_on_the_block_split(self):
+        pol = RandomQuotePolicy(prob=0.5, seed=2**40 + 5)
+        rng = np.random.default_rng(12)
+        t, s = rng.random(1000), rng.random(1000)
+        p, i = 1.01 ** rng.integers(-5, 6, 1000), rng.integers(1, 5, 1000)
+        whole = np.stack(pol(t, p, i, s))
+        for cuts in ([1], [7, 300], [999]):
+            parts = [np.stack(pol(*a)) for a in zip(*(np.split(x, cuts) for x in (t, p, i, s)))]
+            assert np.concatenate(parts, axis=1).tobytes() == whole.tobytes()
 
     def test_random_policy_on_arrays_matches_scalars(self):
         pol = RandomQuotePolicy(prob=0.5, seed=9)
