@@ -16,9 +16,8 @@ import numpy as np
 from semitick import (
     ConstantIntensity,
     GridSpec,
-    STATES,
+    SLOT_MOVES,
     SemiMarkovKernel,
-    alpha,
     estimate_terminal_value,
     expected_price_ode_oracle,
     solve_expected_price,
@@ -36,20 +35,21 @@ mask = field.lattice.report_mask
 prices = field.lattice.prices[mask]
 err = np.max(np.abs(field.core[:, mask, :] - prices[None, :, None]) / prices[None, :, None])
 print(f"martingale check: max relative error {err:.2e} over "
-      f"{mask.sum()} lattice nodes x {len(field.t_grid)} times x 4 states")
+      f"{mask.sum()} lattice nodes x {len(field.t_grid)} times x 2 move directions")
 
 # 2. trending hazards: continuation beats reversal, giving the price drift;
-#    the direction-dependent factor solves a 2x2 linear ODE
+#    the direction-dependent factor solves a 2x2 linear ODE; the core holds one
+#    column per direction of the last move (down, up), as states 1, 3 and 2, 4
 trend = SemiMarkovKernel(ConstantIntensity(0.8), ConstantIntensity(0.4), 0.01)
 t0 = time.time()
 field = solve_expected_price(trend, grid, horizon, p0)
 factors = expected_price_ode_oracle(0.8, 0.4, 0.01, horizon - field.t_grid)
 mask = field.lattice.report_mask
 worst = 0.0
-for ii, i in enumerate(STATES):
-    col = 0 if alpha(i) > 0 else 1
+for b, move in enumerate(SLOT_MOVES):
+    col = 0 if move > 0 else 1
     oracle = field.lattice.prices[None, mask] * factors[:, col][:, None]
-    worst = max(worst, np.max(np.abs(field.core[:, mask, ii] - oracle) / oracle))
+    worst = max(worst, np.max(np.abs(field.core[:, mask, b] - oracle) / oracle))
 print(f"matrix-exponential check: max relative error {worst:.2e} "
       f"(solved in {time.time() - t0:.2f}s, {field.iterations} sweeps)")
 print(f"  contraction ratios per sweep: {[round(r, 3) for r in field.ratios]}")

@@ -13,6 +13,7 @@ from .hazards import (
     SemiMarkovKernel,
     SmallOrder,
     alpha,
+    direction_index,
     equivalent,
     successors,
 )

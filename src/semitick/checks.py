@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mc
-from .hazards import BIG, SMALL, STATES, alpha, successors
+from .hazards import BIG, SLOT_MOVES, SMALL, STATES, successors
 from .market_maker import QuoteGainSource
 from .simulate import renewal_blocks, sample_holding, thinning_blocks
 from .solver import contraction_bound, expected_price_ode_oracle, extension_slice
@@ -197,9 +197,9 @@ def closed_form(price_field, kernel, tol: float) -> Check:
     lattice = price_field.lattice
     mask = lattice.report_mask
     worst = 0.0
-    for ii, i in enumerate(STATES):
-        oracle = lattice.prices[None, mask] * factors[:, 0 if alpha(i) > 0 else 1][:, None]
-        rel = np.abs(price_field.core[:, mask, ii] - oracle) / oracle
+    for b, move in enumerate(SLOT_MOVES):  # the core's direction axis
+        oracle = lattice.prices[None, mask] * factors[:, 0 if move > 0 else 1][:, None]
+        rel = np.abs(price_field.core[:, mask, b] - oracle) / oracle
         worst = float(np.maximum(worst, np.max(rel)))
     return Check(
         "closed_form", worst <= tol, f"max rel err {worst:.3e} vs tol {tol:g} (flat-hazard oracle)",

@@ -30,6 +30,7 @@ __all__ = [
     "SLOT_MOVES",
     "SUCCESSOR_INDEX",
     "alpha",
+    "direction_index",
     "successors",
     "equivalent",
     "ConstantIntensity",
@@ -67,6 +68,11 @@ def alpha(i):
     """Signed move direction of state ``i``: -1 for odd states, +1 for even;
     elementwise on integer arrays."""
     return 1 - 2 * (i % 2)
+
+
+def direction_index(i):
+    """Index in ``SLOT_MOVES`` of ``alpha(i)``: 0 for states 1, 3 and 1 for 2, 4; elementwise."""
+    return 1 - i % 2
 
 
 def equivalent(i: int, j: int) -> bool:

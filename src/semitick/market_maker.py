@@ -25,15 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .hazards import (
-    BIG,
-    SLOT_MOVES,
-    STATES,
-    SUCCESSOR_INDEX,
-    MarkLayout,
-    SemiMarkovKernel,
-    alpha,
-)
+from .hazards import BIG, SLOT_MOVES, STATES, MarkLayout, SemiMarkovKernel, alpha, direction_index
 from .mc import McEstimate, _running
 from .simulate import (
     AgentState,
@@ -121,6 +113,7 @@ class QuoteGainSource:
     paths, which broadcasts over arrays of points.  Rates come per side, on a
     leading successor-slot axis: slot ``b`` moves the price by
     ``SLOT_MOVES[b]``, so slot 0 is the bid side and slot 1 the ask side.
+    On the grid they are on (time, node, direction), as the field's core is.
     """
 
     def __init__(
@@ -142,19 +135,18 @@ class QuoteGainSource:
         self.lattice = price_field.lattice
         # jump-image indices and scales on (successor slot, lattice node)
         self._img_idx, self._img_scale = map(np.stack, zip(*_slot_images(self.lattice)))
-        self._prices = np.repeat(self.lattice.prices, len(STATES))
+        prices = self.lattice.prices
+        self._prices = np.repeat(prices, len(SLOT_MOVES))  # on (node x direction) columns
         self._edge_cols = np.broadcast_to(self._edge(self._prices), self._prices.shape)
         # the big-order edge d * (price - age-zero expected price at the jump
-        # image) + edge per successor slot on (time, node x state); only its
-        # factor h_dir(age) * big_size depends on the age
-        prices = self.lattice.prices[None, :]
+        # image) + edge per successor slot on (time, node x direction), one
+        # gather per slot: the successor entered on slot b has direction b.
+        # Only its factor h_dir(age) * big_size depends on the age
         self._big_edge = []
-        for b, d in enumerate(SLOT_MOVES):
-            idx, scale = self._img_idx[b], self._img_scale[b]
-            big_edge = np.empty_like(price_field.core)
-            for ii in range(len(STATES)):
-                image = price_field.core[:, idx, SUCCESSOR_INDEX[ii, b]] * scale[None, :]
-                big_edge[:, :, ii] = d * (prices - image) + self._edge(prices)
+        for b, (d, idx, scale) in enumerate(zip(SLOT_MOVES, self._img_idx, self._img_scale)):
+            big_edge, image = np.empty(price_field.core.shape), price_field.core[:, idx, b] * scale
+            big_edge[:, :, 0] = d * (prices - image) + self._edge(prices)
+            big_edge[:, :, 1:] = big_edge[:, :, :1]
             self._big_edge.append(big_edge.reshape(len(big_edge), -1))
         self._age_free = price_field.age_invariant and layout.is_memoryless
 
@@ -165,20 +157,21 @@ class QuoteGainSource:
 
     def _age_terms(self, age: float) -> list:
         """``(flow, coef)`` per successor slot at one age: the small-order flow
-        times its mean size, and h_dir(age) * big_size for each state."""
+        times its mean size, and h_dir(age) * big_size for each direction."""
         cont, rev = self.kernel.continuation.value(age), self.kernel.reversal.value(age)
         big = self.mmspec.big_size
         terms = []
-        for d in SLOT_MOVES:
+        for b, d in enumerate(SLOT_MOVES):
             flow = self.layout.side_flow(d).value(age) * self.layout.mean_size(d)
-            terms.append((flow, np.array([(cont if alpha(i) == d else rev) * big for i in STATES])))
+            coef = [(cont if a == b else rev) * big for a in range(len(SLOT_MOVES))]
+            terms.append((flow, np.array(coef)))
         return terms
 
     def _rates_into(self, out, scratch, b: int, flow, coef, pi, cols, first: int):
         """Gain rate toward successor slot ``b`` on the flat columns ``cols``
         and time rows ``first..n_t``, from the expected price ``pi`` there:
         flow * (d * (price - pi) + edge) + h_dir * big_size * big-order edge,
-        with ``coef`` = h_dir * big_size per state."""
+        with ``coef`` = h_dir * big_size per direction."""
         # d * (price - pi), where -(price - pi) is pi - price bit for bit
         if SLOT_MOVES[b] > 0:
             np.subtract(self._prices[cols], pi, out=out)
@@ -186,7 +179,7 @@ class QuoteGainSource:
             np.subtract(pi, self._prices[cols], out=out)
         out += self._edge_cols[cols]
         out *= flow
-        coef_row = np.tile(coef, out.shape[1] // len(STATES))
+        coef_row = np.tile(coef, out.shape[1] // len(SLOT_MOVES))
         out += np.multiply(self._big_edge[b][first:, cols], coef_row, out=scratch)
         return out
 
@@ -200,7 +193,7 @@ class QuoteGainSource:
         return down
 
     def gain_rates_at_age(self, age: float) -> np.ndarray:
-        """Gain rates on the (successor slot, time, node, state) grid at one age."""
+        """Gain rates on the (successor slot, time, node, direction) grid at one age."""
         fld = self.field
         pi = fld.core if fld.age_invariant or age == 0.0 else extension_slice(fld, age)
         flat = pi.reshape(len(pi), -1)
@@ -210,7 +203,7 @@ class QuoteGainSource:
         return rates.reshape((len(SLOT_MOVES),) + pi.shape)
 
     def integrals(self, q_source: np.ndarray) -> np.ndarray:
-        """Integrated running source on the (time, node, state) grid: over
+        """Integrated running source on the (time, node, direction) grid: over
         every age node d, the d-th diagonal of the survival-weighted
         quadrature matrix ``q_source`` times the source at age ``d*h`` on
         time nodes ``d..n_t``.
@@ -236,7 +229,7 @@ class QuoteGainSource:
         for lo, hi in [(0, n_nodes)] if self._age_free else _node_blocks(n_nodes):
             # every buffer is allocated here, on the calling thread (see
             # _CharacteristicSweep.rows)
-            cols = slice(lo * len(STATES), hi * len(STATES))
+            cols = slice(lo * len(SLOT_MOVES), hi * len(SLOT_MOVES))
             ages = _price_ages(core[:, cols], sweep, lo, hi)
             bufs = [np.empty((n_rows, cols.stop - cols.start)) for _ in range(3)]
             tasks.append(partial(self._fold_block, flat, q_source, terms, ages, bufs, cols))
@@ -245,7 +238,7 @@ class QuoteGainSource:
 
     def _fold_block(self, out, q_source, terms, ages, bufs, cols) -> None:
         """Add the integrated source of the flat columns ``cols`` to ``out``
-        (time, node x state): per ``(d, expected price)`` pair of ``ages``,
+        (time, node x direction): per ``(d, expected price)`` pair of ``ages``,
         the gain rates, max(rate, 0) and the diagonal fold in one pass, in
         the three buffers ``bufs`` of ``out``'s length.  With flat hazards
         and flat flow one source serves every age: it is computed at age
@@ -277,11 +270,10 @@ class QuoteGainSource:
         t, node, i, s = np.broadcast_arrays(t, node, np.asarray(i), s)
         slot = np.arange(len(SLOT_MOVES)).reshape((-1,) + (1,) * node.ndim)
         d = np.asarray(SLOT_MOVES)[slot]
-        # a state outside STATES looks up the successors of STATES[0]; the
-        # read below refuses it at the state's own point, which comes first
-        k = np.where(np.isin(i, STATES), i, STATES[0]).astype(int) - STATES[0]
-        j = STATES[0] + SUCCESSOR_INDEX[k, slot]
-        # one read of the state's own point and both jump images, at age zero
+        # the successor entered on slot b has direction b, as STATES[b] has
+        j = np.broadcast_to(np.asarray(STATES)[slot], slot.shape[:1] + node.shape)
+        # one read of the state's own point and both jump images, at age zero;
+        # the read refuses a state outside STATES at its own point
         values = self.field.read(
             t, np.concatenate([node[None], self._img_idx[slot, node]]),
             np.concatenate([i[None], j]), np.concatenate([s[None], np.zeros(j.shape)]),
@@ -634,7 +626,8 @@ def export_policy_csv(
     header_meta: Optional[dict] = None,
 ) -> None:
     """Quote bits on the grid at the ages ``s_values`` as (t, p, i, s, ask bit,
-    bid bit) rows."""
+    bid bit) rows; the bits of each direction are picked once and written
+    for both of its states."""
     mmspec.require_risk_neutral("the optimal quoting policy")
     source = QuoteGainSource(kernel, layout, mmspec, price_field)
     keep = np.nonzero(price_field.lattice.report_mask)[0]
@@ -649,10 +642,10 @@ def export_policy_csv(
         n_report = len(p_txt)
         for s in map(float, s_values):
             rates = source._age_free_rates if source._age_free else source.gain_rates_at_age(s)
-            for ii, i in enumerate(STATES):
-                # every line tail of this (age, state), at code * n_report + node
+            bid, ask = rates[:, :, keep] > 0.0
+            # per (direction, time), each node's line tail at code * n_report + node
+            picks = ((2 * ask + bid) * n_report + np.arange(n_report)[:, None]).transpose(2, 0, 1)
+            for i in STATES:
                 lines = [f"{p},{i},{s!r},{bits}" for bits in _QUOTE_BITS for p in p_txt]
-                bid, ask = rates[..., ii][:, :, keep] > 0.0
-                picks = (2 * ask + bid) * n_report + np.arange(n_report)
-                for lead, row in zip(t_leads, picks.tolist()):
+                for lead, row in zip(t_leads, picks[direction_index(i)].tolist()):
                     fh.write(lead + ("\n" + lead).join(map(lines.__getitem__, row)) + "\n")

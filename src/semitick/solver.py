@@ -3,7 +3,7 @@
 The value of a terminal payoff g plus a running source w solves an integral
 fixed-point equation whose unknown enters only through its age-zero slices.
 Picard iteration therefore runs on a core array indexed by (time node, price
-lattice node, direction state); any other age is recovered afterwards from
+lattice node, move direction); any other age is recovered afterwards from
 the core by a single application of the operator at that age
 (:func:`extension_slice`), by one sweep along the characteristics for every
 grid age at once (:class:`_CharacteristicSweep`, run on blocks of lattice
@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .hazards import SLOT_MOVES, STATES, SUCCESSOR_INDEX, SemiMarkovKernel, alpha, successors
+from .hazards import SLOT_MOVES, STATES, SemiMarkovKernel, direction_index
 from .lattice import PriceLattice, max_jumps_for_tail
 
 __all__ = [
@@ -44,7 +45,6 @@ __all__ = [
     "save_field_csv",
 ]
 
-_STATE_INDEX = {s: k for k, s in enumerate(STATES)}
 # points per block of the exact extension read; its temporaries are O(chunk * n_t)
 _READ_CHUNK = 1024
 
@@ -99,7 +99,8 @@ class ProblemSpec:
 
     ``g`` maps a price array to values of at most linear growth; ``w`` is a
     callable ``w(t, p, i, s)`` broadcasting over ``t``, ``p`` and ``s`` with
-    integer state ``i``.
+    integer state ``i``, which it may depend on only through ``alpha(i)``, as
+    the kernel does; the solve refuses one that differs within a direction.
     """
 
     g: Callable[[np.ndarray], np.ndarray]
@@ -118,8 +119,10 @@ class ProblemSpec:
 class ValueField:
     """Grid representation of a solved value function.
 
-    ``core`` holds the age-zero values on (time node, lattice node, state),
-    read linearly in time and exactly in price on the lattice.  Every other
+    ``core`` holds the age-zero values on (time node, lattice node,
+    direction), read linearly in time and exactly in price on the lattice.
+    A state's value depends on it only through ``alpha(i)``: direction 0 of
+    ``SLOT_MOVES`` holds states 1, 3 and direction 1 states 2, 4.  Every other
     age is computed exactly from the core through the solve context
     (``kernel`` and ``problem``).
     """
@@ -172,7 +175,7 @@ class ValueField:
         off = ~((i >= STATES[0]) & (i <= STATES[-1]) & (np.floor(i) == i))
         if off.any():
             raise ValueError(f"state {i[off].flat[0].item()!r} is not one of {STATES}")
-        ii = i.astype(int) - STATES[0]  # states are consecutive integers
+        ii = direction_index(i.astype(int))
         if self.age_invariant or not s.any():
             shape = np.broadcast_shapes(t.shape, np.shape(node), ii.shape, s.shape)
             return np.broadcast_to(_interp_time(self.t_grid, t, self.core, node, ii), shape)
@@ -198,7 +201,7 @@ class ValueField:
 
 
 def _scaled_max(values: np.ndarray, scale: np.ndarray, out=None) -> float:
-    """max |values| / scale over (time, node, state), in place in ``out`` if given."""
+    """max |values| / scale over (time, node, direction), in place in ``out`` if given."""
     out = np.abs(values, out=out)
     np.divide(out, scale[None, :, None], out=out)
     return float(np.max(out))
@@ -322,20 +325,30 @@ def _pointwise_source(
     problem: ProblemSpec, q_source: np.ndarray, t_grid: np.ndarray, lattice: PriceLattice,
     sigma: float,
 ) -> np.ndarray:
-    """Integrated running source on the (time, node, state) grid, from ``w``
-    sampled pointwise: for every age node d, ``w`` at age ``sigma + d*h`` on
-    every (time node m >= d, lattice node, state), folded in with the d-th
-    diagonal of the survival-weighted quadrature matrix ``q_source``."""
+    """Integrated running source on the (time, node, direction) grid, from
+    ``w`` sampled pointwise: for every age node d, ``w`` at age ``sigma + d*h``
+    on every (time node m >= d, lattice node, state), folded in with the d-th
+    diagonal of the survival-weighted quadrature matrix ``q_source``.  States
+    ``STATES[b]`` and ``STATES[b + 2]`` have direction b; a ``w`` that differs
+    between them (NaN equals NaN here) is refused, naming both."""
     n_t = len(t_grid) - 1
     h = t_grid[1] - t_grid[0]
-    out = np.zeros((n_t + 1, lattice.n_nodes, len(STATES)))
+    out = np.zeros((n_t + 1, lattice.n_nodes, len(SLOT_MOVES)))
     for d in range(n_t + 1):
         age = sigma + d * h
         slab = np.empty((n_t + 1 - d, lattice.n_nodes, len(STATES)))
         for m in range(d, n_t + 1):
             for ii, i in enumerate(STATES):
                 slab[m - d, :, ii] = problem.w(t_grid[m], lattice.prices, i, age)
-        out[: n_t + 1 - d] += q_source.diagonal(d)[:, None, None] * slab
+        low, high = slab[:, :, :2], slab[:, :, 2:]
+        if not np.array_equal(low, high, equal_nan=True):
+            m, n, b = np.argwhere((low != high) & ~(np.isnan(low) & np.isnan(high)))[0]
+            raise ValueError(
+                f"the running source w may depend on the state only through alpha(i), but "
+                f"it differs between states {STATES[b]} and {STATES[b + 2]} at t="
+                f"{float(t_grid[m + d])!r}, p={float(lattice.prices[n])!r}, s={age!r}"
+            )
+        out[: n_t + 1 - d] += q_source.diagonal(d)[:, None, None] * low
     return out
 
 
@@ -343,8 +356,8 @@ class _AgeOperator:
     """One application of the value operator at a fixed age offset.
 
     ``source``, when given, maps the survival-weighted quadrature matrix
-    ``q_source`` to the integrated running source on the (time, node, state)
-    grid; otherwise a problem with a running source is sampled pointwise at
+    ``q_source`` to the integrated running source on the (time, node,
+    direction) grid; otherwise a problem with a running source is sampled pointwise at
     the operator's offset (:func:`_pointwise_source`).
     """
 
@@ -362,22 +375,10 @@ class _AgeOperator:
         self.tables = _build_tables(kernel, t_grid, sigma)
         self.payoff = problem.payoff_on(lattice.prices)
         self.images = _slot_images(lattice)
-        # per state index, the kernel matrix of each successor slot
-        self.kernels = [
-            [self.tables.q_cont if d == alpha(i) else self.tables.q_rev for d in SLOT_MOVES]
-            for i in STATES
-        ]
-        # states with the same successor per slot share their jump targets;
-        # each such class is a run of consecutive states.  Per class and slot,
-        # the target's columns in the core read flat as (time, node x state)
-        rows = [tuple(row) for row in SUCCESSOR_INDEX.tolist()]
-        self.classes = [
-            (
-                [img * len(STATES) + j for j, (img, _) in zip(row, self.images)],
-                [ii for ii, other in enumerate(rows) if other == row],
-            )
-            for row in dict.fromkeys(rows)
-        ]
+        # [a][b]: per direction a, the kernel matrix of successor slot b, the
+        # continuation's where b repeats a
+        cont, rev = self.tables.q_cont, self.tables.q_rev
+        self.kernels = [[cont, rev], [rev, cont]]
         if source is not None:
             self.source = source(self.tables.q_source)
         elif problem.w is not None:
@@ -388,34 +389,29 @@ class _AgeOperator:
             raise SolverError("running source produced non-finite integrals")
 
     def apply(self, core: np.ndarray) -> np.ndarray:
-        """The operator on ``core``: per state, the payoff discounted by
+        """The operator on ``core``: per direction, the payoff discounted by
         survival to the horizon, plus one kernel-matrix product per successor
         slot, plus the source.
 
-        The jump target of each (successor, slot) is gathered once into one of
-        two buffers and serves every state of its class, so a sweep is eight
-        products on four gathered blocks.  Each state's sum is accumulated in
-        place in its column of the result, in the order payoff, slot 0,
-        slot 1, source; the discounted payoff is written straight into that
-        column, so it is neither kept nor copied.  Besides the result, one
-        product and the two targets of one class are held.
+        The successor entered on slot b has direction b, so the jump target
+        of slot b is column b of the core at the slot's jump images, gathered
+        once and shared by both directions: a sweep is four products on two
+        gathered blocks.  Each direction's sum is accumulated in place in its
+        column of the result, in the order payoff, slot 0, slot 1, source;
+        the discounted payoff is written straight into that column, so it is
+        neither kept nor copied.  Besides the result, the two targets and one
+        product are held.
         """
         out = np.empty_like(core)
         terminal = self.tables.terminal[:, None]
-        targets = [np.empty(core.shape[:2]) for _ in SLOT_MOVES]
+        targets = [core[:, img, b] * scale[None, :] for b, (img, scale) in enumerate(self.images)]
         product = np.empty(core.shape[:2])
-        flat = core.reshape(len(core), -1)
-        for columns, members in self.classes:
-            for y, cols, (_, scale) in zip(targets, columns, self.images):
-                # mode="clip" writes straight into y; the columns are in range
-                np.take(flat, cols, axis=1, out=y, mode="clip")
-                y *= scale[None, :]
-            for ii in members:
-                acc = np.multiply(terminal, self.payoff[None, :], out=out[:, :, ii])
-                for q, y in zip(self.kernels[ii], targets):
-                    acc += np.matmul(q, y, out=product)
-                if self.source is not None:
-                    acc += self.source[:, :, ii]
+        for a, kernels in enumerate(self.kernels):
+            acc = np.multiply(terminal, self.payoff[None, :], out=out[:, :, a])
+            for q, y in zip(kernels, targets):
+                acc += np.matmul(q, y, out=product)
+            if self.source is not None:
+                acc += self.source[:, :, a]
         del targets, product  # freed before the finiteness mask is made
         if not np.all(np.isfinite(out)):
             raise SolverError("operator sweep produced non-finite values")
@@ -457,7 +453,7 @@ def solve_fixed_point(
 
     ``source``, when given, maps the survival-weighted quadrature matrix of
     the age-zero operator to the integrated running source on the (time,
-    node, state) grid, in place of pointwise sampling of ``problem.w``; it is
+    node, direction) grid, in place of pointwise sampling of ``problem.w``; it is
     called once.  Returns the age-zero core with its
     per-step difference norms and contraction ratios.  Raises
     :class:`ConvergenceError` (carrying the ratio history) if
@@ -470,15 +466,15 @@ def solve_fixed_point(
         lattice = _make_lattice(kernel, grid, horizon, p0)
     op = _AgeOperator(kernel, problem, t_grid, lattice, 0.0, source)
     core = np.broadcast_to(
-        op.payoff[None, :, None], (grid.n_t + 1, lattice.n_nodes, len(STATES))
+        op.payoff[None, :, None], (grid.n_t + 1, lattice.n_nodes, len(SLOT_MOVES))
     ).copy()
     scale = 1.0 + lattice.prices
-    buf = np.empty_like(core)  # one difference buffer serves every sweep
     diff_norms: list[float] = []
     ratios: list[float] = []
     for _ in range(grid.max_iter):
         new_core = op.apply(core)
-        diff = _scaled_max(np.subtract(new_core, core, out=buf), scale, out=buf)
+        # the difference overwrites the old core, which is not read again
+        diff = _scaled_max(np.subtract(new_core, core, out=core), scale, out=core)
         if diff_norms and diff_norms[-1] > 0:
             ratios.append(diff / diff_norms[-1])
         diff_norms.append(diff)
@@ -503,7 +499,7 @@ def solve_fixed_point(
 
 
 def extension_slice(field: ValueField, sigma: float) -> np.ndarray:
-    """Values at age ``sigma`` on the (time, node, state) grid.
+    """Values at age ``sigma`` on the (time, node, direction) grid.
 
     One operator application with the general age offset; the converged core
     supplies every age-zero value the integral needs, so no iteration is
@@ -524,7 +520,9 @@ class _CharacteristicSweep:
     characteristic, grown by one node per age step, with the parity rule and
     odd-row head step of :func:`_quad_matrix`: O(n_t**2 * nodes) for all
     ages, where one :func:`extension_slice` per age costs O(n_t**3 * nodes).
-    Only the running sums and the current slice are held.
+    Only the running sums and the current slice are held.  Columns are
+    (lattice node, direction) pairs; the successor entered on slot b has
+    direction b, so both directions of a node share each slot's jump target.
 
     The kernel tables are evaluated once, here; :meth:`rows` is numpy
     arithmetic on the columns of one block of lattice nodes, each column
@@ -546,25 +544,19 @@ class _CharacteristicSweep:
         half_decay = np.exp(-np.asarray(kernel.integrated_intensity(half_ages)))
         cont, rev = kernel.continuation.value(ages), kernel.reversal.value(ages)
         half_cont, half_rev = kernel.continuation.value(half_ages), kernel.reversal.value(half_ages)
-        # per successor slot b the integrand factor f_b = h_ij(a*h) * exp(-L(a*h))
-        # on (age, state); the jump targets it multiplies are built per block
+        # per successor slot b the factor h_ab(a*h) * exp(-L(a*h)) on (age, direction
+        # a), continuation where b repeats a; its jump targets are built per block
         self.images = _slot_images(field.lattice)
-        self.factors, self.half_factors = [], []
-        for d in SLOT_MOVES:
-            f = np.empty((n_t + 1, len(STATES)))
-            f_half = np.empty((n_t, len(STATES)))
-            for ii, i in enumerate(STATES):
-                same = d == alpha(i)
-                f[:, ii] = (cont if same else rev) * decay
-                f_half[:, ii] = (half_cont if same else half_rev) * half_decay
-            self.factors.append(f)
-            self.half_factors.append(f_half)
+        pairs = ((cont * decay, rev * decay), (half_cont * half_decay, half_rev * half_decay))
+        self.factors, self.half_factors = (
+            [np.stack([c, r], axis=1), np.stack([r, c], axis=1)] for c, r in pairs
+        )
         self.core, self.n_t, self.h, self.lam, self.grow = field.core, n_t, h, lam, np.exp(lam)
-        self.payoff = np.repeat(field.problem.payoff_on(field.lattice.prices), len(STATES))
+        self.payoff = np.repeat(field.problem.payoff_on(field.lattice.prices), len(SLOT_MOVES))
 
     def rows(self, lo: int, hi: int):
         """Iterator of ``(d, values)`` for d = n_t, ..., 0 on the flat (node,
-        state) columns of lattice nodes ``lo..hi-1``: ``values`` holds time
+        direction) columns of lattice nodes ``lo..hi-1``: ``values`` holds time
         rows ``d..n_t`` and is overwritten by the next step.
 
         The jump targets and every buffer are allocated by this call, so a
@@ -573,28 +565,28 @@ class _CharacteristicSweep:
         reach of the calling thread).
         """
         n_t, core = self.n_t, self.core
-        width = (hi - lo) * len(STATES)
-        targets = []  # per successor slot: jump targets on (time, node x state)
+        width = (hi - lo) * len(SLOT_MOVES)
+        targets = []  # per successor slot: jump targets on (time, node x direction)
         for b, (img, scale) in enumerate(self.images):
-            y = np.empty((n_t + 1, hi - lo, len(STATES)))
-            for ii in range(len(STATES)):
-                y[:, :, ii] = core[:, img[lo:hi], SUCCESSOR_INDEX[ii, b]] * scale[None, lo:hi]
+            y = np.empty((n_t + 1, hi - lo, len(SLOT_MOVES)))
+            y[:] = (core[:, img[lo:hi], b] * scale[None, lo:hi])[:, :, None]
             targets.append(y.reshape(n_t + 1, width))
-        # rows stay flat so every product streams along node x state; every
+        # rows stay flat so every product streams along node x direction; every
         # buffer is reused by every step
         buffers = (
             np.zeros((n_t + 1, width)),  # running sums along the characteristics
             np.empty((2, n_t + 1, width)),  # scratch rows and the current slice
             [np.empty((n_t // 2 + 1, width)) for _ in range(2)],  # even rows, this step and last
-            np.empty((2, width)),  # per-state factors repeated along the nodes
+            np.empty((2, width)),  # per-direction factors repeated along the nodes
             np.empty((n_t + 1, width), dtype=bool),  # finiteness of the slice
         )
-        return self._steps(targets, self.payoff[lo * len(STATES) : hi * len(STATES)], buffers)
+        payoff = self.payoff[lo * len(SLOT_MOVES) : hi * len(SLOT_MOVES)]
+        return self._steps(targets, payoff, buffers)
 
     def _steps(self, targets, payoff, buffers):
         n_t, h, grow = self.n_t, self.h, self.grow
         sums, (new_buf, values_buf), full_bufs, tiled, finite_buf = buffers
-        tile_a, tile_b = (row.reshape(-1, len(STATES)) for row in tiled)
+        tile_a, tile_b = (row.reshape(-1, len(self.factors[0][0])) for row in tiled)
         # composite Simpson weights counted back from the horizon: 1, 4, 2, 4, 2, ...
         pattern = np.where(np.arange(n_t + 1) % 2 == 1, 4.0, 2.0)
         pattern[0] = 1.0
@@ -637,8 +629,9 @@ class _CharacteristicSweep:
 
 def _extension_points(field: ValueField, k, node, ii, s) -> np.ndarray:
     """Exact extension at grid time indices ``k`` and ages ``s`` for arrays of
-    points (lattice ``node``, state index ``ii``), with the row quadrature of
-    :func:`_quad_matrix`; works in blocks of ``_READ_CHUNK`` points."""
+    points (lattice ``node``, direction index ``ii``), with the row quadrature
+    of :func:`_quad_matrix`; works in blocks of ``_READ_CHUNK`` points.  The
+    running source is read at ``STATES[ii]``, a state of that direction."""
     kernel, problem, lattice, t_grid = field.kernel, field.problem, field.lattice, field.t_grid
     n_t = len(t_grid) - 1
     h = t_grid[1] - t_grid[0]
@@ -648,7 +641,6 @@ def _extension_points(field: ValueField, k, node, ii, s) -> np.ndarray:
     u = np.arange(n_t + 1)
     payoff = problem.payoff_on(lattice.prices)
     images = _slot_images(lattice)
-    moves = alpha(np.array(STATES))
     out = np.empty(len(k))
     for lo in range(0, len(k), _READ_CHUNK):
         part = slice(lo, lo + _READ_CHUNK)
@@ -668,9 +660,9 @@ def _extension_points(field: ValueField, k, node, ii, s) -> np.ndarray:
         half_cont = kernel.continuation.value(half_age)
         half_rev = kernel.reversal.value(half_age)
         for slot, (img, scl) in enumerate(images):
-            same = moves[ic] == SLOT_MOVES[slot]
-            j = SUCCESSOR_INDEX[ic, slot]
-            vals = field.core[rows, img[nc][:, None], j[:, None]] * scl[nc][:, None]
+            # the successor entered on this slot has the slot's direction
+            same = ic == slot
+            vals = field.core[rows, img[nc][:, None], slot] * scl[nc][:, None]
             rate = np.where(same[:, None], cont, rev)
             half_rate = np.where(same, half_cont, half_rev)
             acc += np.sum(wts * rate * vals, axis=1) + head * half_rate * (vals[:, 0] + vals[:, 1])
@@ -741,7 +733,7 @@ def pde_residual(
 ) -> ResidualStats:
     """Interior residual of the characteristic-form equation on a grid of ages.
 
-    ``slices`` yields ``field`` on the (time, node, state) grid at the ages
+    ``slices`` yields ``field`` on the (time, node, direction) grid at the ages
     ``0, h, 2h, ...``, ``h`` being the time step (see :func:`extension_slice`);
     ``n_ages`` is their count, at least three, and defaults to ``len(slices)``.
     The slices are consumed one at a time: the age-zero slice supplies every
@@ -750,7 +742,8 @@ def pde_residual(
     is a centred difference along the (t, s) diagonal; the jump terms are
     evaluated exactly at the node.  Residuals are normalised by 1 + price;
     boundary lattice nodes (truncated jump images) are excluded.  A field with
-    a running source is refused.
+    a running source is refused.  The residual of each direction is
+    computed once and reported for both of its states.
     """
     if field.problem.w is not None:
         raise ValueError("the residual needs a field without a running source")
@@ -763,16 +756,19 @@ def pde_residual(
     ages = h_t * np.arange(n_ages)
     interior = np.nonzero((lattice.up_index >= 0) & (lattice.down_index >= 0))[0]
     weight = 1.0 + lattice.prices[interior]
-    rates = {
-        (i, j): np.asarray(kernel.directed_intensity(i, j, ages[1:-1]))
-        for i in STATES
-        for j in successors(i)
-    }
+    # the rate from direction a into slot b: continuation where b repeats a
+    cont, rev = (np.asarray(f.value(ages[1:-1])) for f in (kernel.continuation, kernel.reversal))
     # indexed (time, node, state, age) but node-major in memory: np.mean sums in
     # memory order, and this is the order of a boolean node selection from a
-    # (time, node, state, age) stack, so the mean keeps the bits of that form
-    norm = np.empty((interior.size, len(t_grid) - 2, len(STATES), n_ages - 2))
-    norm = norm.transpose(1, 0, 2, 3)
+    # (time, node, state, age) stack, so the mean keeps the bits of that form.
+    # An anonymous map, not a malloc block: freeing a malloc-mapped block this
+    # large raises glibc's mmap and trim thresholds, so freed arrays stay resident
+    shape = (interior.size, len(t_grid) - 2, len(STATES), n_ages - 2)
+    try:
+        norm = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=float)
+    except OSError as exc:  # no room for the map: the error numpy's allocation raises
+        raise MemoryError(f"cannot map the {shape} residual block ({exc})") from exc
+    norm = norm.reshape(shape).transpose(1, 0, 2, 3)
     stream = iter(slices)
 
     def next_slice() -> np.ndarray:
@@ -782,21 +778,21 @@ def pde_residual(
         return value
 
     before, here = next_slice(), next_slice()
-    # the jump target of state j at every interior node, read from age zero
-    targets = {}
-    for j in STATES:
-        img, scale = lattice.image_maps(alpha(j))
-        targets[j] = before[1:-1, img[interior], _STATE_INDEX[j]] * scale[interior][None, :]
+    # slot b's jump target at every interior node, from column b at age zero
+    targets = [
+        before[1:-1, img[interior], b] * scale[interior][None, :]
+        for b, (img, scale) in enumerate(_slot_images(lattice))
+    ]
     for d in range(1, n_ages - 1):
         after = next_slice()
-        for i in STATES:
-            ii = _STATE_INDEX[i]
-            level = here[1:-1, interior, ii]
+        for a in range(len(SLOT_MOVES)):
+            level = here[1:-1, interior, a]
             res = np.zeros_like(level)
-            for j in successors(i):
-                res += rates[i, j][d - 1] * (targets[j] - level)
-            res += (after[2:, interior, ii] - before[:-2, interior, ii]) / (2.0 * h_t)
-            np.divide(np.abs(res, out=res), weight[None, :], out=norm[:, :, ii, d - 1])
+            for b, target in enumerate(targets):
+                res += (cont if b == a else rev)[d - 1] * (target - level)
+            res += (after[2:, interior, a] - before[:-2, interior, a]) / (2.0 * h_t)
+            np.divide(np.abs(res, out=res), weight[None, :], out=res)
+            norm[:, :, direction_index(np.asarray(STATES)) == a, d - 1] = res[:, :, None]
         # free this age's temporaries and age d - 1 before the next slice is made
         del level, res
         before, here = here, after
@@ -808,7 +804,8 @@ def pde_residual(
 
 def save_field_csv(field: ValueField, path, header_meta: Optional[dict] = None) -> None:
     """Dump the age-zero core as (t, p, i, s, value) rows, ``s`` always 0.0,
-    under a metadata header line.
+    under a metadata header line; each direction's value is formatted once
+    and written for both of its states.
 
     Only nodes inside the requested truncation are written; the guard rings
     are a numerical device, not part of the reported field.
@@ -832,8 +829,11 @@ def save_field_csv(field: ValueField, path, header_meta: Optional[dict] = None) 
         fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
         fh.write("t,p,i,s,value\n")
         heads = [f"{p},{i},0.0," for p in p_txt for i in STATES]
+        # the value of (node n, state i) is entry (n, direction of i) of a time row
+        picks = [len(SLOT_MOVES) * n + direction_index(i) for n in range(len(keep)) for i in STATES]
         for ki, lead in enumerate(t_leads):
-            _write_rows(fh, lead, heads, map(repr, field.core[ki, keep].ravel().tolist()))
+            tails = list(map(repr, field.core[ki, keep].ravel().tolist()))
+            _write_rows(fh, lead, heads, map(tails.__getitem__, picks))
 
 
 def _write_rows(fh, lead: str, heads: list, tails) -> None:

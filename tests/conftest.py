@@ -17,6 +17,7 @@ from semitick import (
     SemiMarkovKernel,
     SmallOrder,
     alpha,
+    direction_index,
     equivalent,
     extension_slice,
     successors,
@@ -333,18 +334,23 @@ def _rate_point(source, t, p, i, s, j):
 
 
 def _gain_rates_at_age(source, age):
-    fld = source.field
+    fld, lattice, kernel, layout = source.field, source.lattice, source.kernel, source.layout
     pi = fld.core if fld.age_invariant or age == 0.0 else extension_slice(fld, age)
-    flat = pi.reshape(len(pi), -1)
-    rates = []
-    for b, (flow, coef) in enumerate(source._age_terms(age)):
-        out = np.empty_like(flat)
-        source._rates_into(out, np.empty_like(flat), b, flow, coef, flat, slice(None), 0)
-        rates.append(out.reshape(pi.shape))
-    return {
-        (i, j): rates[b][:, :, ii]
-        for ii, i in enumerate(STATES) for b, j in enumerate(successors(i))
-    }
+    # the four-state (time, node, state) forms of the expected price
+    pi, core = (x[:, :, direction_index(np.array(STATES))] for x in (pi, fld.core))
+    prices = lattice.prices[None, :]
+    edge = source._edge(prices)
+    rates = {}
+    for ii, i in enumerate(STATES):
+        for j in successors(i):
+            d = alpha(j)
+            idx, scale = lattice.image_maps(d)
+            big_edge = d * (prices - core[:, idx, STATES.index(j)] * scale[None, :]) + edge
+            flow = layout.side_flow(d).value(age) * layout.mean_size(d)
+            h_dir = (kernel.continuation if alpha(i) == d else kernel.reversal).value(age)
+            rate = (prices - pi[:, :, ii]) if d > 0 else (pi[:, :, ii] - prices)
+            rates[i, j] = (rate + edge) * flow + big_edge * (h_dir * source.mmspec.big_size)
+    return rates
 
 
 @pytest.fixture(scope="session")
@@ -353,5 +359,5 @@ def reference_rates():
     built: ``rate_point(source, t, p, i, s, j)`` is the rate of quoting
     toward the successor ``j`` of ``i`` (refusing an equivalent ``j``), and
     ``gain_rates_at_age(source, age)`` a dict of (time, node) arrays keyed by
-    every transition ``(i, j)``."""
+    every transition ``(i, j)``, from the four-state form of the field."""
     return SimpleNamespace(rate_point=_rate_point, gain_rates_at_age=_gain_rates_at_age)

@@ -18,6 +18,7 @@ from semitick import (
     SemiMarkovKernel,
     SmallOrder,
     alpha,
+    direction_index,
     equivalent,
     successors,
 )
@@ -118,6 +119,14 @@ class TestStateSpace:
         for i in STATES:
             for b, j in enumerate(successors(i)):
                 assert alpha(j) == SLOT_MOVES[b]
+
+    def test_direction_index(self):
+        # a state's direction index is the slot of the move entering it, and
+        # the successor entered on slot b has direction b
+        for i in STATES:
+            assert SLOT_MOVES[direction_index(i)] == alpha(i)
+            assert [direction_index(j) for j in successors(i)] == [0, 1]
+        assert direction_index(np.array(STATES)).tolist() == [0, 1, 0, 1]
 
     def test_successor_index(self):
         # the one successor table: successors(STATES[k])[b] is STATES[SUCCESSOR_INDEX[k, b]]

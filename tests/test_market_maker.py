@@ -20,6 +20,7 @@ from semitick import (
     UnsupportedRiskAversion,
     backtest,
     default_baselines,
+    direction_index,
     estimate_terminal_value,
     holding_value,
     optimal_policy,
@@ -521,12 +522,29 @@ class TestSlotForms:
                 j = np.array([successors(k)[b] for k in i])
                 expect = reference_rates.rate_point(source, t, p, i, np.full(40, s), j)
                 assert at_points[b].tobytes() == expect.tobytes()
-            for ii, state in enumerate(STATES):
+            for state in STATES:
                 at_point = source.rate_point(0.4, 1.0, state, s)
                 for b, j in enumerate(successors(state)):
-                    assert grid[b, :, :, ii].tobytes() == keyed[(state, j)].tobytes()
+                    column = grid[b, :, :, direction_index(state)]
+                    assert column.tobytes() == keyed[(state, j)].tobytes()
                     expect = reference_rates.rate_point(source, 0.4, 1.0, state, s, j)
                     assert at_point[b].tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize(
+    "preset", ["symmetric-martingale", "asymmetric-constant", "saturating-hazard"]
+)
+def test_grid_rates_match_four_state_reference(preset, reference_rates):
+    # every transition's rate on the grid is its direction's column, byte for
+    # byte, at age zero and at an age the field extends to
+    cfg = load_config(preset)
+    field = solve_expected_price(cfg.kernel, cfg.grid, cfg.horizon, 1.0)
+    source = QuoteGainSource(cfg.kernel, cfg.layout, cfg.mmspec, field)
+    for s in (0.0, 0.3):
+        grid, keyed = source.gain_rates_at_age(s), reference_rates.gain_rates_at_age(source, s)
+        for (i, j), expect in keyed.items():
+            slot = successors(i).index(j)
+            assert grid[slot, :, :, direction_index(i)].tobytes() == expect.tobytes()
 
 
 class TestReadDomain:

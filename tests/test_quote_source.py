@@ -4,6 +4,7 @@ import os
 import sys
 import threading
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,11 +15,13 @@ from semitick import (
     MarkLayout,
     MarketMakingSpec,
     QuoteGainSource,
+    SLOT_MOVES,
     STATES,
     SaturatingIntensity,
     SemiMarkovKernel,
     SolverError,
     alpha,
+    direction_index,
     solve_expected_price,
     solve_quote_value,
     successors,
@@ -29,6 +32,10 @@ from semitick.harness import load_config
 from semitick.solver import _build_tables
 
 SIZES = (0.25, 0.5, 0.25)
+PRESETS = ("symmetric-martingale", "asymmetric-constant", "saturating-hazard")
+# the direction column of each state: a (time, node, direction) array read at
+# [:, :, FOUR] is its (time, node, state) form
+FOUR = direction_index(np.array(STATES))
 
 
 def _setup(name):
@@ -64,13 +71,58 @@ def _field(name, n_t):
     return _FIELDS[name, n_t]
 
 
+def _four_state_rows(field):
+    """Test-local copy of the characteristic sweep on four state columns per
+    lattice node, as first built: per slot, each state's kernel factor and
+    the column of its successor in the four-state core.  The recursion is
+    the sweep's own ``_steps``, whose arithmetic is the same on any number
+    of columns per node.  Yields ``(d, values)``, values on (time rows
+    d..n_t, node, state)."""
+    kernel, n_t, n_nodes = field.kernel, len(field.t_grid) - 1, field.lattice.n_nodes
+    h = field.t_grid[1] - field.t_grid[0]
+    ages = h * np.arange(n_t + 1)
+    half_ages = ages[:-1] + 0.5 * h
+    lam = np.asarray(kernel.integrated_intensity(ages))
+    decay = np.exp(-lam)
+    half_decay = np.exp(-np.asarray(kernel.integrated_intensity(half_ages)))
+    core = field.core[:, :, FOUR]
+    sweep = SimpleNamespace(n_t=n_t, h=h, lam=lam, grow=np.exp(lam), factors=[], half_factors=[])
+    targets = []
+    for b, d in enumerate(SLOT_MOVES):
+        img, scale = field.lattice.image_maps(d)
+        f, f_half = np.empty((n_t + 1, len(STATES))), np.empty((n_t, len(STATES)))
+        y = np.empty((n_t + 1, n_nodes, len(STATES)))
+        for ii, i in enumerate(STATES):
+            same = d == alpha(i)
+            f[:, ii] = (kernel.continuation if same else kernel.reversal).value(ages) * decay
+            f_half[:, ii] = (
+                (kernel.continuation if same else kernel.reversal).value(half_ages) * half_decay
+            )
+            y[:, :, ii] = core[:, img, STATES.index(successors(i)[b])] * scale[None, :]
+        sweep.factors.append(f)
+        sweep.half_factors.append(f_half)
+        targets.append(y.reshape(n_t + 1, -1))
+    width = n_nodes * len(STATES)
+    buffers = (
+        np.zeros((n_t + 1, width)),
+        np.empty((2, n_t + 1, width)),
+        [np.empty((n_t // 2 + 1, width)) for _ in range(2)],
+        np.empty((2, width)),
+        np.empty((n_t + 1, width), dtype=bool),
+    )
+    payoff = np.repeat(field.problem.payoff_on(field.lattice.prices), len(STATES))
+    for d, values in solver._CharacteristicSweep._steps(sweep, targets, payoff, buffers):
+        yield d, values.reshape(len(values), n_nodes, len(STATES))
+
+
 def _streamed_fold(src, q_source):
     """Test-local copy of the streamed source integral the fused kernel
-    replaced: one expected-price slice per age node (the characteristic
-    sweep, or the core of an age-invariant field), the gain rate of each of
-    the eight transitions, max(rate, 0) summed per state, and the diagonal
-    fold of ``q_source``."""
+    replaced, on four states: one expected-price slice per age node (the
+    four-state characteristic sweep, or the core of an age-invariant
+    field), the gain rate of each of the eight transitions, max(rate, 0)
+    summed per state, and the diagonal fold of ``q_source``."""
     field, lattice, kernel, layout, spec = src.field, src.lattice, src.kernel, src.layout, src.mmspec
+    core = np.ascontiguousarray(field.core[:, :, FOUR])
     prices = lattice.prices[None, :]
     if spec.portfolio_consistent:
         edge = prices * kernel.delta - spec.transaction_cost
@@ -81,7 +133,7 @@ def _streamed_fold(src, q_source):
         for j in successors(i):
             d = alpha(j)
             idx, scale = lattice.image_maps(d)
-            image = field.core[:, idx, STATES.index(j)] * scale[None, :]
+            image = core[:, idx, STATES.index(j)] * scale[None, :]
             big_edge[(d, j)] = d * (prices - image) + edge
     n_t = len(field.t_grid) - 1
     h = field.t_grid[1] - field.t_grid[0]
@@ -103,12 +155,10 @@ def _streamed_fold(src, q_source):
         return out
 
     if field.age_invariant:
-        pairs = ((d, field.core[d:]) for d in range(n_t + 1))
+        pairs = ((d, core[d:]) for d in range(n_t + 1))
     else:
-        rows = solver._CharacteristicSweep(field).rows(0, field.lattice.n_nodes)
-        pairs = ((d, field.core if d == 0 else pi.reshape(-1, *field.core.shape[1:]))
-                 for d, pi in rows)
-    out = np.zeros(field.core.shape)
+        pairs = ((d, core if d == 0 else pi) for d, pi in _four_state_rows(field))
+    out = np.zeros(core.shape)
     for d, pi_rows in pairs:
         out[: n_t + 1 - d] += q_source.diagonal(d)[:, None, None] * slab(d * h, pi_rows, d)
     return out
@@ -140,7 +190,29 @@ class TestFusedSourceKernel:
             _use_cpus(monkeypatch, cpus)
             blocks = mm._node_blocks(field.lattice.n_nodes)
             assert len(blocks) == min(cpus, field.lattice.n_nodes // mm._MIN_BLOCK_NODES)
-            assert src.integrals(q_source).tobytes() == expected, cpus
+            assert src.integrals(q_source)[:, :, FOUR].tobytes() == expected, cpus
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_presets_match_four_state_fold(self, monkeypatch, preset):
+        # the two-direction fold, expanded to four states, is the four-state
+        # fold byte for byte on the preset solve-u inputs, on two blocks
+        cfg = load_config(preset)
+        field = solve_expected_price(cfg.kernel, cfg.grid, cfg.horizon, 1.0)
+        src = QuoteGainSource(cfg.kernel, cfg.layout, cfg.mmspec, field)
+        q_source = _build_tables(cfg.kernel, field.t_grid, 0.0).q_source
+        _use_cpus(monkeypatch, 2)
+        got = src.integrals(q_source)[:, :, FOUR]
+        assert got.tobytes() == _streamed_fold(src, q_source).tobytes()
+
+    def test_four_state_sweep_matches_two_direction_sweep(self):
+        # the reference sweep above, on the four-state core, against the
+        # sweep of the package, expanded to four states
+        field = _field("saturating-preset", 81)
+        n_nodes = field.lattice.n_nodes
+        two = solver._CharacteristicSweep(field).rows(0, n_nodes)
+        for (d, values), (d4, values4) in zip(two, _four_state_rows(field)):
+            assert d == d4
+            assert values.reshape(-1, n_nodes, 2)[:, :, FOUR].tobytes() == values4.tobytes()
 
     def test_many_blocks_under_fast_thread_switching(self, monkeypatch):
         # more threads than cores, switching every microsecond: blocks share

@@ -897,10 +897,15 @@ class TestPolicies:
         assert any(bits), "different seeds should disagree somewhere"
 
     def test_random_policy_rate(self):
+        # the same 4,001 points in one array call; a few scalar calls give
+        # the same bits
         pol = RandomQuotePolicy(prob=0.5, seed=1)
-        draws = [pol(t, 1.0, 1, 0.0) for t in np.linspace(0.0, 1.0, 4001)]
-        mean_ask = np.mean([d[0] for d in draws])
-        assert abs(mean_ask - 0.5) < 0.05
+        t = np.linspace(0.0, 1.0, 4001)
+        ones = np.ones_like(t)
+        l_ask, l_bid = pol(t, ones, ones.astype(int), 0.0 * t)
+        for k in (0, 1, 2000, 4000):
+            assert pol(t[k], 1.0, 1, 0.0) == (l_ask[k], l_bid[k])
+        assert abs(np.mean(l_ask) - 0.5) < 0.05
 
     @pytest.mark.parametrize("prob", [0.5, 0.1])
     def test_random_policy_frequency_within_4_sd(self, prob):

@@ -1,5 +1,6 @@
 """Terminal-value solver: operator sweeps, fixed point, extension, residual."""
 
+import errno
 import json
 import math
 import tracemalloc
@@ -18,6 +19,7 @@ from semitick import (
     SemiMarkovKernel,
     alpha,
     contraction_bound,
+    direction_index,
     expected_price_ode_oracle,
     extension_slice,
     pde_residual,
@@ -27,7 +29,7 @@ from semitick import (
     successors,
 )
 from semitick import solver as solver_module
-from semitick.harness import _residual_slices, load_config
+from semitick.harness import _residual_slices, load_config, run_command
 from semitick.lattice import PriceLattice, max_jumps_for_tail
 from semitick.market_maker import QuoteGainSource
 from semitick.solver import (
@@ -39,6 +41,14 @@ from semitick.solver import (
 )
 
 STATE_IDX = {s: k for k, s in enumerate(STATES)}
+# the direction column of each state
+FOUR = direction_index(np.array(STATES))
+
+
+def four_states(values):
+    """The (time, node, state) form of a (time, node, direction) array,
+    C-contiguous: a sum in memory order, as np.mean makes, depends on it."""
+    return np.ascontiguousarray(values[:, :, FOUR])
 
 # adaptive-quadrature oracle values for one operator sweep applied to the
 # identity payoff on the age-dependent kernel below (regenerate with
@@ -177,14 +187,14 @@ class TestOperatorSweep:
         t_grid = np.linspace(0.0, 1.0, 161)
         lattice = PriceLattice(p0=1.0, delta=0.01, n_max=20)
         core = np.broadcast_to(
-            lattice.prices[None, :, None], (161, lattice.n_nodes, 4)
+            lattice.prices[None, :, None], (161, lattice.n_nodes, len(SLOT_MOVES))
         ).copy()
         out = _AgeOperator(saturating_kernel, IDENTITY, t_grid, lattice).apply(core)
         for t, p, i, expect in SWEEP_ORACLE:
             k = int(round(t / (1.0 / 160)))
             assert t_grid[k] == pytest.approx(t, abs=1e-12)
             node = lattice.locate(p, rtol=1e-4)
-            got = out[k, node, STATE_IDX[i]]
+            got = out[k, node, direction_index(i)]
             # rescale the frozen oracle to the exact lattice price
             expect_here = expect * lattice.prices[node] / p
             assert got == pytest.approx(expect_here, abs=2e-8)
@@ -212,7 +222,7 @@ class TestFixedPoint:
         for ii, i in enumerate(STATES):
             col = 0 if alpha(i) > 0 else 1
             oracle = field.lattice.prices[None, mask] * factors[:, col][:, None]
-            worst = max(worst, np.max(np.abs(field.core[:, mask, ii] - oracle) / oracle))
+            worst = max(worst, np.max(np.abs(field.core[:, mask, FOUR[ii]] - oracle) / oracle))
         assert worst <= 1e-4
 
     def test_contraction_ratios_below_bound(self, saturating_kernel):
@@ -341,13 +351,14 @@ class TestExtension:
         got = field.read(field.t_grid[k], node, i, s)
         slices = {age: extension_slice(field, age) for age in set(s.tolist())}
         for (kk, nn, ii, age), value in zip(points, got):
-            assert value == pytest.approx(slices[age][kk, nn, STATE_IDX[ii]], rel=1e-12)
+            assert value == pytest.approx(slices[age][kk, nn, direction_index(ii)], rel=1e-12)
 
     def test_point_extension_with_source_matches_slice(self, saturating_kernel):
-        # a running source is sampled once per point along its row
+        # a running source is sampled once per point along its row; it may
+        # depend on the state only through its direction
         problem = ProblemSpec(
             g=lambda p: p,
-            w=lambda t, p, i, s: 0.1 * p * np.cos(3.0 * t) * np.exp(-s) / i,
+            w=lambda t, p, i, s: 0.1 * p * np.cos(3.0 * t) * np.exp(-s) / (2 + alpha(i)),
         )
         field = solve_fixed_point(saturating_kernel, problem, GridSpec(n_t=40), 1.0, 1.0)
         exact = extension_slice(field, 0.3)
@@ -355,7 +366,7 @@ class TestExtension:
         k, node, i = (np.array(col) for col in zip(*points))
         got = field.read(field.t_grid[k], node, i, 0.3)
         for (kk, nn, ii), value in zip(points, got):
-            assert value == pytest.approx(exact[kk, nn, STATE_IDX[ii]], rel=1e-12)
+            assert value == pytest.approx(exact[kk, nn, direction_index(ii)], rel=1e-12)
 
     @pytest.mark.parametrize("n_t", [120, 81])
     def test_characteristic_sweep_matches_slices(self, saturating_kernel, n_t):
@@ -390,8 +401,9 @@ def age_slices(field, n_ages):
 
 
 def stacked_residual(field, values):
-    """The residual as first built, on the ages stacked on a last axis of
-    ``values``: the reference for the streamed :func:`pde_residual`."""
+    """The residual as first built, on four states, on the ages stacked on a
+    last axis of ``values`` (time, node, state, age): the reference for the
+    streamed :func:`pde_residual`."""
     kernel, t_grid = field.kernel, field.t_grid
     h_t = t_grid[1] - t_grid[0]
     ages = h_t * np.arange(values.shape[-1])
@@ -487,16 +499,29 @@ class TestResidual:
     def test_streamed_matches_stacked_bit_for_bit(self, preset_field, preset, n_ages):
         field = preset_field(preset)
         slices = age_slices(field, n_ages)
-        ref = stacked_residual(field, np.stack(slices, axis=-1))
+        ref = stacked_residual(field, np.stack([four_states(one) for one in slices], axis=-1))
         got = pde_residual(field, iter(slices), n_ages)
         assert got.max_abs.hex() == ref.max_abs.hex()
         assert got.mean_abs.hex() == ref.mean_abs.hex()
 
+    def test_unmappable_block_is_a_memory_error(self, preset_field, monkeypatch, tmp_path):
+        # the normalised-residual block is an anonymous map; a map refused for
+        # want of memory raises numpy's allocation error, and solve-pi exits 2
+        def refuse(*args):
+            raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+        monkeypatch.setattr(solver_module.mmap, "mmap", refuse)
+        field = preset_field("asymmetric-constant")
+        with pytest.raises(MemoryError, match="residual block"):
+            pde_residual(field, age_slices(field, 3))
+        cfg = load_config("asymmetric-constant")
+        assert run_command("solve-pi", cfg, out_dir=str(tmp_path), quiet=True) == 2
+
     def test_streamed_peak_memory(self, preset_field):
         # solve-pi's residual: 7 ages of asymmetric-constant, each slice made
         # as it is consumed. The streamed form holds about four slices and the
-        # normalised residual; the stacked form holds all seven, their stack
-        # and full-size temporaries.
+        # normalised residual; the stacked form holds all seven, their
+        # four-state stack and full-size temporaries.
         field = preset_field("asymmetric-constant")
         h = field.t_grid[1] - field.t_grid[0]
         ages = h * np.arange(7)
@@ -510,7 +535,7 @@ class TestResidual:
         )
         stacked = traced_peak(
             lambda: stacked_residual(
-                field, np.stack([extension_slice(field, s) for s in ages], axis=-1)
+                field, np.stack([four_states(extension_slice(field, s)) for s in ages], axis=-1)
             )
         )
         assert streamed < bound
@@ -562,8 +587,9 @@ def reference_operator(field, sigma, problem=None, source=None):
 
 
 def reference_apply(op, core):
-    """The sweep as first written: every state gathers both of its jump
-    targets and sums on a copy of the discounted payoff."""
+    """The sweep as first written, on a four-state (time, node, state)
+    ``core``: every state gathers both of its jump targets and sums on a copy
+    of the discounted payoff and its column of the source, read at FOUR."""
     out = np.empty_like(core)
     g_term = op.tables.terminal[:, None] * op.payoff[None, :]
     for i in STATES:
@@ -572,7 +598,7 @@ def reference_apply(op, core):
             q = op.tables.q_cont if d == alpha(i) else op.tables.q_rev
             acc += q @ (core[:, img, STATE_IDX[j]] * scale[None, :])
         if op.source is not None:
-            acc += op.source[:, :, STATE_IDX[i]]
+            acc += op.source[:, :, FOUR[STATE_IDX[i]]]
         out[:, :, STATE_IDX[i]] = acc
     return out
 
@@ -612,23 +638,32 @@ class TestOperatorAgreement:
             field.kernel, problem or field.problem, field.t_grid, field.lattice, sigma, source
         )
         ref = reference_operator(field, sigma, problem, source)
-        assert op.apply(field.core).tobytes() == reference_apply(ref, field.core).tobytes()
+        expected = reference_apply(ref, four_states(field.core)).tobytes()
+        assert four_states(op.apply(field.core)).tobytes() == expected
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_extension_slice_matches_per_state_sweep(self, preset_field, preset):
+        field = preset_field(preset)
+        for s in (0.0, 0.3):
+            expected = reference_apply(reference_operator(field, s), four_states(field.core))
+            assert four_states(extension_slice(field, s)).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("preset", ["asymmetric-constant", "symmetric-martingale"])
     def test_age_invariant_slices_equal_at_every_age(self, preset_field, preset):
         field = preset_field(preset)
         assert field.age_invariant
         h = field.t_grid[1] - field.t_grid[0]
-        expected = reference_apply(reference_operator(field, 0.0), field.core).tobytes()
+        expected = reference_apply(reference_operator(field, 0.0), four_states(field.core))
         for s in h * np.arange(7):
-            assert extension_slice(field, s).tobytes() == expected
+            assert four_states(extension_slice(field, s)).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("preset", ["asymmetric-constant", "symmetric-martingale"])
     def test_residual_of_one_repeated_slice(self, preset_field, preset):
         field = preset_field(preset)
         h = field.t_grid[1] - field.t_grid[0]
-        seven = [reference_apply(reference_operator(field, s), field.core) for s in h * np.arange(7)]
-        ref = pde_residual(field, seven)
+        core = four_states(field.core)
+        seven = [reference_apply(reference_operator(field, s), core) for s in h * np.arange(7)]
+        ref = stacked_residual(field, np.stack(seven, axis=-1))
         got = pde_residual(field, _residual_slices(field, 7), 7)
         assert got.max_abs.hex() == ref.max_abs.hex()
         assert got.mean_abs.hex() == ref.mean_abs.hex()
@@ -641,20 +676,20 @@ class TestOperatorAgreement:
         slices = list(_residual_slices(field, 7))
         assert len({id(one) for one in slices}) == 7
         for s, one in zip(h * np.arange(7), slices):
-            ref = reference_apply(reference_operator(field, s), field.core)
-            assert one.tobytes() == ref.tobytes()
+            ref = reference_apply(reference_operator(field, s), four_states(field.core))
+            assert four_states(one).tobytes() == ref.tobytes()
 
     def test_apply_peak_memory(self, preset_field):
         # one sweep on asymmetric-constant, in (n_t + 1) x nodes blocks: the
-        # per-state sweep peaked at 8.09 (the four-block result, the discounted
-        # payoff, its copy, one target and its product); the class-shared
-        # gather holds the result, two targets and one product, about 7.09.
-        # Holding all four targets with their products takes 12.
+        # four-state per-state sweep peaked at 8.09 (the four-block result, the
+        # discounted payoff, its copy, one target and its product) and its
+        # class-shared gather at about 7.09.  The two-direction sweep holds the
+        # two-block result, both targets and one product, about 5.18
         field = preset_field("asymmetric-constant")
         op = _AgeOperator(field.kernel, field.problem, field.t_grid, field.lattice)
         block = field.core[:, :, 0].nbytes
         op.apply(field.core)
-        assert traced_peak(lambda: op.apply(field.core)) < 8 * block
+        assert traced_peak(lambda: op.apply(field.core)) < 6 * block
 
 
 class TestFieldIO:
@@ -668,7 +703,7 @@ class TestFieldIO:
         mask = field.lattice.report_mask
         shape = (len(field.t_grid), int(mask.sum()), len(STATES))
         # the file holds the iterated core on the report nodes, digit for digit
-        assert np.array_equal(values.reshape(shape), field.core[:, mask, :])
+        assert np.array_equal(values.reshape(shape), four_states(field.core[:, mask]))
         assert np.array_equal(t.reshape(shape)[:, 0, 0], field.t_grid)
         assert np.array_equal(p.reshape(shape)[0, :, 0], field.lattice.prices[mask])
         assert np.array_equal(i.reshape(shape)[0, 0], STATES) and not s.any()
@@ -693,4 +728,14 @@ class TestDiagnostics:
             w=lambda t, p, i, s: np.full_like(np.asarray(p, dtype=float), np.inf),
         )
         with pytest.raises(SolverError, match="non-finite"):
+            solve_fixed_point(saturating_kernel, bad, GridSpec(n_t=20), 1.0, 1.0)
+
+    @pytest.mark.parametrize("value, pair", [(np.inf, "1 and 3"), (np.nan, "2 and 4")])
+    def test_source_beyond_the_direction_refused(self, saturating_kernel, value, pair):
+        # w may depend on the state only through alpha(i): one state of a
+        # direction sees a different (here non-finite) value from t = 0.5 on
+        odd = 3 if pair == "1 and 3" else 4
+        w = lambda t, p, i, s: np.where((i == odd) & (t >= 0.5), value, 0.1 * p)
+        bad = ProblemSpec(g=lambda p: p, w=w)
+        with pytest.raises(ValueError, match=rf"differs between states {pair} at t=0\.5, p="):
             solve_fixed_point(saturating_kernel, bad, GridSpec(n_t=20), 1.0, 1.0)

@@ -16,6 +16,7 @@ from semitick import (
     GridSpec,
     MarketMakingSpec,
     alpha,
+    direction_index,
     save_field_csv,
     solve_expected_price,
     solve_quote_value,
@@ -25,7 +26,12 @@ from semitick.harness import load_config, run_command
 from semitick.market_maker import QuoteGainSource, export_policy_csv
 
 
+PRESETS = ("symmetric-martingale", "asymmetric-constant", "saturating-hazard")
+
+
 def reference_save_field_csv(field, path, header_meta=None):
+    """Row by row from the four-state form of the core."""
+    core = field.core[:, :, direction_index(np.array(STATES))]
     keep = np.nonzero(field.lattice.report_mask)[0]
     meta = {
         "p0": field.lattice.p0,
@@ -47,7 +53,7 @@ def reference_save_field_csv(field, path, header_meta=None):
                 p = field.lattice.prices[n]
                 for ii, i in enumerate(STATES):
                     fh.write(
-                        f"{float(t)!r},{float(p)!r},{i},0.0,{float(field.core[ki, n, ii])!r}\n"
+                        f"{float(t)!r},{float(p)!r},{i},0.0,{float(core[ki, n, ii])!r}\n"
                     )
 
 
@@ -153,6 +159,25 @@ class TestFieldCsv:
             lambda out: save_field_csv(quote, out),
             lambda out: reference_save_field_csv(quote, out),
         )
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_preset_writers_match_four_state_references(preset, reference_rates, tmp_path):
+    # both grid writers on the preset solve-pi field, the policy at two ages,
+    # against the row-by-row writers on the four-state forms
+    cfg = load_config(preset)
+    field = solve_expected_price(cfg.kernel, cfg.grid, cfg.horizon, 1.0)
+    assert_same_bytes(
+        tmp_path,
+        lambda out: save_field_csv(field, out),
+        lambda out: reference_save_field_csv(field, out),
+    )
+    args = (cfg.kernel, cfg.layout, cfg.mmspec, field, [0.0, 0.25])
+    assert_same_bytes(
+        tmp_path,
+        lambda out: export_policy_csv(out, *args),
+        lambda out: reference_export_policy_csv(reference_rates.gain_rates_at_age, out, *args),
+    )
 
 
 class TestPolicyCsv:
