@@ -29,17 +29,19 @@ skipped) for its length and then, unless the horizon cuts it, a uniform
 ``u2`` for its mark.  Renewal inverts the holding law at ``u1`` and draws
 the successor with ``u2``; thinning's gap is ``-np.log1p(-u1) / width`` and
 its mark coordinate ``width * u2``, ``width`` being the layout's
-``mark_domain``.  Seeded outputs depend on this order.  The uniforms are
-those of ``path_rng(seed, idx).random(k)``, computed in arrays from each
-path's PCG64 state, with no Generator per path.  A check draws the two
-constructions from different seeds, so they stay independent of each other.
+``mark_domain``.  Seeded outputs depend on this order.  Path ``idx`` reads
+the stream of ``path_rng(seed, idx)`` at any nonnegative seed and index,
+with no Generator per path: the block seeds every path's PCG64 state in
+arrays, and each draw steps the state of every path that draws once, so no
+uniform is drawn ahead.  A check draws the two constructions from different
+seeds, so they stay independent of each other.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -124,7 +126,8 @@ _SEED_BLOCK = 1024
 _BLOCK_ROWS = 2**18  # expected segments of one renewal block, at most
 
 
-def _hash_consts(init: int, mult: int, n: int) -> list:
+@cache
+def _hash_consts(init: int, mult: int, n: int) -> tuple:
     """(xor, multiplier) of ``n`` successive hashmix calls: the running hash
     constant does not depend on the data, so every call's pair is fixed."""
     out = []
@@ -132,13 +135,7 @@ def _hash_consts(init: int, mult: int, n: int) -> list:
         nxt = (init * mult) & _MASK32
         out.append((np.uint32(init), np.uint32(nxt)))
         init = nxt
-    return out
-
-
-# pool fill, mixing and up to six entropy words past the pool; then the
-# output words of generate_state
-_POOL_HASH = _hash_consts(0x43B0D7E5, 0x931E8875, 4 + 12 + 6 * 4)
-_STATE_HASH = _hash_consts(0x8B51F9DD, 0x58F38DED, 8)
+    return tuple(out)
 
 
 def _hashmix(value: np.ndarray, consts) -> np.ndarray:
@@ -149,11 +146,10 @@ def _hashmix(value: np.ndarray, consts) -> np.ndarray:
 
 def _seed_state(words, n: int) -> np.ndarray:
     """``SeedSequence(entropy).generate_state(n, np.uint32)`` for the uint32
-    entropy ``words`` (one array per word, at most ten), elementwise: the
-    words hashed into the 4-word pool, the pool mixed, any words past the
-    pool mixed into every pool word, then ``n`` output words, as (element,
-    n) uint32."""
-    consts = iter(_POOL_HASH)
+    entropy ``words`` (one array per word), elementwise: the words hashed
+    into the 4-word pool, the pool mixed, any words past the pool mixed into
+    every pool word, then ``n`` output words, as (element, n) uint32."""
+    consts = iter(_hash_consts(0x43B0D7E5, 0x931E8875, 4 + 12 + 4 * max(len(words) - 4, 0)))
     zero = np.zeros_like(words[0])
     pool = [_hashmix(words[k] if k < len(words) else zero, next(consts)) for k in range(4)]
 
@@ -168,7 +164,8 @@ def _seed_state(words, n: int) -> np.ndarray:
     for word in words[4:]:
         for dst in range(4):
             mix(dst, word)
-    return np.stack([_hashmix(pool[k % 4], c) for k, c in zip(range(n), _STATE_HASH)], axis=1)
+    out = _hash_consts(0x8B51F9DD, 0x58F38DED, n)
+    return np.stack([_hashmix(pool[k % 4], c) for k, c in enumerate(out)], axis=1)
 
 
 def _lcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray):
@@ -184,41 +181,36 @@ def _lcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.nda
     return new_hi, new_lo
 
 
-def _pcg_states(seed: int, indices: np.ndarray):
-    """PCG64 ``(state, inc)`` of ``default_rng([seed, idx])`` for 32-bit
-    ``seed`` and ``indices``, each a (2, path) uint64 array of the 128-bit
-    values' high and low words, over the whole block: the two-word entropy
-    mixed into the pool and expanded to four 64-bit words, then PCG64's
-    ``srandom`` (two LCG steps)."""
-    out = _seed_state([np.full(indices.shape, seed, np.uint32), indices.astype(np.uint32)], 8)
+def _pcg_states(seed: int, lo: int, n: int):
+    """PCG64 ``(state, inc)`` of ``default_rng([seed, idx])`` for ``lo <=
+    idx < lo + n < 2**64``, each a (2, path) uint64 array of the 128-bit
+    values' high and low words.  numpy's entropy is the seed's little-endian
+    32-bit words and then the index's, at least one each; an index from
+    ``2**32`` on has two, so the indices on either side of ``2**32`` are
+    seeded apart.  The entropy is mixed into the pool and expanded to four
+    64-bit words, then PCG64's ``srandom`` takes two LCG steps.  A negative
+    seed or index is refused, as numpy refuses it."""
+    seed, lo = int(seed), int(lo)
+    if min(seed, lo) < 0:
+        raise ValueError(f"a seed or path index must be nonnegative, got {min(seed, lo)}")
+    seed_words = [(seed >> k) & _MASK32 for k in range(0, max(seed.bit_length(), 1), 32)]
+    idx = np.arange(lo, lo + n, dtype=np.uint64)
+    split = min(max(2**32 - lo, 0), n)  # position of the first two-word index
+    out = np.empty((n, 8), np.uint32)
+    for rows, n_words in ((slice(0, split), 1), (slice(split, n), 2)):
+        part = idx[rows]
+        if part.size:
+            words = [np.full(part.shape, w, np.uint32) for w in seed_words]
+            words += [(part >> np.uint64(32 * k)).astype(np.uint32) for k in range(n_words)]
+            out[rows] = _seed_state(words, 8)
     v0, v1, v2, v3 = out.astype("<u4").view("<u8").T
     # state = ((inc + initstate) * M + inc), inc = initseq << 1 | 1, with
     # initstate = (v0, v1) and initseq = (v2, v3)
     inc = ((v2 << _U1) | (v3 >> _U63), (v3 << _U1) | _U1)
     with np.errstate(over="ignore"):
-        lo = inc[1] + v1
-        state = _lcg_step(inc[0] + v0 + (lo < v1), lo, *inc)
+        low = inc[1] + v1
+        state = _lcg_step(inc[0] + v0 + (low < v1), low, *inc)
     return np.stack(state), np.stack(inc)
-
-
-def _pcg_uniforms(state, inc, k: int):
-    """The next ``k`` uniforms of PCG64 streams at the states ``state`` with
-    increments ``inc`` (as :func:`_pcg_states` gives them), as
-    ``Generator.random`` draws them, with the states ``k`` steps on.
-
-    Each step advances the LCG and takes the XSL-RR output of the new state
-    (the xor of its words rotated right by its top 6 bits); a uniform is the
-    output's top 53 bits times ``2**-53``, numpy's ``next_double``.  Returns
-    the (path, k) uniforms and the advanced states."""
-    hi, lo = state
-    out = np.empty((k, len(hi)))
-    with np.errstate(over="ignore"):  # uint64 arithmetic wraps mod 2**64
-        for row in out:
-            hi, lo = _lcg_step(hi, lo, *inc)
-            xor, rot = hi ^ lo, hi >> _U58
-            bits = (xor >> rot) | (xor << ((_U64 - rot) & _U63))
-            np.multiply(bits >> _U11, 2.0**-53, out=row)
-    return out.T, np.stack([hi, lo])
 
 
 def sample_holding(kernel: SemiMarkovKernel, s0, u):
@@ -326,45 +318,24 @@ def _check_start(t: float, s: float, horizon: float) -> None:
         raise ValueError(f"start age must be finite and >= 0, got {s!r}")
 
 
-def _prefetch_width(rate: float, span: float) -> int:
-    """Uniforms prefetched per path over a time ``span`` at most ``rate``
+def _draw_bound(rate: float, span: float) -> int:
+    """Uniforms one path draws over a time ``span`` at most ``rate``
     segments per unit time: two per segment for the mean count plus six of
     its standard deviations and two, and one for the last segment, which the
-    horizon cuts.  A path needs more with a probability below 1e-9."""
+    horizon cuts.  A path draws more with a probability below 1e-9."""
     mean = rate * span
     return 2 * math.ceil(mean + 6.0 * math.sqrt(mean) + 2.0) + 1
 
 
-class _Uniforms:
-    """Each path's uniforms in its stream's order, read from a run per path:
-    ``refill(rows)`` gives the next run of each path in ``rows``, as a
-    (row, width) array, at the start and whenever a path has read its run.
-    One position counter per path says how far it has read."""
-
-    def __init__(self, n: int, refill):
-        self.refill = refill
-        self.pool = refill(np.arange(n))
-        self.col = np.zeros(n, dtype=np.intp)  # position of each path's next uniform in its run
-
-    def take(self, rows: np.ndarray) -> np.ndarray:
-        """The next uniform of every path in ``rows``."""
-        spent = rows[self.col[rows] == self.pool.shape[1]]
-        if spent.size:
-            self.pool[spent] = self.refill(spent)
-            self.col[spent] = 0
-        u = self.pool[rows, self.col[rows]]
-        self.col[rows] += 1
-        return u
-
-    def take_open(self, rows: np.ndarray) -> np.ndarray:
-        """The next nonzero uniform of every path in ``rows``: a zero is
-        skipped, as a scalar draw of an open uniform would reject it."""
-        u = self.take(rows)
-        zero = np.flatnonzero(u == 0.0)
-        while zero.size:
-            u[zero] = self.take(rows[zero])
-            zero = zero[u[zero] == 0.0]
-        return u
+def _take_open(take, rows: np.ndarray) -> np.ndarray:
+    """The next nonzero uniform of every path in ``rows`` from ``take``: a
+    zero is skipped, as a scalar draw of an open uniform would reject it."""
+    u = take(rows)
+    zero = np.flatnonzero(u == 0.0)
+    while zero.size:
+        u[zero] = take(rows[zero])
+        zero = zero[u[zero] == 0.0]
+    return u
 
 
 def _renewal(kernel: SemiMarkovKernel):
@@ -398,9 +369,10 @@ def _thinning(kernel: SemiMarkovKernel, layout: MarkLayout):
     return width, (lambda s, u: -np.log1p(-u) / width), event
 
 
-def _block(length, event, start, horizon: float, uniforms: _Uniforms):
-    """Paths from ``start = (t, price, state, age)`` to the horizon, one per
-    row of ``uniforms``, in lockstep: each step draws every live path's next
+def _block(length, event, start, horizon: float, n: int, take):
+    """``n`` paths from ``start = (t, price, state, age)`` to the horizon, in
+    lockstep, ``take(rows)`` drawing the next uniform of every path in
+    ``rows`` from its own stream: each step draws every live path's next
     segment length ``length(age, u1)`` from an open uniform and, unless the
     horizon cuts the segment, ``event(price, state, end age, u2)`` from the
     next uniform: the segment's mark and the path's next price, state and age.
@@ -408,13 +380,12 @@ def _block(length, event, start, horizon: float, uniforms: _Uniforms):
     Returns the block-local path index of every segment and the columns
     ``(t0, t1, p, i, s0, s1, mark)``, path by path and in segment order, with
     mark 0 on each path's last segment."""
-    n = len(uniforms.col)
     live = np.arange(n)
     t, p = np.full(n, float(start[0])), np.full(n, float(start[1]))
     i, s = np.full(n, int(start[2])), np.full(n, float(start[3]))
     steps = []
     while live.size:
-        w = length(s, uniforms.take_open(live))
+        w = length(s, _take_open(take, live))
         t1 = t + w
         cut = t1 > horizon
         if cut.any():
@@ -426,7 +397,7 @@ def _block(length, event, start, horizon: float, uniforms: _Uniforms):
             if not live.size:
                 break
         y = s + w
-        mark, p_next, i_next, s_next = event(p, i, y, uniforms.take(live))
+        mark, p_next, i_next, s_next = event(p, i, y, take(live))
         steps.append((live, t, t1, p, i, s, y, mark))
         t, p, i, s = t1, p_next, i_next, s_next
     path, *columns = (np.concatenate(col) for col in zip(*steps))
@@ -434,53 +405,52 @@ def _block(length, event, start, horizon: float, uniforms: _Uniforms):
     return path[order], tuple(col[order] for col in columns)
 
 
-def _path_uniforms(seed: int, lo: int, n: int, width: int) -> _Uniforms:
-    """The uniforms of the streams ``path_rng(seed, idx)``, ``lo <= idx <
-    lo + n``, in runs of ``width``.
+def _path_uniforms(seed: int, lo: int, n: int):
+    """``take(rows)`` for the streams ``path_rng(seed, idx)``, ``lo <= idx <
+    lo + n``: the next uniform of every path in ``rows`` (block-local),
+    computed in arrays with no Generator.
 
-    The streams are computed in arrays: :func:`_pcg_states` seeds the whole
-    block and :func:`_pcg_uniforms` steps the rows that need a run, so no
-    Generator is built.  A pair outside ``[0, 2**32)`` adds entropy words,
-    so its block draws from ``path_rng`` itself."""
-    seed = int(seed)
-    if 0 <= seed <= _MASK32 and 0 <= lo and lo + n - 1 <= _MASK32:
-        state, inc = _pcg_states(seed, np.arange(lo, lo + n))
+    :func:`_pcg_states` seeds the block.  A take steps the PCG64 state of
+    each listed path once and returns the XSL-RR output of the new state
+    (the xor of its words rotated right by its top 6 bits) as numpy's
+    ``next_double`` does: the output's top 53 bits times ``2**-53``."""
+    state, inc = _pcg_states(seed, lo, n)
 
-        def refill(rows):
-            run, state[:, rows] = _pcg_uniforms(state[:, rows], inc[:, rows], width)
-            return run
-    else:
-        streams = [path_rng(seed, idx) for idx in range(lo, lo + n)]
+    def take(rows):
+        with np.errstate(over="ignore"):  # uint64 arithmetic wraps mod 2**64
+            hi, low = _lcg_step(*state[:, rows], *inc[:, rows])
+        state[0, rows], state[1, rows] = hi, low
+        xor, rot = hi ^ low, hi >> _U58
+        bits = (xor >> rot) | (xor << ((_U64 - rot) & _U63))
+        return (bits >> _U11) * 2.0**-53
 
-        def refill(rows):
-            return np.array([streams[r].random(width) for r in rows.tolist()])
-
-    return _Uniforms(n, refill)
+    return take
 
 
 def _blocks(steps, start, horizon: float, n_paths: int, uniforms):
     """Paths ``0 .. n_paths - 1`` of :func:`_block` with ``steps = (rate,
     length, event)``, segments ending at most at ``rate``: blocks of at most
-    ``_SEED_BLOCK`` paths and ``_BLOCK_ROWS`` expected segments, the uniforms
-    of paths ``lo .. lo + n - 1`` from ``uniforms(lo, n, width)``.  Yields the
-    first path index, each segment's block-local path index, the mask of each
-    path's last segment and the columns; refused as :func:`renewal_segments`."""
+    ``_SEED_BLOCK`` paths and ``_BLOCK_ROWS`` expected segments, paths
+    ``lo .. lo + n - 1`` drawing from the take ``uniforms(lo, n)``.  Yields
+    the first path index, each segment's block-local path index, the mask of
+    each path's last segment and the columns; refused as
+    :func:`renewal_segments`."""
     rate, *step = steps
     _check_start(start[0], start[3], horizon)
-    width = _prefetch_width(rate, horizon - start[0])
-    # a path has width / 2 segments or fewer in expectation
-    size = max(1, min(_SEED_BLOCK, 2 * _BLOCK_ROWS // width))
+    # a path has _draw_bound / 2 segments or fewer in expectation
+    size = max(1, min(_SEED_BLOCK, 2 * _BLOCK_ROWS // _draw_bound(rate, horizon - start[0])))
     for lo in range(0, n_paths, size):
-        path, columns = _block(*step, start, horizon, uniforms(lo, min(size, n_paths - lo), width))
+        n = min(size, n_paths - lo)
+        path, columns = _block(*step, start, horizon, n, uniforms(lo, n))
         yield lo, path, np.append(path[1:] != path[:-1], True), columns
 
 
 def _one_path(steps, start, horizon: float, rng):
-    """The segment tuples of one path of :func:`_blocks`, its uniforms
-    fetched from ``rng`` in runs, so ``rng`` may be left past its last draw."""
+    """The segment tuples of one path of :func:`_blocks`, each uniform drawn
+    from ``rng`` as the path reads it."""
 
-    def uniforms(lo, n, width):
-        return _Uniforms(n, lambda rows: rng.random((len(rows), width)))
+    def uniforms(lo, n):
+        return lambda rows: rng.random(len(rows))
 
     ((*_, columns),) = _blocks(steps, start, horizon, 1, uniforms)
     return zip(*(col.tolist() for col in columns))

@@ -162,7 +162,8 @@ class ValueField:
         linearly in time; every other age is extended exactly, all points at
         once, at the two grid times around ``t`` and interpolated between them.
         Refuses a time outside ``[0, horizon]``, an age that is negative or
-        not finite, NaN included, and a state outside ``STATES``.
+        not finite, NaN included, a state outside ``STATES`` and a lattice
+        node that is not an integer in ``0 .. n_nodes - 1``.
         """
         t, s = np.asarray(t, dtype=float), np.asarray(s, dtype=float)
         off = ~((t >= self.t_grid[0]) & (t <= self.t_grid[-1]))
@@ -176,6 +177,12 @@ class ValueField:
         if off.any():
             raise ValueError(f"state {i[off].flat[0].item()!r} is not one of {STATES}")
         ii = direction_index(i.astype(int))
+        node, n_nodes = np.asarray(node), self.lattice.n_nodes
+        off = ~((node >= 0) & (node < n_nodes) & (np.floor(node) == node))
+        if off.any():
+            raise ValueError(f"lattice node {node[off].flat[0].item()!r} lies outside "
+                             f"0..{n_nodes - 1}")
+        node = node.astype(np.intp, copy=False)
         if self.age_invariant or not s.any():
             shape = np.broadcast_shapes(t.shape, np.shape(node), ii.shape, s.shape)
             return np.broadcast_to(_interp_time(self.t_grid, t, self.core, node, ii), shape)

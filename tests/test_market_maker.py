@@ -2,6 +2,7 @@
 
 import functools
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -549,8 +550,8 @@ def test_grid_rates_match_four_state_reference(preset, reference_rates):
 
 class TestReadDomain:
     """Every read of a field refuses a time off [0, horizon], an age that is
-    negative or not finite and a state outside STATES, with one ValueError
-    naming the value; reads of the field feed ``eval``, the gain rate and the
+    negative or not finite, a state outside STATES and a lattice node off
+    the lattice, with one ValueError naming the value; reads of the field feed ``eval``, the gain rate and the
     optimal policy."""
 
     @pytest.mark.parametrize(
@@ -589,6 +590,23 @@ class TestReadDomain:
         ):
             with pytest.raises(ValueError, match=named):
                 read()
+
+    @pytest.mark.parametrize("node", [-1, "n_nodes", 2.5, math.nan])
+    def test_bad_node_refused(self, reader, node):
+        # node -1 would read the last node and node n_nodes past the end
+        field, _ = reader
+        n_nodes = field.lattice.n_nodes
+        node = n_nodes if node == "n_nodes" else node
+        named = f"lattice node {re.escape(repr(node))} lies outside 0..{n_nodes - 1}"
+        for s in (0.0, 0.3):
+            for read in (
+                lambda: field.read(0.5, node, 2, s),
+                lambda: field.read(0.5, np.array([0, node]), 2, s),
+            ):
+                with pytest.raises(ValueError, match=named):
+                    read()
+        for good in (0, n_nodes - 1, np.arange(n_nodes), float(n_nodes - 1)):
+            assert np.isfinite(field.read(0.5, good, 2, 0.3)).all()
 
     def test_domain_ends_accepted(self, reader):
         field, policy = reader

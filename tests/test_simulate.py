@@ -237,6 +237,36 @@ class _StubStream:
         return out[0] if size is None else np.array(out).reshape(size)
 
 
+# holding or gap zeros singly and in a run, and zero successor or mark
+# uniforms
+_ZEROED_STREAM = [0.0, 0.3, 0.0, 0.0, 0.0, 0.45, 0.0, 0.2, 0.7, 0.0, 0.0] * 3
+
+
+def _rotated(values, shift):
+    """``values`` rotated left by ``shift`` draws, then uniforms that end a
+    path at once."""
+    return values[shift:] + values[:shift] + [0.99] * 20
+
+
+def _zero_below_a_tenth(monkeypatch):
+    """Array streams that read every uniform below 0.1 as zero."""
+    path_uniforms = simulate._path_uniforms
+
+    def zeroed(seed, lo, n):
+        take = path_uniforms(seed, lo, n)
+        return lambda rows: np.where((u := take(rows)) < 0.1, 0.0, u)
+
+    monkeypatch.setattr(simulate, "_path_uniforms", zeroed)
+
+
+def _refuse_generators(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Generator was built")
+
+    for target, name in ((simulate, "path_rng"), (np.random, "default_rng")):
+        monkeypatch.setattr(target, name, refuse)
+
+
 class TestBlockEngine:
     """The block engine against the scalar renewal loop it replaced."""
 
@@ -265,15 +295,10 @@ class TestBlockEngine:
                 moved += t1 != ref_t1
         assert moved < 700
 
-    def test_outrun_prefetch_reads_the_stream_in_order(self, monkeypatch, asymmetric_kernel,
-                                                       saturating_kernel, scalar_renewal,
-                                                       engine_paths):
-        # every path refills after each uniform, so each refill steps the
-        # path's PCG64 state on by one uniform
+    def test_long_paths_read_the_stream_in_order(self, asymmetric_kernel, scalar_renewal,
+                                                 engine_paths):
+        # paths of six segments and more, in a block and as a block of one
         start = (0.0, 1.0, 2, 0.0)
-        full = engine_paths(saturating_kernel, start, 1.5, 60, 21)
-        monkeypatch.setattr(simulate, "_prefetch_width", lambda kernel, span: 1)
-        assert engine_paths(saturating_kernel, start, 1.5, 60, 21) == full
         got = engine_paths(asymmetric_kernel, start, 3.0, 60, 22)
         assert max(len(rows) for rows in got) >= 6
         for idx, rows in enumerate(got):
@@ -281,13 +306,13 @@ class TestBlockEngine:
             assert rows == list(ref)
             assert list(renewal_segments(asymmetric_kernel, start, 3.0, path_rng(22, idx))) == rows
 
-    @pytest.mark.parametrize("width", [1, 2, 17])
-    def test_zero_uniform_rejected_at_the_same_position(self, monkeypatch, asymmetric_kernel,
-                                                        scalar_renewal, width):
+    @pytest.mark.parametrize("shift", [1, 2, 17])
+    def test_zero_uniform_rejected_at_the_same_position(self, asymmetric_kernel, scalar_renewal,
+                                                        shift):
         # zeros at holding draws are skipped, singly and in a run; a zero
-        # successor uniform is kept; prefetch runs of 1, 2 and 17 uniforms
-        values = [0.0, 0.3, 0.0, 0.0, 0.0, 0.45, 0.0, 0.2, 0.7, 0.0, 0.0] * 3 + [0.99] * 20
-        monkeypatch.setattr(simulate, "_prefetch_width", lambda kernel, span: width)
+        # successor uniform is kept; the stream is rotated by 1, 2 and 17
+        # draws, so its zeros fall on other draws
+        values = _rotated(_ZEROED_STREAM, shift)
         start = (0.0, 1.0, 2, 0.0)
         ref_stream, stream = _StubStream(values), _StubStream(values)
         ref = list(scalar_renewal.segments(asymmetric_kernel, start, 4.0, ref_stream))
@@ -551,31 +576,25 @@ class TestThinningEngine:
             for rows, ref_rows in zip(decoded(layout, blocks, n_paths), ref):
                 assert_rows_equal(rows, ref_rows)
 
-    @pytest.mark.parametrize("width", [1, 2, 17])
+    @pytest.mark.parametrize("seed", [1, 2, 17])
     def test_zero_gap_uniform_skipped(self, monkeypatch, asymmetric_kernel, asymmetric_layout,
-                                      scalar_thinning, width):
+                                      scalar_thinning, seed):
         # zeros at gap draws are skipped, singly and in a run; a zero mark
-        # uniform is kept (coordinate 0, the continuation interval); runs of
-        # 1, 2 and 17 uniforms from a stubbed stream, then from the array
-        # streams with every uniform below 0.1 read as zero on both sides
+        # uniform is kept (coordinate 0, the continuation interval); from a
+        # stubbed stream rotated by ``seed`` draws, then from the array
+        # streams of ``seed`` with every uniform below 0.1 read as zero on
+        # both sides
         kernel, layout, start = asymmetric_kernel, asymmetric_layout, (0.0, 1.0, 2, 0.0)
-        values = [0.0, 0.3, 0.0, 0.0, 0.0, 0.45, 0.0, 0.2, 0.7, 0.0, 0.0] * 3 + [0.99] * 20
-        monkeypatch.setattr(simulate, "_prefetch_width", lambda rate, span: width)
+        values = _rotated(_ZEROED_STREAM, seed)
         ref_stream, stream = _StubStream(values), _StubStream(values)
         ref = list(scalar_thinning.segments(kernel, layout, start, 4.0, ref_stream))
         assert_rows_equal(list(thinning_segments(kernel, layout, start, 4.0, stream)), ref)
         assert len(ref) > 5 and values[: ref_stream.drawn].count(0.0) > 5
-        pcg_uniforms = simulate._pcg_uniforms
-
-        def zeroed(state, inc, k):
-            run, state = pcg_uniforms(state, inc, k)
-            return np.where(run < 0.1, 0.0, run), state
-
-        monkeypatch.setattr(simulate, "_pcg_uniforms", zeroed)
-        got = decoded(layout, thinning_blocks(kernel, layout, start, 4.0, 60, 9), 60)
+        _zero_below_a_tenth(monkeypatch)
+        got = decoded(layout, thinning_blocks(kernel, layout, start, 4.0, 60, seed), 60)
         skipped = 0
         for idx, rows in enumerate(got):
-            values = path_rng(9, idx).random(400)
+            values = path_rng(seed, idx).random(400)
             stream = _StubStream(np.where(values < 0.1, 0.0, values).tolist())
             assert_rows_equal(rows, list(scalar_thinning.segments(kernel, layout, start, 4.0,
                                                                   stream)))
@@ -592,29 +611,20 @@ class TestThinningEngine:
             for idx in range(30):
                 list(thinning_segments(k, lay, (0.0, 1e308, 1, 0.0), 1.0, path_rng(3, idx)))
 
-    def test_seed_past_32_bits_takes_path_rng(self, model, scalar_thinning):
-        kernel, layout = model
-        start = (0.0, 1.0, 3, 0.0)
-        got = decoded(layout, thinning_blocks(kernel, layout, start, 2.0, 40, 2**32), 40)
-        ref = self.reference(scalar_thinning, kernel, layout, start, 2.0, 2**32, range(40))
-        for rows, ref_rows in zip(got, ref, strict=True):
-            assert_rows_equal(rows, ref_rows)
-
     def test_no_generator_per_path(self, monkeypatch, model, scalar_thinning):
-        # 1,030 paths straddle the 1,024-path block
+        # 1,030 paths straddle the 1,024-path block; seeds 2**32 and
+        # 2**40 + 3 add entropy words past the first
         kernel, layout = model
         start = (0.0, 1.0, 2, 0.0)
         checked = list(range(8)) + list(range(1018, 1030))
-        ref = self.reference(scalar_thinning, kernel, layout, start, 1.0, 1, checked)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("a Generator was built")
-
-        monkeypatch.setattr(simulate, "path_rng", refuse)
-        monkeypatch.setattr(np.random, "default_rng", refuse)
-        got = decoded(layout, thinning_blocks(kernel, layout, start, 1.0, 1030, 1), 1030)
-        for idx, ref_rows in zip(checked, ref):
-            assert_rows_equal(got[idx], ref_rows)
+        seeds = (1, 2**32, 2**40 + 3)
+        refs = [self.reference(scalar_thinning, kernel, layout, start, 1.0, seed, checked)
+                for seed in seeds]
+        _refuse_generators(monkeypatch)
+        for seed, ref in zip(seeds, refs):
+            got = decoded(layout, thinning_blocks(kernel, layout, start, 1.0, 1030, seed), 1030)
+            for idx, ref_rows in zip(checked, ref):
+                assert_rows_equal(got[idx], ref_rows)
 
 
 class TestHoldingTimes:
@@ -744,14 +754,15 @@ class TestControlledAccounting:
                 assert change <= big * (p * delta + cost) + 1e-12
 
 
-def _read_unevenly(uniforms, n, reads):
-    """``reads`` rounds of ``uniforms.take`` on a shifting subset of the
-    ``n`` rows, so rows reach the end of their runs at different rounds;
-    returns each row's uniforms in the order read."""
+def _read_unevenly(take, n, reads, gap):
+    """``reads`` rounds of ``take`` on a shifting subset of the
+    ``n`` rows: each round skips every row whose index plus the round is a
+    multiple of ``gap + 1``, so rows read different counts; returns each
+    row's uniforms in the order read."""
     got = [[] for _ in range(n)]
     for k in range(reads):
-        rows = np.flatnonzero((np.arange(n) + k) % 3 != 0)
-        for r, u in zip(rows.tolist(), uniforms.take(rows).tolist()):
+        rows = np.flatnonzero((np.arange(n) + k) % (gap + 1) != 0)
+        for r, u in zip(rows.tolist(), take(rows).tolist()):
             got[r].append(u)
     return got
 
@@ -760,68 +771,47 @@ class TestPathUniforms:
     """The renewal engine's uniforms, computed in arrays from each path's
     PCG64 state, byte for byte against ``path_rng(seed, idx).random(k)``."""
 
-    @staticmethod
-    def assert_streams(seed, lo, n, width):
-        got = _read_unevenly(simulate._path_uniforms(seed, lo, n, width), n, 41)
-        for r, run in enumerate(got):
-            ref = path_rng(seed, lo + r).random(len(run))
-            assert np.array(run).tobytes() == ref.tobytes(), (seed, lo + r)
-
-    @pytest.mark.parametrize("width", [1, 2, 17])
+    @pytest.mark.parametrize("gap", [1, 2, 17])
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1])
-    def test_equal_path_rng(self, seed, width):
-        # 41 uniforms read past runs of 1, 2 and 17; the second block
-        # straddles path 1,024, the third ends at the last 32-bit index
+    def test_equal_path_rng(self, seed, gap):
+        # 41 rounds in which every row sits out one round in each gap + 1;
+        # the second block straddles path 1,024, the third ends at the last
+        # 32-bit index
         for lo, n in ((0, 40), (1000, 50), (2**32 - 30, 30)):
-            self.assert_streams(seed, lo, n, width)
+            got = _read_unevenly(simulate._path_uniforms(seed, lo, n), n, 41, gap)
+            for r, run in enumerate(got):
+                ref = path_rng(seed, lo + r).random(len(run))
+                assert np.array(run).tobytes() == ref.tobytes(), (seed, lo + r)
 
-    @pytest.mark.parametrize("seed, lo", [(2**32, 0), (2**32, 2**32 - 3), (7, 2**32 - 3)])
-    def test_pairs_outside_32_bits_take_path_rng(self, seed, lo):
-        self.assert_streams(seed, lo, 7, 5)
-
-    @pytest.mark.parametrize("width", [1, 2, 17])
+    @pytest.mark.parametrize("seed", [1, 2, 17])
     def test_zero_uniform_skipped_at_the_same_position(self, monkeypatch, asymmetric_kernel,
-                                                       scalar_renewal, engine_paths, width):
+                                                       scalar_renewal, engine_paths, seed):
         # uniforms below 0.1 read as zero on both sides, so zeros fall at
-        # holding and successor draws alike, wherever a run starts
-        pcg_uniforms = simulate._pcg_uniforms
-
-        def zeroed(state, inc, k):
-            run, state = pcg_uniforms(state, inc, k)
-            return np.where(run < 0.1, 0.0, run), state
-
-        monkeypatch.setattr(simulate, "_pcg_uniforms", zeroed)
-        monkeypatch.setattr(simulate, "_prefetch_width", lambda kernel, span: width)
+        # holding and successor draws alike
+        _zero_below_a_tenth(monkeypatch)
         start = (0.0, 1.0, 2, 0.0)
         skipped = 0
-        for idx, rows in enumerate(engine_paths(asymmetric_kernel, start, 4.0, 60, 9)):
-            values = path_rng(9, idx).random(400)
+        for idx, rows in enumerate(engine_paths(asymmetric_kernel, start, 4.0, 60, seed)):
+            values = path_rng(seed, idx).random(400)
             stream = _StubStream(np.where(values < 0.1, 0.0, values).tolist())
             assert rows == list(scalar_renewal.segments(asymmetric_kernel, start, 4.0, stream))
             skipped += stream.drawn - sum(2 for *_, j in rows if j is not None) - 1
         assert skipped > 10
 
-    @pytest.mark.parametrize("width", [None, 1])
+    @pytest.mark.parametrize("seed", [1, 2**32, 2**40 + 3])
     def test_no_generator_per_path(self, monkeypatch, asymmetric_kernel, saturating_kernel,
-                                   scalar_renewal, engine_paths, width):
-        # 1,030 paths straddle the 1,024-path block; width 1 refills at
-        # every draw
+                                   scalar_renewal, engine_paths, seed):
+        # 1,030 paths straddle the 1,024-path block; seeds 2**32 and
+        # 2**40 + 3 add entropy words past the first
         start = (0.0, 1.0, 2, 0.0)
         checked = list(range(8)) + list(range(1018, 1030))
-        ref = [list(scalar_renewal.segments(asymmetric_kernel, start, 2.0, path_rng(1, idx)))
+        ref = [list(scalar_renewal.segments(asymmetric_kernel, start, 2.0, path_rng(seed, idx)))
                for idx in checked]
-        saturating = engine_paths(saturating_kernel, start, 1.0, 200, 2)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("a Generator was built")
-
-        for target, name in ((simulate, "path_rng"), (np.random, "default_rng")):
-            monkeypatch.setattr(target, name, refuse)
-        if width is not None:
-            monkeypatch.setattr(simulate, "_prefetch_width", lambda kernel, span: width)
-        got = engine_paths(asymmetric_kernel, start, 2.0, 1030, 1)
+        saturating = engine_paths(saturating_kernel, start, 1.0, 200, seed + 1)
+        _refuse_generators(monkeypatch)
+        got = engine_paths(asymmetric_kernel, start, 2.0, 1030, seed)
         assert [got[idx] for idx in checked] == ref
-        assert engine_paths(saturating_kernel, start, 1.0, 200, 2) == saturating
+        assert engine_paths(saturating_kernel, start, 1.0, 200, seed + 1) == saturating
 
 
 class TestPathStreams:
@@ -830,10 +820,10 @@ class TestPathStreams:
     its seeding."""
 
     @staticmethod
-    def assert_same_streams(seed, first, n, width=3):
-        uniforms = simulate._path_uniforms(seed, first, n, width)
+    def assert_same_streams(seed, first, n):
+        take = simulate._path_uniforms(seed, first, n)
         rows = np.arange(n)
-        got = np.stack([uniforms.take(rows) for _ in range(7)], axis=1)
+        got = np.stack([take(rows) for _ in range(7)], axis=1)
         for r, idx in enumerate(range(first, first + n)):
             assert got[r].tobytes() == path_rng(seed, idx).random(7).tobytes(), (seed, idx)
 
@@ -842,21 +832,28 @@ class TestPathStreams:
         # more paths than one seeding block
         self.assert_same_streams(0, 7, 1500)
 
-    @pytest.mark.parametrize("seed", [0, 20240811, 2**32 - 1, 2**32, 2**40 + 3])
+    @pytest.mark.parametrize(
+        "seed", [0, 20240811, 2**32 - 1, 2**32, 2**40 + 3, 2**64 + 5, 2**100, 2**300 + 7]
+    )
     def test_across_the_32_bit_boundary(self, seed):
-        # indices 2**32 - 3 .. 2**32 + 3 add an entropy word past 2**32
+        # indices 2**32 - 3 .. 2**32 + 3 add an entropy word past 2**32;
+        # seeds 2**64 + 5, 2**100 and 2**300 + 7 have three, four and ten
+        # words, so their entropy fills the pool or runs past it
         self.assert_same_streams(seed, 2**32 - 3, 7)
         self.assert_same_streams(seed, 5, 3)
 
     def test_stream_after_a_drawn_one_is_fresh(self):
-        uniforms = simulate._path_uniforms(11, 0, 2, 3)
+        take = simulate._path_uniforms(11, 0, 2)
         for _ in range(50):
-            uniforms.take(np.array([0]))
-        assert uniforms.take(np.array([1]))[0] == path_rng(11, 1).random()
+            take(np.array([0]))
+        assert take(np.array([1]))[0] == path_rng(11, 1).random()
 
     def test_negative_index_is_refused_like_path_rng(self):
-        with pytest.raises(ValueError):
-            simulate._path_uniforms(3, -1, 2, 3)
+        for seed, lo in ((3, -1), (-3, 0)):
+            with pytest.raises(ValueError):
+                path_rng(seed, lo)
+            with pytest.raises(ValueError, match=f"must be nonnegative, got {min(seed, lo)}"):
+                simulate._path_uniforms(seed, lo, 2)
 
 
 def reference_coins(policy, t, p, i, s):
