@@ -37,9 +37,9 @@ for frac in (0.0, 0.3, 0.6, 0.9, 1.2):
         big_size=2, transaction_cost=frac * kernel.delta, portfolio_consistent=True
     )
     source = QuoteGainSource(kernel, layout, spec, field)
-    # (side, time, node, state): side 0 is the bid, side 1 the ask
+    # (side, direction, time, node): side 0 is the bid, side 1 the ask
     rates = source.gain_rates_at_age(0.0)
-    quoted = rates[:, :, field.lattice.report_mask] > 0
+    quoted = rates[..., field.lattice.report_mask] > 0
     ask_on, bid_on = np.mean(quoted[1]), np.mean(quoted[0])
     print(f"{frac:>10.1f} {ask_on:>10.2%} {bid_on:>10.2%}")
 

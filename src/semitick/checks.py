@@ -169,14 +169,21 @@ def contraction(price_field, kernel, horizon: float, tol_fp: float, max_age: flo
     within log(tol_fp) / log(kappa) + 5.  ``kappa`` is the jump probability
     within the horizon from age ``max_age``, the largest reachable age; with
     nondecreasing hazards (both supported families) no younger age has a
-    larger one."""
+    larger one.  Without a ratio (one sweep) it measures one more sweep."""
     kappa = contraction_bound(kernel, horizon, [max_age])
     budget = math.ceil(math.log(tol_fp) / math.log(kappa)) + 5
-    ratio = float(np.max(price_field.ratios, initial=0.0))
+    ratios, note = price_field.ratios, ""
+    if not ratios:  # one more age-zero sweep of the converged core
+        last = price_field.diff_norms[-1]
+        gap = price_field.vnorm(extension_slice(price_field, 0.0) - price_field.core)
+        ratios = [gap / last] if last > 0 else []
+        note = " (one more sweep)" if ratios else (
+            " (the ratio list was empty, and one more sweep gives no ratio)")
+    ratio = float(np.max(ratios)) if ratios else math.nan
     sweeps = price_field.iterations
     return Check(
         "contraction", ratio <= kappa + 0.01 and sweeps <= budget,
-        f"max ratio {ratio:.4f} vs kappa+0.01={kappa + 0.01:.4f}; "
+        f"max ratio {ratio:.4f}{note} vs kappa+0.01={kappa + 0.01:.4f}; "
         f"{sweeps} sweeps vs budget {budget}",
         measured={"ratio": ratio, "kappa": kappa, "budget": budget},
     )
@@ -199,7 +206,7 @@ def closed_form(price_field, kernel, tol: float) -> Check:
     worst = 0.0
     for b, move in enumerate(SLOT_MOVES):  # the core's direction axis
         oracle = lattice.prices[None, mask] * factors[:, 0 if move > 0 else 1][:, None]
-        rel = np.abs(price_field.core[:, mask, b] - oracle) / oracle
+        rel = np.abs(price_field.core[b][:, mask] - oracle) / oracle
         worst = float(np.maximum(worst, np.max(rel)))
     return Check(
         "closed_form", worst <= tol, f"max rel err {worst:.3e} vs tol {tol:g} (flat-hazard oracle)",
@@ -243,7 +250,7 @@ def quote_value_mc(kernel, layout, mmspec, price_field, quote_field, points, hor
 
 def quote_value_shape(quote_field) -> Check:
     """The quoting premium is nonnegative and vanishes at the horizon."""
-    low, top = quote_field.core.min(), np.abs(quote_field.core[-1]).max()
+    low, top = quote_field.core.min(), np.abs(quote_field.core[:, -1]).max()
     return Check(
         "quote_value_shape", low >= -1e-12 and top == 0.0, f"min {low:.2e}, terminal max {top:.2e}"
     )

@@ -487,7 +487,7 @@ def _cmd_solve_u(cfg: ExperimentConfig, out: FsPath, quiet: bool) -> int:
         "iterations": quote_field.iterations,
         "final_diff": quote_field.diff_norms[-1],
         "min_value": float(quote_field.core.min()),
-        "terminal_max_abs": float(np.abs(quote_field.core[-1]).max()),
+        "terminal_max_abs": float(np.abs(quote_field.core[:, -1]).max()),
     }
     with open(out / "quote_value_report.json", "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)

@@ -113,7 +113,8 @@ class QuoteGainSource:
     paths, which broadcasts over arrays of points.  Rates come per side, on a
     leading successor-slot axis: slot ``b`` moves the price by
     ``SLOT_MOVES[b]``, so slot 0 is the bid side and slot 1 the ask side.
-    On the grid they are on (time, node, direction), as the field's core is.
+    On the grid they are on (direction, time, node), as the field's core is;
+    the grid-only :attr:`_big_edge` is built on first grid use.
     """
 
     def __init__(
@@ -135,20 +136,19 @@ class QuoteGainSource:
         self.lattice = price_field.lattice
         # jump-image indices and scales on (successor slot, lattice node)
         self._img_idx, self._img_scale = map(np.stack, zip(*_slot_images(self.lattice)))
-        prices = self.lattice.prices
-        self._prices = np.repeat(prices, len(SLOT_MOVES))  # on (node x direction) columns
-        self._edge_cols = np.broadcast_to(self._edge(self._prices), self._prices.shape)
-        # the big-order edge d * (price - age-zero expected price at the jump
-        # image) + edge per successor slot on (time, node x direction), one
-        # gather per slot: the successor entered on slot b has direction b.
-        # Only its factor h_dir(age) * big_size depends on the age
-        self._big_edge = []
-        for b, (d, idx, scale) in enumerate(zip(SLOT_MOVES, self._img_idx, self._img_scale)):
-            big_edge, image = np.empty(price_field.core.shape), price_field.core[:, idx, b] * scale
-            big_edge[:, :, 0] = d * (prices - image) + self._edge(prices)
-            big_edge[:, :, 1:] = big_edge[:, :, :1]
-            self._big_edge.append(big_edge.reshape(len(big_edge), -1))
         self._age_free = price_field.age_invariant and layout.is_memoryless
+
+    @cached_property
+    def _big_edge(self) -> list:
+        """The big-order edge d * (price - age-zero expected price at the jump
+        image) + edge per successor slot on (time, node), one gather per slot:
+        the successor entered on slot b has direction b, so both directions
+        share it.  Only its factor h_dir(age) * big_size depends on the age."""
+        prices, core = self.lattice.prices, self.field.core
+        return [
+            d * (prices - core[b][:, idx] * scale) + self._edge(prices)
+            for b, (d, idx, scale) in enumerate(zip(SLOT_MOVES, self._img_idx, self._img_scale))
+        ]
 
     def _edge(self, prices: np.ndarray):
         if self.mmspec.portfolio_consistent:
@@ -157,53 +157,43 @@ class QuoteGainSource:
 
     def _age_terms(self, age: float) -> list:
         """``(flow, coef)`` per successor slot at one age: the small-order flow
-        times its mean size, and h_dir(age) * big_size for each direction."""
+        times its mean size, and h_dir(age) * big_size on (direction, 1, 1)."""
         cont, rev = self.kernel.continuation.value(age), self.kernel.reversal.value(age)
         big = self.mmspec.big_size
         terms = []
         for b, d in enumerate(SLOT_MOVES):
             flow = self.layout.side_flow(d).value(age) * self.layout.mean_size(d)
             coef = [(cont if a == b else rev) * big for a in range(len(SLOT_MOVES))]
-            terms.append((flow, np.array(coef)))
+            terms.append((flow, np.array(coef)[:, None, None]))
         return terms
 
-    def _rates_into(self, out, scratch, b: int, flow, coef, pi, cols, first: int):
-        """Gain rate toward successor slot ``b`` on the flat columns ``cols``
-        and time rows ``first..n_t``, from the expected price ``pi`` there:
-        flow * (d * (price - pi) + edge) + h_dir * big_size * big-order edge,
-        with ``coef`` = h_dir * big_size per direction."""
+    def _rates_into(self, out, scratch, b: int, flow, coef, pi, nodes, first: int):
+        """Gain rate toward successor slot ``b`` on (direction, time rows
+        ``first..n_t``, lattice nodes ``nodes``), from the expected price ``pi``
+        there: flow * (d * (price - pi) + edge) + h_dir * big_size * big-order
+        edge, with ``coef`` = h_dir * big_size per direction."""
+        prices = self.lattice.prices[nodes]
         # d * (price - pi), where -(price - pi) is pi - price bit for bit
         if SLOT_MOVES[b] > 0:
-            np.subtract(self._prices[cols], pi, out=out)
+            np.subtract(prices, pi, out=out)
         else:
-            np.subtract(pi, self._prices[cols], out=out)
-        out += self._edge_cols[cols]
+            np.subtract(pi, prices, out=out)
+        out += self._edge(prices)
         out *= flow
-        coef_row = np.tile(coef, out.shape[1] // len(SLOT_MOVES))
-        out += np.multiply(self._big_edge[b][first:, cols], coef_row, out=scratch)
+        out += np.multiply(self._big_edge[b][first:, nodes], coef, out=scratch)
         return out
 
-    def _source_into(self, bufs, terms, pi, cols, first: int) -> np.ndarray:
-        """max(rate, 0) summed over both successors, into ``bufs[0]``; ``bufs``
-        holds three arrays shaped like ``pi``."""
-        down, up, scratch = bufs
-        for b, (out, (flow, coef)) in enumerate(zip((down, up), terms)):
-            np.maximum(self._rates_into(out, scratch, b, flow, coef, pi, cols, first), 0.0, out=out)
-        down += up
-        return down
-
     def gain_rates_at_age(self, age: float) -> np.ndarray:
-        """Gain rates on the (successor slot, time, node, direction) grid at one age."""
+        """Gain rates on the (successor slot, direction, time, node) grid at one age."""
         fld = self.field
         pi = fld.core if fld.age_invariant or age == 0.0 else extension_slice(fld, age)
-        flat = pi.reshape(len(pi), -1)
-        rates = np.empty((len(SLOT_MOVES),) + flat.shape)
+        rates = np.empty((len(SLOT_MOVES),) + pi.shape)
         for b, (flow, coef) in enumerate(self._age_terms(age)):
-            self._rates_into(rates[b], np.empty_like(flat), b, flow, coef, flat, slice(None), 0)
-        return rates.reshape((len(SLOT_MOVES),) + pi.shape)
+            self._rates_into(rates[b], np.empty_like(pi), b, flow, coef, pi, slice(None), 0)
+        return rates
 
     def integrals(self, q_source: np.ndarray) -> np.ndarray:
-        """Integrated running source on the (time, node, direction) grid: over
+        """Integrated running source on the (direction, time, node) grid: over
         every age node d, the d-th diagonal of the survival-weighted
         quadrature matrix ``q_source`` times the source at age ``d*h`` on
         time nodes ``d..n_t``.
@@ -211,17 +201,18 @@ class QuoteGainSource:
         The source is folded by :meth:`_fold_block`, one pass per block of
         lattice nodes (:func:`_node_blocks`; one block when the source is age
         free), each block on its own thread.
-        Blocks write disjoint columns and every element keeps its operations
+        Blocks write disjoint nodes and every element keeps its operations
         and their order, so the result does not depend on the number of
         blocks.  Every kernel, layout and payoff evaluation happens here, on
         the calling thread.
         """
+        self._big_edge  # built here, on the calling thread, before any block reads it
         n_rows = len(self.field.t_grid)
         h = self.field.t_grid[1] - self.field.t_grid[0]
         terms = [self._age_terms(d * h) for d in range(1 if self._age_free else n_rows)]
         sweep = None if self.field.age_invariant else _CharacteristicSweep(self.field)
-        out = np.zeros(self.field.core.shape)
-        flat, core = out.reshape(n_rows, -1), self.field.core.reshape(n_rows, -1)
+        core = self.field.core
+        out = np.zeros(core.shape)
         n_nodes = self.lattice.n_nodes
         tasks = []
         # the age-free fold is one multiply-add per age, bound by memory
@@ -229,27 +220,31 @@ class QuoteGainSource:
         for lo, hi in [(0, n_nodes)] if self._age_free else _node_blocks(n_nodes):
             # every buffer is allocated here, on the calling thread (see
             # _CharacteristicSweep.rows)
-            cols = slice(lo * len(SLOT_MOVES), hi * len(SLOT_MOVES))
-            ages = _price_ages(core[:, cols], sweep, lo, hi)
-            bufs = [np.empty((n_rows, cols.stop - cols.start)) for _ in range(3)]
-            tasks.append(partial(self._fold_block, flat, q_source, terms, ages, bufs, cols))
+            nodes = slice(lo, hi)
+            ages = _price_ages(core[:, :, nodes], sweep, lo, hi)
+            bufs = [np.empty((len(SLOT_MOVES), n_rows, hi - lo)) for _ in range(3)]
+            tasks.append(partial(self._fold_block, out, q_source, terms, ages, bufs, nodes))
         _on_threads(tasks)
         return out
 
-    def _fold_block(self, out, q_source, terms, ages, bufs, cols) -> None:
-        """Add the integrated source of the flat columns ``cols`` to ``out``
-        (time, node x direction): per ``(d, expected price)`` pair of ``ages``,
-        the gain rates, max(rate, 0) and the diagonal fold in one pass, in
-        the three buffers ``bufs`` of ``out``'s length.  With flat hazards
-        and flat flow one source serves every age: it is computed at age
-        zero, and the one at age ``d*h`` is its tail from time node d on."""
-        source = bufs[0]
+    def _fold_block(self, out, q_source, terms, ages, bufs, nodes) -> None:
+        """Add the integrated source of the lattice nodes ``nodes`` to ``out``
+        (direction, time, node): per ``(d, expected price)`` pair of ``ages``,
+        the gain rates, max(rate, 0) summed over both successors and the
+        diagonal fold in one pass, in the three (direction, time, node)
+        buffers ``bufs``.  With flat hazards and flat flow one source serves
+        every age: it is computed at age zero, and the one at age ``d*h`` is
+        its tail from time node d on."""
+        source, up, spare = bufs
         for d, pi in ages:
-            n = len(pi)
+            n = pi.shape[1]
             if d == 0 or not self._age_free:
-                self._source_into([buf[:n] for buf in bufs], terms[d], pi, cols, d)
-            rows = source[d:] if self._age_free else source[:n]
-            out[:n, cols] += np.multiply(rows, q_source.diagonal(d)[:, None], out=bufs[1][:n])
+                for b, (buf, (flow, coef)) in enumerate(zip((source, up), terms[d])):
+                    rate = self._rates_into(buf[:, :n], spare[:, :n], b, flow, coef, pi, nodes, d)
+                    np.maximum(rate, 0.0, out=rate)
+                source[:, :n] += up[:, :n]
+            rows = source[:, d:] if self._age_free else source[:, :n]
+            out[:, :n, nodes] += np.multiply(rows, q_source.diagonal(d)[:, None], out=up[:, :n])
 
     # the age-free source has no second path; kept, always None, for the
     # benchmark tracer, which patches this name (ROADMAP item 3)
@@ -258,7 +253,7 @@ class QuoteGainSource:
     @cached_property
     def _age_free_rates(self) -> np.ndarray:
         # with flat hazards and flat flow the gain rates are age free and
-        # affine in the core columns, so their grid values interpolate exactly
+        # affine in the core, so their grid values interpolate exactly
         return self.gain_rates_at_age(0.0)
 
     def rate_point(self, t, p, i, s):
@@ -299,13 +294,13 @@ class QuoteGainSource:
 
 
 def _price_ages(core, sweep, lo: int, hi: int):
-    """``(d, expected price at age d*h on time rows d..n_t)`` for every age
-    node, on the core columns ``core`` of lattice nodes ``lo..hi-1``: from
-    the characteristic ``sweep``, or from the core of an age-invariant field
-    when ``sweep`` is None.  Age zero reads the iterated core, as
-    ``QuoteGainSource.gain_rates_at_age`` does."""
+    """``(d, expected price at age d*h on (direction, time rows d..n_t, node))``
+    for every age node, on the (direction, time, node) core block ``core`` of
+    lattice nodes ``lo..hi-1``: from the characteristic ``sweep``, or from the
+    core of an age-invariant field when ``sweep`` is None.  Age zero reads the
+    iterated core, as ``QuoteGainSource.gain_rates_at_age`` does."""
     if sweep is None:
-        return ((d, core[d:]) for d in range(len(core)))
+        return ((d, core[:, d:]) for d in range(core.shape[1]))
     return ((d, core if d == 0 else pi) for d, pi in sweep.rows(lo, hi))
 
 
@@ -642,9 +637,9 @@ def export_policy_csv(
         n_report = len(p_txt)
         for s in map(float, s_values):
             rates = source._age_free_rates if source._age_free else source.gain_rates_at_age(s)
-            bid, ask = rates[:, :, keep] > 0.0
+            bid, ask = rates[..., keep] > 0.0
             # per (direction, time), each node's line tail at code * n_report + node
-            picks = ((2 * ask + bid) * n_report + np.arange(n_report)[:, None]).transpose(2, 0, 1)
+            picks = (2 * ask + bid) * n_report + np.arange(n_report)
             for i in STATES:
                 lines = [f"{p},{i},{s!r},{bits}" for bits in _QUOTE_BITS for p in p_txt]
                 for lead, row in zip(t_leads, picks[direction_index(i)].tolist()):

@@ -2,12 +2,13 @@
 
 The value of a terminal payoff g plus a running source w solves an integral
 fixed-point equation whose unknown enters only through its age-zero slices.
-Picard iteration therefore runs on a core array indexed by (time node, price
-lattice node, move direction); any other age is recovered afterwards from
-the core by a single application of the operator at that age
-(:func:`extension_slice`), by one sweep along the characteristics for every
-grid age at once (:class:`_CharacteristicSweep`, run on blocks of lattice
-nodes), or exactly at scattered points (:meth:`ValueField.read`).
+Picard iteration therefore runs on a core array indexed by (move direction,
+time node, price lattice node), one contiguous (time, node) block per
+direction; any other age is recovered afterwards from the core by a single
+application of the operator at that age (:func:`extension_slice`), by one
+sweep along the characteristics for every grid age at once
+(:class:`_CharacteristicSweep`, run on blocks of lattice nodes), or exactly
+at scattered points (:meth:`ValueField.read`).
 
 Quadrature along the time axis is composite Simpson on the uniform grid, with
 the leading interval of odd-length rows handled by a Simpson step whose
@@ -119,12 +120,13 @@ class ProblemSpec:
 class ValueField:
     """Grid representation of a solved value function.
 
-    ``core`` holds the age-zero values on (time node, lattice node,
-    direction), read linearly in time and exactly in price on the lattice.
-    A state's value depends on it only through ``alpha(i)``: direction 0 of
-    ``SLOT_MOVES`` holds states 1, 3 and direction 1 states 2, 4.  Every other
-    age is computed exactly from the core through the solve context
-    (``kernel`` and ``problem``).
+    ``core`` holds the age-zero values on (direction, time node, lattice
+    node), one contiguous (time, node) block ``core[a]`` per direction, read
+    linearly in time and exactly in price on the lattice.  A state's value
+    depends on it only through ``alpha(i)``: direction 0 of ``SLOT_MOVES``
+    holds states 1, 3 and direction 1 states 2, 4.  Every other age is
+    computed exactly from the core through the solve context (``kernel`` and
+    ``problem``).
     """
 
     t_grid: np.ndarray
@@ -185,13 +187,13 @@ class ValueField:
         node = node.astype(np.intp, copy=False)
         if self.age_invariant or not s.any():
             shape = np.broadcast_shapes(t.shape, np.shape(node), ii.shape, s.shape)
-            return np.broadcast_to(_interp_time(self.t_grid, t, self.core, node, ii), shape)
+            return np.broadcast_to(_interp_time(self.t_grid, t, self.core, ii, node), shape)
         t, node, ii, s = np.broadcast_arrays(t, node, ii, s)
         at_core = s == 0.0
         out = np.empty(t.shape)
         if at_core.any():
-            out[at_core] = _interp_time(self.t_grid, t[at_core], self.core, node[at_core],
-                                        ii[at_core])
+            out[at_core] = _interp_time(self.t_grid, t[at_core], self.core, ii[at_core],
+                                        node[at_core])
         aged = ~at_core
         out[aged] = self._extended_values(t[aged], node[aged], ii[aged], s[aged])
         return out
@@ -200,7 +202,7 @@ class ValueField:
         n_t = len(self.t_grid) - 1
         ti = np.clip(np.searchsorted(self.t_grid, t) - 1, 0, n_t - 1)
         both = _extension_points(
-            self, np.concatenate([ti, ti + 1]), np.tile(node, 2), np.tile(ii, 2), np.tile(s, 2)
+            self, np.concatenate([ti, ti + 1]), *(np.concatenate([x, x]) for x in (node, ii, s))
         )
         lo, hi = both[: t.size], both[t.size :]
         wgt = (t - self.t_grid[ti]) / (self.t_grid[ti + 1] - self.t_grid[ti])
@@ -208,17 +210,17 @@ class ValueField:
 
 
 def _scaled_max(values: np.ndarray, scale: np.ndarray, out=None) -> float:
-    """max |values| / scale over (time, node, direction), in place in ``out`` if given."""
+    """max |values| / scale over (..., node), in place in ``out`` if given."""
     out = np.abs(values, out=out)
-    np.divide(out, scale[None, :, None], out=out)
+    np.divide(out, scale, out=out)
     return float(np.max(out))
 
 
-def _interp_time(t_grid: np.ndarray, t, grid: np.ndarray, *index) -> np.ndarray:
-    """``np.interp(t, t_grid, grid[:, *index])`` bit for bit, where the index
-    arrays may give every point its own column."""
+def _interp_time(t_grid: np.ndarray, t, core: np.ndarray, ii, node) -> np.ndarray:
+    """``np.interp(t, t_grid, core[ii, :, node])`` bit for bit, where every
+    point may have its own direction ``ii`` and lattice ``node``."""
     k = np.clip(np.searchsorted(t_grid, t, side="right") - 1, 0, len(t_grid) - 2)
-    y0, y1 = grid[(k,) + index], grid[(k + 1,) + index]
+    y0, y1 = core[ii, k, node], core[ii, k + 1, node]
     slope = (y1 - y0) / (t_grid[k + 1] - t_grid[k])
     out = slope * (t - t_grid[k]) + y0
     return np.where(t >= t_grid[-1], y1, np.where(t < t_grid[0], y0, out))
@@ -332,30 +334,30 @@ def _pointwise_source(
     problem: ProblemSpec, q_source: np.ndarray, t_grid: np.ndarray, lattice: PriceLattice,
     sigma: float,
 ) -> np.ndarray:
-    """Integrated running source on the (time, node, direction) grid, from
+    """Integrated running source on the (direction, time, node) grid, from
     ``w`` sampled pointwise: for every age node d, ``w`` at age ``sigma + d*h``
-    on every (time node m >= d, lattice node, state), folded in with the d-th
+    on every (state, time node m >= d, lattice node), folded in with the d-th
     diagonal of the survival-weighted quadrature matrix ``q_source``.  States
     ``STATES[b]`` and ``STATES[b + 2]`` have direction b; a ``w`` that differs
     between them (NaN equals NaN here) is refused, naming both."""
     n_t = len(t_grid) - 1
     h = t_grid[1] - t_grid[0]
-    out = np.zeros((n_t + 1, lattice.n_nodes, len(SLOT_MOVES)))
+    out = np.zeros((len(SLOT_MOVES), n_t + 1, lattice.n_nodes))
     for d in range(n_t + 1):
         age = sigma + d * h
-        slab = np.empty((n_t + 1 - d, lattice.n_nodes, len(STATES)))
+        slab = np.empty((len(STATES), n_t + 1 - d, lattice.n_nodes))
         for m in range(d, n_t + 1):
             for ii, i in enumerate(STATES):
-                slab[m - d, :, ii] = problem.w(t_grid[m], lattice.prices, i, age)
-        low, high = slab[:, :, :2], slab[:, :, 2:]
+                slab[ii, m - d] = problem.w(t_grid[m], lattice.prices, i, age)
+        low, high = slab[:2], slab[2:]
         if not np.array_equal(low, high, equal_nan=True):
-            m, n, b = np.argwhere((low != high) & ~(np.isnan(low) & np.isnan(high)))[0]
+            b, m, n = np.argwhere((low != high) & ~(np.isnan(low) & np.isnan(high)))[0]
             raise ValueError(
                 f"the running source w may depend on the state only through alpha(i), but "
                 f"it differs between states {STATES[b]} and {STATES[b + 2]} at t="
                 f"{float(t_grid[m + d])!r}, p={float(lattice.prices[n])!r}, s={age!r}"
             )
-        out[: n_t + 1 - d] += q_source.diagonal(d)[:, None, None] * low
+        out[:, : n_t + 1 - d] += q_source.diagonal(d)[:, None] * low
     return out
 
 
@@ -363,9 +365,9 @@ class _AgeOperator:
     """One application of the value operator at a fixed age offset.
 
     ``source``, when given, maps the survival-weighted quadrature matrix
-    ``q_source`` to the integrated running source on the (time, node,
-    direction) grid; otherwise a problem with a running source is sampled pointwise at
-    the operator's offset (:func:`_pointwise_source`).
+    ``q_source`` to the integrated running source on the (direction, time,
+    node) grid; otherwise a problem with a running source is sampled pointwise
+    at the operator's offset (:func:`_pointwise_source`).
     """
 
     def __init__(
@@ -401,24 +403,24 @@ class _AgeOperator:
         slot, plus the source.
 
         The successor entered on slot b has direction b, so the jump target
-        of slot b is column b of the core at the slot's jump images, gathered
+        of slot b is block b of the core at the slot's jump images, gathered
         once and shared by both directions: a sweep is four products on two
         gathered blocks.  Each direction's sum is accumulated in place in its
-        column of the result, in the order payoff, slot 0, slot 1, source;
-        the discounted payoff is written straight into that column, so it is
+        block of the result, in the order payoff, slot 0, slot 1, source;
+        the discounted payoff is written straight into that block, so it is
         neither kept nor copied.  Besides the result, the two targets and one
         product are held.
         """
         out = np.empty_like(core)
         terminal = self.tables.terminal[:, None]
-        targets = [core[:, img, b] * scale[None, :] for b, (img, scale) in enumerate(self.images)]
-        product = np.empty(core.shape[:2])
+        targets = [core[b][:, img] * scale for b, (img, scale) in enumerate(self.images)]
+        product = np.empty(core.shape[1:])
         for a, kernels in enumerate(self.kernels):
-            acc = np.multiply(terminal, self.payoff[None, :], out=out[:, :, a])
+            acc = np.multiply(terminal, self.payoff, out=out[a])
             for q, y in zip(kernels, targets):
                 acc += np.matmul(q, y, out=product)
             if self.source is not None:
-                acc += self.source[:, :, a]
+                acc += self.source[a]
         del targets, product  # freed before the finiteness mask is made
         if not np.all(np.isfinite(out)):
             raise SolverError("operator sweep produced non-finite values")
@@ -459,9 +461,9 @@ def solve_fixed_point(
     """Picard iteration from the terminal payoff until the grid norm settles.
 
     ``source``, when given, maps the survival-weighted quadrature matrix of
-    the age-zero operator to the integrated running source on the (time,
-    node, direction) grid, in place of pointwise sampling of ``problem.w``; it is
-    called once.  Returns the age-zero core with its
+    the age-zero operator to the integrated running source on the
+    (direction, time, node) grid, in place of pointwise sampling of
+    ``problem.w``; it is called once.  Returns the age-zero core with its
     per-step difference norms and contraction ratios.  Raises
     :class:`ConvergenceError` (carrying the ratio history) if
     ``grid.max_iter`` sweeps do not reach ``grid.tol_fp``.
@@ -472,9 +474,7 @@ def solve_fixed_point(
     if lattice is None:
         lattice = _make_lattice(kernel, grid, horizon, p0)
     op = _AgeOperator(kernel, problem, t_grid, lattice, 0.0, source)
-    core = np.broadcast_to(
-        op.payoff[None, :, None], (grid.n_t + 1, lattice.n_nodes, len(SLOT_MOVES))
-    ).copy()
+    core = np.broadcast_to(op.payoff, (len(SLOT_MOVES), grid.n_t + 1, lattice.n_nodes)).copy()
     scale = 1.0 + lattice.prices
     diff_norms: list[float] = []
     ratios: list[float] = []
@@ -506,7 +506,7 @@ def solve_fixed_point(
 
 
 def extension_slice(field: ValueField, sigma: float) -> np.ndarray:
-    """Values at age ``sigma`` on the (time, node, direction) grid.
+    """Values at age ``sigma`` on the (direction, time, node) grid.
 
     One operator application with the general age offset; the converged core
     supplies every age-zero value the integral needs, so no iteration is
@@ -527,13 +527,14 @@ class _CharacteristicSweep:
     characteristic, grown by one node per age step, with the parity rule and
     odd-row head step of :func:`_quad_matrix`: O(n_t**2 * nodes) for all
     ages, where one :func:`extension_slice` per age costs O(n_t**3 * nodes).
-    Only the running sums and the current slice are held.  Columns are
-    (lattice node, direction) pairs; the successor entered on slot b has
-    direction b, so both directions of a node share each slot's jump target.
+    Only the running sums and the current slice are held, on (direction,
+    time row, lattice node) blocks.  The successor entered on slot b has
+    direction b, so both directions share each slot's jump target, and each
+    step's per-direction factors broadcast along the leading axis over it.
 
     The kernel tables are evaluated once, here; :meth:`rows` is numpy
-    arithmetic on the columns of one block of lattice nodes, each column
-    independent of every other, so blocks may run on separate threads.
+    arithmetic on one block of lattice nodes, each node independent of every
+    other, so blocks may run on separate threads.
     """
 
     def __init__(self, field: ValueField):
@@ -551,49 +552,45 @@ class _CharacteristicSweep:
         half_decay = np.exp(-np.asarray(kernel.integrated_intensity(half_ages)))
         cont, rev = kernel.continuation.value(ages), kernel.reversal.value(ages)
         half_cont, half_rev = kernel.continuation.value(half_ages), kernel.reversal.value(half_ages)
-        # per successor slot b the factor h_ab(a*h) * exp(-L(a*h)) on (age, direction
-        # a), continuation where b repeats a; its jump targets are built per block
+        # per successor slot b the factor h_ab(a*h) * exp(-L(a*h)) on (direction
+        # a, age), continuation where b repeats a; its jump targets are built per block
         self.images = _slot_images(field.lattice)
         pairs = ((cont * decay, rev * decay), (half_cont * half_decay, half_rev * half_decay))
-        self.factors, self.half_factors = (
-            [np.stack([c, r], axis=1), np.stack([r, c], axis=1)] for c, r in pairs
-        )
+        self.factors, self.half_factors = ([np.stack([c, r]), np.stack([r, c])] for c, r in pairs)
         self.core, self.n_t, self.h, self.lam, self.grow = field.core, n_t, h, lam, np.exp(lam)
-        self.payoff = np.repeat(field.problem.payoff_on(field.lattice.prices), len(SLOT_MOVES))
+        self.payoff = field.problem.payoff_on(field.lattice.prices)
 
     def rows(self, lo: int, hi: int):
-        """Iterator of ``(d, values)`` for d = n_t, ..., 0 on the flat (node,
-        direction) columns of lattice nodes ``lo..hi-1``: ``values`` holds time
-        rows ``d..n_t`` and is overwritten by the next step.
+        """Iterator of ``(d, values)`` for d = n_t, ..., 0 on lattice nodes
+        ``lo..hi-1``: ``values`` is on (direction, time rows d..n_t, node) and
+        is overwritten by the next step.
 
         The jump targets and every buffer are allocated by this call, so a
         thread that only consumes the iterator allocates nothing large (a
         worker thread's freed memory stays in its own malloc arena, out of
         reach of the calling thread).
         """
-        n_t, core = self.n_t, self.core
-        width = (hi - lo) * len(SLOT_MOVES)
-        targets = []  # per successor slot: jump targets on (time, node x direction)
-        for b, (img, scale) in enumerate(self.images):
-            y = np.empty((n_t + 1, hi - lo, len(SLOT_MOVES)))
-            y[:] = (core[:, img[lo:hi], b] * scale[None, lo:hi])[:, :, None]
-            targets.append(y.reshape(n_t + 1, width))
-        # rows stay flat so every product streams along node x direction; every
-        # buffer is reused by every step
+        n_t, width = self.n_t, hi - lo
+        # per successor slot: the jump targets on (time, node), on a leading
+        # axis of one that broadcasts against both directions
+        targets = [
+            (self.core[b][:, img[lo:hi]] * scale[lo:hi])[None]
+            for b, (img, scale) in enumerate(self.images)
+        ]
+        shape, half = (len(SLOT_MOVES), n_t + 1, width), (len(SLOT_MOVES), n_t // 2 + 1, width)
+        # every buffer is reused by every step
         buffers = (
-            np.zeros((n_t + 1, width)),  # running sums along the characteristics
-            np.empty((2, n_t + 1, width)),  # scratch rows and the current slice
-            [np.empty((n_t // 2 + 1, width)) for _ in range(2)],  # even rows, this step and last
-            np.empty((2, width)),  # per-direction factors repeated along the nodes
-            np.empty((n_t + 1, width), dtype=bool),  # finiteness of the slice
+            np.zeros(shape),  # running sums along the characteristics
+            np.empty((2, math.prod(shape))),  # scratch rows and the current slice
+            [np.empty(half) for _ in range(2)],  # even rows, this step and last
+            np.empty(math.prod(shape), dtype=bool),  # finiteness of the slice
         )
-        payoff = self.payoff[lo * len(SLOT_MOVES) : hi * len(SLOT_MOVES)]
-        return self._steps(targets, payoff, buffers)
+        return self._steps(targets, self.payoff[lo:hi], buffers)
 
     def _steps(self, targets, payoff, buffers):
         n_t, h, grow = self.n_t, self.h, self.grow
-        sums, (new_buf, values_buf), full_bufs, tiled, finite_buf = buffers
-        tile_a, tile_b = (row.reshape(-1, len(self.factors[0][0])) for row in tiled)
+        sums, flat, full_bufs, finite_buf = buffers
+        n_dirs, width = sums.shape[0], sums.shape[2]
         # composite Simpson weights counted back from the horizon: 1, 4, 2, 4, 2, ...
         pattern = np.where(np.arange(n_t + 1) % 2 == 1, 4.0, 2.0)
         pattern[0] = 1.0
@@ -601,34 +598,32 @@ class _CharacteristicSweep:
         for d in range(n_t, -1, -1):
             n = n_t + 1 - d  # rows k = d + c for c = 0..n-1, with n-1-c intervals left
             even, odd = (n - 1) % 2, n % 2  # rows with an even or odd interval count
-            new, values = new_buf[:n], values_buf[:n]
-            tile_a[:] = self.factors[0][d]
-            tile_b[:] = self.factors[1][d]
-            np.multiply(targets[0][d:], tiled[0], out=new)
-            new += np.multiply(targets[1][d:], tiled[1], out=values)
+            new, values = (buf[: n_dirs * n * width].reshape(n_dirs, n, width) for buf in flat)
+            np.multiply(targets[0][:, d:], self.factors[0][:, d, None, None], out=new)
+            new += np.multiply(targets[1][:, d:], self.factors[1][:, d, None, None], out=values)
             new *= pattern[n - 1 :: -1, None]
-            sums[:n] += new
+            sums[:, :n] += new
             # an even row is composite Simpson from its own node, whose weight is
             # 1 where the running pattern gave it 2 (the horizon row integrates
             # nothing)
-            full = full_bufs[d % 2][: (n + 1 - even) // 2]
-            np.subtract(sums[even:n:2], np.multiply(new[even::2], 0.5, out=full), out=full)
-            full[-1] = 0.0
-            np.multiply(full, grow[d] * h / 3.0, out=values[even::2])
+            full = full_bufs[d % 2][:, : (n + 1 - even) // 2]
+            np.subtract(sums[:, even:n:2], np.multiply(new[:, even::2], 0.5, out=full), out=full)
+            full[:, -1] = 0.0
+            np.multiply(full, grow[d] * h / 3.0, out=values[:, even::2])
             if n > 1:
                 # an odd row is the previous age's even row one node later plus a
                 # Simpson head step on [t_k, t_k+1] with its midpoint at age (d+1/2)h
-                rows = values[odd::2]
-                part = new[: len(rows)]
+                rows = values[:, odd::2]
+                part = new[:, : rows.shape[1]]
                 np.multiply(prev, grow[d] * h / 3.0, out=rows)
                 for y, f, f_half in zip(targets, self.factors, self.half_factors):
-                    tile_a[:] = (f[d] + 2.0 * f_half[d]) * grow[d] * h / 6.0
-                    tile_b[:] = (2.0 * f_half[d] + f[d + 1]) * grow[d] * h / 6.0
-                    rows += np.multiply(y[d + odd : n_t : 2], tiled[0], out=part)
-                    rows += np.multiply(y[d + odd + 1 :: 2], tiled[1], out=part)
+                    head = (f[:, d] + 2.0 * f_half[:, d]) * grow[d] * h / 6.0
+                    tail = (2.0 * f_half[:, d] + f[:, d + 1]) * grow[d] * h / 6.0
+                    rows += np.multiply(y[:, d + odd : n_t : 2], head[:, None, None], out=part)
+                    rows += np.multiply(y[:, d + odd + 1 :: 2], tail[:, None, None], out=part)
             terminal = np.exp(self.lam[d] - self.lam[d:][::-1])
-            values += np.multiply(terminal[:, None], payoff, out=new)
-            if not np.isfinite(values, out=finite_buf[:n]).all():
+            values += np.multiply(terminal[:, None], payoff, out=new[0])
+            if not np.isfinite(values, out=finite_buf[: values.size].reshape(values.shape)).all():
                 raise SolverError("characteristic sweep produced non-finite values")
             prev = full
             yield d, values
@@ -669,7 +664,7 @@ def _extension_points(field: ValueField, k, node, ii, s) -> np.ndarray:
         for slot, (img, scl) in enumerate(images):
             # the successor entered on this slot has the slot's direction
             same = ic == slot
-            vals = field.core[rows, img[nc][:, None], slot] * scl[nc][:, None]
+            vals = field.core[slot][rows, img[nc][:, None]] * scl[nc][:, None]
             rate = np.where(same[:, None], cont, rev)
             half_rate = np.where(same, half_cont, half_rev)
             acc += np.sum(wts * rate * vals, axis=1) + head * half_rate * (vals[:, 0] + vals[:, 1])
@@ -740,7 +735,7 @@ def pde_residual(
 ) -> ResidualStats:
     """Interior residual of the characteristic-form equation on a grid of ages.
 
-    ``slices`` yields ``field`` on the (time, node, direction) grid at the ages
+    ``slices`` yields ``field`` on the (direction, time, node) grid at the ages
     ``0, h, 2h, ...``, ``h`` being the time step (see :func:`extension_slice`);
     ``n_ages`` is their count, at least three, and defaults to ``len(slices)``.
     The slices are consumed one at a time: the age-zero slice supplies every
@@ -785,20 +780,20 @@ def pde_residual(
         return value
 
     before, here = next_slice(), next_slice()
-    # slot b's jump target at every interior node, from column b at age zero
+    # slot b's jump target at every interior node, from block b at age zero
     targets = [
-        before[1:-1, img[interior], b] * scale[interior][None, :]
+        before[b][1:-1, img[interior]] * scale[interior]
         for b, (img, scale) in enumerate(_slot_images(lattice))
     ]
     for d in range(1, n_ages - 1):
         after = next_slice()
         for a in range(len(SLOT_MOVES)):
-            level = here[1:-1, interior, a]
+            level = here[a][1:-1, interior]
             res = np.zeros_like(level)
             for b, target in enumerate(targets):
                 res += (cont if b == a else rev)[d - 1] * (target - level)
-            res += (after[2:, interior, a] - before[:-2, interior, a]) / (2.0 * h_t)
-            np.divide(np.abs(res, out=res), weight[None, :], out=res)
+            res += (after[a][2:, interior] - before[a][:-2, interior]) / (2.0 * h_t)
+            np.divide(np.abs(res, out=res), weight, out=res)
             norm[:, :, direction_index(np.asarray(STATES)) == a, d - 1] = res[:, :, None]
         # free this age's temporaries and age d - 1 before the next slice is made
         del level, res
@@ -836,10 +831,10 @@ def save_field_csv(field: ValueField, path, header_meta: Optional[dict] = None) 
         fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
         fh.write("t,p,i,s,value\n")
         heads = [f"{p},{i},0.0," for p in p_txt for i in STATES]
-        # the value of (node n, state i) is entry (n, direction of i) of a time row
-        picks = [len(SLOT_MOVES) * n + direction_index(i) for n in range(len(keep)) for i in STATES]
+        # the value of (node n, state i) is entry (direction of i, n) of a time row
+        picks = [len(keep) * direction_index(i) + n for n in range(len(keep)) for i in STATES]
         for ki, lead in enumerate(t_leads):
-            tails = list(map(repr, field.core[ki, keep].ravel().tolist()))
+            tails = list(map(repr, field.core[:, ki, keep].ravel().tolist()))
             _write_rows(fh, lead, heads, map(tails.__getitem__, picks))
 
 

@@ -337,7 +337,7 @@ def _gain_rates_at_age(source, age):
     fld, lattice, kernel, layout = source.field, source.lattice, source.kernel, source.layout
     pi = fld.core if fld.age_invariant or age == 0.0 else extension_slice(fld, age)
     # the four-state (time, node, state) forms of the expected price
-    pi, core = (x[:, :, direction_index(np.array(STATES))] for x in (pi, fld.core))
+    pi, core = (np.moveaxis(x[direction_index(np.array(STATES))], 0, -1) for x in (pi, fld.core))
     prices = lattice.prices[None, :]
     edge = source._edge(prices)
     rates = {}

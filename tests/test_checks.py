@@ -5,7 +5,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from semitick import checks
+from semitick import (
+    GridSpec,
+    ProblemSpec,
+    checks,
+    extension_slice,
+    solve_expected_price,
+    solve_fixed_point,
+)
+from semitick.harness import load_config
 from semitick.hazards import STATES, MarkLayout
 from semitick.market_maker import BacktestReport, BacktestRow
 from semitick.mc import DynkinResult, McEstimate
@@ -68,3 +76,26 @@ def test_mark_partition_fails_on_a_nan_age(monkeypatch, symmetric_layout, bad_ag
         MarkLayout, "boundaries", lambda self, s: real(self, s) * (NAN if s == bad_age else 1.0)
     )
     assert checks.mark_partition(symmetric_layout, [0.0, 0.5, 1.0]).passed is passed
+
+
+def test_contraction_measures_one_more_sweep_after_a_one_sweep_solve():
+    # the martingale preset's payoff is its fixed point to 1.2e-12, so the
+    # solve stops after one sweep with no ratio; the check sweeps once more
+    cfg = load_config("symmetric-martingale")
+    field = solve_expected_price(cfg.kernel, cfg.grid, cfg.horizon, cfg.initial_market.price)
+    assert field.ratios == [] and field.iterations == 1
+    check = checks.contraction(field, cfg.kernel, cfg.horizon, cfg.grid.tol_fp, cfg.horizon)
+    gap = field.vnorm(extension_slice(field, 0.0) - field.core)
+    assert check.passed and check.measured["ratio"] == gap / field.diff_norms[-1]
+    assert 0.0 < check.measured["ratio"] <= check.measured["kappa"] + 0.01
+    assert "(one more sweep)" in check.detail
+
+
+def test_contraction_fails_without_any_ratio(symmetric_kernel):
+    # a zero payoff is the fixed point exactly: the one sweep's difference is
+    # zero, so one more sweep gives no ratio either
+    zero = ProblemSpec(g=lambda p: np.zeros_like(np.asarray(p, dtype=float)))
+    field = solve_fixed_point(symmetric_kernel, zero, GridSpec(n_t=20), 1.0, 1.0)
+    assert field.ratios == [] and field.diff_norms == [0.0]
+    check = checks.contraction(field, symmetric_kernel, 1.0, 1e-8, 2.0)
+    assert not check.passed and "the ratio list was empty" in check.detail

@@ -104,7 +104,7 @@ class TestQuoteGainRate:
         mask = lattice.report_mask & (lattice.prices >= 1.0)
         source = QuoteGainSource(kernel, layout, spec, field)
         rates = source.gain_rates_at_age(0.0)
-        assert np.all(rates[:, :, mask] <= 1e-12)
+        assert np.all(rates[..., mask] <= 1e-12)
 
     def test_vanishing_intensities_give_zero(self, unit_setup):
         kernel = SemiMarkovKernel(
@@ -186,16 +186,16 @@ class TestOptimalPolicy:
             field = solve_expected_price(kernel, GridSpec(n_t=80, n_max=8), horizon, 1.0)
             src = QuoteGainSource(kernel, layout, spec, field)
             bits.append(src.gain_rates_at_age(0.0) > 0)
-        # per (slot, state): boundary nodes may flip, bulk must not
+        # per (slot, direction): boundary nodes may flip, bulk must not
         mismatch = bits[0] != bits[1]
-        assert np.all(mismatch.mean(axis=(1, 2)) < 0.005)
+        assert np.all(mismatch.mean(axis=(2, 3)) < 0.005)
 
 
 class TestQuoteValue:
     def test_nonnegative_and_terminal_zero(self, asym_setup):
         *_, quote = asym_setup
         assert quote.core.min() >= -1e-12
-        assert np.abs(quote.core[-1]).max() == 0.0
+        assert np.abs(quote.core[:, -1]).max() == 0.0
 
     def test_prohibitive_cost_gives_zero(self, unit_setup):
         kernel, layout, _, field = unit_setup
@@ -231,10 +231,10 @@ class TestQuoteValue:
         q_source = _build_tables(kernel, field.t_grid, 0.0).q_source
         expected = np.zeros_like(field.core)
         for d in range(len(field.t_grid)):
-            slab = np.zeros_like(field.core[d:])
+            slab = np.zeros_like(field.core[:, d:])
             for rates in src.gain_rates_at_age(d * h):
-                slab += np.maximum(rates[d:], 0.0)
-            expected[: len(slab)] += q_source.diagonal(d)[:, None, None] * slab
+                slab += np.maximum(rates[:, d:], 0.0)
+            expected[:, : slab.shape[1]] += q_source.diagonal(d)[:, None] * slab
         got = src.integrals(q_source)
         if flat:
             np.testing.assert_array_equal(got, expected)
@@ -356,6 +356,28 @@ class TestBacktest:
             assert row.mean <= report.upper_bound + 1e-9
         solved = total_value(field, quote, 0.0, 1.0, 2, 0.0, 0.0, 0)
         assert abs(opt.mean - solved) <= 3.0 * max(opt.se, 1e-12)
+
+    @pytest.mark.parametrize("preset", ["asymmetric-constant", "saturating-hazard"])
+    def test_grid_state_is_not_built_for_a_backtest(self, monkeypatch, preset):
+        # a backtest reads the optimal policy's source only at event points,
+        # through rate_point, so the grid-only big-order edge is never built
+        cfg = load_config(preset)
+        field = solve_expected_price(cfg.kernel, cfg.grid, cfg.horizon, 1.0)
+        made = []
+
+        def recorded(*args):
+            made.append(optimal_policy(*args))
+            return made[-1]
+
+        monkeypatch.setattr(mm, "optimal_policy", recorded)
+        mm.backtest_against_baselines(
+            cfg.kernel, cfg.layout, cfg.mmspec, field, cfg.initial_market, AgentState(),
+            cfg.horizon, 200, 3,
+        )
+        (policy,) = made
+        assert "_big_edge" not in policy.source.__dict__
+        policy.source.gain_rates_at_age(0.0)
+        assert "_big_edge" in policy.source.__dict__
 
     def test_report_io(self, asym_setup, tmp_path):
         kernel, layout, spec, *_ = asym_setup
@@ -526,7 +548,7 @@ class TestSlotForms:
             for state in STATES:
                 at_point = source.rate_point(0.4, 1.0, state, s)
                 for b, j in enumerate(successors(state)):
-                    column = grid[b, :, :, direction_index(state)]
+                    column = grid[b, direction_index(state)]
                     assert column.tobytes() == keyed[(state, j)].tobytes()
                     expect = reference_rates.rate_point(source, 0.4, 1.0, state, s, j)
                     assert at_point[b].tobytes() == expect.tobytes()
@@ -545,7 +567,7 @@ def test_grid_rates_match_four_state_reference(preset, reference_rates):
         grid, keyed = source.gain_rates_at_age(s), reference_rates.gain_rates_at_age(source, s)
         for (i, j), expect in keyed.items():
             slot = successors(i).index(j)
-            assert grid[slot, :, :, direction_index(i)].tobytes() == expect.tobytes()
+            assert grid[slot, direction_index(i)].tobytes() == expect.tobytes()
 
 
 class TestReadDomain:

@@ -29,13 +29,24 @@ from semitick import (
 from semitick import market_maker as mm
 from semitick import solver
 from semitick.harness import load_config
-from semitick.solver import _build_tables
+from semitick.solver import (
+    ProblemSpec,
+    _AgeOperator,
+    _CharacteristicSweep,
+    _build_tables,
+    _pointwise_source,
+    extension_slice,
+)
 
 SIZES = (0.25, 0.5, 0.25)
 PRESETS = ("symmetric-martingale", "asymmetric-constant", "saturating-hazard")
-# the direction column of each state: a (time, node, direction) array read at
-# [:, :, FOUR] is its (time, node, state) form
+# the direction block of each state
 FOUR = direction_index(np.array(STATES))
+
+
+def four_states(values):
+    """The (time, node, state) form of a (direction, time, node) array, C-contiguous."""
+    return np.ascontiguousarray(np.moveaxis(values[FOUR], 0, -1))
 
 
 def _setup(name):
@@ -72,12 +83,12 @@ def _field(name, n_t):
 
 
 def _four_state_rows(field):
-    """Test-local copy of the characteristic sweep on four state columns per
+    """Test-local copy of the characteristic sweep on four states per
     lattice node, as first built: per slot, each state's kernel factor and
-    the column of its successor in the four-state core.  The recursion is
-    the sweep's own ``_steps``, whose arithmetic is the same on any number
-    of columns per node.  Yields ``(d, values)``, values on (time rows
-    d..n_t, node, state)."""
+    the block of its successor in the four-state core.  The recursion is
+    the sweep's own ``_steps``, whose arithmetic is the same on any length
+    of its leading axis.  Yields ``(d, values)``, values on (state, time rows
+    d..n_t, node)."""
     kernel, n_t, n_nodes = field.kernel, len(field.t_grid) - 1, field.lattice.n_nodes
     h = field.t_grid[1] - field.t_grid[0]
     ages = h * np.arange(n_t + 1)
@@ -85,34 +96,32 @@ def _four_state_rows(field):
     lam = np.asarray(kernel.integrated_intensity(ages))
     decay = np.exp(-lam)
     half_decay = np.exp(-np.asarray(kernel.integrated_intensity(half_ages)))
-    core = field.core[:, :, FOUR]
+    core = four_states(field.core)
     sweep = SimpleNamespace(n_t=n_t, h=h, lam=lam, grow=np.exp(lam), factors=[], half_factors=[])
     targets = []
     for b, d in enumerate(SLOT_MOVES):
         img, scale = field.lattice.image_maps(d)
-        f, f_half = np.empty((n_t + 1, len(STATES))), np.empty((n_t, len(STATES)))
-        y = np.empty((n_t + 1, n_nodes, len(STATES)))
+        f, f_half = np.empty((len(STATES), n_t + 1)), np.empty((len(STATES), n_t))
+        y = np.empty((len(STATES), n_t + 1, n_nodes))
         for ii, i in enumerate(STATES):
             same = d == alpha(i)
-            f[:, ii] = (kernel.continuation if same else kernel.reversal).value(ages) * decay
-            f_half[:, ii] = (
+            f[ii] = (kernel.continuation if same else kernel.reversal).value(ages) * decay
+            f_half[ii] = (
                 (kernel.continuation if same else kernel.reversal).value(half_ages) * half_decay
             )
-            y[:, :, ii] = core[:, img, STATES.index(successors(i)[b])] * scale[None, :]
+            y[ii] = core[:, img, STATES.index(successors(i)[b])] * scale[None, :]
         sweep.factors.append(f)
         sweep.half_factors.append(f_half)
-        targets.append(y.reshape(n_t + 1, -1))
-    width = n_nodes * len(STATES)
+        targets.append(y)
+    shape = (len(STATES), n_t + 1, n_nodes)
     buffers = (
-        np.zeros((n_t + 1, width)),
-        np.empty((2, n_t + 1, width)),
-        [np.empty((n_t // 2 + 1, width)) for _ in range(2)],
-        np.empty((2, width)),
-        np.empty((n_t + 1, width), dtype=bool),
+        np.zeros(shape),
+        np.empty((2, np.prod(shape))),
+        [np.empty((len(STATES), n_t // 2 + 1, n_nodes)) for _ in range(2)],
+        np.empty(np.prod(shape), dtype=bool),
     )
-    payoff = np.repeat(field.problem.payoff_on(field.lattice.prices), len(STATES))
-    for d, values in solver._CharacteristicSweep._steps(sweep, targets, payoff, buffers):
-        yield d, values.reshape(len(values), n_nodes, len(STATES))
+    payoff = field.problem.payoff_on(field.lattice.prices)
+    yield from solver._CharacteristicSweep._steps(sweep, targets, payoff, buffers)
 
 
 def _streamed_fold(src, q_source):
@@ -122,7 +131,7 @@ def _streamed_fold(src, q_source):
     field), the gain rate of each of the eight transitions, max(rate, 0)
     summed per state, and the diagonal fold of ``q_source``."""
     field, lattice, kernel, layout, spec = src.field, src.lattice, src.kernel, src.layout, src.mmspec
-    core = np.ascontiguousarray(field.core[:, :, FOUR])
+    core = four_states(field.core)
     prices = lattice.prices[None, :]
     if spec.portfolio_consistent:
         edge = prices * kernel.delta - spec.transaction_cost
@@ -157,7 +166,9 @@ def _streamed_fold(src, q_source):
     if field.age_invariant:
         pairs = ((d, core[d:]) for d in range(n_t + 1))
     else:
-        pairs = ((d, core if d == 0 else pi) for d, pi in _four_state_rows(field))
+        pairs = (
+            (d, core if d == 0 else np.moveaxis(pi, 0, -1)) for d, pi in _four_state_rows(field)
+        )
     out = np.zeros(core.shape)
     for d, pi_rows in pairs:
         out[: n_t + 1 - d] += q_source.diagonal(d)[:, None, None] * slab(d * h, pi_rows, d)
@@ -190,7 +201,7 @@ class TestFusedSourceKernel:
             _use_cpus(monkeypatch, cpus)
             blocks = mm._node_blocks(field.lattice.n_nodes)
             assert len(blocks) == min(cpus, field.lattice.n_nodes // mm._MIN_BLOCK_NODES)
-            assert src.integrals(q_source)[:, :, FOUR].tobytes() == expected, cpus
+            assert four_states(src.integrals(q_source)).tobytes() == expected, cpus
 
     @pytest.mark.parametrize("preset", PRESETS)
     def test_presets_match_four_state_fold(self, monkeypatch, preset):
@@ -201,7 +212,7 @@ class TestFusedSourceKernel:
         src = QuoteGainSource(cfg.kernel, cfg.layout, cfg.mmspec, field)
         q_source = _build_tables(cfg.kernel, field.t_grid, 0.0).q_source
         _use_cpus(monkeypatch, 2)
-        got = src.integrals(q_source)[:, :, FOUR]
+        got = four_states(src.integrals(q_source))
         assert got.tobytes() == _streamed_fold(src, q_source).tobytes()
 
     def test_four_state_sweep_matches_two_direction_sweep(self):
@@ -212,7 +223,7 @@ class TestFusedSourceKernel:
         two = solver._CharacteristicSweep(field).rows(0, n_nodes)
         for (d, values), (d4, values4) in zip(two, _four_state_rows(field)):
             assert d == d4
-            assert values.reshape(-1, n_nodes, 2)[:, :, FOUR].tobytes() == values4.tobytes()
+            assert values[FOUR].tobytes() == values4.tobytes()
 
     def test_many_blocks_under_fast_thread_switching(self, monkeypatch):
         # more threads than cores, switching every microsecond: blocks share
@@ -240,7 +251,7 @@ class TestFusedSourceKernel:
         kernel, layout = _setup("saturating-preset")
         field = _field("saturating-preset", 81)
         core = field.core.copy()
-        core[40, 3 * field.lattice.n_nodes // 4, 1] = np.inf
+        core[1, 40, 3 * field.lattice.n_nodes // 4] = np.inf
         bad = replace(field, core=core)
         spec = MarketMakingSpec(big_size=layout.max_units, transaction_cost=0.001)
         _use_cpus(monkeypatch, 2)
@@ -292,3 +303,30 @@ class TestFusedSourceKernel:
         solve_quote_value(kernel, layout, spec, field)
         assert calls or name == "age-free"
         assert {ident for _, ident in calls} <= {threading.get_ident()}
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_value_arrays_are_direction_major(preset):
+    # every producer of a value array returns one C-contiguous (time, node)
+    # block per direction; gain rates add a leading successor-slot axis
+    cfg = load_config(preset)
+    field = solve_expected_price(cfg.kernel, cfg.grid, cfg.horizon, 1.0)
+    shape = (len(SLOT_MOVES), len(field.t_grid), field.lattice.n_nodes)
+    tables = _build_tables(cfg.kernel, field.t_grid, 0.0)
+    source = QuoteGainSource(cfg.kernel, cfg.layout, cfg.mmspec, field)
+    w = ProblemSpec(g=field.problem.g, w=lambda t, p, i, s: 0.1 * p * np.exp(-s))
+    op = _AgeOperator(cfg.kernel, field.problem, field.t_grid, field.lattice)
+    produced = {
+        "core": field.core,
+        "extension_slice": extension_slice(field, 0.3),
+        "apply": op.apply(field.core),
+        "pointwise_source": _pointwise_source(w, tables.q_source, field.t_grid, field.lattice, 0.0),
+        "integrals": source.integrals(tables.q_source),
+    }
+    for name, values in produced.items():
+        assert values.shape == shape and values.flags.c_contiguous, name
+    rates = source.gain_rates_at_age(0.3)
+    assert rates.shape == (len(SLOT_MOVES),) + shape and rates.flags.c_contiguous
+    for d, values in _CharacteristicSweep(field).rows(0, field.lattice.n_nodes):
+        assert values.shape == (len(SLOT_MOVES), len(field.t_grid) - d, shape[2])
+        assert values.flags.c_contiguous, d

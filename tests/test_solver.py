@@ -46,9 +46,9 @@ FOUR = direction_index(np.array(STATES))
 
 
 def four_states(values):
-    """The (time, node, state) form of a (time, node, direction) array,
+    """The (time, node, state) form of a (direction, time, node) array,
     C-contiguous: a sum in memory order, as np.mean makes, depends on it."""
-    return np.ascontiguousarray(values[:, :, FOUR])
+    return np.ascontiguousarray(np.moveaxis(values[FOUR], 0, -1))
 
 # adaptive-quadrature oracle values for one operator sweep applied to the
 # identity payoff on the age-dependent kernel below (regenerate with
@@ -174,7 +174,7 @@ class TestOperatorSweep:
         out = _AgeOperator(saturating_kernel, IDENTITY, field.t_grid, field.lattice).apply(
             field.core
         )
-        assert np.array_equal(out[-1], np.broadcast_to(field.lattice.prices[:, None], out[-1].shape))
+        assert np.array_equal(out[:, -1], np.broadcast_to(field.lattice.prices, out[:, -1].shape))
 
     def test_zero_problem_stays_zero(self, saturating_kernel):
         field = solve_expected_price(saturating_kernel, GridSpec(n_t=40), 1.0, 1.0)
@@ -186,15 +186,13 @@ class TestOperatorSweep:
         grid = GridSpec(n_t=160)
         t_grid = np.linspace(0.0, 1.0, 161)
         lattice = PriceLattice(p0=1.0, delta=0.01, n_max=20)
-        core = np.broadcast_to(
-            lattice.prices[None, :, None], (161, lattice.n_nodes, len(SLOT_MOVES))
-        ).copy()
+        core = np.broadcast_to(lattice.prices, (len(SLOT_MOVES), 161, lattice.n_nodes)).copy()
         out = _AgeOperator(saturating_kernel, IDENTITY, t_grid, lattice).apply(core)
         for t, p, i, expect in SWEEP_ORACLE:
             k = int(round(t / (1.0 / 160)))
             assert t_grid[k] == pytest.approx(t, abs=1e-12)
             node = lattice.locate(p, rtol=1e-4)
-            got = out[k, node, direction_index(i)]
+            got = out[direction_index(i), k, node]
             # rescale the frozen oracle to the exact lattice price
             expect_here = expect * lattice.prices[node] / p
             assert got == pytest.approx(expect_here, abs=2e-8)
@@ -210,7 +208,7 @@ class TestFixedPoint:
         field = solve_expected_price(symmetric_kernel, GridSpec(n_t=200), 1.0, 1.0)
         mask = field.lattice.report_mask
         prices = field.lattice.prices[mask]
-        rel = np.abs(field.core[:, mask, :] - prices[None, :, None]) / prices[None, :, None]
+        rel = np.abs(field.core[:, :, mask] - prices) / prices
         assert rel.max() <= 1e-6
 
     def test_asymmetric_matches_matrix_exponential(self, asymmetric_kernel):
@@ -222,7 +220,7 @@ class TestFixedPoint:
         for ii, i in enumerate(STATES):
             col = 0 if alpha(i) > 0 else 1
             oracle = field.lattice.prices[None, mask] * factors[:, col][:, None]
-            worst = max(worst, np.max(np.abs(field.core[:, mask, FOUR[ii]] - oracle) / oracle))
+            worst = max(worst, np.max(np.abs(field.core[FOUR[ii]][:, mask] - oracle) / oracle))
         assert worst <= 1e-4
 
     def test_contraction_ratios_below_bound(self, saturating_kernel):
@@ -327,10 +325,8 @@ class TestExtension:
     def test_terminal_layer_is_payoff_at_all_ages(self, saturating_kernel):
         field = solve_expected_price(saturating_kernel, GridSpec(n_t=80), 1.0, 1.0)
         for sigma in np.linspace(0.0, 1.0, 5):
-            terminal = extension_slice(field, sigma)[-1]
-            assert np.array_equal(
-                terminal, np.broadcast_to(field.lattice.prices[:, None], terminal.shape)
-            )
+            terminal = extension_slice(field, sigma)[:, -1]
+            assert np.array_equal(terminal, np.broadcast_to(field.lattice.prices, terminal.shape))
 
     def test_flat_hazard_field_is_age_invariant(self, asymmetric_kernel):
         field = solve_expected_price(asymmetric_kernel, GridSpec(n_t=100), 1.0, 1.0)
@@ -351,7 +347,7 @@ class TestExtension:
         got = field.read(field.t_grid[k], node, i, s)
         slices = {age: extension_slice(field, age) for age in set(s.tolist())}
         for (kk, nn, ii, age), value in zip(points, got):
-            assert value == pytest.approx(slices[age][kk, nn, direction_index(ii)], rel=1e-12)
+            assert value == pytest.approx(slices[age][direction_index(ii), kk, nn], rel=1e-12)
 
     def test_point_extension_with_source_matches_slice(self, saturating_kernel):
         # a running source is sampled once per point along its row; it may
@@ -366,7 +362,7 @@ class TestExtension:
         k, node, i = (np.array(col) for col in zip(*points))
         got = field.read(field.t_grid[k], node, i, 0.3)
         for (kk, nn, ii), value in zip(points, got):
-            assert value == pytest.approx(exact[kk, nn, direction_index(ii)], rel=1e-12)
+            assert value == pytest.approx(exact[direction_index(ii), kk, nn], rel=1e-12)
 
     @pytest.mark.parametrize("n_t", [120, 81])
     def test_characteristic_sweep_matches_slices(self, saturating_kernel, n_t):
@@ -376,8 +372,8 @@ class TestExtension:
         h = field.t_grid[1] - field.t_grid[0]
         ages = []
         for d, values in _CharacteristicSweep(field).rows(0, field.lattice.n_nodes):
-            exact = extension_slice(field, d * h)[d:]
-            assert field.vnorm(values.reshape(exact.shape) - exact) <= 1e-12
+            exact = extension_slice(field, d * h)[:, d:]
+            assert field.vnorm(values - exact) <= 1e-12
             ages.append(d)
         assert ages == list(range(n_t, -1, -1))
 
@@ -386,7 +382,7 @@ class TestExtension:
         exact = extension_slice(field, 0.375)
         got = field.eval(field.t_grid[10], 1.0, 2, 0.375)
         node = field.lattice.locate(1.0)
-        assert got == pytest.approx(exact[10, node, 1], rel=1e-12)
+        assert got == pytest.approx(exact[1, 10, node], rel=1e-12)
 
     def test_zero_tick_expected_price_is_identity(self):
         kernel = SemiMarkovKernel(ConstantIntensity(0.6), ConstantIntensity(0.6), 0.0)
@@ -475,7 +471,7 @@ class TestResidual:
     def test_perturbation_spikes_residual(self, asymmetric_kernel):
         field, values = self._solved_slices(asymmetric_kernel, 60)
         base = pde_residual(field, values)
-        values[2][30, field.lattice.index_of(0, 0), 1] += 1.0
+        values[2][1, 30, field.lattice.index_of(0, 0)] += 1.0
         spiked = pde_residual(field, values)
         assert spiked.max_abs > base.max_abs + 1.0
 
@@ -598,7 +594,7 @@ def reference_apply(op, core):
             q = op.tables.q_cont if d == alpha(i) else op.tables.q_rev
             acc += q @ (core[:, img, STATE_IDX[j]] * scale[None, :])
         if op.source is not None:
-            acc += op.source[:, :, FOUR[STATE_IDX[i]]]
+            acc += op.source[FOUR[STATE_IDX[i]]]
         out[:, :, STATE_IDX[i]] = acc
     return out
 
@@ -687,7 +683,7 @@ class TestOperatorAgreement:
         # two-block result, both targets and one product, about 5.18
         field = preset_field("asymmetric-constant")
         op = _AgeOperator(field.kernel, field.problem, field.t_grid, field.lattice)
-        block = field.core[:, :, 0].nbytes
+        block = field.core[0].nbytes
         op.apply(field.core)
         assert traced_peak(lambda: op.apply(field.core)) < 6 * block
 
@@ -703,7 +699,7 @@ class TestFieldIO:
         mask = field.lattice.report_mask
         shape = (len(field.t_grid), int(mask.sum()), len(STATES))
         # the file holds the iterated core on the report nodes, digit for digit
-        assert np.array_equal(values.reshape(shape), four_states(field.core[:, mask]))
+        assert np.array_equal(values.reshape(shape), four_states(field.core[:, :, mask]))
         assert np.array_equal(t.reshape(shape)[:, 0, 0], field.t_grid)
         assert np.array_equal(p.reshape(shape)[0, :, 0], field.lattice.prices[mask])
         assert np.array_equal(i.reshape(shape)[0, 0], STATES) and not s.any()

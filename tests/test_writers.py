@@ -31,7 +31,7 @@ PRESETS = ("symmetric-martingale", "asymmetric-constant", "saturating-hazard")
 
 def reference_save_field_csv(field, path, header_meta=None):
     """Row by row from the four-state form of the core."""
-    core = field.core[:, :, direction_index(np.array(STATES))]
+    core = np.moveaxis(field.core[direction_index(np.array(STATES))], 0, -1)
     keep = np.nonzero(field.lattice.report_mask)[0]
     meta = {
         "p0": field.lattice.p0,
