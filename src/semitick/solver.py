@@ -46,7 +46,8 @@ __all__ = [
     "save_field_csv",
 ]
 
-# points per block of the exact extension read; its temporaries are O(chunk * n_t)
+# rows per pass of the exact extension read, both grid times of _READ_CHUNK // 2
+# points; its temporaries are O(chunk * n_t)
 _READ_CHUNK = 1024
 
 
@@ -161,8 +162,9 @@ class ValueField:
         """Values at broadcast arrays of (time, lattice node, state, age).
 
         Age zero, or any age of an age-invariant field, interpolates the core
-        linearly in time; every other age is extended exactly, all points at
-        once, at the two grid times around ``t`` and interpolated between them.
+        linearly in time; every other age is extended exactly at the two grid
+        times around ``t``, from one age evaluation and one core gather per
+        point for both, and interpolated between them.
         Refuses a time outside ``[0, horizon]``, an age that is negative or
         not finite, NaN included, a state outside ``STATES`` and a lattice
         node that is not an integer in ``0 .. n_nodes - 1``.
@@ -201,10 +203,7 @@ class ValueField:
     def _extended_values(self, t, node, ii, s):
         n_t = len(self.t_grid) - 1
         ti = np.clip(np.searchsorted(self.t_grid, t) - 1, 0, n_t - 1)
-        both = _extension_points(
-            self, np.concatenate([ti, ti + 1]), *(np.concatenate([x, x]) for x in (node, ii, s))
-        )
-        lo, hi = both[: t.size], both[t.size :]
+        lo, hi = _extension_points(self, ti, node, ii, s)
         wgt = (t - self.t_grid[ti]) / (self.t_grid[ti + 1] - self.t_grid[ti])
         return np.where(t == self.t_grid[ti], lo, (1.0 - wgt) * lo + wgt * hi)
 
@@ -630,10 +629,14 @@ class _CharacteristicSweep:
 
 
 def _extension_points(field: ValueField, k, node, ii, s) -> np.ndarray:
-    """Exact extension at grid time indices ``k`` and ages ``s`` for arrays of
-    points (lattice ``node``, direction index ``ii``), with the row quadrature
-    of :func:`_quad_matrix`; works in blocks of ``_READ_CHUNK`` points.  The
-    running source is read at ``STATES[ii]``, a state of that direction."""
+    """Exact extension at ages ``s`` for arrays of points (lattice ``node``,
+    direction index ``ii``) at the grid times ``k`` and ``k + 1`` around each,
+    ``k < n_t``, with the row quadrature of :func:`_quad_matrix`; row ``j`` of
+    the result holds time ``k + j``.  Both times share each point's age terms,
+    evaluated once, and one gather per slot of the ``n_t + 2`` core rows from
+    ``k``, read as two overlapping windows.  Works in passes of
+    ``_READ_CHUNK // 2`` points.  The running source is read at
+    ``STATES[ii]``, a state of that direction."""
     kernel, problem, lattice, t_grid = field.kernel, field.problem, field.lattice, field.t_grid
     n_t = len(t_grid) - 1
     h = t_grid[1] - t_grid[0]
@@ -643,11 +646,14 @@ def _extension_points(field: ValueField, k, node, ii, s) -> np.ndarray:
     u = np.arange(n_t + 1)
     payoff = problem.payoff_on(lattice.prices)
     images = _slot_images(lattice)
-    out = np.empty(len(k))
-    for lo in range(0, len(k), _READ_CHUNK):
-        part = slice(lo, lo + _READ_CHUNK)
+    # each direction's (time, node) block flat, so a gather is one np.take
+    blocks = field.core.reshape(len(SLOT_MOVES), -1)
+    out = np.empty((2, len(k)))
+    for lo in range(0, len(k), _READ_CHUNK // 2):
+        part = slice(lo, lo + _READ_CHUNK // 2)
         kc, nc, ic, sc = k[part], node[part], ii[part], s[part]
-        m_int = n_t - kc
+        kk = kc + np.arange(2)[:, None]  # time k + j on row j
+        m_int = n_t - kk
         ages = sc[:, None] + h * u
         surv = np.exp(-np.asarray(kernel.integrated_increment(sc[:, None], h * u)))
         half_age = sc + 0.5 * h
@@ -655,29 +661,35 @@ def _extension_points(field: ValueField, k, node, ii, s) -> np.ndarray:
         # rows with an odd interval count open with a Simpson step: rate and
         # survival exact at age s + h/2, grid values the mean of its two ends
         head = np.where(m_int % 2 == 1, h / 3.0, 0.0) * half_surv
-        wts = weights[kc, : n_t + 1] * surv
-        rows = np.minimum(kc[:, None] + u, n_t)
-        acc = surv[np.arange(len(kc)), m_int] * payoff[nc]
+        wts = [weights[kj, : n_t + 1] * surv for kj in kk]
+        # flat offsets of the time rows k .. k + n_t + 1, clipped at the horizon
+        rows = np.minimum(kc[:, None] + np.arange(n_t + 2), n_t) * lattice.n_nodes
+        acc = out[:, part]
+        np.multiply(surv[np.arange(len(kc)), m_int], payoff[nc], out=acc)
         cont, rev = kernel.continuation.value(ages), kernel.reversal.value(ages)
         half_cont = kernel.continuation.value(half_age)
         half_rev = kernel.reversal.value(half_age)
         for slot, (img, scl) in enumerate(images):
             # the successor entered on this slot has the slot's direction
             same = ic == slot
-            vals = field.core[slot][rows, img[nc][:, None]] * scl[nc][:, None]
+            both = np.take(blocks[slot], rows + img[nc][:, None]) * scl[nc][:, None]
             rate = np.where(same[:, None], cont, rev)
             half_rate = np.where(same, half_cont, half_rev)
-            acc += np.sum(wts * rate * vals, axis=1) + head * half_rate * (vals[:, 0] + vals[:, 1])
+            for j in range(2):
+                vals = both[:, j : j + n_t + 1]
+                acc[j] += (np.sum(wts[j] * rate * vals, axis=1)
+                           + head[j] * half_rate * (vals[:, 0] + vals[:, 1]))
         if problem.w is not None:
-            # the running source is sampled once per point, along its row
+            # the running source is sampled once per point and time, along its row
             for q in range(len(kc)):
-                m = m_int[q] + 1
-                w_row = problem.w(t_grid[kc[q]:], lattice.prices[nc[q]], STATES[ic[q]], ages[q, :m])
-                w_row = np.broadcast_to(np.asarray(w_row, dtype=float), (m,))
-                acc[q] += np.dot(wts[q, :m], w_row)
-                if m > 1:
-                    acc[q] += head[q] * (w_row[0] + w_row[1])
-        out[part] = acc
+                price, state = lattice.prices[nc[q]], STATES[ic[q]]
+                for j in range(2):
+                    m = m_int[j, q] + 1
+                    w_row = problem.w(t_grid[kc[q] + j :], price, state, ages[q, :m])
+                    w_row = np.broadcast_to(np.asarray(w_row, dtype=float), (m,))
+                    acc[j, q] += np.dot(wts[j][q, :m], w_row)
+                    if m > 1:
+                        acc[j, q] += head[j, q] * (w_row[0] + w_row[1])
     return out
 
 

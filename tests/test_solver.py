@@ -33,8 +33,10 @@ from semitick.harness import _residual_slices, load_config, run_command
 from semitick.lattice import PriceLattice, max_jumps_for_tail
 from semitick.market_maker import QuoteGainSource
 from semitick.solver import (
+    _READ_CHUNK,
     _AgeOperator,
     _CharacteristicSweep,
+    _extension_points,
     _quad_matrix,
     _row_weights,
     _simpson_weights,
@@ -63,6 +65,8 @@ SWEEP_ORACLE = [
 
 IDENTITY = ProblemSpec(g=lambda p: p)
 ZERO = ProblemSpec(g=lambda p: np.zeros_like(np.asarray(p, dtype=float)))
+
+PRESETS = ("symmetric-martingale", "asymmetric-constant", "saturating-hazard")
 
 
 def _locate_one(lat, p, rtol=1e-9):
@@ -390,6 +394,161 @@ class TestExtension:
         assert np.allclose(field.core, 1.0, atol=1e-12)
 
 
+# -- the aged read as first written, kept as the reference for its one-pass form --
+
+
+def reference_extension_points(field, k, node, ii, s):
+    """The exact extension at grid time indices ``k``, one time per point:
+    every point evaluates its own age terms and gathers its own core rows,
+    in blocks of ``_READ_CHUNK`` points."""
+    kernel, problem, lattice, t_grid = field.kernel, field.problem, field.lattice, field.t_grid
+    n_t = len(t_grid) - 1
+    h = t_grid[1] - t_grid[0]
+    weights = _row_weights(np.ones(n_t + 1), 0.0, h)
+    u = np.arange(n_t + 1)
+    payoff = problem.payoff_on(lattice.prices)
+    images = [lattice.image_maps(d) for d in SLOT_MOVES]
+    out = np.empty(len(k))
+    for lo in range(0, len(k), _READ_CHUNK):
+        part = slice(lo, lo + _READ_CHUNK)
+        kc, nc, ic, sc = k[part], node[part], ii[part], s[part]
+        m_int = n_t - kc
+        ages = sc[:, None] + h * u
+        surv = np.exp(-np.asarray(kernel.integrated_increment(sc[:, None], h * u)))
+        half_age = sc + 0.5 * h
+        half_surv = np.exp(-np.asarray(kernel.integrated_increment(sc, 0.5 * h)))
+        head = np.where(m_int % 2 == 1, h / 3.0, 0.0) * half_surv
+        wts = weights[kc, : n_t + 1] * surv
+        rows = np.minimum(kc[:, None] + u, n_t)
+        acc = surv[np.arange(len(kc)), m_int] * payoff[nc]
+        cont, rev = kernel.continuation.value(ages), kernel.reversal.value(ages)
+        half_cont = kernel.continuation.value(half_age)
+        half_rev = kernel.reversal.value(half_age)
+        for slot, (img, scl) in enumerate(images):
+            same = ic == slot
+            vals = field.core[slot][rows, img[nc][:, None]] * scl[nc][:, None]
+            rate = np.where(same[:, None], cont, rev)
+            half_rate = np.where(same, half_cont, half_rev)
+            acc += np.sum(wts * rate * vals, axis=1) + head * half_rate * (vals[:, 0] + vals[:, 1])
+        if problem.w is not None:
+            for q in range(len(kc)):
+                m = m_int[q] + 1
+                w_row = problem.w(t_grid[kc[q]:], lattice.prices[nc[q]], STATES[ic[q]], ages[q, :m])
+                w_row = np.broadcast_to(np.asarray(w_row, dtype=float), (m,))
+                acc[q] += np.dot(wts[q, :m], w_row)
+                if m > 1:
+                    acc[q] += head[q] * (w_row[0] + w_row[1])
+        out[part] = acc
+    return out
+
+
+def reference_extended_values(field, t, node, ii, s):
+    """The aged read as two calls of the extension on the points concatenated
+    at the left and the right grid time around ``t``."""
+    n_t = len(field.t_grid) - 1
+    ti = np.clip(np.searchsorted(field.t_grid, t) - 1, 0, n_t - 1)
+    both = reference_extension_points(
+        field, np.concatenate([ti, ti + 1]), *(np.concatenate([x, x]) for x in (node, ii, s))
+    )
+    lo, hi = both[: t.size], both[t.size :]
+    wgt = (t - field.t_grid[ti]) / (field.t_grid[ti + 1] - field.t_grid[ti])
+    return np.where(t == field.t_grid[ti], lo, (1.0 - wgt) * lo + wgt * hi)
+
+
+def aged_points(field, n, seed):
+    """``n`` random aged points (t, node, direction index, age), both
+    directions, led by the edges: t = 0, t on a grid node, t = horizon, t in
+    the last interval (ti = n_t - 1), and ages past the age the initial state
+    reaches at the horizon."""
+    rng = np.random.default_rng(seed)
+    t_grid, horizon = field.t_grid, field.horizon
+    t = rng.uniform(0.0, horizon, n)
+    on_node = rng.random(n) < 0.2
+    t[on_node] = t_grid[rng.integers(0, len(t_grid), int(on_node.sum()))]
+    node = rng.integers(0, field.lattice.n_nodes, n)
+    ii = rng.integers(0, len(SLOT_MOVES), n)
+    s = rng.uniform(0.01, 1.25, n)
+    edges_t = [0.0, t_grid[1], t_grid[len(t_grid) // 2], horizon, 0.5 * (t_grid[-2] + horizon)]
+    edges_s = [0.3, horizon + 0.25, 1e3, 2.0 * horizon, 0.5 * (t_grid[1] - t_grid[0])]
+    for e, (te, se) in enumerate((te, se) for te in edges_t for se in edges_s):
+        if e < n:
+            t[e], s[e], ii[e] = te, se, e % 2
+    return t, node, ii, s
+
+
+def bits(values):
+    return np.ascontiguousarray(values).view(np.int64)
+
+
+PASS = _READ_CHUNK // 2  # points per pass of the one-pass aged read
+
+
+class TestAgedRead:
+    """The one-pass aged read against the two-call reference, bit for bit."""
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    @pytest.mark.parametrize("n", [1, 7, PASS - 1, PASS, PASS + 1, 3000])
+    def test_matches_two_call_reference_on_presets(self, preset_field, preset, n):
+        field = preset_field(preset)
+        t, node, ii, s = aged_points(field, n, seed=n)
+        got = field._extended_values(t, node, ii, s)
+        assert np.array_equal(bits(got), bits(reference_extended_values(field, t, node, ii, s)))
+
+    @pytest.mark.parametrize("n_t", [3, 40])
+    @pytest.mark.parametrize("n", [PASS - 1, PASS + 1])
+    def test_matches_two_call_reference_with_running_source(self, saturating_kernel, n_t, n):
+        problem = ProblemSpec(
+            g=lambda p: p,
+            w=lambda t, p, i, s: 0.1 * p * np.cos(3.0 * t) * np.exp(-s) / (2 + alpha(i)),
+        )
+        field = solve_fixed_point(saturating_kernel, problem, GridSpec(n_t=n_t), 1.0, 1.0)
+        t, node, ii, s = aged_points(field, n, seed=n_t + n)
+        got = field._extended_values(t, node, ii, s)
+        assert np.array_equal(bits(got), bits(reference_extended_values(field, t, node, ii, s)))
+
+    @pytest.mark.parametrize("n_t", [2, 3, 121])
+    def test_both_times_match_one_time_reads(self, saturating_kernel, n_t):
+        # row j of the one-pass kernel is the one-time extension at k + j,
+        # for every left index k the read uses, ti = n_t - 1 included
+        field = solve_expected_price(saturating_kernel, GridSpec(n_t=n_t), 1.0, 1.0)
+        rng = np.random.default_rng(n_t)
+        n = PASS + 1
+        k = rng.integers(0, n_t, n)
+        k[:2] = 0, n_t - 1
+        node = rng.integers(0, field.lattice.n_nodes, n)
+        ii, s = np.arange(n) % 2, rng.uniform(0.01, 2.5, n)
+        got = _extension_points(field, k, node, ii, s)
+        assert got.shape == (2, n)
+        for j in range(2):
+            ref = reference_extension_points(field, k + j, node, ii, s)
+            assert np.array_equal(bits(got[j]), bits(ref))
+
+    def test_read_matches_two_call_reference(self, preset_field):
+        # through the public read: aged points mixed with age-zero ones
+        field = preset_field("saturating-hazard")
+        t, node, ii, s = aged_points(field, 2000, seed=5)
+        s[::3] = 0.0
+        i = np.asarray(STATES)[ii]
+        got = field.read(t, node, i, s)
+        aged = s > 0
+        ref = reference_extended_values(field, t[aged], node[aged], ii[aged], s[aged])
+        assert np.array_equal(bits(got[aged]), bits(ref))
+
+    def test_peak_memory_is_bounded_by_the_pass(self, preset_field):
+        # A pass holds its O(PASS * n_t) temporaries whatever the point count,
+        # so only arrays over all points grow with it. At the pass peak those
+        # are the (2, points) result and the left time index, 3 words a point
+        # (24 B; the points themselves are the caller's). The bound allows 8
+        # words, so 36,000 more points may add 36,000 * 64 B = 2.3 MB. The
+        # two-call read added 3.2 MB (its concatenated points), and one
+        # (point, n_t + 1) float64 temporary over all points would add 34.8 MB.
+        field = preset_field("saturating-hazard")
+        small, large = (aged_points(field, n, seed=n) for n in (4_000, 40_000))
+        field._extended_values(*small)
+        peaks = [traced_peak(lambda pts=pts: field._extended_values(*pts)) for pts in (small, large)]
+        assert peaks[1] - peaks[0] <= 36_000 * 8 * 8
+
+
 def age_slices(field, n_ages):
     """The field at ages 0, h, ..., (n_ages - 1)h, one slice per age."""
     h = field.t_grid[1] - field.t_grid[0]
@@ -597,9 +756,6 @@ def reference_apply(op, core):
             acc += op.source[FOUR[STATE_IDX[i]]]
         out[:, :, STATE_IDX[i]] = acc
     return out
-
-
-PRESETS = ("symmetric-martingale", "asymmetric-constant", "saturating-hazard")
 
 
 class TestOperatorAgreement:
