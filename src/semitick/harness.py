@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import argparse
 import copy
+import ctypes
+import functools
 import hashlib
 import itertools
 import json
@@ -632,6 +634,13 @@ def run_command(
         print(f"{cmd}: cannot use output directory {str(out)!r} ({exc})", file=sys.stderr)
         return 2
     try:
+        return _dispatch(cmd, cfg, out, quiet)
+    finally:
+        _release_free_heap()
+
+
+def _dispatch(cmd: str, cfg: ExperimentConfig, out: FsPath, quiet: bool) -> int:
+    try:
         if cmd == "simulate":
             return _cmd_simulate(cfg, out, quiet)
         if cmd == "solve-pi":
@@ -654,6 +663,27 @@ def run_command(
             file=sys.stderr,
         )
         return 2
+
+
+@functools.cache
+def _malloc_trim():
+    try:
+        return ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError):  # not glibc
+        return None
+
+
+def _release_free_heap() -> None:
+    """Return the C heap's free pages to the operating system (glibc's
+    ``malloc_trim``; nothing elsewhere).  A command frees its arrays when it
+    returns, but glibc keeps a free heap top below its trim threshold, and
+    whether one lands just under it depends on the heap's layout, which the
+    quote fold's worker threads make vary from run to run.  Trimmed, a process
+    that runs several commands holds between them only what it still uses,
+    the same in every run."""
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(0)
 
 
 def main(argv: Optional[list] = None) -> int:

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semitick import harness
 from semitick.harness import (
     COMMANDS,
     ConfigError,
@@ -308,6 +310,26 @@ class TestCommands:
                 "--quiet"]
         assert main(["solve-pi"] + argv) == 0
         assert main(["solve-u"] + argv) == 0
+
+    def test_every_command_releases_the_free_heap(self, tmp_path, monkeypatch):
+        # after a command that succeeds, one that is refused and one that raises
+        calls = []
+        monkeypatch.setattr(harness, "_release_free_heap", lambda: calls.append(1))
+        cfg = load_config("symmetric-martingale")
+        assert run_command("simulate", cfg, out_dir=str(tmp_path), quiet=True) == 0
+        data = preset_config("symmetric-martingale")
+        data["agent"]["risk_aversion"] = 1.0
+        averse = load_config(write_config(tmp_path, data))
+        assert run_command("policy", averse, out_dir=str(tmp_path), quiet=True) == 2
+        monkeypatch.setattr(harness, "_cmd_simulate", lambda *args: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            run_command("simulate", cfg, out_dir=str(tmp_path), quiet=True)
+        assert calls == [1, 1, 1]
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="malloc_trim is glibc's")
+    def test_free_heap_release_binds_malloc_trim(self):
+        assert harness._malloc_trim() is not None
+        harness._release_free_heap()
 
     def test_risk_aversion_rejected_at_solves(self, tmp_path, capsys):
         data = preset_config("symmetric-martingale")
