@@ -5,13 +5,10 @@ from .hazards import (
     SLOT_MOVES,
     STATES,
     SUCCESSOR_INDEX,
-    BigJump,
     ConstantIntensity,
     MarkLayout,
-    NO_EVENT,
     SaturatingIntensity,
     SemiMarkovKernel,
-    SmallOrder,
     alpha,
     direction_index,
     equivalent,

@@ -38,10 +38,6 @@ __all__ = [
     "IntensitySpec",
     "SemiMarkovKernel",
     "MarkLayout",
-    "BigJump",
-    "SmallOrder",
-    "NoEvent",
-    "NO_EVENT",
     "TERMINAL",
     "THINNED",
     "BIG",
@@ -305,42 +301,14 @@ class SemiMarkovKernel:
 # -- mark layout ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BigJump:
-    """A price-moving order; the direction process enters ``target``."""
-
-    target: int
-
-
-@dataclass(frozen=True)
-class SmallOrder:
-    """A non-price-moving order on side ``side`` (+1 ask, -1 bid), ``units`` traded."""
-
-    side: int
-    units: int
-
-
-class NoEvent:
-    """Mark fell outside every interval; nothing happens."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "NoEvent"
-
-
-NO_EVENT = NoEvent()
-
 #: Mark codes of thinning: the horizon cut, a thinned candidate, a big jump into
 #: successor slot ``b`` as ``BIG + b`` and a small order of ``u`` units on side
 #: slot ``b`` (moving as ``SLOT_MOVES[b]``: 0 bid, 1 ask) as ``SMALL + b * (K + 1) + u``.
 TERMINAL, THINNED, BIG = 0, 1, 2
 SMALL = BIG + len(SLOT_MOVES)
+# the benchmark tracer counts classify results that are not NO_EVENT as
+# accepted; it goes when the package instruments itself (ROADMAP item 3)
+NO_EVENT = THINNED
 
 
 @dataclass(frozen=True)
@@ -460,24 +428,10 @@ class MarkLayout:
             k = np.count_nonzero(ends <= z[..., None], axis=-1)
         return self._codes[np.asarray(i) - STATES[0], k + (z >= 0.0)]
 
-    def mark(self, i: int, code: int):
-        """The mark object of ``code`` in state ``i``: None at the horizon
-        cut, :data:`NO_EVENT`, a :class:`BigJump` or a :class:`SmallOrder`."""
-        if code == TERMINAL:
-            return None
-        if code == THINNED:
-            return NO_EVENT
-        if code < SMALL:
-            return BigJump(successors(i)[code - BIG])
-        slot, units = divmod(code - SMALL, self.max_units + 1)
-        return SmallOrder(SLOT_MOVES[slot], units)
-
-    def classify(self, i: int, s: float, z: float):
-        """Resolve a mark coordinate ``z`` at age ``s`` with current state ``i``.
-
-        Returns a :class:`BigJump`, a :class:`SmallOrder`, or :data:`NO_EVENT`,
-        from :meth:`mark_codes`; the benchmark tracer patches this name.
-        """
-        if s < 0:
-            raise ValueError("age must be nonnegative")
-        return self.mark(i, int(self.mark_codes(i, s, z)))
+    def classify(self, i: int, s: float, z: float) -> int:
+        """The mark code of coordinate ``z`` at age ``s`` (finite and
+        nonnegative) in state ``i``, from :meth:`mark_codes`; the benchmark
+        tracer patches this name."""
+        if not (math.isfinite(s) and s >= 0):
+            raise ValueError(f"age must be finite and >= 0, got {s!r}")
+        return int(self.mark_codes(i, s, z))

@@ -26,10 +26,9 @@ import numpy as np
 
 from .hazards import (
     BIG,
-    BigJump,
+    SMALL,
     MarkLayout,
     SemiMarkovKernel,
-    SmallOrder,
     alpha,
     equivalent,
     successors,
@@ -231,19 +230,21 @@ def _events_unc(kernel, p, i, ages):
 
 def _events_ctl(kernel, layout, cost, control, include_small, p, i, ages, x, y):
     """Big jumps out of state ``i`` and, on quoted sides unless excluded,
-    small orders, with the agent's fills: (intensity at the nodes, state after)."""
+    small orders, with the agent's fills: (intensity at the nodes, state after).
+    Successor slot ``b`` enters on the move of side slot ``b``, so both
+    settle by the order codes of slot ``b``."""
     events = []
-    for j in successors(i):
+    n_units = layout.max_units + 1
+    for b, j in enumerate(successors(i)):
         d = alpha(j)
         if include_small and (control[0] if d > 0 else control[1]):
             flow = layout.side_flow(d).value(ages)
             for units, prob in enumerate(layout.side_sizes(d)):
                 if units and prob:
-                    _, dx, dy, _ = order_fill(
-                        SmallOrder(d, units), control, layout.max_units, p, kernel.delta, cost
-                    )
+                    _, dx, dy, _ = order_fill(SMALL + b * n_units + units, control,
+                                              layout.max_units, p, kernel.delta, cost)
                     events.append((prob * flow, (p, i, ages, x + dx, y + dy)))
-        _, dx, dy, _ = order_fill(BigJump(j), control, layout.max_units, p, kernel.delta, cost)
+        _, dx, dy, _ = order_fill(BIG + b, control, layout.max_units, p, kernel.delta, cost)
         events.append((
             kernel.directed_intensity(i, j, ages),
             (p * (1.0 + kernel.delta * d), j, 0.0, x + dx, y + dy),

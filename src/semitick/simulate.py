@@ -17,8 +17,7 @@ hold on ``[t0, t1)`` while the age grows from ``s0`` to ``s1``, so
 ``(p, i, s1)`` is the left limit at ``t1``, where ``mark`` happens.  The
 horizon cuts each path's last segment, marked 0.  ``renewal_segments`` and
 ``thinning_segments`` are a block of one, yielded as tuples with the last
-mark None; thinning tuples decode codes into ``BigJump``, ``SmallOrder`` and
-``NO_EVENT``.  There is no other path representation: the ``simulate``
+mark None.  There is no other path representation: the ``simulate``
 command, ``mc.estimate_terminal_value`` and the uncontrolled Dynkin battery
 fold renewal blocks, ``market_maker.backtest`` and the controlled battery
 thinning blocks, settling fills with ``order_fill``, and the
@@ -51,10 +50,8 @@ from .hazards import (
     SMALL,
     STATES,
     SUCCESSOR_INDEX,
-    BigJump,
     MarkLayout,
     SemiMarkovKernel,
-    SmallOrder,
     alpha,
 )
 
@@ -485,36 +482,38 @@ def renewal_segments(kernel: SemiMarkovKernel, start, horizon: float, rng):
 def thinning_segments(kernel: SemiMarkovKernel, layout: MarkLayout, start, horizon: float, rng):
     """Thinning construction of one path from ``start = (t, price, state,
     age)`` to the horizon, drawn from ``rng``: one segment per candidate of
-    the dominating Poisson stream, thinned ones included, marked with
-    ``layout.mark`` of its code (None on the last).  The path is a block of
-    one, refused as :func:`renewal_segments` is."""
+    the dominating Poisson stream, thinned ones included, marked with its
+    mark code (None on the last).  The path is a block of one, refused as
+    :func:`renewal_segments` is."""
     for *row, code in _one_path(_thinning(kernel, layout), start, horizon, rng):
-        yield (*row, layout.mark(row[3], code))
+        yield (*row, code or None)
 
 
-def order_fill(mark, quotes, big_units: int, price, delta: float, cost: float):
-    """Settle market orders against the agent's quotes ``(ask bit, bid bit)``.
+def order_fill(code, quotes, big_units: int, price, delta: float, cost: float):
+    """Settle market orders, given as order codes (``BIG`` up to ``SMALL +
+    2 * (big_units + 1) - 1``, an int or an int array) of a layout whose K is
+    ``big_units``, against the agent's quotes ``(ask bit, bid bit)``.
 
     A small order trades its own size on its own side; a big order (a jump
-    into ``mark.target``) trades ``big_units`` on the side of the jump.  With
-    that side quoted the units trade at exec_price = price*(1 + side*delta),
-    ``price`` being the pre-event mid-price (so a big order trades at the
-    post-jump price), and the fixed cost is paid: cash changes by
-    side*units*(exec_price - side*cost), inventory by -side*units.  ``mark``
-    is a :class:`BigJump`, a :class:`SmallOrder` or an int array of order
-    codes of a layout whose K is ``big_units``; quotes and ``price`` broadcast.
-    Returns ``(side, d_cash, d_inv, executed_units)``, ``side`` being the
-    quote side hit (+1 ask, -1 bid); with that side unquoted nothing trades.
+    into successor slot ``b``) trades ``big_units`` on the side of the jump.
+    With that side quoted the units trade at exec_price = price*(1 +
+    side*delta), ``price`` being the pre-event mid-price (so a big order
+    trades at the post-jump price), and the fixed cost is paid: cash changes
+    by side*units*(exec_price - side*cost), inventory by -side*units.
+    Quotes and ``price`` broadcast.  Returns ``(side, d_cash, d_inv,
+    executed_units)``, ``side`` being the quote side hit (+1 ask, -1 bid);
+    with that side unquoted nothing trades.  A code that is not an order
+    raises ``ValueError``.
     """
-    if isinstance(mark, SmallOrder):
-        side, units = mark.side, mark.units
-    elif isinstance(mark, BigJump):
-        side, units = alpha(mark.target), big_units
-    else:
-        big = mark < SMALL
-        slot, units = np.divmod(mark - SMALL, big_units + 1)
-        side = np.asarray(SLOT_MOVES)[np.where(big, mark - BIG, slot)]
-        units = np.where(big, big_units, units)
+    code = np.asarray(code)
+    off = (code < BIG) | (code >= SMALL + len(SLOT_MOVES) * (big_units + 1))
+    if off.any():
+        raise ValueError(f"mark code {code[off].flat[0]} is not an order of a layout "
+                         f"with K = {big_units}")
+    big = code < SMALL
+    slot, units = np.divmod(code - SMALL, big_units + 1)
+    side = np.asarray(SLOT_MOVES)[np.where(big, code - BIG, slot)]
+    units = np.where(big, big_units, units)
     traded = (np.where(side > 0, quotes[0], quotes[1]) != 0) & (units != 0)
     with np.errstate(over="ignore"):  # an infinite fill is refused by its caller
         d_cash = side * units * (price * (1.0 + side * delta) - side * cost)

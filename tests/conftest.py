@@ -6,22 +6,21 @@ import numpy as np
 import pytest
 
 from semitick import (
-    NO_EVENT,
+    SLOT_MOVES,
     STATES,
-    BigJump,
     ConstantIntensity,
     MarkLayout,
     MarketMakingSpec,
     MarketState,
     SaturatingIntensity,
     SemiMarkovKernel,
-    SmallOrder,
     alpha,
     direction_index,
     equivalent,
     extension_slice,
     successors,
 )
+from semitick.hazards import BIG, SMALL, THINNED
 from semitick.simulate import renewal_blocks, renewal_segments, thinning_segments
 
 
@@ -83,6 +82,29 @@ def start_state():
 
 
 # -- the event-object path the segment folds replaced, kept as the reference --
+
+
+@dataclass(frozen=True)
+class BigJump:
+    """A price-moving order; the direction process enters ``target``."""
+
+    target: int
+
+
+@dataclass(frozen=True)
+class SmallOrder:
+    """A non-price-moving order on side ``side`` (+1 ask, -1 bid), ``units`` traded."""
+
+    side: int
+    units: int
+
+
+def _decode(layout, i, code):
+    """The event object of order code ``code`` in state ``i``."""
+    if code < SMALL:
+        return BigJump(successors(i)[code - BIG])
+    slot, units = divmod(code - SMALL, layout.max_units + 1)
+    return SmallOrder(SLOT_MOVES[slot], units)
 
 
 @dataclass(frozen=True)
@@ -167,9 +189,9 @@ def _thinning_path(kernel, layout, initial, horizon, rng):
         raise ValueError("horizon must be positive")
     path = _Path(initial_market=initial, horizon=horizon, seed=rng, method="thinning")
     start = (0.0, initial.price, initial.state, initial.age)
-    for _, t1, p, i, _, s1, mark in thinning_segments(kernel, layout, start, horizon, rng):
-        if mark is not None and mark is not NO_EVENT:
-            path.events.append(_market_event(t1, p, i, s1, mark, kernel.delta))
+    for _, t1, p, i, _, s1, code in thinning_segments(kernel, layout, start, horizon, rng):
+        if code is not None and code >= BIG:
+            path.events.append(_market_event(t1, p, i, s1, _decode(layout, i, code), kernel.delta))
     path.terminal_market = MarketState(p, i, s1)
     return path
 
@@ -258,7 +280,7 @@ def scalar_renewal():
 
 
 def _scalar_mark(layout, i, s, z):
-    """The mark at coordinate ``z``: the interval ends at age ``s`` from
+    """The mark code at coordinate ``z``: the interval ends at age ``s`` from
     numpy's functions on a 0-d age, as on arrays of ages, then a bisection."""
     s = np.asarray(s)
     lam_a, lam_b = layout.ask_flow.value(s), layout.bid_flow.value(s)
@@ -267,9 +289,10 @@ def _scalar_mark(layout, i, s, z):
     k = int(np.searchsorted(np.cumsum(lengths), z, side="right"))
     cont, rev = sorted(successors(i), key=lambda j: alpha(j) != alpha(i))
     n_sizes = len(layout.ask_sizes)
-    marks = [BigJump(cont), BigJump(rev)] + [SmallOrder(+1, u) for u in range(n_sizes)]
-    marks += [SmallOrder(-1, u) for u in range(n_sizes)] + [NO_EVENT]
-    return marks[k]
+    codes = [BIG + successors(i).index(j) for j in (cont, rev)]
+    for side in (+1, -1):
+        codes += [SMALL + SLOT_MOVES.index(side) * n_sizes + u for u in range(n_sizes)]
+    return (codes + [THINNED])[k]
 
 
 def _scalar_thinning(kernel, layout, start, horizon, rng):
@@ -284,17 +307,19 @@ def _scalar_thinning(kernel, layout, start, horizon, rng):
             yield t, horizon, p, i, s, s + (horizon - t), None
             return
         s1 = s + gap
-        mark = _scalar_mark(layout, i, s1, width * rng.random())
-        yield t, t + gap, p, i, s, s1, mark
-        t += gap
-        p, i, s = _right_limit(p, i, s1, mark, kernel.delta)
+        code = _scalar_mark(layout, i, s1, width * rng.random())
+        yield t, t + gap, p, i, s, s1, code
+        t, s = t + gap, s1
+        if BIG <= code < SMALL:
+            j = successors(i)[code - BIG]
+            p, i, s = p * (1.0 + kernel.delta * alpha(j)), j, 0.0
 
 
 @pytest.fixture(scope="session")
 def scalar_thinning():
     """The thinning construction's two-uniform contract, one scalar draw at a
     time: ``segments(kernel, layout, start, horizon, rng)`` yields one path's
-    segment tuples with mark objects, drawing ``rng.random()`` for an open
+    segment tuples with mark codes, drawing ``rng.random()`` for an open
     gap uniform (a zero is skipped), gap ``-np.log1p(-u1) / width``, and then,
     unless the horizon cuts the gap, ``rng.random()`` for the mark
     coordinate ``width * u2``; ``mark(layout, i, s, z)`` resolves one mark."""

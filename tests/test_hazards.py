@@ -7,8 +7,6 @@ import numpy as np
 import pytest
 
 from semitick import (
-    NO_EVENT,
-    BigJump,
     ConstantIntensity,
     MarkLayout,
     SaturatingIntensity,
@@ -16,13 +14,13 @@ from semitick import (
     STATES,
     SUCCESSOR_INDEX,
     SemiMarkovKernel,
-    SmallOrder,
     alpha,
     direction_index,
     equivalent,
     successors,
 )
 from semitick.harness import load_config
+from semitick.hazards import BIG, SMALL, THINNED
 
 
 def reference_integral(spec, y):
@@ -56,28 +54,41 @@ def exact_integral(kernel, y: float) -> float:
 
 
 def reference_boundaries(layout, s):
-    """Interval ends as first written: ``np.cumsum`` of the interval lengths."""
+    """Interval ends as first written: ``np.cumsum`` of the interval lengths;
+    at an array of ages, the lengths from array calls and one cumsum per age."""
     lengths = [layout.kernel.continuation.value(s), layout.kernel.reversal.value(s)]
     lengths.extend(layout.ask_flow.value(s) * q for q in layout.ask_sizes)
     lengths.extend(layout.bid_flow.value(s) * q for q in layout.bid_sizes)
-    return np.cumsum(lengths)
+    if np.ndim(s) == 0:
+        return np.cumsum(lengths)
+    return np.array([np.cumsum(row) for row in np.stack(lengths, axis=-1)])
 
 
-def reference_classify(layout, i, s, z):
-    """Classification as first written: ``searchsorted`` on the cumsum ends."""
-    if z < 0:
-        return NO_EVENT
-    bounds = reference_boundaries(layout, s)
-    if z >= bounds[-1]:
-        return NO_EVENT
+def reference_classify(layout, i, bounds, z):
+    """Classification as first written: ``searchsorted`` on the cumsum ends
+    ``bounds``, as a mark code."""
+    if z < 0 or z >= bounds[-1]:
+        return THINNED
     idx = int(np.searchsorted(bounds, z, side="right"))
     if idx == 0:
-        return BigJump(next(j for j in successors(i) if alpha(j) == alpha(i)))
+        return big_code(i, next(j for j in successors(i) if alpha(j) == alpha(i)))
     if idx == 1:
-        return BigJump(next(j for j in successors(i) if alpha(j) != alpha(i)))
+        return big_code(i, next(j for j in successors(i) if alpha(j) != alpha(i)))
     idx -= 2
     n_sizes = len(layout.ask_sizes)
-    return SmallOrder(+1, idx) if idx < n_sizes else SmallOrder(-1, idx - n_sizes)
+    side, units = (+1, idx) if idx < n_sizes else (-1, idx - n_sizes)
+    return small_code(side, units, n_sizes)
+
+
+def big_code(i, j):
+    """The mark code of a big jump from ``i`` into ``j``."""
+    return BIG + successors(i).index(j)
+
+
+def small_code(side, units, n_sizes):
+    """The mark code of a small order of ``units`` on ``side`` (+1 ask, -1
+    bid) of a layout with ``n_sizes`` trade sizes."""
+    return SMALL + SLOT_MOVES.index(side) * n_sizes + units
 
 
 # (previous state, next state) -> hazard side (+1 continuation, -1 reversal),
@@ -373,18 +384,25 @@ class TestMarkLayout:
 
     def test_classify_examples(self, symmetric_layout):
         # continuation interval first: from state 2 it leads to state 4
-        assert symmetric_layout.classify(2, 0.0, 0.25) == BigJump(4)
-        assert symmetric_layout.classify(2, 0.0, 0.75) == BigJump(3)
-        assert symmetric_layout.classify(2, 0.0, 1e9) is NO_EVENT
-        assert symmetric_layout.classify(2, 0.0, -0.5) is NO_EVENT
+        assert symmetric_layout.classify(2, 0.0, 0.25) == big_code(2, 4)
+        assert symmetric_layout.classify(2, 0.0, 0.75) == big_code(2, 3)
+        assert symmetric_layout.classify(2, 0.0, 1e9) == THINNED
+        assert symmetric_layout.classify(2, 0.0, -0.5) == THINNED
 
     def test_classify_small_orders(self, symmetric_layout):
         # beyond the two big intervals (total 1.0): ask sizes 0..3 then bid
-        assert symmetric_layout.classify(1, 0.0, 1.05) == SmallOrder(+1, 0)
-        assert symmetric_layout.classify(1, 0.0, 1.35) == SmallOrder(+1, 1)
-        assert symmetric_layout.classify(1, 0.0, 2.05) == SmallOrder(-1, 0)
+        n = len(symmetric_layout.ask_sizes)
+        assert symmetric_layout.classify(1, 0.0, 1.05) == small_code(+1, 0, n)
+        assert symmetric_layout.classify(1, 0.0, 1.35) == small_code(+1, 1, n)
+        assert symmetric_layout.classify(1, 0.0, 2.05) == small_code(-1, 0, n)
         # zero-size execution is a legitimate no-op event
-        assert symmetric_layout.classify(1, 0.0, 1.0).units == 0
+        assert symmetric_layout.classify(1, 0.0, 1.0) == small_code(+1, 0, n)
+
+    @pytest.mark.parametrize("age", [math.nan, math.inf, -math.inf, -0.5])
+    def test_classify_refuses_a_bad_age(self, saturating_layout, age):
+        # a NaN age once passed the sign check and classified as a big jump
+        with pytest.raises(ValueError, match="age must be finite and >= 0"):
+            saturating_layout.classify(2, age, 0.5)
 
     def test_mass_bound(self, saturating_layout):
         ages = np.linspace(0.0, 6.0, 50)
@@ -399,38 +417,31 @@ class TestMarkLayout:
         # and compare segment lengths with the analytic interval lengths
         layout = request.getfixturevalue(layout_name)
         kernel = layout.kernel
+        n = len(layout.ask_sizes)
         for s in (0.0, 0.7, 2.4):
             total = layout.total_mass(s)
-            tags, bounds = [], []
-            z_lo, tag_lo = 0.0, layout.classify(2, s, 0.0)
-            sweep = np.linspace(0.0, total + 0.5, 20001)[1:]
-            for z in sweep:
-                tag = layout.classify(2, s, z)
-                if tag != tag_lo:
-                    lo, hi = z_lo, z
-                    for _ in range(60):
-                        mid = 0.5 * (lo + hi)
-                        if layout.classify(2, s, mid) == tag_lo:
-                            lo = mid
-                        else:
-                            hi = mid
-                    tags.append(tag_lo)
-                    bounds.append(0.5 * (lo + hi))
-                    tag_lo = tag
-                z_lo = z
+            zs = np.linspace(0.0, total + 0.5, 20001)
+            codes = layout.mark_codes(2, s, zs)
+            change = np.flatnonzero(codes[1:] != codes[:-1])
+            lo, hi, tags = zs[change], zs[change + 1], codes[change]
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                below = layout.mark_codes(2, s, mid) == tags
+                lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+            bounds = 0.5 * (lo + hi)
             lengths = np.diff(np.concatenate([[0.0], bounds]))
             expected = [
-                (BigJump(4), kernel.continuation.value(s)),
-                (BigJump(3), kernel.reversal.value(s)),
+                (big_code(2, 4), kernel.continuation.value(s)),
+                (big_code(2, 3), kernel.reversal.value(s)),
             ]
             lam_a = layout.ask_flow.value(s)
             for k, q in enumerate(layout.ask_sizes):
-                expected.append((SmallOrder(+1, k), lam_a * q))
+                expected.append((small_code(+1, k, n), lam_a * q))
             lam_b = layout.bid_flow.value(s)
             for k, q in enumerate(layout.bid_sizes):
-                expected.append((SmallOrder(-1, k), lam_b * q))
+                expected.append((small_code(-1, k, n), lam_b * q))
             expected = [(tag, ln) for tag, ln in expected if ln > 0]
-            assert tags == [tag for tag, _ in expected]
+            assert tags.tolist() == [tag for tag, _ in expected]
             np.testing.assert_allclose(lengths, [ln for _, ln in expected], atol=1e-9)
 
     @pytest.mark.parametrize("preset", ["asymmetric-constant", "saturating-hazard"])
@@ -440,13 +451,18 @@ class TestMarkLayout:
         ages = rng.random(3000) * 4.0
         zs = rng.uniform(-0.5, layout.mark_domain + 0.5, 3000)
         states = rng.integers(1, 5, 3000)
-        for k, (i, s) in enumerate(zip(states.tolist(), ages.tolist())):
-            ends = reference_boundaries(layout, s)
+        # the ends of array calls, which the thinning engine makes; a scalar
+        # age reads math.expm1 and may land an ulp away
+        ends = reference_boundaries(layout, ages)
+        for k, (row, s) in enumerate(zip(ends, ages.tolist())):
             # exactly on an interval end, at and past the total mass, below zero
-            zs[k] = (ends[k % len(ends)], layout.total_mass(s), ends[-1], -1e-300, zs[k])[k % 5]
-        for i, s, z in zip(states.tolist(), ages.tolist(), zs.tolist()):
-            assert layout.classify(i, s, z) == reference_classify(layout, i, s, z), (i, s, z)
-            np.testing.assert_array_equal(layout.boundaries(s), reference_boundaries(layout, s))
+            zs[k] = (row[k % len(row)], layout.total_mass(s), row[-1], -1e-300, zs[k])[k % 5]
+        expected = [reference_classify(layout, i, row, z)
+                    for i, row, z in zip(states.tolist(), ends, zs.tolist())]
+        np.testing.assert_array_equal(layout.mark_codes(states, ages, zs), expected)
+        np.testing.assert_array_equal(layout.boundaries(ages), ends)
+        np.testing.assert_array_equal([layout.boundaries(s) for s in ages.tolist()],
+                                      [reference_boundaries(layout, s) for s in ages.tolist()])
 
     def test_immutability(self, symmetric_kernel, symmetric_layout):
         with pytest.raises(Exception):

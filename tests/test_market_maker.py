@@ -38,7 +38,7 @@ from semitick.harness import load_config
 from semitick.market_maker import export_policy_csv
 from semitick.mc import McEstimate
 from semitick.solver import _build_tables
-from semitick.hazards import BIG, NO_EVENT
+from semitick.hazards import BIG
 from semitick.simulate import order_fill, path_rng
 
 
@@ -443,7 +443,7 @@ class TestBacktest:
                 for _, t1, p, i, _, s1, mark in scalar_thinning.segments(
                     kernel, layout, (0.0, 1.0, 2, 0.0), horizon, path_rng(seed, idx)
                 ):
-                    if mark is not None and mark is not NO_EVENT:
+                    if mark is not None and mark >= BIG:
                         side, d_cash, d_inv, _ = order_fill(
                             mark, (1, 1), layout.max_units, p, kernel.delta, spec.transaction_cost
                         )

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from semitick import (
-    NO_EVENT,
+    SLOT_MOVES,
     AgentState,
-    BigJump,
     ConstantIntensity,
     GridSpec,
     MarketMakingSpec,
@@ -16,7 +15,6 @@ from semitick import (
     McEstimate,
     QuoteGainSource,
     SemiMarkovKernel,
-    SmallOrder,
     TestFunction,
     alpha,
     battery_controlled,
@@ -30,6 +28,7 @@ from semitick import (
     z_score,
 )
 from semitick import mc, simulate
+from semitick.hazards import BIG, SMALL
 from semitick.mc import _bump, _bump_ds
 from semitick.simulate import order_fill, renewal_segments
 
@@ -305,9 +304,8 @@ def _segment_defects_ctl(
             dxs = np.empty(len(probs))
             dys = np.empty(len(probs), dtype=int)
             for k in range(len(probs)):
-                _, dxs[k], dys[k], _ = order_fill(
-                    SmallOrder(d, k), control, big, p, kernel.delta, cost
-                )
+                code = SMALL + SLOT_MOVES.index(d) * (big + 1) + k
+                _, dxs[k], dys[k], _ = order_fill(code, control, big, p, kernel.delta, cost)
             live = (probs > 0) & ((dxs != 0) | (dys != 0))
             fills_small[d] = (
                 layout.side_flow(d).value(ages),
@@ -329,7 +327,9 @@ def _segment_defects_ctl(
                 integrand = integrand + lam * (
                     probs @ shifted - probs.sum() * psi_here
                 )
-            _, dxb, dyb, _ = order_fill(BigJump(j), control, big, p, kernel.delta, cost)
+            _, dxb, dyb, _ = order_fill(
+                BIG + SLOT_MOVES.index(d), control, big, p, kernel.delta, cost
+            )
             pj = p * (1.0 + kernel.delta * d)
             integrand = integrand + rates[j] * (
                 float(tf.psi(pj, j, 0.0, x + dxb, y + dyb)) - psi_here
@@ -373,7 +373,7 @@ def _reference_dynkin(
                     kernel, layout, transaction_cost, tfs, p, i, s0, x, y,
                     t0, t1, control, include_small_orders, weights, acc,
                 )
-                if mark is not None and mark is not NO_EVENT:
+                if mark is not None and mark >= BIG:
                     _, dx, dy, _ = order_fill(
                         mark, control, layout.max_units, p, kernel.delta, transaction_cost
                     )
@@ -439,7 +439,7 @@ class TestBlockMatchesReference:
                 kernel, layout, start, 0.7, path_rng(77, idx)
             ):
                 ref.append((x, y))
-                if mark is not None and mark is not NO_EVENT:
+                if mark is not None and mark >= BIG:
                     _, dx, dy, units = order_fill(mark, control, layout.max_units, p,
                                                   kernel.delta, cost)
                     x, y, filled = x + dx, y + dy, filled + (units > 0)

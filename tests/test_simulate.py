@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from semitick import (
-    NO_EVENT,
-    BigJump,
     ConstantIntensity,
     FixedQuotePolicy,
     SaturatingIntensity,
@@ -20,7 +18,6 @@ from semitick import (
     RandomQuotePolicy,
     MarkLayout,
     SemiMarkovKernel,
-    SmallOrder,
     alpha,
     checks,
     default_baselines,
@@ -31,7 +28,7 @@ from semitick import (
     thinning_segments,
 )
 from semitick import hazards, simulate
-from semitick.hazards import _PHI_CUT, _phi
+from semitick.hazards import BIG, SMALL, TERMINAL, THINNED, _PHI_CUT, _phi
 from semitick.simulate import order_fill, renewal_blocks, thinning_blocks
 
 
@@ -517,13 +514,13 @@ class TestThinningPath:
         assert check.measured["p"] > 0.01
 
 
-def decoded(layout, blocks, n_paths):
-    """Each path's segment tuples from thinning blocks, the mark codes
-    decoded by ``layout.mark``."""
+def block_rows(blocks, n_paths):
+    """Each path's segment tuples from thinning blocks, the last one marked
+    None as ``thinning_segments`` marks it."""
     paths = [[] for _ in range(n_paths)]
     for lo, path, _, columns in blocks:
         for k, (*row, code) in zip(path.tolist(), zip(*(c.tolist() for c in columns))):
-            paths[lo + k].append((*row, layout.mark(row[3], code)))
+            paths[lo + k].append((*row, code or None))
     return paths
 
 
@@ -553,12 +550,13 @@ class TestThinningEngine:
     def test_byte_for_byte(self, model, scalar_thinning, age):
         kernel, layout = model
         start = (0.0, 1.0, 2, age)
-        got = decoded(layout, thinning_blocks(kernel, layout, start, 2.0, 300, 14), 300)
+        got = block_rows(thinning_blocks(kernel, layout, start, 2.0, 300, 14), 300)
         ref = self.reference(scalar_thinning, kernel, layout, start, 2.0, 14, range(300))
         for rows, ref_rows in zip(got, ref, strict=True):
             assert_rows_equal(rows, ref_rows)
-        kinds = {type(r[6]) for rows in got for r in rows}
-        assert kinds == {BigJump, SmallOrder, type(NO_EVENT), type(None)}
+        kinds = {"cut" if c is None else "thinned" if c == THINNED else "big" if c < SMALL
+                 else "small" for c in (r[6] for rows in got for r in rows)}
+        assert kinds == {"cut", "thinned", "big", "small"}
 
     def test_block_splits(self, monkeypatch, saturating_kernel, saturating_layout,
                           scalar_thinning):
@@ -573,7 +571,7 @@ class TestThinningEngine:
             monkeypatch.setattr(simulate, "_BLOCK_ROWS", rows_budget)
             blocks = list(thinning_blocks(kernel, layout, start, 1.0, n_paths, 5))
             assert len(blocks) == n_blocks
-            for rows, ref_rows in zip(decoded(layout, blocks, n_paths), ref):
+            for rows, ref_rows in zip(block_rows(blocks, n_paths), ref):
                 assert_rows_equal(rows, ref_rows)
 
     @pytest.mark.parametrize("seed", [1, 2, 17])
@@ -591,7 +589,7 @@ class TestThinningEngine:
         assert_rows_equal(list(thinning_segments(kernel, layout, start, 4.0, stream)), ref)
         assert len(ref) > 5 and values[: ref_stream.drawn].count(0.0) > 5
         _zero_below_a_tenth(monkeypatch)
-        got = decoded(layout, thinning_blocks(kernel, layout, start, 4.0, 60, seed), 60)
+        got = block_rows(thinning_blocks(kernel, layout, start, 4.0, 60, seed), 60)
         skipped = 0
         for idx, rows in enumerate(got):
             values = path_rng(seed, idx).random(400)
@@ -622,7 +620,7 @@ class TestThinningEngine:
                 for seed in seeds]
         _refuse_generators(monkeypatch)
         for seed, ref in zip(seeds, refs):
-            got = decoded(layout, thinning_blocks(kernel, layout, start, 1.0, 1030, seed), 1030)
+            got = block_rows(thinning_blocks(kernel, layout, start, 1.0, 1030, seed), 1030)
             for idx, ref_rows in zip(checked, ref):
                 assert_rows_equal(got[idx], ref_rows)
 
@@ -646,7 +644,7 @@ class TestHoldingTimes:
             segments = thinning_segments(
                 saturating_kernel, saturating_layout, at_zero(market), 0.6, path_rng(8, idx)
             )
-            times = [t for _, t, *_, mark in segments if isinstance(mark, BigJump)]
+            times = [t for _, t, *_, code in segments if code in range(BIG, SMALL)]
             thin = reference_paths.thinning(
                 saturating_kernel, saturating_layout, market, 0.6, path_rng(8, idx)
             )
@@ -716,21 +714,37 @@ class TestMarketState:
 
 
 class TestControlledAccounting:
+    # order codes of K = 3: a big jump on side slot b (0 bid, 1 ask) is
+    # BIG + b, a small order of u units SMALL + 4 * b + u
+
     def test_small_order_fill_example(self):
         # ask quoted, 2 units sold at 101 each, less the fixed cost
-        side, d_cash, d_inv, units = order_fill(SmallOrder(+1, 2), (1, 0), 3, 100.0, 0.01, 0.1)
+        side, d_cash, d_inv, units = order_fill(SMALL + 4 + 2, (1, 0), 3, 100.0, 0.01, 0.1)
         assert d_cash == pytest.approx(201.8, abs=1e-12)
         assert (side, d_inv, units) == (+1, -2, 2)
 
     def test_big_order_fill_example(self):
         # down jump, bid quoted, 3 units: pay 99 each plus the fixed cost
-        side, d_cash, d_inv, units = order_fill(BigJump(3), (0, 1), 3, 100.0, 0.01, 0.1)
+        side, d_cash, d_inv, units = order_fill(BIG, (0, 1), 3, 100.0, 0.01, 0.1)
         assert d_cash == pytest.approx(-297.3, abs=1e-12)
         assert (side, d_inv, units) == (-1, 3, 3)
 
     def test_unquoted_side_leaves_portfolio(self):
-        assert order_fill(SmallOrder(-1, 2), (1, 0), 2, 100.0, 0.01, 0.1) == (-1, 0.0, 0, 0)
-        assert order_fill(BigJump(4), (0, 1), 2, 100.0, 0.01, 0.1) == (+1, 0.0, 0, 0)
+        # K = 2: a bid small order of 2 units is SMALL + 2
+        assert order_fill(SMALL + 2, (1, 0), 2, 100.0, 0.01, 0.1) == (-1, 0.0, 0, 0)
+        assert order_fill(BIG + 1, (0, 1), 2, 100.0, 0.01, 0.1) == (+1, 0.0, 0, 0)
+
+    def test_codes_that_are_not_orders_refused(self):
+        # the horizon cut and a thinned candidate once wrapped round to the
+        # ask and bid big fills; past the last small order, a bare IndexError
+        with pytest.raises(ValueError, match=f"mark code {TERMINAL} is not an order"):
+            order_fill(np.array([TERMINAL, THINNED]), (1, 1), 2, np.ones(2), 0.01, 0.0)
+        with pytest.raises(ValueError, match=f"mark code {THINNED} is not an order"):
+            order_fill(np.array([BIG, THINNED]), (1, 1), 2, np.ones(2), 0.01, 0.0)
+        last = SMALL + 2 * 3 - 1
+        assert order_fill(last, (1, 1), 2, 1.0, 0.01, 0.0)[3] == 2
+        with pytest.raises(ValueError, match=f"mark code {last + 1} is not an order"):
+            order_fill(np.array([BIG, last + 1, last + 2]), (1, 1), 2, np.ones(3), 0.01, 0.0)
 
     @pytest.mark.parametrize(
         "policy", [FixedQuotePolicy(1, 1, "always_quote"), RandomQuotePolicy(seed=3)]
@@ -747,7 +761,7 @@ class TestControlledAccounting:
                 asymmetric_kernel, asymmetric_layout, (0.0, 1.0, 2, 0.0), 2.0, path_rng(55, idx)
             ))
             for (_, t1, p, i, _, s1, mark), after in zip(segments, segments[1:]):
-                if mark is NO_EVENT:
+                if mark == THINNED:
                     continue
                 _, d_cash, d_inv, _ = order_fill(mark, policy(t1, p, i, s1), big, p, delta, cost)
                 change = d_cash + d_inv * after[2]
